@@ -50,8 +50,8 @@ var (
 
 // Chaos soak knobs (flags), used by the "chaos" artefact only.
 var (
-	chaosSteps int
-	chaosSeed  int64
+	chaosSteps     int
+	chaosSeed      int64
 	chaosVMs       int
 	chaosChurn     bool
 	rebalanceEvery int

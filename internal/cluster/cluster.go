@@ -596,9 +596,34 @@ func (c *Cluster) Resize(name string, tpl vm.Template, srcs []workload.Source) e
 	n.usedFreq += int64(tpl.VCPUs)*tpl.FreqMHz - int64(d.template.VCPUs)*d.template.FreqMHz
 	n.usedVC += tpl.VCPUs - d.template.VCPUs
 	n.usedMem += tpl.MemoryGB - d.template.MemoryGB
+	d.sources = resizedSources(d.sources, d.template.VCPUs, tpl.VCPUs, srcs)
 	d.template = tpl
 	c.reindex(n)
 	return nil
+}
+
+// resizedSources returns a deployment's workload sources after
+// Manager.Reconfigure took the VM from old to n vCPUs, so that a later
+// Migrate or evacuation provisions the shape the VM has now: truncated on
+// a shrink, extended by added (nil = idle) on a grow. A nil list (every
+// vCPU idle) stays nil while nothing but idle vCPUs join.
+func resizedSources(cur []workload.Source, old, n int, added []workload.Source) []workload.Source {
+	if cur == nil && (n <= old || added == nil) {
+		return nil
+	}
+	if n <= old {
+		return cur[:n]
+	}
+	// A fresh slice: cur may share its array with the caller of Deploy.
+	out := append(make([]workload.Source, 0, n), cur...)
+	for len(out) < old {
+		out = append(out, workload.Idle())
+	}
+	out = append(out, added...)
+	for len(out) < n {
+		out = append(out, workload.Idle())
+	}
+	return out
 }
 
 // fitsResized checks the admission constraint with old's demand on n

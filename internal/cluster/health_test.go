@@ -8,6 +8,7 @@ import (
 	"vfreq/internal/host"
 	"vfreq/internal/trace"
 	"vfreq/internal/vm"
+	"vfreq/internal/workload"
 )
 
 func TestHealthHealthyCluster(t *testing.T) {
@@ -220,6 +221,78 @@ func TestResizeReflectsInControllerGuarantee(t *testing.T) {
 	}
 	if got := len(n.Ctrl.VM("a").VCPUs); got != 2 {
 		t.Fatalf("controller tracks %d vCPUs after shrink, want 2", got)
+	}
+}
+
+// A resized VM must still migrate: Resize keeps the deployment's workload
+// sources in step with the vCPU count, so the target node provisions the
+// shape the VM has now. Before the fix Provision refused the stale list
+// ("vm: 2 workload sources for 4 vCPUs" after a grow, 4 for 2 after a
+// shrink), and a grow of an idle-deployed VM silently lost the new vCPUs'
+// sources on the way.
+func TestResizeThenMigrate(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		from, to      vm.Template
+		deployed      int // sources passed to Deploy; 0 = nil (idle)
+		added         int // sources passed to Resize; 0 = nil
+		wantBusyVCPUs int // vCPUs that accumulate cycles on the target
+	}{
+		{"grow", vm.Small(), vm.Large(), 2, 2, 4},
+		{"grow with idle additions", vm.Small(), vm.Large(), 2, 0, 2},
+		{"grow an idle deployment", vm.Small(), vm.Large(), 0, 2, 2},
+		{"shrink", vm.Large(), vm.Small(), 4, 0, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := twoNodeCluster(t)
+			var srcs, added []workload.Source
+			if tc.deployed > 0 {
+				srcs = busy(tc.deployed)
+			}
+			if tc.added > 0 {
+				added = busy(tc.added)
+			}
+			src, err := c.Deploy("a", tc.from, srcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Resize("a", tc.to, added); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if moved, err := c.Migrate("a", 1-src); err != nil || !moved {
+				t.Fatalf("Migrate after Resize = %v, %v", moved, err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := c.Step(); err != nil { // steps both nodes
+					t.Fatal(err)
+				}
+			}
+			inst := c.Nodes()[1-src].Manager.Get("a")
+			if inst == nil || inst.Template() != tc.to {
+				t.Fatalf("target instance = %v, want template %+v", inst, tc.to)
+			}
+			if got := len(c.Nodes()[1-src].Ctrl.VM("a").VCPUs); got != tc.to.VCPUs {
+				t.Fatalf("target controller tracks %d vCPUs, want %d", got, tc.to.VCPUs)
+			}
+			ran := 0
+			for j := 0; j < tc.to.VCPUs; j++ {
+				if inst.VCPUCycles(j) > 0 {
+					ran++
+				}
+			}
+			if ran != tc.wantBusyVCPUs {
+				t.Fatalf("%d vCPUs ran on the target, want %d", ran, tc.wantBusyVCPUs)
+			}
+			if c.Nodes()[src].Manager.Get("a") != nil {
+				t.Fatal("source node still holds the VM")
+			}
+		})
 	}
 }
 

@@ -282,10 +282,18 @@ func (m *Machine) Step() {
 			a.Thread.OnRun(now, a.RanUs, eff)
 		}
 	}
+	// One pass over the cores yields what Sched.CoreUtilization,
+	// Sched.Utilization and DVFS.MeanMHz would each loop for, by the same
+	// expressions.
+	var busyUs, sumMHz int64
 	for c := range m.util {
-		m.util[c] = m.Sched.CoreUtilization(c)
+		l := m.Sched.CoreLoadUs(c)
+		busyUs += l
+		sumMHz += m.DVFS.FreqMHz(c)
+		m.util[c] = float64(l) / float64(tick)
 	}
-	m.Meter.Observe(m.Sched.Utilization(), m.DVFS.MeanMHz(), tick)
+	cores := int64(len(m.util))
+	m.Meter.Observe(float64(busyUs)/float64(tick*cores), float64(sumMHz)/float64(cores), tick)
 	m.DVFS.Update(m.util)
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vfreq/internal/cgroupfs"
+	"vfreq/internal/energy"
 	"vfreq/internal/procfs"
 	"vfreq/internal/sysfs"
 )
@@ -139,6 +140,37 @@ func TestDVFSRespondsToLoad(t *testing.T) {
 	perSec := m.Meter.Joules() / 0.5
 	if perSec < 150 || perSec > float64(m.Spec().Power.MaxWatts) {
 		t.Fatalf("full-load power = %.0f W, want near %g", perSec, m.Spec().Power.MaxWatts)
+	}
+}
+
+// Step folds the per-core utilisation, the machine utilisation and the
+// mean frequency into one loop; the energy it meters and the governor
+// input it builds must equal, bit for bit, what the scheduler's and the
+// DVFS model's own accessors report.
+func TestStepMatchesAccessors(t *testing.T) {
+	m, _ := New(Chetemi())
+	for i := 0; i < 25; i++ {
+		share := float64(i%5) / 4
+		if _, err := m.StartThread("", "mixed", func(nowUs, dtUs int64) float64 { return share }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	twin, err := energy.NewMeter(m.Spec().Power)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 50; k++ {
+		mean := m.DVFS.MeanMHz() // the frequencies the tick runs at
+		m.Step()
+		twin.Observe(m.Sched.Utilization(), mean, m.TickUs)
+		if m.Meter.Joules() != twin.Joules() {
+			t.Fatalf("tick %d: metered %v J, accessors give %v J", k, m.Meter.Joules(), twin.Joules())
+		}
+		for c := range m.util {
+			if m.util[c] != m.Sched.CoreUtilization(c) {
+				t.Fatalf("tick %d: core %d util %v, CoreUtilization %v", k, c, m.util[c], m.Sched.CoreUtilization(c))
+			}
+		}
 	}
 }
 

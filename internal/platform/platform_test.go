@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"fmt"
 	"os"
 	"testing"
 
@@ -50,6 +51,57 @@ func TestSimListVMs(t *testing.T) {
 	}
 	if vms[1].Name != "b" || vms[1].VCPUs != 4 || vms[1].FreqMHz != 1800 {
 		t.Fatalf("vms[1] = %+v", vms[1])
+	}
+}
+
+// The path memo follows the live VM set: a node that churns VMs for
+// 1000 cycles (new names, new thread ids every time, plus a shrink) ends
+// with exactly the entries of the vCPUs it still runs.
+func TestSimPathMemoBounded(t *testing.T) {
+	s, mgr := newSim(t)
+	read := func() {
+		vms, err := s.ListVMs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vms {
+			for j := 0; j < v.VCPUs; j++ {
+				tid, err := s.ThreadID(v.Name, j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.LastCPU(tid); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if _, err := mgr.Provision("resident", vm.Large(), nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		name := fmt.Sprintf("churn%d", i)
+		if _, err := mgr.Provision(name, vm.Small(), nil); err != nil {
+			t.Fatal(err)
+		}
+		read()
+		if got := len(s.vcpuPaths); got != 6 || len(s.tidPaths) != 6 {
+			t.Fatalf("cycle %d: %d vCPU and %d thread entries with 6 live vCPUs", i, got, len(s.tidPaths))
+		}
+		if err := mgr.Destroy(name); err != nil {
+			t.Fatal(err)
+		}
+		read()
+		if got := len(s.vcpuPaths); got != 4 || len(s.tidPaths) != 4 {
+			t.Fatalf("cycle %d: %d vCPU and %d thread entries with 4 live vCPUs", i, got, len(s.tidPaths))
+		}
+	}
+	if err := mgr.Reconfigure("resident", vm.Small(), nil); err != nil { // 4 → 2 vCPUs
+		t.Fatal(err)
+	}
+	read()
+	if len(s.vcpuPaths) != 2 || len(s.tidPaths) != 2 {
+		t.Fatalf("after shrink: %d vCPU and %d thread entries, want 2 and 2", len(s.vcpuPaths), len(s.tidPaths))
 	}
 }
 

@@ -30,7 +30,8 @@ type Sim struct {
 
 	bufs sync.Pool // *[]byte read buffers
 
-	vmScratch []VMInfo // ListVMs result, reused across calls
+	vmScratch []VMInfo       // ListVMs result, reused across calls
+	listed    []*vm.Instance // the instances behind vmScratch
 }
 
 type vcpuKey struct {
@@ -67,8 +68,8 @@ func NewSim(mgr *vm.Manager) *Sim {
 }
 
 // files returns the memoised pseudo-file paths of a vCPU cgroup. Paths
-// are pure functions of (vm, vcpu), so entries are never invalidated —
-// a re-provisioned VM of the same name reuses them.
+// are pure functions of (vm, vcpu), so an entry is never wrong; ListVMs
+// drops it once the vCPU is gone.
 func (s *Sim) files(vmName string, vcpu int) *simVCPUFiles {
 	k := vcpuKey{vm: vmName, vcpu: vcpu}
 	s.mu.RLock()
@@ -124,15 +125,45 @@ func (s *Sim) Node() NodeInfo {
 
 // ListVMs implements Host. The returned slice is reused by the next
 // call; callers must not retain it.
+//
+// When the instances or their vCPU counts differ from the last call, it
+// prunes the path memo here, once per change, and not on the read path.
 func (s *Sim) ListVMs() ([]VMInfo, error) {
 	insts := s.mgr.List()
 	out := s.vmScratch[:0]
-	for _, inst := range insts {
+	changed := len(insts) != len(s.listed)
+	for i, inst := range insts {
 		t := inst.Template()
+		// out[i] still holds the last call's entry until the append.
+		changed = changed || s.listed[i] != inst || s.vmScratch[i].VCPUs != t.VCPUs
 		out = append(out, VMInfo{Name: inst.Name(), VCPUs: t.VCPUs, FreqMHz: t.FreqMHz})
 	}
 	s.vmScratch = out
+	if changed {
+		s.listed = append(s.listed[:0], insts...)
+		s.prune()
+	}
 	return out, nil
+}
+
+// prune drops the memoised paths of vCPUs and threads that no longer
+// exist. Thread ids are never reused and a churning node keeps meeting
+// new VM names, so without it both maps grow for as long as the node
+// lives.
+func (s *Sim) prune() {
+	threads := s.mgr.Machine().Sched
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k := range s.vcpuPaths {
+		if inst := s.mgr.Get(k.vm); inst == nil || k.vcpu >= inst.Template().VCPUs {
+			delete(s.vcpuPaths, k)
+		}
+	}
+	for tid := range s.tidPaths {
+		if threads.Thread(tid) == nil {
+			delete(s.tidPaths, tid)
+		}
+	}
 }
 
 // UsageUs implements Host.

@@ -33,17 +33,72 @@ func BenchmarkTick200VMs(b *testing.B) { benchTick(b, 200, 4, 0) }
 func BenchmarkTickQuota50VMs(b *testing.B) { benchTick(b, 50, 4, 25_000) }
 
 func BenchmarkWaterfill(b *testing.B) {
-	s := New(64)
-	ents := make([]*entity, 128)
-	for i := range ents {
-		ents[i] = &entity{weight: int64(i%7)*50 + 50, need: int64(i%13)*1000 + 500}
+	tmpl := make([]entity, 128)
+	got := make([]int64, len(tmpl))
+	for i := range tmpl {
+		tmpl[i] = entity{weight: int64(i%7)*50 + 50, need: int64(i%13)*1000 + 500, dst: &got[i]}
 	}
+	ents := make([]entity, len(tmpl))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, e := range ents {
-			e.got = 0
+		copy(ents, tmpl) // waterfill compacts its argument in place
+		waterfill(ents, 200_000)
+	}
+}
+
+// tableIINode builds the cgroup tree vm.Manager gives a chetemi node that
+// carries the paper's Table II mix: under machine.slice, 20 two-vCPU and
+// 10 four-vCPU VM scopes, each vCPU a busy thread alone in a quota'd leaf
+// group (the quotas sum to 44 of the 40 cores, so the waterfill contends
+// and the windows throttle), plus a 0.5 % emulator thread in its own leaf.
+func tableIINode() *Scheduler {
+	s := New(40)
+	slice := s.NewGroup(nil, "machine.slice")
+	busy := func(nowUs, dtUs int64) float64 { return 1 }
+	emulator := func(nowUs, dtUs int64) float64 { return 0.005 }
+	for i := 0; i < 30; i++ {
+		vcpus, quota := 2, int64(45_000)
+		if i >= 20 {
+			vcpus, quota = 4, 65_000
 		}
-		s.waterfill(ents, 200_000)
+		scope := s.NewGroup(slice, fmt.Sprintf("vm%d.scope", i))
+		for j := 0; j < vcpus; j++ {
+			g := s.NewGroup(scope, fmt.Sprintf("vcpu%d", j))
+			if err := g.SetQuota(quota, DefaultPeriodUs); err != nil {
+				panic(err)
+			}
+			s.NewThread(g, busy)
+		}
+		s.NewThread(s.NewGroup(scope, "emulator"), emulator)
+	}
+	return s
+}
+
+// TestTickZeroAlloc gates the hot path: once the scratch has grown, a
+// tick of the Table II shape — throttling, window rolls and all — does
+// not allocate.
+func TestTickZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s := tableIINode()
+	for i := 0; i < 30; i++ {
+		s.Tick(10_000)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { s.Tick(10_000) }); allocs != 0 {
+		t.Fatalf("steady-state Tick allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// BenchmarkTickTableII is one tick of the shape the repository benchmark
+// steps 100 times per node-period; the BenchmarkTick* shapes above have
+// no emulator threads and no per-vCPU leaf groups.
+func BenchmarkTickTableII(b *testing.B) {
+	s := tableIINode()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Tick(10_000)
 	}
 }
 

@@ -20,6 +20,8 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -102,6 +104,11 @@ type Group struct {
 	// runnable threads, mirroring cpu.pressure's avg10/avg60/avg300.
 	psiAvg10, psiAvg60, psiAvg300 float64
 	psiStallUs                    int64
+
+	// Per-tick cache, written by prepare: the subtree's demand, that
+	// demand clamped by every quota on the way down, and the share the
+	// parent's waterfill handed the group (read by allocate and settle).
+	want, need, share int64
 }
 
 // Scheduler simulates a multi-core machine's CPU-time allocation.
@@ -129,20 +136,15 @@ type Scheduler struct {
 	// heap allocation (the cluster-scale benchmarks step thousands of
 	// simulated machines per period, and before this reuse the fluid
 	// scheduler dominated the whole control plane's allocation profile).
-	runnableScratch []*Thread
-	allocScratch    []Alloc
-	orderScratch    []int
-	activeScratch   []*entity
-	levels          []levelScratch
-}
+	allocScratch []Alloc
+	keyScratch   []uint64
+	entScratch   []entity
 
-// levelScratch is the per-recursion-depth entity storage of allocate:
-// the entity values for one group's children plus the pointer slice
-// waterfill filters. One level is reused by every group at that depth
-// (allocation within a level finishes before the recursion descends).
-type levelScratch struct {
-	vals []entity
-	ptrs []*entity
+	// Per-tick values: the number of threads with demand, counted by
+	// prepare, and the PSI blend factors of the 10/60/300 s horizons,
+	// read by settle.
+	runnable int
+	psiAlpha [3]float64
 }
 
 // New creates a scheduler for a machine with the given number of logical
@@ -344,14 +346,12 @@ type Alloc struct {
 	Core   int
 }
 
-// entity is a schedulable child of a group during one tick: either a
-// thread or a sub-group.
+// entity is a schedulable child of a group during one waterfill: a thread
+// or a sub-group, reduced to its weight, its feasible demand and the place
+// its allocation is stored (Thread.got or Group.share).
 type entity struct {
-	thread *Thread
-	group  *Group
-	weight int64
-	need   int64
-	got    int64
+	weight, need, got int64
+	dst               *int64
 }
 
 // Tick advances the simulation by dt microseconds, distributing CPU time
@@ -360,56 +360,47 @@ type entity struct {
 // frequencies; Tick itself updates usage counters, bandwidth windows and
 // thread placement. The returned slice is reused by the next Tick, so
 // callers must consume (or copy) it before advancing again.
+//
+// One tick walks the cgroup tree twice: prepare descends it (windows,
+// demands, cached needs), allocate hands the capacity down through the
+// groups that need any, and settle ascends it (usage, throttling, PSI,
+// the allocation list in the order prepare met the threads).
 func (s *Scheduler) Tick(dtUs int64) []Alloc {
 	if dtUs <= 0 {
 		panic("sched: dt must be positive")
 	}
-	s.refreshWindows(s.root, dtUs)
-
-	// Gather demands.
-	runnable := s.runnableScratch[:0]
-	s.collectDemands(s.root, dtUs, &runnable)
-	s.runnableScratch = runnable
-
-	capacity := dtUs * int64(s.Cores)
-	s.allocate(s.root, capacity, dtUs, 0)
-
-	// Record usage, build allocations, place threads on cores.
-	allocs := s.allocScratch[:0]
-	for _, t := range runnable {
-		if t.got < 0 {
-			panic("sched: negative allocation")
-		}
-		if t.got == 0 {
-			continue
-		}
-		t.UsageUs += t.got
-		for g := t.Group; g != nil; g = g.Parent {
-			g.UsageUs += t.got
-			g.windowUsedUs += t.got
-		}
-		allocs = append(allocs, Alloc{Thread: t, RanUs: t.got})
-	}
-	s.allocScratch = allocs
+	s.runnable = 0
+	s.prepare(s.root, dtUs)
+	s.allocate(s.root, dtUs*int64(s.Cores))
+	s.psiAlpha = [3]float64{blendAlpha(dtUs, 10e6), blendAlpha(dtUs, 60e6), blendAlpha(dtUs, 300e6)}
+	s.allocScratch = s.allocScratch[:0]
+	s.settle(s.root, dtUs)
+	allocs := s.allocScratch
 	s.placeOnCores(allocs, dtUs)
-	s.recordThrottling(s.root, dtUs)
 	for c, l := range s.coreLoadUs {
 		s.coreBusyTotalUs[c] += l
 	}
-	s.updateLoadAvg(len(runnable), dtUs)
+	s.updateLoadAvg(s.runnable, dtUs)
 	s.nowUs += dtUs
 	s.lastDtUs = dtUs
 	return allocs
+}
+
+// blendAlpha is the weight one tick of dtUs carries in an exponential
+// average over windowUs.
+func blendAlpha(dtUs int64, windowUs float64) float64 {
+	alpha := float64(dtUs) / windowUs
+	if alpha > 1 {
+		alpha = 1
+	}
+	return alpha
 }
 
 // updateLoadAvg blends the runnable thread count into the 1/5/15-minute
 // exponential load averages.
 func (s *Scheduler) updateLoadAvg(runnable int, dtUs int64) {
 	blend := func(avg *float64, windowUs float64) {
-		alpha := float64(dtUs) / windowUs
-		if alpha > 1 {
-			alpha = 1
-		}
+		alpha := blendAlpha(dtUs, windowUs)
 		*avg = *avg*(1-alpha) + float64(runnable)*alpha
 	}
 	blend(&s.load1, 60e6)
@@ -426,10 +417,12 @@ func (s *Scheduler) CoreBusyTotalUs(c int) int64 { return s.coreBusyTotalUs[c] }
 // RunnableCount returns the number of registered threads.
 func (s *Scheduler) RunnableCount() int { return len(s.threads) }
 
-// refreshWindows opens new bandwidth periods where due, settling the
-// burst reserve: unused quota accumulates (up to BurstUs) and overruns
-// drain it.
-func (s *Scheduler) refreshWindows(g *Group, dtUs int64) {
+// prepare is the tick's descent. Per group it opens the bandwidth periods
+// that are due, settling the burst reserve (unused quota accumulates up to
+// BurstUs, overruns drain it), evaluates the demands of the group's
+// threads, and on the way back caches the subtree's demand and its feasible
+// part: the demand clamped by every quota on the way down.
+func (s *Scheduler) prepare(g *Group, dtUs int64) {
 	if g.QuotaUs != NoQuota {
 		for s.nowUs-g.windowStartUs >= g.PeriodUs {
 			if over := g.windowUsedUs - g.QuotaUs; over > 0 {
@@ -451,13 +444,7 @@ func (s *Scheduler) refreshWindows(g *Group, dtUs int64) {
 			g.throttledNow = false
 		}
 	}
-	for _, c := range g.Children {
-		s.refreshWindows(c, dtUs)
-	}
-}
-
-// collectDemands evaluates thread demands for the next tick.
-func (s *Scheduler) collectDemands(g *Group, dtUs int64, out *[]*Thread) {
+	var want int64
 	for _, t := range g.Threads {
 		f := 1.0
 		if t.Demand != nil {
@@ -472,12 +459,17 @@ func (s *Scheduler) collectDemands(g *Group, dtUs int64, out *[]*Thread) {
 		t.want = int64(f * float64(dtUs))
 		t.got = 0
 		if t.want > 0 {
-			*out = append(*out, t)
+			s.runnable++
+			want += t.want
 		}
 	}
+	need := want
 	for _, c := range g.Children {
-		s.collectDemands(c, dtUs, out)
+		s.prepare(c, dtUs)
+		want += c.want
+		need += c.need
 	}
+	g.want, g.need, g.share = want, min(need, g.quotaRemaining()), 0
 }
 
 // quotaRemaining returns how much CPU time group g may still consume in
@@ -493,112 +485,80 @@ func (g *Group) quotaRemaining() int64 {
 	return r
 }
 
-// need computes the feasible demand of the subtree rooted at g for this
-// tick: the sum of thread demands, clamped by every quota on the way down.
-func (g *Group) need() int64 {
-	var sum int64
-	for _, t := range g.Threads {
-		sum += t.want - t.got
-	}
-	for _, c := range g.Children {
-		sum += c.need()
-	}
-	if q := g.quotaRemaining(); sum > q {
-		sum = q
-	}
-	return sum
-}
-
 // allocate distributes capacity µs of CPU time within group g using
 // weighted max-min fairness over its children (sub-groups and direct
-// threads). dtUs bounds each thread at one core. depth indexes the
-// per-level entity scratch: sibling groups share a level and recursion
-// into a child uses the next one, so no allocation survives warm-up.
-func (s *Scheduler) allocate(g *Group, capacity, dtUs int64, depth int) {
+// threads), each entering with the need prepare cached; a thread's want is
+// at most dtUs, which bounds it at one core. The entity scratch is shared
+// by the whole tree: a group's waterfill has stored every result in the
+// threads and sub-groups before the recursion descends.
+func (s *Scheduler) allocate(g *Group, capacity int64) {
 	if q := g.quotaRemaining(); capacity > q {
 		capacity = q
 	}
 	if capacity <= 0 {
 		return
 	}
-	if depth == len(s.levels) {
-		s.levels = append(s.levels, levelScratch{})
+	if len(g.Children) == 0 && len(g.Threads) == 1 {
+		// A lone thread (a vCPU or emulator leaf): the one-entity
+		// waterfill is min(need, capacity).
+		t := g.Threads[0]
+		t.got = min(t.want, capacity)
+		return
 	}
-	// Build child entities in the level's value slice first; pointers
-	// are taken only once the slice has stopped growing.
-	vals := s.levels[depth].vals[:0]
+	ents := s.entScratch[:0]
 	for _, t := range g.Threads {
-		if n := t.want - t.got; n > 0 {
-			vals = append(vals, entity{thread: t, weight: DefaultWeight, need: n})
+		if t.want > 0 {
+			ents = append(ents, entity{weight: DefaultWeight, need: t.want, dst: &t.got})
 		}
 	}
 	for _, c := range g.Children {
-		if n := c.need(); n > 0 {
+		if c.need > 0 {
 			w := c.Weight
 			if w <= 0 {
 				w = DefaultWeight
 			}
-			vals = append(vals, entity{group: c, weight: w, need: n})
+			ents = append(ents, entity{weight: w, need: c.need, dst: &c.share})
 		}
 	}
-	s.levels[depth].vals = vals
-	if len(vals) == 0 {
-		return
-	}
-	ents := s.levels[depth].ptrs[:0]
-	for i := range vals {
-		ents = append(ents, &vals[i])
-	}
-	s.levels[depth].ptrs = ents
-	s.waterfill(ents, capacity)
-	for _, e := range ents {
-		if e.got == 0 {
-			continue
-		}
-		if e.thread != nil {
-			e.thread.got += e.got
-		} else {
-			s.allocate(e.group, e.got, dtUs, depth+1)
+	s.entScratch = ents
+	waterfill(ents, capacity)
+	for _, c := range g.Children {
+		if c.share > 0 {
+			s.allocate(c, c.share)
 		}
 	}
 }
 
 // waterfill distributes capacity among entities by weighted max-min
 // fairness with exact integer conservation: Σ got ≤ capacity, got ≤ need,
-// and no entity can gain without another losing. The active list lives in
-// a single scheduler-wide scratch: a waterfill completes before allocate
-// recurses, so nested calls never overlap on it.
-func (s *Scheduler) waterfill(ents []*entity, capacity int64) {
-	active := s.activeScratch[:0]
-	active = append(active, ents...)
-	s.activeScratch = active
+// and no entity can gain without another losing. Every gain is stored
+// through the entity's dst at once, so the slice can be compacted in place
+// to the still-unsatisfied entities, in order, round after round.
+func waterfill(active []entity, capacity int64) {
+	var sumW int64
+	for i := range active {
+		sumW += active[i].weight
+	}
 	for capacity > 0 && len(active) > 0 {
-		var sumW int64
-		for _, e := range active {
-			sumW += e.weight
-		}
 		snapshot := capacity
 		progress := false
-		next := active[:0]
-		for _, e := range active {
-			share := snapshot * e.weight / sumW
-			if share > capacity {
-				share = capacity
-			}
-			give := e.need - e.got
-			if give > share {
-				give = share
-			}
+		n, nextW := 0, int64(0)
+		for i := range active {
+			e := &active[i]
+			give := min(e.need-e.got, snapshot*e.weight/sumW, capacity)
 			if give > 0 {
 				e.got += give
+				*e.dst = e.got
 				capacity -= give
 				progress = true
 			}
 			if e.got < e.need {
-				next = append(next, e)
+				active[n] = *e
+				n++
+				nextW += e.weight
 			}
 		}
-		active = next
+		active, sumW = active[:n], nextW
 		if !progress {
 			// Integer shares rounded to zero: hand out the
 			// remainder one microsecond at a time, highest
@@ -615,123 +575,117 @@ func (s *Scheduler) waterfill(ents []*entity, capacity int64) {
 				active[j+1] = e
 			}
 			for capacity > 0 && len(active) > 0 {
-				next := active[:0]
-				for _, e := range active {
-					if capacity == 0 {
-						next = append(next, e)
-						continue
+				n := 0
+				for i := range active {
+					e := &active[i]
+					if capacity > 0 {
+						e.got++
+						*e.dst = e.got
+						capacity--
 					}
-					e.got++
-					capacity--
 					if e.got < e.need {
-						next = append(next, e)
+						active[n] = *e
+						n++
 					}
 				}
-				active = next
+				active = active[:n]
 			}
 		}
 	}
+}
+
+// settle is the tick's ascent. Per group it records the usage of the
+// group's threads and lists their allocations (threads before sub-groups,
+// the order prepare met them), folds the subtree's usage into the group
+// and its bandwidth window, and updates the cpu.stat throttling counters
+// and the PSI pressure averages: a group is throttled in a tick when its
+// quota window is exhausted while its subtree still has unmet demand. The
+// averages are exponentially weighted over 10/60/300-second horizons, as
+// the kernel's cpu.pressure reports. It returns the subtree's usage.
+func (s *Scheduler) settle(g *Group, dtUs int64) int64 {
+	var got int64
+	for _, t := range g.Threads {
+		if t.got < 0 {
+			panic("sched: negative allocation")
+		}
+		if t.got == 0 {
+			continue
+		}
+		t.UsageUs += t.got
+		got += t.got
+		s.allocScratch = append(s.allocScratch, Alloc{Thread: t, RanUs: t.got})
+	}
+	for _, c := range g.Children {
+		got += s.settle(c, dtUs)
+	}
+	g.UsageUs += got
+	g.windowUsedUs += got
+	v := 0.0
+	if unmet := g.want - got; unmet > 0 && g.QuotaUs != NoQuota && g.quotaRemaining() == 0 {
+		if !g.throttledNow {
+			g.NrThrottled++
+			g.throttledNow = true
+		}
+		g.ThrottledUs += unmet
+		g.psiStallUs += dtUs
+		v = 1
+	}
+	a := &s.psiAlpha
+	g.psiAvg10 = g.psiAvg10*(1-a[0]) + v*a[0]
+	g.psiAvg60 = g.psiAvg60*(1-a[1]) + v*a[1]
+	g.psiAvg300 = g.psiAvg300*(1-a[2]) + v*a[2]
+	return got
 }
 
 // placeOnCores assigns each allocation to a core for the tick. Threads
 // prefer their previous core if it has room (models CFS affinity: loaded
 // threads migrate rarely); otherwise they go to the least-loaded core.
 func (s *Scheduler) placeOnCores(allocs []Alloc, dtUs int64) {
-	for i := range s.coreLoadUs {
-		s.coreLoadUs[i] = 0
-	}
-	// Largest allocations first gives first-fit-decreasing packing.
-	// Stable insertion sort over a reused index slice: identical order
-	// to sort.SliceStable by descending RanUs, with no per-tick
-	// allocation.
-	order := s.orderScratch[:0]
-	for i := range allocs {
-		order = append(order, i)
-	}
-	s.orderScratch = order
-	for i := 1; i < len(order); i++ {
-		oi := order[i]
-		v := allocs[oi].RanUs
-		j := i - 1
-		for j >= 0 && allocs[order[j]].RanUs < v {
-			order[j+1] = order[j]
-			j--
+	load := s.coreLoadUs
+	clear(load)
+	// Largest allocations first gives first-fit-decreasing packing, ties
+	// in allocation order. Packing (dtUs − RanUs, index) into one integer
+	// per allocation turns that stable descending order into a plain
+	// ascending sort (RanUs ≤ dtUs: no thread outruns one core). The keys
+	// are distinct, so where the sort starts from does not change where it
+	// ends: starting from the last tick's order, still in the low bits of
+	// the scratch, leaves it little to do while allocations are steady.
+	shift := bits.Len(uint(len(allocs)))
+	mask := uint64(1)<<shift - 1
+	keys := s.keyScratch
+	if len(keys) != len(allocs) {
+		keys = keys[:0]
+		for i := range allocs {
+			keys = append(keys, uint64(i))
 		}
-		order[j+1] = oi
+		s.keyScratch = keys
 	}
-	for _, idx := range order {
-		a := &allocs[idx]
+	for j, k := range keys {
+		keys[j] = uint64(dtUs-allocs[k&mask].RanUs)<<shift | k&mask
+	}
+	slices.Sort(keys)
+	// floor is the least load a scan has found so far. Loads only grow
+	// within a tick, so the first core still at floor is the least
+	// loaded, lowest index first, and the scan stops there.
+	floor := int64(0)
+	for _, k := range keys {
+		a := &allocs[k&mask]
 		t := a.Thread
-		core := -1
-		if t.LastCPU >= 0 && t.LastCPU < s.Cores &&
-			s.coreLoadUs[t.LastCPU]+a.RanUs <= dtUs {
-			core = t.LastCPU
-		} else {
+		core := t.LastCPU
+		if core < 0 || core >= len(load) || load[core]+a.RanUs > dtUs {
 			least := int64(1) << 62
-			for c := 0; c < s.Cores; c++ {
-				if s.coreLoadUs[c] < least {
-					least = s.coreLoadUs[c]
-					core = c
+			for c, l := range load {
+				if l < least {
+					least, core = l, c
+					if l == floor {
+						break
+					}
 				}
 			}
+			floor = least
 		}
-		s.coreLoadUs[core] += a.RanUs
+		load[core] += a.RanUs
 		t.LastCPU = core
 		a.Core = core
 	}
-}
-
-// recordThrottling updates cpu.stat-style throttling counters and the PSI
-// pressure averages: a group is throttled in a tick when its quota window
-// is exhausted while its threads still have unmet demand.
-func (s *Scheduler) recordThrottling(g *Group, dtUs int64) {
-	stalled := false
-	if g.QuotaUs != NoQuota && g.quotaRemaining() == 0 {
-		unmet := int64(0)
-		var rec func(*Group)
-		rec = func(n *Group) {
-			for _, t := range n.Threads {
-				if t.want > t.got {
-					unmet += t.want - t.got
-				}
-			}
-			for _, c := range n.Children {
-				rec(c)
-			}
-		}
-		rec(g)
-		if unmet > 0 {
-			if !g.throttledNow {
-				g.NrThrottled++
-				g.throttledNow = true
-			}
-			g.ThrottledUs += unmet
-			stalled = true
-		}
-	}
-	g.updatePSI(stalled, dtUs)
-	for _, c := range g.Children {
-		s.recordThrottling(c, dtUs)
-	}
-}
-
-// updatePSI advances the pressure averages by one tick. The averages are
-// exponentially weighted over 10/60/300-second horizons, as the kernel's
-// cpu.pressure reports.
-func (g *Group) updatePSI(stalled bool, dtUs int64) {
-	v := 0.0
-	if stalled {
-		v = 1
-		g.psiStallUs += dtUs
-	}
-	blend := func(avg *float64, windowUs float64) {
-		alpha := float64(dtUs) / windowUs
-		if alpha > 1 {
-			alpha = 1
-		}
-		*avg = *avg*(1-alpha) + v*alpha
-	}
-	blend(&g.psiAvg10, 10e6)
-	blend(&g.psiAvg60, 60e6)
-	blend(&g.psiAvg300, 300e6)
 }

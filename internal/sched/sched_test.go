@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -494,4 +495,760 @@ func TestQuickWeightMonotonicity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ---------------------------------------------------------------------
+// Reference tick and the differential tests that pin Tick to it.
+//
+// reference is the tick this package shipped before Tick became one
+// descent and one ascent of the cgroup tree: four recursive walks
+// (refreshWindows, collectDemands, allocate re-recursing need() at every
+// level, recordThrottling with an inner subtree walk), a per-thread
+// ancestor walk for usage and an insertion sort for placement. The code
+// below is that tick verbatim, with its scratch moved off the Scheduler.
+// The simulation's contract is bit-identity with it (DESIGN.md §5): the
+// repository benchmark's state digests hash every vCPU's cycle counter.
+// ---------------------------------------------------------------------
+
+type reference struct {
+	*Scheduler
+	runnableScratch []*Thread
+	allocScratch    []Alloc
+	orderScratch    []int
+	activeScratch   []*refEntity
+	levels          []refLevel
+}
+
+// refEntity is a schedulable child of a group during one tick: either a
+// thread or a sub-group.
+type refEntity struct {
+	thread *Thread
+	group  *Group
+	weight int64
+	need   int64
+	got    int64
+}
+
+// refLevel is the per-recursion-depth refEntity storage of allocate:
+// the refEntity values for one group's children plus the pointer slice
+// waterfill filters. One level is reused by every group at that depth
+// (allocation within a level finishes before the recursion descends).
+type refLevel struct {
+	vals []refEntity
+	ptrs []*refEntity
+}
+
+// referenceTick advances the simulation by dt microseconds, distributing CPU time
+// over runnable threads. It returns the per-thread allocations. The caller
+// is responsible for invoking thread OnRun callbacks with core
+// frequencies; Tick itself updates usage counters, bandwidth windows and
+// thread placement. The returned slice is reused by the next Tick, so
+// callers must consume (or copy) it before advancing again.
+func (s *reference) referenceTick(dtUs int64) []Alloc {
+	if dtUs <= 0 {
+		panic("sched: dt must be positive")
+	}
+	s.refreshWindows(s.root, dtUs)
+
+	// Gather demands.
+	runnable := s.runnableScratch[:0]
+	s.collectDemands(s.root, dtUs, &runnable)
+	s.runnableScratch = runnable
+
+	capacity := dtUs * int64(s.Cores)
+	s.allocate(s.root, capacity, dtUs, 0)
+
+	// Record usage, build allocations, place threads on cores.
+	allocs := s.allocScratch[:0]
+	for _, t := range runnable {
+		if t.got < 0 {
+			panic("sched: negative allocation")
+		}
+		if t.got == 0 {
+			continue
+		}
+		t.UsageUs += t.got
+		for g := t.Group; g != nil; g = g.Parent {
+			g.UsageUs += t.got
+			g.windowUsedUs += t.got
+		}
+		allocs = append(allocs, Alloc{Thread: t, RanUs: t.got})
+	}
+	s.allocScratch = allocs
+	s.placeOnCores(allocs, dtUs)
+	s.recordThrottling(s.root, dtUs)
+	for c, l := range s.coreLoadUs {
+		s.coreBusyTotalUs[c] += l
+	}
+	s.updateLoadAvg(len(runnable), dtUs)
+	s.nowUs += dtUs
+	s.lastDtUs = dtUs
+	return allocs
+}
+
+// updateLoadAvg blends the runnable thread count into the 1/5/15-minute
+// exponential load averages.
+func (s *reference) updateLoadAvg(runnable int, dtUs int64) {
+	blend := func(avg *float64, windowUs float64) {
+		alpha := float64(dtUs) / windowUs
+		if alpha > 1 {
+			alpha = 1
+		}
+		*avg = *avg*(1-alpha) + float64(runnable)*alpha
+	}
+	blend(&s.load1, 60e6)
+	blend(&s.load5, 300e6)
+	blend(&s.load15, 900e6)
+}
+
+// refreshWindows opens new bandwidth periods where due, settling the
+// burst reserve: unused quota accumulates (up to BurstUs) and overruns
+// drain it.
+func (s *reference) refreshWindows(g *Group, dtUs int64) {
+	if g.QuotaUs != NoQuota {
+		for s.nowUs-g.windowStartUs >= g.PeriodUs {
+			if over := g.windowUsedUs - g.QuotaUs; over > 0 {
+				g.burstReserve -= over
+				if g.burstReserve < 0 {
+					g.burstReserve = 0
+				}
+				g.NrBursts++
+				g.BurstUsedUs += over
+			} else {
+				g.burstReserve += -over
+				if g.burstReserve > g.BurstUs {
+					g.burstReserve = g.BurstUs
+				}
+			}
+			g.windowStartUs += g.PeriodUs
+			g.windowUsedUs = 0
+			g.NrPeriods++
+			g.throttledNow = false
+		}
+	}
+	for _, c := range g.Children {
+		s.refreshWindows(c, dtUs)
+	}
+}
+
+// collectDemands evaluates thread demands for the next tick.
+func (s *reference) collectDemands(g *Group, dtUs int64, out *[]*Thread) {
+	for _, t := range g.Threads {
+		f := 1.0
+		if t.Demand != nil {
+			f = t.Demand(s.nowUs, dtUs)
+		}
+		if f < 0 {
+			f = 0
+		}
+		if f > 1 {
+			f = 1
+		}
+		t.want = int64(f * float64(dtUs))
+		t.got = 0
+		if t.want > 0 {
+			*out = append(*out, t)
+		}
+	}
+	for _, c := range g.Children {
+		s.collectDemands(c, dtUs, out)
+	}
+}
+
+// refNeed computes the feasible demand of the subtree rooted at g for this
+// tick: the sum of thread demands, clamped by every quota on the way down.
+func (g *Group) refNeed() int64 {
+	var sum int64
+	for _, t := range g.Threads {
+		sum += t.want - t.got
+	}
+	for _, c := range g.Children {
+		sum += c.refNeed()
+	}
+	if q := g.quotaRemaining(); sum > q {
+		sum = q
+	}
+	return sum
+}
+
+// allocate distributes capacity µs of CPU time within group g using
+// weighted max-min fairness over its children (sub-groups and direct
+// threads). dtUs bounds each thread at one core. depth indexes the
+// per-level refEntity scratch: sibling groups share a level and recursion
+// into a child uses the next one, so no allocation survives warm-up.
+func (s *reference) allocate(g *Group, capacity, dtUs int64, depth int) {
+	if q := g.quotaRemaining(); capacity > q {
+		capacity = q
+	}
+	if capacity <= 0 {
+		return
+	}
+	if depth == len(s.levels) {
+		s.levels = append(s.levels, refLevel{})
+	}
+	// Build child entities in the level's value slice first; pointers
+	// are taken only once the slice has stopped growing.
+	vals := s.levels[depth].vals[:0]
+	for _, t := range g.Threads {
+		if n := t.want - t.got; n > 0 {
+			vals = append(vals, refEntity{thread: t, weight: DefaultWeight, need: n})
+		}
+	}
+	for _, c := range g.Children {
+		if n := c.refNeed(); n > 0 {
+			w := c.Weight
+			if w <= 0 {
+				w = DefaultWeight
+			}
+			vals = append(vals, refEntity{group: c, weight: w, need: n})
+		}
+	}
+	s.levels[depth].vals = vals
+	if len(vals) == 0 {
+		return
+	}
+	ents := s.levels[depth].ptrs[:0]
+	for i := range vals {
+		ents = append(ents, &vals[i])
+	}
+	s.levels[depth].ptrs = ents
+	s.waterfill(ents, capacity)
+	for _, e := range ents {
+		if e.got == 0 {
+			continue
+		}
+		if e.thread != nil {
+			e.thread.got += e.got
+		} else {
+			s.allocate(e.group, e.got, dtUs, depth+1)
+		}
+	}
+}
+
+// waterfill distributes capacity among entities by weighted max-min
+// fairness with exact integer conservation: Σ got ≤ capacity, got ≤ need,
+// and no refEntity can gain without another losing. The active list lives in
+// a single scheduler-wide scratch: a waterfill completes before allocate
+// recurses, so nested calls never overlap on it.
+func (s *reference) waterfill(ents []*refEntity, capacity int64) {
+	active := s.activeScratch[:0]
+	active = append(active, ents...)
+	s.activeScratch = active
+	for capacity > 0 && len(active) > 0 {
+		var sumW int64
+		for _, e := range active {
+			sumW += e.weight
+		}
+		snapshot := capacity
+		progress := false
+		next := active[:0]
+		for _, e := range active {
+			share := snapshot * e.weight / sumW
+			if share > capacity {
+				share = capacity
+			}
+			give := e.need - e.got
+			if give > share {
+				give = share
+			}
+			if give > 0 {
+				e.got += give
+				capacity -= give
+				progress = true
+			}
+			if e.got < e.need {
+				next = append(next, e)
+			}
+		}
+		active = next
+		if !progress {
+			// Integer shares rounded to zero: hand out the
+			// remainder one microsecond at a time, highest
+			// weight first. Stable insertion sort: same order as
+			// sort.SliceStable by descending weight, without its
+			// closure and swapper allocations.
+			for i := 1; i < len(active); i++ {
+				e := active[i]
+				j := i - 1
+				for j >= 0 && active[j].weight < e.weight {
+					active[j+1] = active[j]
+					j--
+				}
+				active[j+1] = e
+			}
+			for capacity > 0 && len(active) > 0 {
+				next := active[:0]
+				for _, e := range active {
+					if capacity == 0 {
+						next = append(next, e)
+						continue
+					}
+					e.got++
+					capacity--
+					if e.got < e.need {
+						next = append(next, e)
+					}
+				}
+				active = next
+			}
+		}
+	}
+}
+
+// placeOnCores assigns each allocation to a core for the tick. Threads
+// prefer their previous core if it has room (models CFS affinity: loaded
+// threads migrate rarely); otherwise they go to the least-loaded core.
+func (s *reference) placeOnCores(allocs []Alloc, dtUs int64) {
+	for i := range s.coreLoadUs {
+		s.coreLoadUs[i] = 0
+	}
+	// Largest allocations first gives first-fit-decreasing packing.
+	// Stable insertion sort over a reused index slice: identical order
+	// to sort.SliceStable by descending RanUs, with no per-tick
+	// allocation.
+	order := s.orderScratch[:0]
+	for i := range allocs {
+		order = append(order, i)
+	}
+	s.orderScratch = order
+	for i := 1; i < len(order); i++ {
+		oi := order[i]
+		v := allocs[oi].RanUs
+		j := i - 1
+		for j >= 0 && allocs[order[j]].RanUs < v {
+			order[j+1] = order[j]
+			j--
+		}
+		order[j+1] = oi
+	}
+	for _, idx := range order {
+		a := &allocs[idx]
+		t := a.Thread
+		core := -1
+		if t.LastCPU >= 0 && t.LastCPU < s.Cores &&
+			s.coreLoadUs[t.LastCPU]+a.RanUs <= dtUs {
+			core = t.LastCPU
+		} else {
+			least := int64(1) << 62
+			for c := 0; c < s.Cores; c++ {
+				if s.coreLoadUs[c] < least {
+					least = s.coreLoadUs[c]
+					core = c
+				}
+			}
+		}
+		s.coreLoadUs[core] += a.RanUs
+		t.LastCPU = core
+		a.Core = core
+	}
+}
+
+// recordThrottling updates cpu.stat-style throttling counters and the PSI
+// pressure averages: a group is throttled in a tick when its quota window
+// is exhausted while its threads still have unmet demand.
+func (s *reference) recordThrottling(g *Group, dtUs int64) {
+	stalled := false
+	if g.QuotaUs != NoQuota && g.quotaRemaining() == 0 {
+		unmet := int64(0)
+		var rec func(*Group)
+		rec = func(n *Group) {
+			for _, t := range n.Threads {
+				if t.want > t.got {
+					unmet += t.want - t.got
+				}
+			}
+			for _, c := range n.Children {
+				rec(c)
+			}
+		}
+		rec(g)
+		if unmet > 0 {
+			if !g.throttledNow {
+				g.NrThrottled++
+				g.throttledNow = true
+			}
+			g.ThrottledUs += unmet
+			stalled = true
+		}
+	}
+	g.refUpdatePSI(stalled, dtUs)
+	for _, c := range g.Children {
+		s.recordThrottling(c, dtUs)
+	}
+}
+
+// refUpdatePSI advances the pressure averages by one tick. The averages are
+// exponentially weighted over 10/60/300-second horizons, as the kernel's
+// cpu.pressure reports.
+func (g *Group) refUpdatePSI(stalled bool, dtUs int64) {
+	v := 0.0
+	if stalled {
+		v = 1
+		g.psiStallUs += dtUs
+	}
+	blend := func(avg *float64, windowUs float64) {
+		alpha := float64(dtUs) / windowUs
+		if alpha > 1 {
+			alpha = 1
+		}
+		*avg = *avg*(1-alpha) + v*alpha
+	}
+	blend(&g.psiAvg10, 10e6)
+	blend(&g.psiAvg60, 60e6)
+	blend(&g.psiAvg300, 300e6)
+}
+
+// chooser draws the decisions of a differential schedule: from a seeded
+// generator in the tests, from the fuzzer's bytes (zeros once they run
+// out) in the fuzz target.
+type chooser struct {
+	rng  *rand.Rand
+	data []byte
+}
+
+func (c *chooser) intn(n int) int {
+	if c.rng != nil {
+		return c.rng.Intn(n)
+	}
+	v := 0
+	for k := 0; k < 2 && (k == 0 || n > 256); k++ {
+		if len(c.data) > 0 {
+			v = v<<8 | int(c.data[0])
+			c.data = c.data[1:]
+		}
+	}
+	return v % n
+}
+
+// twins drives the production scheduler and the reference through one
+// schedule of ticks and tree mutations. Index 0 of every pair is
+// production, index 1 the reference; groups[.][0] is the root.
+type twins struct {
+	tb      testing.TB
+	c       *chooser
+	prod    *Scheduler
+	ref     *reference
+	groups  [2][]*Group
+	depth   []int
+	threads [2][]*Thread
+	calls   [2][]int // thread IDs in the order Demand was called this tick
+}
+
+var (
+	diffQuotas  = []int64{NoQuota, 1, 7, 50, 1000, 5000, 12_345, 25_000, 50_000, 100_000, 250_000}
+	diffPeriods = []int64{100_000, 100_000, 50_000, 20_000, 7_000, 1_000_000}
+	diffWeights = []int64{100, 100, 0, 1, 50, 200, 1000, 10_000, -5}
+	diffTicks   = []int64{10_000, 10_000, 10_000, 10_000, 10_000, 10_000, 1, 3, 100, 1000, 2500, 30_000, 100_000, 250_000, 12_000_000}
+)
+
+func newTwins(tb testing.TB, c *chooser) *twins {
+	cores := 1 + c.intn(8)
+	if c.intn(8) == 0 {
+		cores = 40
+	}
+	tw := &twins{tb: tb, c: c, prod: New(cores), ref: &reference{Scheduler: New(cores)}, depth: []int{0}}
+	tw.groups[0] = []*Group{tw.prod.Root()}
+	tw.groups[1] = []*Group{tw.ref.Root()}
+	for i, n := 0, 2+c.intn(10); i < n; i++ {
+		tw.newGroup()
+	}
+	for i, n := 0, 3+c.intn(16); i < n; i++ {
+		tw.newThread()
+	}
+	return tw
+}
+
+// both applies one mutation to each side and requires the same outcome.
+func (tw *twins) both(what string, op func(side int) error) {
+	tw.tb.Helper()
+	e0, e1 := op(0), op(1)
+	if (e0 == nil) != (e1 == nil) {
+		tw.tb.Fatalf("%s: production returned %v, reference %v", what, e0, e1)
+	}
+}
+
+func (tw *twins) sched(side int) *Scheduler {
+	if side == 0 {
+		return tw.prod
+	}
+	return tw.ref.Scheduler
+}
+
+func (tw *twins) newGroup() {
+	if len(tw.depth) >= 24 {
+		return
+	}
+	p := tw.c.intn(len(tw.depth))
+	if tw.depth[p] >= 4 {
+		return
+	}
+	name := fmt.Sprintf("g%d", len(tw.depth))
+	weight := diffWeights[tw.c.intn(len(diffWeights))]
+	for side := 0; side < 2; side++ {
+		g := tw.sched(side).NewGroup(tw.groups[side][p], name)
+		g.Weight = weight
+		tw.groups[side] = append(tw.groups[side], g)
+	}
+	tw.depth = append(tw.depth, tw.depth[p]+1)
+	if tw.c.intn(2) == 0 {
+		tw.setQuota(len(tw.depth) - 1)
+	}
+}
+
+func (tw *twins) setQuota(i int) {
+	q := diffQuotas[tw.c.intn(len(diffQuotas))]
+	per := diffPeriods[tw.c.intn(len(diffPeriods))]
+	tw.both("SetQuota", func(side int) error { return tw.groups[side][i].SetQuota(q, per) })
+	if q != NoQuota && tw.c.intn(3) == 0 {
+		tw.setBurst(i)
+	}
+}
+
+func (tw *twins) setBurst(i int) {
+	// Sometimes invalid on purpose (no quota, or above it): both sides
+	// must then refuse.
+	b := int64(tw.c.intn(5)) * 6000
+	tw.both("SetBurst", func(side int) error { return tw.groups[side][i].SetBurst(b) })
+}
+
+// demand returns one of the demand shapes for thread id on one side. All
+// are pure functions of (id, now), so the twins agree as long as Tick and
+// the reference evaluate them at the same times; the call log checks the
+// order too.
+func (tw *twins) demand(side, id, kind, frac int) func(nowUs, dtUs int64) float64 {
+	if kind == 0 {
+		return nil // always runnable
+	}
+	return func(nowUs, dtUs int64) float64 {
+		tw.calls[side] = append(tw.calls[side], id)
+		switch kind {
+		case 1:
+			return 0
+		case 2:
+			return float64(frac) / 16
+		case 3:
+			return 1.5 // clamped to 1
+		case 4:
+			return -0.25 // clamped to 0
+		case 5:
+			return 0.005 // the emulator thread of vm.Manager
+		case 6:
+			return float64((nowUs/30_000 + int64(id)) % 2) // on/off phases
+		default:
+			x := uint64(nowUs)*0x9e3779b97f4a7c15 + uint64(id)*0xbf58476d1ce4e5b9
+			x ^= x >> 31
+			return float64(x%1001) / 1000
+		}
+	}
+}
+
+func (tw *twins) newThread() {
+	if len(tw.threads[0]) >= 48 {
+		return
+	}
+	g := tw.c.intn(len(tw.depth))
+	kind, frac := tw.c.intn(8), tw.c.intn(17)
+	for side := 0; side < 2; side++ {
+		s := tw.sched(side)
+		th := s.NewThread(tw.groups[side][g], nil)
+		th.Demand = tw.demand(side, th.ID, kind, frac)
+		tw.threads[side] = append(tw.threads[side], th)
+	}
+}
+
+func (tw *twins) removeThread() {
+	if len(tw.threads[0]) == 0 {
+		return
+	}
+	i := tw.c.intn(len(tw.threads[0]))
+	for side := 0; side < 2; side++ {
+		tw.sched(side).RemoveThread(tw.threads[side][i])
+		tw.threads[side] = append(tw.threads[side][:i], tw.threads[side][i+1:]...)
+	}
+}
+
+func (tw *twins) removeGroup() {
+	if len(tw.depth) < 2 {
+		return
+	}
+	i := 1 + tw.c.intn(len(tw.depth)-1)
+	under := func(g, top *Group) bool {
+		for ; g != nil; g = g.Parent {
+			if g == top {
+				return true
+			}
+		}
+		return false
+	}
+	var depth []int
+	for side := 0; side < 2; side++ {
+		top := tw.groups[side][i]
+		var groups []*Group
+		var threads []*Thread
+		for _, th := range tw.threads[side] {
+			if !under(th.Group, top) {
+				threads = append(threads, th)
+			}
+		}
+		depth = depth[:0]
+		for k, g := range tw.groups[side] {
+			if !under(g, top) {
+				groups = append(groups, g)
+				depth = append(depth, tw.depth[k])
+			}
+		}
+		if err := tw.sched(side).RemoveGroup(top); err != nil {
+			tw.tb.Fatal(err)
+		}
+		tw.groups[side], tw.threads[side] = groups, threads
+	}
+	tw.depth = depth
+}
+
+func (tw *twins) mutate() {
+	switch tw.c.intn(8) {
+	case 0:
+		tw.newGroup()
+	case 1:
+		tw.removeGroup()
+	case 2, 3:
+		tw.newThread()
+	case 4:
+		tw.removeThread()
+	case 5:
+		tw.setQuota(tw.c.intn(len(tw.depth)))
+	case 6:
+		tw.setBurst(tw.c.intn(len(tw.depth)))
+	case 7:
+		i, w := tw.c.intn(len(tw.depth)), diffWeights[tw.c.intn(len(diffWeights))]
+		tw.groups[0][i].Weight, tw.groups[1][i].Weight = w, w
+	}
+}
+
+// tick advances both sides by the same dt and compares everything the
+// tick wrote, with ==.
+func (tw *twins) tick(label string) {
+	tb := tw.tb
+	dt := diffTicks[tw.c.intn(len(diffTicks))]
+	tw.calls[0], tw.calls[1] = tw.calls[0][:0], tw.calls[1][:0]
+	got, want := tw.prod.Tick(dt), tw.ref.referenceTick(dt)
+	if len(got) != len(want) {
+		tb.Fatalf("%s: %d allocations, reference %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if g, w := got[i], want[i]; g.Thread.ID != w.Thread.ID || g.RanUs != w.RanUs || g.Core != w.Core {
+			tb.Fatalf("%s: alloc %d = {tid %d ran %d core %d}, reference {tid %d ran %d core %d}",
+				label, i, g.Thread.ID, g.RanUs, g.Core, w.Thread.ID, w.RanUs, w.Core)
+		}
+	}
+	if fmt.Sprint(tw.calls[0]) != fmt.Sprint(tw.calls[1]) {
+		tb.Fatalf("%s: Demand call order %v, reference %v", label, tw.calls[0], tw.calls[1])
+	}
+	for i, g := range tw.threads[0] {
+		if w := tw.threads[1][i]; g.UsageUs != w.UsageUs || g.LastCPU != w.LastCPU {
+			tb.Fatalf("%s: thread %d usage %d cpu %d, reference usage %d cpu %d",
+				label, g.ID, g.UsageUs, g.LastCPU, w.UsageUs, w.LastCPU)
+		}
+	}
+	type counters struct {
+		usage, periods, throttled, throttledUs, bursts, burstUsed int64
+		windowStart, windowUsed, reserve                          int64
+		throttledNow                                              bool
+		psi10, psi60, psi300                                      float64
+		psiTotal                                                  int64
+	}
+	of := func(g *Group) counters {
+		c := counters{
+			usage: g.UsageUs, periods: g.NrPeriods, throttled: g.NrThrottled, throttledUs: g.ThrottledUs,
+			bursts: g.NrBursts, burstUsed: g.BurstUsedUs,
+			windowStart: g.windowStartUs, windowUsed: g.windowUsedUs, reserve: g.burstReserve,
+			throttledNow: g.throttledNow,
+		}
+		c.psi10, c.psi60, c.psi300, c.psiTotal = g.PSI()
+		return c
+	}
+	for i, g := range tw.groups[0] {
+		if a, b := of(g), of(tw.groups[1][i]); a != b {
+			tb.Fatalf("%s: group %s\n  got       %+v\n  reference %+v", label, g.Path(), a, b)
+		}
+	}
+	p, r := tw.prod, tw.ref.Scheduler
+	for c := 0; c < p.Cores; c++ {
+		if p.CoreLoadUs(c) != r.CoreLoadUs(c) || p.CoreBusyTotalUs(c) != r.CoreBusyTotalUs(c) {
+			tb.Fatalf("%s: core %d load %d total %d, reference load %d total %d",
+				label, c, p.CoreLoadUs(c), p.CoreBusyTotalUs(c), r.CoreLoadUs(c), r.CoreBusyTotalUs(c))
+		}
+	}
+	a1, a5, a15 := p.LoadAvg()
+	b1, b5, b15 := r.LoadAvg()
+	if a1 != b1 || a5 != b5 || a15 != b15 || p.NowUs() != r.NowUs() || p.Utilization() != r.Utilization() {
+		tb.Fatalf("%s: loadavg %v %v %v now %d, reference %v %v %v now %d",
+			label, a1, a5, a15, p.NowUs(), b1, b5, b15, r.NowUs())
+	}
+}
+
+// run plays ticks ticks, mutating the tree before about a third of them.
+func (tw *twins) run(label string, ticks int) {
+	for k := 0; k < ticks; k++ {
+		if tw.c.intn(3) == 0 {
+			for n := 1 + tw.c.intn(3); n > 0; n-- {
+				tw.mutate()
+			}
+		}
+		tw.tick(fmt.Sprintf("%s tick %d", label, k))
+	}
+}
+
+// TestTickAgainstReference holds Tick bit-identical to the reference over
+// seeded schedules of random trees (depth ≤ 4; mixed weights, quotas,
+// periods and bursts; nil, zero, fractional, out-of-range and time-varying
+// demands; tick lengths from 1 µs, which forces the waterfill's remainder
+// path, to 250 ms, which rolls several windows at once) with the tree
+// mutated mid-run.
+func TestTickAgainstReference(t *testing.T) {
+	schedules, ticks := 240, 300
+	if testing.Short() {
+		schedules = 40
+	}
+	for seed := 1; seed <= schedules; seed++ {
+		tw := newTwins(t, &chooser{rng: rand.New(rand.NewSource(int64(seed)))})
+		tw.run(fmt.Sprintf("seed %d", seed), ticks)
+	}
+}
+
+// TestTickAgainstReferenceTableII is the same comparison on the shape the
+// repository benchmark steps (bench_test.go), where the lone-thread fast
+// path, the keyed placement sort and the early-exit core scan do the work.
+func TestTickAgainstReferenceTableII(t *testing.T) {
+	tw := &twins{tb: t, c: &chooser{}, prod: tableIINode(), ref: &reference{Scheduler: tableIINode()}}
+	var walk func(side int, g *Group)
+	walk = func(side int, g *Group) {
+		tw.groups[side] = append(tw.groups[side], g)
+		tw.threads[side] = append(tw.threads[side], g.Threads...)
+		for _, c := range g.Children {
+			walk(side, c)
+		}
+	}
+	walk(0, tw.prod.Root())
+	walk(1, tw.ref.Root())
+	for k := 0; k < 500; k++ {
+		tw.tick(fmt.Sprintf("table II tick %d", k)) // the zero chooser always ticks 10 ms
+	}
+}
+
+// FuzzTickAgainstReference lets the fuzzer write the schedule: its bytes
+// pick the tree, the mutations and the tick lengths.
+func FuzzTickAgainstReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("one descent, one ascent"))
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 4; i++ {
+		b := make([]byte, 256)
+		rng.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tw := newTwins(t, &chooser{data: data})
+		tw.run("fuzz", 64)
+	})
 }
