@@ -32,7 +32,7 @@ import (
 
 // defaultBench selects the perf-tracked benchmarks: the full-step and
 // cluster macro benchmarks plus the stage micro benchmarks.
-const defaultBench = "Fig2ControllerStep|ControllerOverhead|DynamicCluster|MonitorStage|ApplyStage|AuctionSharded|SteadyStep|EstimateEnforce|ClusterScale|MetricsRecord"
+const defaultBench = "Fig2ControllerStep|ControllerOverhead|DynamicCluster|MonitorStage|ApplyStage|Auction$|SteadyStep|EstimateEnforce|ClusterScale|MetricsRecord"
 
 // defaultPkgs holds the packages that define those benchmarks.
 var defaultPkgs = []string{".", "./internal/core", "./internal/cluster", "./internal/metrics"}

@@ -41,11 +41,8 @@ var metricsReg = metrics.NewRegistry()
 // Concurrency knobs (flags): results are identical at any setting, only
 // wall-clock moves.
 var (
-	monitorWorkers  int
-	auctionShards   int
-	estimateShards  int
-	stepWorkers     int
-	parallelCluster bool
+	monitorWorkers int
+	stepWorkers    int
 )
 
 // Chaos soak knobs (flags), used by the "chaos" artefact only.
@@ -64,14 +61,8 @@ func main() {
 	width := flag.Int("width", 72, "chart width")
 	flag.IntVar(&monitorWorkers, "monitor-workers", -1,
 		"monitor read-pool size (0 = GOMAXPROCS, 1 = serial; -1 keeps the default)")
-	flag.IntVar(&auctionShards, "auction-shards", -1,
-		"auction shard count (0 = one per NUMA node, 1 = serial; -1 keeps the default)")
-	flag.IntVar(&estimateShards, "estimate-shards", -1,
-		"estimate/enforce shard count (0 = follow auction shards, 1 = serial; -1 keeps the default)")
 	flag.IntVar(&stepWorkers, "step-workers", -1,
 		"cluster step worker-pool size for the dynamic experiment (0 = GOMAXPROCS, 1 = serial; -1 keeps the serial default)")
-	flag.BoolVar(&parallelCluster, "parallel", false,
-		"deprecated: equivalent to -step-workers 0")
 	flag.IntVar(&rebalanceEvery, "rebalance-every", 0,
 		"steps between rebalance sweeps in the dynamic experiment (0 = never); sweeps live-migrate VMs off overloaded nodes, carrying controller state")
 	flag.IntVar(&chaosSteps, "chaos-steps", 5000, "fault-phase length of the chaos soak")
@@ -102,22 +93,13 @@ func main() {
 	}
 }
 
-// withWorkers applies the -monitor-workers, -auction-shards and
-// -estimate-shards overrides to an experiment.
+// withWorkers applies the -monitor-workers override to an experiment.
 func withWorkers(e experiments.FreqExperiment) experiments.FreqExperiment {
-	if monitorWorkers >= 0 || auctionShards >= 0 || estimateShards >= 0 {
+	if monitorWorkers >= 0 {
 		if e.Config.PeriodUs == 0 {
 			e.Config = core.DefaultConfig()
 		}
-	}
-	if monitorWorkers >= 0 {
 		e.Config.MonitorWorkers = monitorWorkers
-	}
-	if auctionShards >= 0 {
-		e.Config.AuctionShards = auctionShards
-	}
-	if estimateShards >= 0 {
-		e.Config.EstimateShards = estimateShards
 	}
 	e.Metrics = metricsReg
 	return e
@@ -379,9 +361,6 @@ func placementTable() error {
 // idle nodes powered off.
 func dynamicTable() error {
 	workers := 1
-	if parallelCluster {
-		workers = 0
-	}
 	if stepWorkers >= 0 {
 		workers = stepWorkers
 	}

@@ -15,10 +15,10 @@ var update = flag.Bool("update", false, "rewrite the golden CSV files under test
 
 // goldenScenarios are the three vfctl modes pinned by golden files:
 // static (monitoring only), dynamic (control on, seeded fault
-// injection) and cluster (3 nodes on the worker pool). Everything in
-// the scenarios is seeded, so the CSV is bit-identical run to run —
-// except the cluster mode's wall-clock cluster_step_us column, which
-// the test normalises away.
+// injection, serial monitor) and cluster (3 nodes, serial step pool).
+// Everything in the scenarios is seeded, so the CSV is bit-identical
+// run to run — except the cluster mode's wall-clock cluster_step_us
+// column, which the test normalises away.
 var goldenScenarios = []struct {
 	name string
 	sc   Scenario
@@ -44,6 +44,10 @@ var goldenScenarios = []struct {
 			Seed:      7,
 			FaultRate: 0.1,
 			FaultSeed: 7,
+			// A rate plan replays from its seed only under a serial
+			// monitor: pool workers would draw from the injector's one
+			// generator in scheduling order.
+			MonitorWorkers: 1,
 			VMs: []ScenarioVM{
 				{Name: "web", VCPUs: 2, FreqMHz: 500, MemoryGB: 2, Workload: "bursty:10:0.4"},
 				{Name: "batch", VCPUs: 4, FreqMHz: 1800, MemoryGB: 8, Workload: "busy"},

@@ -32,6 +32,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -93,18 +94,6 @@ type Scenario struct {
 	// MonitorWorkers sizes the monitor stage's read pool (0 =
 	// GOMAXPROCS, 1 = serial). The -monitor-workers flag overrides it.
 	MonitorWorkers int `json:"monitor_workers,omitempty"`
-	// AuctionShards shards the stage-4 auction by NUMA node: 0 (or
-	// omitted) keeps the serial default, -1 auto-sizes to the host's
-	// NUMA topology, N ≥ 1 forces N shards. The -auction-shards flag
-	// overrides it.
-	AuctionShards int `json:"auction_shards,omitempty"`
-	// EstimateShards shards stages 2–3 (estimate/enforce) over the same
-	// placement partition as the auction: 0 (or omitted) follows the
-	// effective auction shard count, -1 forces the serial passes, N ≥ 1
-	// forces N shards. Unlike auction sharding the result is
-	// bit-identical at any count. The -estimate-shards flag overrides
-	// it.
-	EstimateShards int `json:"estimate_shards,omitempty"`
 
 	// Robustness knobs (zero values keep the features off, matching
 	// core.DefaultConfig). CallBudgetUs bounds each host call;
@@ -123,7 +112,10 @@ type Scenario struct {
 	// probability FaultDelayRate for up to FaultDelayUs µs. Sites
 	// default to the monitor-path reads (UsageUs, ThreadID, LastCPU,
 	// CoreFreqMHz) plus SetMax; seed 0 means 1. See the controller's
-	// degradation columns in the CSV for the effect.
+	// degradation columns in the CSV for the effect. The rates draw
+	// from one seeded generator in call order, so a run replays from
+	// FaultSeed only with MonitorWorkers = 1; a monitor pool interleaves
+	// the draws in scheduling order.
 	FaultRate      float64  `json:"fault_rate,omitempty"`
 	FaultDelayRate float64  `json:"fault_delay_rate,omitempty"`
 	FaultDelayUs   int64    `json:"fault_delay_us,omitempty"`
@@ -174,10 +166,6 @@ func main() {
 		"cluster step worker-pool size (0 = GOMAXPROCS, 1 = serial; -1 defers to the scenario; needs nodes >= 2)")
 	rebalanceEvery := flag.Int("rebalance-every", -1,
 		"periods between cluster rebalance sweeps (0 = never; -1 defers to the scenario; needs nodes >= 2)")
-	auctionShards := flag.Int("auction-shards", 0,
-		"auction shard count (-1 = one per NUMA node, N = forced; 0 defers to the scenario)")
-	estimateShards := flag.Int("estimate-shards", 0,
-		"estimate/enforce shard count (-1 = serial, N = forced; 0 defers to the scenario, which defaults to following -auction-shards)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	metricsAddr := flag.String("metrics-addr", "",
@@ -209,9 +197,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var sc Scenario
-	if err := json.Unmarshal(raw, &sc); err != nil {
-		fatal(fmt.Errorf("parsing scenario: %w", err))
+	sc, err := parseScenario(raw)
+	if err != nil {
+		fatal(err)
 	}
 	if sc.DurationS <= 0 {
 		fatal(fmt.Errorf("scenario: duration_s must be positive"))
@@ -221,12 +209,6 @@ func main() {
 	}
 	if *monitorWorkers >= 0 {
 		sc.MonitorWorkers = *monitorWorkers
-	}
-	if *auctionShards != 0 {
-		sc.AuctionShards = *auctionShards
-	}
-	if *estimateShards != 0 {
-		sc.EstimateShards = *estimateShards
 	}
 	if *stepWorkers >= 0 {
 		sc.StepWorkers = *stepWorkers
@@ -388,6 +370,19 @@ func buildWorkload(v ScenarioVM) ([]workload.Source, error) {
 	}
 }
 
+// parseScenario decodes a scenario file. Unknown fields are an error, not
+// dropped: a scenario written for a knob that no longer exists (or a
+// misspelt one) must not run under different settings without a word.
+func parseScenario(raw []byte) (Scenario, error) {
+	var sc Scenario
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
+		return Scenario{}, fmt.Errorf("parsing scenario: %w", err)
+	}
+	return sc, nil
+}
+
 func controllerConfig(sc Scenario) core.Config {
 	cfg := core.DefaultConfig()
 	if sc.IncreaseTrigger > 0 {
@@ -408,24 +403,6 @@ func controllerConfig(sc Scenario) core.Config {
 		cfg.HostRetries = 0
 	}
 	cfg.MonitorWorkers = sc.MonitorWorkers
-	// Scenario encoding differs from core.Config: in the scenario 0
-	// means "unset" (keep the serial default of 1) and -1 means auto,
-	// which is core's 0.
-	switch {
-	case sc.AuctionShards < 0:
-		cfg.AuctionShards = 0 // auto: one shard per NUMA node
-	case sc.AuctionShards > 0:
-		cfg.AuctionShards = sc.AuctionShards
-	}
-	// Same remapping for the stage 2–3 partition, except "auto" here
-	// means following the effective auction shard count (core's 0) and
-	// -1 forces the serial passes (core's 1).
-	switch {
-	case sc.EstimateShards < 0:
-		cfg.EstimateShards = 1
-	case sc.EstimateShards > 0:
-		cfg.EstimateShards = sc.EstimateShards
-	}
 	cfg.ControlEnabled = sc.Control
 	if sc.CallBudgetUs > 0 {
 		cfg.CallBudgetUs = sc.CallBudgetUs

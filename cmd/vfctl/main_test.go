@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,12 +13,27 @@ import (
 )
 
 func TestExampleScenarioParses(t *testing.T) {
-	var sc Scenario
-	if err := json.Unmarshal([]byte(exampleScenario), &sc); err != nil {
+	sc, err := parseScenario([]byte(exampleScenario))
+	if err != nil {
 		t.Fatalf("example scenario invalid: %v", err)
 	}
 	if sc.Node != "chetemi" || len(sc.VMs) != 3 || !sc.Control {
 		t.Fatalf("example scenario content unexpected: %+v", sc)
+	}
+}
+
+// A scenario naming a knob that does not exist — removed, or misspelt —
+// must be refused with the field named, not run under other settings.
+func TestScenarioRejectsUnknownFields(t *testing.T) {
+	for _, field := range []string{"auction_shards", "estimate_shards", "monitor_worker"} {
+		raw := fmt.Sprintf(`{"node": "chetemi", "duration_s": 5, %q: 4, "vms": []}`, field)
+		_, err := parseScenario([]byte(raw))
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("scenario with %q: error %v, want one naming the field", field, err)
+		}
+	}
+	if _, err := parseScenario([]byte(`{"vms": [{"name": "a", "vcpu": 2}]}`)); err == nil || !strings.Contains(err.Error(), "vcpu") {
+		t.Errorf("unknown VM field: error %v, want one naming it", err)
 	}
 }
 
@@ -94,17 +110,6 @@ func TestControllerConfigOverrides(t *testing.T) {
 	def := controllerConfig(Scenario{})
 	if def.IncreaseTrigger != 0.95 || def.DecreaseFactor != 0.05 {
 		t.Fatalf("defaults lost: %+v", def)
-	}
-	// EstimateShards encoding: 0 defers to the core default (follow the
-	// auction partition), -1 forces serial, N forces N shards.
-	if def.EstimateShards != 0 {
-		t.Fatalf("EstimateShards default = %d, want 0 (follow auction)", def.EstimateShards)
-	}
-	if got := controllerConfig(Scenario{EstimateShards: -1}).EstimateShards; got != 1 {
-		t.Fatalf("EstimateShards(-1) = %d, want 1 (serial)", got)
-	}
-	if got := controllerConfig(Scenario{EstimateShards: 5}).EstimateShards; got != 5 {
-		t.Fatalf("EstimateShards(5) = %d, want 5", got)
 	}
 }
 

@@ -58,11 +58,6 @@ type Config struct {
 	// worker count: the failure/evacuation pass and the error join
 	// always run sequentially in node-index order.
 	StepWorkers int
-	// Parallel is deprecated: stepping is parallel by default (see
-	// StepWorkers, whose zero value picks GOMAXPROCS) and results do
-	// not depend on the worker count. The field is retained so existing
-	// configurations keep compiling; it is ignored.
-	Parallel bool
 }
 
 func (c Config) withDefaults() Config {
@@ -187,10 +182,7 @@ type Cluster struct {
 
 	// index orders the non-failed nodes by remaining capacity so
 	// BestFit/WorstFit admission and evacuation are O(log N) per VM.
-	// noIndex (a test hook) forces the original linear scans, which the
-	// twin suites compare against.
-	index   *placement.Index
-	noIndex bool
+	index *placement.Index
 
 	// Cached Health aggregate, maintained incrementally from the
 	// per-node deltas so Health() is O(1) and Step's aggregation is a
@@ -254,9 +246,8 @@ func New(specs []host.Spec, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// rebuildIndex reconstructs the free-capacity index from scratch — the
-// fallback for wholesale state changes (restores, test hooks); every
-// incremental path goes through reindex instead.
+// rebuildIndex builds the free-capacity index from scratch at
+// construction; every later change goes through reindex.
 func (c *Cluster) rebuildIndex() {
 	c.index.Reset()
 	for _, n := range c.nodes {
@@ -268,9 +259,6 @@ func (c *Cluster) rebuildIndex() {
 // reindex synchronises one node's index entry with its current
 // remaining capacity and failure state.
 func (c *Cluster) reindex(n *Node) {
-	if c.noIndex {
-		return
-	}
 	if n.Failed {
 		if n.indexed {
 			c.index.Remove(n.Index)
@@ -385,47 +373,27 @@ func (c *Cluster) Deploy(name string, tpl vm.Template, sources []workload.Source
 
 // choose picks the admission target under the configured algorithm, or
 // -1 when no node fits. BestFit/WorstFit consult the free-capacity
-// index — an O(log N) search bit-identical to the linear scans below —
-// unless the noIndex test hook forces the scans; FirstFit, which the
-// index cannot help (it orders by capacity, not node index), always
-// scans.
+// index, an O(log N) search; FirstFit, which the index cannot help (it
+// orders by capacity, not node index), scans.
 func (c *Cluster) choose(tpl vm.Template) (int, error) {
-	if !c.noIndex {
-		switch c.cfg.Algorithm {
-		case placement.BestFit:
-			return c.index.Best(c.demand(tpl), func(id int) bool {
-				return c.fits(c.nodes[id], tpl)
-			}), nil
-		case placement.WorstFit:
-			return c.index.Worst(c.demand(tpl), func(id int) bool {
-				return c.fits(c.nodes[id], tpl)
-			}), nil
-		}
-	}
-	chosen := -1
-	for i, n := range c.nodes {
-		if n.Failed || !c.fits(n, tpl) {
-			continue
-		}
-		switch c.cfg.Algorithm {
-		case placement.FirstFit:
-			chosen = i
-		case placement.BestFit:
-			if chosen == -1 || c.remaining(n) < c.remaining(c.nodes[chosen]) {
-				chosen = i
+	switch c.cfg.Algorithm {
+	case placement.BestFit:
+		return c.index.Best(c.demand(tpl), func(id int) bool {
+			return c.fits(c.nodes[id], tpl)
+		}), nil
+	case placement.WorstFit:
+		return c.index.Worst(c.demand(tpl), func(id int) bool {
+			return c.fits(c.nodes[id], tpl)
+		}), nil
+	case placement.FirstFit:
+		for i, n := range c.nodes {
+			if !n.Failed && c.fits(n, tpl) {
+				return i, nil
 			}
-			continue
-		case placement.WorstFit:
-			if chosen == -1 || c.remaining(n) > c.remaining(c.nodes[chosen]) {
-				chosen = i
-			}
-			continue
-		default:
-			return -1, fmt.Errorf("cluster: unknown algorithm %v", c.cfg.Algorithm)
 		}
-		break
+		return -1, nil
 	}
-	return chosen, nil
+	return -1, fmt.Errorf("cluster: unknown algorithm %v", c.cfg.Algorithm)
 }
 
 // provisionOn places the VM on a specific node, bypassing admission
@@ -714,21 +682,9 @@ func (c *Cluster) Rebalance() (int, error) {
 // bestTarget picks the BestFit migration target for tpl among the
 // non-failed nodes other than exclude, or -1.
 func (c *Cluster) bestTarget(tpl vm.Template, exclude int) int {
-	if !c.noIndex {
-		return c.index.Best(c.demand(tpl), func(id int) bool {
-			return id != exclude && c.fits(c.nodes[id], tpl)
-		})
-	}
-	target := -1
-	for j, t := range c.nodes {
-		if j == exclude || t.Failed || !c.fits(t, tpl) {
-			continue
-		}
-		if target == -1 || c.remaining(t) < c.remaining(c.nodes[target]) {
-			target = j
-		}
-	}
-	return target
+	return c.index.Best(c.demand(tpl), func(id int) bool {
+		return id != exclude && c.fits(c.nodes[id], tpl)
+	})
 }
 
 func (c *Cluster) isOverloaded(idx int) bool {
@@ -862,7 +818,7 @@ func (c *Cluster) Step() error {
 			errs = append(errs, fmt.Errorf("cluster: node %d: %w", n.Index, n.LastErr))
 		}
 		c.agg = c.agg.add(n.healthDelta)
-		if !c.noIndex && !n.Failed && !n.indexed {
+		if !n.Failed && !n.indexed {
 			c.reindex(n)
 		}
 	}

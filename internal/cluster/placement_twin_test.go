@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"vfreq/internal/host"
@@ -12,135 +11,196 @@ import (
 	"vfreq/internal/vm"
 )
 
-// newTwinPair builds two identical clusters, one using the
-// free-capacity index and one forced onto the original linear scans
-// via the noIndex hook.
-func newTwinPair(t *testing.T, alg placement.Algorithm) (indexed, linear *Cluster) {
+// linearChoose is the admission scan the free-capacity index replaced,
+// kept as the oracle for Cluster.choose: the non-failed fitting node with
+// the least (BestFit) or most (WorstFit) remaining capacity, the lowest
+// index on ties.
+func linearChoose(c *Cluster, tpl vm.Template) int {
+	chosen := -1
+	for i, n := range c.nodes {
+		if n.Failed || !c.fits(n, tpl) {
+			continue
+		}
+		switch c.cfg.Algorithm {
+		case placement.BestFit:
+			if chosen == -1 || c.remaining(n) < c.remaining(c.nodes[chosen]) {
+				chosen = i
+			}
+		case placement.WorstFit:
+			if chosen == -1 || c.remaining(n) > c.remaining(c.nodes[chosen]) {
+				chosen = i
+			}
+		}
+	}
+	return chosen
+}
+
+// linearBestTarget is the scan behind evacuation and Rebalance before the
+// index, kept as the oracle for Cluster.bestTarget.
+func linearBestTarget(c *Cluster, tpl vm.Template, exclude int) int {
+	target := -1
+	for j, t := range c.nodes {
+		if j == exclude || t.Failed || !c.fits(t, tpl) {
+			continue
+		}
+		if target == -1 || c.remaining(t) < c.remaining(c.nodes[target]) {
+			target = j
+		}
+	}
+	return target
+}
+
+var churnTemplates = []vm.Template{vm.Small(), vm.Medium(), vm.Large()}
+
+// checkDecisions compares the indexed decisions with the linear oracles
+// for every query the cluster's current state could be asked: each
+// template as an admission, and as a migration off each node (and off
+// none).
+func checkDecisions(t *testing.T, c *Cluster, after string) {
 	t.Helper()
-	specs := []host.Spec{
-		host.Chetemi(), host.Chiclet(), host.Chetemi(),
-		host.Chiclet(), host.Chetemi(), host.Chiclet(),
+	for _, tpl := range churnTemplates {
+		if got, _ := c.choose(tpl); got != linearChoose(c, tpl) {
+			t.Fatalf("after %s: choose(%v) = %d, disagrees with the linear scan", after, tpl, got)
+		}
+		for ex := -1; ex < len(c.nodes); ex++ {
+			if got, want := c.bestTarget(tpl, ex), linearBestTarget(c, tpl, ex); got != want {
+				t.Fatalf("after %s: bestTarget(%v, %d) = %d, linear scan says %d", after, tpl, ex, got, want)
+			}
+		}
 	}
-	cfg := Config{Algorithm: alg, FailThreshold: 2, StepWorkers: 1}
-	var err error
-	if indexed, err = New(specs, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if linear, err = New(specs, cfg); err != nil {
-		t.Fatal(err)
-	}
-	linear.noIndex = true
-	return indexed, linear
 }
 
 // checkIndexInvariants verifies the free-capacity index against ground
 // truth: exactly the non-failed nodes are present, each under its
 // current remaining capacity.
-func checkIndexInvariants(t *testing.T, c *Cluster) {
+func checkIndexInvariants(t *testing.T, c *Cluster, after string) {
 	t.Helper()
 	for _, n := range c.nodes {
 		if n.Failed {
 			if c.index.Contains(n.Index) {
-				t.Fatalf("failed node %d still indexed", n.Index)
+				t.Fatalf("after %s: failed node %d still indexed", after, n.Index)
 			}
 			continue
 		}
 		if !c.index.Contains(n.Index) {
-			t.Fatalf("live node %d missing from index", n.Index)
+			t.Fatalf("after %s: live node %d missing from index", after, n.Index)
 		}
 		if got, want := c.index.Key(n.Index), c.remaining(n); got != want {
-			t.Fatalf("node %d indexed under %v, remaining is %v", n.Index, got, want)
+			t.Fatalf("after %s: node %d indexed under %v, remaining is %v", after, n.Index, got, want)
 		}
 	}
 }
 
-// churn drives one seeded schedule of deploys, undeploys, resizes, node
-// failures, recoveries and steps against a cluster, returning a log of
-// every placement-visible outcome. Runs with the same seed must produce
-// identical logs regardless of the placement implementation.
-func churn(t *testing.T, c *Cluster, seed int64, steps int) string {
+// churn drives one seeded schedule of deploys, undeploys, resizes,
+// migrations, node failures, recoveries, steps and rebalance sweeps
+// against a cluster. Every decision the schedule itself takes — each
+// admission, and each migration target, which is the call evacuation and
+// Rebalance make per VM — is checked against the linear oracle before it
+// is acted on; the decisions Step and Rebalance take internally are
+// covered by comparing every possible query, and the index against
+// ground truth, on the state each operation leaves behind.
+func churn(t *testing.T, c *Cluster, seed int64, steps int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	templates := []vm.Template{vm.Small(), vm.Medium(), vm.Large()}
 	var (
-		log      strings.Builder
 		names    []string
 		nextID   int
 		downErr  = errors.New("injected outage")
 		downNode = -1
 	)
 	for op := 0; op < steps; op++ {
-		switch k := rng.Intn(10); {
+		var did string
+		switch k := rng.Intn(12); {
 		case k < 4: // deploy
 			name := fmt.Sprintf("vm%04d", nextID)
 			nextID++
-			idx, err := c.Deploy(name, templates[rng.Intn(len(templates))], nil)
+			tpl := churnTemplates[rng.Intn(len(churnTemplates))]
+			want := linearChoose(c, tpl)
+			idx, err := c.Deploy(name, tpl, nil)
 			if err == nil {
 				names = append(names, name)
 			}
-			fmt.Fprintf(&log, "deploy %s -> %d err=%v\n", name, idx, err != nil)
+			if idx != want {
+				t.Fatalf("seed %d op %d: deploy %s landed on %d (err %v), linear scan says %d", seed, op, name, idx, err, want)
+			}
+			did = "deploy " + name
 		case k < 5: // undeploy
 			if len(names) == 0 {
 				continue
 			}
 			i := rng.Intn(len(names))
-			name := names[i]
-			err := c.Undeploy(name)
-			if err == nil {
+			if err := c.Undeploy(names[i]); err == nil {
 				names = append(names[:i], names[i+1:]...)
 			}
-			fmt.Fprintf(&log, "undeploy %s err=%v\n", name, err != nil)
+			did = "undeploy"
 		case k < 6: // resize
 			if len(names) == 0 {
 				continue
 			}
-			name := names[rng.Intn(len(names))]
-			err := c.Resize(name, templates[rng.Intn(len(templates))], nil)
-			fmt.Fprintf(&log, "resize %s err=%v\n", name, err != nil)
+			_ = c.Resize(names[rng.Intn(len(names))], churnTemplates[rng.Intn(len(churnTemplates))], nil)
+			did = "resize"
 		case k < 7: // fail a node / recover it
 			if downNode == -1 {
 				downNode = rng.Intn(len(c.nodes))
 				c.nodes[downNode].Machine.FailReads("machine-", downErr, -1)
-				fmt.Fprintf(&log, "fail node %d\n", downNode)
 			} else {
 				c.nodes[downNode].Machine.ClearFileFaults()
-				fmt.Fprintf(&log, "recover node %d\n", downNode)
 				downNode = -1
 			}
+			did = "fail/recover"
+		case k < 8: // one evacuation/rebalance decision: move a VM off its node
+			if len(names) == 0 {
+				continue
+			}
+			name := names[rng.Intn(len(names))]
+			src := c.Locate(name)
+			tpl := c.nodes[src].deployed[name].template
+			got, want := c.bestTarget(tpl, src), linearBestTarget(c, tpl, src)
+			if got != want {
+				t.Fatalf("seed %d op %d: bestTarget for %s off node %d = %d, linear scan says %d", seed, op, name, src, got, want)
+			}
+			if got != -1 {
+				_, _ = c.Migrate(name, got)
+			}
+			did = "migrate " + name
+		case k < 9: // overcommit a node past admission, then rebalance
+			name := fmt.Sprintf("vm%04d", nextID)
+			nextID++
+			tpl := churnTemplates[rng.Intn(len(churnTemplates))]
+			if c.provisionOn(rng.Intn(len(c.nodes)), name, tpl, nil) == nil {
+				names = append(names, name)
+			}
+			_, _ = c.Rebalance()
+			did = "rebalance"
 		default: // step: exercises failure marking, evacuation, re-admission
-			err := c.Step()
-			h := c.Health()
-			fmt.Fprintf(&log, "step err=%v failed=%d evac=%d stranded=%d\n",
-				err != nil, h.FailedNodes, h.EvacuatedVMs, h.StrandedVMs)
+			_ = c.Step()
+			did = "step"
 		}
-		// Full placement snapshot after every op: any divergence in
-		// admission, evacuation targets or re-admission shows here.
-		for _, name := range names {
-			fmt.Fprintf(&log, " %s@%d", name, c.Locate(name))
-		}
-		log.WriteString("\n")
+		after := fmt.Sprintf("seed %d op %d (%s)", seed, op, did)
+		checkIndexInvariants(t, c, after)
+		checkDecisions(t, c, after)
 	}
-	return log.String()
 }
 
-// TestPlacementTwinChurn proves the indexed BestFit/WorstFit placements
-// bit-identical to the linear scans across admission, evacuation and
-// node re-admission, over 100 seeded churn schedules (50 per
-// algorithm).
+// TestPlacementTwinChurn proves the indexed BestFit/WorstFit decisions
+// identical to the linear scans across admission, migration, evacuation,
+// rebalancing and node re-admission, over 100 seeded churn schedules (50
+// per algorithm) on one cluster.
 func TestPlacementTwinChurn(t *testing.T) {
 	for _, alg := range []placement.Algorithm{placement.BestFit, placement.WorstFit} {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
+			// Cut down to 4 and 8 cores so that capacity binds: admissions
+			// are refused, evacuations strand and overcommits overload.
+			small, big := host.Chetemi(), host.Chiclet()
+			small.Cores, big.Cores = 4, 8
+			specs := []host.Spec{small, big, small, big, small, big}
 			for seed := int64(0); seed < 50; seed++ {
-				indexed, linear := newTwinPair(t, alg)
-				got := churn(t, indexed, seed, 30)
-				want := churn(t, linear, seed, 30)
-				if got != want {
-					t.Fatalf("seed %d diverged:\n--- indexed ---\n%s--- linear ---\n%s", seed, got, want)
+				c, err := New(specs, Config{Algorithm: alg, FailThreshold: 2, StepWorkers: 1})
+				if err != nil {
+					t.Fatal(err)
 				}
-				checkIndexInvariants(t, indexed)
-				indexed.Close()
-				linear.Close()
+				churn(t, c, seed, 30)
 			}
 		})
 	}

@@ -92,29 +92,17 @@ type Config struct {
 	StepDeadlineFrac float64
 	// MonitorWorkers bounds the worker pool that fans the per-vCPU
 	// monitor reads (cpu.stat, cgroup.threads, /proc/<tid>/stat,
-	// scaling_cur_freq) across goroutines. The reads are I/O-bound, not
-	// CPU-bound, so parallelising them is what keeps one Step inside the
-	// paper's ~5 ms budget as the vCPU count grows. Workers only read;
-	// the results are committed sequentially in registration order, so
+	// scaling_cur_freq) across goroutines. Against real cgroupfs and
+	// procfs the reads are I/O-bound syscalls, and overlapping them is
+	// what keeps one Step inside the paper's ~5 ms budget as the vCPU
+	// count grows. On the simulator a read is a memory lookup and the
+	// pool only costs: on 2 CPUs BenchmarkMonitorStage reads 38–43 µs
+	// at one worker against 47–53 µs at two, and the benchmark README
+	// records the serial stage ≈ 20 % ahead. Workers only read; the
+	// results are committed sequentially in registration order, so
 	// every computed cap, credit and degradation record is identical to
-	// the serial stage. 0 means GOMAXPROCS; 1 runs the stage serially
-	// (the exact pre-pool behaviour).
+	// the serial stage. 0 means GOMAXPROCS; 1 runs the stage serially.
 	MonitorWorkers int
-	// AuctionShards partitions the stage-4 auction (Algorithm 1) by the
-	// NUMA node of each buyer's last observed core. Per-shard auctions
-	// run concurrently on a worker pool sized like MonitorWorkers, each
-	// against a per-shard ledger (a demand-proportional slice of the
-	// market and of every VM wallet), then a final sequential
-	// redistribution round sells the merged leftovers to still-hungry
-	// buyers across nodes. 1 (the default) runs the exact serial
-	// Algorithm 1; 0 means one shard per NUMA node discovered from the
-	// host topology (serial when the host has one node or none
-	// discoverable); N > 1 forces exactly N shards. Sharding preserves
-	// the conservation invariants (total sold ≤ market, wallet debits =
-	// cycles bought, caps within [Eq. 5 base, estimate]) but may order
-	// buyers differently than the serial pass, so per-vCPU caps can
-	// differ at N > 1 while the aggregates match.
-	AuctionShards int
 	// CallBudgetUs is the per-host-call deadline in microseconds: a
 	// host read or write that succeeds but takes longer than this is
 	// treated as failed (the affected vCPU degrades, holding its
@@ -154,18 +142,6 @@ type Config struct {
 	// two controllers with different seeds compute identical caps,
 	// credits and reports — only retry timing differs.
 	Seed int64
-	// EstimateShards partitions stages 2–3 (estimation and base
-	// enforcement) over the same NUMA placement partition the stage-4
-	// auction uses: the per-vCPU passes run concurrently on the shard
-	// worker pool, with per-shard credit and market accumulators merged
-	// at a single barrier before the auction. Unlike auction sharding,
-	// the sharded stages are bit-identical to the serial pass at ANY
-	// shard count — estimation is per-vCPU pure and credit accrual is a
-	// commutative per-VM sum clamped once after the merge. 0 (the
-	// default) follows the effective AuctionShards value, so one knob
-	// sizes the whole three-stage partition; 1 forces the serial pass;
-	// N > 1 forces N shards.
-	EstimateShards int
 }
 
 // DefaultConfig returns the paper's evaluation configuration.
@@ -187,8 +163,6 @@ func DefaultConfig() Config {
 		RecoverySteps:    1,
 		StepDeadlineFrac: 0.5,
 		MonitorWorkers:   0, // auto: GOMAXPROCS
-		AuctionShards:    1, // serial Algorithm 1 (0 = shard per NUMA node)
-		EstimateShards:   0, // follow AuctionShards: one partition, three stages
 	}
 }
 
@@ -244,12 +218,6 @@ func (c Config) Validate() error {
 	}
 	if c.MonitorWorkers < 0 || c.MonitorWorkers > 4096 {
 		return fmt.Errorf("core: monitor workers %d outside [0, 4096]", c.MonitorWorkers)
-	}
-	if c.AuctionShards < 0 || c.AuctionShards > 4096 {
-		return fmt.Errorf("core: auction shards %d outside [0, 4096]", c.AuctionShards)
-	}
-	if c.EstimateShards < 0 || c.EstimateShards > 4096 {
-		return fmt.Errorf("core: estimate shards %d outside [0, 4096]", c.EstimateShards)
 	}
 	if c.CallBudgetUs < 0 {
 		return fmt.Errorf("core: call budget must be non-negative")

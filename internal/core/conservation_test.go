@@ -120,84 +120,12 @@ func TestQuickDistributeConservation(t *testing.T) {
 	}
 }
 
-// Property: the sharded auction preserves the serial conservation
-// invariants at any shard count — Σ sold + leftover = market, wallet
-// debits equal cycles bought, no wallet goes negative, no cap exceeds
-// its estimate, and no cap drops below its pre-auction (Eq. 5) value —
-// even though buyers are partitioned by core placement and charged
-// through per-shard ledgers.
-func TestQuickAuctionShardedConservation(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := newFakeHost()
-		h.node.Cores = 16
-		n := rng.Intn(5) + 1
-		for i := 0; i < n; i++ {
-			h.addVM(fmt.Sprintf("vm%d", i), rng.Intn(3)+1, int64(rng.Intn(2000)+200))
-		}
-		cfg := DefaultConfig()
-		cfg.AuctionShards = rng.Intn(6) + 2 // 2..7 shards
-		c, err := New(h, cfg)
-		if err != nil {
-			return false
-		}
-		if err := c.Step(); err != nil {
-			return false
-		}
-		var capsBefore, creditsBefore int64
-		base := map[*VCPUState]int64{}
-		for _, st := range c.VMs() {
-			st.CreditUs = int64(rng.Intn(2_000_000))
-			creditsBefore += st.CreditUs
-			for _, v := range st.VCPUs {
-				v.CapUs = int64(rng.Intn(500_000))
-				v.EstUs = v.CapUs + int64(rng.Intn(500_000))
-				v.LastCore = rng.Intn(16)
-				base[v] = v.CapUs
-				capsBefore += v.CapUs
-			}
-		}
-		market := int64(rng.Intn(2_000_000))
-		left := c.auctionSharded(market)
-		if left < 0 || left > market {
-			return false
-		}
-		var capsAfter, creditsAfter int64
-		for _, st := range c.VMs() {
-			if st.CreditUs < 0 {
-				return false // a ledger overdrew the wallet
-			}
-			creditsAfter += st.CreditUs
-			for _, v := range st.VCPUs {
-				if v.CapUs > v.EstUs {
-					return false // bought beyond estimate
-				}
-				if v.CapUs < base[v] {
-					return false // dropped below the Eq. 5 base
-				}
-				capsAfter += v.CapUs
-			}
-		}
-		sold := market - left
-		if capsAfter-capsBefore != sold {
-			return false // cycles minted or leaked across the shards
-		}
-		if creditsBefore-creditsAfter != sold {
-			return false // wallet debits ≠ cycles bought
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: auction then distribute — the full stage 4 + 5 pipeline, in
-// both serial and sharded form — never leaks a cycle: every market cycle
-// is either sold, given away, or still unallocated at the end, and the
-// distribution leaves no rounding residue while demand remains.
+// Property: auction then distribute — the full stage 4 + 5 pipeline —
+// never leaks a cycle: every market cycle is either sold, given away, or
+// still unallocated at the end, and the distribution leaves no rounding
+// residue while demand remains.
 func TestQuickAuctionDistributePipelineConservation(t *testing.T) {
-	f := func(seed int64, sharded bool) bool {
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := newFakeHost()
 		h.node.Cores = 16
@@ -205,11 +133,7 @@ func TestQuickAuctionDistributePipelineConservation(t *testing.T) {
 		for i := 0; i < n; i++ {
 			h.addVM(fmt.Sprintf("vm%d", i), rng.Intn(2)+1, int64(rng.Intn(2000)+200))
 		}
-		cfg := DefaultConfig()
-		if sharded {
-			cfg.AuctionShards = 4
-		}
-		c, err := New(h, cfg)
+		c, err := New(h, DefaultConfig())
 		if err != nil {
 			return false
 		}
@@ -222,13 +146,12 @@ func TestQuickAuctionDistributePipelineConservation(t *testing.T) {
 			for _, v := range st.VCPUs {
 				v.CapUs = int64(rng.Intn(400_000))
 				v.EstUs = v.CapUs + int64(rng.Intn(400_000))
-				v.LastCore = rng.Intn(16)
 				capsBefore += v.CapUs
 				demand += v.EstUs - v.CapUs
 			}
 		}
 		market := int64(rng.Intn(2_000_000))
-		left := c.auctionSharded(market)
+		left := c.auction(market)
 		c.distribute(left)
 		var capsAfter int64
 		for _, st := range c.VMs() {
@@ -244,8 +167,8 @@ func TestQuickAuctionDistributePipelineConservation(t *testing.T) {
 			want = demand
 		}
 		// Sold + given must equal the whole market while demand lasted:
-		// nothing stranded by the auction ledgers or the distribution's
-		// integer division.
+		// nothing stranded by the auction or the distribution's integer
+		// division.
 		return capsAfter-capsBefore == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -80,14 +80,11 @@ func (s *fuzzByteStream) u16() uint16 {
 	return binary.LittleEndian.Uint16([]byte{s.byte(), s.byte()})
 }
 
-// FuzzAuction drives arbitrary buyer populations — estimates, caps,
-// wallets and shard (core) assignments — through the serial and the
-// sharded auction on twin controllers. The property under test is the
-// conservation contract of Algorithm 1: neither path may panic, mint,
-// leak or double-sell cycles, overdraw a wallet, cap a vCPU beyond its
-// estimate or below its pre-auction base — and the two paths must agree
-// on every aggregate (cycles sold, caps total, credits total) even
-// though per-buyer orderings differ.
+// FuzzAuction drives arbitrary buyer populations — estimates, caps and
+// wallets — through the auction. The property under test is the
+// conservation contract of Algorithm 1: it may not panic, mint, leak or
+// double-sell cycles, overdraw a wallet, or cap a vCPU beyond its
+// estimate or below its pre-auction (Eq. 5) base.
 func FuzzAuction(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 200, 16, 39, 2, 1, 0, 0, 4, 4})
@@ -96,113 +93,60 @@ func FuzzAuction(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &fuzzByteStream{data: data}
+		h := newFakeHost()
+		h.node.Cores = 16
 		nVMs := int(s.byte())%6 + 1
-		shards := int(s.byte())%7 + 2 // 2..8
-		type vmSpec struct {
-			vcpus  int
-			credit int64
+		for i := 0; i < nVMs; i++ {
+			h.addVM(fmt.Sprintf("vm%d", i), int(s.byte())%4+1, 1200)
 		}
-		specs := make([]vmSpec, nVMs)
-		for i := range specs {
-			specs[i] = vmSpec{
-				vcpus:  int(s.byte())%4 + 1,
-				credit: int64(s.u16()) * 32, // 0 .. ~2.1M
-			}
+		c, err := New(h, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
 		}
-		build := func(shardCount int) *Controller {
-			h := newFakeHost()
-			h.node.Cores = 16
-			for i, sp := range specs {
-				h.addVM(fmt.Sprintf("vm%d", i), sp.vcpus, 1200)
-			}
-			cfg := DefaultConfig()
-			cfg.AuctionShards = shardCount
-			c, err := New(h, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Step(); err != nil {
-				t.Fatal(err)
-			}
-			return c
+		if err := c.Step(); err != nil {
+			t.Fatal(err)
 		}
-		serial := build(1)
-		sharded := build(shards)
 
-		// One decoded state applied to both twins. The stream must be
-		// read once, not per twin, so both see identical buyers.
-		type buyer struct {
-			cap, est int64
-			core     int
-		}
-		var buyers []buyer
-		for _, sp := range specs {
-			for j := 0; j < sp.vcpus; j++ {
-				cap := int64(s.u16()) * 8 // 0 .. ~520k
-				buyers = append(buyers, buyer{
-					cap:  cap,
-					est:  cap + int64(s.u16())*8,
-					core: int(s.byte()) % 16,
-				})
+		var caps0, credits0 int64
+		base := map[*VCPUState]int64{}
+		for _, vs := range c.VMs() {
+			vs.CreditUs = int64(s.u16()) * 32 // 0 .. ~2.1M
+			credits0 += vs.CreditUs
+			for _, v := range vs.VCPUs {
+				v.CapUs = int64(s.u16()) * 8 // 0 .. ~520k
+				v.EstUs = v.CapUs + int64(s.u16())*8
+				base[v] = v.CapUs
+				caps0 += v.CapUs
 			}
 		}
 		market := int64(s.u16()) * 32
-		apply := func(c *Controller) (caps, credits int64, base map[*VCPUState]int64) {
-			base = map[*VCPUState]int64{}
-			k := 0
-			for i, vs := range c.VMs() {
-				vs.CreditUs = specs[i].credit
-				credits += vs.CreditUs
-				for _, v := range vs.VCPUs {
-					v.CapUs = buyers[k].cap
-					v.EstUs = buyers[k].est
-					v.LastCore = buyers[k].core
-					base[v] = v.CapUs
-					caps += v.CapUs
-					k++
-				}
-			}
-			return caps, credits, base
-		}
-		check := func(c *Controller, name string, caps0, credits0 int64,
-			base map[*VCPUState]int64, market, left int64) (caps, credits int64) {
-			if left < 0 || left > market {
-				t.Fatalf("%s: leftover %d outside [0, %d]", name, left, market)
-			}
-			for _, vs := range c.VMs() {
-				if vs.CreditUs < 0 {
-					t.Fatalf("%s: wallet of %s overdrawn: %d", name, vs.Info.Name, vs.CreditUs)
-				}
-				credits += vs.CreditUs
-				for _, v := range vs.VCPUs {
-					if v.CapUs > v.EstUs {
-						t.Fatalf("%s: %s/%d bought beyond estimate", name, v.VM, v.Index)
-					}
-					if v.CapUs < base[v] {
-						t.Fatalf("%s: %s/%d dropped below its base cap", name, v.VM, v.Index)
-					}
-					caps += v.CapUs
-				}
-			}
-			sold := market - left
-			if caps-caps0 != sold {
-				t.Fatalf("%s: cycles minted or leaked: Δcaps %d, sold %d", name, caps-caps0, sold)
-			}
-			if credits0-credits != sold {
-				t.Fatalf("%s: wallet debits %d ≠ cycles bought %d", name, credits0-credits, sold)
-			}
-			return caps, credits
-		}
+		left := c.auction(market)
 
-		caps0, credits0, baseA := apply(serial)
-		_, _, baseB := apply(sharded)
-		leftA := serial.auctionSharded(market)
-		leftB := sharded.auctionSharded(market)
-		capsA, credA := check(serial, "serial", caps0, credits0, baseA, market, leftA)
-		capsB, credB := check(sharded, fmt.Sprintf("sharded(%d)", shards), caps0, credits0, baseB, market, leftB)
-		if leftA != leftB || capsA != capsB || credA != credB {
-			t.Fatalf("serial vs sharded(%d) aggregates diverged: left %d/%d caps %d/%d credits %d/%d",
-				shards, leftA, leftB, capsA, capsB, credA, credB)
+		if left < 0 || left > market {
+			t.Fatalf("leftover %d outside [0, %d]", left, market)
+		}
+		var caps, credits int64
+		for _, vs := range c.VMs() {
+			if vs.CreditUs < 0 {
+				t.Fatalf("wallet of %s overdrawn: %d", vs.Info.Name, vs.CreditUs)
+			}
+			credits += vs.CreditUs
+			for _, v := range vs.VCPUs {
+				if v.CapUs > v.EstUs {
+					t.Fatalf("%s/%d bought beyond estimate", v.VM, v.Index)
+				}
+				if v.CapUs < base[v] {
+					t.Fatalf("%s/%d dropped below its base cap", v.VM, v.Index)
+				}
+				caps += v.CapUs
+			}
+		}
+		sold := market - left
+		if caps-caps0 != sold {
+			t.Fatalf("cycles minted or leaked: Δcaps %d, sold %d", caps-caps0, sold)
+		}
+		if credits0-credits != sold {
+			t.Fatalf("wallet debits %d ≠ cycles bought %d", credits0-credits, sold)
 		}
 	})
 }

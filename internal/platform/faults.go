@@ -220,7 +220,12 @@ func (f *FaultyHost) fail(site FaultSite, vm string, vcpu int) error {
 	return err
 }
 
-// decide is the locked half of fail.
+// decide is the locked half of fail. Rate and DelayRate plans draw from
+// the single seeded rng in the order calls arrive (and a Count plan hits
+// whichever calls arrive first), so a run replays from the seed only
+// when calls arrive in a fixed order, which a concurrent monitor pool
+// (core.Config.MonitorWorkers != 1) does not give. Persistent plans
+// depend on no order.
 func (f *FaultyHost) decide(site FaultSite, vm string, vcpu int) (time.Duration, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -221,44 +221,54 @@ func (l *Linux) pruneDeparted(live []VMInfo) {
 }
 
 // CoreNodes implements Topology: core → NUMA node from the node<N>/
-// cpulist files. The scan runs once and is cached; a missing or
-// unreadable node tree degrades to a single-node topology rather than
-// failing, since sharding is an optimisation, not a correctness need.
+// cpulist files. The scan runs once and is cached. A missing node tree,
+// one naming no node, or an unreadable or malformed cpulist is an error:
+// the result is the whole map or nothing, never a partly filled one.
 func (l *Linux) CoreNodes() ([]int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.coreNodes != nil {
 		return l.coreNodes, nil
 	}
-	nodes := make([]int, l.Cores) // default: every core on node 0
 	root := l.SysNUMARoot
 	if root == "" {
 		root = sysfs.NodeMount
 	}
-	if entries, err := os.ReadDir(root); err == nil {
-		for _, e := range entries {
-			name := e.Name()
-			if !strings.HasPrefix(name, "node") {
-				continue
-			}
-			id, err := strconv.Atoi(strings.TrimPrefix(name, "node"))
-			if err != nil || id < 0 {
-				continue
-			}
-			b, err := os.ReadFile(filepath.Join(root, name, "cpulist"))
-			if err != nil {
-				continue
-			}
-			cpus, err := sysfs.ParseCPUList(string(b))
-			if err != nil {
-				continue
-			}
-			for _, c := range cpus {
-				if c >= 0 && c < len(nodes) {
-					nodes[c] = id
-				}
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		return nil, fmt.Errorf("platform: reading NUMA tree: %w", err)
+	}
+	nodes := make([]int, l.Cores)
+	found := false
+	for _, e := range entries {
+		// The kernel keeps plain files ("online", "possible", ...) beside
+		// the node<N> directories.
+		num, ok := strings.CutPrefix(e.Name(), "node")
+		if !ok {
+			continue
+		}
+		id, err := strconv.Atoi(num)
+		if err != nil || id < 0 {
+			continue
+		}
+		path := filepath.Join(root, e.Name(), "cpulist")
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("platform: reading NUMA tree: %w", err)
+		}
+		cpus, err := sysfs.ParseCPUList(string(b))
+		if err != nil {
+			return nil, fmt.Errorf("platform: %s: %w", path, err)
+		}
+		found = true
+		for _, c := range cpus {
+			if c >= 0 && c < len(nodes) {
+				nodes[c] = id
 			}
 		}
+	}
+	if !found {
+		return nil, fmt.Errorf("platform: no node<N>/cpulist under %s", root)
 	}
 	l.coreNodes = nodes
 	return nodes, nil

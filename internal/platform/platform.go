@@ -55,9 +55,9 @@ const NoQuota = int64(-1)
 
 // Topology is an optional Host capability: the NUMA placement of the
 // machine's logical CPUs, read from /sys/devices/system/node. The
-// controller uses it to partition the stage-4 auction into per-node
-// shards. Hosts without the capability (or with a missing node tree)
-// are treated as a single NUMA node.
+// controller does not consume it (its stages are serial over the whole
+// node); the interface stays for the benchmark's host decorator, which
+// forwards it.
 type Topology interface {
 	// CoreNodes returns a slice mapping each logical CPU index to its
 	// NUMA node id. The result must be stable across calls; callers

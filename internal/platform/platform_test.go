@@ -3,6 +3,8 @@ package platform
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"vfreq/internal/host"
@@ -199,5 +201,62 @@ func TestLinuxBackendOnRealHost(t *testing.T) {
 	}
 	if _, err := l.ListVMs(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTopologyCoreNodes covers both Topology implementations: the
+// simulator reading the tree its machine mounts, and the Linux backend
+// parsing cpulist ranges and lists from a node tree on disk — where a
+// tree that is missing, names no node, or holds a malformed cpulist is
+// an error, never a partly filled map.
+func TestTopologyCoreNodes(t *testing.T) {
+	s, _ := newSim(t)
+	got, err := s.CoreNodes()
+	if err != nil || len(got) != 40 {
+		t.Fatalf("Sim.CoreNodes = %v, %v; want 40 entries", got, err)
+	}
+	for cpu, node := range got {
+		if want := cpu / 20; node != want {
+			t.Fatalf("Sim: cpu %d on node %d, want %d (chetemi: 40 CPUs, 2 nodes)", cpu, node, want)
+		}
+	}
+
+	for _, tc := range []struct {
+		name  string
+		files map[string]string // path under the node root → content
+		want  []int             // nil = an error is expected
+	}{
+		{"ranges and lists", map[string]string{
+			"online":        "0-1\n",
+			"node0/cpulist": "0-1,4\n",
+			"node1/cpulist": "2-3,5\n",
+		}, []int{0, 0, 1, 1, 0, 1}},
+		{"single cpu", map[string]string{"node0/cpulist": "0-2,4-5\n", "node1/cpulist": "3\n"}, []int{0, 0, 0, 1, 0, 0}},
+		{"missing tree", nil, nil},
+		{"no node directory", map[string]string{"online": "0\n"}, nil},
+		{"garbled cpulist", map[string]string{"node0/cpulist": "0-2\n", "node1/cpulist": "3-x\n"}, nil},
+		{"node without cpulist", map[string]string{"node0/cpulist": "0-5\n", "node1/meminfo": "\n"}, nil},
+	} {
+		root := filepath.Join(t.TempDir(), "node")
+		for path, content := range tc.files {
+			full := filepath.Join(root, path)
+			if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(full, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l := &Linux{Cores: 6, SysNUMARoot: root}
+		got, err := l.CoreNodes()
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("Linux, %s: CoreNodes = %v, want an error", tc.name, got)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("Linux, %s: CoreNodes = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
 	}
 }

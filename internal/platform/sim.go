@@ -263,27 +263,27 @@ func (s *Sim) LastCPU(tid int) (int, error) {
 
 // CoreNodes implements Topology: it reads the emulated
 // /sys/devices/system/node tree, exactly as the Linux backend reads
-// the real one. Cores not named by any node<N>/cpulist (or a missing
-// tree entirely) default to node 0.
+// the real one, and like it fails on an unreadable tree or a malformed
+// cpulist instead of returning a partly filled map.
 func (s *Sim) CoreNodes() ([]int, error) {
 	m := s.mgr.Machine()
-	nodes := make([]int, m.Spec().Cores)
 	names, err := m.FS.ReadDir(sysfs.NodeMount)
 	if err != nil {
-		return nodes, nil // no NUMA tree: single-node topology
+		return nil, err
 	}
+	nodes := make([]int, m.Spec().Cores)
 	for _, name := range names {
 		var id int
 		if _, err := fmt.Sscanf(name, "node%d", &id); err != nil || id < 0 {
-			continue
+			continue // the "online" file
 		}
 		content, err := m.FS.ReadFile(sysfs.NodeCPUListPath(sysfs.NodeMount, id))
 		if err != nil {
-			continue
+			return nil, err
 		}
 		cpus, err := sysfs.ParseCPUList(content)
 		if err != nil {
-			continue
+			return nil, err
 		}
 		for _, c := range cpus {
 			if c >= 0 && c < len(nodes) {
