@@ -98,12 +98,11 @@ type Node struct {
 	energyJ  float64 // energy accrued while hosting at least one VM
 	lastJ    float64
 
-	// Cached placement totals, maintained on deploy/undeploy/resize so
-	// admission does not iterate the deployment map.
-	usedFreq int64 // Σ vCPU·F in MHz
-	usedVC   int
-	usedMem  int
-	indexed  bool // present in the cluster's free-capacity index
+	// used is the total load of the deployed VMs, maintained on
+	// deploy/undeploy/migrate/resize so admission does not iterate the
+	// deployment map.
+	used    load
+	indexed bool // present in the cluster's free-capacity index
 
 	// Health bookkeeping: the node's contribution to the cluster
 	// aggregate after its last step, and the change against the step
@@ -131,14 +130,30 @@ func (n *Node) VMs() []string {
 	return out
 }
 
-// usedFreqMHz returns Σ vCPU·F of the deployed VMs.
-func (n *Node) usedFreqMHz() int64 { return n.usedFreq }
+// load is a demand in the three quantities the admission constraint
+// sums: one template's, a node's deployed total, or (capacityOf) what an
+// empty node offers.
+type load struct {
+	vcpus   int
+	freqMHz int64 // Σ vCPU·F
+	memGB   int
+}
 
-// usedMemGB returns the deployed memory.
-func (n *Node) usedMemGB() int { return n.usedMem }
+func loadOf(tpl vm.Template) load {
+	return load{tpl.VCPUs, int64(tpl.VCPUs) * tpl.FreqMHz, tpl.MemoryGB}
+}
 
-// usedVCPUs returns the deployed vCPU count.
-func (n *Node) usedVCPUs() int { return n.usedVC }
+func capacityOf(spec host.Spec) load {
+	return load{spec.Cores, int64(spec.Cores) * spec.MaxMHz, spec.MemoryGB}
+}
+
+func (l load) add(o load) load {
+	return load{l.vcpus + o.vcpus, l.freqMHz + o.freqMHz, l.memGB + o.memGB}
+}
+
+func (l load) sub(o load) load {
+	return load{l.vcpus - o.vcpus, l.freqMHz - o.freqMHz, l.memGB - o.memGB}
+}
 
 // nodeHealth is one node's contribution to the cluster Health aggregate.
 type nodeHealth struct {
@@ -218,6 +233,9 @@ func New(specs []host.Spec, cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Policy.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Policy.CoreSplitting {
+		return nil, fmt.Errorf("cluster: Policy.CoreSplitting is not supported by online admission (plain Eq. 7); only the offline placement.Place checks per-core feasibility")
 	}
 	c := &Cluster{cfg: cfg, locations: map[string]int{}}
 	for i, spec := range specs {
@@ -302,54 +320,54 @@ func (c *Cluster) Locate(name string) int {
 	return -1
 }
 
-// fits checks the admission constraint for tpl on node n.
-func (c *Cluster) fits(n *Node, tpl vm.Template) bool {
-	p := c.cfg.Policy
-	spec := n.Spec()
-	switch p.Mode {
-	case placement.CoreCount:
-		if float64(n.usedVCPUs()+tpl.VCPUs) > float64(spec.Cores)*p.Factor {
-			return false
-		}
-	case placement.VirtualFrequency:
-		if tpl.FreqMHz > spec.MaxMHz {
-			return false
-		}
-		add := int64(tpl.VCPUs) * tpl.FreqMHz
-		if float64(n.usedFreqMHz()+add) > float64(spec.Cores)*float64(spec.MaxMHz)*p.Factor {
-			return false
-		}
+// cpu returns l's CPU term in the policy's unit: a vCPU count under
+// CoreCount, Σ vCPU·F in MHz (the two sides of Eq. 7) under
+// VirtualFrequency. For the integer demands and capacities in play the
+// float arithmetic is exact.
+func (c *Cluster) cpu(l load) float64 {
+	if c.cfg.Policy.Mode == placement.CoreCount {
+		return float64(l.vcpus)
 	}
-	if p.Memory && n.usedMemGB()+tpl.MemoryGB > spec.MemoryGB {
-		return false
-	}
-	return true
+	return float64(l.freqMHz)
 }
 
-// remaining returns the free capacity of n in the policy's unit, for the
-// BestFit/WorstFit choice. It is also the node's key in the
-// free-capacity index: for the integer demands and capacities in play
-// the arithmetic is exact, so "remaining < demand" in the index prunes
-// exactly the nodes the fits capacity check would reject.
-func (c *Cluster) remaining(n *Node) float64 {
+// admits is the admission constraint: whether node n may carry total
+// load l under the policy's CPU factor and memory bound.
+func (c *Cluster) admits(n *Node, l load) bool {
 	p := c.cfg.Policy
-	spec := n.Spec()
-	switch p.Mode {
-	case placement.CoreCount:
-		return float64(spec.Cores)*p.Factor - float64(n.usedVCPUs())
-	default:
-		return float64(spec.Cores)*float64(spec.MaxMHz)*p.Factor - float64(n.usedFreqMHz())
+	capacity := capacityOf(n.Spec())
+	if p.Memory && l.memGB > capacity.memGB {
+		return false
 	}
+	return c.cpu(l) <= c.cpu(capacity)*p.Factor
+}
+
+// fits checks the admission constraint for tpl joining node n.
+func (c *Cluster) fits(n *Node, tpl vm.Template) bool {
+	return c.fitsResized(n, vm.Template{}, tpl)
+}
+
+// fitsResized checks the admission constraint with old's demand on n
+// replaced by tpl's. Eq. 7 presumes every template frequency is
+// attainable on the node; CoreCount ignores frequencies altogether.
+func (c *Cluster) fitsResized(n *Node, old, tpl vm.Template) bool {
+	if c.cfg.Policy.Mode == placement.VirtualFrequency && tpl.FreqMHz > n.Spec().MaxMHz {
+		return false
+	}
+	return c.admits(n, n.used.sub(loadOf(old)).add(loadOf(tpl)))
+}
+
+// remaining returns the free CPU capacity of n in the policy's unit, for
+// the BestFit/WorstFit choice. It is also the node's key in the
+// free-capacity index: "remaining < demand" in the index prunes exactly
+// the nodes the admits capacity check would reject.
+func (c *Cluster) remaining(n *Node) float64 {
+	return c.cpu(capacityOf(n.Spec()))*c.cfg.Policy.Factor - c.cpu(n.used)
 }
 
 // demand returns tpl's CPU demand in the policy's unit — the minimum
-// index key a node needs to pass the fits capacity check.
-func (c *Cluster) demand(tpl vm.Template) float64 {
-	if c.cfg.Policy.Mode == placement.CoreCount {
-		return float64(tpl.VCPUs)
-	}
-	return float64(int64(tpl.VCPUs) * tpl.FreqMHz)
-}
+// index key a node needs to pass the admits capacity check.
+func (c *Cluster) demand(tpl vm.Template) float64 { return c.cpu(loadOf(tpl)) }
 
 // Deploy admits a VM onto the cluster and provisions it. sources may be
 // nil (idle VM). It returns the chosen node index.
@@ -405,9 +423,7 @@ func (c *Cluster) provisionOn(idx int, name string, tpl vm.Template, sources []w
 	}
 	n.deployed[name] = &deployment{name: name, template: tpl, sources: sources}
 	c.locations[name] = idx
-	n.usedFreq += int64(tpl.VCPUs) * tpl.FreqMHz
-	n.usedVC += tpl.VCPUs
-	n.usedMem += tpl.MemoryGB
+	n.used = n.used.add(loadOf(tpl))
 	c.reindex(n)
 	return nil
 }
@@ -425,9 +441,7 @@ func (c *Cluster) Undeploy(name string) error {
 	d := n.deployed[name]
 	delete(n.deployed, name)
 	delete(c.locations, name)
-	n.usedFreq -= int64(d.template.VCPUs) * d.template.FreqMHz
-	n.usedVC -= d.template.VCPUs
-	n.usedMem -= d.template.MemoryGB
+	n.used = n.used.sub(loadOf(d.template))
 	c.reindex(n)
 	return nil
 }
@@ -516,14 +530,10 @@ func (c *Cluster) Migrate(name string, target int) (moved bool, err error) {
 		return false, fmt.Errorf("cluster: migrating %q off node %d: %w", name, src, err)
 	}
 	delete(from.deployed, name)
-	from.usedFreq -= int64(d.template.VCPUs) * d.template.FreqMHz
-	from.usedVC -= d.template.VCPUs
-	from.usedMem -= d.template.MemoryGB
+	from.used = from.used.sub(loadOf(d.template))
 	c.reindex(from)
 	to.deployed[name] = d
-	to.usedFreq += int64(d.template.VCPUs) * d.template.FreqMHz
-	to.usedVC += d.template.VCPUs
-	to.usedMem += d.template.MemoryGB
+	to.used = to.used.add(loadOf(d.template))
 	c.reindex(to)
 	c.locations[name] = target
 	from.Ctrl.ForgetVM(name)
@@ -561,9 +571,7 @@ func (c *Cluster) Resize(name string, tpl vm.Template, srcs []workload.Source) e
 	if err := n.Manager.Reconfigure(name, tpl, srcs); err != nil {
 		return err
 	}
-	n.usedFreq += int64(tpl.VCPUs)*tpl.FreqMHz - int64(d.template.VCPUs)*d.template.FreqMHz
-	n.usedVC += tpl.VCPUs - d.template.VCPUs
-	n.usedMem += tpl.MemoryGB - d.template.MemoryGB
+	n.used = n.used.sub(loadOf(d.template)).add(loadOf(tpl))
 	d.sources = resizedSources(d.sources, d.template.VCPUs, tpl.VCPUs, srcs)
 	d.template = tpl
 	c.reindex(n)
@@ -594,51 +602,13 @@ func resizedSources(cur []workload.Source, old, n int, added []workload.Source) 
 	return out
 }
 
-// fitsResized checks the admission constraint with old's demand on n
-// replaced by new's.
-func (c *Cluster) fitsResized(n *Node, old, tpl vm.Template) bool {
-	p := c.cfg.Policy
-	spec := n.Spec()
-	switch p.Mode {
-	case placement.CoreCount:
-		used := n.usedVCPUs() - old.VCPUs + tpl.VCPUs
-		if float64(used) > float64(spec.Cores)*p.Factor {
-			return false
-		}
-	case placement.VirtualFrequency:
-		if tpl.FreqMHz > spec.MaxMHz {
-			return false
-		}
-		used := n.usedFreqMHz() - int64(old.VCPUs)*old.FreqMHz + int64(tpl.VCPUs)*tpl.FreqMHz
-		if float64(used) > float64(spec.Cores)*float64(spec.MaxMHz)*p.Factor {
-			return false
-		}
-	}
-	if p.Memory && n.usedMemGB()-old.MemoryGB+tpl.MemoryGB > spec.MemoryGB {
-		return false
-	}
-	return true
-}
-
 // Overloaded returns the indices of nodes whose deployed guarantees
 // violate the admission constraint (possible after Undeploy-free external
 // changes or a policy change).
 func (c *Cluster) Overloaded() []int {
 	var out []int
 	for i, n := range c.nodes {
-		p := c.cfg.Policy
-		spec := n.Spec()
-		over := false
-		switch p.Mode {
-		case placement.CoreCount:
-			over = float64(n.usedVCPUs()) > float64(spec.Cores)*p.Factor
-		case placement.VirtualFrequency:
-			over = float64(n.usedFreqMHz()) > float64(spec.Cores)*float64(spec.MaxMHz)*p.Factor
-		}
-		if p.Memory && n.usedMemGB() > spec.MemoryGB {
-			over = true
-		}
-		if over {
+		if !c.admits(n, n.used) {
 			out = append(out, i)
 		}
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"vfreq/internal/host"
@@ -28,6 +29,12 @@ func TestInvalidPolicyRejected(t *testing.T) {
 	bad := Config{Policy: placement.Policy{Mode: placement.CoreCount, Factor: 1, CoreSplitting: true}}
 	if _, err := New([]host.Spec{host.Chetemi()}, bad); err == nil {
 		t.Fatal("invalid policy accepted")
+	}
+	// Valid for the offline placement.Place, but online admission is plain
+	// Eq. 7 and would silently ignore it.
+	split := Config{Policy: placement.Policy{Mode: placement.VirtualFrequency, Factor: 1, CoreSplitting: true}}
+	if _, err := New([]host.Spec{host.Chetemi()}, split); err == nil || !strings.Contains(err.Error(), "CoreSplitting") {
+		t.Fatalf("CoreSplitting policy: err = %v, want one naming the field", err)
 	}
 }
 

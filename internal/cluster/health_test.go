@@ -209,8 +209,8 @@ func TestResizeReflectsInControllerGuarantee(t *testing.T) {
 		t.Fatalf("controller tracks %d vCPUs, want 4", got)
 	}
 	// The bookkeeping used by admission follows too.
-	if got := n.usedFreqMHz(); got != 4*1200 {
-		t.Fatalf("usedFreqMHz = %d, want 4800", got)
+	if got := n.used.freqMHz; got != 4*1200 {
+		t.Fatalf("used.freqMHz = %d, want 4800", got)
 	}
 	// Shrink back down.
 	if err := c.Resize("a", vm.Small(), nil); err != nil {

@@ -203,7 +203,7 @@ func TestMigrateRollbackOnTargetProvisionFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	n0, n1 := c.Nodes()[0], c.Nodes()[1]
-	used := [3]int{int(n0.usedFreq), n0.usedVC, n0.usedMem}
+	used := n0.used
 
 	moved, err := c.Migrate("a", 1)
 	if err == nil || moved {
@@ -217,12 +217,11 @@ func TestMigrateRollbackOnTargetProvisionFailure(t *testing.T) {
 	if c.Locate("a") != 0 {
 		t.Fatal("VM lost or moved after a failed prepare")
 	}
-	if got := [3]int{int(n0.usedFreq), n0.usedVC, n0.usedMem}; got != used {
+	if got := n0.used; got != used {
 		t.Fatalf("source bookkeeping changed: %v, want %v", got, used)
 	}
-	if n1.usedFreq != 0 || n1.usedVC != 0 || n1.usedMem != 0 || len(n1.deployed) != 0 {
-		t.Fatalf("target bookkeeping dirtied: freq=%d vc=%d mem=%d deployed=%d",
-			n1.usedFreq, n1.usedVC, n1.usedMem, len(n1.deployed))
+	if n1.used != (load{}) || len(n1.deployed) != 0 {
+		t.Fatalf("target bookkeeping dirtied: used=%+v deployed=%d", n1.used, len(n1.deployed))
 	}
 	if n1.Manager.Get("a") != nil {
 		t.Fatal("target manager kept a half-provisioned VM")

@@ -49,9 +49,9 @@ func steadyState(t *testing.T, ctrl *Controller, h *fakeHost, vms map[string]int
 }
 
 // TestApplySkipsCleanQuotas is the incremental-apply acceptance test on
-// the serial (no batch capability) path: once the estimates stabilise,
-// a steady-state step must issue zero SetMax writes, and a changed
-// estimate must write again.
+// a host without the batch capability (served by platform's serial
+// adapter): once the estimates stabilise, a steady-state step must issue
+// zero SetMax writes, and a changed estimate must write again.
 func TestApplySkipsCleanQuotas(t *testing.T) {
 	h := newFakeHost()
 	h.addVM("a", 2, 1200)
@@ -79,10 +79,10 @@ func TestApplySkipsCleanQuotas(t *testing.T) {
 	}
 }
 
-// TestApplyBatchedSkipsCleanQuotas is the same acceptance on the batched
-// path: a steady-state step must not even call BatchSetMax (the dirty
-// set is empty), and a single dirtied vCPU must produce one batch with
-// one entry.
+// TestApplyBatchedSkipsCleanQuotas is the same acceptance seen from a
+// host with the capability: a steady-state step must not even call
+// BatchSetMax (the dirty set is empty), and a single dirtied vCPU must
+// produce one batch with one entry.
 func TestApplyBatchedSkipsCleanQuotas(t *testing.T) {
 	fh := newFakeHost()
 	fh.addVM("a", 2, 1200)
@@ -111,10 +111,10 @@ func TestApplyBatchedSkipsCleanQuotas(t *testing.T) {
 	}
 }
 
-// TestApplyBatchedMatchesSerial runs a serial-path and a batched-path
-// controller through the same workload and requires identical quota maps
-// and write counts — the batch is a transport optimisation, not a
-// semantic change.
+// TestApplyBatchedMatchesSerial runs a controller over a host served by
+// the serial adapter and one over a host with its own batch capability
+// through the same workload and requires identical quota maps and write
+// counts — the batch is a transport optimisation, not a semantic change.
 func TestApplyBatchedMatchesSerial(t *testing.T) {
 	hs := newFakeHost()
 	hb := &batchHost{fakeHost: newFakeHost()}

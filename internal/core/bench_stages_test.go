@@ -162,8 +162,8 @@ func BenchmarkMonitorStage(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyStage measures stage 6 alone: quota computation plus the
-// host writes.
+// BenchmarkApplyStage measures stage 6 alone in the steady state: quota
+// computation and the dirty check for every vCPU, all clean, no write.
 func BenchmarkApplyStage(b *testing.B) {
 	c := benchController(b, 40, 2, 1)
 	b.ReportAllocs()
@@ -220,9 +220,8 @@ func BenchmarkSteadyStep(b *testing.B) {
 }
 
 // batchBenchHost layers the BatchQuotaWriter capability over benchHost,
-// forwarding entries through the zero-alloc SetMax. Kept separate so the
-// serial-path tests and benchmarks above keep measuring the non-batched
-// apply.
+// forwarding entries through the zero-alloc SetMax and counting batches;
+// benchHost itself is served by platform's serial adapter.
 type batchBenchHost struct {
 	*benchHost
 	batches int
@@ -254,7 +253,7 @@ func TestStepSkipsCleanWrites(t *testing.T) {
 	}
 }
 
-// TestApplyStageBatchedZeroAlloc asserts the batched apply path — dirty
+// TestApplyStageBatchedZeroAlloc asserts the apply stage — dirty
 // collection into the reused entry buffer, the batch call, the outcome
 // resolution — allocates nothing even when every quota is dirty.
 func TestApplyStageBatchedZeroAlloc(t *testing.T) {
@@ -309,9 +308,9 @@ func BenchmarkEstimateEnforce(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyStageBatched measures stage 6 over the batch capability
-// with every quota dirty — the worst case; the steady-state best case
-// (all clean, zero writes) is what BenchmarkApplyStage now measures.
+// BenchmarkApplyStageBatched measures stage 6 with every quota dirty —
+// the worst case; the steady-state best case (all clean, zero writes) is
+// what BenchmarkApplyStage measures.
 func BenchmarkApplyStageBatched(b *testing.B) {
 	h := &batchBenchHost{benchHost: newBenchHost(40, 2)}
 	cfg := DefaultConfig()

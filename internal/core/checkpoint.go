@@ -73,9 +73,9 @@ func (r RestoreReport) String() string {
 //
 //   - the node shape (cores, F_MAX) and control period must match the
 //     checkpoint, otherwise the credits and guarantees are meaningless;
-//   - VMs present in both checkpoint and host are adopted with their
-//     credits, caps and histories; their usage baselines are re-read live
-//     (the counters kept moving while the controller was down);
+//   - VMs present in both checkpoint and host are adopted (see adopt) with
+//     their credits, caps and histories, in checkpoint order so the
+//     auction iteration order survives the restart;
 //   - VMs only on the host are cold-started, adopting any cpu.max quota
 //     a previous incarnation left behind (via the optional
 //     platform.QuotaReader capability) instead of resetting it;
@@ -105,118 +105,52 @@ func (c *Controller) Restore(s Snapshot) (RestoreReport, error) {
 	if err != nil {
 		return rr, fmt.Errorf("core: listing VMs for restore: %w", err)
 	}
+	// live holds the host's VMs not handled yet; each pass takes its own
+	// out, so Deferred comes out in checkpoint-then-host order.
 	live := map[string]platform.VMInfo{}
 	for _, info := range infos {
 		live[info.Name] = info
 	}
 	rr.CheckpointStep = s.Step
-	deferred := map[string]bool{}
 	rep := &StepReport{} // scratch for retry accounting during restore reads
 
-	// Adopt checkpointed VMs still present, in checkpoint order so the
-	// auction iteration order survives the restart.
 	for _, vs := range s.VMs {
 		info, ok := live[vs.Name]
 		if !ok {
 			rr.Dropped = append(rr.Dropped, vs.Name)
 			continue
 		}
-		if err := c.validFreq(info.FreqMHz); err != nil {
-			deferred[vs.Name] = true
+		delete(live, vs.Name)
+		// Same host, same cgroups: the usage counters kept counting
+		// while the controller was down.
+		st, quotas, err := c.adopt(rep, info, vs, false)
+		if err != nil {
+			rr.Deferred = append(rr.Deferred, vs.Name)
 			continue
 		}
-		st := &VMState{Info: info, GuaranteeUs: c.guarantee(info.FreqMHz), CreditUs: vs.CreditUs,
-			// The breaker resumes mid-window: a quarantined VM stays
-			// quarantined for its remaining OpenLeft steps, and a
-			// half-open probe keeps its clean-probe streak, so the
-			// restored twin re-admits the VM on the same step the dead
-			// incarnation would have.
-			Breaker: BreakerState{
-				State:       BreakerPhase(vs.Breaker),
-				FaultStreak: vs.BreakerFaultStreak,
-				OpenLeft:    vs.BreakerOpenLeft,
-				ProbeClean:  vs.BreakerProbeClean,
-			}}
-		if c.cfg.CreditCapPeriods > 0 {
-			capC := c.cfg.CreditCapPeriods * st.GuaranteeUs * int64(info.VCPUs)
-			if st.CreditUs > capC {
-				st.CreditUs = capC
-			}
-		}
-		ok = true
-		// A VM checkpointed mid-quarantine is adopted without touching
-		// the host at all: its breaker is open, so the dead incarnation
-		// was not reading it either — and its reads are likely still
-		// failing, which must not defer the adoption. The stale usage
-		// baseline is safe: the first probe read after the quarantine
-		// computes a multi-period delta and clamps it, exactly as the
-		// dead incarnation would have.
-		quarantined := vs.Breaker == int(BreakerOpen)
-		for j := 0; j < info.VCPUs; j++ {
-			var v *VCPUState
-			var adopted bool
-			var err error
-			if j < len(vs.VCPUs) {
-				if quarantined {
-					v = c.snapshotVCPU(vs.Name, vs.VCPUs[j])
-				} else {
-					v, adopted, err = c.restoreVCPU(rep, vs.Name, vs.VCPUs[j])
-				}
-			} else {
-				// The VM grew while the controller was down.
-				v, err = c.newVCPUState(rep, st, vs.Name, j)
-			}
-			if err != nil {
-				ok = false
-				break
-			}
-			if adopted {
-				rr.AdoptedQuotas++
-			}
-			st.VCPUs = append(st.VCPUs, v)
-		}
-		if !ok {
-			deferred[vs.Name] = true
-			continue
-		}
-		c.vms[vs.Name] = st
-		c.order = append(c.order, vs.Name)
+		c.track(st)
 		rr.Adopted = append(rr.Adopted, vs.Name)
+		rr.AdoptedQuotas += quotas
 	}
 
 	// Cold-start VMs that arrived while the controller was down.
 	for _, info := range infos {
-		if _, ok := c.vms[info.Name]; ok || deferred[info.Name] {
+		if _, ok := live[info.Name]; !ok {
 			continue
 		}
-		if err := c.validFreq(info.FreqMHz); err != nil {
-			deferred[info.Name] = true
+		delete(live, info.Name)
+		st, _, err := c.adopt(rep, info, VMSnapshot{}, false)
+		if err != nil {
+			rr.Deferred = append(rr.Deferred, info.Name)
 			continue
 		}
-		st := &VMState{Info: info, GuaranteeUs: c.guarantee(info.FreqMHz)}
-		ok := true
-		for j := 0; j < info.VCPUs; j++ {
-			v, err := c.newVCPUState(rep, st, info.Name, j)
-			if err != nil {
-				ok = false
-				break
-			}
+		for _, v := range st.VCPUs {
 			if c.adoptQuota(v) {
 				rr.AdoptedQuotas++
 			}
-			st.VCPUs = append(st.VCPUs, v)
 		}
-		if !ok {
-			deferred[info.Name] = true
-			continue
-		}
-		c.vms[info.Name] = st
-		c.order = append(c.order, info.Name)
+		c.track(st)
 		rr.ColdStarted = append(rr.ColdStarted, info.Name)
-	}
-
-	for name := range deferred {
-		rr.Deferred = append(rr.Deferred, name)
 	}
 	c.steps = s.Step
 	return rr, nil
@@ -242,25 +176,82 @@ func (c *Controller) RestoreFromStore(st platform.Store) (RestoreReport, error) 
 	return rr, nil
 }
 
-// restoreVCPU rebuilds one vCPU from its checkpoint entry. The usage
-// baseline is re-read live — the cumulative counter kept advancing (or
-// reset with a VM restart) while the controller was down, so the first
-// post-restore delta must span live readings only. The live cpu.max
-// quota is reconciled: when it differs from what this cap would produce,
-// some other writer changed it and the live value wins.
-func (c *Controller) restoreVCPU(rep *StepReport, name string, vs VCPUSnapshot) (*VCPUState, bool, error) {
-	usage, err := c.retryUsage(rep, name, vs.Index)
-	if err != nil {
-		return nil, false, err
+// adopt builds the state of one VM from a checkpoint-v3 entry and the
+// VM's live template — the one primitive behind Restore (every
+// checkpointed VM), AdoptVM (the one migrated VM) and cold registration
+// (vs empty: nothing carried, every vCPU registered fresh). It reads the
+// host but touches nothing on the controller; the caller tracks the
+// result. A failure is atomic per VM and comes back as a Fault naming
+// the vCPU.
+//
+//   - The guarantee is recomputed from the live template (Eq. 2 is
+//     node-relative) and the wallet re-clamped under it.
+//   - The breaker resumes mid-window: a quarantined VM stays quarantined
+//     for its remaining OpenLeft steps and a half-open probe keeps its
+//     clean streak, so a restored twin re-admits the VM on the same step
+//     the dead incarnation would have.
+//   - A quarantined VM is rebuilt without touching the host at all: its
+//     breaker is open, so nobody was reading it — and its reads are
+//     likely still failing, which must not fail the adoption.
+//   - Every other vCPU re-reads its usage baseline live, so the first
+//     delta spans live readings only, and reconciles its cap with the
+//     cpu.max in force (adoptQuota; adoptedQuotas counts the wins).
+//   - vCPUs the template has beyond the snapshot (the VM grew meanwhile)
+//     register fresh; the structs are new, so the last-applied cache is
+//     invalid and the first apply writes through.
+//
+// freshCounters is what the caller knows about the cgroups under a
+// quarantined VM, whose baseline cannot be re-read: false on the host
+// that took the snapshot (the counters kept counting; the checkpointed
+// baseline stands and the first probe computes a clamped multi-period
+// delta, as the dead incarnation would have), true on a migration target
+// (the counters restarted; the baseline is zero, which the first probe
+// treats like a counter reset).
+func (c *Controller) adopt(rep *StepReport, info platform.VMInfo, vs VMSnapshot, freshCounters bool) (st *VMState, adoptedQuotas int, err error) {
+	if err := c.validFreq(info.FreqMHz); err != nil {
+		return nil, 0, Fault{VM: info.Name, VCPU: -1, Stage: "sync", Op: "template", Err: err}
 	}
-	v := c.snapshotVCPU(name, vs)
-	v.PrevUsageUs = usage
-	return v, c.adoptQuota(v), nil
+	st = &VMState{Info: info, GuaranteeUs: c.guarantee(info.FreqMHz), CreditUs: vs.CreditUs,
+		Breaker: BreakerState{
+			State:       BreakerPhase(vs.Breaker),
+			FaultStreak: vs.BreakerFaultStreak,
+			OpenLeft:    vs.BreakerOpenLeft,
+			ProbeClean:  vs.BreakerProbeClean,
+		}}
+	for j := 0; j < info.VCPUs; j++ {
+		var v *VCPUState
+		switch {
+		case j >= len(vs.VCPUs):
+			v, err = c.newVCPUState(rep, st, info.Name, j)
+		case st.Breaker.State == BreakerOpen:
+			v = c.snapshotVCPU(info.Name, vs.VCPUs[j])
+			if freshCounters {
+				v.PrevUsageUs = 0
+			}
+		default:
+			v = c.snapshotVCPU(info.Name, vs.VCPUs[j])
+			if v.PrevUsageUs, err = c.retryUsage(rep, info.Name, j); err == nil && c.adoptQuota(v) {
+				adoptedQuotas++
+			}
+		}
+		if err != nil {
+			return nil, 0, Fault{VM: info.Name, VCPU: j, Stage: "sync", Op: opUsage.String(), Err: err}
+		}
+		st.VCPUs = append(st.VCPUs, v)
+	}
+	c.clampCredit(st)
+	return st, adoptedQuotas, nil
+}
+
+// track enters a VM built by adopt into the bookkeeping, last in
+// registration order. ForgetVM is its inverse.
+func (c *Controller) track(st *VMState) {
+	c.vms[st.Info.Name] = st
+	c.order = append(c.order, st.Info.Name)
 }
 
 // snapshotVCPU rebuilds one vCPU purely from its checkpoint entry, with
-// no host interaction — the adoption path for quarantined VMs, and the
-// common core of restoreVCPU.
+// no host interaction.
 func (c *Controller) snapshotVCPU(name string, vs VCPUSnapshot) *VCPUState {
 	v := &VCPUState{
 		VM:          name,
@@ -312,11 +303,7 @@ func (c *Controller) adoptQuota(v *VCPUState) bool {
 	if err != nil || period <= 0 || quota == platform.NoQuota || quota < 0 {
 		return false
 	}
-	expected := v.CapUs * c.cfg.CgroupPeriodUs / c.cfg.PeriodUs
-	if expected < c.cfg.MinQuotaUs {
-		expected = c.cfg.MinQuotaUs
-	}
-	if quota == expected && period == c.cfg.CgroupPeriodUs {
+	if quota == c.quotaFor(v) && period == c.cfg.CgroupPeriodUs {
 		return false
 	}
 	v.CapUs = c.clampCycles(quota * c.cfg.PeriodUs / period)

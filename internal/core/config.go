@@ -71,10 +71,10 @@ type Config struct {
 	// (true, full control) and A (false, monitoring only — no quota is
 	// ever written).
 	ControlEnabled bool
-	// HostRetries is the number of extra in-step attempts for a failed
-	// host read or write before the affected vCPU is declared degraded
-	// for the period (transient /proc and cgroup read races usually
-	// succeed on the immediate retry). 0 disables retrying.
+	// HostRetries is the number of extra attempts every host call gets
+	// (the one policy in hostCall) before the affected vCPU is declared
+	// degraded for the period (transient /proc and cgroup read races
+	// usually succeed on the immediate retry). 0 disables retrying.
 	HostRetries int
 	// RecoverySteps is the number of consecutive clean Steps after
 	// which a previously degraded vCPU's FailedSteps counter resets (a
@@ -103,16 +103,16 @@ type Config struct {
 	// every computed cap, credit and degradation record is identical to
 	// the serial stage. 0 means GOMAXPROCS; 1 runs the stage serially.
 	MonitorWorkers int
-	// CallBudgetUs is the per-host-call deadline in microseconds: a
-	// host read or write that succeeds but takes longer than this is
-	// treated as failed (the affected vCPU degrades, holding its
-	// last-known-good cap) and is never retried — retrying a slow call
-	// is how a stalling cgroupfs drags a whole Step past the watchdog.
-	// 0 disables the budget.
+	// CallBudgetUs is the deadline of every host call, in microseconds:
+	// a call that succeeds but takes longer than this is treated as
+	// failed (the affected vCPU degrades, holding its last-known-good
+	// cap) and is never retried — retrying a slow call is how a stalling
+	// cgroupfs drags a whole Step past the watchdog. The apply stage's
+	// batched write is timed as one call. 0 disables the budget.
 	CallBudgetUs int64
-	// RetryBackoffUs, when positive, sleeps before every in-step retry
-	// (Config.HostRetries): the k-th retry waits an exponentially grown
-	// base of RetryBackoffUs × 2^(k−1) microseconds, jittered uniformly
+	// RetryBackoffUs, when positive, sleeps before every retry of every
+	// host call (Config.HostRetries): the k-th retry waits an
+	// exponentially grown base of RetryBackoffUs × 2^(k−1) µs, jittered uniformly
 	// into [base/2, base] (seeded from Config.Seed, so fault runs are
 	// reproducible), and clamped to the remaining step deadline budget
 	// so backoff can never push a Step past its watchdog. 0 retries

@@ -120,8 +120,9 @@ type Controller struct {
 	// StepReport; nil (the default) records nothing.
 	met *ctrlMetrics
 
-	// batch is the host's optional BatchQuotaWriter capability, detected
-	// once at New; nil when the host writes quotas one vCPU at a time.
+	// batch writes the apply stage's quotas: the host's own
+	// BatchQuotaWriter capability, or platform's serial adapter over its
+	// SetMax. Resolved once at New, never nil.
 	batch platform.BatchQuotaWriter
 
 	// stepT0 and stepBudget frame the running Step's deadline window:
@@ -154,18 +155,13 @@ func New(h platform.Host, cfg Config) (*Controller, error) {
 	if node.Cores <= 0 || node.MaxFreqMHz <= 0 {
 		return nil, fmt.Errorf("core: invalid node info %+v", node)
 	}
-	c := &Controller{
-		cfg:  cfg,
-		host: h,
-		node: node,
-		vms:  map[string]*VMState{},
-	}
-	// Batched quota writing is an optional capability; without it
-	// the apply stage falls back to one SetMax per dirty vCPU.
-	if bw, ok := h.(platform.BatchQuotaWriter); ok {
-		c.batch = bw
-	}
-	return c, nil
+	return &Controller{
+		cfg:   cfg,
+		host:  h,
+		node:  node,
+		vms:   map[string]*VMState{},
+		batch: platform.BatchWriter(h),
+	}, nil
 }
 
 // Config returns the active configuration.
@@ -200,40 +196,82 @@ func (c *Controller) guarantee(freqMHz int64) int64 {
 	return c.cfg.PeriodUs * freqMHz / c.node.MaxFreqMHz
 }
 
-// retryUsage reads a vCPU usage counter with bounded in-step retry.
-func (c *Controller) retryUsage(rep *StepReport, vm string, j int) (int64, error) {
-	var usage int64
-	err := c.withRetry(rep, func() error {
-		t := c.callStart()
-		var e error
-		usage, e = c.host.UsageUs(vm, j)
-		return c.budgeted(t, e)
-	})
-	return usage, err
-}
+// hostOp names one of the six host calls a Step issues per vCPU. The
+// names are the Fault.Op vocabulary of the monitor and apply stages.
+type hostOp uint8
 
-// withRetry runs op, retrying up to Config.HostRetries extra times with
-// jittered exponential backoff between attempts (Config.RetryBackoffUs,
-// bounded by the remaining step deadline). A success after at least one
-// failure is counted in the report. A call that blew its
-// Config.CallBudgetUs is never retried — the site is slow, not flaky.
-func (c *Controller) withRetry(rep *StepReport, op func() error) error {
-	var err error
-	for attempt := 0; attempt <= c.cfg.HostRetries; attempt++ {
+const (
+	opUsage    hostOp = iota // Host.UsageUs(vm, i): cpu.stat usage_usec
+	opTID                    // Host.ThreadID(vm, i): cgroup.threads
+	opLastCPU                // Host.LastCPU(i): /proc/<tid>/stat, i is the tid
+	opFreq                   // Host.CoreFreqMHz(i): scaling_cur_freq, i is the core
+	opSetMax                 // Host.SetMax(vm, i, x, y): cpu.max quota x over period y
+	opSetBurst               // Host.SetBurst(vm, i, x): cpu.max.burst
+)
+
+var hostOpNames = [...]string{"usage", "tid", "lastcpu", "freq", "setmax", "setburst"}
+
+func (op hostOp) String() string { return hostOpNames[op] }
+
+// hostCall is the controller's whole host-call policy, stated once: up to
+// Config.HostRetries extra attempts with jittered exponential backoff
+// between them (Config.RetryBackoffUs, bounded by the remaining step
+// deadline), every attempt timed against Config.CallBudgetUs, and a call
+// that blew its budget never retried — the site is slow, not flaky.
+// retried reports a success that needed more than one attempt (the
+// caller counts it in StepReport.Retries).
+//
+// A non-nil prior says the caller already made attempt 0 by other means
+// (the apply stage's batched write) and it failed with that error: the
+// loop resumes at attempt 1, and with no attempt left — or a prior
+// ErrCallBudget — prior itself comes back.
+//
+// hostCall takes no closure and allocates nothing; it touches only the
+// host and the atomic backoff sequence, so monitor workers call it
+// concurrently.
+func (c *Controller) hostCall(op hostOp, vm string, i int, x, y int64, prior error) (val int64, retried bool, err error) {
+	attempt := 0
+	if err = prior; err != nil {
+		attempt = 1
+	}
+	for ; attempt <= c.cfg.HostRetries && err != ErrCallBudget; attempt++ {
 		if attempt > 0 {
 			c.backoffSleep(attempt)
 		}
-		if err = op(); err == nil {
-			if attempt > 0 {
-				rep.Retries++
-			}
-			return nil
+		t := c.callStart()
+		switch op {
+		case opUsage:
+			val, err = c.host.UsageUs(vm, i)
+		case opTID:
+			var tid int
+			tid, err = c.host.ThreadID(vm, i)
+			val = int64(tid)
+		case opLastCPU:
+			var core int
+			core, err = c.host.LastCPU(i)
+			val = int64(core)
+		case opFreq:
+			val, err = c.host.CoreFreqMHz(i)
+		case opSetMax:
+			err = c.host.SetMax(vm, i, x, y)
+		case opSetBurst:
+			err = c.host.SetBurst(vm, i, x)
 		}
-		if err == ErrCallBudget {
-			return err
+		if err = c.budgeted(t, err); err == nil {
+			return val, attempt > 0, nil
 		}
 	}
-	return err
+	return 0, false, err
+}
+
+// retryUsage reads a vCPU usage counter outside the monitor stage: at
+// registration, restore and adoption.
+func (c *Controller) retryUsage(rep *StepReport, vm string, j int) (int64, error) {
+	usage, retried, err := c.hostCall(opUsage, vm, j, 0, 0, nil)
+	if retried {
+		rep.Retries++
+	}
+	return usage, err
 }
 
 // validFreq checks a template frequency against this node.
@@ -303,47 +341,31 @@ func (c *Controller) syncVMs(rep *StepReport) error {
 			c.reconcileVM(rep, st, info)
 			continue
 		}
-		if err := c.validFreq(info.FreqMHz); err != nil {
-			// Reject the VM without aborting the Step; admission is
-			// retried every period in case the template is fixed.
-			rep.record(Fault{VM: info.Name, VCPU: -1, Stage: "sync", Op: "template", Err: err})
+		// An arrival holds nothing to carry over: cold registration is
+		// adopting the empty snapshot. It is atomic per VM, and a rejected
+		// template or a failed first read is retried every period.
+		st, _, err := c.adopt(rep, info, VMSnapshot{}, false)
+		if err != nil {
+			rep.record(err.(Fault))
 			continue
 		}
-		st := &VMState{Info: info, GuaranteeUs: c.guarantee(info.FreqMHz)}
-		ok := true
-		for j := 0; j < info.VCPUs; j++ {
-			v, err := c.newVCPUState(rep, st, info.Name, j)
-			if err != nil {
-				// Registration is atomic per VM: retry next period.
-				rep.record(Fault{VM: info.Name, VCPU: j, Stage: "sync", Op: "usage", Err: err})
-				ok = false
-				break
-			}
-			st.VCPUs = append(st.VCPUs, v)
-		}
-		if !ok {
-			continue
-		}
-		c.vms[info.Name] = st
-		c.order = append(c.order, info.Name)
+		c.track(st)
 		rep.Added = append(rep.Added, info.Name)
 	}
-	// Drop departed VMs, releasing their quotas so reused cgroup paths
-	// start unthrottled.
-	for name, st := range c.vms {
-		if !seen[name] {
-			for _, v := range st.VCPUs {
-				c.releaseVCPU(name, v.Index)
-			}
-			delete(c.vms, name)
-			for i, n := range c.order {
-				if n == name {
-					c.order = append(c.order[:i], c.order[i+1:]...)
-					break
-				}
-			}
-			rep.Removed = append(rep.Removed, name)
+	// Drop departed VMs in registration order (reports and the seeded
+	// fault draws of the release writes replay), releasing their quotas
+	// so reused cgroup paths start unthrottled.
+	for i := 0; i < len(c.order); {
+		name := c.order[i]
+		if seen[name] {
+			i++
+			continue
 		}
+		for _, v := range c.vms[name].VCPUs {
+			c.releaseVCPU(name, v.Index)
+		}
+		c.ForgetVM(name) // splices c.order[i] out: the next name slides in
+		rep.Removed = append(rep.Removed, name)
 	}
 	return nil
 }
@@ -424,7 +446,8 @@ func (c *Controller) Step() error {
 	}
 
 	rep.VMs = len(c.vms)
-	for _, st := range c.vms {
+	for _, name := range c.order {
+		st := c.vms[name]
 		// The breaker advances first: a trip quarantines the VM by
 		// marking every vCPU degraded, and the health accounting below
 		// must count the step the way the quarantine leaves it.
@@ -579,7 +602,7 @@ type monitorSlot struct {
 	tid     int
 	core    int
 	retries int
-	op      string
+	op      hostOp
 	err     error
 }
 
@@ -683,118 +706,51 @@ func (c *Controller) readParallel(slots []monitorSlot, workers int) {
 	}
 }
 
-// readVCPU performs one vCPU's four host reads, with bounded in-step
-// retry, into its slot. This is the only part of the monitor stage that
-// may run concurrently; it touches nothing but the slot, the atomic
-// backoff sequence and the (read-only) host. Each read is timed against
-// Config.CallBudgetUs (a slow success fails the vCPU instead of
-// stalling the step) and each retry waits the jittered backoff. The
-// explicit loops instead of withRetry keep the hot path closure-free
-// and therefore allocation-free.
+// readVCPU performs one vCPU's four host reads into its slot, stopping
+// at the first that fails. This is the only part of the monitor stage
+// that may run concurrently; it touches nothing but the slot and what
+// hostCall touches.
 func (c *Controller) readVCPU(s *monitorSlot) {
 	v := s.v
-	tries := c.cfg.HostRetries + 1
-
-	ok := false
-	for a := 0; a < tries; a++ {
-		if a > 0 {
-			c.backoffSleep(a)
-		}
-		t := c.callStart()
-		u, err := c.host.UsageUs(v.VM, v.Index)
-		if err = c.budgeted(t, err); err == nil {
-			s.usage = u
-			if a > 0 {
-				s.retries++
-			}
-			ok = true
-			break
-		}
-		s.err = err
-		if err == ErrCallBudget {
-			break
-		}
-	}
-	if !ok {
-		s.op = "usage"
+	var tid, core int64
+	var ok bool
+	if s.usage, ok = c.read(s, opUsage, v.VM, v.Index); !ok {
 		return
 	}
-
-	ok = false
-	for a := 0; a < tries; a++ {
-		if a > 0 {
-			c.backoffSleep(a)
-		}
-		t := c.callStart()
-		tid, err := c.host.ThreadID(v.VM, v.Index)
-		if err = c.budgeted(t, err); err == nil {
-			s.tid = tid
-			if a > 0 {
-				s.retries++
-			}
-			ok = true
-			break
-		}
-		s.err = err
-		if err == ErrCallBudget {
-			break
-		}
-	}
-	if !ok {
-		s.op = "tid"
+	if tid, ok = c.read(s, opTID, v.VM, v.Index); !ok {
 		return
 	}
-
-	ok = false
-	for a := 0; a < tries; a++ {
-		if a > 0 {
-			c.backoffSleep(a)
-		}
-		t := c.callStart()
-		core, err := c.host.LastCPU(s.tid)
-		if err = c.budgeted(t, err); err == nil {
-			s.core = core
-			if a > 0 {
-				s.retries++
-			}
-			ok = true
-			break
-		}
-		s.err = err
-		if err == ErrCallBudget {
-			break
-		}
-	}
-	if !ok {
-		s.op = "lastcpu"
+	if core, ok = c.read(s, opLastCPU, "", int(tid)); !ok {
 		return
 	}
-
-	ok = false
-	for a := 0; a < tries; a++ {
-		if a > 0 {
-			c.backoffSleep(a)
-		}
-		t := c.callStart()
-		freq, err := c.host.CoreFreqMHz(s.core)
-		if err = c.budgeted(t, err); err == nil {
-			s.freq = freq
-			if a > 0 {
-				s.retries++
-			}
-			ok = true
-			break
-		}
-		s.err = err
-		if err == ErrCallBudget {
-			break
-		}
-	}
-	if !ok {
-		s.op = "freq"
+	if s.freq, ok = c.read(s, opFreq, "", int(core)); !ok {
 		return
 	}
-	s.err = nil
+	s.tid, s.core = int(tid), int(core)
+}
+
+// read issues one read of a slot's chain and books its outcome in the
+// slot; ok reports whether the chain may go on.
+func (c *Controller) read(s *monitorSlot, op hostOp, vm string, i int) (val int64, ok bool) {
+	val, retried, err := c.hostCall(op, vm, i, 0, 0, nil)
+	if retried {
+		s.retries++
+	}
+	s.op, s.err = op, err
+	return val, err == nil
+}
+
+// degrade marks a vCPU whose monitor or apply stage failed this Step: its
+// cap holds at the last-known-good value and the fault is recorded. The
+// last-applied cache drops with it — a failed read often means the
+// cgroup vanished (it comes back unlimited), and a failed write leaves
+// the cgroup holding the previous quota — so the next clean step writes
+// through.
+func (c *Controller) degrade(rep *StepReport, v *VCPUState, stage string, op hostOp, err error) {
+	v.invalidateApplied()
+	v.Degraded = true
+	v.FailedSteps++
+	rep.record(Fault{VM: v.VM, VCPU: v.Index, Stage: stage, Op: op.String(), Err: err})
 }
 
 // commitVCPU applies one slot's readings to the controller state. Commits
@@ -803,12 +759,7 @@ func (c *Controller) commitVCPU(rep *StepReport, s *monitorSlot) {
 	v := s.v
 	rep.Retries += s.retries
 	if s.err != nil {
-		v.Degraded = true
-		v.FailedSteps++
-		// The failed read often means the cgroup vanished; if it comes
-		// back it comes back unlimited, so the quota must be rewritten.
-		v.invalidateApplied()
-		rep.record(Fault{VM: v.VM, VCPU: v.Index, Stage: "monitor", Op: s.op, Err: s.err})
+		c.degrade(rep, v, "monitor", s.op, s.err)
 		return
 	}
 	// FailedSteps holds until enough clean Steps pass; the recovery

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"vfreq/internal/platform"
@@ -541,5 +542,64 @@ func TestCapacityAndGuaranteeTotals(t *testing.T) {
 	// 2×500000 + 4×250000 = 2000000.
 	if got := c.TotalGuaranteeUs(); got != 2_000_000 {
 		t.Fatalf("total guarantee = %d", got)
+	}
+}
+
+// TestDepartureOrderDeterministic: VMs departing together are reported,
+// and their quotas released, in registration order — not in the order a
+// map walk happens to visit them.
+func TestDepartureOrderDeterministic(t *testing.T) {
+	h := newFakeHost()
+	names := []string{"m", "c", "x", "a", "q", "f", "keep"}
+	for _, n := range names {
+		h.addVM(n, 1, 300)
+	}
+	c := mustController(t, h, DefaultConfig())
+	warmUp(t, c, h, 2, 100_000)
+
+	h.vms = h.vms[len(h.vms)-1:] // all but "keep" depart in one step
+	h.cleared = nil
+	warmUp(t, c, h, 1, 100_000)
+	var wantCleared []string
+	for _, n := range names[:6] {
+		wantCleared = append(wantCleared, key(n, 0))
+	}
+	if got := c.LastReport().Removed; !reflect.DeepEqual(got, names[:6]) {
+		t.Fatalf("Removed = %v, want registration order %v", got, names[:6])
+	}
+	if !reflect.DeepEqual(h.cleared, wantCleared) {
+		t.Fatalf("quotas released as %v, want %v", h.cleared, wantCleared)
+	}
+	if got := c.VMs(); len(got) != 1 || got[0].Info.Name != "keep" {
+		t.Fatalf("survivors = %v, want only keep", got)
+	}
+}
+
+// TestBreakerTripOrderDeterministic: breakers tripping in the same step
+// record their faults in registration order.
+func TestBreakerTripOrderDeterministic(t *testing.T) {
+	inner := newFakeHost()
+	names := []string{"m", "c", "x", "a"}
+	for _, n := range names {
+		inner.addVM(n, 1, 300)
+	}
+	fh := platform.WithFaults(inner, 3)
+	cfg := DefaultConfig()
+	cfg.HostRetries = 0
+	cfg.BreakerThreshold = 2
+	cfg.BreakerOpenSteps = 2
+	c := mustController(t, fh, cfg)
+	warmUp(t, c, inner, 2, 100_000)
+
+	fh.MustPlan(platform.SiteUsage, platform.FaultPlan{Persistent: true})
+	warmUp(t, c, inner, 2, 100_000)
+	var tripped []string
+	for _, f := range c.LastReport().Faults {
+		if f.Stage == "breaker" {
+			tripped = append(tripped, f.VM)
+		}
+	}
+	if !reflect.DeepEqual(tripped, names) {
+		t.Fatalf("breaker faults for %v, want registration order %v", tripped, names)
 	}
 }

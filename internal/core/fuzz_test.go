@@ -5,13 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
+
+	"vfreq/internal/platform"
 )
 
 // FuzzDecodeSnapshot feeds arbitrary bytes through the checkpoint
 // decoder. The property under test is the crash-safety contract: a
 // corrupted checkpoint must never panic the recovering controller, and
 // anything the decoder accepts must re-encode to an equally valid
-// checkpoint.
+// checkpoint and restore — onto a host of the checkpoint's shape carrying
+// the same VMs — into a controller that checkpoints and steps.
 func FuzzDecodeSnapshot(f *testing.F) {
 	// Seed with a real checkpoint from a live controller plus the classic
 	// malformed shapes.
@@ -56,6 +59,31 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		if _, err := DecodeSnapshot(raw); err != nil {
 			t.Fatalf("re-encoded valid checkpoint rejected: %v", err)
+		}
+
+		h := newFakeHost()
+		h.node = platform.NodeInfo{Name: s.Node, Cores: s.Cores, MaxFreqMHz: s.MaxFreqMHz}
+		for _, vm := range s.VMs {
+			h.addVM(vm.Name, len(vm.VCPUs), vm.FreqMHz)
+		}
+		cfg := DefaultConfig()
+		cfg.PeriodUs = s.PeriodUs
+		c, err := New(h, cfg)
+		if err != nil {
+			return // a period the rest of the default tuning does not fit
+		}
+		if _, err := c.Restore(s); err != nil { // must not panic
+			t.Fatalf("accepted checkpoint does not restore onto its own shape: %v", err)
+		}
+		raw, err = c.Snapshot().JSON()
+		if err != nil {
+			t.Fatalf("restored controller does not re-encode: %v", err)
+		}
+		if _, err := DecodeSnapshot(raw); err != nil {
+			t.Fatalf("restored controller checkpoints invalid state: %v", err)
+		}
+		if err := c.Step(); err != nil {
+			t.Fatalf("controller cannot step after restore: %v", err)
 		}
 	})
 }

@@ -24,24 +24,16 @@ func (c *Controller) ExportVM(name string) (VMSnapshot, error) {
 // AdoptVM threads an exported snapshot into this controller — the
 // target-side half of a migration, valid on a running controller (the
 // node keeps stepping its other VMs throughout). The VM must already be
-// provisioned on this host and not yet tracked. Adoption follows the
-// same rules Restore applies per VM:
-//
-//   - the snapshot is validated against this node's F_MAX and period,
-//     and the guarantee is recomputed from the live template (Eq. 2 is
-//     node-relative);
-//   - the credit wallet, history rings and breaker state carry over
-//     verbatim (credit re-clamped under Config.CreditCapPeriods);
-//   - usage baselines restart from a live read — the target's cumulative
-//     counters start at zero, so the first monitor delta spans target
-//     readings only, never a negative or multi-gigacycle artefact;
-//   - the vCPUs are fresh structs, so the last-applied quota cache is
-//     invalid and the first Apply writes cpu.max through to the target
-//     cgroups;
-//   - a quarantined VM (open breaker) is adopted without touching the
-//     host at all and stays quarantined for its remaining OpenLeft
-//     steps; its zeroed baseline makes the first half-open probe compute
-//     a clamped full-period delta, exactly as a counter reset would.
+// provisioned on this host and not yet tracked. The snapshot is validated
+// against this node's F_MAX and period, then rebuilt by the same adopt
+// primitive Restore runs per VM: guarantee from the live template,
+// wallet re-clamped, histories and breaker carried verbatim, baselines
+// re-read live (the target's counters start at zero, so the first
+// monitor delta spans target readings only), quotas written through by
+// the first apply. The one thing this caller knows that Restore's does
+// not: the cgroups are new here, so a quarantined VM — adopted without a
+// host read — starts from a zero baseline, and its first half-open probe
+// computes a clamped full-period delta, exactly as a counter reset would.
 //
 // On error the controller is unchanged; the caller can fall back to
 // letting the next Step register the VM cold (fresh wallet, no history).
@@ -67,56 +59,20 @@ func (c *Controller) AdoptVM(snap VMSnapshot) error {
 	if !found {
 		return fmt.Errorf("core: VM %q not on this host; provision before adopting", snap.Name)
 	}
-	if err := c.validFreq(info.FreqMHz); err != nil {
+	st, _, err := c.adopt(&StepReport{}, info, snap, true)
+	if err != nil {
 		return err
 	}
-	st := &VMState{Info: info, GuaranteeUs: c.guarantee(info.FreqMHz), CreditUs: snap.CreditUs,
-		Breaker: BreakerState{
-			State:       BreakerPhase(snap.Breaker),
-			FaultStreak: snap.BreakerFaultStreak,
-			OpenLeft:    snap.BreakerOpenLeft,
-			ProbeClean:  snap.BreakerProbeClean,
-		}}
-	if c.cfg.CreditCapPeriods > 0 {
-		capC := c.cfg.CreditCapPeriods * st.GuaranteeUs * int64(info.VCPUs)
-		if st.CreditUs > capC {
-			st.CreditUs = capC
-		}
-	}
-	rep := &StepReport{} // scratch for retry accounting during adoption reads
-	quarantined := snap.Breaker == int(BreakerOpen)
-	for j := 0; j < info.VCPUs; j++ {
-		var v *VCPUState
-		var err error
-		if j < len(snap.VCPUs) {
-			if quarantined {
-				v = c.snapshotVCPU(snap.Name, snap.VCPUs[j])
-				// Unlike a same-host restore, the source baseline is
-				// meaningless here: the target counter starts at zero.
-				v.PrevUsageUs = 0
-			} else {
-				v, _, err = c.restoreVCPU(rep, snap.Name, snap.VCPUs[j])
-			}
-		} else {
-			// The VM grew between export and adoption.
-			v, err = c.newVCPUState(rep, st, snap.Name, j)
-		}
-		if err != nil {
-			return fmt.Errorf("core: adopting %s/vcpu%d: %w", snap.Name, j, err)
-		}
-		st.VCPUs = append(st.VCPUs, v)
-	}
-	c.vms[snap.Name] = st
-	c.order = append(c.order, snap.Name)
+	c.track(st)
 	return nil
 }
 
 // ForgetVM drops a VM from the controller's bookkeeping without touching
 // the host — the source-side epilogue of a migration, called after the
 // VM's cgroups were already destroyed on this node, so there is no quota
-// left to release (contrast the departure path in syncVMs, which clears
-// quotas on cgroup paths that may be reused). It reports whether the VM
-// was tracked.
+// left to release (the departure pass of syncVMs, whose cgroup paths may
+// be reused, clears the quotas first and then untracks through here). It
+// reports whether the VM was tracked.
 func (c *Controller) ForgetVM(name string) bool {
 	if _, ok := c.vms[name]; !ok {
 		return false

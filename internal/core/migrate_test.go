@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"vfreq/internal/platform"
 )
 
 // stripBaselines zeroes the fields a migration documents as not carried:
@@ -279,5 +281,78 @@ func TestForgetVM(t *testing.T) {
 	warmUp(t, c, h, 1, 100_000)
 	if st := c.VM("a"); st == nil || st.CreditUs != 0 {
 		t.Fatalf("re-registration not cold: %+v", st)
+	}
+}
+
+// TestRestoreIsAdoptEveryVM: a whole-controller Restore and a per-VM
+// AdoptVM of every export run the same primitive. On one host, with one
+// VM quarantined and one half-open, the two controllers end up equal
+// except for the one thing the callers know differently: Restore keeps a
+// quarantined VM's checkpointed usage baseline (same cgroups, counters
+// kept counting), AdoptVM zeroes it (migration target, counters restart).
+func TestRestoreIsAdoptEveryVM(t *testing.T) {
+	inner := newFakeHost()
+	for _, n := range []string{"ok", "quar", "half", "big"} {
+		inner.addVM(n, 2, 900)
+	}
+	fh := platform.WithFaults(inner, 9)
+	cfg := breakerConfig() // trip after 3 faulty steps, 2 quarantined, 2 probes
+	c := mustController(t, fh, cfg)
+	warmUp(t, c, inner, 3, 300_000)
+
+	failing := map[string]bool{"half": true}
+	fh.MustPlan(platform.SiteUsage, platform.FaultPlan{
+		Persistent: true,
+		Match:      func(vm string, vcpu int) bool { return failing[vm] },
+	})
+	warmUp(t, c, inner, 2, 300_000)
+	failing["quar"] = true
+	warmUp(t, c, inner, 3, 300_000) // "half" trips at 3 and half-opens at 5, "quar" trips at 5
+	failing["half"] = false         // its probe reads (and the rebuild's) succeed again
+	if got := c.VM("quar").Breaker.State; got != BreakerOpen {
+		t.Fatalf("quar breaker %v, want open", got)
+	}
+	if got := c.VM("half").Breaker.State; got != BreakerHalfOpen {
+		t.Fatalf("half breaker %v, want half-open", got)
+	}
+
+	snap := c.Snapshot()
+	restored := mustController(t, fh, cfg)
+	if rr, err := restored.Restore(snap); err != nil || len(rr.Adopted) != 4 {
+		t.Fatalf("restore: %v, %v", rr, err)
+	}
+	adopted := mustController(t, fh, cfg)
+	for _, vs := range snap.VMs {
+		exp, err := c.ExportVM(vs.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := adopted.AdoptVM(exp); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, vs := range snap.VMs {
+		r, _ := restored.ExportVM(vs.Name)
+		a, _ := adopted.ExportVM(vs.Name)
+		if vs.Name == "quar" {
+			for j := range r.VCPUs {
+				if want := vs.VCPUs[j].PrevUsageUs; want == 0 || r.VCPUs[j].PrevUsageUs != want {
+					t.Fatalf("restored quar/%d baseline %d, want the checkpointed %d", j, r.VCPUs[j].PrevUsageUs, want)
+				}
+				if a.VCPUs[j].PrevUsageUs != 0 {
+					t.Fatalf("adopted quar/%d baseline %d, want 0", j, a.VCPUs[j].PrevUsageUs)
+				}
+				r.VCPUs[j].PrevUsageUs = 0
+			}
+		}
+		if !reflect.DeepEqual(r, a) {
+			t.Fatalf("%s: Restore and AdoptVM disagree:\nrestore %+v\nadopt   %+v", vs.Name, r, a)
+		}
+	}
+	for i, st := range restored.VMs() {
+		if got := adopted.VMs()[i].Info.Name; got != st.Info.Name {
+			t.Fatalf("registration order diverged at %d: %s vs %s", i, st.Info.Name, got)
+		}
 	}
 }

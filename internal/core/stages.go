@@ -79,12 +79,7 @@ func (c *Controller) enforceBase() {
 				st.CreditUs += st.GuaranteeUs - v.LastU
 			}
 		}
-		if c.cfg.CreditCapPeriods > 0 {
-			cap := c.cfg.CreditCapPeriods * st.GuaranteeUs * int64(len(st.VCPUs))
-			if st.CreditUs > cap {
-				st.CreditUs = cap
-			}
-		}
+		c.clampCredit(st)
 		// Eq. 5: guarantee the base frequency, never allocate more
 		// than estimated. A degraded vCPU holds its last-known-good
 		// cap instead of recomputing from stale data.
@@ -98,6 +93,17 @@ func (c *Controller) enforceBase() {
 				v.CapUs = st.GuaranteeUs
 			}
 		}
+	}
+}
+
+// clampCredit bounds a VM's wallet at Config.CreditCapPeriods periods of
+// its whole guarantee (0 leaves it unbounded).
+func (c *Controller) clampCredit(st *VMState) {
+	if c.cfg.CreditCapPeriods <= 0 {
+		return
+	}
+	if cap := c.cfg.CreditCapPeriods * st.GuaranteeUs * int64(len(st.VCPUs)); st.CreditUs > cap {
+		st.CreditUs = cap
 	}
 }
 
@@ -220,110 +226,20 @@ func (c *Controller) quotaFor(v *VCPUState) int64 {
 // skipped, so a steady-state step issues no host writes at all. The cache
 // is dropped whenever the cgroup may no longer hold what was written (see
 // VCPUState.invalidateApplied), so a skipped write can never leave a
-// stale cap behind. On hosts with the BatchQuotaWriter capability the
-// dirty quotas of each VM are written in one batched call.
+// stale cap behind. The dirty quotas of each VM go out as one batch —
+// which the Linux backend groups by the VM's slice directory over its
+// cached descriptors, and platform's serial adapter turns into one SetMax
+// per entry on a host without the capability.
 //
-// Application is fault-isolated: a failed write degrades that vCPU alone
-// (its cgroup keeps the previous quota, which equals the held cap) while
-// every healthy vCPU still gets its fresh quota. vCPUs already degraded
-// in monitoring are skipped — their cap is unchanged, so the quota in
-// the cgroup is already the one we would write.
+// Application is fault-isolated: the batch is attempt 0 of every entry
+// in it, a failed entry is retried alone through hostCall, and a final
+// failure degrades that vCPU alone (its cgroup keeps the previous quota,
+// which equals the held cap) while every healthy vCPU still gets its
+// fresh quota. vCPUs already degraded in monitoring are skipped — their
+// cap is unchanged, so the quota in the cgroup is already the one we
+// would write.
 func (c *Controller) apply(rep *StepReport) {
-	if c.batch != nil {
-		c.applyBatched(rep)
-		return
-	}
-	for _, name := range c.order {
-		for _, v := range c.vms[name].VCPUs {
-			if v.Degraded {
-				continue
-			}
-			quota := c.quotaFor(v)
-			if !(v.appliedQuotaOK && v.appliedQuotaUs == quota && v.appliedPeriodUs == c.cfg.CgroupPeriodUs) {
-				// Explicit retry loops instead of withRetry: the closure a
-				// per-vCPU capture would need escapes to the heap, and apply
-				// is part of the allocation-free steady-state path.
-				var err error
-				for a := 0; a <= c.cfg.HostRetries; a++ {
-					if a > 0 {
-						c.backoffSleep(a)
-					}
-					t := c.callStart()
-					err = c.budgeted(t, c.host.SetMax(v.VM, v.Index, quota, c.cfg.CgroupPeriodUs))
-					if err == nil {
-						if a > 0 {
-							rep.Retries++
-						}
-						break
-					}
-					if err == ErrCallBudget {
-						break
-					}
-				}
-				if err != nil {
-					v.invalidateApplied()
-					v.Degraded = true
-					v.FailedSteps++
-					rep.record(Fault{VM: v.VM, VCPU: v.Index, Stage: "apply", Op: "setmax", Err: err})
-					continue
-				}
-				v.appliedQuotaUs = quota
-				v.appliedPeriodUs = c.cfg.CgroupPeriodUs
-				v.appliedQuotaOK = true
-			}
-			c.applyBurst(rep, v, quota)
-		}
-	}
-}
-
-// applyBurst writes one vCPU's cpu.max.burst budget when burst control is
-// enabled and the budget differs from the last one applied.
-func (c *Controller) applyBurst(rep *StepReport, v *VCPUState, quota int64) {
-	if c.cfg.BurstFraction <= 0 {
-		return
-	}
-	burst := int64(float64(quota) * c.cfg.BurstFraction)
-	if v.appliedBurstOK && v.appliedBurstUs == burst {
-		return
-	}
-	var err error
-	for a := 0; a <= c.cfg.HostRetries; a++ {
-		if a > 0 {
-			c.backoffSleep(a)
-		}
-		t := c.callStart()
-		err = c.budgeted(t, c.host.SetBurst(v.VM, v.Index, burst))
-		if err == nil {
-			if a > 0 {
-				rep.Retries++
-			}
-			break
-		}
-		if err == ErrCallBudget {
-			break
-		}
-	}
-	if err != nil {
-		v.invalidateApplied()
-		v.Degraded = true
-		v.FailedSteps++
-		rep.record(Fault{VM: v.VM, VCPU: v.Index, Stage: "apply", Op: "setburst", Err: err})
-		return
-	}
-	v.appliedBurstUs = burst
-	v.appliedBurstOK = true
-}
-
-// applyBatched is the apply stage over the host's BatchQuotaWriter
-// capability: the dirty quotas of each VM are collected into one batch
-// (which the Linux backend groups by the VM's slice directory over its
-// cached descriptors) and written in a single host call. Per-entry
-// outcomes then resolve exactly like the serial path — a failed entry is
-// retried individually up to HostRetries times (the batch write counts
-// as the first attempt), and a final failure degrades that vCPU with its
-// last-applied cache dropped, keeping the entry dirty for the next step.
-// Burst budgets follow per vCPU through the serial helper.
-func (c *Controller) applyBatched(rep *StepReport) {
+	period := c.cfg.CgroupPeriodUs
 	for _, name := range c.order {
 		st := c.vms[name]
 		buf := c.batchBuf[:0]
@@ -332,19 +248,19 @@ func (c *Controller) applyBatched(rep *StepReport) {
 				continue
 			}
 			quota := c.quotaFor(v)
-			if v.appliedQuotaOK && v.appliedQuotaUs == quota && v.appliedPeriodUs == c.cfg.CgroupPeriodUs {
+			if v.appliedQuotaOK && v.appliedQuotaUs == quota && v.appliedPeriodUs == period {
 				continue
 			}
-			buf = append(buf, platform.VCPUQuota{VCPU: v.Index, QuotaUs: quota, PeriodUs: c.cfg.CgroupPeriodUs})
+			buf = append(buf, platform.VCPUQuota{VCPU: v.Index, QuotaUs: quota, PeriodUs: period})
 		}
 		c.batchBuf = buf
 		if len(buf) > 0 {
 			// The summary error is redundant with the per-entry Err
 			// fields resolved below. The whole batch is timed as one
 			// call: when it blows the budget, every entry that would
-			// otherwise look fine is poisoned with ErrCallBudget so a
-			// slow batched path degrades its vCPUs like a slow serial
-			// one (and skips the pointless per-entry retries).
+			// otherwise look fine is poisoned with ErrCallBudget, so a
+			// slow write path degrades its vCPUs instead of stalling the
+			// step (and hostCall skips the pointless per-entry retries).
 			t := c.callStart()
 			_ = c.batch.BatchSetMax(name, buf)
 			if c.callOver(t) {
@@ -366,27 +282,46 @@ func (c *Controller) applyBatched(rep *StepReport) {
 			if bi < len(buf) && buf[bi].VCPU == v.Index {
 				err := buf[bi].Err
 				bi++
-				for a := 1; err != nil && err != ErrCallBudget && a <= c.cfg.HostRetries; a++ {
-					c.backoffSleep(a)
-					t := c.callStart()
-					if err = c.budgeted(t, c.host.SetMax(v.VM, v.Index, quota, c.cfg.CgroupPeriodUs)); err == nil {
+				if err != nil {
+					var retried bool
+					_, retried, err = c.hostCall(opSetMax, v.VM, v.Index, quota, period, err)
+					if retried {
 						rep.Retries++
 					}
 				}
 				if err != nil {
-					v.invalidateApplied()
-					v.Degraded = true
-					v.FailedSteps++
-					rep.record(Fault{VM: v.VM, VCPU: v.Index, Stage: "apply", Op: "setmax", Err: err})
+					c.degrade(rep, v, "apply", opSetMax, err)
 					continue
 				}
 				v.appliedQuotaUs = quota
-				v.appliedPeriodUs = c.cfg.CgroupPeriodUs
+				v.appliedPeriodUs = period
 				v.appliedQuotaOK = true
 			}
 			c.applyBurst(rep, v, quota)
 		}
 	}
+}
+
+// applyBurst writes one vCPU's cpu.max.burst budget when burst control is
+// enabled and the budget differs from the last one applied.
+func (c *Controller) applyBurst(rep *StepReport, v *VCPUState, quota int64) {
+	if c.cfg.BurstFraction <= 0 {
+		return
+	}
+	burst := int64(float64(quota) * c.cfg.BurstFraction)
+	if v.appliedBurstOK && v.appliedBurstUs == burst {
+		return
+	}
+	_, retried, err := c.hostCall(opSetBurst, v.VM, v.Index, burst, 0, nil)
+	if retried {
+		rep.Retries++
+	}
+	if err != nil {
+		c.degrade(rep, v, "apply", opSetBurst, err)
+		return
+	}
+	v.appliedBurstUs = burst
+	v.appliedBurstOK = true
 }
 
 // TotalGuaranteeUs returns Σ C_i × vCPUs over all hosted VMs, useful to

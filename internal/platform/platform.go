@@ -88,6 +88,32 @@ type BatchQuotaWriter interface {
 	BatchSetMax(vm string, quotas []VCPUQuota) error
 }
 
+// BatchWriter returns h's own BatchQuotaWriter capability, or the serial
+// adapter over h.SetMax when it has none, so a caller writes batches to
+// any host through one code path.
+func BatchWriter(h Host) BatchQuotaWriter {
+	if bw, ok := h.(BatchQuotaWriter); ok {
+		return bw
+	}
+	return serialBatch{h}
+}
+
+// serialBatch is the BatchQuotaWriter contract over plain SetMax: one
+// write per entry, every entry attempted, the per-entry outcome recorded.
+type serialBatch struct{ Host }
+
+func (s serialBatch) BatchSetMax(vm string, quotas []VCPUQuota) error {
+	var firstErr error
+	for i := range quotas {
+		q := &quotas[i]
+		q.Err = s.SetMax(vm, q.VCPU, q.QuotaUs, q.PeriodUs)
+		if q.Err != nil && firstErr == nil {
+			firstErr = q.Err
+		}
+	}
+	return firstErr
+}
+
 // QuotaReader is an optional Host capability: reading back the cgroup
 // cpu.max quota currently in force for a vCPU. The controller uses it on
 // restart to adopt quotas it did not write this incarnation (cold-start

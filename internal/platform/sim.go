@@ -185,19 +185,12 @@ func (s *Sim) SetMax(vmName string, vcpu int, quotaUs, periodUs int64) error {
 		fmt.Sprintf("%d %d", quotaUs, periodUs))
 }
 
-// BatchSetMax implements BatchQuotaWriter: every entry writes through
-// the emulated cpu.max pseudo-file (there is no descriptor cache to
-// amortise in the simulator), recording the per-entry outcome.
+// BatchSetMax implements BatchQuotaWriter through the serial adapter:
+// there is no descriptor cache to amortise in the simulator. The method
+// exists only because the benchmark's host decorator requires the
+// capability of the hosts it wraps.
 func (s *Sim) BatchSetMax(vmName string, quotas []VCPUQuota) error {
-	var firstErr error
-	for i := range quotas {
-		q := &quotas[i]
-		q.Err = s.SetMax(vmName, q.VCPU, q.QuotaUs, q.PeriodUs)
-		if q.Err != nil && firstErr == nil {
-			firstErr = q.Err
-		}
-	}
-	return firstErr
+	return serialBatch{s}.BatchSetMax(vmName, quotas)
 }
 
 // ReadMax implements QuotaReader: it reads the vCPU's cpu.max back

@@ -77,20 +77,6 @@ func (s *SimV1) SetMax(vmName string, vcpu int, quotaUs, periodUs int64) error {
 	return fs.WriteFile(base+"/cpu.cfs_quota_us", fmt.Sprint(quotaUs))
 }
 
-// BatchSetMax implements BatchQuotaWriter via per-entry v1 writes,
-// recording the per-entry outcome.
-func (s *SimV1) BatchSetMax(vmName string, quotas []VCPUQuota) error {
-	var firstErr error
-	for i := range quotas {
-		q := &quotas[i]
-		q.Err = s.SetMax(vmName, q.VCPU, q.QuotaUs, q.PeriodUs)
-		if q.Err != nil && firstErr == nil {
-			firstErr = q.Err
-		}
-	}
-	return firstErr
-}
-
 // ClearMax implements Host: -1 means unlimited in v1.
 func (s *SimV1) ClearMax(vmName string, vcpu int) error {
 	return s.mgr.Machine().FS.WriteFile(s.vcpuPath(vmName, vcpu)+"/cpu.cfs_quota_us", "-1")
