@@ -102,7 +102,7 @@ func main() {
 			}
 		}
 		fmt.Printf("  node %2d (%s): load %5.1f%%, mem %d/%d GB — %s\n",
-			i, n.Spec.Name, 100*n.Load(policy), n.UsedMemoryGB(), n.Spec.MemoryGB,
+			i, n.Spec.Name, 100*n.Load(policy), n.Used().MemoryGB, n.Spec.MemoryGB,
 			strings.Join(parts, ", "))
 	}
 }

@@ -107,7 +107,8 @@ type Scenario struct {
 	BreakerOpenSteps  int   `json:"breaker_open_steps,omitempty"`
 	Seed              int64 `json:"seed,omitempty"`
 
-	// Fault injection (sim mode): each listed host call site fails
+	// Fault injection (single-node simulation only; cluster and -linux
+	// runs reject these fields): each listed host call site fails
 	// independently with probability FaultRate and stalls with
 	// probability FaultDelayRate for up to FaultDelayUs µs. Sites
 	// default to the monitor-path reads (UsageUs, ThreadID, LastCPU,
@@ -207,6 +208,12 @@ func main() {
 	if *resume && *ckptPath == "" {
 		fatal(fmt.Errorf("-resume requires -checkpoint"))
 	}
+	if err := validateMode(sc, modeFlags{
+		linux: *linux, csv: *csvPath, snapshot: *snapPath, checkpoint: *ckptPath,
+		stepWorkers: *stepWorkers, rebalanceEvery: *rebalanceEvery,
+	}); err != nil {
+		fatal(err)
+	}
 	if *monitorWorkers >= 0 {
 		sc.MonitorWorkers = *monitorWorkers
 	}
@@ -229,14 +236,8 @@ func main() {
 	}
 	switch {
 	case *linux:
-		if sc.Nodes >= 2 {
-			fatal(fmt.Errorf("cluster mode (nodes >= 2) is simulation-only"))
-		}
 		err = runLinux(sc, ck, reg)
 	case sc.Nodes >= 2:
-		if ck.path != "" || *snapPath != "" {
-			fatal(fmt.Errorf("cluster mode does not support -checkpoint or -snapshot yet"))
-		}
 		err = runSimCluster(sc, *csvPath, reg)
 	default:
 		err = runSim(sc, *csvPath, *snapPath, ck, reg)
@@ -253,6 +254,55 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+}
+
+// modeFlags are the command-line flags that only some run modes honour,
+// as given: "" and -1 mean the flag was not set.
+type modeFlags struct {
+	linux                       bool
+	csv, snapshot, checkpoint   string
+	stepWorkers, rebalanceEvery int
+}
+
+// validateMode rejects every scenario field and flag the selected mode —
+// single-node simulation, cluster simulation (nodes >= 2) or -linux —
+// would otherwise drop: like an unknown field, a known one that the mode
+// does not read must not let the run proceed under different settings
+// without a word.
+func validateMode(sc Scenario, f modeFlags) error {
+	const sim, clusterSim, linux = 1, 2, 4
+	mode, modeName := sim, "single-node simulation"
+	switch {
+	case f.linux && sc.Nodes >= 2:
+		return fmt.Errorf("scenario field nodes >= 2 (cluster mode) is simulation-only, not supported with -linux")
+	case f.linux:
+		mode, modeName = linux, "-linux mode"
+	case sc.Nodes >= 2:
+		mode, modeName = clusterSim, "cluster mode (nodes >= 2)"
+	}
+	for _, k := range []struct {
+		name  string
+		set   bool
+		modes int // the modes that honour it
+	}{
+		{"scenario field fault_rate", sc.FaultRate != 0, sim},
+		{"scenario field fault_delay_rate", sc.FaultDelayRate != 0, sim},
+		{"scenario field fault_delay_us", sc.FaultDelayUs != 0, sim},
+		{"scenario field fault_sites", len(sc.FaultSites) != 0, sim},
+		{"scenario field fault_seed", sc.FaultSeed != 0, sim},
+		{"scenario field step_workers", sc.StepWorkers != 0, clusterSim},
+		{"scenario field rebalance_every", sc.RebalanceEvery != 0, clusterSim},
+		{"flag -step-workers", f.stepWorkers >= 0, clusterSim},
+		{"flag -rebalance-every", f.rebalanceEvery >= 0, clusterSim},
+		{"flag -csv", f.csv != "", sim | clusterSim},
+		{"flag -snapshot", f.snapshot != "", sim},
+		{"flag -checkpoint", f.checkpoint != "", sim | linux},
+	} {
+		if k.set && k.modes&mode == 0 {
+			return fmt.Errorf("%s is not supported in %s", k.name, modeName)
+		}
+	}
+	return nil
 }
 
 // writeHeapProfile dumps the live heap (post-GC, so steady-state objects
@@ -370,6 +420,20 @@ func buildWorkload(v ScenarioVM) ([]workload.Source, error) {
 	}
 }
 
+// scenarioVM builds a scenario VM's template (memory_gb defaults to 1)
+// and workload sources.
+func scenarioVM(v ScenarioVM) (vm.Template, []workload.Source, error) {
+	srcs, err := buildWorkload(v)
+	if err != nil {
+		return vm.Template{}, nil, fmt.Errorf("VM %q: %w", v.Name, err)
+	}
+	mem := v.MemoryGB
+	if mem == 0 {
+		mem = 1
+	}
+	return vm.Template{Name: v.Name, VCPUs: v.VCPUs, FreqMHz: v.FreqMHz, MemoryGB: mem}, srcs, nil
+}
+
 // parseScenario decodes a scenario file. Unknown fields are an error, not
 // dropped: a scenario written for a knob that no longer exists (or a
 // misspelt one) must not run under different settings without a word.
@@ -481,15 +545,10 @@ func runSim(sc Scenario, csvPath, snapPath string, ck checkpointOpts, reg *metri
 		return err
 	}
 	for _, v := range sc.VMs {
-		srcs, err := buildWorkload(v)
+		tpl, srcs, err := scenarioVM(v)
 		if err != nil {
-			return fmt.Errorf("VM %q: %w", v.Name, err)
+			return err
 		}
-		mem := v.MemoryGB
-		if mem == 0 {
-			mem = 1
-		}
-		tpl := vm.Template{Name: v.Name, VCPUs: v.VCPUs, FreqMHz: v.FreqMHz, MemoryGB: mem}
 		if _, err := mgr.Provision(v.Name, tpl, srcs); err != nil {
 			return err
 		}
@@ -632,15 +691,10 @@ func runSimCluster(sc Scenario, csvPath string, reg *metrics.Registry) error {
 	defer cl.Close()
 	cl.ArmMetrics(reg)
 	for _, v := range sc.VMs {
-		srcs, err := buildWorkload(v)
+		tpl, srcs, err := scenarioVM(v)
 		if err != nil {
-			return fmt.Errorf("VM %q: %w", v.Name, err)
+			return err
 		}
-		mem := v.MemoryGB
-		if mem == 0 {
-			mem = 1
-		}
-		tpl := vm.Template{Name: v.Name, VCPUs: v.VCPUs, FreqMHz: v.FreqMHz, MemoryGB: mem}
 		node, err := cl.Deploy(v.Name, tpl, srcs)
 		if err != nil {
 			return fmt.Errorf("VM %q: %w", v.Name, err)

@@ -37,6 +37,71 @@ func TestScenarioRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// A known field or flag the selected mode does not read is refused with
+// the field or flag and the mode named, one row per combination; each
+// mode accepts everything it does read.
+func TestValidateMode(t *testing.T) {
+	none := modeFlags{stepWorkers: -1, rebalanceEvery: -1}
+	with := func(edit func(*modeFlags)) modeFlags {
+		f := none
+		edit(&f)
+		return f
+	}
+	linux := with(func(f *modeFlags) { f.linux = true })
+	faults := Scenario{FaultRate: 0.1, FaultDelayRate: 0.1, FaultDelayUs: 50, FaultSites: []string{"UsageUs"}, FaultSeed: 7}
+	for _, tc := range []struct {
+		name  string
+		sc    Scenario
+		flags modeFlags
+		want  []string // substrings of the error; nil = accepted
+	}{
+		{"sim accepts faults, -csv, -snapshot, -checkpoint", faults,
+			with(func(f *modeFlags) { f.csv, f.snapshot, f.checkpoint = "o.csv", "s.json", "c.json" }), nil},
+		{"cluster accepts its knobs and -csv", Scenario{Nodes: 2, StepWorkers: 2, RebalanceEvery: 5},
+			with(func(f *modeFlags) { f.csv, f.stepWorkers, f.rebalanceEvery = "o.csv", 0, 0 }), nil},
+		{"linux accepts -checkpoint", Scenario{MonitorWorkers: 1},
+			with(func(f *modeFlags) { f.linux, f.checkpoint = true, "c.json" }), nil},
+
+		{"linux cluster", Scenario{Nodes: 2}, linux, []string{"nodes", "-linux"}},
+		{"cluster fault_rate", Scenario{Nodes: 2, FaultRate: 0.1}, none, []string{"fault_rate", "cluster"}},
+		{"cluster fault_delay_rate", Scenario{Nodes: 2, FaultDelayRate: 0.1}, none, []string{"fault_delay_rate", "cluster"}},
+		{"cluster fault_delay_us", Scenario{Nodes: 2, FaultDelayUs: 50}, none, []string{"fault_delay_us", "cluster"}},
+		{"cluster fault_sites", Scenario{Nodes: 2, FaultSites: []string{"SetMax"}}, none, []string{"fault_sites", "cluster"}},
+		{"cluster fault_seed", Scenario{Nodes: 2, FaultSeed: 3}, none, []string{"fault_seed", "cluster"}},
+		{"cluster -checkpoint", Scenario{Nodes: 2}, with(func(f *modeFlags) { f.checkpoint = "c.json" }), []string{"-checkpoint", "cluster"}},
+		{"cluster -snapshot", Scenario{Nodes: 2}, with(func(f *modeFlags) { f.snapshot = "s.json" }), []string{"-snapshot", "cluster"}},
+		{"linux fault_rate", Scenario{FaultRate: 0.1}, linux, []string{"fault_rate", "-linux"}},
+		{"linux fault_delay_rate", Scenario{FaultDelayRate: 0.1}, linux, []string{"fault_delay_rate", "-linux"}},
+		{"linux fault_delay_us", Scenario{FaultDelayUs: 50}, linux, []string{"fault_delay_us", "-linux"}},
+		{"linux fault_sites", Scenario{FaultSites: []string{"SetMax"}}, linux, []string{"fault_sites", "-linux"}},
+		{"linux fault_seed", Scenario{FaultSeed: 3}, linux, []string{"fault_seed", "-linux"}},
+		{"linux -csv", Scenario{}, with(func(f *modeFlags) { f.linux, f.csv = true, "o.csv" }), []string{"-csv", "-linux"}},
+		{"linux -snapshot", Scenario{}, with(func(f *modeFlags) { f.linux, f.snapshot = true, "s.json" }), []string{"-snapshot", "-linux"}},
+		{"linux step_workers", Scenario{StepWorkers: 2}, linux, []string{"step_workers", "-linux"}},
+		{"sim step_workers", Scenario{Nodes: 1, StepWorkers: 2}, none, []string{"step_workers", "single-node"}},
+		{"sim rebalance_every", Scenario{RebalanceEvery: 5}, none, []string{"rebalance_every", "single-node"}},
+		{"sim -step-workers", Scenario{}, with(func(f *modeFlags) { f.stepWorkers = 0 }), []string{"-step-workers", "single-node"}},
+		{"sim -rebalance-every", Scenario{}, with(func(f *modeFlags) { f.rebalanceEvery = 3 }), []string{"-rebalance-every", "single-node"}},
+	} {
+		err := validateMode(tc.sc, tc.flags)
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		for _, sub := range tc.want {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, sub)
+			}
+		}
+	}
+}
+
 func TestNodeSpec(t *testing.T) {
 	for _, name := range []string{"chetemi", "chiclet"} {
 		spec, err := nodeSpec(Scenario{Node: name})

@@ -62,11 +62,11 @@ func TestCPUStatIncludesBurstCounters(t *testing.T) {
 		s.Tick(10_000)
 	}
 	content, _ := fs.ReadFile(DefaultMount + "/vm/cpu.stat")
-	nr, err := ParseCPUStat(content, "nr_bursts")
+	nr, err := ParseCPUStatBytes([]byte(content), "nr_bursts")
 	if err != nil {
 		t.Fatalf("nr_bursts missing: %v", err)
 	}
-	used, err := ParseCPUStat(content, "burst_usec")
+	used, err := ParseCPUStatBytes([]byte(content), "burst_usec")
 	if err != nil {
 		t.Fatalf("burst_usec missing: %v", err)
 	}

@@ -20,15 +20,6 @@ func TestParseCPUStatBytes(t *testing.T) {
 	}
 }
 
-func TestParseCPUStatBytesMatchesString(t *testing.T) {
-	content := "usage_usec 42\nuser_usec 41\n"
-	s, errS := ParseCPUStat(content, "usage_usec")
-	b, errB := ParseCPUStatBytes([]byte(content), "usage_usec")
-	if errS != nil || errB != nil || s != b {
-		t.Fatalf("string=%d,%v bytes=%d,%v", s, errS, b, errB)
-	}
-}
-
 func TestParseSingleTID(t *testing.T) {
 	tid, n, err := ParseSingleTID([]byte("4242\n"))
 	if err != nil || tid != 4242 || n != 1 {

@@ -1,7 +1,6 @@
 // Package cgroupfs exposes a sched.Scheduler cgroup hierarchy through the
-// file dialects of Linux cgroup v2 (cpu.max, cpu.stat, cpu.weight,
-// cgroup.threads) and, optionally, cgroup v1 (cpu.cfs_quota_us,
-// cpu.cfs_period_us, cpuacct.usage, tasks).
+// files of Linux cgroup v2 (cpu.max, cpu.stat, cpu.weight,
+// cgroup.threads).
 //
 // The virtual-frequency controller of the paper interacts with the kernel
 // exclusively through these files; emulating them byte-for-byte means the
@@ -24,11 +23,10 @@ const DefaultMount = "/sys/fs/cgroup"
 
 // Tree binds a scheduler's cgroup hierarchy to a memfs mount.
 type Tree struct {
-	fs      *memfs.FS
-	sched   *sched.Scheduler
-	mount   string
-	v1mount string
-	groups  map[string]*sched.Group // by path relative to mount, "" = root
+	fs     *memfs.FS
+	sched  *sched.Scheduler
+	mount  string
+	groups map[string]*sched.Group // by path relative to mount, "" = root
 }
 
 // New mounts the scheduler's root cgroup at mount inside fs.
@@ -92,11 +90,6 @@ func (t *Tree) CreateGroup(rel string) (*sched.Group, error) {
 	if err := t.addControlFiles(rel, g); err != nil {
 		return nil, err
 	}
-	if t.v1mount != "" {
-		if err := t.addV1Files(rel, g); err != nil {
-			return nil, err
-		}
-	}
 	return g, nil
 }
 
@@ -139,15 +132,7 @@ func (t *Tree) RemoveGroup(rel string) error {
 			delete(t.groups, k)
 		}
 	}
-	if err := t.fs.RemoveAll(path.Join(t.mount, rel)); err != nil {
-		return err
-	}
-	if t.v1mount != "" {
-		if err := t.fs.RemoveAll(path.Join(t.v1mount, rel)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.fs.RemoveAll(path.Join(t.mount, rel))
 }
 
 // List returns the relative paths of all cgroups, the root as "".
@@ -273,98 +258,6 @@ func appendTIDs(buf []byte, g *sched.Group) []byte {
 	return buf
 }
 
-// EnableV1 additionally exposes the hierarchy with cgroup v1 file names
-// under the given mount (e.g. "/sys/fs/cgroup-v1/cpu").
-func (t *Tree) EnableV1(mount string) error {
-	if t.v1mount != "" {
-		return fmt.Errorf("cgroupfs: v1 already enabled")
-	}
-	if err := t.fs.MkdirAll(mount); err != nil {
-		return err
-	}
-	t.v1mount = mount
-	// Mirror existing groups, parents before children.
-	paths := t.List()
-	// Sort by depth by simple insertion on segment count.
-	for i := 0; i < len(paths); i++ {
-		for j := i + 1; j < len(paths); j++ {
-			if strings.Count(paths[j], "/") < strings.Count(paths[i], "/") ||
-				(strings.Count(paths[j], "/") == strings.Count(paths[i], "/") && paths[j] < paths[i]) {
-				paths[i], paths[j] = paths[j], paths[i]
-			}
-		}
-	}
-	for _, rel := range paths {
-		if rel != "" {
-			if err := t.fs.MkdirAll(path.Join(mount, rel)); err != nil {
-				return err
-			}
-		}
-		if err := t.addV1Files(rel, t.groups[rel]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *Tree) addV1Files(rel string, g *sched.Group) error {
-	dir := path.Join(t.v1mount, rel)
-	if rel != "" && !t.fs.IsDir(dir) {
-		if err := t.fs.MkdirAll(dir); err != nil {
-			return err
-		}
-	}
-	files := map[string]struct {
-		read  memfs.ReadFunc
-		write memfs.WriteFunc
-	}{
-		"cpu.cfs_quota_us": {
-			read: func() string { return fmt.Sprintf("%d\n", g.QuotaUs) },
-			write: func(s string) error {
-				q, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-				if err != nil {
-					return fmt.Errorf("cgroupfs: invalid cfs_quota_us %q", s)
-				}
-				if q < 0 {
-					q = sched.NoQuota
-				}
-				return g.SetQuota(q, g.PeriodUs)
-			},
-		},
-		"cpu.cfs_period_us": {
-			read: func() string { return fmt.Sprintf("%d\n", g.PeriodUs) },
-			write: func(s string) error {
-				p, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-				if err != nil || p <= 0 {
-					return fmt.Errorf("cgroupfs: invalid cfs_period_us %q", s)
-				}
-				return g.SetQuota(g.QuotaUs, p)
-			},
-		},
-		// cpuacct.usage is in nanoseconds in cgroup v1.
-		"cpuacct.usage": {
-			read: func() string { return fmt.Sprintf("%d\n", g.UsageUs*1000) },
-		},
-		"tasks": {
-			read: func() string { return formatTIDs(g.ThreadIDs()) },
-		},
-	}
-	for name, f := range files {
-		if err := t.fs.AddDynamic(path.Join(dir, name), f.read, f.write); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func formatTIDs(ids []int) string {
-	var b strings.Builder
-	for _, id := range ids {
-		fmt.Fprintf(&b, "%d\n", id)
-	}
-	return b.String()
-}
-
 // FormatCPUMax renders quota/period the way cgroup v2 does.
 func FormatCPUMax(quotaUs, periodUs int64) string {
 	if quotaUs == sched.NoQuota {
@@ -397,20 +290,9 @@ func ParseCPUMax(s string, currentPeriod int64) (quotaUs, periodUs int64, err er
 	return quotaUs, periodUs, nil
 }
 
-// ParseCPUStat extracts the named counter from a cpu.stat read.
-func ParseCPUStat(content, key string) (int64, error) {
-	for _, line := range strings.Split(content, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[0] == key {
-			return strconv.ParseInt(fields[1], 10, 64)
-		}
-	}
-	return 0, fmt.Errorf("cgroupfs: key %q not in cpu.stat", key)
-}
-
-// ParseCPUStatBytes is ParseCPUStat for a raw read buffer. It performs
-// no allocation, so the controller's monitor stage can call it every
-// period for every vCPU without generating garbage.
+// ParseCPUStatBytes extracts the named counter from a cpu.stat read. It
+// performs no allocation, so the controller's monitor stage can call it
+// every period for every vCPU without generating garbage.
 func ParseCPUStatBytes(content []byte, key string) (int64, error) {
 	for len(content) > 0 {
 		line := content
@@ -510,20 +392,4 @@ func parseInt64Bytes(b []byte) (int64, bool) {
 		v = -v
 	}
 	return v, true
-}
-
-// ParseTIDs parses a cgroup.threads / tasks read.
-func ParseTIDs(content string) ([]int, error) {
-	var out []int
-	for _, line := range strings.Split(strings.TrimSpace(content), "\n") {
-		if line == "" {
-			continue
-		}
-		id, err := strconv.Atoi(strings.TrimSpace(line))
-		if err != nil {
-			return nil, fmt.Errorf("cgroupfs: bad tid %q", line)
-		}
-		out = append(out, id)
-	}
-	return out, nil
 }

@@ -1,7 +1,7 @@
 package cgroupfs
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -110,17 +110,17 @@ func TestCPUStatContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	usage, err := ParseCPUStat(content, "usage_usec")
+	usage, err := ParseCPUStatBytes([]byte(content), "usage_usec")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if usage != 10_000 {
 		t.Fatalf("usage_usec = %d, want 10000", usage)
 	}
-	if _, err := ParseCPUStat(content, "nr_throttled"); err != nil {
+	if _, err := ParseCPUStatBytes([]byte(content), "nr_throttled"); err != nil {
 		t.Fatalf("nr_throttled missing: %v", err)
 	}
-	if _, err := ParseCPUStat(content, "no_such_key"); err == nil {
+	if _, err := ParseCPUStatBytes([]byte(content), "no_such_key"); err == nil {
 		t.Fatal("unknown key parsed")
 	}
 }
@@ -131,12 +131,12 @@ func TestCgroupThreadsListsTIDs(t *testing.T) {
 	t1 := s.NewThread(g, nil)
 	t2 := s.NewThread(g, nil)
 	content, _ := fs.ReadFile(DefaultMount + "/vm/cgroup.threads")
-	ids, err := ParseTIDs(content)
-	if err != nil {
-		t.Fatal(err)
+	if want := fmt.Sprintf("%d\n%d\n", t1.ID, t2.ID); content != want {
+		t.Fatalf("cgroup.threads = %q, want %q", content, want)
 	}
-	if len(ids) != 2 || ids[0] != t1.ID || ids[1] != t2.ID {
-		t.Fatalf("tids = %v, want [%d %d]", ids, t1.ID, t2.ID)
+	first, n, err := ParseSingleTID([]byte(content))
+	if err != nil || first != t1.ID || n != 2 {
+		t.Fatalf("ParseSingleTID = %d, %d, %v; want %d, 2", first, n, err, t1.ID)
 	}
 }
 
@@ -178,47 +178,6 @@ func TestRemoveGroupCleansUp(t *testing.T) {
 	}
 	if err := tree.RemoveGroup(""); err == nil {
 		t.Fatal("removed root")
-	}
-}
-
-func TestV1Dialect(t *testing.T) {
-	tree, s, fs := newTree(t, 1)
-	g, _ := tree.CreateGroup("vm")
-	th := s.NewThread(g, nil)
-	if err := tree.EnableV1("/sys/fs/cgroup-v1/cpu"); err != nil {
-		t.Fatal(err)
-	}
-	// Quota via v1 files.
-	if err := fs.WriteFile("/sys/fs/cgroup-v1/cpu/vm/cpu.cfs_quota_us", "50000"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile("/sys/fs/cgroup-v1/cpu/vm/cpu.cfs_period_us", "100000"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		s.Tick(10_000)
-	}
-	if th.UsageUs != 500_000 {
-		t.Fatalf("usage = %d, want 500000", th.UsageUs)
-	}
-	// cpuacct.usage reports nanoseconds.
-	got, _ := fs.ReadFile("/sys/fs/cgroup-v1/cpu/vm/cpuacct.usage")
-	if strings.TrimSpace(got) != "500000000" {
-		t.Fatalf("cpuacct.usage = %q, want 500000000", got)
-	}
-	// -1 resets to unlimited.
-	if err := fs.WriteFile("/sys/fs/cgroup-v1/cpu/vm/cpu.cfs_quota_us", "-1"); err != nil {
-		t.Fatal(err)
-	}
-	if g.QuotaUs != sched.NoQuota {
-		t.Fatalf("quota = %d, want NoQuota", g.QuotaUs)
-	}
-	// New groups get v1 files too.
-	if _, err := tree.CreateGroup("vm2"); err != nil {
-		t.Fatal(err)
-	}
-	if !fs.Exists("/sys/fs/cgroup-v1/cpu/vm2/tasks") {
-		t.Fatal("v1 files missing for new group")
 	}
 }
 
@@ -270,40 +229,6 @@ func TestListIncludesAll(t *testing.T) {
 	}
 }
 
-func TestEnableV1Twice(t *testing.T) {
-	tree, _, _ := newTree(t, 1)
-	if err := tree.EnableV1("/v1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.EnableV1("/v1b"); err == nil {
-		t.Fatal("second EnableV1 accepted")
-	}
-}
-
-func TestV1InvalidWrites(t *testing.T) {
-	tree, _, fs := newTree(t, 1)
-	if _, err := tree.CreateGroup("vm"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.EnableV1("/v1"); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []string{"x", ""} {
-		if err := fs.WriteFile("/v1/vm/cpu.cfs_quota_us", bad); err == nil {
-			t.Fatalf("cfs_quota_us accepted %q", bad)
-		}
-	}
-	for _, bad := range []string{"x", "0", "-5"} {
-		if err := fs.WriteFile("/v1/vm/cpu.cfs_period_us", bad); err == nil {
-			t.Fatalf("cfs_period_us accepted %q", bad)
-		}
-	}
-	// cpuacct.usage and tasks are read-only.
-	if err := fs.WriteFile("/v1/vm/cpuacct.usage", "0"); err == nil {
-		t.Fatal("cpuacct.usage writable")
-	}
-}
-
 func TestRemoveUnknownGroup(t *testing.T) {
 	tree, _, _ := newTree(t, 1)
 	if err := tree.RemoveGroup("ghost"); err == nil {
@@ -311,24 +236,5 @@ func TestRemoveUnknownGroup(t *testing.T) {
 	}
 	if _, err := tree.Group("ghost"); err == nil {
 		t.Fatal("unknown group resolvable")
-	}
-}
-
-func TestRemoveGroupCleansV1Files(t *testing.T) {
-	tree, _, fs := newTree(t, 1)
-	if err := tree.EnableV1("/v1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tree.CreateGroup("vm"); err != nil {
-		t.Fatal(err)
-	}
-	if !fs.Exists("/v1/vm/tasks") {
-		t.Fatal("v1 files not created")
-	}
-	if err := tree.RemoveGroup("vm"); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Exists("/v1/vm") {
-		t.Fatal("v1 directory survived removal")
 	}
 }

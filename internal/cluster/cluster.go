@@ -23,7 +23,6 @@ import (
 	"vfreq/internal/host"
 	"vfreq/internal/placement"
 	"vfreq/internal/platform"
-	"vfreq/internal/trace"
 	"vfreq/internal/vm"
 	"vfreq/internal/workload"
 )
@@ -101,15 +100,13 @@ type Node struct {
 	// used is the total load of the deployed VMs, maintained on
 	// deploy/undeploy/migrate/resize so admission does not iterate the
 	// deployment map.
-	used    load
+	used    placement.Load
 	indexed bool // present in the cluster's free-capacity index
 
-	// Health bookkeeping: the node's contribution to the cluster
-	// aggregate after its last step, and the change against the step
-	// before. stepNode writes them (it owns the node); the sequential
-	// error-join walk folds the deltas into the cluster total.
-	healthPart  nodeHealth
-	healthDelta nodeHealth
+	// healthPart is the node's contribution to the cluster Health
+	// aggregate after its last step. stepNode writes it (it owns the
+	// node); the sequential error-join walk sums the parts.
+	healthPart nodeHealth
 }
 
 type deployment struct {
@@ -130,29 +127,16 @@ func (n *Node) VMs() []string {
 	return out
 }
 
-// load is a demand in the three quantities the admission constraint
-// sums: one template's, a node's deployed total, or (capacityOf) what an
-// empty node offers.
-type load struct {
-	vcpus   int
-	freqMHz int64 // Σ vCPU·F
-	memGB   int
+// loadOf and capacityOf put a template and a node into the units of the
+// admission constraint, which placement owns (Eq. 7).
+func loadOf(tpl vm.Template) placement.Load {
+	v := placement.VMSpec{VCPUs: tpl.VCPUs, FreqMHz: tpl.FreqMHz, MemoryGB: tpl.MemoryGB}
+	return v.Load()
 }
 
-func loadOf(tpl vm.Template) load {
-	return load{tpl.VCPUs, int64(tpl.VCPUs) * tpl.FreqMHz, tpl.MemoryGB}
-}
-
-func capacityOf(spec host.Spec) load {
-	return load{spec.Cores, int64(spec.Cores) * spec.MaxMHz, spec.MemoryGB}
-}
-
-func (l load) add(o load) load {
-	return load{l.vcpus + o.vcpus, l.freqMHz + o.freqMHz, l.memGB + o.memGB}
-}
-
-func (l load) sub(o load) load {
-	return load{l.vcpus - o.vcpus, l.freqMHz - o.freqMHz, l.memGB - o.memGB}
+func capacityOf(spec host.Spec) placement.Load {
+	n := placement.NodeSpec{Cores: spec.Cores, MaxFreqMHz: spec.MaxMHz, MemoryGB: spec.MemoryGB}
+	return n.Capacity()
 }
 
 // nodeHealth is one node's contribution to the cluster Health aggregate.
@@ -161,16 +145,6 @@ type nodeHealth struct {
 	degradedNodes, overruns   int
 	recovered, open, halfOpen int
 	trips                     int
-}
-
-func (a nodeHealth) sub(b nodeHealth) nodeHealth {
-	return nodeHealth{
-		vcpus: a.vcpus - b.vcpus, degraded: a.degraded - b.degraded,
-		faults: a.faults - b.faults, degradedNodes: a.degradedNodes - b.degradedNodes,
-		overruns: a.overruns - b.overruns, recovered: a.recovered - b.recovered,
-		open: a.open - b.open, halfOpen: a.halfOpen - b.halfOpen,
-		trips: a.trips - b.trips,
-	}
 }
 
 func (a nodeHealth) add(b nodeHealth) nodeHealth {
@@ -199,9 +173,8 @@ type Cluster struct {
 	// BestFit/WorstFit admission and evacuation are O(log N) per VM.
 	index *placement.Index
 
-	// Cached Health aggregate, maintained incrementally from the
-	// per-node deltas so Health() is O(1) and Step's aggregation is a
-	// handful of integer additions per node.
+	// Health aggregate of the last Step, summed from the nodes'
+	// healthPart in Step's error-join walk.
 	agg         nodeHealth
 	failedNodes int
 
@@ -214,11 +187,6 @@ type Cluster struct {
 	stepPeriod int64
 	panicMu    sync.Mutex
 	panicVal   any
-
-	// RecordHealth scratch: per-node series names and the reused
-	// values map handed to trace.Recorder.RecordAll.
-	seriesNames [][2]string
-	healthVals  map[string]float64
 
 	// met, when armed via ArmMetrics, receives every finished Step;
 	// nil (the default) records nothing.
@@ -320,26 +288,10 @@ func (c *Cluster) Locate(name string) int {
 	return -1
 }
 
-// cpu returns l's CPU term in the policy's unit: a vCPU count under
-// CoreCount, Σ vCPU·F in MHz (the two sides of Eq. 7) under
-// VirtualFrequency. For the integer demands and capacities in play the
-// float arithmetic is exact.
-func (c *Cluster) cpu(l load) float64 {
-	if c.cfg.Policy.Mode == placement.CoreCount {
-		return float64(l.vcpus)
-	}
-	return float64(l.freqMHz)
-}
-
 // admits is the admission constraint: whether node n may carry total
-// load l under the policy's CPU factor and memory bound.
-func (c *Cluster) admits(n *Node, l load) bool {
-	p := c.cfg.Policy
-	capacity := capacityOf(n.Spec())
-	if p.Memory && l.memGB > capacity.memGB {
-		return false
-	}
-	return c.cpu(l) <= c.cpu(capacity)*p.Factor
+// load l under the policy.
+func (c *Cluster) admits(n *Node, l placement.Load) bool {
+	return c.cfg.Policy.Admits(capacityOf(n.Spec()), l)
 }
 
 // fits checks the admission constraint for tpl joining node n.
@@ -354,7 +306,7 @@ func (c *Cluster) fitsResized(n *Node, old, tpl vm.Template) bool {
 	if c.cfg.Policy.Mode == placement.VirtualFrequency && tpl.FreqMHz > n.Spec().MaxMHz {
 		return false
 	}
-	return c.admits(n, n.used.sub(loadOf(old)).add(loadOf(tpl)))
+	return c.admits(n, n.used.Sub(loadOf(old)).Add(loadOf(tpl)))
 }
 
 // remaining returns the free CPU capacity of n in the policy's unit, for
@@ -362,12 +314,12 @@ func (c *Cluster) fitsResized(n *Node, old, tpl vm.Template) bool {
 // free-capacity index: "remaining < demand" in the index prunes exactly
 // the nodes the admits capacity check would reject.
 func (c *Cluster) remaining(n *Node) float64 {
-	return c.cpu(capacityOf(n.Spec()))*c.cfg.Policy.Factor - c.cpu(n.used)
+	return c.cfg.Policy.Headroom(capacityOf(n.Spec()), n.used)
 }
 
 // demand returns tpl's CPU demand in the policy's unit — the minimum
 // index key a node needs to pass the admits capacity check.
-func (c *Cluster) demand(tpl vm.Template) float64 { return c.cpu(loadOf(tpl)) }
+func (c *Cluster) demand(tpl vm.Template) float64 { return c.cfg.Policy.CPU(loadOf(tpl)) }
 
 // Deploy admits a VM onto the cluster and provisions it. sources may be
 // nil (idle VM). It returns the chosen node index.
@@ -423,7 +375,7 @@ func (c *Cluster) provisionOn(idx int, name string, tpl vm.Template, sources []w
 	}
 	n.deployed[name] = &deployment{name: name, template: tpl, sources: sources}
 	c.locations[name] = idx
-	n.used = n.used.add(loadOf(tpl))
+	n.used = n.used.Add(loadOf(tpl))
 	c.reindex(n)
 	return nil
 }
@@ -441,7 +393,7 @@ func (c *Cluster) Undeploy(name string) error {
 	d := n.deployed[name]
 	delete(n.deployed, name)
 	delete(c.locations, name)
-	n.used = n.used.sub(loadOf(d.template))
+	n.used = n.used.Sub(loadOf(d.template))
 	c.reindex(n)
 	return nil
 }
@@ -530,10 +482,10 @@ func (c *Cluster) Migrate(name string, target int) (moved bool, err error) {
 		return false, fmt.Errorf("cluster: migrating %q off node %d: %w", name, src, err)
 	}
 	delete(from.deployed, name)
-	from.used = from.used.sub(loadOf(d.template))
+	from.used = from.used.Sub(loadOf(d.template))
 	c.reindex(from)
 	to.deployed[name] = d
-	to.used = to.used.add(loadOf(d.template))
+	to.used = to.used.Add(loadOf(d.template))
 	c.reindex(to)
 	c.locations[name] = target
 	from.Ctrl.ForgetVM(name)
@@ -571,7 +523,7 @@ func (c *Cluster) Resize(name string, tpl vm.Template, srcs []workload.Source) e
 	if err := n.Manager.Reconfigure(name, tpl, srcs); err != nil {
 		return err
 	}
-	n.used = n.used.sub(loadOf(d.template)).add(loadOf(tpl))
+	n.used = n.used.Sub(loadOf(d.template)).Add(loadOf(tpl))
 	d.sources = resizedSources(d.sources, d.template.VCPUs, tpl.VCPUs, srcs)
 	d.template = tpl
 	c.reindex(n)
@@ -629,7 +581,7 @@ func (c *Cluster) Rebalance() (int, error) {
 		n := c.nodes[idx]
 		// Move smallest-demand VMs first: they are the cheapest to
 		// migrate and often enough to restore feasibility.
-		for c.isOverloaded(idx) {
+		for !c.admits(n, n.used) {
 			name := c.smallestVM(n)
 			if name == "" {
 				break
@@ -657,22 +609,12 @@ func (c *Cluster) bestTarget(tpl vm.Template, exclude int) int {
 	})
 }
 
-func (c *Cluster) isOverloaded(idx int) bool {
-	for _, i := range c.Overloaded() {
-		if i == idx {
-			return true
-		}
-	}
-	return false
-}
-
 // smallestVM returns the deployed VM with the lowest vCPU·F demand.
 func (c *Cluster) smallestVM(n *Node) string {
 	best := ""
 	var bestDemand int64 = 1 << 62
 	for _, inst := range n.Manager.List() {
-		d := n.deployed[inst.Name()]
-		demand := int64(d.template.VCPUs) * d.template.FreqMHz
+		demand := loadOf(n.deployed[inst.Name()].template).FreqMHz
 		if demand < bestDemand {
 			bestDemand = demand
 			best = inst.Name()
@@ -741,7 +683,7 @@ func (c *Cluster) runStep(idx int) {
 //
 // Nodes step on the persistent worker pool (Config.StepWorkers); the
 // walks after the barrier — the deterministic node-index-order error
-// join, the Health delta aggregation, and the failure/evacuation pass —
+// join, the Health sum, and the failure/evacuation pass —
 // always run sequentially on the calling goroutine, so reports,
 // checkpoints and returned errors are bit-identical at any worker
 // count. With no failed node the whole path allocates nothing.
@@ -779,15 +721,15 @@ func (c *Cluster) Step() error {
 		}
 	}
 	// First sequential walk, in node-index order: join node errors
-	// deterministically, fold the per-node Health deltas into the
-	// cached aggregate, and re-admit recovered nodes into the
-	// free-capacity index.
+	// deterministically, sum the per-node Health parts, and re-admit
+	// recovered nodes into the free-capacity index.
 	errs := c.errScratch[:0]
+	c.agg = nodeHealth{}
 	for _, n := range c.nodes {
 		if n.LastErr != nil {
 			errs = append(errs, fmt.Errorf("cluster: node %d: %w", n.Index, n.LastErr))
 		}
-		c.agg = c.agg.add(n.healthDelta)
+		c.agg = c.agg.add(n.healthPart)
 		if !n.Failed && !n.indexed {
 			c.reindex(n)
 		}
@@ -866,7 +808,6 @@ func (c *Cluster) stepNode(n *Node, period int64) {
 	if rep.Overrun {
 		part.overruns = 1
 	}
-	n.healthDelta = part.sub(n.healthPart)
 	n.healthPart = part
 	if c.met != nil {
 		// Shared histogram, concurrent nodes: Observe is atomic-only.
@@ -932,9 +873,8 @@ type Health struct {
 	BreakerTrips int
 }
 
-// Health returns the degradation summary of the last Step. The
-// aggregate is maintained incrementally from per-node deltas during
-// Step, so the call is O(1) regardless of cluster size.
+// Health returns the degradation summary of the last Step, which Step
+// summed over the nodes; the call itself reads the stored aggregate.
 func (c *Cluster) Health() Health {
 	return Health{
 		VCPUs:         c.agg.vcpus,
@@ -950,46 +890,6 @@ func (c *Cluster) Health() Health {
 		HalfOpenVMs:   c.agg.halfOpen,
 		BreakerTrips:  c.agg.trips,
 	}
-}
-
-// RecordHealth appends the last Step's degradation to rec as time
-// series at time tS: cluster-wide totals plus one degraded-vCPU series
-// per node, giving operators the same view of partial failure the
-// paper's figures give of frequency. The series names and the values
-// map are cached on the cluster, so repeated calls do not re-render
-// names or reallocate.
-func (c *Cluster) RecordHealth(rec *trace.Recorder, tS float64) {
-	h := c.Health()
-	if c.healthVals == nil {
-		c.healthVals = make(map[string]float64, 8+2*len(c.nodes))
-	}
-	if c.seriesNames == nil {
-		c.seriesNames = make([][2]string, len(c.nodes))
-		for _, n := range c.nodes {
-			c.seriesNames[n.Index] = [2]string{
-				fmt.Sprintf("node%d_degraded", n.Index),
-				fmt.Sprintf("node%d_overrun", n.Index),
-			}
-		}
-	}
-	values := c.healthVals
-	values["cluster_degraded_vcpus"] = float64(h.DegradedVCPUs)
-	values["cluster_faults"] = float64(h.Faults)
-	values["cluster_failed_nodes"] = float64(h.FailedNodes)
-	values["cluster_overruns"] = float64(h.Overruns)
-	values["cluster_evacuated_vms"] = float64(h.EvacuatedVMs)
-	values["cluster_stranded_vms"] = float64(h.StrandedVMs)
-	values["cluster_open_vms"] = float64(h.OpenVMs)
-	values["cluster_halfopen_vms"] = float64(h.HalfOpenVMs)
-	for _, n := range c.nodes {
-		values[c.seriesNames[n.Index][0]] = float64(n.LastReport.DegradedVCPUs)
-		overrun := 0.0
-		if n.LastReport.Overrun {
-			overrun = 1
-		}
-		values[c.seriesNames[n.Index][1]] = overrun
-	}
-	rec.RecordAll(tS, values)
 }
 
 // UsedNodes counts nodes hosting at least one VM.

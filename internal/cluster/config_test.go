@@ -114,3 +114,97 @@ func TestMemoryOverloadDetected(t *testing.T) {
 		t.Fatalf("memory overload not detected: %v", got)
 	}
 }
+
+// TestAdmissionOneRule pins that the offline packer and online admission
+// decide by one rule: over every Mode × Factor × Memory policy, with
+// templates at, one MHz (or one vCPU, one GB) under and over the
+// boundary, above F_MAX, joining an empty node, joining a filled one and
+// replacing a VM (the resize form), placement.Node.Fits, cluster.fits /
+// fitsResized and Policy.Admits on the summed loads all equal the
+// constraint written out literally below.
+func TestAdmissionOneRule(t *testing.T) {
+	spec := host.Chetemi() // F_MAX 2400 MHz
+	spec.Cores, spec.MemoryGB = 5, 16
+	pspec := placement.NodeSpec{Name: spec.Name, Cores: spec.Cores, MaxFreqMHz: spec.MaxMHz, MemoryGB: spec.MemoryGB}
+	// x is the VM the resize form replaces; fill + x leave exactly 1 vCPU
+	// (CoreCount) or 1500 MHz (VirtualFrequency) and 6 GB, fill alone
+	// 2 vCPUs or 2000 MHz and 8 GB.
+	x := vm.Template{Name: "x", VCPUs: 1, FreqMHz: 500, MemoryGB: 2}
+	fills := map[placement.Policy]vm.Template{
+		{Mode: placement.CoreCount, Factor: 1}:          {Name: "fill", VCPUs: 3, FreqMHz: 500, MemoryGB: 8},
+		{Mode: placement.CoreCount, Factor: 1.8}:        {Name: "fill", VCPUs: 7, FreqMHz: 500, MemoryGB: 8},
+		{Mode: placement.VirtualFrequency, Factor: 1}:   {Name: "fill", VCPUs: 5, FreqMHz: 2000, MemoryGB: 8},
+		{Mode: placement.VirtualFrequency, Factor: 1.8}: {Name: "fill", VCPUs: 10, FreqMHz: 1960, MemoryGB: 8},
+	}
+	vmSpec := func(tpl vm.Template) placement.VMSpec {
+		return placement.VMSpec{Name: tpl.Name, VCPUs: tpl.VCPUs, FreqMHz: tpl.FreqMHz, MemoryGB: tpl.MemoryGB}
+	}
+	for base, fill := range fills {
+		for _, memory := range []bool{false, true} {
+			p := base
+			p.Memory = memory
+			// The constraint, literally: used is what the node carries
+			// besides the candidate.
+			constraint := func(used placement.Load, tpl vm.Template) bool {
+				if memory && used.MemoryGB+tpl.MemoryGB > spec.MemoryGB {
+					return false
+				}
+				if p.Mode == placement.CoreCount {
+					return float64(used.VCPUs+tpl.VCPUs) <= float64(spec.Cores)*p.Factor
+				}
+				return float64(used.FreqMHz+int64(tpl.VCPUs)*tpl.FreqMHz) <= float64(int64(spec.Cores)*spec.MaxMHz)*p.Factor
+			}
+			empty, err := New([]host.Spec{spec}, Config{Policy: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			filled, err := New([]host.Spec{spec}, Config{Policy: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// provisionOn bypasses admission, as Place does.
+			pnFill, pnFillX := &placement.Node{Spec: pspec}, &placement.Node{Spec: pspec}
+			for _, tpl := range []vm.Template{fill, x} {
+				if err := filled.provisionOn(0, tpl.Name, tpl, nil); err != nil {
+					t.Fatal(err)
+				}
+				pnFillX.Place(vmSpec(tpl), p)
+			}
+			pnFill.Place(vmSpec(fill), p)
+			if got, want := filled.nodes[0].used, pnFillX.Used(); got != want {
+				t.Fatalf("%+v: cluster bookkeeping %+v, placement %+v", p, got, want)
+			}
+			for _, vcpus := range []int{1, 2, 3} {
+				for _, freq := range []int64{1499, 1500, 1501, 1999, 2000, 2001, spec.MaxMHz, spec.MaxMHz + 1} {
+					for _, mem := range []int{6, 7, 8, 9} {
+						tpl := vm.Template{Name: "cand", VCPUs: vcpus, FreqMHz: freq, MemoryGB: mem}
+						cand := vmSpec(tpl)
+						attainable := p.Mode != placement.VirtualFrequency || freq <= spec.MaxMHz
+						for _, form := range []struct {
+							name    string
+							others  placement.Load // the node's load besides the candidate
+							packer  bool
+							cluster bool
+						}{
+							{"join empty", placement.Load{}, (&placement.Node{Spec: pspec}).Fits(cand, p), empty.fits(empty.nodes[0], tpl)},
+							{"join filled", pnFillX.Used(), pnFillX.Fits(cand, p), filled.fits(filled.nodes[0], tpl)},
+							{"replace x", pnFill.Used(), pnFill.Fits(cand, p), filled.fitsResized(filled.nodes[0], x, tpl)},
+						} {
+							want := constraint(form.others, tpl)
+							if got := p.Admits(pspec.Capacity(), form.others.Add(cand.Load())); got != want {
+								t.Errorf("%+v %s %+v: Policy.Admits = %v, want %v", p, form.name, tpl, got, want)
+							}
+							want = want && attainable
+							if form.packer != want || form.cluster != want {
+								t.Errorf("%+v %s %+v: placement.Node.Fits = %v, cluster = %v, want %v",
+									p, form.name, tpl, form.packer, form.cluster, want)
+							}
+						}
+					}
+				}
+			}
+			empty.Close()
+			filled.Close()
+		}
+	}
+}

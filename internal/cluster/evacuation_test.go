@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vfreq/internal/host"
-	"vfreq/internal/trace"
 	"vfreq/internal/vm"
 )
 
@@ -34,12 +33,10 @@ func TestNodeFailureEvacuatesVMs(t *testing.T) {
 	// vCPU degrades, and the node accumulates failed steps.
 	boom := errors.New("host unreachable")
 	c.Nodes()[0].Machine.FailReads("machine-", boom, -1)
-	rec := trace.NewRecorder()
 
 	if err := c.Step(); err != nil {
 		t.Fatalf("Step 1 under failure: %v", err)
 	}
-	c.RecordHealth(rec, 1)
 	n0 := c.Nodes()[0]
 	if n0.FailedSteps != 1 || n0.Failed {
 		t.Fatalf("after 1 bad step: failedSteps=%d failed=%v, want counting not failed", n0.FailedSteps, n0.Failed)
@@ -53,7 +50,6 @@ func TestNodeFailureEvacuatesVMs(t *testing.T) {
 	if err := c.Step(); err != nil {
 		t.Fatalf("Step 2 under failure: %v", err)
 	}
-	c.RecordHealth(rec, 2)
 	if !n0.Failed {
 		t.Fatal("node 0 not marked failed at the threshold")
 	}
@@ -69,8 +65,8 @@ func TestNodeFailureEvacuatesVMs(t *testing.T) {
 	}
 	// Eq. 7 on the target: the evacuated demand fits chiclet's capacity.
 	n1 := c.Nodes()[1]
-	if cap := int64(n1.Spec().Cores) * n1.Spec().MaxMHz; n1.used.freqMHz > cap {
-		t.Fatalf("target overcommitted: %d MHz used > %d capacity", n1.used.freqMHz, cap)
+	if cap := int64(n1.Spec().Cores) * n1.Spec().MaxMHz; n1.used.FreqMHz > cap {
+		t.Fatalf("target overcommitted: %d MHz used > %d capacity", n1.used.FreqMHz, cap)
 	}
 	// A failed node is excluded from admission…
 	if idx, err := c.Deploy("c", vm.Small(), busy(2)); err != nil {
@@ -85,16 +81,6 @@ func TestNodeFailureEvacuatesVMs(t *testing.T) {
 	for _, name := range []string{"a", "b", "c"} {
 		if c.Locate(name) == 0 {
 			t.Fatalf("%s placed back on the failed node", name)
-		}
-	}
-
-	// The evacuation surfaced in the recorded series.
-	if s := rec.Series("cluster_evacuated_vms"); s == nil || s.Sum() != 2 {
-		t.Fatalf("cluster_evacuated_vms series = %v", s)
-	}
-	for _, name := range []string{"cluster_overruns", "cluster_stranded_vms", "node0_overrun", "node1_overrun"} {
-		if rec.Series(name) == nil {
-			t.Fatalf("series %q not recorded", name)
 		}
 	}
 

@@ -6,7 +6,6 @@ import (
 
 	"vfreq/internal/core"
 	"vfreq/internal/host"
-	"vfreq/internal/trace"
 	"vfreq/internal/vm"
 	"vfreq/internal/workload"
 )
@@ -17,6 +16,10 @@ func TestHealthHealthyCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := c.Deploy("b", vm.Medium(), busy(4)); err != nil {
+		t.Fatal(err)
+	}
+	// One VM per node, so the aggregate has to sum every node.
+	if _, err := c.Migrate("b", 1-c.Locate("a")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -90,36 +93,9 @@ func TestStepIsolatesNodeDegradation(t *testing.T) {
 	}
 }
 
-func TestRecordHealthSeries(t *testing.T) {
-	c := twoNodeCluster(t)
-	if _, err := c.Deploy("a", vm.Small(), busy(2)); err != nil {
-		t.Fatal(err)
-	}
-	rec := trace.NewRecorder()
-	for i := 0; i < 3; i++ {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-		c.RecordHealth(rec, float64(i+1))
-	}
-	for _, name := range []string{
-		"cluster_degraded_vcpus", "cluster_faults", "cluster_failed_nodes",
-		"node0_degraded", "node1_degraded",
-	} {
-		s := rec.Series(name)
-		if s == nil || s.Len() != 3 {
-			t.Fatalf("series %q missing or short", name)
-		}
-		if s.Sum() != 0 {
-			t.Fatalf("series %q non-zero on healthy cluster", name)
-		}
-	}
-}
-
 // A persistently faulty VM trips its per-VM circuit breaker and the
-// quarantine surfaces in the cluster Health aggregate and the health
-// trace series; once the fault clears, the breaker drains and the
-// cluster reports fully healthy again.
+// quarantine surfaces in the cluster Health aggregate; once the fault
+// clears, the breaker drains and the cluster reports fully healthy again.
 func TestHealthSurfacesBreakerStates(t *testing.T) {
 	cfg := Config{Controller: core.DefaultConfig()}
 	cfg.Controller.HostRetries = 0
@@ -140,13 +116,11 @@ func TestHealthSurfacesBreakerStates(t *testing.T) {
 	}
 	boom := errors.New("cgroup vanished")
 	c.Nodes()[0].Machine.FailReads("machine-qemu-b.scope", boom, -1)
-	rec := trace.NewRecorder()
 	tripped := false
 	for i := 0; i < 2+1; i++ { // BreakerThreshold faulty steps, then the trip is visible
 		if err := c.Step(); err != nil {
 			t.Fatal(err)
 		}
-		c.RecordHealth(rec, float64(i))
 		if h := c.Health(); h.OpenVMs == 1 {
 			if h.BreakerTrips != 1 {
 				t.Fatalf("open VM without a counted trip: %+v", h)
@@ -157,9 +131,6 @@ func TestHealthSurfacesBreakerStates(t *testing.T) {
 	}
 	if !tripped {
 		t.Fatalf("breaker never opened: %+v", c.Health())
-	}
-	if s := rec.Series("cluster_open_vms"); s == nil {
-		t.Fatal("cluster_open_vms series missing")
 	}
 	// Clear the fault and step until the breaker drains: open window,
 	// half-open probes, then fully closed and healthy.
@@ -209,8 +180,8 @@ func TestResizeReflectsInControllerGuarantee(t *testing.T) {
 		t.Fatalf("controller tracks %d vCPUs, want 4", got)
 	}
 	// The bookkeeping used by admission follows too.
-	if got := n.used.freqMHz; got != 4*1200 {
-		t.Fatalf("used.freqMHz = %d, want 4800", got)
+	if got := n.used.FreqMHz; got != 4*1200 {
+		t.Fatalf("used.FreqMHz = %d, want 4800", got)
 	}
 	// Shrink back down.
 	if err := c.Resize("a", vm.Small(), nil); err != nil {

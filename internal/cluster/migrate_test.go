@@ -220,7 +220,7 @@ func TestMigrateRollbackOnTargetProvisionFailure(t *testing.T) {
 	if got := n0.used; got != used {
 		t.Fatalf("source bookkeeping changed: %v, want %v", got, used)
 	}
-	if n1.used != (load{}) || len(n1.deployed) != 0 {
+	if n1.used != (placement.Load{}) || len(n1.deployed) != 0 {
 		t.Fatalf("target bookkeeping dirtied: used=%+v deployed=%d", n1.used, len(n1.deployed))
 	}
 	if n1.Manager.Get("a") != nil {

@@ -8,6 +8,7 @@ import (
 	"vfreq/internal/host"
 	"vfreq/internal/metrics"
 	"vfreq/internal/placement"
+	"vfreq/internal/raceflag"
 	"vfreq/internal/vm"
 )
 
@@ -53,7 +54,7 @@ func buildScaleCluster(tb testing.TB, nodes, vmsPerNode, workers, warmup int) *C
 // Step — node stepping through the sim pseudo-file stack, error join,
 // Health aggregation and the failure pass — must not allocate.
 func TestClusterStepZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	for _, workers := range []int{1, 2} {

@@ -6,6 +6,7 @@ import (
 
 	"vfreq/internal/metrics"
 	"vfreq/internal/platform"
+	"vfreq/internal/raceflag"
 )
 
 // benchHost is a platform.Host whose steady-state read and write paths
@@ -99,7 +100,7 @@ func benchController(tb testing.TB, vms, vcpus, workers int) *Controller {
 // is stable (serial monitor; the worker pool spends a few goroutine
 // spawns when MonitorWorkers > 1).
 func TestStepZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	c := benchController(t, 20, 2, 1)
@@ -114,7 +115,7 @@ func TestStepZeroAlloc(t *testing.T) {
 }
 
 func TestMonitorStageZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	c := benchController(t, 20, 2, 1)
@@ -128,8 +129,35 @@ func TestMonitorStageZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestMonitorPoolAllocBound bounds what the monitor pool may spend per
+// Step on its per-Step goroutines: the monitor stage at 2 workers and a
+// whole steady Step at 4 (measured 6 and 8 on the 40 × 2 benchmark
+// shape; the bounds leave 25 %). Anything per-vCPU would blow through
+// them at 80 vCPUs.
+func TestMonitorPoolAllocBound(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c := benchController(t, 40, 2, 2)
+	var rep StepReport
+	if allocs := testing.AllocsPerRun(50, func() {
+		rep = StepReport{}
+		c.monitor(&rep)
+	}); allocs > 8 {
+		t.Fatalf("monitor stage at 2 workers allocates %.1f/op, want <= 8", allocs)
+	}
+	c = benchController(t, 40, 2, 4)
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := c.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 10 {
+		t.Fatalf("steady Step at 4 workers allocates %.1f/op, want <= 10", allocs)
+	}
+}
+
 func TestApplyStageZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	c := benchController(t, 20, 2, 1)
@@ -257,7 +285,7 @@ func TestStepSkipsCleanWrites(t *testing.T) {
 // collection into the reused entry buffer, the batch call, the outcome
 // resolution — allocates nothing even when every quota is dirty.
 func TestApplyStageBatchedZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	h := &batchBenchHost{benchHost: newBenchHost(20, 2)}

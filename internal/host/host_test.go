@@ -92,7 +92,7 @@ func TestThreadLifecycleAndWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu, err := procfs.ParseStatLastCPU(stat)
+	cpu, err := procfs.ParseStatLastCPUBytes([]byte(stat))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestThreadLifecycleAndWork(t *testing.T) {
 		t.Fatalf("stat cpu %d != LastCPU %d", cpu, th.LastCPU)
 	}
 	content, _ := m.FS.ReadFile(cgroupfs.DefaultMount + "/vm/cpu.stat")
-	usage, err := cgroupfs.ParseCPUStat(content, "usage_usec")
+	usage, err := cgroupfs.ParseCPUStatBytes([]byte(content), "usage_usec")
 	if err != nil || usage != 1_000_000 {
 		t.Fatalf("cgroup usage = %d, %v", usage, err)
 	}
@@ -184,7 +184,7 @@ func TestSysfsFrequencyVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	khz, err := sysfs.ParseKHz(content)
+	khz, err := sysfs.ParseKHzBytes([]byte(content))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,9 @@ package metrics
 
 import "testing"
 
-// BenchmarkMetricsRecord is the benchdiff-gated hot path (BENCH_9.json,
-// allocs/op must stay 0): one counter add, one gauge set and one
-// histogram observation — the per-stage record cost the controller pays
-// each step.
+// BenchmarkMetricsRecord times the hot path TestRecordZeroAlloc gates at
+// 0 allocs: one counter add, one gauge set and one histogram observation
+// — the per-stage record cost the controller pays each step.
 func BenchmarkMetricsRecord(b *testing.B) {
 	r := NewRegistry()
 	c := r.Counter("vfreq_bench_total", "h", Label{"stage", "apply"})

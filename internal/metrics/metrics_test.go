@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"vfreq/internal/raceflag"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -203,7 +205,7 @@ func TestConcurrentRecording(t *testing.T) {
 // TestRecordZeroAlloc gates the core contract directly: recording into
 // every instrument kind must not allocate.
 func TestRecordZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	r := NewRegistry()

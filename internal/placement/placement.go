@@ -99,81 +99,103 @@ func (p Policy) Validate() error {
 	return nil
 }
 
+// Load is a demand in the three quantities the admission constraint
+// sums: one VM's, a node's placed total, or (NodeSpec.Capacity) what an
+// empty node offers.
+type Load struct {
+	VCPUs    int
+	FreqMHz  int64 // Σ vCPU·F
+	MemoryGB int
+}
+
+// Load returns the VM's demand. (Pointer receivers here and on Capacity:
+// inlined into Fits, a value receiver copies the whole spec per call,
+// which doubled BenchmarkBestFitEq7Large.)
+func (v *VMSpec) Load() Load {
+	return Load{v.VCPUs, int64(v.VCPUs) * v.FreqMHz, v.MemoryGB}
+}
+
+// Capacity returns what the empty node offers, before any consolidation
+// factor: its cores, cores·F_MAX (the right side of Eq. 7) and memory.
+func (n *NodeSpec) Capacity() Load {
+	return Load{n.Cores, int64(n.Cores) * n.MaxFreqMHz, n.MemoryGB}
+}
+
+// Add returns l + o.
+func (l Load) Add(o Load) Load {
+	return Load{l.VCPUs + o.VCPUs, l.FreqMHz + o.FreqMHz, l.MemoryGB + o.MemoryGB}
+}
+
+// Sub returns l − o.
+func (l Load) Sub(o Load) Load {
+	return Load{l.VCPUs - o.VCPUs, l.FreqMHz - o.FreqMHz, l.MemoryGB - o.MemoryGB}
+}
+
+// CPU returns l's CPU term in the policy's unit: a vCPU count under
+// CoreCount, Σ vCPU·F in MHz (the two sides of Eq. 7) under
+// VirtualFrequency. For the integer demands and capacities in play the
+// float arithmetic is exact.
+func (p Policy) CPU(l Load) float64 {
+	if p.Mode == CoreCount {
+		return float64(l.VCPUs)
+	}
+	return float64(l.FreqMHz)
+}
+
+// Admits is the admission constraint, shared by the offline packer and
+// the cluster's online admission: whether a node of the given capacity
+// may carry the total load under the policy's CPU factor and memory
+// bound.
+func (p Policy) Admits(capacity, total Load) bool {
+	if p.Memory && total.MemoryGB > capacity.MemoryGB {
+		return false
+	}
+	return p.CPU(total) <= p.CPU(capacity)*p.Factor
+}
+
+// Headroom returns the free CPU capacity in the policy's unit, for the
+// BestFit/WorstFit choice: a load of CPU demand d passes the CPU half of
+// Admits exactly when d ≤ Headroom.
+func (p Policy) Headroom(capacity, used Load) float64 {
+	return p.CPU(capacity)*p.Factor - p.CPU(used)
+}
+
 // Node is a bin during placement.
 type Node struct {
 	Spec NodeSpec
 	VMs  []VMSpec
 
-	usedVCPUs int
-	usedFreq  int64 // Σ vCPU·F in MHz
-	usedMemGB int
-	coreFreq  []int64 // per-core Σ F when core splitting
+	used     Load
+	coreFreq []int64 // per-core Σ F when core splitting
 }
 
-// UsedVCPUs returns the number of placed vCPUs.
-func (n *Node) UsedVCPUs() int { return n.usedVCPUs }
-
-// UsedFreqMHz returns Σ vCPU·F of the placed VMs.
-func (n *Node) UsedFreqMHz() int64 { return n.usedFreq }
-
-// UsedMemoryGB returns the memory placed.
-func (n *Node) UsedMemoryGB() int { return n.usedMemGB }
-
-// capacity returns the CPU capacity in the policy's unit.
-func (n *Node) capacity(p Policy) float64 {
-	switch p.Mode {
-	case CoreCount:
-		return float64(n.Spec.Cores) * p.Factor
-	default:
-		return float64(n.Spec.Cores) * float64(n.Spec.MaxFreqMHz) * p.Factor
-	}
-}
-
-// used returns the consumed CPU capacity in the policy's unit.
-func (n *Node) used(p Policy) float64 {
-	switch p.Mode {
-	case CoreCount:
-		return float64(n.usedVCPUs)
-	default:
-		return float64(n.usedFreq)
-	}
-}
+// Used returns the total load of the placed VMs.
+func (n *Node) Used() Load { return n.used }
 
 // Remaining returns the free CPU capacity in the policy's unit.
-func (n *Node) Remaining(p Policy) float64 { return n.capacity(p) - n.used(p) }
+func (n *Node) Remaining(p Policy) float64 { return p.Headroom(n.Spec.Capacity(), n.used) }
 
 // Load returns the CPU load fraction under the policy.
 func (n *Node) Load(p Policy) float64 {
-	c := n.capacity(p)
+	c := p.Headroom(n.Spec.Capacity(), Load{}) // the empty node's: capacity × factor
 	if c == 0 {
 		return 0
 	}
-	return n.used(p) / c
+	return p.CPU(n.used) / c
 }
 
-// Fits reports whether v can be placed on n under p.
+// Fits reports whether v can be placed on n under p. Eq. 7 presumes every
+// vCPU's frequency is attainable on the node; CoreCount ignores
+// frequencies altogether.
 func (n *Node) Fits(v VMSpec, p Policy) bool {
-	switch p.Mode {
-	case CoreCount:
-		if float64(n.usedVCPUs+v.VCPUs) > float64(n.Spec.Cores)*p.Factor {
-			return false
-		}
-	case VirtualFrequency:
-		add := int64(v.VCPUs) * v.FreqMHz
-		if float64(n.usedFreq+add) > float64(n.Spec.Cores)*float64(n.Spec.MaxFreqMHz)*p.Factor {
-			return false
-		}
-		if v.FreqMHz > n.Spec.MaxFreqMHz {
-			return false // a vCPU cannot exceed the node's F_MAX
-		}
-		if p.CoreSplitting && !n.coreSplitFits(v) {
-			return false
-		}
-	}
-	if p.Memory && n.usedMemGB+v.MemoryGB > n.Spec.MemoryGB {
+	eq7 := p.Mode == VirtualFrequency
+	if eq7 && v.FreqMHz > n.Spec.MaxFreqMHz {
 		return false
 	}
-	return true
+	if !p.Admits(n.Spec.Capacity(), n.used.Add(v.Load())) {
+		return false
+	}
+	return !(eq7 && p.CoreSplitting) || n.coreSplitFits(v)
 }
 
 // coreSplitFits checks integral per-core feasibility with first-fit over
@@ -204,9 +226,7 @@ func (n *Node) coreSplitFits(v VMSpec) bool {
 // Place adds v to n. Callers must check Fits first.
 func (n *Node) Place(v VMSpec, p Policy) {
 	n.VMs = append(n.VMs, v)
-	n.usedVCPUs += v.VCPUs
-	n.usedFreq += int64(v.VCPUs) * v.FreqMHz
-	n.usedMemGB += v.MemoryGB
+	n.used = n.used.Add(v.Load())
 	if p.CoreSplitting {
 		if n.coreFreq == nil {
 			n.coreFreq = make([]int64, n.Spec.Cores)
@@ -374,8 +394,7 @@ func Place(alg Algorithm, nodes []NodeSpec, vms []VMSpec, p Policy) (*Result, er
 // stable so equal VMs keep their input order.
 func SortDecreasing(vms []VMSpec) {
 	sort.SliceStable(vms, func(i, j int) bool {
-		di := int64(vms[i].VCPUs) * vms[i].FreqMHz
-		dj := int64(vms[j].VCPUs) * vms[j].FreqMHz
+		di, dj := vms[i].Load().FreqMHz, vms[j].Load().FreqMHz
 		if di != dj {
 			return di > dj
 		}

@@ -86,8 +86,8 @@ func TestVirtualFrequencyConstraintEq7(t *testing.T) {
 	if n.Fits(v, p) {
 		t.Fatal("4th 1000 MHz vCPU accepted on a 3000 MHz core")
 	}
-	if n.UsedVCPUs() != 3 || n.UsedFreqMHz() != 3000 {
-		t.Fatalf("usage accounting wrong: %d vCPUs, %d MHz", n.UsedVCPUs(), n.UsedFreqMHz())
+	if u := n.Used(); u != (Load{VCPUs: 3, FreqMHz: 3000, MemoryGB: 3}) {
+		t.Fatalf("usage accounting wrong: %+v", u)
 	}
 }
 
@@ -327,15 +327,15 @@ func TestQuickPlacementInvariants(t *testing.T) {
 			placed += len(node.VMs)
 			switch p.Mode {
 			case CoreCount:
-				if node.UsedVCPUs() > node.Spec.Cores {
+				if node.Used().VCPUs > node.Spec.Cores {
 					return false
 				}
 			case VirtualFrequency:
-				if node.UsedFreqMHz() > int64(node.Spec.Cores)*node.Spec.MaxFreqMHz {
+				if node.Used().FreqMHz > int64(node.Spec.Cores)*node.Spec.MaxFreqMHz {
 					return false
 				}
 			}
-			if node.UsedMemoryGB() > node.Spec.MemoryGB {
+			if node.Used().MemoryGB > node.Spec.MemoryGB {
 				return false
 			}
 		}

@@ -296,7 +296,7 @@ func NewLinux(freqs map[string]int64) (*Linux, error) {
 	// F_MAX: use cpu0's scaling_max_freq; fall back to cpuinfo_max_freq.
 	for _, f := range []string{"cpu0/cpufreq/scaling_max_freq", "cpu0/cpufreq/cpuinfo_max_freq"} {
 		if b, err := os.ReadFile(filepath.Join(l.SysCPURoot, f)); err == nil {
-			if khz, err := sysfs.ParseKHz(string(b)); err == nil {
+			if khz, err := sysfs.ParseKHzBytes(b); err == nil {
 				l.MaxFreqMHz = khz / 1000
 				break
 			}

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"vfreq/internal/raceflag"
 )
 
 // TestLinuxCachedReadsSeeFreshContent: the kept-open descriptors pread at
@@ -123,7 +125,7 @@ func TestLinuxBatchSetMax(t *testing.T) {
 			t.Fatalf("vcpu%d cpu.max = %q, want %q", i, raw, want)
 		}
 	}
-	if raceEnabled {
+	if raceflag.Enabled {
 		return
 	}
 	allocs := testing.AllocsPerRun(20, func() {

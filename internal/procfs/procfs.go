@@ -152,27 +152,8 @@ func AppendStat(buf []byte, tid int, comm string, usageUs int64, lastCPU int) []
 	return append(buf, '\n')
 }
 
-// ParseStatLastCPU extracts the processor field from a stat line,
-// tolerating spaces inside the comm field the way real parsers must.
-func ParseStatLastCPU(line string) (int, error) {
-	close := strings.LastIndex(line, ")")
-	if close < 0 {
-		return 0, fmt.Errorf("procfs: malformed stat line %q", line)
-	}
-	rest := strings.Fields(strings.TrimSpace(line[close+1:]))
-	// rest[0] is field 3 (state); processor is field 39 → rest[36].
-	const idx = 36
-	if len(rest) <= idx {
-		return 0, fmt.Errorf("procfs: stat line too short (%d fields after comm)", len(rest))
-	}
-	cpu, err := strconv.Atoi(rest[idx])
-	if err != nil {
-		return 0, fmt.Errorf("procfs: bad processor field %q", rest[idx])
-	}
-	return cpu, nil
-}
-
-// ParseStatLastCPUBytes is ParseStatLastCPU for a raw read buffer; it
+// ParseStatLastCPUBytes extracts the processor field from a stat line,
+// tolerating spaces inside the comm field the way real parsers must. It
 // walks the fields in place instead of splitting, so the per-period
 // placement read allocates nothing.
 func ParseStatLastCPUBytes(line []byte) (int, error) {
@@ -218,18 +199,4 @@ func ParseStatLastCPUBytes(line []byte) (int, error) {
 
 func isSpace(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
-}
-
-// ParseStatUtimeTicks extracts the utime field (clock ticks).
-func ParseStatUtimeTicks(line string) (int64, error) {
-	close := strings.LastIndex(line, ")")
-	if close < 0 {
-		return 0, fmt.Errorf("procfs: malformed stat line %q", line)
-	}
-	rest := strings.Fields(strings.TrimSpace(line[close+1:]))
-	const idx = 11 // field 14 → rest[11]
-	if len(rest) <= idx {
-		return 0, fmt.Errorf("procfs: stat line too short")
-	}
-	return strconv.ParseInt(rest[idx], 10, 64)
 }

@@ -26,24 +26,26 @@ func TestRegisterAndRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu, err := ParseStatLastCPU(line)
+	cpu, err := ParseStatLastCPUBytes([]byte(line))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cpu != th.LastCPU {
 		t.Fatalf("parsed cpu %d, thread LastCPU %d", cpu, th.LastCPU)
 	}
-	ticks, err := ParseStatUtimeTicks(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 1 { // 10 ms = 1 tick at USER_HZ=100
-		t.Fatalf("utime ticks = %d, want 1", ticks)
+	if ticks := utimeField(line); ticks != "1" { // 10 ms = 1 tick at USER_HZ=100
+		t.Fatalf("utime ticks = %s, want 1", ticks)
 	}
 	comm, _ := fs.ReadFile(fmt.Sprintf("/proc/%d/comm", th.ID))
 	if comm != "CPU 0/KVM\n" {
 		t.Fatalf("comm = %q", comm)
 	}
+}
+
+// utimeField returns field 14 of a stat line: the 12th after the comm,
+// which may itself contain spaces and parentheses.
+func utimeField(line string) string {
+	return strings.Fields(line[strings.LastIndex(line, ")")+1:])[11]
 }
 
 func TestUnregister(t *testing.T) {
@@ -82,27 +84,27 @@ func TestFormatStatFieldCount(t *testing.T) {
 
 func TestParseHandlesSpacesInComm(t *testing.T) {
 	line := FormatStat(7, "CPU 0/KVM", 0, 5)
-	cpu, err := ParseStatLastCPU(line)
+	cpu, err := ParseStatLastCPUBytes([]byte(line))
 	if err != nil || cpu != 5 {
 		t.Fatalf("cpu = %d, %v", cpu, err)
 	}
 }
 
 func TestParseRejectsMalformed(t *testing.T) {
-	if _, err := ParseStatLastCPU("not a stat line"); err == nil {
-		t.Fatal("parsed garbage")
-	}
-	if _, err := ParseStatLastCPU("1 (x) R 0 0"); err == nil {
-		t.Fatal("parsed short line")
-	}
-	if _, err := ParseStatUtimeTicks("nope"); err == nil {
-		t.Fatal("utime parsed garbage")
+	for _, bad := range []string{
+		"not a stat line",
+		"1 (x) R 0 0",
+		strings.Replace(FormatStat(1, "x", 0, 3), " 3 ", " x ", 1), // non-numeric processor
+	} {
+		if _, err := ParseStatLastCPUBytes([]byte(bad)); err == nil {
+			t.Fatalf("parsed %q", bad)
+		}
 	}
 }
 
 func TestNegativeLastCPUReportedAsZero(t *testing.T) {
 	line := FormatStat(1, "x", 0, -1)
-	cpu, err := ParseStatLastCPU(line)
+	cpu, err := ParseStatLastCPUBytes([]byte(line))
 	if err != nil || cpu != 0 {
 		t.Fatalf("cpu = %d, %v; want 0", cpu, err)
 	}
@@ -116,29 +118,9 @@ func TestQuickStatRoundTrip(t *testing.T) {
 			comm = "x"
 		}
 		line := FormatStat(int(tid), comm+")", int64(usage), int(cpu))
-		got, err := ParseStatLastCPU(line)
-		if err != nil || got != int(cpu) {
-			return false
-		}
-		ticks, err := ParseStatUtimeTicks(line)
-		return err == nil && ticks == int64(usage)/10_000
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the byte-slice parser agrees with the string parser for any
-// comm string, including parentheses and spaces.
-func TestQuickStatBytesAgree(t *testing.T) {
-	f := func(tid uint16, comm string, usage uint32, cpu uint8) bool {
-		if strings.ContainsAny(comm, "\n") {
-			comm = "x"
-		}
-		line := FormatStat(int(tid), comm+")", int64(usage), int(cpu))
-		s, errS := ParseStatLastCPU(line)
-		b, errB := ParseStatLastCPUBytes([]byte(line))
-		return (errS == nil) == (errB == nil) && s == b
+		got, err := ParseStatLastCPUBytes([]byte(line))
+		return err == nil && got == int(cpu) &&
+			utimeField(line) == fmt.Sprint(int64(usage)/10_000)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

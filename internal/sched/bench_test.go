@@ -3,6 +3,8 @@ package sched
 import (
 	"fmt"
 	"testing"
+
+	"vfreq/internal/raceflag"
 )
 
 // benchTick measures one scheduler tick for a given topology.
@@ -78,7 +80,7 @@ func tableIINode() *Scheduler {
 // tick of the Table II shape — throttling, window rolls and all — does
 // not allocate.
 func TestTickZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	s := tableIINode()

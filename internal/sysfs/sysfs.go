@@ -70,17 +70,9 @@ func CurFreqPath(mount string, c int) string {
 	return fmt.Sprintf("%s/cpu%d/cpufreq/scaling_cur_freq", mount, c)
 }
 
-// ParseKHz parses a cpufreq value file into kHz.
-func ParseKHz(content string) (int64, error) {
-	v, err := strconv.ParseInt(strings.TrimSpace(content), 10, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("sysfs: bad frequency %q", content)
-	}
-	return v, nil
-}
-
-// ParseKHzBytes is ParseKHz for a raw read buffer; it allocates nothing,
-// for the per-period per-vCPU frequency read of the monitor stage.
+// ParseKHzBytes parses a cpufreq value file into kHz; it allocates
+// nothing, for the per-period per-vCPU frequency read of the monitor
+// stage.
 func ParseKHzBytes(content []byte) (int64, error) {
 	b := content
 	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\n' || b[0] == '\r') {

@@ -27,7 +27,7 @@ func TestMountAndRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	khz, err := ParseKHz(content)
+	khz, err := ParseKHzBytes([]byte(content))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestMountAndRead(t *testing.T) {
 	}
 	m.Update([]float64{1, 1, 1, 1})
 	content, _ = fs.ReadFile(CurFreqPath(Mount, 2))
-	khz, _ = ParseKHz(content)
+	khz, _ = ParseKHzBytes([]byte(content))
 	if khz != 2_400_000 {
 		t.Fatalf("loaded freq = %d kHz, want 2400000", khz)
 	}
@@ -52,11 +52,11 @@ func TestStaticFiles(t *testing.T) {
 		t.Fatalf("governor = %q", gov)
 	}
 	max, _ := fs.ReadFile(Mount + "/cpu0/cpufreq/scaling_max_freq")
-	if k, _ := ParseKHz(max); k != 3_100_000 {
+	if k, _ := ParseKHzBytes([]byte(max)); k != 3_100_000 {
 		t.Fatalf("scaling_max_freq = %q, want turbo 3100000", max)
 	}
 	min, _ := fs.ReadFile(Mount + "/cpu0/cpufreq/scaling_min_freq")
-	if k, _ := ParseKHz(min); k != 1_200_000 {
+	if k, _ := ParseKHzBytes([]byte(min)); k != 1_200_000 {
 		t.Fatalf("scaling_min_freq = %q", min)
 	}
 }
@@ -83,11 +83,11 @@ func TestOnlineFile(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	if _, err := ParseKHz("fast"); err == nil {
-		t.Fatal("ParseKHz accepted garbage")
+	if _, err := ParseKHzBytes([]byte("fast")); err == nil {
+		t.Fatal("ParseKHzBytes accepted garbage")
 	}
-	if _, err := ParseKHz("-3"); err == nil {
-		t.Fatal("ParseKHz accepted negative")
+	if _, err := ParseKHzBytes([]byte("-3")); err == nil {
+		t.Fatal("ParseKHzBytes accepted negative")
 	}
 	if _, err := ParseOnline("a-b"); err == nil {
 		t.Fatal("ParseOnline accepted garbage range")

@@ -65,15 +65,15 @@ func TestProvisionCreatesKVMLayout(t *testing.T) {
 	}
 	// Each vCPU cgroup holds exactly one thread.
 	content, _ := fs.ReadFile(base + "/vcpu0/cgroup.threads")
-	ids, err := cgroupfs.ParseTIDs(content)
-	if err != nil || len(ids) != 1 {
-		t.Fatalf("vcpu0 threads = %v, %v", ids, err)
+	tid, n, err := cgroupfs.ParseSingleTID([]byte(content))
+	if err != nil || n != 1 {
+		t.Fatalf("vcpu0 threads = %q, %v", content, err)
 	}
-	if ids[0] != inst.VCPUThread(0).ID {
+	if tid != inst.VCPUThread(0).ID {
 		t.Fatal("cgroup tid mismatch")
 	}
 	// /proc/<tid>/comm carries the KVM thread name.
-	comm, _ := fs.ReadFile(fmt.Sprintf("/proc/%d/comm", ids[0]))
+	comm, _ := fs.ReadFile(fmt.Sprintf("/proc/%d/comm", tid))
 	if comm != "CPU 0/KVM\n" {
 		t.Fatalf("comm = %q", comm)
 	}
