@@ -74,46 +74,39 @@ func BenchmarkFig1CgroupShares(b *testing.B) {
 }
 
 // Fig. 2 — the six-stage control loop: cost of one full Step on the
-// paper's Table II workload (the paper reports 5 ms on chetemi), swept
-// over monitor-pool sizes (workers=1 is the serial stage).
+// paper's Table II workload (the paper reports 5 ms on chetemi).
 func BenchmarkFig2ControllerStep(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			machine, err := host.New(host.Chetemi())
-			if err != nil {
-				b.Fatal(err)
-			}
-			mgr, err := vm.NewManager(machine)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 20; i++ {
-				if _, err := mgr.Provision(fmt.Sprintf("small-%02d", i), vm.Small(),
-					[]workload.Source{workload.Busy(), workload.Busy()}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for i := 0; i < 10; i++ {
-				srcs := []workload.Source{workload.Busy(), workload.Busy(), workload.Busy(), workload.Busy()}
-				if _, err := mgr.Provision(fmt.Sprintf("large-%02d", i), vm.Large(), srcs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			cfg := core.DefaultConfig()
-			cfg.MonitorWorkers = workers
-			ctrl, err := core.New(platform.NewSim(mgr), cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			machine.Advance(1_000_000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := ctrl.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	machine, err := host.New(host.Chetemi())
+	if err != nil {
+		b.Fatal(err)
+	}
+	mgr, err := vm.NewManager(machine)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := mgr.Provision(fmt.Sprintf("small-%02d", i), vm.Small(),
+			[]workload.Source{workload.Busy(), workload.Busy()}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		srcs := []workload.Source{workload.Busy(), workload.Busy(), workload.Busy(), workload.Busy()}
+		if _, err := mgr.Provision(fmt.Sprintf("large-%02d", i), vm.Large(), srcs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctrl, err := core.New(platform.NewSim(mgr), core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	machine.Advance(1_000_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ctrl.Step(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"vfreq/internal/chaos"
-	"vfreq/internal/core"
 	"vfreq/internal/experiments"
 	"vfreq/internal/host"
 	"vfreq/internal/metrics"
@@ -34,16 +33,13 @@ import (
 )
 
 // metricsReg collects the run's controller/cluster series; every
-// experiment built through withWorkers (and the dynamic/chaos runners)
+// experiment built through withMetrics (and the dynamic/chaos runners)
 // is armed on it. Served at -metrics-addr and dumped by -metrics-dump.
 var metricsReg = metrics.NewRegistry()
 
-// Concurrency knobs (flags): results are identical at any setting, only
-// wall-clock moves.
-var (
-	monitorWorkers int
-	stepWorkers    int
-)
+// stepWorkers is the one concurrency knob (flag): results are identical
+// at any setting, only wall-clock moves.
+var stepWorkers int
 
 // Chaos soak knobs (flags), used by the "chaos" artefact only.
 var (
@@ -59,8 +55,6 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "time scale of the simulation (1 = the paper's full durations)")
 	csv := flag.Bool("csv", false, "print raw series as CSV instead of charts")
 	width := flag.Int("width", 72, "chart width")
-	flag.IntVar(&monitorWorkers, "monitor-workers", -1,
-		"monitor read-pool size (0 = GOMAXPROCS, 1 = serial; -1 keeps the default)")
 	flag.IntVar(&stepWorkers, "step-workers", -1,
 		"cluster step worker-pool size for the dynamic experiment (0 = GOMAXPROCS, 1 = serial; -1 keeps the serial default)")
 	flag.IntVar(&rebalanceEvery, "rebalance-every", 0,
@@ -93,14 +87,8 @@ func main() {
 	}
 }
 
-// withWorkers applies the -monitor-workers override to an experiment.
-func withWorkers(e experiments.FreqExperiment) experiments.FreqExperiment {
-	if monitorWorkers >= 0 {
-		if e.Config.PeriodUs == 0 {
-			e.Config = core.DefaultConfig()
-		}
-		e.Config.MonitorWorkers = monitorWorkers
-	}
+// withMetrics arms an experiment on the run's registry.
+func withMetrics(e experiments.FreqExperiment) experiments.FreqExperiment {
 	e.Metrics = metricsReg
 	return e
 }
@@ -257,7 +245,7 @@ func classTable(title string, classes []experiments.Class) error {
 }
 
 func freqFigure(title string, e experiments.FreqExperiment, scale float64, csv bool, width int) error {
-	e = withWorkers(e)
+	e = withMetrics(e)
 	res, err := experiments.Scale(e, scale).Run()
 	if err != nil {
 		return err
@@ -296,7 +284,7 @@ func freqFigure(title string, e experiments.FreqExperiment, scale float64, csv b
 }
 
 func efficiencyFigure(title string, a, b experiments.FreqExperiment, scale float64) error {
-	a, b = withWorkers(a), withWorkers(b)
+	a, b = withMetrics(a), withMetrics(b)
 	resA, err := experiments.Scale(a, scale).Run()
 	if err != nil {
 		return err
@@ -458,7 +446,7 @@ func chaosSoak() error {
 }
 
 func overhead(scale float64) error {
-	res, err := experiments.Scale(withWorkers(experiments.Fig7()), scale).Run()
+	res, err := experiments.Scale(withMetrics(experiments.Fig7()), scale).Run()
 	if err != nil {
 		return err
 	}

@@ -44,10 +44,6 @@ var goldenScenarios = []struct {
 			Seed:      7,
 			FaultRate: 0.1,
 			FaultSeed: 7,
-			// A rate plan replays from its seed only under a serial
-			// monitor: pool workers would draw from the injector's one
-			// generator in scheduling order.
-			MonitorWorkers: 1,
 			VMs: []ScenarioVM{
 				{Name: "web", VCPUs: 2, FreqMHz: 500, MemoryGB: 2, Workload: "bursty:10:0.4"},
 				{Name: "batch", VCPUs: 4, FreqMHz: 1800, MemoryGB: 8, Workload: "busy"},

@@ -91,9 +91,6 @@ type Scenario struct {
 	// HostRetries overrides the in-step retry budget for failing host
 	// reads/writes (-1 disables retrying; 0 keeps the default).
 	HostRetries int `json:"host_retries,omitempty"`
-	// MonitorWorkers sizes the monitor stage's read pool (0 =
-	// GOMAXPROCS, 1 = serial). The -monitor-workers flag overrides it.
-	MonitorWorkers int `json:"monitor_workers,omitempty"`
 
 	// Robustness knobs (zero values keep the features off, matching
 	// core.DefaultConfig). CallBudgetUs bounds each host call;
@@ -115,8 +112,7 @@ type Scenario struct {
 	// CoreFreqMHz) plus SetMax; seed 0 means 1. See the controller's
 	// degradation columns in the CSV for the effect. The rates draw
 	// from one seeded generator in call order, so a run replays from
-	// FaultSeed only with MonitorWorkers = 1; a monitor pool interleaves
-	// the draws in scheduling order.
+	// FaultSeed.
 	FaultRate      float64  `json:"fault_rate,omitempty"`
 	FaultDelayRate float64  `json:"fault_delay_rate,omitempty"`
 	FaultDelayUs   int64    `json:"fault_delay_us,omitempty"`
@@ -161,8 +157,6 @@ func main() {
 	resume := flag.Bool("resume", false, "restore controller state from -checkpoint before the first period")
 	example := flag.Bool("example", false, "print an example scenario and exit")
 	linux := flag.Bool("linux", false, "drive the real host via cgroup v2 instead of the simulator")
-	monitorWorkers := flag.Int("monitor-workers", -1,
-		"monitor read-pool size (0 = GOMAXPROCS, 1 = serial; -1 defers to the scenario)")
 	stepWorkers := flag.Int("step-workers", -1,
 		"cluster step worker-pool size (0 = GOMAXPROCS, 1 = serial; -1 defers to the scenario; needs nodes >= 2)")
 	rebalanceEvery := flag.Int("rebalance-every", -1,
@@ -213,9 +207,6 @@ func main() {
 		stepWorkers: *stepWorkers, rebalanceEvery: *rebalanceEvery,
 	}); err != nil {
 		fatal(err)
-	}
-	if *monitorWorkers >= 0 {
-		sc.MonitorWorkers = *monitorWorkers
 	}
 	if *stepWorkers >= 0 {
 		sc.StepWorkers = *stepWorkers
@@ -466,7 +457,6 @@ func controllerConfig(sc Scenario) core.Config {
 	} else if sc.HostRetries < 0 {
 		cfg.HostRetries = 0
 	}
-	cfg.MonitorWorkers = sc.MonitorWorkers
 	cfg.ControlEnabled = sc.Control
 	if sc.CallBudgetUs > 0 {
 		cfg.CallBudgetUs = sc.CallBudgetUs

@@ -25,7 +25,7 @@ func TestExampleScenarioParses(t *testing.T) {
 // A scenario naming a knob that does not exist — removed, or misspelt —
 // must be refused with the field named, not run under other settings.
 func TestScenarioRejectsUnknownFields(t *testing.T) {
-	for _, field := range []string{"auction_shards", "estimate_shards", "monitor_worker"} {
+	for _, field := range []string{"auction_shards", "estimate_shards", "monitor_workers"} {
 		raw := fmt.Sprintf(`{"node": "chetemi", "duration_s": 5, %q: 4, "vms": []}`, field)
 		_, err := parseScenario([]byte(raw))
 		if err == nil || !strings.Contains(err.Error(), field) {
@@ -59,7 +59,7 @@ func TestValidateMode(t *testing.T) {
 			with(func(f *modeFlags) { f.csv, f.snapshot, f.checkpoint = "o.csv", "s.json", "c.json" }), nil},
 		{"cluster accepts its knobs and -csv", Scenario{Nodes: 2, StepWorkers: 2, RebalanceEvery: 5},
 			with(func(f *modeFlags) { f.csv, f.stepWorkers, f.rebalanceEvery = "o.csv", 0, 0 }), nil},
-		{"linux accepts -checkpoint", Scenario{MonitorWorkers: 1},
+		{"linux accepts -checkpoint", Scenario{HostRetries: 2},
 			with(func(f *modeFlags) { f.linux, f.checkpoint = true, "c.json" }), nil},
 
 		{"linux cluster", Scenario{Nodes: 2}, linux, []string{"nodes", "-linux"}},

@@ -94,13 +94,11 @@ func (r Result) String() string {
 const soakPeriodUs = 100_000
 
 // soakConfig is the controller tuning under soak: the full robustness
-// layer armed, with a single monitor worker so the whole run is
-// deterministic from the seed.
+// layer armed.
 func soakConfig(seed int64) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.PeriodUs = soakPeriodUs
 	cfg.CgroupPeriodUs = soakPeriodUs
-	cfg.MonitorWorkers = 1
 	cfg.HostRetries = 1
 	cfg.RecoverySteps = 2
 	cfg.BreakerThreshold = 3

@@ -15,7 +15,7 @@ import (
 // buildScaleCluster boots nodes 8-core sim machines and spreads
 // vmsPerNode small VMs on each via WorstFit (which round-robins across
 // equal nodes), then warms the cluster with a few steps so the scratch
-// buffers, worker pool and sync.Pool read buffers reach steady state.
+// buffers, worker pool and per-host read buffers reach steady state.
 func buildScaleCluster(tb testing.TB, nodes, vmsPerNode, workers, warmup int) *Cluster {
 	tb.Helper()
 	spec := host.Chetemi()

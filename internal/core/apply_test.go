@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"vfreq/internal/platform"
@@ -30,6 +31,17 @@ func (b *batchHost) BatchSetMax(vm string, quotas []platform.VCPUQuota) error {
 }
 
 var _ platform.BatchQuotaWriter = (*batchHost)(nil)
+
+// reportSummary renders the deterministic part of a StepReport (i.e.
+// everything except wall-clock timings).
+func reportSummary(rep StepReport) string {
+	s := fmt.Sprintf("%s retries=%d recovered=%d dropped=%d", rep.String(),
+		rep.Retries, rep.Recovered, rep.FaultsDropped)
+	for _, f := range rep.Faults {
+		s += "\n  " + f.Error()
+	}
+	return s
+}
 
 // steadyState steps a controller with a constant per-vCPU consumption
 // until the caps converge (the stable estimator branch recalibrates to

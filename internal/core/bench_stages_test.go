@@ -46,9 +46,6 @@ func newBenchHost(vms, vcpus int) *benchHost {
 func (h *benchHost) Node() platform.NodeInfo             { return h.node }
 func (h *benchHost) ListVMs() ([]platform.VMInfo, error) { return h.infos, nil }
 
-// UsageUs is called concurrently by monitor workers, but always for
-// distinct flat indices (one worker owns one vCPU's reads), so the
-// element writes don't race.
 func (h *benchHost) UsageUs(vm string, j int) (int64, error) {
 	i := h.base[vm] + j
 	h.usage[i] += h.burn
@@ -66,10 +63,9 @@ func (h *benchHost) CoreFreqMHz(core int) (int64, error)      { return 2000, nil
 
 // benchController builds a controller over a benchHost and steps it past
 // warm-up so histories are full and the vCPU set is stable.
-func benchController(tb testing.TB, vms, vcpus, workers int) *Controller {
+func benchController(tb testing.TB, vms, vcpus int) *Controller {
 	tb.Helper()
 	cfg := DefaultConfig()
-	cfg.MonitorWorkers = workers
 	// The robustness layer runs armed in every benchmark and zero-alloc
 	// gate: per-call budget timing, backoff configuration and per-VM
 	// circuit breakers must all cost zero steady-state allocations (the
@@ -97,13 +93,12 @@ func benchController(tb testing.TB, vms, vcpus, workers int) *Controller {
 // TestStepZeroAlloc asserts the whole steady-state Step — sync, monitor,
 // estimate, enforce, auction, distribute, apply and the recovery
 // accounting — runs without a single heap allocation once the vCPU set
-// is stable (serial monitor; the worker pool spends a few goroutine
-// spawns when MonitorWorkers > 1).
+// is stable.
 func TestStepZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	c := benchController(t, 20, 2, 1)
+	c := benchController(t, 20, 2)
 	allocs := testing.AllocsPerRun(50, func() {
 		if err := c.Step(); err != nil {
 			t.Fatal(err)
@@ -118,7 +113,7 @@ func TestMonitorStageZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	c := benchController(t, 20, 2, 1)
+	c := benchController(t, 20, 2)
 	var rep StepReport
 	allocs := testing.AllocsPerRun(50, func() {
 		rep = StepReport{}
@@ -129,38 +124,11 @@ func TestMonitorStageZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMonitorPoolAllocBound bounds what the monitor pool may spend per
-// Step on its per-Step goroutines: the monitor stage at 2 workers and a
-// whole steady Step at 4 (measured 6 and 8 on the 40 × 2 benchmark
-// shape; the bounds leave 25 %). Anything per-vCPU would blow through
-// them at 80 vCPUs.
-func TestMonitorPoolAllocBound(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	c := benchController(t, 40, 2, 2)
-	var rep StepReport
-	if allocs := testing.AllocsPerRun(50, func() {
-		rep = StepReport{}
-		c.monitor(&rep)
-	}); allocs > 8 {
-		t.Fatalf("monitor stage at 2 workers allocates %.1f/op, want <= 8", allocs)
-	}
-	c = benchController(t, 40, 2, 4)
-	if allocs := testing.AllocsPerRun(50, func() {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 10 {
-		t.Fatalf("steady Step at 4 workers allocates %.1f/op, want <= 10", allocs)
-	}
-}
-
 func TestApplyStageZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	c := benchController(t, 20, 2, 1)
+	c := benchController(t, 20, 2)
 	var rep StepReport
 	allocs := testing.AllocsPerRun(50, func() {
 		rep = StepReport{}
@@ -171,29 +139,24 @@ func TestApplyStageZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkMonitorStage measures stage 1 alone across worker counts (the
-// benchHost reads are pure memory, so workers > 1 shows pool overhead
-// here and pays off only on hosts with real I/O latency).
+// BenchmarkMonitorStage measures stage 1 alone (the benchHost reads are
+// pure memory: this is the controller's share of the stage).
 func BenchmarkMonitorStage(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			c := benchController(b, 40, 2, workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var rep StepReport
-			for i := 0; i < b.N; i++ {
-				rep = StepReport{}
-				c.monitor(&rep)
-			}
-			_ = rep
-		})
+	c := benchController(b, 40, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rep StepReport
+	for i := 0; i < b.N; i++ {
+		rep = StepReport{}
+		c.monitor(&rep)
 	}
+	_ = rep
 }
 
 // BenchmarkApplyStage measures stage 6 alone in the steady state: quota
 // computation and the dirty check for every vCPU, all clean, no write.
 func BenchmarkApplyStage(b *testing.B) {
-	c := benchController(b, 40, 2, 1)
+	c := benchController(b, 40, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var rep StepReport
@@ -208,7 +171,7 @@ func BenchmarkApplyStage(b *testing.B) {
 // 80 buyers. Wallets are sized below demand so the windowed rounds run
 // until the wallets are empty.
 func BenchmarkAuction(b *testing.B) {
-	c := benchController(b, 40, 2, 1)
+	c := benchController(b, 40, 2)
 	vms := c.VMs()
 	reset := func() int64 {
 		var market int64 = 40 * 1_000_000
@@ -233,17 +196,13 @@ func BenchmarkAuction(b *testing.B) {
 // BenchmarkSteadyStep measures the full six-stage Step on the zero-alloc
 // host — the controller's own cost with the platform out of the picture.
 func BenchmarkSteadyStep(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			c := benchController(b, 40, 2, workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	c := benchController(b, 40, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Step(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -268,7 +227,7 @@ func (h *batchBenchHost) BatchSetMax(vm string, quotas []platform.VCPUQuota) err
 // the benchHost consumption is constant, so once the estimates settle a
 // full Step must issue zero SetMax calls.
 func TestStepSkipsCleanWrites(t *testing.T) {
-	c := benchController(t, 20, 2, 1)
+	c := benchController(t, 20, 2)
 	h := c.host.(*benchHost)
 	sets := h.sets
 	for i := 0; i < 5; i++ {
@@ -289,9 +248,7 @@ func TestApplyStageBatchedZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	h := &batchBenchHost{benchHost: newBenchHost(20, 2)}
-	cfg := DefaultConfig()
-	cfg.MonitorWorkers = 1
-	c, err := New(h, cfg)
+	c, err := New(h, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +283,7 @@ func TestApplyStageBatchedZeroAlloc(t *testing.T) {
 // BenchmarkEstimateEnforce measures stages 2–3 plus the Eq. 6 market sum
 // on the 40-core host.
 func BenchmarkEstimateEnforce(b *testing.B) {
-	c := benchController(b, 40, 2, 1)
+	c := benchController(b, 40, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -341,9 +298,7 @@ func BenchmarkEstimateEnforce(b *testing.B) {
 // what BenchmarkApplyStage measures.
 func BenchmarkApplyStageBatched(b *testing.B) {
 	h := &batchBenchHost{benchHost: newBenchHost(40, 2)}
-	cfg := DefaultConfig()
-	cfg.MonitorWorkers = 1
-	c, err := New(h, cfg)
+	c, err := New(h, DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -39,10 +39,8 @@ func (c *Controller) budgeted(t0 time.Time, err error) error {
 }
 
 // splitmix64 is the SplitMix64 mixer: a stateless hash good enough for
-// jitter. Hashing (seed + sequence) instead of sharing a rand.Rand keeps
-// the backoff race-free across concurrent monitor workers without a
-// lock, and keeps the jitter sequence independent of which worker drew
-// which retry.
+// jitter. Hashing (seed + sequence) needs no generator state beyond
+// the draw counter.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -74,10 +72,11 @@ func (c *Controller) backoffDelay(attempt int) time.Duration {
 		d = max
 	}
 	// Jitter into [d/2, d]; the sequence counter makes every draw
-	// distinct even when workers retry concurrently.
+	// distinct.
 	half := d / 2
 	span := uint64(d - half + 1)
-	j := half + int64(splitmix64(uint64(c.cfg.Seed)+c.backoffSeq.Add(1))%span)
+	c.backoffSeq++
+	j := half + int64(splitmix64(uint64(c.cfg.Seed)+c.backoffSeq)%span)
 	dur := time.Duration(j) * time.Microsecond
 	if rem := c.stepBudgetLeft(); dur > rem {
 		dur = rem
@@ -98,8 +97,8 @@ func (c *Controller) stepBudgetLeft() time.Duration {
 	return rem
 }
 
-// backoffSleep blocks the calling goroutine for the attempt's jittered
-// delay. Safe to call from concurrent monitor workers.
+// backoffSleep blocks the stepping goroutine for the attempt's jittered
+// delay.
 func (c *Controller) backoffSleep(attempt int) {
 	if d := c.backoffDelay(attempt); d > 0 {
 		time.Sleep(d)

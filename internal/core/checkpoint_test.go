@@ -465,36 +465,41 @@ func TestRecoveryStepsHoldFailureCounter(t *testing.T) {
 	}
 }
 
-// panicHost crashes one host call to exercise the step watchdog.
+// panicHost crashes the usage read of one VM to exercise the step
+// watchdog.
 type panicHost struct {
 	*fakeHost
-	panicNow bool
+	panicVM string
 }
 
-func (p *panicHost) CoreFreqMHz(core int) (int64, error) {
-	if p.panicNow {
-		panic("corrupted freq table")
+func (p *panicHost) UsageUs(vm string, j int) (int64, error) {
+	if vm == p.panicVM {
+		panic("corrupted cpu.stat")
 	}
-	return p.fakeHost.CoreFreqMHz(core)
+	return p.fakeHost.UsageUs(vm, j)
 }
 
+// TestStepRecoversFromPanic panics on the second VM's read, after the
+// first VM's vCPUs are already committed: the watchdog must degrade and
+// write through those too.
 func TestStepRecoversFromPanic(t *testing.T) {
 	h := &panicHost{fakeHost: newFakeHost()}
 	h.addVM("a", 2, 500)
-	c := mustController(t, h, DefaultConfig())
-	if err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
+	h.addVM("b", 2, 500)
+	cfg := DefaultConfig()
+	c := mustController(t, h, cfg)
+	vms := map[string]int{"a": 2, "b": 2}
+	const u = 600_000
+	steadyState(t, c, h.fakeHost, vms, u, 8)
+	steps := c.Steps()
 
-	h.panicNow = true
-	if err := c.Step(); err != nil {
-		t.Fatalf("panicked step returned error %v, want recovered nil", err)
-	}
+	h.panicVM = "b"
+	steadyState(t, c, h.fakeHost, vms, u, 1) // fails the test unless the panic is recovered
 	rep := c.LastReport()
 	if !rep.Panicked {
 		t.Fatal("Panicked not set")
 	}
-	if rep.DegradedVCPUs != 2 || rep.HealthyVCPUs != 0 {
+	if rep.DegradedVCPUs != 4 || rep.HealthyVCPUs != 0 {
 		t.Fatalf("report after panic: %s", rep.String())
 	}
 	if rep.FaultCount() == 0 || rep.Faults[0].Op != "panic" {
@@ -503,18 +508,38 @@ func TestStepRecoversFromPanic(t *testing.T) {
 	if !strings.Contains(rep.String(), "panicked") {
 		t.Fatalf("report string hides the panic: %s", rep.String())
 	}
-	if c.Steps() != 2 {
-		t.Fatalf("Steps = %d, want 2 (panicked step still completes)", c.Steps())
+	if c.Steps() != steps+1 {
+		t.Fatalf("Steps = %d, want %d (panicked step still completes)", c.Steps(), steps+1)
+	}
+	for _, st := range c.VMs() {
+		for _, v := range st.VCPUs {
+			if v.appliedQuotaOK || v.appliedBurstOK {
+				t.Fatalf("%s/%d keeps its applied-quota cache across a panicked step", v.VM, v.Index)
+			}
+		}
 	}
 
-	// The next clean step recovers every vCPU.
-	h.panicNow = false
-	if err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
+	// The next clean step recovers every vCPU and writes every quota
+	// through; b's delta spans the panicked period and is clamped.
+	h.panicVM = ""
+	writes := h.applied
+	steadyState(t, c, h.fakeHost, vms, u, 1)
 	rep = c.LastReport()
-	if rep.Panicked || rep.DegradedVCPUs != 0 || rep.Recovered != 2 {
+	if rep.Panicked || rep.DegradedVCPUs != 0 || rep.Recovered != 4 {
 		t.Fatalf("recovery step report: %s (Recovered=%d)", rep.String(), rep.Recovered)
+	}
+	if got := h.applied - writes; got != 4 {
+		t.Fatalf("recovery step wrote %d quotas, want all 4", got)
+	}
+	for _, st := range c.VMs() {
+		for _, v := range st.VCPUs {
+			if v.LastU > cfg.PeriodUs {
+				t.Fatalf("%s/%d LastU = %d above the period", v.VM, v.Index, v.LastU)
+			}
+		}
+	}
+	if got := c.VM("b").VCPUs[0].LastU; got != cfg.PeriodUs {
+		t.Fatalf("b/0 LastU = %d, want the two-period delta clamped to %d", got, cfg.PeriodUs)
 	}
 }
 

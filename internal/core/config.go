@@ -90,18 +90,7 @@ type Config struct {
 	// overrunning (Overrun in the StepReport, with skipped-period
 	// accounting). 0 disables the deadline.
 	StepDeadlineFrac float64
-	// MonitorWorkers bounds the worker pool that fans the per-vCPU
-	// monitor reads (cpu.stat, cgroup.threads, /proc/<tid>/stat,
-	// scaling_cur_freq) across goroutines. Against real cgroupfs and
-	// procfs the reads are I/O-bound syscalls, and overlapping them is
-	// what keeps one Step inside the paper's ~5 ms budget as the vCPU
-	// count grows. On the simulator a read is a memory lookup and the
-	// pool only costs: on 2 CPUs BenchmarkMonitorStage reads 38–43 µs
-	// at one worker against 47–53 µs at two, and the benchmark README
-	// records the serial stage ≈ 20 % ahead. Workers only read; the
-	// results are committed sequentially in registration order, so
-	// every computed cap, credit and degradation record is identical to
-	// the serial stage. 0 means GOMAXPROCS; 1 runs the stage serially.
+	// Deprecated: ignored — the monitor stage is serial; kept only until benchmark/ stops assigning it.
 	MonitorWorkers int
 	// CallBudgetUs is the deadline of every host call, in microseconds:
 	// a call that succeeds but takes longer than this is treated as
@@ -162,7 +151,6 @@ func DefaultConfig() Config {
 		HostRetries:      1,
 		RecoverySteps:    1,
 		StepDeadlineFrac: 0.5,
-		MonitorWorkers:   0, // auto: GOMAXPROCS
 	}
 }
 
@@ -215,9 +203,6 @@ func (c Config) Validate() error {
 	}
 	if c.StepDeadlineFrac < 0 || c.StepDeadlineFrac > 1 {
 		return fmt.Errorf("core: step deadline fraction %g outside [0, 1]", c.StepDeadlineFrac)
-	}
-	if c.MonitorWorkers < 0 || c.MonitorWorkers > 4096 {
-		return fmt.Errorf("core: monitor workers %d outside [0, 4096]", c.MonitorWorkers)
 	}
 	if c.CallBudgetUs < 0 {
 		return fmt.Errorf("core: call budget must be non-negative")

@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"vfreq/internal/platform"
@@ -129,18 +126,15 @@ type Controller struct {
 	// set at the top of runStages, they bound every retry-backoff sleep
 	// so backoff can never push the Step past its watchdog. Outside a
 	// Step (construction, restore) the window is closed and backoff
-	// does not sleep. backoffSeq numbers the jitter draws; an atomic so
-	// concurrent monitor workers never contend or race on it.
+	// does not sleep. backoffSeq numbers the jitter draws.
 	stepT0     time.Time
 	stepBudget time.Duration
-	backoffSeq atomic.Uint64
+	backoffSeq uint64
 
 	// Reused per-Step scratch, so the steady-state control loop runs
-	// without heap allocations: the monitor read slots, the sync-stage
-	// seen set, the auction/distribution buyer list and the
-	// batched-apply entry buffer all keep their backing storage across
-	// Steps.
-	monSlots  []monitorSlot
+	// without heap allocations: the sync-stage seen set, the
+	// auction/distribution buyer list and the batched-apply entry buffer
+	// all keep their backing storage across Steps.
 	seen      map[string]bool
 	buyersBuf []*VCPUState
 	batchBuf  []platform.VCPUQuota
@@ -226,9 +220,7 @@ func (op hostOp) String() string { return hostOpNames[op] }
 // loop resumes at attempt 1, and with no attempt left — or a prior
 // ErrCallBudget — prior itself comes back.
 //
-// hostCall takes no closure and allocates nothing; it touches only the
-// host and the atomic backoff sequence, so monitor workers call it
-// concurrently.
+// hostCall takes no closure and allocates nothing.
 func (c *Controller) hostCall(op hostOp, vm string, i int, x, y int64, prior error) (val int64, retried bool, err error) {
 	attempt := 0
 	if err = prior; err != nil {
@@ -591,40 +583,15 @@ func (c *Controller) runStages(rep *StepReport, t0 time.Time) (err error) {
 	return nil
 }
 
-// monitorSlot carries one vCPU's raw host readings from the (possibly
-// concurrent) read pass of the monitor stage to its sequential commit
-// pass. Each worker owns exactly the slots it was handed, so the slots
-// need no locking.
-type monitorSlot struct {
-	v       *VCPUState
-	usage   int64
-	freq    int64
-	tid     int
-	core    int
-	retries int
-	op      hostOp
-	err     error
-}
-
 // monitor implements stage 1: read consumption deltas, thread placement
 // and core frequencies, and derive each vCPU's virtual frequency
 // estimate. The thread location is read once per iteration, as discussed
 // in §III-B1 of the paper.
 //
-// The stage is split in two passes. The read pass performs the four host
-// reads per vCPU and may fan out across Config.MonitorWorkers goroutines
-// (the reads are I/O-bound syscalls on a real host, so this is where the
-// paper's 4-of-5 ms monitoring budget goes). The commit pass then applies
-// the readings to the controller state strictly in registration order on
-// the stepping goroutine, so histories, degradation accounting and report
-// contents are bit-identical no matter how the reads were scheduled.
-//
-// The reads of one vCPU commit atomically: when any of them fails (after
-// the configured retries) the vCPU keeps its previous bookkeeping and is
-// marked degraded for this Step, so a later successful read observes one
-// consistent cumulative delta instead of a half-updated state.
+// One loop on the stepping goroutine, in registration order: a vCPU's
+// four host reads, then its commit, then the next vCPU — the paper's
+// serial monitor, which is where 4 of its 5 ms per period go.
 func (c *Controller) monitor(rep *StepReport) {
-	slots := c.monSlots[:0]
 	for _, name := range c.order {
 		st := c.vms[name]
 		if st.Breaker.State == BreakerOpen {
@@ -634,109 +601,75 @@ func (c *Controller) monitor(rep *StepReport) {
 			continue
 		}
 		for _, v := range st.VCPUs {
-			slots = append(slots, monitorSlot{v: v})
+			c.monitorVCPU(rep, v)
 		}
 	}
-	c.monSlots = slots
+}
 
-	workers := c.cfg.MonitorWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// monitorVCPU reads one vCPU and commits the readings. The reads of one
+// vCPU commit atomically: when any of them fails (after the configured
+// retries) the vCPU keeps its previous bookkeeping and is marked degraded
+// for this Step, so a later successful read observes one consistent
+// cumulative delta instead of a half-updated state.
+func (c *Controller) monitorVCPU(rep *StepReport, v *VCPUState) {
+	usage, ok := c.read(rep, v, opUsage, v.VM, v.Index)
+	if !ok {
+		return
 	}
-	if workers > len(slots) {
-		workers = len(slots)
+	tid, ok := c.read(rep, v, opTID, v.VM, v.Index)
+	if !ok {
+		return
 	}
-	if workers <= 1 {
-		for i := range slots {
-			c.readVCPU(&slots[i])
-		}
+	core, ok := c.read(rep, v, opLastCPU, "", int(tid))
+	if !ok {
+		return
+	}
+	freq, ok := c.read(rep, v, opFreq, "", int(core))
+	if !ok {
+		return
+	}
+	// FailedSteps holds until enough clean Steps pass; the recovery
+	// accounting runs at the end of Step, after apply had its chance to
+	// degrade the vCPU again.
+	v.Degraded = false
+
+	if v.warm {
+		// Registered this step: the delta against the registration
+		// reading spans no time yet.
+		v.PrevUsageUs = usage
+		v.warm = false
 	} else {
-		// A separate method keeps the goroutine closure out of this
-		// function, so the serial path stays allocation-free (a closure
-		// capturing slots would force the slice header to the heap).
-		c.readParallel(slots, workers)
+		u := usage - v.PrevUsageUs
+		if u < 0 {
+			u = 0 // counter reset (VM restart)
+			// The restart rebuilt the cgroup with an unlimited quota;
+			// forget the cached write so apply restores ours.
+			v.invalidateApplied()
+		}
+		if u > c.cfg.PeriodUs {
+			// A delta spanning periods missed while degraded; clamp
+			// to the per-period maximum a single thread can attain.
+			u = c.cfg.PeriodUs
+		}
+		v.PrevUsageUs = usage
+		v.LastU = u
+		v.Hist.Push(u)
 	}
-
-	for i := range slots {
-		c.commitVCPU(rep, &slots[i])
-		slots[i].v = nil // don't pin departed VMs through the reused buffer
-	}
+	v.TID = int(tid)
+	v.LastCore = int(core)
+	v.FreqMHz = float64(v.LastU) / float64(c.cfg.PeriodUs) * float64(freq)
 }
 
-// readParallel fans readVCPU over a pool of worker goroutines pulling
-// slot indices from a shared atomic counter. The goroutines are
-// per-Step rather than a persistent pool: the controller has no
-// shutdown hook, and the spawn cost is dwarfed by the syscalls the
-// workers exist to overlap.
-//
-// A panic inside a worker would crash the process before the Step
-// watchdog's recover could see it, so each worker catches its panic and
-// readParallel re-raises one on the stepping goroutine — restoring the
-// exact degraded-step semantics of the serial stage.
-func (c *Controller) readParallel(slots []monitorSlot, workers int) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var panicked any
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					mu.Unlock()
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(slots) {
-					return
-				}
-				c.readVCPU(&slots[i])
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-}
-
-// readVCPU performs one vCPU's four host reads into its slot, stopping
-// at the first that fails. This is the only part of the monitor stage
-// that may run concurrently; it touches nothing but the slot and what
-// hostCall touches.
-func (c *Controller) readVCPU(s *monitorSlot) {
-	v := s.v
-	var tid, core int64
-	var ok bool
-	if s.usage, ok = c.read(s, opUsage, v.VM, v.Index); !ok {
-		return
-	}
-	if tid, ok = c.read(s, opTID, v.VM, v.Index); !ok {
-		return
-	}
-	if core, ok = c.read(s, opLastCPU, "", int(tid)); !ok {
-		return
-	}
-	if s.freq, ok = c.read(s, opFreq, "", int(core)); !ok {
-		return
-	}
-	s.tid, s.core = int(tid), int(core)
-}
-
-// read issues one read of a slot's chain and books its outcome in the
-// slot; ok reports whether the chain may go on.
-func (c *Controller) read(s *monitorSlot, op hostOp, vm string, i int) (val int64, ok bool) {
+// read issues one monitor read of v through hostCall; a failure degrades
+// v, and ok reports whether the vCPU's chain of reads may go on.
+func (c *Controller) read(rep *StepReport, v *VCPUState, op hostOp, vm string, i int) (val int64, ok bool) {
 	val, retried, err := c.hostCall(op, vm, i, 0, 0, nil)
 	if retried {
-		s.retries++
+		rep.Retries++
 	}
-	s.op, s.err = op, err
+	if err != nil {
+		c.degrade(rep, v, "monitor", op, err)
+	}
 	return val, err == nil
 }
 
@@ -751,47 +684,6 @@ func (c *Controller) degrade(rep *StepReport, v *VCPUState, stage string, op hos
 	v.Degraded = true
 	v.FailedSteps++
 	rep.record(Fault{VM: v.VM, VCPU: v.Index, Stage: stage, Op: op.String(), Err: err})
-}
-
-// commitVCPU applies one slot's readings to the controller state. Commits
-// run in registration order on the stepping goroutine only.
-func (c *Controller) commitVCPU(rep *StepReport, s *monitorSlot) {
-	v := s.v
-	rep.Retries += s.retries
-	if s.err != nil {
-		c.degrade(rep, v, "monitor", s.op, s.err)
-		return
-	}
-	// FailedSteps holds until enough clean Steps pass; the recovery
-	// accounting runs at the end of Step, after apply had its chance to
-	// degrade the vCPU again.
-	v.Degraded = false
-
-	if v.warm {
-		// Registered this step: the delta against the registration
-		// reading spans no time yet.
-		v.PrevUsageUs = s.usage
-		v.warm = false
-	} else {
-		u := s.usage - v.PrevUsageUs
-		if u < 0 {
-			u = 0 // counter reset (VM restart)
-			// The restart rebuilt the cgroup with an unlimited quota;
-			// forget the cached write so apply restores ours.
-			v.invalidateApplied()
-		}
-		if u > c.cfg.PeriodUs {
-			// A delta spanning periods missed while degraded; clamp
-			// to the per-period maximum a single thread can attain.
-			u = c.cfg.PeriodUs
-		}
-		v.PrevUsageUs = s.usage
-		v.LastU = u
-		v.Hist.Push(u)
-	}
-	v.TID = s.tid
-	v.LastCore = s.core
-	v.FreqMHz = float64(v.LastU) / float64(c.cfg.PeriodUs) * float64(s.freq)
 }
 
 // market computes Eq. 6: the cycles of the next period not allocated to

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"vfreq/internal/platform"
@@ -351,6 +352,63 @@ func TestStepReportFaultCap(t *testing.T) {
 	}
 	if rep.DegradedVCPUs != 160 || rep.HealthyVCPUs != 0 {
 		t.Fatalf("degraded/healthy = %d/%d", rep.DegradedVCPUs, rep.HealthyVCPUs)
+	}
+}
+
+// TestSeededFaultRunReplaysAtDefault: Rate and DelayRate plans draw from
+// the injector's one seeded rng in the order host calls arrive, and the
+// serial monitor makes that order a function of the inputs alone — so
+// two runs from one seed agree on every report and checkpoint with no
+// knob set.
+func TestSeededFaultRunReplaysAtDefault(t *testing.T) {
+	type run struct {
+		inner *fakeHost
+		ctrl  *Controller
+	}
+	var runs [2]run
+	for i := range runs {
+		inner := newFakeHost()
+		inner.node.Cores = 8
+		for v := 0; v < 6; v++ {
+			inner.addVM(fmt.Sprintf("vm%d", v), 2, 1200)
+		}
+		fh := platform.WithFaults(inner, 42)
+		for _, site := range []platform.FaultSite{platform.SiteUsage, platform.SiteThreadID,
+			platform.SiteLastCPU, platform.SiteCoreFreq} {
+			fh.MustPlan(site, platform.FaultPlan{Rate: 0.1, DelayRate: 0.02, DelayUs: 20})
+		}
+		runs[i] = run{inner, mustController(t, fh, DefaultConfig())}
+	}
+	var reps [2]StepReport
+	var snaps [2]Snapshot
+	degraded, retries := 0, 0
+	for step := int64(1); step <= 200; step++ {
+		for i, r := range runs {
+			for v, info := range r.inner.vms {
+				for j := 0; j < info.VCPUs; j++ {
+					// Per-vCPU-distinct, crossing both triggers over the run.
+					r.inner.consume(info.Name, j, (step*97_000+int64(v)*53_000+int64(j)*31_000)%1_000_000)
+				}
+			}
+			if err := r.ctrl.Step(); err != nil {
+				t.Fatal(err)
+			}
+			reps[i] = r.ctrl.LastReport()
+			snaps[i] = r.ctrl.Snapshot()
+			// Wall-clock stage timings are the one legitimate difference.
+			snaps[i].StepMicros, snaps[i].MonitorMicros = 0, 0
+		}
+		if a, b := reportSummary(reps[0]), reportSummary(reps[1]); a != b {
+			t.Fatalf("step %d reports diverged:\n%s\n%s", step, a, b)
+		}
+		if !reflect.DeepEqual(snaps[0], snaps[1]) {
+			t.Fatalf("step %d checkpoints diverged:\n%+v\n%+v", step, snaps[0], snaps[1])
+		}
+		degraded += reps[0].DegradedVCPUs
+		retries += reps[0].Retries
+	}
+	if degraded == 0 || retries == 0 {
+		t.Fatalf("plans never bit (degraded %d, retries %d); the test lost its teeth", degraded, retries)
 	}
 }
 

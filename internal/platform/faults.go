@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -77,10 +76,17 @@ type FaultPlan struct {
 	// from the host seed. Required (positive) when DelayRate > 0.
 	DelayUs int64
 
-	// Match restricts VM-scoped sites (UsageUs, SetMax, ClearMax,
-	// SetBurst, ThreadID) to particular vCPUs; nil matches all calls.
-	// Sites without a VM operand ignore it.
+	// Match restricts VM-scoped sites (UsageUs, SetMax, BatchSetMax,
+	// ClearMax, ReadMax, SetBurst, ThreadID) to particular vCPUs; nil
+	// matches all calls. Sites without a VM operand (ListVMs, LastCPU,
+	// CoreFreqMHz) ignore it.
 	Match func(vm string, vcpu int) bool
+}
+
+// vmScoped reports whether calls at the site name a VM and vCPU for
+// FaultPlan.Match to look at.
+func (s FaultSite) vmScoped() bool {
+	return s != SiteListVMs && s != SiteLastCPU && s != SiteCoreFreq
 }
 
 // Validate checks the plan's fields for consistency and for at least one
@@ -114,11 +120,12 @@ func (p FaultPlan) Validate() error {
 // FaultyHost wraps a Host and injects faults per call site: the test
 // double for vCPU threads dying mid-read, cgroups vanishing between
 // enumeration and access, noisy /proc reads, and slow cgroupfs calls.
-// It is safe for concurrent use.
+// Like every Host it is driven by one goroutine, so Rate and DelayRate
+// plans draw from the seeded rng in call order and a run replays from
+// its seed.
 type FaultyHost struct {
 	inner Host
 
-	mu       sync.Mutex
 	rng      *rand.Rand
 	plans    map[FaultSite]*FaultPlan
 	injected map[FaultSite]int
@@ -129,8 +136,8 @@ type FaultyHost struct {
 	// pre-interned counters; nil records nothing.
 	met map[FaultSite]*siteMetrics
 
-	// sleep stalls the calling goroutine for an injected delay;
-	// replaceable by tests that only want to observe the decision.
+	// sleep stalls the caller for an injected delay; replaceable by
+	// tests that only want to observe the decision.
 	sleep func(time.Duration)
 }
 
@@ -158,8 +165,6 @@ func (f *FaultyHost) Plan(site FaultSite, p FaultPlan) error {
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("%s: %w", site, err)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.plans[site] = &p
 	return nil
 }
@@ -174,80 +179,50 @@ func (f *FaultyHost) MustPlan(site FaultSite, p FaultPlan) {
 
 // Clear disarms the plan on one call site.
 func (f *FaultyHost) Clear(site FaultSite) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	delete(f.plans, site)
 }
 
 // ClearAll disarms every plan.
 func (f *FaultyHost) ClearAll() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.plans = map[FaultSite]*FaultPlan{}
 }
 
 // Injected returns how many faults were injected at a site.
 func (f *FaultyHost) Injected(site FaultSite) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.injected[site]
 }
 
 // Delayed returns how many calls were artificially delayed at a site.
 func (f *FaultyHost) Delayed(site FaultSite) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.delayed[site]
 }
 
 // Calls returns how many calls reached a site (injected or not).
 func (f *FaultyHost) Calls(site FaultSite) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.calls[site]
 }
 
-// fail decides whether this call is delayed and/or fails. The delay
-// decision happens under the lock (so the rng sequence stays
-// reproducible) but the sleep itself happens in the caller, outside the
-// lock, so concurrent callers stall independently instead of
-// serialising on the mutex.
+// fail decides whether this call is delayed and/or fails, and sleeps
+// the delay. A Count plan hits whichever matching calls arrive first.
 func (f *FaultyHost) fail(site FaultSite, vm string, vcpu int) error {
-	delay, err := f.decide(site, vm, vcpu)
-	if delay > 0 {
-		f.sleep(delay)
-	}
-	return err
-}
-
-// decide is the locked half of fail. Rate and DelayRate plans draw from
-// the single seeded rng in the order calls arrive (and a Count plan hits
-// whichever calls arrive first), so a run replays from the seed only
-// when calls arrive in a fixed order, which a concurrent monitor pool
-// (core.Config.MonitorWorkers != 1) does not give. Persistent plans
-// depend on no order.
-func (f *FaultyHost) decide(site FaultSite, vm string, vcpu int) (time.Duration, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.calls[site]++
 	m := f.met[site]
 	m.recordCall()
 	p := f.plans[site]
 	if p == nil {
-		return 0, nil
+		return nil
 	}
-	if p.Match != nil && !p.Match(vm, vcpu) {
-		return 0, nil
+	if p.Match != nil && site.vmScoped() && !p.Match(vm, vcpu) {
+		return nil
 	}
-	var delay time.Duration
 	if p.DelayRate > 0 && f.rng.Float64() < p.DelayRate {
 		// Uniform in [DelayUs/2, DelayUs]: bounded above by the plan,
 		// bounded below so a fired delay is never a no-op.
 		half := p.DelayUs / 2
 		us := half + f.rng.Int63n(p.DelayUs-half+1)
-		delay = time.Duration(us) * time.Microsecond
 		f.delayed[site]++
 		m.recordDelay()
+		f.sleep(time.Duration(us) * time.Microsecond)
 	}
 	fire := p.Persistent
 	if !fire && p.Count > 0 {
@@ -258,14 +233,14 @@ func (f *FaultyHost) decide(site FaultSite, vm string, vcpu int) (time.Duration,
 		fire = true
 	}
 	if !fire {
-		return delay, nil
+		return nil
 	}
 	f.injected[site]++
 	m.recordInjected()
 	if p.Err != nil {
-		return delay, fmt.Errorf("%s %s/vcpu%d: %w", site, vm, vcpu, p.Err)
+		return fmt.Errorf("%s %s/vcpu%d: %w", site, vm, vcpu, p.Err)
 	}
-	return delay, fmt.Errorf("%s %s/vcpu%d: %w", site, vm, vcpu, ErrInjected)
+	return fmt.Errorf("%s %s/vcpu%d: %w", site, vm, vcpu, ErrInjected)
 }
 
 // Node implements Host (never injected: node info is static).

@@ -4,7 +4,7 @@ import "vfreq/internal/metrics"
 
 // siteMetrics is the pre-interned instrument set of one fault site.
 // The record methods are nil-receiver safe, matching the nil-map read
-// decide performs on an unarmed host.
+// fail performs on an unarmed host.
 type siteMetrics struct {
 	calls    *metrics.Counter
 	injected *metrics.Counter
@@ -31,12 +31,10 @@ func (m *siteMetrics) recordDelay() {
 
 // ArmMetrics registers one calls/injected/delayed counter triple per
 // fault site in reg, labelled by site, and starts recording every
-// decision into them. All series are interned here, up front; decide
+// decision into them. All series are interned here, up front; fail
 // then pays one map read and an atomic add per event. A nil reg
 // disarms.
 func (f *FaultyHost) ArmMetrics(reg *metrics.Registry) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if reg == nil {
 		f.met = nil
 		return

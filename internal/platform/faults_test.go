@@ -80,17 +80,37 @@ func TestFaultyHostPersistentUntilCleared(t *testing.T) {
 	}
 }
 
+// TestFaultyHostMatchScopesInjection: Match narrows a VM-scoped site to
+// the vCPUs it accepts, and the sites without a VM operand ignore it —
+// a Match that could only ever see ("", tid|core|-1) must not turn a
+// persistent plan inert.
 func TestFaultyHostMatchScopesInjection(t *testing.T) {
-	fh, _ := newFaultySim(t)
-	fh.MustPlan(SiteUsage, FaultPlan{
-		Persistent: true,
-		Match:      func(vm string, vcpu int) bool { return vcpu == 1 },
-	})
-	if _, err := fh.UsageUs("a", 0); err != nil {
-		t.Fatalf("unmatched vCPU failed: %v", err)
-	}
-	if _, err := fh.UsageUs("a", 1); !errors.Is(err, ErrInjected) {
-		t.Fatalf("matched vCPU err = %v, want injected", err)
+	onlyVCPU1 := func(vm string, vcpu int) bool { return vm == "a" && vcpu == 1 }
+	for _, tc := range []struct {
+		site FaultSite
+		call func(fh *FaultyHost, operand int) error
+		pass []int // operands Match spares; every call of an unscoped site fails
+		fail []int
+	}{
+		{SiteUsage, func(fh *FaultyHost, j int) error { _, err := fh.UsageUs("a", j); return err }, []int{0}, []int{1}},
+		{SiteListVMs, func(fh *FaultyHost, _ int) error { _, err := fh.ListVMs(); return err }, nil, []int{0}},
+		{SiteLastCPU, func(fh *FaultyHost, tid int) error { _, err := fh.LastCPU(tid); return err }, nil, []int{0, 1}},
+		{SiteCoreFreq, func(fh *FaultyHost, core int) error { _, err := fh.CoreFreqMHz(core); return err }, nil, []int{0, 1}},
+	} {
+		t.Run(string(tc.site), func(t *testing.T) {
+			fh, _ := newFaultySim(t)
+			fh.MustPlan(tc.site, FaultPlan{Persistent: true, Match: onlyVCPU1})
+			for _, op := range tc.pass {
+				if err := tc.call(fh, op); err != nil {
+					t.Fatalf("unmatched operand %d failed: %v", op, err)
+				}
+			}
+			for _, op := range tc.fail {
+				if err := tc.call(fh, op); !errors.Is(err, ErrInjected) {
+					t.Fatalf("operand %d err = %v, want injected", op, err)
+				}
+			}
+		})
 	}
 }
 

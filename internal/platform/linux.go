@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
 	"vfreq/internal/cgroupfs"
 	"vfreq/internal/procfs"
@@ -28,8 +27,7 @@ import (
 // path construction, no open/close churn and no heap allocation. A
 // failed read or write closes and drops the descriptor, and the next
 // call reopens the path — which is how cgroup recreation on VM restart
-// is picked up. All methods are safe for concurrent use by the monitor
-// worker pool.
+// is picked up.
 type Linux struct {
 	NodeName    string
 	CgroupRoot  string // e.g. /sys/fs/cgroup/machine.slice
@@ -40,9 +38,7 @@ type Linux struct {
 	Cores       int
 	Freqs       map[string]int64 // VM name → template frequency (MHz)
 
-	// mu guards the lazily-built handle caches. Hot paths hold it only
-	// for a map lookup; opening, pruning and invalidation are rare.
-	mu    sync.Mutex
+	// Lazily-built handle caches.
 	vcpus map[vcpuRef]*vcpuFiles
 	procs map[int]*handle
 	cores map[int]*handle
@@ -65,22 +61,22 @@ type vcpuFiles struct {
 	threads handle // cgroup.threads (read)
 	max     handle // cpu.max (write)
 	burst   handle // cpu.max.burst (write)
+	// tid is the thread ThreadID last returned (0: none yet); its
+	// /proc/<tid>/stat handle in Linux.procs lives and dies with it.
+	tid int
 }
 
 // handle is one kept-open file plus its scratch buffer. Reads pread at
-// offset zero, so no seek position is shared; the mutex serialises the
-// buffer between monitor workers (two vCPUs that last ran on the same
-// core read the same scaling_cur_freq handle concurrently).
+// offset zero, so there is no seek position to maintain.
 type handle struct {
-	mu   sync.Mutex
 	path string
 	f    *os.File
 	buf  [512]byte
 }
 
 // read returns the file's current contents, pread into the handle's
-// scratch. The caller must hold h.mu while using the returned slice. A
-// failed read drops the descriptor so the next call reopens the path.
+// scratch and valid until the handle's next read or write. A failed read
+// drops the descriptor so the next call reopens the path.
 func (h *handle) read() ([]byte, error) {
 	if h.f == nil {
 		f, err := os.Open(h.path)
@@ -98,10 +94,10 @@ func (h *handle) read() ([]byte, error) {
 	return h.buf[:n], nil
 }
 
-// write pwrites the payload at offset zero. The caller must hold h.mu.
-// Control files treat every write as a full transaction; regular files
-// (tests) would keep stale trailing bytes, so the length is truncated —
-// kernfs rejects the truncate, which is ignored.
+// write pwrites the payload at offset zero. Control files treat every
+// write as a full transaction; regular files (tests) would keep stale
+// trailing bytes, so the length is truncated — kernfs rejects the
+// truncate, which is ignored.
 func (h *handle) write(payload []byte) error {
 	if h.f == nil {
 		f, err := os.OpenFile(h.path, os.O_WRONLY, 0)
@@ -120,23 +116,14 @@ func (h *handle) write(payload []byte) error {
 }
 
 func (h *handle) close() {
-	h.mu.Lock()
 	if h.f != nil {
 		h.f.Close()
 		h.f = nil
 	}
-	h.mu.Unlock()
 }
 
 // vcpu returns (building on first use) the cached files of one vCPU.
 func (l *Linux) vcpu(vm string, vcpu int) *vcpuFiles {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.vcpuLocked(vm, vcpu)
-}
-
-// vcpuLocked is vcpu for callers already holding l.mu.
-func (l *Linux) vcpuLocked(vm string, vcpu int) *vcpuFiles {
 	if l.vcpus == nil {
 		l.vcpus = map[vcpuRef]*vcpuFiles{}
 	}
@@ -156,8 +143,6 @@ func (l *Linux) vcpuLocked(vm string, vcpu int) *vcpuFiles {
 
 // proc returns the cached /proc/<tid>/stat handle.
 func (l *Linux) proc(tid int) *handle {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.procs == nil {
 		l.procs = map[int]*handle{}
 	}
@@ -169,23 +154,18 @@ func (l *Linux) proc(tid int) *handle {
 	return h
 }
 
-// dropProc evicts a dead thread's handle (vCPU threads churn on VM
-// restart; core and vCPU handles are pruned via ListVMs instead).
+// dropProc closes and forgets a thread's handle: on a failed read (the
+// thread is likely gone), when its vCPU moves to another thread, and
+// when the vCPU departs.
 func (l *Linux) dropProc(tid int) {
-	l.mu.Lock()
 	if h, ok := l.procs[tid]; ok {
-		delete(l.procs, tid)
-		l.mu.Unlock()
 		h.close()
-		return
+		delete(l.procs, tid)
 	}
-	l.mu.Unlock()
 }
 
 // core returns the cached scaling_cur_freq handle of one core.
 func (l *Linux) core(core int) *handle {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.cores == nil {
 		l.cores = map[int]*handle{}
 	}
@@ -200,8 +180,6 @@ func (l *Linux) core(core int) *handle {
 // pruneDeparted closes and forgets the cached files of VMs (or trailing
 // vCPUs after a shrink) no longer present on the host.
 func (l *Linux) pruneDeparted(live []VMInfo) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for ref, vf := range l.vcpus {
 		found := false
 		for i := range live {
@@ -215,6 +193,7 @@ func (l *Linux) pruneDeparted(live []VMInfo) {
 			vf.threads.close()
 			vf.max.close()
 			vf.burst.close()
+			l.dropProc(vf.tid)
 			delete(l.vcpus, ref)
 		}
 	}
@@ -225,8 +204,6 @@ func (l *Linux) pruneDeparted(live []VMInfo) {
 // one naming no node, or an unreadable or malformed cpulist is an error:
 // the result is the whole map or nothing, never a partly filled one.
 func (l *Linux) CoreNodes() ([]int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.coreNodes != nil {
 		return l.coreNodes, nil
 	}
@@ -324,10 +301,14 @@ func (l *Linux) ListVMs() ([]VMInfo, error) {
 	}
 	var out []VMInfo
 	for _, e := range entries {
-		if !e.IsDir() || !strings.HasSuffix(e.Name(), ".scope") {
+		// Only libvirt's machine-qemu-<name>.scope: vcpu() rebuilds the
+		// directory from the name, so a scope without the prefix could
+		// be listed but never read.
+		name, prefixed := strings.CutPrefix(e.Name(), "machine-qemu-")
+		name, suffixed := strings.CutSuffix(name, ".scope")
+		if !prefixed || !suffixed || !e.IsDir() {
 			continue
 		}
-		name := strings.TrimSuffix(strings.TrimPrefix(e.Name(), "machine-qemu-"), ".scope")
 		// Count vcpuN sub-cgroups.
 		subs, err := os.ReadDir(filepath.Join(l.CgroupRoot, e.Name()))
 		if err != nil {
@@ -354,10 +335,7 @@ func (l *Linux) ListVMs() ([]VMInfo, error) {
 
 // UsageUs implements Host.
 func (l *Linux) UsageUs(vm string, vcpu int) (int64, error) {
-	h := &l.vcpu(vm, vcpu).stat
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	b, err := h.read()
+	b, err := l.vcpu(vm, vcpu).stat.read()
 	if err != nil {
 		return 0, err
 	}
@@ -367,41 +345,19 @@ func (l *Linux) UsageUs(vm string, vcpu int) (int64, error) {
 // SetMax implements Host.
 func (l *Linux) SetMax(vm string, vcpu int, quotaUs, periodUs int64) error {
 	h := &l.vcpu(vm, vcpu).max
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	b := strconv.AppendInt(h.buf[:0], quotaUs, 10)
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, periodUs, 10)
 	return h.write(b)
 }
 
-// BatchSetMax implements BatchQuotaWriter: the VM's quota writes in one
-// pass over the cached cpu.max descriptors. The handle cache is resolved
-// under a single l.mu acquisition for the whole batch instead of one per
-// vCPU; l.mu then stays held across the writes, which is safe (the lock
-// order l.mu → handle.mu is never taken in reverse) and uncontended in
-// practice — the apply stage never overlaps the monitor stage's lookups.
-// Every entry is attempted; a failed write records its error in the
-// entry (dropping that descriptor so the next write reopens the path)
-// and the first failure becomes the summary error.
+// BatchSetMax implements BatchQuotaWriter through the serial adapter:
+// SetMax already writes through the cached descriptor, and with one
+// goroutine per host there is no lock for a batch to amortise. The method
+// exists only because the benchmark's host decorator requires the
+// capability of the hosts it wraps.
 func (l *Linux) BatchSetMax(vm string, quotas []VCPUQuota) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var firstErr error
-	for i := range quotas {
-		q := &quotas[i]
-		h := &l.vcpuLocked(vm, q.VCPU).max
-		h.mu.Lock()
-		b := strconv.AppendInt(h.buf[:0], q.QuotaUs, 10)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, q.PeriodUs, 10)
-		q.Err = h.write(b)
-		h.mu.Unlock()
-		if q.Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("platform: batch cpu.max of %s/vcpu%d: %w", vm, q.VCPU, q.Err)
-		}
-	}
-	return firstErr
+	return serialBatch{l}.BatchSetMax(vm, quotas)
 }
 
 // ReadMax implements QuotaReader. It is an inspection path, not part of
@@ -425,26 +381,19 @@ var clearMaxPayload = []byte("max")
 
 // ClearMax implements Host.
 func (l *Linux) ClearMax(vm string, vcpu int) error {
-	h := &l.vcpu(vm, vcpu).max
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.write(clearMaxPayload)
+	return l.vcpu(vm, vcpu).max.write(clearMaxPayload)
 }
 
 // SetBurst implements Host.
 func (l *Linux) SetBurst(vm string, vcpu int, burstUs int64) error {
 	h := &l.vcpu(vm, vcpu).burst
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.write(strconv.AppendInt(h.buf[:0], burstUs, 10))
 }
 
 // ThreadID implements Host.
 func (l *Linux) ThreadID(vm string, vcpu int) (int, error) {
-	h := &l.vcpu(vm, vcpu).threads
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	b, err := h.read()
+	vf := l.vcpu(vm, vcpu)
+	b, err := vf.threads.read()
 	if err != nil {
 		return 0, err
 	}
@@ -455,30 +404,28 @@ func (l *Linux) ThreadID(vm string, vcpu int) (int, error) {
 	if n != 1 {
 		return 0, fmt.Errorf("platform: vCPU cgroup holds %d threads, want 1", n)
 	}
+	if tid != vf.tid {
+		// The VM restarted under the same cgroup: nobody reads the old
+		// thread's stat file again, so its descriptor goes now.
+		l.dropProc(vf.tid)
+		vf.tid = tid
+	}
 	return tid, nil
 }
 
 // LastCPU implements Host.
 func (l *Linux) LastCPU(tid int) (int, error) {
-	h := l.proc(tid)
-	h.mu.Lock()
-	b, err := h.read()
+	b, err := l.proc(tid).read()
 	if err != nil {
-		h.mu.Unlock()
-		l.dropProc(tid) // the thread is likely gone; stop caching it
+		l.dropProc(tid)
 		return 0, err
 	}
-	cpu, err := procfs.ParseStatLastCPUBytes(b)
-	h.mu.Unlock()
-	return cpu, err
+	return procfs.ParseStatLastCPUBytes(b)
 }
 
 // CoreFreqMHz implements Host.
 func (l *Linux) CoreFreqMHz(core int) (int64, error) {
-	h := l.core(core)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	b, err := h.read()
+	b, err := l.core(core).read()
 	if err != nil {
 		return 0, err
 	}

@@ -4,9 +4,9 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"testing"
 
+	"vfreq/internal/procfs"
 	"vfreq/internal/raceflag"
 )
 
@@ -65,39 +65,72 @@ func TestLinuxReopensAfterError(t *testing.T) {
 	}
 }
 
-// TestLinuxConcurrentReads hammers the shared handles (same core's
-// scaling_cur_freq, both vCPUs' files) from many goroutines, the access
-// pattern of the monitor worker pool. Run under -race it proves the
-// per-handle locking.
-func TestLinuxConcurrentReads(t *testing.T) {
+// TestLinuxProcHandlesPruned: a /proc/<tid>/stat handle lives as long as
+// its vCPU runs on that thread. A tid change (VM restart under the same
+// cgroup) and a departure both bring len(l.procs) back to the live vCPU
+// count, where before only a failed read ever closed one.
+func TestLinuxProcHandlesPruned(t *testing.T) {
 	l := fixtureHost(t)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				vcpu := (w + i) % 2
-				if _, err := l.UsageUs("guest1", vcpu); err != nil {
-					t.Errorf("usage: %v", err)
-					return
-				}
-				if _, err := l.ThreadID("guest1", vcpu); err != nil {
-					t.Errorf("tid: %v", err)
-					return
-				}
-				if _, err := l.CoreFreqMHz(1); err != nil {
-					t.Errorf("freq: %v", err)
-					return
-				}
-				if _, err := l.LastCPU(4242); err != nil {
-					t.Errorf("lastcpu: %v", err)
-					return
-				}
-			}
-		}(w)
+	write := func(rel, content string) {
+		t.Helper()
+		full := filepath.Join(filepath.Dir(l.CgroupRoot), rel)
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wg.Wait()
+	write("proc/4243/stat", procfs.FormatStat(4243, "CPU 1/KVM", 120_000, 0))
+	// A scope outside libvirt's naming could be listed but never read.
+	write("cgroup/bare.scope/vcpu0/cpu.stat", "usage_usec 1\n")
+	l.Freqs["bare"] = 1000
+
+	monitor := func(want int) {
+		t.Helper()
+		vms, err := l.ListVMs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := 0
+		for _, vm := range vms {
+			if vm.Name != "guest1" {
+				t.Fatalf("listed %q, want only guest1", vm.Name)
+			}
+			for j := 0; j < vm.VCPUs; j++ {
+				tid, err := l.ThreadID(vm.Name, j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := l.LastCPU(tid); err != nil {
+					t.Fatal(err)
+				}
+				live++
+			}
+		}
+		if live != want || len(l.procs) != want || len(l.vcpus) != want {
+			t.Fatalf("%d live vCPUs, %d proc handles, %d vCPU entries, want %d each",
+				live, len(l.procs), len(l.vcpus), want)
+		}
+	}
+	monitor(2)
+
+	write("proc/5000/stat", procfs.FormatStat(5000, "CPU 0/KVM", 10, 1))
+	write("cgroup/machine-qemu-guest1.scope/vcpu0/cgroup.threads", "5000\n")
+	monitor(2)
+	if _, stale := l.procs[4242]; stale {
+		t.Fatal("the replaced thread's stat handle is still cached")
+	}
+
+	scope := filepath.Join(l.CgroupRoot, "machine-qemu-guest1.scope")
+	if err := os.RemoveAll(filepath.Join(scope, "vcpu1")); err != nil {
+		t.Fatal(err)
+	}
+	monitor(1)
+	if err := os.RemoveAll(scope); err != nil {
+		t.Fatal(err)
+	}
+	monitor(0)
 }
 
 // TestLinuxBatchSetMax: the batched write lands every entry through the

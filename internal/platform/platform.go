@@ -22,7 +22,11 @@ type VMInfo struct {
 	FreqMHz int64 // virtual frequency from the VM template (F_{V(i)})
 }
 
-// Host is the controller's view of the machine.
+// Host is the controller's view of the machine. A Host is driven by one
+// goroutine, the controller that owns it: implementations keep caches,
+// scratch buffers and seeded generators without locking, and a caller
+// that hands a Host to another goroutine (the cluster's step pool does,
+// between Steps) must order the hand-off itself.
 type Host interface {
 	// Node returns the static machine description.
 	Node() NodeInfo

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"fmt"
-	"sync"
 
 	"vfreq/internal/cgroupfs"
 	"vfreq/internal/procfs"
@@ -16,19 +15,16 @@ import (
 //
 // The per-period read path is allocation-free at steady state: pseudo-file
 // paths are memoised (they are pure functions of VM name, vCPU index, tid
-// or core), file contents are rendered append-style into pooled buffers,
-// and the byte parsers walk them in place. Monitor workers read distinct
-// vCPUs concurrently, so the memo maps are RWMutex-guarded and buffers
-// come from a sync.Pool.
+// or core), file contents are rendered append-style into one scratch
+// buffer, and the byte parsers walk it in place.
 type Sim struct {
 	mgr *vm.Manager
 
-	mu        sync.RWMutex
 	vcpuPaths map[vcpuKey]*simVCPUFiles
 	tidPaths  map[int]string
 	corePaths []string
 
-	bufs sync.Pool // *[]byte read buffers
+	buf []byte // read scratch: every read parses it before the next overwrites it
 
 	vmScratch []VMInfo       // ListVMs result, reused across calls
 	listed    []*vm.Instance // the instances behind vmScratch
@@ -59,11 +55,6 @@ func NewSim(mgr *vm.Manager) *Sim {
 	for c := 0; c < cores; c++ {
 		s.corePaths[c] = sysfs.CurFreqPath(sysfs.Mount, c)
 	}
-	s.bufs.New = func() any {
-		p := new([]byte)
-		*p = make([]byte, 0, 256)
-		return p
-	}
 	return s
 }
 
@@ -72,49 +63,36 @@ func NewSim(mgr *vm.Manager) *Sim {
 // drops it once the vCPU is gone.
 func (s *Sim) files(vmName string, vcpu int) *simVCPUFiles {
 	k := vcpuKey{vm: vmName, vcpu: vcpu}
-	s.mu.RLock()
 	f := s.vcpuPaths[k]
-	s.mu.RUnlock()
-	if f != nil {
-		return f
-	}
-	base := cgroupfs.DefaultMount + "/" + vm.VCPUCgroup(vmName, vcpu)
-	f = &simVCPUFiles{
-		stat:    base + "/cpu.stat",
-		max:     base + "/cpu.max",
-		burst:   base + "/cpu.max.burst",
-		threads: base + "/cgroup.threads",
-	}
-	s.mu.Lock()
-	if old := s.vcpuPaths[k]; old != nil {
-		f = old
-	} else {
+	if f == nil {
+		base := cgroupfs.DefaultMount + "/" + vm.VCPUCgroup(vmName, vcpu)
+		f = &simVCPUFiles{
+			stat:    base + "/cpu.stat",
+			max:     base + "/cpu.max",
+			burst:   base + "/cpu.max.burst",
+			threads: base + "/cgroup.threads",
+		}
 		s.vcpuPaths[k] = f
 	}
-	s.mu.Unlock()
 	return f
 }
 
 // tidPath returns the memoised /proc/<tid>/stat path.
 func (s *Sim) tidPath(tid int) string {
-	s.mu.RLock()
 	p := s.tidPaths[tid]
-	s.mu.RUnlock()
-	if p != "" {
-		return p
+	if p == "" {
+		p = fmt.Sprintf("%s/%d/stat", procfs.Mount, tid)
+		s.tidPaths[tid] = p
 	}
-	p = fmt.Sprintf("%s/%d/stat", procfs.Mount, tid)
-	s.mu.Lock()
-	s.tidPaths[tid] = p
-	s.mu.Unlock()
 	return p
 }
 
-func (s *Sim) getBuf() *[]byte { return s.bufs.Get().(*[]byte) }
-
-func (s *Sim) putBuf(p *[]byte, buf []byte) {
-	*p = buf[:0]
-	s.bufs.Put(p)
+// read renders a pseudo-file into the scratch buffer. The returned bytes
+// are valid until the next read.
+func (s *Sim) read(path string) ([]byte, error) {
+	content, err := s.mgr.Machine().FS.ReadFileAppend(path, s.buf[:0])
+	s.buf = content[:0] // keep whatever the render grew
+	return content, err
 }
 
 // Node implements Host.
@@ -152,8 +130,6 @@ func (s *Sim) ListVMs() ([]VMInfo, error) {
 // lives.
 func (s *Sim) prune() {
 	threads := s.mgr.Machine().Sched
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for k := range s.vcpuPaths {
 		if inst := s.mgr.Get(k.vm); inst == nil || k.vcpu >= inst.Template().VCPUs {
 			delete(s.vcpuPaths, k)
@@ -168,15 +144,11 @@ func (s *Sim) prune() {
 
 // UsageUs implements Host.
 func (s *Sim) UsageUs(vmName string, vcpu int) (int64, error) {
-	p := s.getBuf()
-	content, err := s.mgr.Machine().FS.ReadFileAppend(s.files(vmName, vcpu).stat, (*p)[:0])
+	content, err := s.read(s.files(vmName, vcpu).stat)
 	if err != nil {
-		s.putBuf(p, content)
 		return 0, fmt.Errorf("platform: reading cpu.stat of %s/vcpu%d: %w", vmName, vcpu, err)
 	}
-	v, err := cgroupfs.ParseCPUStatBytes(content, "usage_usec")
-	s.putBuf(p, content)
-	return v, err
+	return cgroupfs.ParseCPUStatBytes(content, "usage_usec")
 }
 
 // SetMax implements Host.
@@ -223,14 +195,11 @@ func (s *Sim) SetBurst(vmName string, vcpu int, burstUs int64) error {
 
 // ThreadID implements Host.
 func (s *Sim) ThreadID(vmName string, vcpu int) (int, error) {
-	p := s.getBuf()
-	content, err := s.mgr.Machine().FS.ReadFileAppend(s.files(vmName, vcpu).threads, (*p)[:0])
+	content, err := s.read(s.files(vmName, vcpu).threads)
 	if err != nil {
-		s.putBuf(p, content)
 		return 0, err
 	}
 	tid, n, err := cgroupfs.ParseSingleTID(content)
-	s.putBuf(p, content)
 	if err != nil {
 		return 0, err
 	}
@@ -243,15 +212,11 @@ func (s *Sim) ThreadID(vmName string, vcpu int) (int, error) {
 
 // LastCPU implements Host.
 func (s *Sim) LastCPU(tid int) (int, error) {
-	p := s.getBuf()
-	line, err := s.mgr.Machine().FS.ReadFileAppend(s.tidPath(tid), (*p)[:0])
+	line, err := s.read(s.tidPath(tid))
 	if err != nil {
-		s.putBuf(p, line)
 		return 0, err
 	}
-	cpu, err := procfs.ParseStatLastCPUBytes(line)
-	s.putBuf(p, line)
-	return cpu, err
+	return procfs.ParseStatLastCPUBytes(line)
 }
 
 // CoreNodes implements Topology: it reads the emulated
@@ -292,14 +257,11 @@ func (s *Sim) CoreFreqMHz(core int) (int64, error) {
 	if core < 0 || core >= len(s.corePaths) {
 		return 0, fmt.Errorf("platform: core %d out of range", core)
 	}
-	p := s.getBuf()
-	content, err := s.mgr.Machine().FS.ReadFileAppend(s.corePaths[core], (*p)[:0])
+	content, err := s.read(s.corePaths[core])
 	if err != nil {
-		s.putBuf(p, content)
 		return 0, err
 	}
 	khz, err := sysfs.ParseKHzBytes(content)
-	s.putBuf(p, content)
 	if err != nil {
 		return 0, err
 	}
