@@ -51,7 +51,7 @@ var (
 )
 
 func main() {
-	id := flag.String("id", "all", "artefact id: fig1, fig6..fig14, table2..table5, cfs-a, cfs-b, placement, dynamic, overhead, chaos, report, all")
+	id := flag.String("id", "all", "artefact id: fig1, fig3..fig14, table2..table5, cfs-a, cfs-b, placement, dynamic, overhead, chaos, report, all")
 	scale := flag.Float64("scale", 0.1, "time scale of the simulation (1 = the paper's full durations)")
 	csv := flag.Bool("csv", false, "print raw series as CSV instead of charts")
 	width := flag.Int("width", 72, "chart width")

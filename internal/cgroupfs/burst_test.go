@@ -1,7 +1,6 @@
 package cgroupfs
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -72,39 +71,5 @@ func TestCPUStatIncludesBurstCounters(t *testing.T) {
 	}
 	if nr == 0 || used != 40_000 {
 		t.Fatalf("burst counters nr=%d used=%d, want used=40000", nr, used)
-	}
-}
-
-func TestCPUPressureFile(t *testing.T) {
-	tree, s, fs := newTree(t, 1)
-	g, _ := tree.CreateGroup("vm")
-	if err := g.SetQuota(10_000, 100_000); err != nil {
-		t.Fatal(err)
-	}
-	s.NewThread(g, nil)
-	for i := 0; i < 2000; i++ { // 20 s of heavy throttling
-		s.Tick(10_000)
-	}
-	content, err := fs.ReadFile(DefaultMount + "/vm/cpu.pressure")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(content), "\n")
-	if len(lines) != 2 || !strings.HasPrefix(lines[0], "some avg10=") ||
-		!strings.HasPrefix(lines[1], "full avg10=") {
-		t.Fatalf("cpu.pressure format wrong:\n%s", content)
-	}
-	var kind string
-	var a10, a60, a300 float64
-	var total int64
-	if _, err := fmt.Sscanf(lines[0], "%s avg10=%f avg60=%f avg300=%f total=%d",
-		&kind, &a10, &a60, &a300, &total); err != nil {
-		t.Fatalf("parsing %q: %v", lines[0], err)
-	}
-	if a10 < 50 || a10 > 100 {
-		t.Fatalf("avg10 = %v%%, want high pressure", a10)
-	}
-	if total <= 0 {
-		t.Fatal("total stall time missing")
 	}
 }

@@ -1,6 +1,6 @@
 // Package cgroupfs exposes a sched.Scheduler cgroup hierarchy through the
-// files of Linux cgroup v2 (cpu.max, cpu.stat, cpu.weight,
-// cgroup.threads).
+// files of Linux cgroup v2 the controller reads and writes (cpu.max,
+// cpu.max.burst, cpu.stat, cgroup.threads).
 //
 // The virtual-frequency controller of the paper interacts with the kernel
 // exclusively through these files; emulating them byte-for-byte means the
@@ -41,12 +41,6 @@ func New(fs *memfs.FS, s *sched.Scheduler, mount string) (*Tree, error) {
 	}
 	return t, nil
 }
-
-// Mount returns the v2 mount point.
-func (t *Tree) Mount() string { return t.mount }
-
-// FS returns the backing filesystem.
-func (t *Tree) FS() *memfs.FS { return t.fs }
 
 // normalize cleans a group path relative to the mount ("" is the root).
 func normalize(rel string) string {
@@ -170,29 +164,6 @@ func (t *Tree) addControlFiles(rel string, g *sched.Group) error {
 				return g.SetBurst(v)
 			},
 		},
-		"cpu.pressure": {
-			read: func() string {
-				a10, a60, a300, total := g.PSI()
-				return fmt.Sprintf(
-					"some avg10=%.2f avg60=%.2f avg300=%.2f total=%d\nfull avg10=%.2f avg60=%.2f avg300=%.2f total=%d\n",
-					100*a10, 100*a60, 100*a300, total,
-					100*a10, 100*a60, 100*a300, total)
-			},
-		},
-		"cpu.weight": {
-			read: func() string { return fmt.Sprintf("%d\n", g.Weight) },
-			write: func(s string) error {
-				w, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-				if err != nil || w < 1 || w > 10000 {
-					return fmt.Errorf("cgroupfs: invalid cpu.weight %q", s)
-				}
-				g.Weight = w
-				return nil
-			},
-		},
-		"cgroup.controllers": {
-			read: func() string { return "cpu\n" },
-		},
 	}
 	for name, f := range files {
 		if err := t.fs.AddDynamic(path.Join(dir, name), f.read, f.write); err != nil {
@@ -205,7 +176,6 @@ func (t *Tree) addControlFiles(rel string, g *sched.Group) error {
 	appendFiles := map[string]memfs.ReadAppendFunc{
 		"cpu.stat":       func(buf []byte) []byte { return appendCPUStat(buf, g) },
 		"cgroup.threads": func(buf []byte) []byte { return appendTIDs(buf, g) },
-		"cgroup.procs":   func(buf []byte) []byte { return appendTIDs(buf, g) },
 	}
 	for name, read := range appendFiles {
 		if err := t.fs.AddDynamicAppend(path.Join(dir, name), read, nil); err != nil {
@@ -236,9 +206,9 @@ func appendCPUStat(buf []byte, g *sched.Group) []byte {
 }
 
 // appendTIDs renders the group's thread IDs ascending, one per line,
-// without building the sorted slice ThreadIDs allocates: thread IDs are
-// unique, so emitting the successor of the last emitted ID per round is
-// a selection sort over the (typically single-digit) member list.
+// without building a sorted slice: thread IDs are unique, so emitting the
+// successor of the last emitted ID per round is a selection sort over the
+// (typically single-digit) member list.
 func appendTIDs(buf []byte, g *sched.Group) []byte {
 	prev := -1
 	for range g.Threads {

@@ -22,7 +22,7 @@ func newTree(t *testing.T, cores int) (*Tree, *sched.Scheduler, *memfs.FS) {
 
 func TestRootFilesExist(t *testing.T) {
 	_, _, fs := newTree(t, 2)
-	for _, f := range []string{"cpu.max", "cpu.stat", "cpu.weight", "cgroup.threads", "cgroup.procs", "cgroup.controllers"} {
+	for _, f := range []string{"cpu.max", "cpu.max.burst", "cpu.stat", "cgroup.threads"} {
 		if !fs.Exists(DefaultMount + "/" + f) {
 			t.Fatalf("missing root file %s", f)
 		}
@@ -137,22 +137,6 @@ func TestCgroupThreadsListsTIDs(t *testing.T) {
 	first, n, err := ParseSingleTID([]byte(content))
 	if err != nil || first != t1.ID || n != 2 {
 		t.Fatalf("ParseSingleTID = %d, %d, %v; want %d, 2", first, n, err, t1.ID)
-	}
-}
-
-func TestCPUWeight(t *testing.T) {
-	tree, _, fs := newTree(t, 1)
-	g, _ := tree.CreateGroup("vm")
-	if err := fs.WriteFile(DefaultMount+"/vm/cpu.weight", "250\n"); err != nil {
-		t.Fatal(err)
-	}
-	if g.Weight != 250 {
-		t.Fatalf("weight = %d, want 250", g.Weight)
-	}
-	for _, bad := range []string{"0", "10001", "x"} {
-		if err := fs.WriteFile(DefaultMount+"/vm/cpu.weight", bad); err == nil {
-			t.Fatalf("cpu.weight accepted %q", bad)
-		}
 	}
 }
 

@@ -1,9 +1,12 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
+	"vfreq/internal/cgroupfs"
 	"vfreq/internal/core"
+	"vfreq/internal/host"
 	"vfreq/internal/platform"
 	"vfreq/internal/vm"
 	"vfreq/internal/workload"
@@ -68,4 +71,78 @@ func TestBurstFractionValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative burst fraction accepted")
 	}
+}
+
+// With burst control on, every write of the apply stage must keep
+// cpu.max.burst ≤ cpu.max in the cgroup, as the kernel (and the emulation)
+// demands: a quota dropping below the burst still in place, or a burst
+// raised above the quota still in place, is refused and degrades the vCPU.
+// An overcommitted node under bursty load moves the caps in both
+// directions every few periods.
+func TestApplyBurstOrder(t *testing.T) {
+	spec := host.Chetemi()
+	spec.Cores = 4
+	machine, err := host.New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := vm.NewManager(machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bursty := func(n int, periodUs int64) []workload.Source {
+		out := make([]workload.Source, n)
+		for i := range out {
+			out[i] = &workload.Bursty{PeriodUs: periodUs, Duty: 0.4, High: 1, Low: 0.05,
+				PhaseUs: int64(i) * periodUs / 4}
+		}
+		return out
+	}
+	for _, p := range []struct {
+		name     string
+		tpl      vm.Template
+		periodUs int64
+	}{
+		{"large", vm.Large(), 7_000_000},
+		{"small", vm.Small(), 5_000_000},
+		{"medium", vm.Medium(), 11_000_000},
+	} {
+		if _, err := mgr.Provision(p.name, p.tpl, bursty(p.tpl.VCPUs, p.periodUs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := core.DefaultConfig()
+	cfg.BurstFraction = 0.5
+	ctrl, err := core.New(platform.NewSim(mgr), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(label string, ctrl *core.Controller) {
+		t.Helper()
+		machine.Advance(cfg.PeriodUs)
+		if err := ctrl.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if rep := ctrl.LastReport(); rep.DegradedVCPUs != 0 || rep.FaultCount() != 0 {
+			t.Fatalf("%s: %d degraded vCPUs, faults %v", label, rep.DegradedVCPUs, rep.Faults)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		step(fmt.Sprintf("period %d", i), ctrl)
+	}
+	// A controller that starts over cgroups it did not write knows no
+	// applied burst — the state invalidateApplied leaves — and opens every
+	// vCPU at its guarantee. Here a previous owner left small/vcpu0 a burst
+	// above that quota, which only fits once the burst is out of the way.
+	leftover := cgroupfs.DefaultMount + "/" + vm.VCPUCgroup("small", 0)
+	for _, w := range [][2]string{{"cpu.max.burst", "0"}, {"cpu.max", "100000 100000"}, {"cpu.max.burst", "50000"}} {
+		if err := machine.FS.WriteFile(leftover+"/"+w[0], w[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh, err := core.New(platform.NewSim(mgr), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("first period of a fresh controller", fresh)
 }

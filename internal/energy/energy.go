@@ -80,8 +80,5 @@ func (m *Meter) Observe(u float64, fMHz float64, dtUs int64) {
 // Joules returns the accumulated energy.
 func (m *Meter) Joules() float64 { return m.joules }
 
-// WattHours returns the accumulated energy in Wh.
-func (m *Meter) WattHours() float64 { return m.joules / 3600 }
-
 // Model returns the underlying power model.
 func (m *Meter) Model() PowerModel { return m.model }

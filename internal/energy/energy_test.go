@@ -73,9 +73,6 @@ func TestMeterIntegration(t *testing.T) {
 	if math.Abs(mt.Joules()-250) > 1e-6 {
 		t.Fatalf("Joules = %g, want 250", mt.Joules())
 	}
-	if math.Abs(mt.WattHours()-250.0/3600) > 1e-9 {
-		t.Fatalf("WattHours = %g", mt.WattHours())
-	}
 }
 
 func TestNewMeterRejectsInvalid(t *testing.T) {

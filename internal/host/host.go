@@ -144,7 +144,7 @@ func New(spec Spec) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	pt, err := procfs.New(fs, s, procfs.Mount)
+	pt, err := procfs.New(fs, procfs.Mount)
 	if err != nil {
 		return nil, err
 	}

@@ -442,42 +442,3 @@ func (fs *FS) Exists(p string) bool {
 	_, err := fs.lookup(p)
 	return err == nil
 }
-
-// Walk visits every path under root in lexical order, calling fn with the
-// full path and whether it is a directory. It stops at the first error.
-func (fs *FS) Walk(root string, fn func(p string, dir bool) error) error {
-	fs.mu.RLock()
-	n, err := fs.lookup(root)
-	if err != nil {
-		fs.mu.RUnlock()
-		return err
-	}
-	type entry struct {
-		p string
-		n *node
-	}
-	// Snapshot the subtree so fn may mutate the filesystem.
-	var flat []entry
-	var rec func(p string, n *node)
-	rec = func(p string, n *node) {
-		flat = append(flat, entry{p, n})
-		if n.dir {
-			names := make([]string, 0, len(n.children))
-			for name := range n.children {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				rec(path.Join(p, name), n.children[name])
-			}
-		}
-	}
-	rec(clean(root), n)
-	fs.mu.RUnlock()
-	for _, e := range flat {
-		if err := fn(e.p, e.n.dir); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -167,50 +167,6 @@ func TestRemoveAll(t *testing.T) {
 	}
 }
 
-func TestWalkOrder(t *testing.T) {
-	fs := New()
-	for _, d := range []string{"/a", "/a/b", "/c"} {
-		if err := fs.Mkdir(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fs.AddFile("/a/f", ""); err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	err := fs.Walk("/", func(p string, dir bool) error {
-		got = append(got, p)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"/", "/a", "/a/b", "/a/f", "/c"}
-	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("Walk order = %v, want %v", got, want)
-	}
-}
-
-func TestWalkAllowsMutation(t *testing.T) {
-	fs := New()
-	if err := fs.MkdirAll("/a/b"); err != nil {
-		t.Fatal(err)
-	}
-	// Deleting during a walk must not deadlock or corrupt.
-	err := fs.Walk("/", func(p string, dir bool) error {
-		if p == "/a/b" {
-			return fs.RemoveAll("/a")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.Exists("/a") {
-		t.Fatal("/a survived deletion during walk")
-	}
-}
-
 func TestCleanPathEquivalence(t *testing.T) {
 	fs := New()
 	if err := fs.Mkdir("/a"); err != nil {
@@ -328,31 +284,6 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if err := fs.Remove("/nope"); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("Remove missing: %v", err)
-	}
-	if err := fs.Walk("/nope", func(string, bool) error { return nil }); err == nil {
-		t.Fatal("Walk on missing root succeeded")
-	}
-}
-
-func TestWalkStopsOnError(t *testing.T) {
-	fs := New()
-	if err := fs.MkdirAll("/a/b"); err != nil {
-		t.Fatal(err)
-	}
-	sentinel := errors.New("stop")
-	var visited int
-	err := fs.Walk("/", func(p string, dir bool) error {
-		visited++
-		if p == "/a" {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("Walk error = %v", err)
-	}
-	if visited != 2 { // "/" then "/a"
-		t.Fatalf("visited %d nodes, want 2", visited)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 func TestRegisterAndRead(t *testing.T) {
 	fs := memfs.New()
 	s := sched.New(2)
-	tab, err := New(fs, s, Mount)
+	tab, err := New(fs, Mount)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,10 +36,14 @@ func TestRegisterAndRead(t *testing.T) {
 	if ticks := utimeField(line); ticks != "1" { // 10 ms = 1 tick at USER_HZ=100
 		t.Fatalf("utime ticks = %s, want 1", ticks)
 	}
-	comm, _ := fs.ReadFile(fmt.Sprintf("/proc/%d/comm", th.ID))
-	if comm != "CPU 0/KVM\n" {
+	if comm := commField(line); comm != "CPU 0/KVM" {
 		t.Fatalf("comm = %q", comm)
 	}
+}
+
+// commField returns field 2 of a stat line without its parentheses.
+func commField(line string) string {
+	return line[strings.Index(line, "(")+1 : strings.LastIndex(line, ")")]
 }
 
 // utimeField returns field 14 of a stat line: the 12th after the comm,
@@ -51,7 +55,7 @@ func utimeField(line string) string {
 func TestUnregister(t *testing.T) {
 	fs := memfs.New()
 	s := sched.New(1)
-	tab, _ := New(fs, s, Mount)
+	tab, _ := New(fs, Mount)
 	th := s.NewThread(nil, nil)
 	if err := tab.Register(th, "x"); err != nil {
 		t.Fatal(err)

@@ -23,8 +23,24 @@ func TestSetBurstValidation(t *testing.T) {
 	if err := g.SetBurst(50_000); err != nil {
 		t.Fatalf("valid burst rejected: %v", err)
 	}
+	// The mirror-image rule: a finite quota may not drop below the burst.
+	if err := g.SetQuota(40_000, 100_000); err == nil {
+		t.Fatal("quota below burst accepted")
+	}
+	if g.QuotaUs != 50_000 {
+		t.Fatalf("rejected quota write changed the quota to %d", g.QuotaUs)
+	}
+	if err := g.SetQuota(50_000, 100_000); err != nil {
+		t.Fatalf("quota equal to burst rejected: %v", err)
+	}
+	if err := g.SetQuota(NoQuota, 100_000); err != nil {
+		t.Fatalf("lifting the quota with a burst set rejected: %v", err)
+	}
 	if err := g.SetBurst(0); err != nil {
 		t.Fatalf("clearing burst rejected: %v", err)
+	}
+	if err := g.SetQuota(40_000, 100_000); err != nil {
+		t.Fatalf("quota rejected after the burst was cleared: %v", err)
 	}
 }
 
@@ -125,63 +141,6 @@ func TestBurstSustainedRateBounded(t *testing.T) {
 	if th.UsageUs > 50_000*20 {
 		t.Fatalf("sustained usage %d exceeds quota rate %d", th.UsageUs, 50_000*20)
 	}
-}
-
-func TestPSITracksThrottling(t *testing.T) {
-	s := New(1)
-	g := s.NewGroup(nil, "g")
-	if err := g.SetQuota(20_000, 100_000); err != nil {
-		t.Fatal(err)
-	}
-	s.NewThread(g, nil)         // saturated at 20% quota → throttled 80% of time
-	for i := 0; i < 4000; i++ { // 40 s: four avg10 time constants
-		s.Tick(tick)
-	}
-	a10, a60, a300, total := g.PSI()
-	if a10 < 0.7 || a10 > 0.9 {
-		t.Fatalf("avg10 = %.2f, want ≈0.8 (throttled most of the time)", a10)
-	}
-	if a60 <= 0 || a300 <= 0 {
-		t.Fatalf("longer averages empty: %.3f %.3f", a60, a300)
-	}
-	if total == 0 {
-		t.Fatal("no stall time accumulated")
-	}
-	// An unthrottled group reports no pressure.
-	free := s.NewGroup(nil, "free")
-	s.NewThread(free, func(now, dt int64) float64 { return 0.1 })
-	for i := 0; i < 100; i++ {
-		s.Tick(tick)
-	}
-	f10, _, _, ftotal := free.PSI()
-	if f10 > 0.01 || ftotal != 0 {
-		t.Fatalf("free group under pressure: %.3f, total %d", f10, ftotal)
-	}
-}
-
-func TestPSIDecaysAfterRelief(t *testing.T) {
-	s := New(1)
-	g := s.NewGroup(nil, "g")
-	if err := g.SetQuota(10_000, 100_000); err != nil {
-		t.Fatal(err)
-	}
-	th := s.NewThread(g, nil)
-	for i := 0; i < 500; i++ { // 5 s of heavy throttling
-		s.Tick(tick)
-	}
-	before10, _, _, _ := g.PSI()
-	// Lift the quota: pressure must decay.
-	if err := g.SetQuota(NoQuota, 100_000); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ { // 10 s of freedom
-		s.Tick(tick)
-	}
-	after10, _, _, _ := g.PSI()
-	if after10 >= before10/2 {
-		t.Fatalf("avg10 did not decay: %.3f → %.3f", before10, after10)
-	}
-	_ = th
 }
 
 // Property: the burst reserve never exceeds BurstUs and usage per window

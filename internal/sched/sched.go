@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // DefaultWeight is the default cpu.weight of a cgroup.
@@ -99,12 +98,6 @@ type Group struct {
 	burstReserve  int64
 	throttledNow  bool
 
-	// PSI (pressure stall information) exponential averages of the
-	// fraction of wall-clock time the group spent throttled with
-	// runnable threads, mirroring cpu.pressure's avg10/avg60/avg300.
-	psiAvg10, psiAvg60, psiAvg300 float64
-	psiStallUs                    int64
-
 	// Per-tick cache, written by prepare: the subtree's demand, that
 	// demand clamped by every quota on the way down, and the share the
 	// parent's waterfill handed the group (read by allocate and settle).
@@ -124,14 +117,6 @@ type Scheduler struct {
 	coreLoadUs []int64
 	lastDtUs   int64
 
-	// coreBusyTotalUs accumulates per-core busy time since boot
-	// (/proc/stat).
-	coreBusyTotalUs []int64
-
-	// load averages over 1/5/15 minutes of the runnable thread count
-	// (/proc/loadavg).
-	load1, load5, load15 float64
-
 	// Scratch reused across Ticks so a steady-state Tick performs no
 	// heap allocation (the cluster-scale benchmarks step thousands of
 	// simulated machines per period, and before this reuse the fluid
@@ -139,12 +124,6 @@ type Scheduler struct {
 	allocScratch []Alloc
 	keyScratch   []uint64
 	entScratch   []entity
-
-	// Per-tick values: the number of threads with demand, counted by
-	// prepare, and the PSI blend factors of the 10/60/300 s horizons,
-	// read by settle.
-	runnable int
-	psiAlpha [3]float64
 }
 
 // New creates a scheduler for a machine with the given number of logical
@@ -161,10 +140,9 @@ func New(cores int) *Scheduler {
 			QuotaUs:  NoQuota,
 			PeriodUs: DefaultPeriodUs,
 		},
-		nextTID:         1,
-		threads:         map[int]*Thread{},
-		coreLoadUs:      make([]int64, cores),
-		coreBusyTotalUs: make([]int64, cores),
+		nextTID:    1,
+		threads:    map[int]*Thread{},
+		coreLoadUs: make([]int64, cores),
 	}
 }
 
@@ -219,13 +197,18 @@ func (s *Scheduler) RemoveGroup(g *Group) error {
 	return nil
 }
 
-// SetQuota configures bandwidth control for g. quotaUs may be NoQuota.
+// SetQuota configures bandwidth control for g. quotaUs may be NoQuota. As
+// the kernel does, it rejects a finite quota below the current burst:
+// shrink the burst first.
 func (g *Group) SetQuota(quotaUs, periodUs int64) error {
 	if periodUs <= 0 {
 		return fmt.Errorf("sched: period must be positive, got %d", periodUs)
 	}
 	if quotaUs < 0 && quotaUs != NoQuota {
 		return fmt.Errorf("sched: invalid quota %d", quotaUs)
+	}
+	if quotaUs != NoQuota && g.BurstUs > quotaUs {
+		return fmt.Errorf("sched: quota %d below burst %d", quotaUs, g.BurstUs)
 	}
 	g.QuotaUs = quotaUs
 	g.PeriodUs = periodUs
@@ -249,14 +232,6 @@ func (g *Group) SetBurst(burstUs int64) error {
 		g.burstReserve = burstUs
 	}
 	return nil
-}
-
-// PSI returns the group's CPU pressure averages: the fraction of time
-// the group was throttled while having runnable demand, over ~10 s,
-// ~60 s and ~300 s horizons, plus the total stall time in microseconds
-// (the cpu.pressure "some" line).
-func (g *Group) PSI() (avg10, avg60, avg300 float64, totalUs int64) {
-	return g.psiAvg10, g.psiAvg60, g.psiAvg300, g.psiStallUs
 }
 
 // Path returns the slash-separated path of the group from the root.
@@ -304,16 +279,6 @@ func (s *Scheduler) RemoveThread(t *Thread) {
 
 // Thread returns the thread with the given ID, or nil.
 func (s *Scheduler) Thread(id int) *Thread { return s.threads[id] }
-
-// Threads returns all thread IDs in a group (not recursive), sorted.
-func (g *Group) ThreadIDs() []int {
-	ids := make([]int, len(g.Threads))
-	for i, t := range g.Threads {
-		ids[i] = t.ID
-	}
-	sort.Ints(ids)
-	return ids
-}
 
 // CoreLoadUs returns the busy microseconds of core c during the last tick.
 func (s *Scheduler) CoreLoadUs(c int) int64 { return s.coreLoadUs[c] }
@@ -363,59 +328,22 @@ type entity struct {
 //
 // One tick walks the cgroup tree twice: prepare descends it (windows,
 // demands, cached needs), allocate hands the capacity down through the
-// groups that need any, and settle ascends it (usage, throttling, PSI,
-// the allocation list in the order prepare met the threads).
+// groups that need any, and settle ascends it (usage, throttling, the
+// allocation list in the order prepare met the threads).
 func (s *Scheduler) Tick(dtUs int64) []Alloc {
 	if dtUs <= 0 {
 		panic("sched: dt must be positive")
 	}
-	s.runnable = 0
 	s.prepare(s.root, dtUs)
 	s.allocate(s.root, dtUs*int64(s.Cores))
-	s.psiAlpha = [3]float64{blendAlpha(dtUs, 10e6), blendAlpha(dtUs, 60e6), blendAlpha(dtUs, 300e6)}
 	s.allocScratch = s.allocScratch[:0]
-	s.settle(s.root, dtUs)
+	s.settle(s.root)
 	allocs := s.allocScratch
 	s.placeOnCores(allocs, dtUs)
-	for c, l := range s.coreLoadUs {
-		s.coreBusyTotalUs[c] += l
-	}
-	s.updateLoadAvg(s.runnable, dtUs)
 	s.nowUs += dtUs
 	s.lastDtUs = dtUs
 	return allocs
 }
-
-// blendAlpha is the weight one tick of dtUs carries in an exponential
-// average over windowUs.
-func blendAlpha(dtUs int64, windowUs float64) float64 {
-	alpha := float64(dtUs) / windowUs
-	if alpha > 1 {
-		alpha = 1
-	}
-	return alpha
-}
-
-// updateLoadAvg blends the runnable thread count into the 1/5/15-minute
-// exponential load averages.
-func (s *Scheduler) updateLoadAvg(runnable int, dtUs int64) {
-	blend := func(avg *float64, windowUs float64) {
-		alpha := blendAlpha(dtUs, windowUs)
-		*avg = *avg*(1-alpha) + float64(runnable)*alpha
-	}
-	blend(&s.load1, 60e6)
-	blend(&s.load5, 300e6)
-	blend(&s.load15, 900e6)
-}
-
-// LoadAvg returns the 1/5/15-minute load averages (runnable threads).
-func (s *Scheduler) LoadAvg() (l1, l5, l15 float64) { return s.load1, s.load5, s.load15 }
-
-// CoreBusyTotalUs returns core c's cumulative busy time since boot.
-func (s *Scheduler) CoreBusyTotalUs(c int) int64 { return s.coreBusyTotalUs[c] }
-
-// RunnableCount returns the number of registered threads.
-func (s *Scheduler) RunnableCount() int { return len(s.threads) }
 
 // prepare is the tick's descent. Per group it opens the bandwidth periods
 // that are due, settling the burst reserve (unused quota accumulates up to
@@ -459,7 +387,6 @@ func (s *Scheduler) prepare(g *Group, dtUs int64) {
 		t.want = int64(f * float64(dtUs))
 		t.got = 0
 		if t.want > 0 {
-			s.runnable++
 			want += t.want
 		}
 	}
@@ -597,12 +524,10 @@ func waterfill(active []entity, capacity int64) {
 // settle is the tick's ascent. Per group it records the usage of the
 // group's threads and lists their allocations (threads before sub-groups,
 // the order prepare met them), folds the subtree's usage into the group
-// and its bandwidth window, and updates the cpu.stat throttling counters
-// and the PSI pressure averages: a group is throttled in a tick when its
-// quota window is exhausted while its subtree still has unmet demand. The
-// averages are exponentially weighted over 10/60/300-second horizons, as
-// the kernel's cpu.pressure reports. It returns the subtree's usage.
-func (s *Scheduler) settle(g *Group, dtUs int64) int64 {
+// and its bandwidth window, and updates the cpu.stat throttling counters:
+// a group is throttled in a tick when its quota window is exhausted while
+// its subtree still has unmet demand. It returns the subtree's usage.
+func (s *Scheduler) settle(g *Group) int64 {
 	var got int64
 	for _, t := range g.Threads {
 		if t.got < 0 {
@@ -616,24 +541,17 @@ func (s *Scheduler) settle(g *Group, dtUs int64) int64 {
 		s.allocScratch = append(s.allocScratch, Alloc{Thread: t, RanUs: t.got})
 	}
 	for _, c := range g.Children {
-		got += s.settle(c, dtUs)
+		got += s.settle(c)
 	}
 	g.UsageUs += got
 	g.windowUsedUs += got
-	v := 0.0
 	if unmet := g.want - got; unmet > 0 && g.QuotaUs != NoQuota && g.quotaRemaining() == 0 {
 		if !g.throttledNow {
 			g.NrThrottled++
 			g.throttledNow = true
 		}
 		g.ThrottledUs += unmet
-		g.psiStallUs += dtUs
-		v = 1
 	}
-	a := &s.psiAlpha
-	g.psiAvg10 = g.psiAvg10*(1-a[0]) + v*a[0]
-	g.psiAvg60 = g.psiAvg60*(1-a[1]) + v*a[1]
-	g.psiAvg300 = g.psiAvg300*(1-a[2]) + v*a[2]
 	return got
 }
 

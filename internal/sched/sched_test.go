@@ -576,29 +576,10 @@ func (s *reference) referenceTick(dtUs int64) []Alloc {
 	}
 	s.allocScratch = allocs
 	s.placeOnCores(allocs, dtUs)
-	s.recordThrottling(s.root, dtUs)
-	for c, l := range s.coreLoadUs {
-		s.coreBusyTotalUs[c] += l
-	}
-	s.updateLoadAvg(len(runnable), dtUs)
+	s.recordThrottling(s.root)
 	s.nowUs += dtUs
 	s.lastDtUs = dtUs
 	return allocs
-}
-
-// updateLoadAvg blends the runnable thread count into the 1/5/15-minute
-// exponential load averages.
-func (s *reference) updateLoadAvg(runnable int, dtUs int64) {
-	blend := func(avg *float64, windowUs float64) {
-		alpha := float64(dtUs) / windowUs
-		if alpha > 1 {
-			alpha = 1
-		}
-		*avg = *avg*(1-alpha) + float64(runnable)*alpha
-	}
-	blend(&s.load1, 60e6)
-	blend(&s.load5, 300e6)
-	blend(&s.load15, 900e6)
 }
 
 // refreshWindows opens new bandwidth periods where due, settling the
@@ -843,11 +824,10 @@ func (s *reference) placeOnCores(allocs []Alloc, dtUs int64) {
 	}
 }
 
-// recordThrottling updates cpu.stat-style throttling counters and the PSI
-// pressure averages: a group is throttled in a tick when its quota window
-// is exhausted while its threads still have unmet demand.
-func (s *reference) recordThrottling(g *Group, dtUs int64) {
-	stalled := false
+// recordThrottling updates cpu.stat-style throttling counters: a group is
+// throttled in a tick when its quota window is exhausted while its threads
+// still have unmet demand.
+func (s *reference) recordThrottling(g *Group) {
 	if g.QuotaUs != NoQuota && g.quotaRemaining() == 0 {
 		unmet := int64(0)
 		var rec func(*Group)
@@ -868,34 +848,11 @@ func (s *reference) recordThrottling(g *Group, dtUs int64) {
 				g.throttledNow = true
 			}
 			g.ThrottledUs += unmet
-			stalled = true
 		}
 	}
-	g.refUpdatePSI(stalled, dtUs)
 	for _, c := range g.Children {
-		s.recordThrottling(c, dtUs)
+		s.recordThrottling(c)
 	}
-}
-
-// refUpdatePSI advances the pressure averages by one tick. The averages are
-// exponentially weighted over 10/60/300-second horizons, as the kernel's
-// cpu.pressure reports.
-func (g *Group) refUpdatePSI(stalled bool, dtUs int64) {
-	v := 0.0
-	if stalled {
-		v = 1
-		g.psiStallUs += dtUs
-	}
-	blend := func(avg *float64, windowUs float64) {
-		alpha := float64(dtUs) / windowUs
-		if alpha > 1 {
-			alpha = 1
-		}
-		*avg = *avg*(1-alpha) + v*alpha
-	}
-	blend(&g.psiAvg10, 10e6)
-	blend(&g.psiAvg60, 60e6)
-	blend(&g.psiAvg300, 300e6)
 }
 
 // chooser draws the decisions of a differential schedule: from a seeded
@@ -1154,18 +1111,14 @@ func (tw *twins) tick(label string) {
 		usage, periods, throttled, throttledUs, bursts, burstUsed int64
 		windowStart, windowUsed, reserve                          int64
 		throttledNow                                              bool
-		psi10, psi60, psi300                                      float64
-		psiTotal                                                  int64
 	}
 	of := func(g *Group) counters {
-		c := counters{
+		return counters{
 			usage: g.UsageUs, periods: g.NrPeriods, throttled: g.NrThrottled, throttledUs: g.ThrottledUs,
 			bursts: g.NrBursts, burstUsed: g.BurstUsedUs,
 			windowStart: g.windowStartUs, windowUsed: g.windowUsedUs, reserve: g.burstReserve,
 			throttledNow: g.throttledNow,
 		}
-		c.psi10, c.psi60, c.psi300, c.psiTotal = g.PSI()
-		return c
 	}
 	for i, g := range tw.groups[0] {
 		if a, b := of(g), of(tw.groups[1][i]); a != b {
@@ -1174,16 +1127,13 @@ func (tw *twins) tick(label string) {
 	}
 	p, r := tw.prod, tw.ref.Scheduler
 	for c := 0; c < p.Cores; c++ {
-		if p.CoreLoadUs(c) != r.CoreLoadUs(c) || p.CoreBusyTotalUs(c) != r.CoreBusyTotalUs(c) {
-			tb.Fatalf("%s: core %d load %d total %d, reference load %d total %d",
-				label, c, p.CoreLoadUs(c), p.CoreBusyTotalUs(c), r.CoreLoadUs(c), r.CoreBusyTotalUs(c))
+		if p.CoreLoadUs(c) != r.CoreLoadUs(c) {
+			tb.Fatalf("%s: core %d load %d, reference %d", label, c, p.CoreLoadUs(c), r.CoreLoadUs(c))
 		}
 	}
-	a1, a5, a15 := p.LoadAvg()
-	b1, b5, b15 := r.LoadAvg()
-	if a1 != b1 || a5 != b5 || a15 != b15 || p.NowUs() != r.NowUs() || p.Utilization() != r.Utilization() {
-		tb.Fatalf("%s: loadavg %v %v %v now %d, reference %v %v %v now %d",
-			label, a1, a5, a15, p.NowUs(), b1, b5, b15, r.NowUs())
+	if p.NowUs() != r.NowUs() || p.Utilization() != r.Utilization() {
+		tb.Fatalf("%s: now %d utilisation %v, reference now %d utilisation %v",
+			label, p.NowUs(), p.Utilization(), r.NowUs(), r.Utilization())
 	}
 }
 

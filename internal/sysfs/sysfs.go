@@ -1,8 +1,7 @@
 // Package sysfs emulates the cpufreq subset of /sys the controller reads:
-// /sys/devices/system/cpu/cpu<N>/cpufreq/scaling_cur_freq (kHz) plus the
-// static scaling_min_freq, scaling_max_freq and scaling_governor files,
-// and the NUMA topology subset under /sys/devices/system/node
-// (node<N>/cpulist) behind platform.Topology.
+// /sys/devices/system/cpu/cpu<N>/cpufreq/scaling_cur_freq (kHz), and the
+// NUMA topology subset under /sys/devices/system/node (node<N>/cpulist)
+// behind platform.Topology.
 package sysfs
 
 import (
@@ -22,14 +21,6 @@ func MountModel(fs *memfs.FS, m *dvfs.Model, mount string) error {
 	if err := fs.MkdirAll(mount); err != nil {
 		return err
 	}
-	if err := fs.AddDynamic(mount+"/online", func() string {
-		if m.Cores() == 1 {
-			return "0\n"
-		}
-		return fmt.Sprintf("0-%d\n", m.Cores()-1)
-	}, nil); err != nil {
-		return err
-	}
 	for c := 0; c < m.Cores(); c++ {
 		c := c
 		dir := fmt.Sprintf("%s/cpu%d/cpufreq", mount, c)
@@ -38,28 +29,12 @@ func MountModel(fs *memfs.FS, m *dvfs.Model, mount string) error {
 		}
 		// scaling_cur_freq is read once per vCPU per period by the
 		// monitor stage, so it renders append-style to the caller's
-		// buffer; the cold policy files stay string-based.
+		// buffer.
 		if err := fs.AddDynamicAppend(dir+"/scaling_cur_freq", func(buf []byte) []byte {
 			buf = strconv.AppendInt(buf, m.FreqKHz(c), 10)
 			return append(buf, '\n')
 		}, nil); err != nil {
 			return err
-		}
-		files := map[string]memfs.ReadFunc{
-			"scaling_min_freq": func() string { return fmt.Sprintf("%d\n", m.Policy().MinMHz*1000) },
-			"scaling_max_freq": func() string {
-				max := m.Policy().MaxMHz
-				if t := m.Policy().TurboMHz; t > max {
-					max = t
-				}
-				return fmt.Sprintf("%d\n", max*1000)
-			},
-			"scaling_governor": func() string { return m.Governor() + "\n" },
-		}
-		for name, read := range files {
-			if err := fs.AddDynamic(dir+"/"+name, read, nil); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

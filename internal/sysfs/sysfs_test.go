@@ -42,46 +42,6 @@ func TestMountAndRead(t *testing.T) {
 	}
 }
 
-func TestStaticFiles(t *testing.T) {
-	fs := memfs.New()
-	if err := MountModel(fs, model(t, 2), Mount); err != nil {
-		t.Fatal(err)
-	}
-	gov, _ := fs.ReadFile(Mount + "/cpu1/cpufreq/scaling_governor")
-	if gov != "schedutil\n" {
-		t.Fatalf("governor = %q", gov)
-	}
-	max, _ := fs.ReadFile(Mount + "/cpu0/cpufreq/scaling_max_freq")
-	if k, _ := ParseKHzBytes([]byte(max)); k != 3_100_000 {
-		t.Fatalf("scaling_max_freq = %q, want turbo 3100000", max)
-	}
-	min, _ := fs.ReadFile(Mount + "/cpu0/cpufreq/scaling_min_freq")
-	if k, _ := ParseKHzBytes([]byte(min)); k != 1_200_000 {
-		t.Fatalf("scaling_min_freq = %q", min)
-	}
-}
-
-func TestOnlineFile(t *testing.T) {
-	fs := memfs.New()
-	if err := MountModel(fs, model(t, 64), Mount); err != nil {
-		t.Fatal(err)
-	}
-	content, _ := fs.ReadFile(Mount + "/online")
-	n, err := ParseOnline(content)
-	if err != nil || n != 64 {
-		t.Fatalf("online = %d, %v; want 64", n, err)
-	}
-	fs1 := memfs.New()
-	if err := MountModel(fs1, model(t, 1), Mount); err != nil {
-		t.Fatal(err)
-	}
-	content, _ = fs1.ReadFile(Mount + "/online")
-	n, err = ParseOnline(content)
-	if err != nil || n != 1 {
-		t.Fatalf("single-core online = %d, %v; want 1", n, err)
-	}
-}
-
 func TestParseErrors(t *testing.T) {
 	if _, err := ParseKHzBytes([]byte("fast")); err == nil {
 		t.Fatal("ParseKHzBytes accepted garbage")

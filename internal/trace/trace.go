@@ -16,7 +16,7 @@ type Series struct {
 	Times  []float64 // seconds
 	Values []float64
 
-	sortScratch []float64 // reused by MedianRange/PercentileRange
+	sortScratch []float64 // reused by MedianRange
 }
 
 // Add appends a point.
@@ -40,22 +40,6 @@ func (s *Series) Mean() float64 {
 	return sum / float64(len(s.Values))
 }
 
-// MeanRange averages values with Times in [from, to).
-func (s *Series) MeanRange(from, to float64) float64 {
-	var sum float64
-	n := 0
-	for i, t := range s.Times {
-		if t >= from && t < to {
-			sum += s.Values[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // MedianRange returns the median of values with Times in [from, to) — a
 // robust plateau estimator, insensitive to the periodic synchronisation
 // notches of the benchmark workloads.
@@ -72,8 +56,8 @@ func (s *Series) MedianRange(from, to float64) float64 {
 }
 
 // rangeSorted copies the values with Times in [from, to) into the
-// series' reused scratch slice and sorts them ascending, so the
-// quantile estimators do not allocate a fresh copy per call.
+// series' reused scratch slice and sorts them ascending, so MedianRange
+// does not allocate a fresh copy per call.
 func (s *Series) rangeSorted(from, to float64) []float64 {
 	vals := s.sortScratch[:0]
 	for i, t := range s.Times {
@@ -96,20 +80,6 @@ func (s *Series) Sum() float64 {
 	return sum
 }
 
-// Variance returns the population variance of the values.
-func (s *Series) Variance() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	m := s.Mean()
-	var acc float64
-	for _, v := range s.Values {
-		d := v - m
-		acc += d * d
-	}
-	return acc / float64(len(s.Values))
-}
-
 // Max returns the maximum value (0 when empty).
 func (s *Series) Max() float64 {
 	max := math.Inf(-1)
@@ -122,61 +92,6 @@ func (s *Series) Max() float64 {
 		return 0
 	}
 	return max
-}
-
-// Min returns the minimum value (0 when empty).
-func (s *Series) Min() float64 {
-	min := math.Inf(1)
-	for _, v := range s.Values {
-		if v < min {
-			min = v
-		}
-	}
-	if math.IsInf(min, 1) {
-		return 0
-	}
-	return min
-}
-
-// PercentileRange returns the p-quantile (0 ≤ p ≤ 1) of values with Times
-// in [from, to), using nearest-rank interpolation.
-func (s *Series) PercentileRange(p, from, to float64) float64 {
-	vals := s.rangeSorted(from, to)
-	if len(vals) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return vals[0]
-	}
-	if p >= 1 {
-		return vals[len(vals)-1]
-	}
-	pos := p * float64(len(vals)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(vals) {
-		return vals[lo]
-	}
-	return vals[lo]*(1-frac) + vals[lo+1]*frac
-}
-
-// Smooth returns a new series with an exponential moving average of the
-// values (alpha in (0, 1]; 1 = no smoothing).
-func (s *Series) Smooth(alpha float64) *Series {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 1
-	}
-	out := &Series{Name: s.Name + ":ewma"}
-	var acc float64
-	for i, t := range s.Times {
-		if i == 0 {
-			acc = s.Values[0]
-		} else {
-			acc = acc*(1-alpha) + s.Values[i]*alpha
-		}
-		out.Add(t, acc)
-	}
-	return out
 }
 
 // Recorder collects named series with a shared clock.
@@ -221,9 +136,6 @@ func (r *Recorder) RecordAll(t float64, values map[string]float64) {
 
 // Series returns the named series, or nil.
 func (r *Recorder) Series(name string) *Series { return r.series[name] }
-
-// Names returns the series names in creation order.
-func (r *Recorder) Names() []string { return append([]string(nil), r.order...) }
 
 // CSV renders all series as a CSV table aligned on the union of times.
 func (r *Recorder) CSV() string {

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -14,31 +13,15 @@ func TestSeriesStats(t *testing.T) {
 	if s.Len() != 3 || s.Mean() != 4 {
 		t.Fatalf("len=%d mean=%v", s.Len(), s.Mean())
 	}
-	if s.Max() != 6 || s.Min() != 2 {
-		t.Fatalf("max=%v min=%v", s.Max(), s.Min())
-	}
-	if v := s.Variance(); math.Abs(v-8.0/3) > 1e-9 {
-		t.Fatalf("variance = %v", v)
+	if s.Max() != 6 {
+		t.Fatalf("max=%v", s.Max())
 	}
 }
 
 func TestSeriesEmpty(t *testing.T) {
 	s := &Series{}
-	if s.Mean() != 0 || s.Variance() != 0 || s.Max() != 0 || s.Min() != 0 {
+	if s.Mean() != 0 || s.Max() != 0 {
 		t.Fatal("empty series stats not zero")
-	}
-}
-
-func TestMeanRange(t *testing.T) {
-	s := &Series{}
-	for i := 0; i < 10; i++ {
-		s.Add(float64(i), float64(i)*10)
-	}
-	if got := s.MeanRange(2, 5); got != 30 { // (20+30+40)/3
-		t.Fatalf("MeanRange = %v, want 30", got)
-	}
-	if got := s.MeanRange(100, 200); got != 0 {
-		t.Fatalf("empty range = %v", got)
 	}
 }
 
@@ -47,9 +30,6 @@ func TestRecorder(t *testing.T) {
 	r.Record("a", 0, 1)
 	r.Record("b", 0, 2)
 	r.Record("a", 1, 3)
-	if got := r.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Names = %v", got)
-	}
 	if r.Series("a").Len() != 2 || r.Series("b").Len() != 1 {
 		t.Fatal("series lengths wrong")
 	}
@@ -112,52 +92,6 @@ func TestChartClampsTinyDimensions(t *testing.T) {
 	}
 }
 
-func TestPercentileRange(t *testing.T) {
-	s := &Series{}
-	for i := 0; i < 100; i++ {
-		s.Add(float64(i), float64(i))
-	}
-	if got := s.PercentileRange(0.5, 0, 100); math.Abs(got-49.5) > 1e-9 {
-		t.Fatalf("median = %v, want 49.5", got)
-	}
-	if got := s.PercentileRange(0, 0, 100); got != 0 {
-		t.Fatalf("p0 = %v", got)
-	}
-	if got := s.PercentileRange(1, 0, 100); got != 99 {
-		t.Fatalf("p100 = %v", got)
-	}
-	if got := s.PercentileRange(0.9, 0, 10); math.Abs(got-8.1) > 1e-9 {
-		t.Fatalf("p90 of [0,10) = %v, want 8.1", got)
-	}
-	if got := s.PercentileRange(0.5, 500, 600); got != 0 {
-		t.Fatalf("empty range = %v", got)
-	}
-}
-
-func TestSmooth(t *testing.T) {
-	s := &Series{Name: "x"}
-	s.Add(0, 0)
-	s.Add(1, 10)
-	s.Add(2, 10)
-	sm := s.Smooth(0.5)
-	if sm.Name != "x:ewma" || sm.Len() != 3 {
-		t.Fatalf("smooth meta wrong: %s %d", sm.Name, sm.Len())
-	}
-	want := []float64{0, 5, 7.5}
-	for i, w := range want {
-		if math.Abs(sm.Values[i]-w) > 1e-9 {
-			t.Fatalf("smooth[%d] = %v, want %v", i, sm.Values[i], w)
-		}
-	}
-	// Invalid alpha degrades to identity.
-	id := s.Smooth(0)
-	for i := range s.Values {
-		if id.Values[i] != s.Values[i] {
-			t.Fatal("alpha 0 should be identity")
-		}
-	}
-}
-
 func TestMedianRange(t *testing.T) {
 	s := &Series{}
 	for i, v := range []float64{500, 2400, 500, 510, 490, 2400, 505} {
@@ -176,29 +110,29 @@ func TestMedianRange(t *testing.T) {
 }
 
 // TestQuantileScratchReuse pins the reused-sort-scratch behaviour of
-// MedianRange/PercentileRange: interleaved calls over different windows
-// must not see each other's scratch contents, and repeated calls must
-// not allocate a fresh copy each time.
+// MedianRange: interleaved calls over different windows must not see
+// each other's scratch contents, and repeated calls must not allocate a
+// fresh copy each time.
 func TestQuantileScratchReuse(t *testing.T) {
 	s := &Series{}
 	for i := 0; i < 100; i++ {
 		s.Add(float64(i), float64(99-i))
 	}
 	m1 := s.MedianRange(0, 100)
-	p1 := s.PercentileRange(0.9, 0, 50)
+	h1 := s.MedianRange(0, 50)
 	m2 := s.MedianRange(0, 100)
 	if m1 != m2 {
 		t.Fatalf("MedianRange changed across interleaved calls: %v then %v", m1, m2)
 	}
-	if p2 := s.PercentileRange(0.9, 0, 50); p1 != p2 {
-		t.Fatalf("PercentileRange changed across interleaved calls: %v then %v", p1, p2)
+	if h2 := s.MedianRange(0, 50); h1 != h2 {
+		t.Fatalf("MedianRange over the half window changed across interleaved calls: %v then %v", h1, h2)
 	}
 	if got := s.MedianRange(200, 300); got != 0 {
 		t.Fatalf("empty window median = %v, want 0", got)
 	}
-	allocs := testing.AllocsPerRun(20, func() { s.PercentileRange(0.5, 0, 100) })
+	allocs := testing.AllocsPerRun(20, func() { s.MedianRange(0, 100) })
 	if allocs > 0 {
-		t.Fatalf("warm PercentileRange allocates %.1f/op, want 0", allocs)
+		t.Fatalf("warm MedianRange allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -210,11 +144,10 @@ func TestRecordAllScratchReuse(t *testing.T) {
 	for step := 0; step < 5; step++ {
 		r.RecordAll(float64(step), vals)
 	}
-	names := r.Names()
 	want := []string{"a", "b", "c"}
 	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("Names = %v, want %v", names, want)
+		if r.order[i] != n {
+			t.Fatalf("creation order = %v, want %v", r.order, want)
 		}
 		if got := r.Series(n).Len(); got != 5 {
 			t.Fatalf("series %s has %d points, want 5", n, got)

@@ -188,21 +188,3 @@ func (t *benchThread) Account(nowUs, ranUs, freqMHz int64) {
 func (b *Bench) Running(nowUs int64) bool {
 	return b.started && !b.Done() && nowUs >= b.dipUntil
 }
-
-// MeanRateMHz averages the per-run rates of all completed runs.
-func (b *Bench) MeanRateMHz() float64 {
-	if len(b.results) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range b.results {
-		sum += r.RateMHz()
-	}
-	return sum / float64(len(b.results))
-}
-
-// Adapter glue: Bind returns the demand and account callbacks used to
-// attach a Source to a scheduler thread.
-func Bind(s Source) (demand func(nowUs, dtUs int64) float64, onRun func(nowUs, ranUs, freqMHz int64)) {
-	return s.Demand, s.Account
-}

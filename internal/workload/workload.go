@@ -9,8 +9,6 @@
 // to it.
 package workload
 
-import "math"
-
 // Source produces CPU demand for one thread and receives work accounting.
 type Source interface {
 	// Demand returns the fraction of the next dtUs the thread wants to
@@ -39,29 +37,6 @@ func Idle() *Constant { return &Constant{Level: 0} }
 // Busy returns a source that always wants a full core.
 func Busy() *Constant { return &Constant{Level: 1} }
 
-// Ramp linearly interpolates demand from From to To over [StartUs,
-// StartUs+DurUs], holding To afterwards.
-type Ramp struct {
-	From, To       float64
-	StartUs, DurUs int64
-	CyclesDone     int64
-}
-
-// Demand implements Source.
-func (r *Ramp) Demand(nowUs, dtUs int64) float64 {
-	if nowUs <= r.StartUs {
-		return r.From
-	}
-	if nowUs >= r.StartUs+r.DurUs {
-		return r.To
-	}
-	frac := float64(nowUs-r.StartUs) / float64(r.DurUs)
-	return r.From + (r.To-r.From)*frac
-}
-
-// Account implements Source.
-func (r *Ramp) Account(nowUs, ranUs, freqMHz int64) { r.CyclesDone += ranUs * freqMHz }
-
 // Bursty alternates between High demand for Duty·Period and Low demand for
 // the rest of each period.
 type Bursty struct {
@@ -86,26 +61,6 @@ func (b *Bursty) Demand(nowUs, dtUs int64) float64 {
 
 // Account implements Source.
 func (b *Bursty) Account(nowUs, ranUs, freqMHz int64) { b.CyclesDone += ranUs * freqMHz }
-
-// Sine modulates demand sinusoidally between Min and Max with the given
-// period, approximating slowly varying interactive load.
-type Sine struct {
-	PeriodUs   int64
-	Min, Max   float64
-	CyclesDone int64
-}
-
-// Demand implements Source.
-func (s *Sine) Demand(nowUs, dtUs int64) float64 {
-	if s.PeriodUs <= 0 {
-		return s.Min
-	}
-	phase := 2 * math.Pi * float64(nowUs%s.PeriodUs) / float64(s.PeriodUs)
-	return s.Min + (s.Max-s.Min)*(0.5+0.5*math.Sin(phase))
-}
-
-// Account implements Source.
-func (s *Sine) Account(nowUs, ranUs, freqMHz int64) { s.CyclesDone += ranUs * freqMHz }
 
 // Trace replays a fixed demand series with a given sample step, holding
 // the last sample forever.

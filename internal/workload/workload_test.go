@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -20,19 +19,6 @@ func TestConstant(t *testing.T) {
 	}
 }
 
-func TestRamp(t *testing.T) {
-	r := &Ramp{From: 0, To: 1, StartUs: 100, DurUs: 100}
-	if d := r.Demand(0, 1); d != 0 {
-		t.Fatalf("before start: %v", d)
-	}
-	if d := r.Demand(150, 1); math.Abs(d-0.5) > 1e-9 {
-		t.Fatalf("midpoint: %v", d)
-	}
-	if d := r.Demand(1000, 1); d != 1 {
-		t.Fatalf("after end: %v", d)
-	}
-}
-
 func TestBursty(t *testing.T) {
 	b := &Bursty{PeriodUs: 100, Duty: 0.3, High: 1, Low: 0.1}
 	if d := b.Demand(10, 1); d != 1 {
@@ -47,16 +33,6 @@ func TestBursty(t *testing.T) {
 	zero := &Bursty{Low: 0.2}
 	if d := zero.Demand(5, 1); d != 0.2 {
 		t.Fatalf("zero period: %v", d)
-	}
-}
-
-func TestSineBounds(t *testing.T) {
-	s := &Sine{PeriodUs: 1000, Min: 0.2, Max: 0.8}
-	for now := int64(0); now < 3000; now += 37 {
-		d := s.Demand(now, 1)
-		if d < 0.2-1e-9 || d > 0.8+1e-9 {
-			t.Fatalf("sine out of bounds at %d: %v", now, d)
-		}
 	}
 }
 
@@ -143,9 +119,6 @@ func TestBenchRunsAndScores(t *testing.T) {
 		if r.RateMHz() != 1000 {
 			t.Fatalf("run %d rate = %v, want 1000", i, r.RateMHz())
 		}
-	}
-	if b.MeanRateMHz() != 1000 {
-		t.Fatalf("mean rate = %v", b.MeanRateMHz())
 	}
 }
 

@@ -11,10 +11,10 @@
 // complements the controller at the cluster level.
 //
 // Two execution platforms are provided behind one interface: a simulated
-// host (CFS-like scheduler, cgroup/proc/sys pseudo-filesystems, DVFS and
-// an energy model — a faithful stand-in for the paper's Grid'5000 nodes)
-// and a real-Linux backend reading /sys/fs/cgroup directly. The
-// controller code is identical on both.
+// host (CFS-like scheduler, the cgroup/proc/sys pseudo-files the
+// controller reads and writes, DVFS and an energy model — a stand-in for
+// the paper's Grid'5000 nodes) and a real-Linux backend reading
+// /sys/fs/cgroup directly. The controller code is identical on both.
 //
 // Quick start:
 //
@@ -110,17 +110,6 @@ func NewCompress7zip(threads int, cyclesPerRun int64, runs int, startUs int64) (
 // NewOpenSSL builds an openssl-like benchmark.
 func NewOpenSSL(threads int, cyclesPerRun int64, runs int, startUs int64) (*Bench, error) {
 	return workload.NewOpenSSL(threads, cyclesPerRun, runs, startUs)
-}
-
-// WebServer is an interactive workload with Poisson request arrivals.
-type WebServer = workload.WebServer
-
-// MapReduce is a two-phase batch workload with a mid-job parallelism drop.
-type MapReduce = workload.MapReduce
-
-// NewMapReduce builds a MapReduce job across a VM's worker threads.
-func NewMapReduce(threads int, mapCycles int64, reducers int, reduceCycles, shuffleUs, startUs int64) (*MapReduce, error) {
-	return workload.NewMapReduce(threads, mapCycles, reducers, reduceCycles, shuffleUs, startUs)
 }
 
 // Controller.
