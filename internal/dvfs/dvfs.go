@@ -80,12 +80,6 @@ func (m *Model) idleFreq() int64 {
 	return m.policy.MinMHz
 }
 
-// Governor returns the active governor name.
-func (m *Model) Governor() string { return m.governor }
-
-// Policy returns the frequency envelope.
-func (m *Model) Policy() Policy { return m.policy }
-
 // FreqMHz returns the current frequency of core c in MHz.
 func (m *Model) FreqMHz(c int) int64 { return m.freqMHz[c] }
 

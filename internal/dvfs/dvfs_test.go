@@ -177,12 +177,6 @@ func TestOndemandGovernor(t *testing.T) {
 	if f <= 1200 || f >= 2400 {
 		t.Fatalf("mid-load ondemand = %d, want interpolated", f)
 	}
-	if m.Governor() != GovernorOndemand {
-		t.Fatalf("Governor = %q", m.Governor())
-	}
-	if m.Policy().MaxMHz != 2400 {
-		t.Fatalf("Policy = %+v", m.Policy())
-	}
 }
 
 func TestUpdatePanicsOnWrongLength(t *testing.T) {

@@ -79,6 +79,3 @@ func (m *Meter) Observe(u float64, fMHz float64, dtUs int64) {
 
 // Joules returns the accumulated energy.
 func (m *Meter) Joules() float64 { return m.joules }
-
-// Model returns the underlying power model.
-func (m *Meter) Model() PowerModel { return m.model }

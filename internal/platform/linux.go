@@ -1,12 +1,15 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"syscall"
 
 	"vfreq/internal/cgroupfs"
 	"vfreq/internal/procfs"
@@ -28,6 +31,22 @@ import (
 // failed read or write closes and drops the descriptor, and the next
 // call reopens the path — which is how cgroup recreation on VM restart
 // is picked up.
+//
+// Two answers are remembered instead of re-read every period, each with
+// the events that invalidate it (DESIGN §7 has the table):
+//
+//   - ListVMs keeps its last scan of the tree and only re-stats the root
+//     and every directory under it. It scans again when a (st_ino,
+//     st_nlink, st_mtim) moved, when a stat fails, and — the backstop for
+//     a change no stat shows — when any cached descriptor failed since
+//     the scan. The Freqs filter and the scan are separate: a template
+//     registered or withdrawn shows on the next call, scan or no scan.
+//   - ThreadID keeps the tid it found until LastCPU(tid) or the vCPU's
+//     cpu.stat read fails. A replaced thread is therefore noticed on the
+//     call that fails, not before: one period without that vCPU's
+//     placement, after which the new tid is read.
+//
+// The stat identity makes this type Linux-only (syscall.Stat_t.Mtim).
 type Linux struct {
 	NodeName    string
 	CgroupRoot  string // e.g. /sys/fs/cgroup/machine.slice
@@ -40,8 +59,19 @@ type Linux struct {
 
 	// Lazily-built handle caches.
 	vcpus map[vcpuRef]*vcpuFiles
-	procs map[int]*handle
+	procs map[int]*procFile
 	cores map[int]*handle
+
+	// The last scan of the cgroup tree, unfiltered by Freqs: rootID is
+	// the root's identity taken before its listing, scan one entry per
+	// directory under it. scanOK is set by a completed scan and cleared
+	// by any handle whose open, read or write failed since.
+	rootID dirID
+	scan   []dirScan
+	scanOK bool
+	// listed is the previous ListVMs result: descriptors are pruned only
+	// when the result differs from it.
+	listed []VMInfo
 
 	// coreNodes caches the NUMA topology (core → node), discovered once
 	// like the cgroup paths: the placement of logical CPUs never changes
@@ -54,16 +84,31 @@ type vcpuRef struct {
 	vcpu int
 }
 
-// vcpuFiles caches one vCPU cgroup's directory path and control files.
+// vcpuFiles caches one vCPU cgroup's control files.
 type vcpuFiles struct {
-	dir     string
 	stat    handle // cpu.stat (read)
 	threads handle // cgroup.threads (read)
 	max     handle // cpu.max (write)
 	burst   handle // cpu.max.burst (write)
-	// tid is the thread ThreadID last returned (0: none yet); its
-	// /proc/<tid>/stat handle in Linux.procs lives and dies with it.
+	// tid is the vCPU's thread as ThreadID last read it (0: not known,
+	// read cgroup.threads); Linux.procs[tid] points back here and lives
+	// and dies with it.
 	tid int
+}
+
+func (vf *vcpuFiles) close() {
+	vf.stat.close()
+	vf.threads.close()
+	vf.max.close()
+	vf.burst.close()
+}
+
+// procFile is one thread's kept-open /proc/<tid>/stat. The descriptor is
+// bound to the task, not the number: once the thread is gone it reads
+// ESRCH even if the tid was reused.
+type procFile struct {
+	handle
+	owner *vcpuFiles // the vCPU whose tid this is; nil for a tid ThreadID never returned
 }
 
 // handle is one kept-open file plus its scratch buffer. Reads pread at
@@ -71,24 +116,31 @@ type vcpuFiles struct {
 type handle struct {
 	path string
 	f    *os.File
+	host *Linux // told of every failure, see Linux.scanOK
 	buf  [512]byte
 }
 
+// failed drops the descriptor, so the next call reopens the path, and
+// makes the host's next ListVMs scan the tree again.
+func (h *handle) failed() {
+	h.close()
+	h.host.scanOK = false
+}
+
 // read returns the file's current contents, pread into the handle's
-// scratch and valid until the handle's next read or write. A failed read
-// drops the descriptor so the next call reopens the path.
+// scratch and valid until the handle's next read or write.
 func (h *handle) read() ([]byte, error) {
 	if h.f == nil {
 		f, err := os.Open(h.path)
 		if err != nil {
+			h.failed()
 			return nil, err
 		}
 		h.f = f
 	}
 	n, err := h.f.ReadAt(h.buf[:], 0)
 	if err != nil && err != io.EOF {
-		h.f.Close()
-		h.f = nil
+		h.failed()
 		return nil, err
 	}
 	return h.buf[:n], nil
@@ -102,13 +154,13 @@ func (h *handle) write(payload []byte) error {
 	if h.f == nil {
 		f, err := os.OpenFile(h.path, os.O_WRONLY, 0)
 		if err != nil {
+			h.failed()
 			return err
 		}
 		h.f = f
 	}
 	if _, err := h.f.WriteAt(payload, 0); err != nil {
-		h.f.Close()
-		h.f = nil
+		h.failed()
 		return err
 	}
 	_ = h.f.Truncate(int64(len(payload)))
@@ -131,35 +183,43 @@ func (l *Linux) vcpu(vm string, vcpu int) *vcpuFiles {
 	vf, ok := l.vcpus[ref]
 	if !ok {
 		dir := filepath.Join(l.CgroupRoot, "machine-qemu-"+vm+".scope", "vcpu"+strconv.Itoa(vcpu))
-		vf = &vcpuFiles{dir: dir}
-		vf.stat.path = filepath.Join(dir, "cpu.stat")
-		vf.threads.path = filepath.Join(dir, "cgroup.threads")
-		vf.max.path = filepath.Join(dir, "cpu.max")
-		vf.burst.path = filepath.Join(dir, "cpu.max.burst")
+		file := func(name string) handle {
+			return handle{path: filepath.Join(dir, name), host: l}
+		}
+		vf = &vcpuFiles{
+			stat:    file("cpu.stat"),
+			threads: file("cgroup.threads"),
+			max:     file("cpu.max"),
+			burst:   file("cpu.max.burst"),
+		}
 		l.vcpus[ref] = vf
 	}
 	return vf
 }
 
 // proc returns the cached /proc/<tid>/stat handle.
-func (l *Linux) proc(tid int) *handle {
+func (l *Linux) proc(tid int) *procFile {
 	if l.procs == nil {
-		l.procs = map[int]*handle{}
+		l.procs = map[int]*procFile{}
 	}
-	h, ok := l.procs[tid]
+	p, ok := l.procs[tid]
 	if !ok {
-		h = &handle{path: filepath.Join(l.ProcRoot, strconv.Itoa(tid), "stat")}
-		l.procs[tid] = h
+		p = &procFile{handle: handle{path: filepath.Join(l.ProcRoot, strconv.Itoa(tid), "stat"), host: l}}
+		l.procs[tid] = p
 	}
-	return h
+	return p
 }
 
-// dropProc closes and forgets a thread's handle: on a failed read (the
-// thread is likely gone), when its vCPU moves to another thread, and
-// when the vCPU departs.
+// dropProc closes and forgets a thread's handle, and with it the tid its
+// vCPU remembers: on a failed read (the thread is likely gone), on a
+// failed cpu.stat read of its vCPU (the cgroup was likely rebuilt around
+// a new thread), and when the vCPU departs.
 func (l *Linux) dropProc(tid int) {
-	if h, ok := l.procs[tid]; ok {
-		h.close()
+	if p, ok := l.procs[tid]; ok {
+		p.close()
+		if p.owner != nil {
+			p.owner.tid = 0
+		}
 		delete(l.procs, tid)
 	}
 }
@@ -171,7 +231,7 @@ func (l *Linux) core(core int) *handle {
 	}
 	h, ok := l.cores[core]
 	if !ok {
-		h = &handle{path: sysfs.CurFreqPath(l.SysCPURoot, core)}
+		h = &handle{path: sysfs.CurFreqPath(l.SysCPURoot, core), host: l}
 		l.cores[core] = h
 	}
 	return h
@@ -180,19 +240,13 @@ func (l *Linux) core(core int) *handle {
 // pruneDeparted closes and forgets the cached files of VMs (or trailing
 // vCPUs after a shrink) no longer present on the host.
 func (l *Linux) pruneDeparted(live []VMInfo) {
+	vcpus := make(map[string]int, len(live))
+	for _, vm := range live {
+		vcpus[vm.Name] = vm.VCPUs
+	}
 	for ref, vf := range l.vcpus {
-		found := false
-		for i := range live {
-			if live[i].Name == ref.vm && ref.vcpu < live[i].VCPUs {
-				found = true
-				break
-			}
-		}
-		if !found {
-			vf.stat.close()
-			vf.threads.close()
-			vf.max.close()
-			vf.burst.close()
+		if ref.vcpu >= vcpus[ref.vm] {
+			vf.close()
 			l.dropProc(vf.tid)
 			delete(l.vcpus, ref)
 		}
@@ -293,50 +347,159 @@ func (l *Linux) Node() NodeInfo {
 	return NodeInfo{Name: l.NodeName, Cores: l.Cores, MaxFreqMHz: l.MaxFreqMHz}
 }
 
-// ListVMs implements Host.
-func (l *Linux) ListVMs() ([]VMInfo, error) {
-	entries, err := os.ReadDir(l.CgroupRoot)
-	if err != nil {
-		return nil, err
+// dirID is what a directory's listing is remembered under. On kernfs a
+// mkdir or rmdir of a child moves st_nlink and leaves st_mtim alone, and
+// a directory recreated under its old name has a new st_ino; a regular
+// filesystem (the tests, the benchmark tree) moves mtime too.
+type dirID struct {
+	ino, nlink uint64
+	sec, nsec  int64
+}
+
+// statDir returns the identity of the directory at path.
+func statDir(path string) (dirID, error) {
+	var st syscall.Stat_t
+	if err := syscall.Lstat(path, &st); err != nil {
+		return dirID{}, &os.PathError{Op: "lstat", Path: path, Err: err}
 	}
-	var out []VMInfo
-	for _, e := range entries {
-		// Only libvirt's machine-qemu-<name>.scope: vcpu() rebuilds the
-		// directory from the name, so a scope without the prefix could
-		// be listed but never read.
-		name, prefixed := strings.CutPrefix(e.Name(), "machine-qemu-")
-		name, suffixed := strings.CutSuffix(name, ".scope")
-		if !prefixed || !suffixed || !e.IsDir() {
-			continue
-		}
-		// Count vcpuN sub-cgroups.
-		subs, err := os.ReadDir(filepath.Join(l.CgroupRoot, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		vcpus := 0
-		for _, s := range subs {
-			if s.IsDir() && strings.HasPrefix(s.Name(), "vcpu") {
-				vcpus++
+	return dirID{ino: st.Ino, nlink: uint64(st.Nlink), sec: int64(st.Mtim.Sec), nsec: int64(st.Mtim.Nsec)}, nil
+}
+
+// dirScan is one directory under the cgroup root as the last scan found
+// it. Every directory is remembered, not only the VM scopes: on kernfs a
+// sibling that left in the period a VM arrived keeps the root's st_nlink
+// where it was, and only the sibling's own failing stat shows the change.
+type dirScan struct {
+	path  string
+	vm    string // the VM of a machine-qemu-<vm>.scope, "" for any other directory
+	id    dirID  // taken before the listing that counted vcpus
+	vcpus int
+}
+
+// identity stats the directory. Of one that is no VM's only the inode
+// counts: what happens inside it is not listed.
+func (s *dirScan) identity() (dirID, error) {
+	id, err := statDir(s.path)
+	if s.vm == "" {
+		id = dirID{ino: id.ino}
+	}
+	return id, err
+}
+
+// scanDir stats one directory under the cgroup root and, for a VM's scope,
+// counts its vcpuN sub-cgroups. gone reports a directory that departed
+// between the root's listing and this scan, which is no error: it is
+// simply not there any more.
+func scanDir(path, vm string) (s dirScan, gone bool, err error) {
+	s.path, s.vm = path, vm
+	s.id, err = s.identity()
+	if err == nil && vm != "" {
+		var subs []os.DirEntry
+		subs, err = os.ReadDir(path)
+		for _, sub := range subs {
+			if sub.IsDir() && strings.HasPrefix(sub.Name(), "vcpu") {
+				s.vcpus++
 			}
 		}
-		if vcpus == 0 {
+	}
+	if errors.Is(err, syscall.ENOENT) || errors.Is(err, syscall.ENOTDIR) {
+		return s, true, nil
+	}
+	return s, false, err
+}
+
+// rescan lists the whole tree into l.scan.
+func (l *Linux) rescan() error {
+	l.scanOK = false
+	rootID, err := statDir(l.CgroupRoot)
+	if err != nil {
+		return err
+	}
+	entries, err := os.ReadDir(l.CgroupRoot)
+	if err != nil {
+		return err
+	}
+	l.scan = l.scan[:0]
+	for _, e := range entries {
+		if !e.IsDir() {
 			continue
 		}
-		freq, ok := l.Freqs[name]
+		// Only libvirt's machine-qemu-<name>.scope is a VM: vcpu() rebuilds
+		// the directory from the name, so a scope without the prefix could
+		// be listed but never read.
+		vm, prefixed := strings.CutPrefix(e.Name(), "machine-qemu-")
+		vm, suffixed := strings.CutSuffix(vm, ".scope")
+		if !prefixed || !suffixed {
+			vm = ""
+		}
+		s, gone, err := scanDir(filepath.Join(l.CgroupRoot, e.Name()), vm)
+		if err != nil {
+			return err
+		}
+		if !gone {
+			l.scan = append(l.scan, s)
+		}
+	}
+	l.rootID, l.scanOK = rootID, true
+	return nil
+}
+
+// scanCurrent reports whether the tree still is what rescan listed: no
+// descriptor failed since, and the root and every directory under it
+// stat as they did.
+func (l *Linux) scanCurrent() bool {
+	if !l.scanOK {
+		return false
+	}
+	if id, err := statDir(l.CgroupRoot); err != nil || id != l.rootID {
+		return false
+	}
+	for i := range l.scan {
+		if id, err := l.scan[i].identity(); err != nil || id != l.scan[i].id {
+			return false
+		}
+	}
+	return true
+}
+
+// ListVMs implements Host. The tree is scanned only when scanCurrent says
+// it moved; Freqs is looked up on every call, so a template registered or
+// withdrawn shows at once. Cached descriptors are pruned after a scan and
+// when the result differs from the last one, not on every call.
+func (l *Linux) ListVMs() ([]VMInfo, error) {
+	rescanned := !l.scanCurrent()
+	if rescanned {
+		if err := l.rescan(); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]VMInfo, 0, len(l.scan))
+	for i := range l.scan {
+		s := &l.scan[i]
+		if s.vcpus == 0 {
+			continue
+		}
+		freq, ok := l.Freqs[s.vm]
 		if !ok {
 			continue // no template registered: not under our control
 		}
-		out = append(out, VMInfo{Name: name, VCPUs: vcpus, FreqMHz: freq})
+		out = append(out, VMInfo{Name: s.vm, VCPUs: s.vcpus, FreqMHz: freq})
 	}
-	l.pruneDeparted(out)
+	if rescanned || !slices.Equal(out, l.listed) {
+		l.pruneDeparted(out)
+		l.listed = append(l.listed[:0], out...)
+	}
 	return out, nil
 }
 
 // UsageUs implements Host.
 func (l *Linux) UsageUs(vm string, vcpu int) (int64, error) {
-	b, err := l.vcpu(vm, vcpu).stat.read()
+	vf := l.vcpu(vm, vcpu)
+	b, err := vf.stat.read()
 	if err != nil {
+		// The cgroup was probably rebuilt (VM restart), around a new
+		// thread: have ThreadID look again.
+		l.dropProc(vf.tid)
 		return 0, err
 	}
 	return cgroupfs.ParseCPUStatBytes(b, "usage_usec")
@@ -390,9 +553,13 @@ func (l *Linux) SetBurst(vm string, vcpu int, burstUs int64) error {
 	return h.write(strconv.AppendInt(h.buf[:0], burstUs, 10))
 }
 
-// ThreadID implements Host.
+// ThreadID implements Host: the tid found last time, or cgroup.threads
+// when none is remembered (see dropProc for what forgets it).
 func (l *Linux) ThreadID(vm string, vcpu int) (int, error) {
 	vf := l.vcpu(vm, vcpu)
+	if vf.tid != 0 {
+		return vf.tid, nil
+	}
 	b, err := vf.threads.read()
 	if err != nil {
 		return 0, err
@@ -404,12 +571,9 @@ func (l *Linux) ThreadID(vm string, vcpu int) (int, error) {
 	if n != 1 {
 		return 0, fmt.Errorf("platform: vCPU cgroup holds %d threads, want 1", n)
 	}
-	if tid != vf.tid {
-		// The VM restarted under the same cgroup: nobody reads the old
-		// thread's stat file again, so its descriptor goes now.
-		l.dropProc(vf.tid)
-		vf.tid = tid
-	}
+	l.dropProc(tid) // a remembered owner of this number is out of date
+	vf.tid = tid
+	l.proc(tid).owner = vf
 	return tid, nil
 }
 

@@ -3,8 +3,11 @@ package platform
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"syscall"
 	"testing"
+	"time"
 
 	"vfreq/internal/procfs"
 	"vfreq/internal/raceflag"
@@ -66,9 +69,9 @@ func TestLinuxReopensAfterError(t *testing.T) {
 }
 
 // TestLinuxProcHandlesPruned: a /proc/<tid>/stat handle lives as long as
-// its vCPU runs on that thread. A tid change (VM restart under the same
-// cgroup) and a departure both bring len(l.procs) back to the live vCPU
-// count, where before only a failed read ever closed one.
+// its vCPU runs on that thread. A replaced thread (VM restart under the
+// same cgroup) and a departure both bring len(l.procs) back to the live
+// vCPU count.
 func TestLinuxProcHandlesPruned(t *testing.T) {
 	l := fixtureHost(t)
 	write := func(rel, content string) {
@@ -115,12 +118,29 @@ func TestLinuxProcHandlesPruned(t *testing.T) {
 	}
 	monitor(2)
 
+	// The kernel replaces vcpu0's thread: cgroup.threads names 5000 and
+	// 4242 is gone from /proc. A descriptor on /proc/<tid>/stat is bound to
+	// the task and reads ESRCH from then on; one on a regular file outlives
+	// the unlink, so the test closes it to the same effect.
 	write("proc/5000/stat", procfs.FormatStat(5000, "CPU 0/KVM", 10, 1))
 	write("cgroup/machine-qemu-guest1.scope/vcpu0/cgroup.threads", "5000\n")
-	monitor(2)
-	if _, stale := l.procs[4242]; stale {
-		t.Fatal("the replaced thread's stat handle is still cached")
+	if err := os.RemoveAll(filepath.Join(l.ProcRoot, "4242")); err != nil {
+		t.Fatal(err)
 	}
+	l.procs[4242].f.Close()
+	if tid, err := l.ThreadID("guest1", 0); err != nil || tid != 4242 {
+		t.Fatalf("ThreadID = %d, %v before any read failed, want the remembered 4242", tid, err)
+	}
+	if _, err := l.LastCPU(4242); err == nil {
+		t.Fatal("LastCPU of the dead thread succeeded")
+	}
+	if _, cached := l.procs[4242]; cached {
+		t.Fatal("the dead thread's stat handle is still cached")
+	}
+	if tid, err := l.ThreadID("guest1", 0); err != nil || tid != 5000 {
+		t.Fatalf("ThreadID = %d, %v after the failed LastCPU, want 5000 re-read from cgroup.threads", tid, err)
+	}
+	monitor(2)
 
 	scope := filepath.Join(l.CgroupRoot, "machine-qemu-guest1.scope")
 	if err := os.RemoveAll(filepath.Join(scope, "vcpu1")); err != nil {
@@ -131,6 +151,374 @@ func TestLinuxProcHandlesPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	monitor(0)
+}
+
+// TestLinuxUsageFailureForgetsTID: a cpu.stat that stops answering means
+// the cgroup was rebuilt, so the thread in it is looked up again instead
+// of costing a second degraded period on the old tid's /proc file.
+func TestLinuxUsageFailureForgetsTID(t *testing.T) {
+	l := fixtureHost(t)
+	if _, err := l.UsageUs("guest1", 0); err != nil {
+		t.Fatal(err)
+	}
+	if tid, err := l.ThreadID("guest1", 0); err != nil || tid != 4242 {
+		t.Fatalf("ThreadID = %d, %v", tid, err)
+	}
+	threads := filepath.Join(l.CgroupRoot, "machine-qemu-guest1.scope/vcpu0/cgroup.threads")
+	if err := os.WriteFile(threads, []byte("5000\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l.vcpus[vcpuRef{"guest1", 0}].stat.f.Close() // kernfs: ENODEV once the cgroup is gone
+	if _, err := l.UsageUs("guest1", 0); err == nil {
+		t.Fatal("read through a closed descriptor succeeded")
+	}
+	if len(l.procs) != 0 {
+		t.Fatalf("%d proc handles cached after the vCPU's cpu.stat failed, want 0", len(l.procs))
+	}
+	if tid, err := l.ThreadID("guest1", 0); err != nil || tid != 5000 {
+		t.Fatalf("ThreadID = %d, %v, want 5000 re-read", tid, err)
+	}
+}
+
+// cacheTree is a cgroup and /proc tree the listing-cache tests add VMs to
+// and remove them from.
+type cacheTree struct {
+	t       *testing.T
+	l       *Linux
+	nextTID int
+}
+
+func newCacheTree(t *testing.T) *cacheTree {
+	root := t.TempDir()
+	tr := &cacheTree{t: t, nextTID: 100, l: &Linux{
+		CgroupRoot: filepath.Join(root, "cgroup"),
+		ProcRoot:   filepath.Join(root, "proc"),
+		Cores:      2,
+		MaxFreqMHz: 2400,
+		Freqs:      map[string]int64{"a": 1800, "b": 1200, "c": 600},
+	}}
+	tr.addVM("a", 2)
+	tr.addVM("b", 1)
+	tr.addVM("x", 1) // no template: scanned, not listed
+	tr.write("cgroup/other.mount/cpu.stat", "usage_usec 0\n")
+	return tr
+}
+
+// path resolves a name relative to the tree's root ("cgroup/…", "proc/…").
+func (tr *cacheTree) path(rel string) string {
+	return filepath.Join(filepath.Dir(tr.l.CgroupRoot), rel)
+}
+
+func (tr *cacheTree) write(rel, content string) {
+	tr.t.Helper()
+	full := tr.path(rel)
+	if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+		tr.t.Fatal(err)
+	}
+	if err := os.WriteFile(full, []byte(content), 0o644); err != nil {
+		tr.t.Fatal(err)
+	}
+}
+
+func (tr *cacheTree) remove(rel string) {
+	tr.t.Helper()
+	if err := os.RemoveAll(tr.path(rel)); err != nil {
+		tr.t.Fatal(err)
+	}
+}
+
+func scopeOf(vm string) string { return "cgroup/machine-qemu-" + vm + ".scope" }
+
+func (tr *cacheTree) addVCPU(vm string, j int) {
+	tr.t.Helper()
+	dir := scopeOf(vm) + "/vcpu" + strconv.Itoa(j) + "/"
+	tr.write(dir+"cpu.stat", "usage_usec 1\n")
+	tr.write(dir+"cpu.max", "max 100000\n")
+	tr.write(dir+"cgroup.threads", strconv.Itoa(tr.nextTID)+"\n")
+	tr.write("proc/"+strconv.Itoa(tr.nextTID)+"/stat", procfs.FormatStat(tr.nextTID, "CPU/KVM", 10, j%2))
+	tr.nextTID++
+}
+
+func (tr *cacheTree) addVM(vm string, vcpus int) {
+	tr.t.Helper()
+	tr.write(scopeOf(vm)+"/emulator/cpu.stat", "usage_usec 0\n")
+	for j := 0; j < vcpus; j++ {
+		tr.addVCPU(vm, j)
+	}
+}
+
+func (tr *cacheTree) exists(rel string) bool {
+	_, err := os.Stat(tr.path(rel))
+	return err == nil
+}
+
+// mtime returns a directory's modification time; setMtime puts one back,
+// which makes a regular filesystem look like kernfs, where mkdir and rmdir
+// leave the parent's st_mtim alone.
+func (tr *cacheTree) mtime(rel string) time.Time {
+	tr.t.Helper()
+	fi, err := os.Stat(tr.path(rel))
+	if err != nil {
+		tr.t.Fatal(err)
+	}
+	return fi.ModTime()
+}
+
+func (tr *cacheTree) setMtime(rel string, at time.Time) {
+	tr.t.Helper()
+	if err := os.Chtimes(tr.path(rel), time.Time{}, at); err != nil {
+		tr.t.Fatal(err)
+	}
+}
+
+// list calls ListVMs and checks the result and the number of vCPUs (and
+// threads) still cached.
+func (tr *cacheTree) list(when string, want []VMInfo, cached int) {
+	tr.t.Helper()
+	got, err := tr.l.ListVMs()
+	if err != nil {
+		tr.t.Fatalf("%s: %v", when, err)
+	}
+	if !slices.Equal(got, want) {
+		tr.t.Fatalf("%s: listed %+v, want %+v", when, got, want)
+	}
+	if len(tr.l.vcpus) != cached || len(tr.l.procs) != cached {
+		tr.t.Fatalf("%s: %d vCPU entries and %d proc handles cached, want %d each",
+			when, len(tr.l.vcpus), len(tr.l.procs), cached)
+	}
+}
+
+// read does a monitor pass's reads over vms, opening every descriptor.
+func (tr *cacheTree) read(vms []VMInfo) {
+	tr.t.Helper()
+	for _, vm := range vms {
+		for j := 0; j < vm.VCPUs; j++ {
+			if _, err := tr.l.UsageUs(vm.Name, j); err != nil {
+				tr.t.Fatal(err)
+			}
+			tid, err := tr.l.ThreadID(vm.Name, j)
+			if err != nil {
+				tr.t.Fatal(err)
+			}
+			if _, err := tr.l.LastCPU(tid); err != nil {
+				tr.t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestLinuxListingCache: every event that changes what ListVMs must answer
+// is seen on the next call, and the descriptors of what left are released
+// on that call. Each row starts from VMs a (2 vCPUs) and b (1), listed and
+// read once.
+func TestLinuxListingCache(t *testing.T) {
+	a2, b1 := VMInfo{"a", 2, 1800}, VMInfo{"b", 1, 1200}
+	start := []VMInfo{a2, b1}
+	rows := []struct {
+		name   string
+		change func(tr *cacheTree)
+		want   []VMInfo
+		kept   int // vCPUs of start still cached after the listing
+	}{
+		{"arrival", func(tr *cacheTree) { tr.addVM("c", 1) },
+			[]VMInfo{a2, b1, {"c", 1, 600}}, 3},
+		{"departure", func(tr *cacheTree) { tr.remove(scopeOf("a")) },
+			[]VMInfo{b1}, 1},
+		// Root st_nlink ends where it began: what shows on kernfs is that
+		// the directory which left no longer stats.
+		{"departure and arrival, same count", func(tr *cacheTree) {
+			tr.remove(scopeOf("b"))
+			tr.addVM("c", 1)
+		}, []VMInfo{a2, {"c", 1, 600}}, 2},
+		{"sibling departure and arrival", func(tr *cacheTree) {
+			tr.remove("cgroup/other.mount")
+			tr.addVM("c", 1)
+		}, []VMInfo{a2, b1, {"c", 1, 600}}, 3},
+		{"vCPU grow", func(tr *cacheTree) { tr.addVCPU("a", 2) },
+			[]VMInfo{{"a", 3, 1800}, b1}, 3},
+		{"vCPU shrink", func(tr *cacheTree) { tr.remove(scopeOf("a") + "/vcpu1") },
+			[]VMInfo{{"a", 1, 1800}, b1}, 2},
+		{"scope recreated with another vCPU count", func(tr *cacheTree) {
+			tr.remove(scopeOf("b"))
+			tr.addVM("b", 2)
+		}, []VMInfo{a2, {"b", 2, 1200}}, 3},
+		{"scope recreated smaller", func(tr *cacheTree) {
+			tr.remove(scopeOf("a"))
+			tr.addVM("a", 1)
+		}, []VMInfo{{"a", 1, 1800}, b1}, 2},
+		{"template added", func(tr *cacheTree) { tr.l.Freqs["x"] = 900 },
+			[]VMInfo{a2, b1, {"x", 1, 900}}, 3},
+		{"template removed", func(tr *cacheTree) { delete(tr.l.Freqs, "a") },
+			[]VMInfo{b1}, 1},
+		{"template changed", func(tr *cacheTree) { tr.l.Freqs["b"] = 2000 },
+			[]VMInfo{a2, {"b", 1, 2000}}, 3},
+		// The benchmark's close(): no template, one call, nothing held.
+		{"templates set to nil", func(tr *cacheTree) { tr.l.Freqs = nil },
+			nil, 0},
+	}
+	// Every row runs twice: as the filesystem has it, and with the mtime of
+	// the root and of both scopes put back after the change — kernfs, where
+	// mkdir and rmdir leave the parent's st_mtim alone.
+	dirs := []string{"cgroup", scopeOf("a"), scopeOf("b")}
+	for _, kernfs := range []bool{false, true} {
+		for _, row := range rows {
+			name := row.name
+			if kernfs {
+				name += ", mtime frozen"
+			}
+			t.Run(name, func(t *testing.T) {
+				tr := newCacheTree(t)
+				tr.list("first call", start, 0)
+				tr.read(start)
+				tr.list("unchanged", start, 3)
+
+				var at [3]time.Time
+				for i, dir := range dirs {
+					at[i] = tr.mtime(dir)
+				}
+				row.change(tr)
+				for i, dir := range dirs {
+					if kernfs && tr.exists(dir) {
+						tr.setMtime(dir, at[i])
+					}
+				}
+				tr.list("after the change", row.want, row.kept)
+				tr.read(row.want)
+				total := 0
+				for _, vm := range row.want {
+					total += vm.VCPUs
+				}
+				tr.list("after the change, read", row.want, total)
+			})
+		}
+	}
+}
+
+// TestLinuxScanIdentity: st_mtim alone and st_ino alone each make ListVMs
+// scan again (st_nlink alone is every mtime-frozen row above). Both swap
+// directories inside a scope so that its link count stays.
+func TestLinuxScanIdentity(t *testing.T) {
+	start := []VMInfo{{"a", 2, 1800}, {"b", 1, 1200}}
+	t.Run("mtime", func(t *testing.T) {
+		tr := newCacheTree(t)
+		tr.list("first call", start, 0)
+		at := tr.mtime(scopeOf("a"))
+		tr.remove(scopeOf("a") + "/emulator")
+		tr.addVCPU("a", 2)
+		// The change is stamped by a coarse clock; the next period is not.
+		tr.setMtime(scopeOf("a"), at.Add(time.Second))
+		tr.list("vcpu2 in place of emulator", []VMInfo{{"a", 3, 1800}, {"b", 1, 1200}}, 0)
+	})
+	t.Run("inode", func(t *testing.T) {
+		tr := newCacheTree(t)
+		tr.list("first call", start, 0)
+		scope := tr.path(scopeOf("b"))
+		rootAt, at := tr.mtime("cgroup"), tr.mtime(scopeOf("b"))
+		before, err := statDir(scope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.remove(scopeOf("b"))
+		for i := 0; i < 16; i++ {
+			// Have something else take the inode numbers just freed.
+			tr.write("spare/"+strconv.Itoa(i)+"/f", "")
+		}
+		tr.addVCPU("b", 0)
+		tr.addVCPU("b", 1) // two vCPUs, no emulator: as many links as before
+		tr.setMtime("cgroup", rootAt)
+		tr.setMtime(scopeOf("b"), at)
+		after, err := statDir(scope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi, err := os.Lstat(scope); err != nil || fi.Sys().(*syscall.Stat_t).Ino == before.ino {
+			t.Skip("the filesystem gave the recreated directory its old inode number")
+		}
+		if after.ino = before.ino; before != after {
+			t.Fatalf("recreated scope differs in more than the inode: %+v, then %+v", before, after)
+		}
+		tr.list("scope recreated", []VMInfo{{"a", 2, 1800}, {"b", 2, 1200}}, 0)
+	})
+}
+
+// TestLinuxFailedDescriptorForcesRescan: a change none of the stats show
+// — here a vcpu2 that took the place of the emulator directory, the
+// scope's mtime put back — is believed until any cached file fails; the
+// call after that scans.
+func TestLinuxFailedDescriptorForcesRescan(t *testing.T) {
+	tr := newCacheTree(t)
+	start := []VMInfo{{"a", 2, 1800}, {"b", 1, 1200}}
+	tr.list("first call", start, 0)
+	tr.read(start)
+
+	at := tr.mtime(scopeOf("a"))
+	tr.remove(scopeOf("a") + "/emulator")
+	tr.addVCPU("a", 2)
+	tr.setMtime(scopeOf("a"), at)
+	tr.list("hidden change", start, 3)
+
+	if err := tr.l.SetMax("gone", 0, 50_000, 100_000); err == nil {
+		t.Fatal("write to a VM that does not exist succeeded")
+	}
+	// Each failed open leaves an entry for gone/vcpu0, which the scan it
+	// forces prunes — also when the scan finds what the last one found.
+	now := []VMInfo{{"a", 3, 1800}, {"b", 1, 1200}}
+	tr.list("after a failed write", now, 3)
+	if err := tr.l.SetMax("gone", 0, 50_000, 100_000); err == nil {
+		t.Fatal("write to a VM that does not exist succeeded")
+	}
+	tr.list("after a second failed write", now, 3)
+}
+
+// TestLinuxDepartedScopeIsSkipped: a scope removed between the root's
+// listing and its own scan has departed; it must not fail the enumeration
+// (and with it the Step of every other VM on the node).
+func TestLinuxDepartedScopeIsSkipped(t *testing.T) {
+	tr := newCacheTree(t)
+	dir := tr.path(scopeOf("a"))
+	if s, gone, err := scanDir(dir, "a"); err != nil || gone || s.vcpus != 2 || s.vm != "a" {
+		t.Fatalf("live scope: %+v, gone=%v, %v", s, gone, err)
+	}
+	if _, gone, err := scanDir(tr.path(scopeOf("left")), "left"); err != nil || !gone {
+		t.Fatalf("vanished scope: gone=%v, %v; want gone and no error", gone, err)
+	}
+	file := filepath.Join(dir, "vcpu0/cpu.stat") // a name that is no directory any more
+	if _, gone, err := scanDir(file, "a"); err != nil || !gone {
+		t.Fatalf("scope replaced by a file: gone=%v, %v; want gone and no error", gone, err)
+	}
+	if _, _, err := scanDir(dir+"\x00", "a"); err == nil {
+		t.Fatal("an error that is not a departure was swallowed")
+	}
+}
+
+// TestLinuxSteadyStateAllocs: a period in which nothing changed costs one
+// path conversion per stat plus the result slice in ListVMs, and nothing
+// in ThreadID — no directory is listed, no cgroup.threads parsed.
+func TestLinuxSteadyStateAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	tr := newCacheTree(t)
+	vms, err := tr.l.ListVMs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.read(vms)
+	dirs := 1 + len(tr.l.scan) // the root, and every directory under it
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := tr.l.ListVMs(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > float64(dirs+1) {
+		t.Fatalf("unchanged ListVMs allocates %.1f/op over %d directories, want at most one each plus the result", allocs, dirs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if tid, err := tr.l.ThreadID("a", 1); err != nil || tid != 101 {
+			t.Fatalf("ThreadID = %d, %v", tid, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("warm ThreadID allocates %.1f/op, want 0", allocs)
+	}
 }
 
 // TestLinuxBatchSetMax: the batched write lands every entry through the

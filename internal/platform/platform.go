@@ -30,7 +30,13 @@ type VMInfo struct {
 type Host interface {
 	// Node returns the static machine description.
 	Node() NodeInfo
-	// ListVMs enumerates the hosted VM instances.
+	// ListVMs enumerates the hosted VM instances. An implementation may
+	// answer from its previous enumeration while it can tell that nothing
+	// arrived, left or changed its vCPU count; one that cannot tell for
+	// some event must say for how long the old answer can outlive it
+	// (platform.Linux: never past the next call after any failed read or
+	// write). A VM that leaves during the enumeration is left out of the
+	// result; an error means the host itself could not be listed.
 	ListVMs() ([]VMInfo, error)
 	// UsageUs returns the cumulative CPU time of vCPU j of the named
 	// VM, in microseconds (cpu.stat usage_usec).
@@ -43,7 +49,13 @@ type Host interface {
 	// burst disables bursting.
 	SetBurst(vm string, vcpu int, burstUs int64) error
 	// ThreadID returns the kernel tid of the vCPU thread
-	// (cgroup.threads; KVM vCPU cgroups hold exactly one thread).
+	// (cgroup.threads; KVM vCPU cgroups hold exactly one thread). The tid
+	// may be the one found by an earlier call: a thread replaced since is
+	// then reported until LastCPU of the old tid fails, which it does on
+	// the first call after the thread is gone. The controller pays one
+	// degraded period for that vCPU — and nothing else, because the tid,
+	// the last core and the core's frequency feed only the reported
+	// VCPUState.FreqMHz: no estimate, cap or credit reads them.
 	ThreadID(vm string, vcpu int) (int, error)
 	// LastCPU returns the core the thread last ran on
 	// (/proc/<tid>/stat field 39).
