@@ -19,6 +19,12 @@ import (
 	"vfreq/internal/workload"
 )
 
+// newScriptHost is the host the estimator and credit ablations feed exact
+// consumption patterns through.
+func newScriptHost(cores int, maxMHz int64) *platform.Scripted {
+	return platform.NewScripted(platform.NodeInfo{Name: "script", Cores: cores, MaxFreqMHz: maxMHz})
+}
+
 // convergencePeriods counts the control periods a saturated vCPU needs to
 // grow its cap from idle to ≥95 % of a core under the given config.
 func convergencePeriods(b *testing.B, cfg core.Config) int {
@@ -26,7 +32,7 @@ func convergencePeriods(b *testing.B, cfg core.Config) int {
 	periods := 0
 	for i := 0; i < b.N; i++ {
 		h := newScriptHost(1, 2400)
-		h.addVM("v", 1, 2400)
+		h.AddVM("v", 1, 2400)
 		ctrl, err := core.New(h, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -40,7 +46,7 @@ func convergencePeriods(b *testing.B, cfg core.Config) int {
 		// Saturated: each period the vCPU consumes exactly its cap.
 		periods = 0
 		for k := 0; k < 200; k++ {
-			h.consume("v", 0, ctrl.VM("v").VCPUs[0].CapUs)
+			h.Consume("v", 0, ctrl.VM("v").VCPUs[0].CapUs)
 			if err := ctrl.Step(); err != nil {
 				b.Fatal(err)
 			}
@@ -77,7 +83,7 @@ func BenchmarkAblationDecreaseFactor(b *testing.B) {
 			var wasted, recoverPeriods float64
 			for i := 0; i < b.N; i++ {
 				h := newScriptHost(1, 2400)
-				h.addVM("v", 1, 2400)
+				h.AddVM("v", 1, 2400)
 				ctrl, err := core.New(h, cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -87,7 +93,7 @@ func BenchmarkAblationDecreaseFactor(b *testing.B) {
 					b.Fatal(err)
 				}
 				for k := 0; k < 15; k++ {
-					h.consume("v", 0, ctrl.VM("v").VCPUs[0].CapUs)
+					h.Consume("v", 0, ctrl.VM("v").VCPUs[0].CapUs)
 					if err := ctrl.Step(); err != nil {
 						b.Fatal(err)
 					}
@@ -101,7 +107,7 @@ func BenchmarkAblationDecreaseFactor(b *testing.B) {
 					if use > cap {
 						use = cap
 					}
-					h.consume("v", 0, use)
+					h.Consume("v", 0, use)
 					wasted += float64(cap - use)
 					if err := ctrl.Step(); err != nil {
 						b.Fatal(err)
@@ -115,7 +121,7 @@ func BenchmarkAblationDecreaseFactor(b *testing.B) {
 					if ctrl.VM("v").VCPUs[0].CapUs >= 900_000 {
 						break
 					}
-					h.consume("v", 0, ctrl.VM("v").VCPUs[0].CapUs)
+					h.Consume("v", 0, ctrl.VM("v").VCPUs[0].CapUs)
 					if err := ctrl.Step(); err != nil {
 						b.Fatal(err)
 					}
@@ -140,7 +146,7 @@ func BenchmarkAblationAuctionWindow(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				h := newScriptHost(1, 2400) // capacity 1e6 per period
 				for k := 0; k < 3; k++ {
-					h.addVM(fmt.Sprintf("vm%d", k), 1, 600) // C_i = 250000
+					h.AddVM(fmt.Sprintf("vm%d", k), 1, 600) // C_i = 250000
 				}
 				cfg := core.DefaultConfig()
 				cfg.WindowUs = window
@@ -164,7 +170,7 @@ func BenchmarkAblationAuctionWindow(b *testing.B) {
 					for _, u := range []int64{100_000, 150_000, 200_000} {
 						v.Hist.Push(u)
 					}
-					h.consume(st.Info.Name, 0, 245_000)
+					h.Consume(st.Info.Name, 0, 245_000)
 				}
 				if err := ctrl.Step(); err != nil {
 					b.Fatal(err)
@@ -203,7 +209,7 @@ func BenchmarkAblationCreditCap(b *testing.B) {
 			var wallet float64
 			for i := 0; i < b.N; i++ {
 				h := newScriptHost(4, 2400)
-				h.addVM("v", 2, 1200)
+				h.AddVM("v", 2, 1200)
 				cfg := core.DefaultConfig()
 				cfg.CreditCapPeriods = capPeriods
 				ctrl, err := core.New(h, cfg)

@@ -118,13 +118,13 @@ func estimatorBench(b *testing.B, pattern []int64) int64 {
 	var cap int64
 	for i := 0; i < b.N; i++ {
 		h := newScriptHost(1, 2400)
-		h.addVM("v", 1, 2400) // guarantee = a full core: cap tracks estimate
+		h.AddVM("v", 1, 2400) // guarantee = a full core: cap tracks estimate
 		ctrl, err := core.New(h, core.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, u := range pattern {
-			h.consume("v", 0, u)
+			h.Consume("v", 0, u)
 			if err := ctrl.Step(); err != nil {
 				b.Fatal(err)
 			}

@@ -129,15 +129,6 @@ func (t *Tree) RemoveGroup(rel string) error {
 	return t.fs.RemoveAll(path.Join(t.mount, rel))
 }
 
-// List returns the relative paths of all cgroups, the root as "".
-func (t *Tree) List() []string {
-	out := make([]string, 0, len(t.groups))
-	for k := range t.groups {
-		out = append(out, k)
-	}
-	return out
-}
-
 func (t *Tree) addControlFiles(rel string, g *sched.Group) error {
 	dir := path.Join(t.mount, rel)
 	files := map[string]struct {

@@ -196,23 +196,6 @@ func TestQuickCPUMaxRoundTrip(t *testing.T) {
 	}
 }
 
-func TestListIncludesAll(t *testing.T) {
-	tree, _, _ := newTree(t, 1)
-	if _, err := tree.CreateGroupAll("a/b"); err != nil {
-		t.Fatal(err)
-	}
-	got := tree.List()
-	want := map[string]bool{"": true, "a": true, "a/b": true}
-	if len(got) != len(want) {
-		t.Fatalf("List = %v", got)
-	}
-	for _, p := range got {
-		if !want[p] {
-			t.Fatalf("unexpected path %q", p)
-		}
-	}
-}
-
 func TestRemoveUnknownGroup(t *testing.T) {
 	tree, _, _ := newTree(t, 1)
 	if err := tree.RemoveGroup("ghost"); err == nil {

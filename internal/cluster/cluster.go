@@ -93,13 +93,12 @@ type Node struct {
 	// one clean Step.
 	Failed bool
 
-	deployed map[string]*deployment
-	energyJ  float64 // energy accrued while hosting at least one VM
-	lastJ    float64
+	energyJ float64 // energy accrued while hosting at least one VM
+	lastJ   float64
 
 	// used is the total load of the deployed VMs, maintained on
 	// deploy/undeploy/migrate/resize so admission does not iterate the
-	// deployment map.
+	// Manager's instances, which alone hold each VM's template and sources.
 	used    placement.Load
 	indexed bool // present in the cluster's free-capacity index
 
@@ -109,18 +108,12 @@ type Node struct {
 	healthPart nodeHealth
 }
 
-type deployment struct {
-	name     string
-	template vm.Template
-	sources  []workload.Source
-}
-
 // Spec returns the node's hardware description.
 func (n *Node) Spec() host.Spec { return n.Machine.Spec() }
 
 // VMs returns the names of the VMs deployed on this node.
 func (n *Node) VMs() []string {
-	out := make([]string, 0, len(n.deployed))
+	out := make([]string, 0, len(n.Manager.List()))
 	for _, inst := range n.Manager.List() {
 		out = append(out, inst.Name())
 	}
@@ -220,11 +213,10 @@ func New(specs []host.Spec, cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		c.nodes = append(c.nodes, &Node{
-			Index:    i,
-			Machine:  machine,
-			Manager:  mgr,
-			Ctrl:     ctrl,
-			deployed: map[string]*deployment{},
+			Index:   i,
+			Machine: machine,
+			Manager: mgr,
+			Ctrl:    ctrl,
 		})
 	}
 	c.index = placement.NewIndex(len(c.nodes))
@@ -373,7 +365,6 @@ func (c *Cluster) provisionOn(idx int, name string, tpl vm.Template, sources []w
 	if _, err := n.Manager.Provision(name, tpl, sources); err != nil {
 		return err
 	}
-	n.deployed[name] = &deployment{name: name, template: tpl, sources: sources}
 	c.locations[name] = idx
 	n.used = n.used.Add(loadOf(tpl))
 	c.reindex(n)
@@ -387,13 +378,12 @@ func (c *Cluster) Undeploy(name string) error {
 		return fmt.Errorf("cluster: no VM %q", name)
 	}
 	n := c.nodes[idx]
+	tpl := n.Manager.Get(name).Template()
 	if err := n.Manager.Destroy(name); err != nil {
 		return err
 	}
-	d := n.deployed[name]
-	delete(n.deployed, name)
 	delete(c.locations, name)
-	n.used = n.used.Sub(loadOf(d.template))
+	n.used = n.used.Sub(loadOf(tpl))
 	c.reindex(n)
 	return nil
 }
@@ -457,8 +447,9 @@ func (c *Cluster) Migrate(name string, target int) (moved bool, err error) {
 		c.met.migAttempted.Inc()
 	}
 	from, to := c.nodes[src], c.nodes[target]
-	d := from.deployed[name]
-	if !c.fits(to, d.template) {
+	inst := from.Manager.Get(name)
+	tpl := inst.Template()
+	if !c.fits(to, tpl) {
 		return false, fmt.Errorf("cluster: node %d cannot host %q", target, name)
 	}
 	// Export the controller state up front: it reads nothing from the
@@ -467,7 +458,7 @@ func (c *Cluster) Migrate(name string, target int) (moved bool, err error) {
 	// move still proceeds.
 	snap, exportErr := from.Ctrl.ExportVM(name)
 	// Prepare.
-	if _, err := to.Manager.Provision(name, d.template, d.sources); err != nil {
+	if _, err := to.Manager.Provision(name, tpl, inst.Sources()); err != nil {
 		return false, fmt.Errorf("cluster: preparing %q on node %d: %w", name, target, err)
 	}
 	// Commit.
@@ -481,11 +472,9 @@ func (c *Cluster) Migrate(name string, target int) (moved bool, err error) {
 		}
 		return false, fmt.Errorf("cluster: migrating %q off node %d: %w", name, src, err)
 	}
-	delete(from.deployed, name)
-	from.used = from.used.Sub(loadOf(d.template))
+	from.used = from.used.Sub(loadOf(tpl))
 	c.reindex(from)
-	to.deployed[name] = d
-	to.used = to.used.Add(loadOf(d.template))
+	to.used = to.used.Add(loadOf(tpl))
 	c.reindex(to)
 	c.locations[name] = target
 	from.Ctrl.ForgetVM(name)
@@ -515,43 +504,17 @@ func (c *Cluster) Resize(name string, tpl vm.Template, srcs []workload.Source) e
 		return fmt.Errorf("cluster: no VM %q", name)
 	}
 	n := c.nodes[idx]
-	d := n.deployed[name]
-	if !c.fitsResized(n, d.template, tpl) {
+	old := n.Manager.Get(name).Template()
+	if !c.fitsResized(n, old, tpl) {
 		return fmt.Errorf("cluster: node %d cannot host %q resized to %d vCPU @ %d MHz, %d GB",
 			idx, name, tpl.VCPUs, tpl.FreqMHz, tpl.MemoryGB)
 	}
 	if err := n.Manager.Reconfigure(name, tpl, srcs); err != nil {
 		return err
 	}
-	n.used = n.used.Sub(loadOf(d.template)).Add(loadOf(tpl))
-	d.sources = resizedSources(d.sources, d.template.VCPUs, tpl.VCPUs, srcs)
-	d.template = tpl
+	n.used = n.used.Sub(loadOf(old)).Add(loadOf(tpl))
 	c.reindex(n)
 	return nil
-}
-
-// resizedSources returns a deployment's workload sources after
-// Manager.Reconfigure took the VM from old to n vCPUs, so that a later
-// Migrate or evacuation provisions the shape the VM has now: truncated on
-// a shrink, extended by added (nil = idle) on a grow. A nil list (every
-// vCPU idle) stays nil while nothing but idle vCPUs join.
-func resizedSources(cur []workload.Source, old, n int, added []workload.Source) []workload.Source {
-	if cur == nil && (n <= old || added == nil) {
-		return nil
-	}
-	if n <= old {
-		return cur[:n]
-	}
-	// A fresh slice: cur may share its array with the caller of Deploy.
-	out := append(make([]workload.Source, 0, n), cur...)
-	for len(out) < old {
-		out = append(out, workload.Idle())
-	}
-	out = append(out, added...)
-	for len(out) < n {
-		out = append(out, workload.Idle())
-	}
-	return out
 }
 
 // Overloaded returns the indices of nodes whose deployed guarantees
@@ -586,7 +549,7 @@ func (c *Cluster) Rebalance() (int, error) {
 			if name == "" {
 				break
 			}
-			target := c.bestTarget(n.deployed[name].template, idx)
+			target := c.bestTarget(n.Manager.Get(name).Template(), idx)
 			if target == -1 {
 				errs = append(errs, fmt.Errorf("cluster: node %d overloaded and no migration target for %q", idx, name))
 				break
@@ -614,7 +577,7 @@ func (c *Cluster) smallestVM(n *Node) string {
 	best := ""
 	var bestDemand int64 = 1 << 62
 	for _, inst := range n.Manager.List() {
-		demand := loadOf(n.deployed[inst.Name()].template).FreqMHz
+		demand := loadOf(inst.Template()).FreqMHz
 		if demand < bestDemand {
 			bestDemand = demand
 			best = inst.Name()
@@ -751,7 +714,7 @@ func (c *Cluster) Step() error {
 					n.indexed = false
 				}
 			}
-			if n.Failed && len(n.deployed) > 0 {
+			if n.Failed && len(n.Manager.List()) > 0 {
 				ev, str := c.evacuate(n)
 				c.lastEvacuated += ev
 				c.lastStranded += str
@@ -793,7 +756,7 @@ func (c *Cluster) stepNode(n *Node, period int64) {
 		n.Failed = false // the host answers again: re-admit
 	}
 	j := n.Machine.Meter.Joules()
-	if len(n.deployed) > 0 {
+	if len(n.Manager.List()) > 0 {
 		n.energyJ += j - n.lastJ
 	}
 	n.lastJ = j
@@ -826,8 +789,7 @@ func (c *Cluster) stepNode(n *Node, period int64) {
 // appears or the node recovers.
 func (c *Cluster) evacuate(n *Node) (evacuated, stranded int) {
 	for _, name := range n.VMs() {
-		d := n.deployed[name]
-		target := c.bestTarget(d.template, n.Index)
+		target := c.bestTarget(n.Manager.Get(name).Template(), n.Index)
 		if target == -1 {
 			stranded++
 			continue
@@ -896,7 +858,7 @@ func (c *Cluster) Health() Health {
 func (c *Cluster) UsedNodes() int {
 	n := 0
 	for _, node := range c.nodes {
-		if len(node.deployed) > 0 {
+		if len(node.Manager.List()) > 0 {
 			n++
 		}
 	}

@@ -284,7 +284,7 @@ func TestResizeRespectsAdmission(t *testing.T) {
 	if err := c.Resize("a", vm.Large(), nil); err == nil {
 		t.Fatal("infeasible resize accepted")
 	}
-	if got := c.Nodes()[0].deployed["a"].template.FreqMHz; got != 500 {
+	if got := c.Nodes()[0].Manager.Get("a").Template().FreqMHz; got != 500 {
 		t.Fatalf("rejected resize mutated template: %d", got)
 	}
 	// 4 × 1200 = 4800 exactly fits.

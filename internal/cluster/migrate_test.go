@@ -220,8 +220,8 @@ func TestMigrateRollbackOnTargetProvisionFailure(t *testing.T) {
 	if got := n0.used; got != used {
 		t.Fatalf("source bookkeeping changed: %v, want %v", got, used)
 	}
-	if n1.used != (placement.Load{}) || len(n1.deployed) != 0 {
-		t.Fatalf("target bookkeeping dirtied: used=%+v deployed=%d", n1.used, len(n1.deployed))
+	if n1.used != (placement.Load{}) || len(n1.VMs()) != 0 {
+		t.Fatalf("target bookkeeping dirtied: used=%+v deployed=%d", n1.used, len(n1.VMs()))
 	}
 	if n1.Manager.Get("a") != nil {
 		t.Fatal("target manager kept a half-provisioned VM")
@@ -259,9 +259,9 @@ func TestMigrateRollbackOnSourceDestroyFailure(t *testing.T) {
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
-	// The source instance vanishes out of band: prepare will succeed,
-	// the commit-side destroy cannot.
-	if err := c.Nodes()[0].Manager.Destroy("a"); err != nil {
+	// The source VM's scope cgroup vanishes out of band: prepare will
+	// succeed, the commit-side destroy cannot remove it a second time.
+	if err := c.Nodes()[0].Machine.Cgroups.RemoveGroup(vm.ScopePath("a")); err != nil {
 		t.Fatal(err)
 	}
 	moved, err := c.Migrate("a", 1)

@@ -154,7 +154,7 @@ func churn(t *testing.T, c *Cluster, seed int64, steps int) {
 			}
 			name := names[rng.Intn(len(names))]
 			src := c.Locate(name)
-			tpl := c.nodes[src].deployed[name].template
+			tpl := c.nodes[src].Manager.Get(name).Template()
 			got, want := c.bestTarget(tpl, src), linearBestTarget(c, tpl, src)
 			if got != want {
 				t.Fatalf("seed %d op %d: bestTarget for %s off node %d = %d, linear scan says %d", seed, op, name, src, got, want)

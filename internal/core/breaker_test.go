@@ -27,8 +27,8 @@ func breakerConfig() Config {
 // throughout.
 func TestBreakerTripQuarantineReadmit(t *testing.T) {
 	inner := newFakeHost()
-	inner.addVM("a", 2, 1200)
-	inner.addVM("b", 1, 600)
+	inner.AddVM("a", 2, 1200)
+	inner.AddVM("b", 1, 600)
 	fh := platform.WithFaults(inner, 11)
 	c := mustController(t, fh, breakerConfig())
 	warmUp(t, c, inner, 3, 300_000)
@@ -122,7 +122,7 @@ func TestBreakerTripQuarantineReadmit(t *testing.T) {
 // the VM straight back into quarantine for a full window.
 func TestBreakerFaultyProbeReopens(t *testing.T) {
 	inner := newFakeHost()
-	inner.addVM("a", 1, 1200)
+	inner.AddVM("a", 1, 1200)
 	fh := platform.WithFaults(inner, 11)
 	c := mustController(t, fh, breakerConfig())
 	warmUp(t, c, inner, 3, 300_000)
@@ -150,8 +150,8 @@ func TestBreakerFaultyProbeReopens(t *testing.T) {
 // and re-admission.
 func TestBreakerConservationDuringQuarantine(t *testing.T) {
 	inner := newFakeHost()
-	inner.addVM("a", 2, 1200)
-	inner.addVM("b", 1, 1800)
+	inner.AddVM("a", 2, 1200)
+	inner.AddVM("b", 1, 1800)
 	fh := platform.WithFaults(inner, 3)
 	c := mustController(t, fh, breakerConfig())
 	warmUp(t, c, inner, 3, 900_000)
@@ -185,7 +185,7 @@ func TestBreakerConservationDuringQuarantine(t *testing.T) {
 // a retry (slow is not flaky) — while the fast vCPU stays healthy.
 func TestCallBudgetDegradesSlowVCPU(t *testing.T) {
 	inner := newFakeHost()
-	inner.addVM("a", 2, 1200)
+	inner.AddVM("a", 2, 1200)
 	fh := platform.WithFaults(inner, 5)
 	cfg := DefaultConfig()
 	cfg.CallBudgetUs = 200 // 0.2 ms budget
@@ -197,8 +197,8 @@ func TestCallBudgetDegradesSlowVCPU(t *testing.T) {
 		DelayUs:   20_000, // 10–20 ms injected stall, far over budget
 		Match:     func(vm string, vcpu int) bool { return vcpu == 1 },
 	})
-	inner.consume("a", 0, 300_000)
-	inner.consume("a", 1, 300_000)
+	inner.Consume("a", 0, 300_000)
+	inner.Consume("a", 1, 300_000)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -316,8 +316,8 @@ func TestBackoffDisabledByDefault(t *testing.T) {
 // the dead incarnation would have used.
 func TestBreakerSnapshotRoundTrip(t *testing.T) {
 	inner := newFakeHost()
-	inner.addVM("a", 1, 1200)
-	inner.addVM("b", 1, 600)
+	inner.AddVM("a", 1, 1200)
+	inner.AddVM("b", 1, 600)
 	fh := platform.WithFaults(inner, 11)
 	cfg := breakerConfig()
 	c := mustController(t, fh, cfg)
@@ -383,8 +383,8 @@ func TestBreakerSnapshotRoundTrip(t *testing.T) {
 // or recovery latency would silently double on every crash.
 func TestRecoveryStreakSurvivesRestore(t *testing.T) {
 	inner := newFakeHost()
-	inner.addVM("a", 1, 1200)
-	inner.addVM("b", 1, 600)
+	inner.AddVM("a", 1, 1200)
+	inner.AddVM("b", 1, 600)
 	fh := platform.WithFaults(inner, 11)
 	cfg := DefaultConfig()
 	cfg.HostRetries = 0

@@ -33,28 +33,28 @@ func (s *stubStore) Load() ([]byte, error) {
 	return s.data, nil
 }
 
-// quotaHost extends fakeHost with the QuotaReader capability, serving
-// back whatever SetMax recorded (or "max" for untouched vCPUs).
-type quotaHost struct {
-	*fakeHost
+// readableQuotas adds the QuotaReader capability to a Scripted host,
+// serving back its write record. A wrapper, not a Scripted method: the
+// capability switches quota adoption on, which most restore tests want
+// off.
+type readableQuotas struct {
+	*platform.Scripted
 }
 
-func (q *quotaHost) ReadMax(vm string, j int) (int64, int64, error) {
-	if v, ok := q.setMax[key(vm, j)]; ok {
-		return v[0], v[1], nil
-	}
-	return platform.NoQuota, 100_000, nil
+func (q readableQuotas) ReadMax(vm string, j int) (int64, int64, error) {
+	v := q.VCPU(vm, j)
+	return v.QuotaUs, v.PeriodUs, nil
 }
 
 // workSteps drives n steps with per-VM consumption patterns that exercise
 // credits, triggers and the auction.
-func workSteps(t *testing.T, h *fakeHost, c *Controller, n int) {
+func workSteps(t *testing.T, h *platform.Scripted, c *Controller, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		for _, info := range h.vms {
+		for _, info := range vmsOf(h) {
 			for j := 0; j < info.VCPUs; j++ {
 				// Deterministic but varied: ramps for one VM, idles the other.
-				h.consume(info.Name, j, int64(50_000*(i+1)+100_000*j)%900_000)
+				h.Consume(info.Name, j, int64(50_000*(i+1)+100_000*j)%900_000)
 			}
 		}
 		if err := c.Step(); err != nil {
@@ -73,8 +73,8 @@ func scrubVolatile(s *Snapshot) {
 
 func TestCheckpointRoundTripExact(t *testing.T) {
 	h := newFakeHost()
-	h.addVM("web", 2, 500)
-	h.addVM("batch", 4, 1200)
+	h.AddVM("web", 2, 500)
+	h.AddVM("batch", 4, 1200)
 	c := mustController(t, h, DefaultConfig())
 	workSteps(t, h, c, 7)
 
@@ -99,7 +99,7 @@ func TestCheckpointRoundTripExact(t *testing.T) {
 // capacity after base guarantees, never negative even oversubscribed.
 func TestSnapshotMarketUsesEq6(t *testing.T) {
 	h := newFakeHost()
-	h.addVM("a", 2, 1800)
+	h.AddVM("a", 2, 1800)
 	c := mustController(t, h, DefaultConfig())
 	workSteps(t, h, c, 3)
 	s := c.Snapshot()
@@ -122,8 +122,8 @@ func TestSnapshotMarketUsesEq6(t *testing.T) {
 
 func TestRestoreRebuildsIdenticalController(t *testing.T) {
 	h := newFakeHost()
-	h.addVM("web", 2, 500)
-	h.addVM("batch", 4, 1200)
+	h.AddVM("web", 2, 500)
+	h.AddVM("batch", 4, 1200)
 	cfg := DefaultConfig()
 	c1 := mustController(t, h, cfg)
 	workSteps(t, h, c1, 7)
@@ -151,8 +151,8 @@ func TestRestoreRebuildsIdenticalController(t *testing.T) {
 	// decisions step for step (the acceptance criterion's convergence, at
 	// the white-box level — see restore_sim_test.go for the sim version).
 	for i := 0; i < 5; i++ {
-		h.consume("web", 0, 300_000)
-		h.consume("batch", 2, 700_000)
+		h.Consume("web", 0, 300_000)
+		h.Consume("batch", 2, 700_000)
 		if err := c1.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestRestoreRebuildsIdenticalController(t *testing.T) {
 
 func TestRestoreRevalidatesAgainstLiveHost(t *testing.T) {
 	h := newFakeHost()
-	h.addVM("a", 1, 500)
+	h.AddVM("a", 1, 500)
 	cfg := DefaultConfig()
 	c := mustController(t, h, cfg)
 	workSteps(t, h, c, 2)
@@ -221,8 +221,8 @@ func TestRestoreRevalidatesAgainstLiveHost(t *testing.T) {
 func TestRestoreDropsAndColdStarts(t *testing.T) {
 	// Incarnation 1 ran with VMs a and gone.
 	h1 := newFakeHost()
-	h1.addVM("a", 2, 500)
-	h1.addVM("gone", 1, 1200)
+	h1.AddVM("a", 2, 500)
+	h1.AddVM("gone", 1, 1200)
 	cfg := DefaultConfig()
 	c1 := mustController(t, h1, cfg)
 	workSteps(t, h1, c1, 4)
@@ -230,8 +230,8 @@ func TestRestoreDropsAndColdStarts(t *testing.T) {
 
 	// While the controller was down, gone departed and fresh arrived.
 	h2 := newFakeHost()
-	h2.addVM("a", 2, 500)
-	h2.addVM("fresh", 1, 1800)
+	h2.AddVM("a", 2, 500)
+	h2.AddVM("fresh", 1, 1800)
 	c2 := mustController(t, h2, cfg)
 	rr, err := c2.Restore(snap)
 	if err != nil {
@@ -269,10 +269,12 @@ func TestRestoreAdoptsForeignQuotas(t *testing.T) {
 	cfg := DefaultConfig()
 
 	t.Run("cold start adopts leftover quota", func(t *testing.T) {
-		h := &quotaHost{fakeHost: newFakeHost()}
-		h.addVM("a", 1, 1200)
+		h := readableQuotas{newFakeHost()}
+		h.AddVM("a", 1, 1200)
 		// A previous incarnation (or operator) left a 30 ms / 100 ms quota.
-		h.setMax[key("a", 0)] = [2]int64{30_000, 100_000}
+		if err := h.SetMax("a", 0, 30_000, 100_000); err != nil {
+			t.Fatal(err)
+		}
 		c := mustController(t, h, cfg)
 		rr, err := c.Restore(Snapshot{
 			Version: SnapshotVersion, Cores: 4, MaxFreqMHz: 2400, PeriodUs: cfg.PeriodUs,
@@ -290,10 +292,10 @@ func TestRestoreAdoptsForeignQuotas(t *testing.T) {
 	})
 
 	t.Run("matching quota is not adopted", func(t *testing.T) {
-		h := &quotaHost{fakeHost: newFakeHost()}
-		h.addVM("a", 1, 1200)
+		h := readableQuotas{newFakeHost()}
+		h.AddVM("a", 1, 1200)
 		c1 := mustController(t, h, cfg)
-		workSteps(t, h.fakeHost, c1, 3)
+		workSteps(t, h.Scripted, c1, 3)
 		snap := c1.Snapshot()
 		c2 := mustController(t, h, cfg)
 		rr, err := c2.Restore(snap)
@@ -309,13 +311,15 @@ func TestRestoreAdoptsForeignQuotas(t *testing.T) {
 	})
 
 	t.Run("diverged quota wins over checkpoint", func(t *testing.T) {
-		h := &quotaHost{fakeHost: newFakeHost()}
-		h.addVM("a", 1, 1200)
+		h := readableQuotas{newFakeHost()}
+		h.AddVM("a", 1, 1200)
 		c1 := mustController(t, h, cfg)
-		workSteps(t, h.fakeHost, c1, 3)
+		workSteps(t, h.Scripted, c1, 3)
 		snap := c1.Snapshot()
 		// Someone rewrote the quota while the controller was down.
-		h.setMax[key("a", 0)] = [2]int64{77_000, 100_000}
+		if err := h.SetMax("a", 0, 77_000, 100_000); err != nil {
+			t.Fatal(err)
+		}
 		c2 := mustController(t, h, cfg)
 		rr, err := c2.Restore(snap)
 		if err != nil {
@@ -332,7 +336,7 @@ func TestRestoreAdoptsForeignQuotas(t *testing.T) {
 
 func TestCheckpointEveryPersistsAndFaults(t *testing.T) {
 	h := newFakeHost()
-	h.addVM("a", 1, 500)
+	h.AddVM("a", 1, 500)
 	cfg := DefaultConfig()
 	cfg.CheckpointEvery = 2
 	c := mustController(t, h, cfg)
@@ -384,7 +388,7 @@ func TestCheckpointEveryPersistsAndFaults(t *testing.T) {
 
 func TestRestoreFromStore(t *testing.T) {
 	h := newFakeHost()
-	h.addVM("a", 2, 500)
+	h.AddVM("a", 2, 500)
 	cfg := DefaultConfig()
 	c1 := mustController(t, h, cfg)
 	workSteps(t, h, c1, 3)
@@ -420,19 +424,19 @@ func TestRestoreFromStore(t *testing.T) {
 // Satellite: FailedSteps holds through clean steps and resets only after
 // RecoverySteps consecutive clean ones, reported as Recovered.
 func TestRecoveryStepsHoldFailureCounter(t *testing.T) {
-	h := newFlaky()
-	h.addVM("a", 1, 500)
+	h, fh := newFlaky()
+	h.AddVM("a", 1, 500)
 	cfg := DefaultConfig()
 	cfg.HostRetries = 0
 	cfg.RecoverySteps = 3
-	c := mustController(t, h, cfg)
+	c := mustController(t, fh, cfg)
 
 	for i := 0; i < 2; i++ { // register and warm up
 		if err := c.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h.failUsage = true
+	fh.MustPlan(platform.SiteUsage, always)
 	for i := 0; i < 2; i++ {
 		if err := c.Step(); err != nil {
 			t.Fatal(err)
@@ -442,7 +446,7 @@ func TestRecoveryStepsHoldFailureCounter(t *testing.T) {
 	if !v.Degraded || v.FailedSteps != 2 {
 		t.Fatalf("after 2 faulty steps: degraded=%v failed=%d", v.Degraded, v.FailedSteps)
 	}
-	h.failUsage = false
+	fh.Clear(platform.SiteUsage)
 	for i := 1; i <= 2; i++ {
 		if err := c.Step(); err != nil {
 			t.Fatal(err)
@@ -466,9 +470,11 @@ func TestRecoveryStepsHoldFailureCounter(t *testing.T) {
 }
 
 // panicHost crashes the usage read of one VM to exercise the step
-// watchdog.
+// watchdog. It stays a type of its own because a panic is not something
+// the shared doubles can script: Scripted answers or errors, and a
+// FaultyHost plan injects errors and delays, never a crash.
 type panicHost struct {
-	*fakeHost
+	*platform.Scripted
 	panicVM string
 }
 
@@ -476,25 +482,24 @@ func (p *panicHost) UsageUs(vm string, j int) (int64, error) {
 	if vm == p.panicVM {
 		panic("corrupted cpu.stat")
 	}
-	return p.fakeHost.UsageUs(vm, j)
+	return p.Scripted.UsageUs(vm, j)
 }
 
 // TestStepRecoversFromPanic panics on the second VM's read, after the
 // first VM's vCPUs are already committed: the watchdog must degrade and
 // write through those too.
 func TestStepRecoversFromPanic(t *testing.T) {
-	h := &panicHost{fakeHost: newFakeHost()}
-	h.addVM("a", 2, 500)
-	h.addVM("b", 2, 500)
+	h := &panicHost{Scripted: newFakeHost()}
+	h.AddVM("a", 2, 500)
+	h.AddVM("b", 2, 500)
 	cfg := DefaultConfig()
 	c := mustController(t, h, cfg)
-	vms := map[string]int{"a": 2, "b": 2}
 	const u = 600_000
-	steadyState(t, c, h.fakeHost, vms, u, 8)
+	warmUp(t, c, h.Scripted, 8, u)
 	steps := c.Steps()
 
 	h.panicVM = "b"
-	steadyState(t, c, h.fakeHost, vms, u, 1) // fails the test unless the panic is recovered
+	warmUp(t, c, h.Scripted, 1, u) // fails the test unless the panic is recovered
 	rep := c.LastReport()
 	if !rep.Panicked {
 		t.Fatal("Panicked not set")
@@ -522,13 +527,13 @@ func TestStepRecoversFromPanic(t *testing.T) {
 	// The next clean step recovers every vCPU and writes every quota
 	// through; b's delta spans the panicked period and is clamped.
 	h.panicVM = ""
-	writes := h.applied
-	steadyState(t, c, h.fakeHost, vms, u, 1)
+	writes := h.SetMaxCalls
+	warmUp(t, c, h.Scripted, 1, u)
 	rep = c.LastReport()
 	if rep.Panicked || rep.DegradedVCPUs != 0 || rep.Recovered != 4 {
 		t.Fatalf("recovery step report: %s (Recovered=%d)", rep.String(), rep.Recovered)
 	}
-	if got := h.applied - writes; got != 4 {
+	if got := h.SetMaxCalls - writes; got != 4 {
 		t.Fatalf("recovery step wrote %d quotas, want all 4", got)
 	}
 	for _, st := range c.VMs() {
@@ -543,17 +548,6 @@ func TestStepRecoversFromPanic(t *testing.T) {
 	}
 }
 
-// slowHost delays usage reads past the step deadline.
-type slowHost struct {
-	*fakeHost
-	delay time.Duration
-}
-
-func (s *slowHost) UsageUs(vm string, j int) (int64, error) {
-	time.Sleep(s.delay)
-	return s.fakeHost.UsageUs(vm, j)
-}
-
 func TestStepDeadlineOverrun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PeriodUs = 20_000 // 20 ms period, 10 ms deadline at the default 0.5
@@ -561,8 +555,11 @@ func TestStepDeadlineOverrun(t *testing.T) {
 	cfg.MinQuotaUs = 500
 	cfg.WindowUs = 1_000
 
-	h := &slowHost{fakeHost: newFakeHost(), delay: 25 * time.Millisecond}
-	h.addVM("a", 1, 500)
+	// Every usage read stalls 25–50 ms, past the 10 ms deadline.
+	inner := newFakeHost()
+	inner.AddVM("a", 1, 500)
+	h := platform.WithFaults(inner, 1)
+	h.MustPlan(platform.SiteUsage, platform.FaultPlan{DelayRate: 1, DelayUs: 50_000})
 	c := mustController(t, h, cfg)
 
 	// Step 1 registers the VM: the initial usage read blows the deadline

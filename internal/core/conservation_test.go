@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"vfreq/internal/platform"
 )
 
 // Property: the auction conserves value — cycles bought equal credits
@@ -16,7 +18,7 @@ func TestQuickAuctionConservation(t *testing.T) {
 		h := newFakeHost()
 		n := rng.Intn(5) + 1
 		for i := 0; i < n; i++ {
-			h.addVM(fmt.Sprintf("vm%d", i), rng.Intn(2)+1, int64(rng.Intn(2000)+200))
+			h.AddVM(fmt.Sprintf("vm%d", i), rng.Intn(2)+1, int64(rng.Intn(2000)+200))
 		}
 		c, err := New(h, DefaultConfig())
 		if err != nil {
@@ -76,7 +78,7 @@ func TestQuickDistributeConservation(t *testing.T) {
 		h := newFakeHost()
 		n := rng.Intn(5) + 1
 		for i := 0; i < n; i++ {
-			h.addVM(fmt.Sprintf("vm%d", i), rng.Intn(2)+1, int64(rng.Intn(2000)+200))
+			h.AddVM(fmt.Sprintf("vm%d", i), rng.Intn(2)+1, int64(rng.Intn(2000)+200))
 		}
 		c, err := New(h, DefaultConfig())
 		if err != nil {
@@ -127,11 +129,10 @@ func TestQuickDistributeConservation(t *testing.T) {
 func TestQuickAuctionDistributePipelineConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := newFakeHost()
-		h.node.Cores = 16
+		h := platform.NewScripted(platform.NodeInfo{Name: "fake", Cores: 16, MaxFreqMHz: 2400})
 		n := rng.Intn(4) + 2
 		for i := 0; i < n; i++ {
-			h.addVM(fmt.Sprintf("vm%d", i), rng.Intn(2)+1, int64(rng.Intn(2000)+200))
+			h.AddVM(fmt.Sprintf("vm%d", i), rng.Intn(2)+1, int64(rng.Intn(2000)+200))
 		}
 		c, err := New(h, DefaultConfig())
 		if err != nil {
@@ -182,7 +183,7 @@ func TestQuickAuctionDistributePipelineConservation(t *testing.T) {
 // dribbled round-robin or dropped.
 func TestDistributeResidueLargestDemand(t *testing.T) {
 	h := newFakeHost()
-	h.addVM("a", 3, 1200)
+	h.AddVM("a", 3, 1200)
 	c := mustController(t, h, DefaultConfig())
 	if err := c.Step(); err != nil {
 		t.Fatal(err)

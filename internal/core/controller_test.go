@@ -1,81 +1,28 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
 	"vfreq/internal/platform"
 )
 
-// fakeHost is a scriptable platform.Host for white-box stage tests.
-type fakeHost struct {
-	node     platform.NodeInfo
-	vms      []platform.VMInfo
-	usage    map[string]int64 // "vm/j" → cumulative µs
-	freq     map[int]int64    // core → MHz
-	lastCPU  map[int]int      // tid → core
-	setMax   map[string][2]int64
-	setBurst map[string]int64
-	applied  int
-	cleared  []string // ClearMax calls, "vm/j"
+// newFakeHost is the 4-core, 2400 MHz node most stage tests script.
+func newFakeHost() *platform.Scripted {
+	return platform.NewScripted(platform.NodeInfo{Name: "fake", Cores: 4, MaxFreqMHz: 2400})
 }
 
-func newFakeHost() *fakeHost {
-	return &fakeHost{
-		node:     platform.NodeInfo{Name: "fake", Cores: 4, MaxFreqMHz: 2400},
-		usage:    map[string]int64{},
-		freq:     map[int]int64{0: 2400, 1: 2400, 2: 2400, 3: 2400},
-		lastCPU:  map[int]int{},
-		setMax:   map[string][2]int64{},
-		setBurst: map[string]int64{},
-	}
+// vmsOf is the host's listing, for loops that make every vCPU consume.
+func vmsOf(h *platform.Scripted) []platform.VMInfo {
+	vms, _ := h.ListVMs() // a Scripted listing cannot fail
+	return vms
 }
 
-func key(vm string, j int) string { return fmt.Sprintf("%s/%d", vm, j) }
-
-func (f *fakeHost) Node() platform.NodeInfo             { return f.node }
-func (f *fakeHost) ListVMs() ([]platform.VMInfo, error) { return f.vms, nil }
-func (f *fakeHost) UsageUs(vm string, j int) (int64, error) {
-	u, ok := f.usage[key(vm, j)]
-	if !ok {
-		return 0, fmt.Errorf("no vcpu %s/%d", vm, j)
-	}
-	return u, nil
+// quotaOf is the (quota, period) in force on a live vCPU, comparable with ==.
+func quotaOf(h *platform.Scripted, vm string, j int) [2]int64 {
+	v := h.VCPU(vm, j)
+	return [2]int64{v.QuotaUs, v.PeriodUs}
 }
-func (f *fakeHost) SetMax(vm string, j int, quota, period int64) error {
-	f.setMax[key(vm, j)] = [2]int64{quota, period}
-	f.applied++
-	return nil
-}
-func (f *fakeHost) ClearMax(vm string, j int) error {
-	delete(f.setMax, key(vm, j))
-	f.cleared = append(f.cleared, key(vm, j))
-	return nil
-}
-func (f *fakeHost) SetBurst(vm string, j int, burstUs int64) error {
-	f.setBurst[key(vm, j)] = burstUs
-	return nil
-}
-func (f *fakeHost) ThreadID(vm string, j int) (int, error) { return 1000 + 10*len(vm) + j, nil }
-func (f *fakeHost) LastCPU(tid int) (int, error) {
-	if c, ok := f.lastCPU[tid]; ok {
-		return c, nil
-	}
-	return 0, nil
-}
-func (f *fakeHost) CoreFreqMHz(core int) (int64, error) { return f.freq[core], nil }
-
-// addVM registers a VM and seeds zero usage.
-func (f *fakeHost) addVM(name string, vcpus int, freqMHz int64) {
-	f.vms = append(f.vms, platform.VMInfo{Name: name, VCPUs: vcpus, FreqMHz: freqMHz})
-	for j := 0; j < vcpus; j++ {
-		f.usage[key(name, j)] = 0
-	}
-}
-
-// consume advances a vCPU's cumulative usage.
-func (f *fakeHost) consume(vm string, j int, us int64) { f.usage[key(vm, j)] += us }
 
 func mustController(t *testing.T, h platform.Host, cfg Config) *Controller {
 	t.Helper()
@@ -93,7 +40,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(h, bad); err == nil {
 		t.Fatal("invalid config accepted")
 	}
-	h.node.Cores = 0
+	h = platform.NewScripted(platform.NodeInfo{Name: "fake", MaxFreqMHz: 2400})
 	if _, err := New(h, DefaultConfig()); err == nil {
 		t.Fatal("invalid node accepted")
 	}
@@ -146,7 +93,7 @@ func TestGuaranteeEq2(t *testing.T) {
 func TestSyncVMsAddRemove(t *testing.T) {
 	h := newFakeHost()
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("a", 2, 500)
+	h.AddVM("a", 2, 500)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,15 +103,14 @@ func TestSyncVMsAddRemove(t *testing.T) {
 	if got := c.VM("a").GuaranteeUs; got != 208_333 {
 		t.Fatalf("guarantee = %d", got)
 	}
-	h.addVM("b", 1, 1200)
+	h.AddVM("b", 1, 1200)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.VMs()) != 2 {
 		t.Fatal("VM b not added")
 	}
-	// Remove a.
-	h.vms = h.vms[1:]
+	h.RemoveVM("a")
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +122,7 @@ func TestSyncVMsAddRemove(t *testing.T) {
 func TestSyncRejectsInfeasibleFrequency(t *testing.T) {
 	h := newFakeHost()
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("fast", 1, 5000) // above 2400 F_MAX
+	h.AddVM("fast", 1, 5000) // above 2400 F_MAX
 	if err := c.Step(); err != nil {
 		t.Fatalf("one bad template aborted the step: %v", err)
 	}
@@ -192,13 +138,13 @@ func TestSyncRejectsInfeasibleFrequency(t *testing.T) {
 func TestMonitorComputesDeltaAndFreq(t *testing.T) {
 	h := newFakeHost()
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("a", 1, 1200)
+	h.AddVM("a", 1, 1200)
 	if err := c.Step(); err != nil { // registers with zero usage
 		t.Fatal(err)
 	}
-	h.consume("a", 0, 600_000)
-	h.lastCPU[c.VM("a").VCPUs[0].TID] = 2
-	h.freq[2] = 2000
+	h.Consume("a", 0, 600_000)
+	h.VCPU("a", 0).LastCPU = 2
+	h.CoreMHz[2] = 2000
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -218,15 +164,17 @@ func TestMonitorComputesDeltaAndFreq(t *testing.T) {
 func TestMonitorHandlesCounterReset(t *testing.T) {
 	h := newFakeHost()
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("a", 1, 1200)
+	h.AddVM("a", 1, 1200)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
-	h.consume("a", 0, 500_000)
+	h.Consume("a", 0, 500_000)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
-	h.usage[key("a", 0)] = 100 // counter went backwards (VM restarted)
+	h.RemoveVM("a") // the VM restarts: its counter starts again below the last reading
+	h.AddVM("a", 1, 1200)
+	h.Consume("a", 0, 100)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +252,7 @@ func TestEstimateBounds(t *testing.T) {
 func TestEnforceCreditsEq4AndCapEq5(t *testing.T) {
 	h := newFakeHost()
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("a", 2, 1200) // C_i = 500000
+	h.AddVM("a", 2, 1200) // C_i = 500000
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +283,7 @@ func TestCreditWalletCap(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CreditCapPeriods = 2
 	c := mustController(t, h, cfg)
-	h.addVM("a", 1, 1200) // C_i = 500000, wallet cap = 2×500000×1
+	h.AddVM("a", 1, 1200) // C_i = 500000, wallet cap = 2×500000×1
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +301,7 @@ func TestCreditWalletCap(t *testing.T) {
 func TestMarketEq6(t *testing.T) {
 	h := newFakeHost() // 4 cores → capacity 4e6
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("a", 2, 1200)
+	h.AddVM("a", 2, 1200)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -376,8 +324,8 @@ func TestAuctionChargesCreditsAndWindows(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WindowUs = 10_000
 	c := mustController(t, h, cfg)
-	h.addVM("rich", 1, 1200)
-	h.addVM("poor", 1, 1200)
+	h.AddVM("rich", 1, 1200)
+	h.AddVM("poor", 1, 1200)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -407,8 +355,8 @@ func TestAuctionWindowPreventsMonopoly(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WindowUs = 1_000
 	c := mustController(t, h, cfg)
-	h.addVM("rich", 1, 1200)
-	h.addVM("mid", 1, 1200)
+	h.AddVM("rich", 1, 1200)
+	h.AddVM("mid", 1, 1200)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +375,7 @@ func TestAuctionWindowPreventsMonopoly(t *testing.T) {
 func TestAuctionStopsWithoutCredits(t *testing.T) {
 	h := newFakeHost()
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("broke", 1, 1200)
+	h.AddVM("broke", 1, 1200)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -446,8 +394,8 @@ func TestAuctionStopsWithoutCredits(t *testing.T) {
 func TestDistributeProportional(t *testing.T) {
 	h := newFakeHost()
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("a", 1, 1200)
-	h.addVM("b", 1, 1200)
+	h.AddVM("a", 1, 1200)
+	h.AddVM("b", 1, 1200)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -470,21 +418,21 @@ func TestDistributeProportional(t *testing.T) {
 func TestApplyScalesQuotaToCgroupPeriod(t *testing.T) {
 	h := newFakeHost()
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("a", 1, 1200)
+	h.AddVM("a", 1, 1200)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
 	v := c.VM("a").VCPUs[0]
 	v.CapUs = 400_000 // per 1 s period
 	c.apply(&StepReport{})
-	got := h.setMax[key("a", 0)]
+	got := quotaOf(h, "a", 0)
 	if got[0] != 40_000 || got[1] != 100_000 {
 		t.Fatalf("quota = %v, want [40000 100000]", got)
 	}
 	// Tiny caps floor at MinQuotaUs.
 	v.CapUs = 10
 	c.apply(&StepReport{})
-	got = h.setMax[key("a", 0)]
+	got = quotaOf(h, "a", 0)
 	if got[0] != c.Config().MinQuotaUs {
 		t.Fatalf("floored quota = %d, want %d", got[0], c.Config().MinQuotaUs)
 	}
@@ -495,16 +443,16 @@ func TestMonitoringOnlyModeNeverWritesQuotas(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ControlEnabled = false
 	c := mustController(t, h, cfg)
-	h.addVM("a", 2, 500)
+	h.AddVM("a", 2, 500)
 	for i := 0; i < 5; i++ {
-		h.consume("a", 0, 900_000)
-		h.consume("a", 1, 900_000)
+		h.Consume("a", 0, 900_000)
+		h.Consume("a", 1, 900_000)
 		if err := c.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if h.applied != 0 {
-		t.Fatalf("execution A wrote %d quotas, want 0", h.applied)
+	if h.SetMaxCalls != 0 {
+		t.Fatalf("execution A wrote %d quotas, want 0", h.SetMaxCalls)
 	}
 	// Monitoring still happens.
 	if c.VM("a").VCPUs[0].LastU != 900_000 {
@@ -515,7 +463,7 @@ func TestMonitoringOnlyModeNeverWritesQuotas(t *testing.T) {
 func TestStepTimingsPopulated(t *testing.T) {
 	h := newFakeHost()
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("a", 1, 500)
+	h.AddVM("a", 1, 500)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -531,8 +479,8 @@ func TestStepTimingsPopulated(t *testing.T) {
 func TestCapacityAndGuaranteeTotals(t *testing.T) {
 	h := newFakeHost()
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("a", 2, 1200)
-	h.addVM("b", 4, 600)
+	h.AddVM("a", 2, 1200)
+	h.AddVM("b", 4, 600)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -552,23 +500,22 @@ func TestDepartureOrderDeterministic(t *testing.T) {
 	h := newFakeHost()
 	names := []string{"m", "c", "x", "a", "q", "f", "keep"}
 	for _, n := range names {
-		h.addVM(n, 1, 300)
+		h.AddVM(n, 1, 300)
 	}
 	c := mustController(t, h, DefaultConfig())
 	warmUp(t, c, h, 2, 100_000)
 
-	h.vms = h.vms[len(h.vms)-1:] // all but "keep" depart in one step
-	h.cleared = nil
-	warmUp(t, c, h, 1, 100_000)
-	var wantCleared []string
-	for _, n := range names[:6] {
-		wantCleared = append(wantCleared, key(n, 0))
+	var wantCleared []platform.VCPURef
+	for _, n := range names[:6] { // all but "keep" depart in one step
+		h.RemoveVM(n)
+		wantCleared = append(wantCleared, platform.VCPURef{VM: n})
 	}
+	warmUp(t, c, h, 1, 100_000)
 	if got := c.LastReport().Removed; !reflect.DeepEqual(got, names[:6]) {
 		t.Fatalf("Removed = %v, want registration order %v", got, names[:6])
 	}
-	if !reflect.DeepEqual(h.cleared, wantCleared) {
-		t.Fatalf("quotas released as %v, want %v", h.cleared, wantCleared)
+	if !reflect.DeepEqual(h.Cleared, wantCleared) {
+		t.Fatalf("quotas released as %v, want %v", h.Cleared, wantCleared)
 	}
 	if got := c.VMs(); len(got) != 1 || got[0].Info.Name != "keep" {
 		t.Fatalf("survivors = %v, want only keep", got)
@@ -581,7 +528,7 @@ func TestBreakerTripOrderDeterministic(t *testing.T) {
 	inner := newFakeHost()
 	names := []string{"m", "c", "x", "a"}
 	for _, n := range names {
-		inner.addVM(n, 1, 300)
+		inner.AddVM(n, 1, 300)
 	}
 	fh := platform.WithFaults(inner, 3)
 	cfg := DefaultConfig()

@@ -10,13 +10,14 @@ import (
 	"vfreq/internal/platform"
 )
 
-// warmUp runs enough clean steps for history to fill and caps to settle.
-func warmUp(t *testing.T, c *Controller, h *fakeHost, steps int, usPerStep int64) {
+// warmUp runs clean steps in which every listed vCPU consumes usPerStep;
+// enough of them fill the history and settle the caps.
+func warmUp(t *testing.T, c *Controller, h *platform.Scripted, steps int, usPerStep int64) {
 	t.Helper()
 	for i := 0; i < steps; i++ {
-		for _, info := range h.vms {
+		for _, info := range vmsOf(h) {
 			for j := 0; j < info.VCPUs; j++ {
-				h.consume(info.Name, j, usPerStep)
+				h.Consume(info.Name, j, usPerStep)
 			}
 		}
 		if err := c.Step(); err != nil {
@@ -29,12 +30,12 @@ func warmUp(t *testing.T, c *Controller, h *fakeHost, steps int, usPerStep int64
 // step reports a retry but no degradation.
 func TestRetryMasksTransientFault(t *testing.T) {
 	inner := newFakeHost()
-	inner.addVM("a", 1, 1200)
+	inner.AddVM("a", 1, 1200)
 	fh := platform.WithFaults(inner, 7)
 	c := mustController(t, fh, DefaultConfig()) // HostRetries = 1
 	warmUp(t, c, inner, 2, 300_000)
 	fh.MustPlan(platform.SiteUsage, platform.FaultPlan{Count: 1})
-	inner.consume("a", 0, 300_000)
+	inner.Consume("a", 0, 300_000)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,20 +56,20 @@ func TestRetryMasksTransientFault(t *testing.T) {
 // quotas, and the step still succeeds.
 func TestPersistentFaultHoldsLastGoodCap(t *testing.T) {
 	inner := newFakeHost()
-	inner.addVM("a", 2, 1200)
+	inner.AddVM("a", 2, 1200)
 	fh := platform.WithFaults(inner, 7)
 	c := mustController(t, fh, DefaultConfig())
 	warmUp(t, c, inner, 3, 300_000)
 	held := c.VM("a").VCPUs[1].CapUs
-	applied := inner.applied
+	applied := inner.SetMaxCalls
 
 	fh.MustPlan(platform.SiteUsage, platform.FaultPlan{
 		Persistent: true,
 		Match:      func(vm string, vcpu int) bool { return vm == "a" && vcpu == 1 },
 	})
 	for i := 0; i < 3; i++ {
-		inner.consume("a", 0, 900_000)
-		inner.consume("a", 1, 900_000)
+		inner.Consume("a", 0, 900_000)
+		inner.Consume("a", 1, 900_000)
 		if err := c.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -87,12 +88,12 @@ func TestPersistentFaultHoldsLastGoodCap(t *testing.T) {
 		t.Fatalf("FailedSteps = %d, want 3", c.VM("a").VCPUs[1].FailedSteps)
 	}
 	// The healthy vCPU kept getting quota writes (one per step).
-	if inner.applied < applied+3 {
-		t.Fatalf("healthy vCPU starved of quota writes: %d → %d", applied, inner.applied)
+	if inner.SetMaxCalls < applied+3 {
+		t.Fatalf("healthy vCPU starved of quota writes: %d → %d", applied, inner.SetMaxCalls)
 	}
 	// Recovery: clear the plan and the vCPU rejoins the loop.
 	fh.Clear(platform.SiteUsage)
-	inner.consume("a", 1, 900_000)
+	inner.Consume("a", 1, 900_000)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +111,9 @@ func TestPersistentFaultHoldsLastGoodCap(t *testing.T) {
 // caps like any other allocation).
 func TestConservationUnderPartialFailure(t *testing.T) {
 	inner := newFakeHost()
-	inner.addVM("a", 2, 1200)
-	inner.addVM("b", 1, 600)
-	inner.addVM("c", 1, 1800)
+	inner.AddVM("a", 2, 1200)
+	inner.AddVM("b", 1, 600)
+	inner.AddVM("c", 1, 1800)
 	fh := platform.WithFaults(inner, 99)
 	cfg := DefaultConfig()
 	cfg.HostRetries = 0 // let every injected fault land
@@ -122,9 +123,9 @@ func TestConservationUnderPartialFailure(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sawDegraded := false
 	for step := 0; step < 30; step++ {
-		for _, info := range inner.vms {
+		for _, info := range vmsOf(inner) {
 			for j := 0; j < info.VCPUs; j++ {
-				inner.consume(info.Name, j, int64(rng.Intn(1_000_001)))
+				inner.Consume(info.Name, j, int64(rng.Intn(1_000_001)))
 			}
 		}
 		if err := c.Step(); err != nil {
@@ -157,14 +158,14 @@ func TestConservationUnderPartialFailure(t *testing.T) {
 func TestReconcileFrequencyChange(t *testing.T) {
 	h := newFakeHost()
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("a", 1, 1200)
+	h.AddVM("a", 1, 1200)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.VM("a").GuaranteeUs; got != 500_000 {
 		t.Fatalf("guarantee = %d, want 500000", got)
 	}
-	h.vms[0].FreqMHz = 600
+	h.SetTemplate("a", 1, 600)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +184,11 @@ func TestReconcileFrequencyChange(t *testing.T) {
 func TestReconcileRejectsInfeasibleFrequencyChange(t *testing.T) {
 	h := newFakeHost()
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("a", 1, 1200)
+	h.AddVM("a", 1, 1200)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
-	h.vms[0].FreqMHz = 5000 // above 2400 F_MAX
+	h.SetTemplate("a", 1, 5000) // above 2400 F_MAX
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -208,12 +209,10 @@ func TestReconcileRejectsInfeasibleFrequencyChange(t *testing.T) {
 func TestReconcileVCPUGrowShrink(t *testing.T) {
 	h := newFakeHost()
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("a", 2, 1200)
+	h.AddVM("a", 2, 1200)
 	warmUp(t, c, h, 2, 300_000)
 	// Grow 2 → 4.
-	h.vms[0].VCPUs = 4
-	h.usage[key("a", 2)] = 0
-	h.usage[key("a", 3)] = 0
+	h.SetTemplate("a", 4, 1200)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -225,33 +224,37 @@ func TestReconcileVCPUGrowShrink(t *testing.T) {
 		t.Fatalf("new vCPU cap = %d, want guarantee %d", st.VCPUs[3].CapUs, st.GuaranteeUs)
 	}
 	// Shrink 4 → 1: trailing quotas are released.
-	h.vms[0].VCPUs = 1
+	h.SetTemplate("a", 1, 1200)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(c.VM("a").VCPUs); got != 1 {
 		t.Fatalf("len(VCPUs) = %d after shrink, want 1", got)
 	}
-	want := map[string]bool{key("a", 1): true, key("a", 2): true, key("a", 3): true}
-	for _, k := range h.cleared {
-		delete(want, k)
+	want := map[platform.VCPURef]bool{{VM: "a", VCPU: 1}: true, {VM: "a", VCPU: 2}: true, {VM: "a", VCPU: 3}: true}
+	for _, ref := range h.Cleared {
+		delete(want, ref)
 	}
 	if len(want) != 0 {
-		t.Fatalf("shrink left quotas behind: %v (cleared %v)", want, h.cleared)
+		t.Fatalf("shrink left quotas behind: %v (cleared %v)", want, h.Cleared)
 	}
 }
 
 // A partial growth (initial read fails for one new vCPU) stops at that
 // index and is completed on a later step.
 func TestReconcilePartialGrowthRetries(t *testing.T) {
-	h := newFakeHost()
-	c := mustController(t, h, DefaultConfig())
-	h.addVM("a", 1, 1200)
+	h, fh := newFlaky()
+	c := mustController(t, fh, DefaultConfig())
+	h.AddVM("a", 1, 1200)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
-	h.vms[0].VCPUs = 3
-	h.usage[key("a", 1)] = 0 // vCPU 2 has no usage file yet → read fails
+	h.SetTemplate("a", 3, 1200)
+	// vCPU 2 has no usage file yet → read fails
+	fh.MustPlan(platform.SiteUsage, platform.FaultPlan{
+		Persistent: true,
+		Match:      func(vm string, vcpu int) bool { return vcpu == 2 },
+	})
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +264,7 @@ func TestReconcilePartialGrowthRetries(t *testing.T) {
 	if c.LastReport().FaultCount() == 0 {
 		t.Fatal("partial growth not reported")
 	}
-	h.usage[key("a", 2)] = 0 // the file appears
+	fh.Clear(platform.SiteUsage) // the file appears
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -278,20 +281,20 @@ func TestDepartureReleasesQuotas(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BurstFraction = 0.2
 	c := mustController(t, h, cfg)
-	h.addVM("a", 2, 1200)
+	h.AddVM("a", 2, 1200)
 	warmUp(t, c, h, 2, 300_000)
-	if h.setBurst[key("a", 0)] == 0 {
+	if h.VCPU("a", 0).BurstUs == 0 {
 		t.Fatal("burst budget not armed during the run")
 	}
-	h.vms = nil
+	h.Unlist("a") // the cgroups stay, to be looked at
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < 2; j++ {
-		if _, ok := h.setMax[key("a", j)]; ok {
-			t.Fatalf("vCPU %d quota survived departure", j)
+		if q := h.VCPU("a", j).QuotaUs; q != platform.NoQuota {
+			t.Fatalf("vCPU %d quota %d survived departure", j, q)
 		}
-		if got := h.setBurst[key("a", j)]; got != 0 {
+		if got := h.VCPU("a", j).BurstUs; got != 0 {
 			t.Fatalf("vCPU %d burst = %d after departure, want 0", j, got)
 		}
 	}
@@ -308,38 +311,34 @@ func TestDepartureWritesNothingWithoutControl(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ControlEnabled = false
 	c := mustController(t, h, cfg)
-	h.addVM("a", 1, 1200)
+	h.AddVM("a", 1, 1200)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
-	h.vms = nil
+	h.RemoveVM("a")
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.cleared) != 0 {
-		t.Fatalf("monitoring-only departure cleared %v", h.cleared)
+	if len(h.Cleared) != 0 {
+		t.Fatalf("monitoring-only departure cleared %v", h.Cleared)
 	}
 }
 
 // The report's fault list is bounded; the overflow is counted instead of
 // stored.
 func TestStepReportFaultCap(t *testing.T) {
-	h := newFakeHost()
+	h, fh := newFlaky()
 	cfg := DefaultConfig()
 	cfg.HostRetries = 0
-	c := mustController(t, h, cfg)
+	c := mustController(t, fh, cfg)
 	for i := 0; i < 40; i++ {
-		name := fmt.Sprintf("vm%d", i)
-		h.vms = append(h.vms, platform.VMInfo{Name: name, VCPUs: 4, FreqMHz: 500})
-		for j := 0; j < 4; j++ {
-			h.usage[key(name, j)] = 0
-		}
+		h.AddVM(fmt.Sprintf("vm%d", i), 4, 500)
 	}
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
 	// Every usage file disappears: 160 monitor faults in one step.
-	h.usage = map[string]int64{}
+	fh.MustPlan(platform.SiteUsage, always)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -362,15 +361,14 @@ func TestStepReportFaultCap(t *testing.T) {
 // knob set.
 func TestSeededFaultRunReplaysAtDefault(t *testing.T) {
 	type run struct {
-		inner *fakeHost
+		inner *platform.Scripted
 		ctrl  *Controller
 	}
 	var runs [2]run
 	for i := range runs {
-		inner := newFakeHost()
-		inner.node.Cores = 8
+		inner := platform.NewScripted(platform.NodeInfo{Name: "fake", Cores: 8, MaxFreqMHz: 2400})
 		for v := 0; v < 6; v++ {
-			inner.addVM(fmt.Sprintf("vm%d", v), 2, 1200)
+			inner.AddVM(fmt.Sprintf("vm%d", v), 2, 1200)
 		}
 		fh := platform.WithFaults(inner, 42)
 		for _, site := range []platform.FaultSite{platform.SiteUsage, platform.SiteThreadID,
@@ -384,10 +382,10 @@ func TestSeededFaultRunReplaysAtDefault(t *testing.T) {
 	degraded, retries := 0, 0
 	for step := int64(1); step <= 200; step++ {
 		for i, r := range runs {
-			for v, info := range r.inner.vms {
+			for v, info := range vmsOf(r.inner) {
 				for j := 0; j < info.VCPUs; j++ {
 					// Per-vCPU-distinct, crossing both triggers over the run.
-					r.inner.consume(info.Name, j, (step*97_000+int64(v)*53_000+int64(j)*31_000)%1_000_000)
+					r.inner.Consume(info.Name, j, (step*97_000+int64(v)*53_000+int64(j)*31_000)%1_000_000)
 				}
 			}
 			if err := r.ctrl.Step(); err != nil {
@@ -423,8 +421,8 @@ func TestHostCallPolicy(t *testing.T) {
 		want int64 // value of a clean read on the host below
 	}{
 		{opUsage, "usage", platform.SiteUsage, 0, 123},
-		{opTID, "tid", platform.SiteThreadID, 0, 1010},
-		{opLastCPU, "lastcpu", platform.SiteLastCPU, 1010, 3},
+		{opTID, "tid", platform.SiteThreadID, 0, 1},
+		{opLastCPU, "lastcpu", platform.SiteLastCPU, 1, 3},
 		{opFreq, "freq", platform.SiteCoreFreq, 3, 2400},
 		{opSetMax, "setmax", platform.SiteSetMax, 0, 0},
 		{opSetBurst, "setburst", platform.SiteSetBurst, 0, 0},
@@ -437,9 +435,9 @@ func TestHostCallPolicy(t *testing.T) {
 			}
 			run := func(retries int, budgetUs int64, plan *platform.FaultPlan, prior error) (int64, bool, error, int) {
 				inner := newFakeHost()
-				inner.addVM("a", 1, 1200)
-				inner.consume("a", 0, 123)
-				inner.lastCPU[1010] = 3
+				inner.AddVM("a", 1, 1200)
+				inner.Consume("a", 0, 123)
+				inner.VCPU("a", 0).LastCPU = 3 // on the host's first thread, tid 1
 				fh := platform.WithFaults(inner, 1)
 				cfg := DefaultConfig()
 				cfg.HostRetries = retries

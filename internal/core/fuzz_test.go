@@ -19,12 +19,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	// Seed with a real checkpoint from a live controller plus the classic
 	// malformed shapes.
 	h := newFakeHost()
-	h.addVM("web", 2, 500)
-	h.addVM("batch", 4, 1200)
+	h.AddVM("web", 2, 500)
+	h.AddVM("batch", 4, 1200)
 	if c, err := New(h, DefaultConfig()); err == nil {
 		for i := 0; i < 3; i++ {
-			h.consume("web", 0, 200_000)
-			h.consume("batch", 1, 600_000)
+			h.Consume("web", 0, 200_000)
+			h.Consume("batch", 1, 600_000)
 			if err := c.Step(); err != nil {
 				break
 			}
@@ -61,10 +61,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("re-encoded valid checkpoint rejected: %v", err)
 		}
 
-		h := newFakeHost()
-		h.node = platform.NodeInfo{Name: s.Node, Cores: s.Cores, MaxFreqMHz: s.MaxFreqMHz}
+		h := platform.NewScripted(platform.NodeInfo{Name: s.Node, Cores: s.Cores, MaxFreqMHz: s.MaxFreqMHz})
 		for _, vm := range s.VMs {
-			h.addVM(vm.Name, len(vm.VCPUs), vm.FreqMHz)
+			h.AddVM(vm.Name, len(vm.VCPUs), vm.FreqMHz)
 		}
 		cfg := DefaultConfig()
 		cfg.PeriodUs = s.PeriodUs
@@ -121,11 +120,10 @@ func FuzzAuction(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &fuzzByteStream{data: data}
-		h := newFakeHost()
-		h.node.Cores = 16
+		h := platform.NewScripted(platform.NodeInfo{Name: "fake", Cores: 16, MaxFreqMHz: 2400})
 		nVMs := int(s.byte())%6 + 1
 		for i := 0; i < nVMs; i++ {
-			h.addVM(fmt.Sprintf("vm%d", i), int(s.byte())%4+1, 1200)
+			h.AddVM(fmt.Sprintf("vm%d", i), int(s.byte())%4+1, 1200)
 		}
 		c, err := New(h, DefaultConfig())
 		if err != nil {
@@ -186,11 +184,11 @@ func FuzzAuction(f *testing.F) {
 // success the adopted VM re-exports as a snapshot the validator accepts.
 func FuzzAdoptVM(f *testing.F) {
 	h := newFakeHost()
-	h.addVM("web", 2, 1200)
+	h.AddVM("web", 2, 1200)
 	if c, err := New(h, DefaultConfig()); err == nil {
 		for i := 0; i < 3; i++ {
-			h.consume("web", 0, 200_000)
-			h.consume("web", 1, 150_000)
+			h.Consume("web", 0, 200_000)
+			h.Consume("web", 1, 150_000)
 			if err := c.Step(); err != nil {
 				break
 			}
@@ -217,7 +215,7 @@ func FuzzAdoptVM(f *testing.F) {
 		_ = json.Unmarshal(data, &snap)
 
 		tgt := newFakeHost()
-		tgt.addVM("web", 2, 1200)
+		tgt.AddVM("web", 2, 1200)
 		ct, err := New(tgt, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)

@@ -38,14 +38,6 @@ func (h *History) At(i int) int64 {
 	return h.buf[(h.head+i)%len(h.buf)]
 }
 
-// Last returns the most recent sample (0 when empty).
-func (h *History) Last() int64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.At(h.n - 1)
-}
-
 // Mean returns the average of the stored samples.
 func (h *History) Mean() float64 {
 	if h.n == 0 {
@@ -86,10 +78,4 @@ func (h *History) Trend() float64 {
 		return 0
 	}
 	return num / den
-}
-
-// Reset discards all samples.
-func (h *History) Reset() {
-	h.head = 0
-	h.n = 0
 }

@@ -18,14 +18,11 @@ func TestHistoryPushEvict(t *testing.T) {
 	if h.Len() != 3 || h.At(0) != 2 || h.At(2) != 4 {
 		t.Fatalf("after evict: %d %d %d", h.At(0), h.At(1), h.At(2))
 	}
-	if h.Last() != 4 {
-		t.Fatalf("Last = %d", h.Last())
-	}
 }
 
 func TestHistoryEmpty(t *testing.T) {
 	h := NewHistory(4)
-	if h.Len() != 0 || h.Last() != 0 || h.Mean() != 0 || h.Trend() != 0 {
+	if h.Len() != 0 || h.Mean() != 0 || h.Trend() != 0 {
 		t.Fatal("empty history not neutral")
 	}
 }
@@ -97,16 +94,6 @@ func TestTrendSingleSample(t *testing.T) {
 	h.Push(9)
 	if h.Trend() != 0 {
 		t.Fatal("single-sample trend not zero")
-	}
-}
-
-func TestReset(t *testing.T) {
-	h := NewHistory(3)
-	h.Push(1)
-	h.Push(2)
-	h.Reset()
-	if h.Len() != 0 || h.Trend() != 0 {
-		t.Fatal("Reset incomplete")
 	}
 }
 

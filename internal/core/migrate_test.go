@@ -24,7 +24,7 @@ func stripBaselines(vs VMSnapshot) VMSnapshot {
 // target must be bit-identical modulo the documented counter reset.
 func TestExportAdoptRoundTrip(t *testing.T) {
 	src := newFakeHost()
-	src.addVM("a", 2, 1200)
+	src.AddVM("a", 2, 1200)
 	cs := mustController(t, src, DefaultConfig())
 	warmUp(t, cs, src, 5, 300_000) // under the 500 µs guarantee: credit accrues
 
@@ -40,10 +40,10 @@ func TestExportAdoptRoundTrip(t *testing.T) {
 	}
 
 	tgt := newFakeHost()
-	tgt.addVM("b", 1, 500) // the target controller is live and busy
+	tgt.AddVM("b", 1, 500) // the target controller is live and busy
 	ct := mustController(t, tgt, DefaultConfig())
 	warmUp(t, ct, tgt, 2, 100_000)
-	tgt.addVM("a", 2, 1200) // "provisioned": fresh usage counters at 0
+	tgt.AddVM("a", 2, 1200) // "provisioned": fresh usage counters at 0
 	if err := ct.AdoptVM(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestExportAdoptRoundTrip(t *testing.T) {
 // artefact from the source's much larger cumulative counter.
 func TestAdoptFreshCounterFirstDelta(t *testing.T) {
 	src := newFakeHost()
-	src.addVM("a", 1, 1200)
+	src.AddVM("a", 1, 1200)
 	cs := mustController(t, src, DefaultConfig())
 	warmUp(t, cs, src, 8, 450_000) // source counter ends at 3.6 s
 
@@ -83,12 +83,12 @@ func TestAdoptFreshCounterFirstDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	tgt := newFakeHost()
-	tgt.addVM("a", 1, 1200)
+	tgt.AddVM("a", 1, 1200)
 	ct := mustController(t, tgt, DefaultConfig())
 	if err := ct.AdoptVM(snap); err != nil {
 		t.Fatal(err)
 	}
-	tgt.consume("a", 0, 123_456)
+	tgt.Consume("a", 0, 123_456)
 	if err := ct.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestAdoptDegradedVCPUCarryover(t *testing.T) {
 		}},
 	}
 	tgt := newFakeHost()
-	tgt.addVM("a", 1, 1200)
+	tgt.AddVM("a", 1, 1200)
 	ct := mustController(t, tgt, DefaultConfig())
 	if err := ct.AdoptVM(snap); err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestAdoptQuarantinedStaysQuarantined(t *testing.T) {
 	cfg.BreakerThreshold = 3
 	cfg.BreakerOpenSteps = 4
 	tgt := newFakeHost()
-	tgt.addVM("a", 1, 1200)
+	tgt.AddVM("a", 1, 1200)
 	ct := mustController(t, tgt, cfg)
 	if err := ct.AdoptVM(snap); err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestAdoptHalfOpenProbeContinues(t *testing.T) {
 		}},
 	}
 	tgt := newFakeHost()
-	tgt.addVM("a", 1, 1200)
+	tgt.AddVM("a", 1, 1200)
 	ct := mustController(t, tgt, cfg)
 	if err := ct.AdoptVM(snap); err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestAdoptHalfOpenProbeContinues(t *testing.T) {
 		t.Fatalf("probe state not carried: %+v", st.Breaker)
 	}
 	// One clean probe completes the RecoverySteps=2 streak.
-	tgt.consume("a", 0, 100_000)
+	tgt.Consume("a", 0, 100_000)
 	if err := ct.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestAdoptHalfOpenProbeContinues(t *testing.T) {
 
 func TestAdoptVMValidation(t *testing.T) {
 	tgt := newFakeHost()
-	tgt.addVM("a", 1, 1200)
+	tgt.AddVM("a", 1, 1200)
 	ct := mustController(t, tgt, DefaultConfig())
 	ok := VMSnapshot{Name: "a", FreqMHz: 1200, GuaranteeUs: 500_000,
 		VCPUs: []VCPUSnapshot{{Index: 0}}}
@@ -233,7 +233,7 @@ func TestAdoptClampsCreditAndGrows(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CreditCapPeriods = 2
 	tgt := newFakeHost()
-	tgt.addVM("a", 2, 1200) // grew: the snapshot knows one vCPU
+	tgt.AddVM("a", 2, 1200) // grew: the snapshot knows one vCPU
 	ct := mustController(t, tgt, cfg)
 	snap := VMSnapshot{Name: "a", FreqMHz: 1200, GuaranteeUs: 500_000,
 		CreditUs: 1 << 40,
@@ -256,8 +256,8 @@ func TestAdoptClampsCreditAndGrows(t *testing.T) {
 
 func TestForgetVM(t *testing.T) {
 	h := newFakeHost()
-	h.addVM("a", 1, 1200)
-	h.addVM("b", 1, 1200)
+	h.AddVM("a", 1, 1200)
+	h.AddVM("b", 1, 1200)
 	c := mustController(t, h, DefaultConfig())
 	warmUp(t, c, h, 1, 100_000)
 	if !c.ForgetVM("a") {
@@ -269,8 +269,8 @@ func TestForgetVM(t *testing.T) {
 	if c.VM("a") != nil {
 		t.Fatal("forgotten VM still tracked")
 	}
-	if len(h.cleared) != 0 {
-		t.Fatalf("ForgetVM touched the host: cleared %v", h.cleared)
+	if len(h.Cleared) != 0 {
+		t.Fatalf("ForgetVM touched the host: cleared %v", h.Cleared)
 	}
 	// The survivor is unaffected and the controller keeps stepping.
 	if c.VM("b") == nil {
@@ -293,7 +293,7 @@ func TestForgetVM(t *testing.T) {
 func TestRestoreIsAdoptEveryVM(t *testing.T) {
 	inner := newFakeHost()
 	for _, n := range []string{"ok", "quar", "half", "big"} {
-		inner.addVM(n, 2, 900)
+		inner.AddVM(n, 2, 900)
 	}
 	fh := platform.WithFaults(inner, 9)
 	cfg := breakerConfig() // trip after 3 faulty steps, 2 quarantined, 2 probes

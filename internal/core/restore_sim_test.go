@@ -1,7 +1,8 @@
 package core_test
 
 import (
-	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"vfreq/internal/core"
@@ -14,7 +15,7 @@ import (
 type simRig struct {
 	mgr   *vm.Manager
 	ctrl  *core.Controller
-	store *platform.MemStore
+	store platform.FileStore
 }
 
 func newSimRig(t *testing.T, cfg core.Config) *simRig {
@@ -33,7 +34,7 @@ func newSimRig(t *testing.T, cfg core.Config) *simRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := &platform.MemStore{FS: mgr.Machine().FS, Path: "/vfreq-ckpt.json"}
+	store := platform.FileStore{Path: filepath.Join(t.TempDir(), "vfreq-ckpt.json")}
 	ctrl.AttachStore(store)
 	return &simRig{mgr: mgr, ctrl: ctrl, store: store}
 }
@@ -110,7 +111,7 @@ func TestKillAndRestoreConvergesWithUninterruptedTwin(t *testing.T) {
 	}
 }
 
-// A checkpoint written through the memfs store survives a write fault:
+// A checkpoint written through the file store survives a write fault:
 // the temp-then-rename protocol leaves the previous checkpoint intact.
 func TestCheckpointWriteFaultKeepsPreviousCheckpoint(t *testing.T) {
 	cfg := core.DefaultConfig()
@@ -123,8 +124,11 @@ func TestCheckpointWriteFaultKeepsPreviousCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	boom := errors.New("injected checkpoint write failure")
-	rig.mgr.Machine().FailWrites("vfreq-ckpt.json.tmp", boom, -1)
+	// A directory squats on the temp path: the save cannot open its file.
+	tmp := rig.store.Path + ".tmp"
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	rig.step(t)
 	rep := rig.ctrl.LastReport()
 	if rep.Checkpointed {
@@ -142,7 +146,9 @@ func TestCheckpointWriteFaultKeepsPreviousCheckpoint(t *testing.T) {
 	}
 
 	// Fault cleared: checkpointing resumes and overwrites atomically.
-	rig.mgr.Machine().ClearFileFaults()
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
 	rig.step(t)
 	if !rig.ctrl.LastReport().Checkpointed {
 		t.Fatal("checkpointing did not resume after fault cleared")

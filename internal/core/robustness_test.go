@@ -10,64 +10,17 @@ import (
 	"vfreq/internal/platform"
 )
 
-// flakyHost wraps fakeHost and fails selected operations, for failure
-// injection: a real host can race VM teardown with the controller
-// (cgroups vanish between ListVMs and the usage read).
-type flakyHost struct {
-	*fakeHost
-	failUsage  bool
-	failTID    bool
-	failCPU    bool
-	failFreq   bool
-	failSetMax bool
-	failList   bool
+// newFlaky is a fake host under the fault wrapper, for failure injection:
+// a real host can race VM teardown with the controller (cgroups vanish
+// between ListVMs and the usage read). The tests script the first and arm
+// always plans on the second.
+func newFlaky() (*platform.Scripted, *platform.FaultyHost) {
+	h := newFakeHost()
+	return h, platform.WithFaults(h, 1)
 }
 
-var errInjected = errors.New("injected failure")
-
-func (f *flakyHost) ListVMs() ([]platform.VMInfo, error) {
-	if f.failList {
-		return nil, errInjected
-	}
-	return f.fakeHost.ListVMs()
-}
-
-func (f *flakyHost) UsageUs(vm string, j int) (int64, error) {
-	if f.failUsage {
-		return 0, errInjected
-	}
-	return f.fakeHost.UsageUs(vm, j)
-}
-
-func (f *flakyHost) ThreadID(vm string, j int) (int, error) {
-	if f.failTID {
-		return 0, errInjected
-	}
-	return f.fakeHost.ThreadID(vm, j)
-}
-
-func (f *flakyHost) LastCPU(tid int) (int, error) {
-	if f.failCPU {
-		return 0, errInjected
-	}
-	return f.fakeHost.LastCPU(tid)
-}
-
-func (f *flakyHost) CoreFreqMHz(core int) (int64, error) {
-	if f.failFreq {
-		return 0, errInjected
-	}
-	return f.fakeHost.CoreFreqMHz(core)
-}
-
-func (f *flakyHost) SetMax(vm string, j int, q, p int64) error {
-	if f.failSetMax {
-		return errInjected
-	}
-	return f.fakeHost.SetMax(vm, j, q, p)
-}
-
-func newFlaky() *flakyHost { return &flakyHost{fakeHost: newFakeHost()} }
+// always fails every call at its site until the plan is cleared.
+var always = platform.FaultPlan{Persistent: true}
 
 // Per-vCPU host failures no longer abort the step: Step succeeds, the
 // vCPU degrades and the fault lands in the StepReport. Only a failing
@@ -75,29 +28,29 @@ func newFlaky() *flakyHost { return &flakyHost{fakeHost: newFakeHost()} }
 func TestStepSurfacesHostErrors(t *testing.T) {
 	cases := []struct {
 		name  string
-		set   func(*flakyHost)
+		site  platform.FaultSite
 		stage string
 	}{
-		{"list", func(f *flakyHost) { f.failList = true }, ""},
-		{"usage", func(f *flakyHost) { f.failUsage = true }, "monitor"},
-		{"tid", func(f *flakyHost) { f.failTID = true }, "monitor"},
-		{"lastcpu", func(f *flakyHost) { f.failCPU = true }, "monitor"},
-		{"freq", func(f *flakyHost) { f.failFreq = true }, "monitor"},
-		{"setmax", func(f *flakyHost) { f.failSetMax = true }, "apply"},
+		{"list", platform.SiteListVMs, ""},
+		{"usage", platform.SiteUsage, "monitor"},
+		{"tid", platform.SiteThreadID, "monitor"},
+		{"lastcpu", platform.SiteLastCPU, "monitor"},
+		{"freq", platform.SiteCoreFreq, "monitor"},
+		{"setmax", platform.SiteSetMax, "apply"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newFlaky()
-			h.addVM("a", 1, 1200)
-			c := mustController(t, h, DefaultConfig())
+			h, fh := newFlaky()
+			h.AddVM("a", 1, 1200)
+			c := mustController(t, fh, DefaultConfig())
 			if err := c.Step(); err != nil { // clean first step
 				t.Fatal(err)
 			}
-			h.consume("a", 0, 500_000)
-			tc.set(h)
+			h.Consume("a", 0, 500_000)
+			fh.MustPlan(tc.site, always)
 			err := c.Step()
 			if tc.name == "list" {
-				if !errors.Is(err, errInjected) {
+				if !errors.Is(err, platform.ErrInjected) {
 					t.Fatalf("Step err = %v, want injected failure", err)
 				}
 				return
@@ -113,7 +66,7 @@ func TestStepSurfacesHostErrors(t *testing.T) {
 				t.Fatal("no fault recorded")
 			}
 			f := rep.Faults[0]
-			if f.Stage != tc.stage || !errors.Is(f.Err, errInjected) {
+			if f.Stage != tc.stage || !errors.Is(f.Err, platform.ErrInjected) {
 				t.Fatalf("fault = %+v, want stage %q wrapping injected error", f, tc.stage)
 			}
 		})
@@ -124,22 +77,22 @@ func TestStepSurfacesHostErrors(t *testing.T) {
 // atomically, so the failed step leaves the usage bookkeeping untouched
 // and the recovery step absorbs the full accumulated delta.
 func TestRecoveryAfterFailedStep(t *testing.T) {
-	h := newFlaky()
-	h.addVM("a", 1, 1200)
-	c := mustController(t, h, DefaultConfig())
+	h, fh := newFlaky()
+	h.AddVM("a", 1, 1200)
+	c := mustController(t, fh, DefaultConfig())
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
-	h.consume("a", 0, 300_000)
-	h.failFreq = true
+	h.Consume("a", 0, 300_000)
+	fh.MustPlan(platform.SiteCoreFreq, always)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
 	if !c.VM("a").VCPUs[0].Degraded {
 		t.Fatal("vCPU not degraded after failed monitor")
 	}
-	h.failFreq = false
-	h.consume("a", 0, 400_000)
+	fh.Clear(platform.SiteCoreFreq)
+	h.Consume("a", 0, 400_000)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +116,12 @@ func TestRecoveryAfterFailedStep(t *testing.T) {
 func TestVMChurn(t *testing.T) {
 	h := newFakeHost()
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("a", 2, 500)
+	h.AddVM("a", 2, 500)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
 	// Disappear.
-	saved := h.vms
-	h.vms = nil
+	h.RemoveVM("a")
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -178,15 +130,15 @@ func TestVMChurn(t *testing.T) {
 	}
 	// Reappear with accumulated usage; must not be misread as a huge
 	// consumption delta.
-	h.vms = saved
-	h.consume("a", 0, 5_000_000)
+	h.AddVM("a", 2, 500)
+	h.Consume("a", 0, 5_000_000)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.VM("a").VCPUs[0].LastU; got != 0 {
 		t.Fatalf("reappeared VM LastU = %d, want 0 (warm)", got)
 	}
-	h.consume("a", 0, 250_000)
+	h.Consume("a", 0, 250_000)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +156,7 @@ func TestQuickControllerInvariants(t *testing.T) {
 		h := newFakeHost()
 		nVMs := rng.Intn(4) + 1
 		for i := 0; i < nVMs; i++ {
-			h.addVM(fmt.Sprintf("vm%d", i), rng.Intn(3)+1,
+			h.AddVM(fmt.Sprintf("vm%d", i), rng.Intn(3)+1,
 				int64(rng.Intn(2300)+100))
 		}
 		c, err := New(h, DefaultConfig())
@@ -212,9 +164,9 @@ func TestQuickControllerInvariants(t *testing.T) {
 			return false
 		}
 		for step := 0; step < 25; step++ {
-			for _, info := range h.vms {
+			for _, info := range vmsOf(h) {
 				for j := 0; j < info.VCPUs; j++ {
-					h.consume(info.Name, j, int64(rng.Intn(1_000_001)))
+					h.Consume(info.Name, j, int64(rng.Intn(1_000_001)))
 				}
 			}
 			if err := c.Step(); err != nil {
@@ -257,8 +209,8 @@ func TestQuickGuaranteeNeverStarved(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := newFakeHost()
-		h.addVM("victim", 1, 1200) // C_i = 500000
-		h.addVM("noise", 2, 600)
+		h.AddVM("victim", 1, 1200) // C_i = 500000
+		h.AddVM("noise", 2, 600)
 		c, err := New(h, DefaultConfig())
 		if err != nil {
 			return false
@@ -270,9 +222,9 @@ func TestQuickGuaranteeNeverStarved(t *testing.T) {
 			if st := c.VM("victim"); st != nil {
 				victimCap = st.VCPUs[0].CapUs
 			}
-			h.consume("victim", 0, victimCap)
-			h.consume("noise", 0, int64(rng.Intn(1_000_001)))
-			h.consume("noise", 1, int64(rng.Intn(1_000_001)))
+			h.Consume("victim", 0, victimCap)
+			h.Consume("noise", 0, int64(rng.Intn(1_000_001)))
+			h.Consume("noise", 1, int64(rng.Intn(1_000_001)))
 			if err := c.Step(); err != nil {
 				return false
 			}
@@ -296,13 +248,13 @@ func TestOversubscribedGuarantees(t *testing.T) {
 	h := newFakeHost() // 4 cores, capacity 4e6
 	// Guarantees: 3 VMs × 2 vCPUs × 2400 MHz = 6e6 > 4e6.
 	for i := 0; i < 3; i++ {
-		h.addVM(fmt.Sprintf("big%d", i), 2, 2400)
+		h.AddVM(fmt.Sprintf("big%d", i), 2, 2400)
 	}
 	c := mustController(t, h, DefaultConfig())
 	for step := 0; step < 10; step++ {
 		for i := 0; i < 3; i++ {
-			h.consume(fmt.Sprintf("big%d", i), 0, 900_000)
-			h.consume(fmt.Sprintf("big%d", i), 1, 900_000)
+			h.Consume(fmt.Sprintf("big%d", i), 0, 900_000)
+			h.Consume(fmt.Sprintf("big%d", i), 1, 900_000)
 		}
 		if err := c.Step(); err != nil {
 			t.Fatal(err)
@@ -328,7 +280,7 @@ func TestNonStandardPeriod(t *testing.T) {
 	cfg.CgroupPeriodUs = 50_000
 	cfg.WindowUs = 2_500
 	c := mustController(t, h, cfg)
-	h.addVM("a", 1, 1200)
+	h.AddVM("a", 1, 1200)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -336,11 +288,11 @@ func TestNonStandardPeriod(t *testing.T) {
 	if got := c.VM("a").GuaranteeUs; got != 125_000 {
 		t.Fatalf("guarantee = %d, want 125000", got)
 	}
-	h.consume("a", 0, 125_000)
+	h.Consume("a", 0, 125_000)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
-	q := h.setMax[key("a", 0)]
+	q := quotaOf(h, "a", 0)
 	if q[1] != 50_000 {
 		t.Fatalf("quota period = %d, want 50000", q[1])
 	}
@@ -352,7 +304,7 @@ func TestNonStandardPeriod(t *testing.T) {
 // Zero-vCPU guard: a host reporting a VM with no vCPUs is tolerated.
 func TestVMWithNoVCPUs(t *testing.T) {
 	h := newFakeHost()
-	h.vms = append(h.vms, platform.VMInfo{Name: "ghost", VCPUs: 0, FreqMHz: 500})
+	h.AddVM("ghost", 0, 500)
 	c := mustController(t, h, DefaultConfig())
 	if err := c.Step(); err != nil {
 		t.Fatal(err)

@@ -8,14 +8,14 @@ import (
 func TestSnapshotContents(t *testing.T) {
 	h := newFakeHost()
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("a", 2, 1200)
-	h.addVM("b", 1, 600)
+	h.AddVM("a", 2, 1200)
+	h.AddVM("b", 1, 600)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
-	h.consume("a", 0, 300_000)
-	h.consume("a", 1, 500_000)
-	h.consume("b", 0, 100_000)
+	h.Consume("a", 0, 300_000)
+	h.Consume("a", 1, 500_000)
+	h.Consume("b", 0, 100_000)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSnapshotContents(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	h := newFakeHost()
 	c := mustController(t, h, DefaultConfig())
-	h.addVM("a", 1, 1200)
+	h.AddVM("a", 1, 1200)
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}

@@ -51,28 +51,11 @@ func Fig5Case() EstimatorCase {
 	}
 }
 
-// scriptedHost feeds the pattern to a controller.
-type scriptedHost struct {
-	node  platform.NodeInfo
-	usage int64
-}
-
-func (s *scriptedHost) Node() platform.NodeInfo { return s.node }
-func (s *scriptedHost) ListVMs() ([]platform.VMInfo, error) {
-	return []platform.VMInfo{{Name: "v", VCPUs: 1, FreqMHz: s.node.MaxFreqMHz}}, nil
-}
-func (s *scriptedHost) UsageUs(string, int) (int64, error)     { return s.usage, nil }
-func (s *scriptedHost) SetMax(string, int, int64, int64) error { return nil }
-func (s *scriptedHost) ClearMax(string, int) error             { return nil }
-func (s *scriptedHost) SetBurst(string, int, int64) error      { return nil }
-func (s *scriptedHost) ThreadID(string, int) (int, error)      { return 1, nil }
-func (s *scriptedHost) LastCPU(int) (int, error)               { return 0, nil }
-func (s *scriptedHost) CoreFreqMHz(int) (int64, error)         { return s.node.MaxFreqMHz, nil }
-
 // Run executes the case and returns a recorder with "consumption" and
 // "capping" series (µs per period over iterations).
 func (ec EstimatorCase) Run() (*trace.Recorder, error) {
-	h := &scriptedHost{node: platform.NodeInfo{Name: "est", Cores: 1, MaxFreqMHz: 2400}}
+	h := platform.NewScripted(platform.NodeInfo{Name: "est", Cores: 1, MaxFreqMHz: 2400})
+	h.AddVM("v", 1, h.Node().MaxFreqMHz)
 	ctrl, err := core.New(h, core.DefaultConfig())
 	if err != nil {
 		return nil, err
@@ -87,7 +70,7 @@ func (ec EstimatorCase) Run() (*trace.Recorder, error) {
 		if u > cap {
 			u = cap
 		}
-		h.usage += u
+		h.Consume("v", 0, u)
 		if err := ctrl.Step(); err != nil {
 			return nil, err
 		}

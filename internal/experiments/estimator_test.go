@@ -1,9 +1,41 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
+
+// TestEstimatorSeriesPinned holds Figs. 3–5 to the values they had when a
+// private fake host fed the controller (tid 1, core 0, F_MAX): the host
+// behind EstimatorCase.Run may change, the series may not.
+func TestEstimatorSeriesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		ec        EstimatorCase
+		cons, cap []float64
+	}{
+		{Fig3Case(),
+			[]float64{100, 105.264, 150, 157.895, 240, 252.632, 400, 421.053, 680, 715.79, 1000, 1000},
+			[]float64{105.264, 210.528, 157.895, 315.79, 252.632, 505.264, 421.053, 842.106, 715.79, 1000, 1000, 1000}},
+		{Fig4Case(),
+			[]float64{900, 900, 900, 700, 500, 350, 250, 180, 130, 100, 100, 100},
+			[]float64{947.369, 947.369, 947.369, 736.843, 526.316, 368.422, 263.158, 189.474, 136.843, 105.264, 105.264, 105.264}},
+		{Fig5Case(),
+			[]float64{600, 600, 605, 600, 598, 600, 602, 600, 600, 600},
+			[]float64{631.579, 631.579, 636.843, 631.579, 629.474, 631.579, 633.685, 631.579, 631.579, 631.579}},
+	} {
+		rec, err := tc.ec.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Series("consumption").Values; !slices.Equal(got, tc.cons) {
+			t.Errorf("%s consumption = %v, want %v", tc.ec.Name, got, tc.cons)
+		}
+		if got := rec.Series("capping").Values; !slices.Equal(got, tc.cap) {
+			t.Errorf("%s capping = %v, want %v", tc.ec.Name, got, tc.cap)
+		}
+	}
+}
 
 func TestFig3IncreaseBehaviour(t *testing.T) {
 	rec, err := Fig3Case().Run()

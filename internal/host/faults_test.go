@@ -39,34 +39,6 @@ func TestFailReadsIsTransient(t *testing.T) {
 	}
 }
 
-func TestFailWritesPersistentUntilCleared(t *testing.T) {
-	m, err := New(Chetemi())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.FS.MkdirAll("/t"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.FS.AddFile("/t/quota", "max"); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("cgroup vanished")
-	m.FailWrites("quota", boom, -1)
-	for i := 0; i < 3; i++ {
-		if err := m.FS.WriteFile("/t/quota", "10000 100000"); !errors.Is(err, boom) {
-			t.Fatalf("write %d: err = %v, want injected", i, err)
-		}
-	}
-	// Reads are unaffected by a write fault.
-	if got, err := m.FS.ReadFile("/t/quota"); err != nil || got != "max" {
-		t.Fatalf("read during write fault: %q, %v", got, err)
-	}
-	m.ClearFileFaults()
-	if err := m.FS.WriteFile("/t/quota", "10000 100000"); err != nil {
-		t.Fatalf("cleared fault still fires: %v", err)
-	}
-}
-
 func TestAddFaultIgnoresNoOps(t *testing.T) {
 	m, err := New(Chetemi())
 	if err != nil {

@@ -125,9 +125,8 @@ type Machine struct {
 	faults  []*pathFault
 }
 
-// pathFault is one armed pseudo-file fault (see FailReads/FailWrites).
+// pathFault is one armed pseudo-file read fault (see FailReads).
 type pathFault struct {
-	op     string // "read" or "write"
 	substr string
 	err    error
 	count  int // remaining injections; <0 = persistent
@@ -184,16 +183,16 @@ func New(spec Spec) (*Machine, error) {
 	return m, nil
 }
 
-// fileFault is the memfs hook matching accesses against armed faults.
+// fileFault is the memfs hook matching reads against armed faults.
 func (m *Machine) fileFault(op, path string) error {
+	if op != "read" {
+		return nil
+	}
 	m.faultMu.Lock()
 	defer m.faultMu.Unlock()
 	for i, f := range m.faults {
-		if f.op != op || !strings.Contains(path, f.substr) {
+		if !strings.Contains(path, f.substr) {
 			continue
-		}
-		if f.count == 0 {
-			continue // exhausted transient fault
 		}
 		if f.count > 0 {
 			f.count--
@@ -211,21 +210,12 @@ func (m *Machine) fileFault(op, path string) error {
 // until ClearFileFaults). This models the /proc and cgroup read races a
 // real host exhibits when vCPU threads die or cgroups vanish mid-access.
 func (m *Machine) FailReads(substr string, err error, count int) {
-	m.addFault("read", substr, err, count)
-}
-
-// FailWrites arms the write-side counterpart of FailReads.
-func (m *Machine) FailWrites(substr string, err error, count int) {
-	m.addFault("write", substr, err, count)
-}
-
-func (m *Machine) addFault(op, substr string, err error, count int) {
 	if count == 0 || err == nil {
 		return
 	}
 	m.faultMu.Lock()
 	defer m.faultMu.Unlock()
-	m.faults = append(m.faults, &pathFault{op: op, substr: substr, err: err, count: count})
+	m.faults = append(m.faults, &pathFault{substr: substr, err: err, count: count})
 }
 
 // ClearFileFaults disarms every pseudo-file fault.

@@ -18,13 +18,11 @@ import (
 // Common errors returned by the filesystem, mirroring the ones a real
 // kernel pseudo-filesystem would produce.
 var (
-	ErrNotExist  = errors.New("memfs: file does not exist")
-	ErrExist     = errors.New("memfs: file already exists")
-	ErrIsDir     = errors.New("memfs: is a directory")
-	ErrNotDir    = errors.New("memfs: not a directory")
-	ErrReadOnly  = errors.New("memfs: file is read-only")
-	ErrNotEmpty  = errors.New("memfs: directory not empty")
-	ErrBadHandle = errors.New("memfs: invalid file operation")
+	ErrNotExist = errors.New("memfs: file does not exist")
+	ErrExist    = errors.New("memfs: file already exists")
+	ErrIsDir    = errors.New("memfs: is a directory")
+	ErrNotDir   = errors.New("memfs: not a directory")
+	ErrReadOnly = errors.New("memfs: file is read-only")
 )
 
 // ReadFunc produces the current content of a dynamic file.
@@ -323,70 +321,6 @@ func (fs *FS) WriteFile(p, data string) error {
 	}
 	n.content = data
 	fs.mu.Unlock()
-	return nil
-}
-
-// Rename moves the file or directory at oldp to newp, replacing a
-// non-directory target the way os.Rename does. Renaming onto a
-// directory fails. The parent of newp must already exist.
-func (fs *FS) Rename(oldp, newp string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	oldp, newp = clean(oldp), clean(newp)
-	if oldp == "/" || newp == "/" {
-		return ErrBadHandle
-	}
-	if oldp == newp {
-		return nil
-	}
-	if strings.HasPrefix(newp, oldp+"/") {
-		return fmt.Errorf("%w: rename %s under itself", ErrBadHandle, oldp)
-	}
-	oldParent, err := fs.lookup(path.Dir(oldp))
-	if err != nil {
-		return err
-	}
-	n, ok := oldParent.children[path.Base(oldp)]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotExist, oldp)
-	}
-	newParent, err := fs.lookup(path.Dir(newp))
-	if err != nil {
-		return err
-	}
-	if !newParent.dir {
-		return ErrNotDir
-	}
-	if dst, ok := newParent.children[path.Base(newp)]; ok && dst.dir {
-		return fmt.Errorf("%w: %s", ErrIsDir, newp)
-	}
-	delete(oldParent.children, path.Base(oldp))
-	n.name = path.Base(newp)
-	newParent.children[n.name] = n
-	return nil
-}
-
-// Remove deletes the file or empty directory at p.
-func (fs *FS) Remove(p string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	p = clean(p)
-	if p == "/" {
-		return ErrBadHandle
-	}
-	parent, err := fs.lookup(path.Dir(p))
-	if err != nil {
-		return err
-	}
-	name := path.Base(p)
-	n, ok := parent.children[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotExist, p)
-	}
-	if n.dir && len(n.children) > 0 {
-		return fmt.Errorf("%w: %s", ErrNotEmpty, p)
-	}
-	delete(parent.children, name)
 	return nil
 }
 

@@ -124,29 +124,6 @@ func TestReadDirectoryFails(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	fs := New()
-	if err := fs.AddFile("/f", ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Remove("/f"); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Exists("/f") {
-		t.Fatal("file still exists after Remove")
-	}
-}
-
-func TestRemoveNonEmptyDir(t *testing.T) {
-	fs := New()
-	if err := fs.MkdirAll("/d/e"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Remove("/d"); !errors.Is(err, ErrNotEmpty) {
-		t.Fatalf("Remove non-empty dir: err = %v, want ErrNotEmpty", err)
-	}
-}
-
 func TestRemoveAll(t *testing.T) {
 	fs := New()
 	if err := fs.MkdirAll("/d/e/f"); err != nil {
@@ -278,12 +255,6 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if _, err := fs.ReadDir("/nope"); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("ReadDir missing: %v", err)
-	}
-	if err := fs.Remove("/"); !errors.Is(err, ErrBadHandle) {
-		t.Fatalf("Remove root: %v", err)
-	}
-	if err := fs.Remove("/nope"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("Remove missing: %v", err)
 	}
 }
 

@@ -110,14 +110,6 @@ func (g *Gauge) Set(n int64) {
 	g.v.Store(n)
 }
 
-// Add adjusts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
 // Value returns the current value (0 for nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -203,7 +203,8 @@ func (f *FaultyHost) Calls(site FaultSite) int {
 }
 
 // fail decides whether this call is delayed and/or fails, and sleeps
-// the delay. A Count plan hits whichever matching calls arrive first.
+// the delay. A Count plan hits whichever matching calls arrive first. At
+// the sites without a VM operand vcpu carries the tid or the core.
 func (f *FaultyHost) fail(site FaultSite, vm string, vcpu int) error {
 	f.calls[site]++
 	m := f.met[site]
@@ -237,10 +238,19 @@ func (f *FaultyHost) fail(site FaultSite, vm string, vcpu int) error {
 	}
 	f.injected[site]++
 	m.recordInjected()
-	if p.Err != nil {
-		return fmt.Errorf("%s %s/vcpu%d: %w", site, vm, vcpu, p.Err)
+	cause := p.Err
+	if cause == nil {
+		cause = ErrInjected
 	}
-	return fmt.Errorf("%s %s/vcpu%d: %w", site, vm, vcpu, ErrInjected)
+	switch site {
+	case SiteListVMs:
+		return fmt.Errorf("%s: %w", site, cause)
+	case SiteLastCPU:
+		return fmt.Errorf("%s tid %d: %w", site, vcpu, cause)
+	case SiteCoreFreq:
+		return fmt.Errorf("%s core %d: %w", site, vcpu, cause)
+	}
+	return fmt.Errorf("%s %s/vcpu%d: %w", site, vm, vcpu, cause)
 }
 
 // Node implements Host (never injected: node info is static).

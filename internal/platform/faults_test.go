@@ -146,6 +146,9 @@ func TestFaultyHostRateIsReproducible(t *testing.T) {
 	}
 }
 
+// TestFaultyHostPassesThrough: the wrapper hands back the host it wraps.
+// That every call reaches it unchanged while no plan is armed is the
+// WithFaults(Sim) column of TestHostContract.
 func TestFaultyHostPassesThrough(t *testing.T) {
 	fh, s := newFaultySim(t)
 	if fh.Inner() != s {
@@ -153,26 +156,6 @@ func TestFaultyHostPassesThrough(t *testing.T) {
 	}
 	if fh.Node() != s.Node() {
 		t.Fatal("Node() differs from inner host")
-	}
-	vms, err := fh.ListVMs()
-	if err != nil || len(vms) != 1 || vms[0].Name != "a" {
-		t.Fatalf("ListVMs = %v, %v", vms, err)
-	}
-	tid, err := fh.ThreadID("a", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fh.LastCPU(tid); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fh.CoreFreqMHz(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := fh.SetBurst("a", 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := fh.ClearMax("a", 0); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -58,7 +58,7 @@ type Linux struct {
 	Freqs       map[string]int64 // VM name → template frequency (MHz)
 
 	// Lazily-built handle caches.
-	vcpus map[vcpuRef]*vcpuFiles
+	vcpus map[VCPURef]*vcpuFiles
 	procs map[int]*procFile
 	cores map[int]*handle
 
@@ -77,11 +77,6 @@ type Linux struct {
 	// like the cgroup paths: the placement of logical CPUs never changes
 	// while the controller runs.
 	coreNodes []int
-}
-
-type vcpuRef struct {
-	vm   string
-	vcpu int
 }
 
 // vcpuFiles caches one vCPU cgroup's control files.
@@ -177,9 +172,9 @@ func (h *handle) close() {
 // vcpu returns (building on first use) the cached files of one vCPU.
 func (l *Linux) vcpu(vm string, vcpu int) *vcpuFiles {
 	if l.vcpus == nil {
-		l.vcpus = map[vcpuRef]*vcpuFiles{}
+		l.vcpus = map[VCPURef]*vcpuFiles{}
 	}
-	ref := vcpuRef{vm: vm, vcpu: vcpu}
+	ref := VCPURef{VM: vm, VCPU: vcpu}
 	vf, ok := l.vcpus[ref]
 	if !ok {
 		dir := filepath.Join(l.CgroupRoot, "machine-qemu-"+vm+".scope", "vcpu"+strconv.Itoa(vcpu))
@@ -245,7 +240,7 @@ func (l *Linux) pruneDeparted(live []VMInfo) {
 		vcpus[vm.Name] = vm.VCPUs
 	}
 	for ref, vf := range l.vcpus {
-		if ref.vcpu >= vcpus[ref.vm] {
+		if ref.VCPU >= vcpus[ref.VM] {
 			vf.close()
 			l.dropProc(vf.tid)
 			delete(l.vcpus, ref)
@@ -530,14 +525,7 @@ func (l *Linux) ReadMax(vm string, vcpu int) (int64, int64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	quota, period, err := cgroupfs.ParseCPUMax(string(b), 100_000)
-	if err != nil {
-		return 0, 0, err
-	}
-	if quota < 0 {
-		quota = NoQuota
-	}
-	return quota, period, nil
+	return parseMax(string(b))
 }
 
 var clearMaxPayload = []byte("max")
@@ -589,6 +577,12 @@ func (l *Linux) LastCPU(tid int) (int, error) {
 
 // CoreFreqMHz implements Host.
 func (l *Linux) CoreFreqMHz(core int) (int64, error) {
+	// The index is outside input (parsed from /proc/<tid>/stat). One the
+	// node does not have is refused before a handle is built for it, whose
+	// failed open would have the next ListVMs scan the tree again.
+	if core < 0 || core >= l.Cores {
+		return 0, fmt.Errorf("platform: core %d out of range", core)
+	}
 	b, err := l.core(core).read()
 	if err != nil {
 		return 0, err

@@ -168,7 +168,7 @@ func TestLinuxUsageFailureForgetsTID(t *testing.T) {
 	if err := os.WriteFile(threads, []byte("5000\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l.vcpus[vcpuRef{"guest1", 0}].stat.f.Close() // kernfs: ENODEV once the cgroup is gone
+	l.vcpus[VCPURef{"guest1", 0}].stat.f.Close() // kernfs: ENODEV once the cgroup is gone
 	if _, err := l.UsageUs("guest1", 0); err == nil {
 		t.Fatal("read through a closed descriptor succeeded")
 	}
@@ -188,19 +188,30 @@ type cacheTree struct {
 	nextTID int
 }
 
-func newCacheTree(t *testing.T) *cacheTree {
+// newTree is a two-core host with no VM on it.
+func newTree(t *testing.T) *cacheTree {
 	root := t.TempDir()
 	tr := &cacheTree{t: t, nextTID: 100, l: &Linux{
+		NodeName:   "tree",
 		CgroupRoot: filepath.Join(root, "cgroup"),
 		ProcRoot:   filepath.Join(root, "proc"),
+		SysCPURoot: filepath.Join(root, "sys/cpu"),
 		Cores:      2,
 		MaxFreqMHz: 2400,
-		Freqs:      map[string]int64{"a": 1800, "b": 1200, "c": 600},
+		Freqs:      map[string]int64{},
 	}}
+	tr.write("cgroup/other.mount/cpu.stat", "usage_usec 0\n")
+	tr.write("sys/cpu/cpu0/cpufreq/scaling_cur_freq", "2200000\n")
+	tr.write("sys/cpu/cpu1/cpufreq/scaling_cur_freq", "1200000\n")
+	return tr
+}
+
+func newCacheTree(t *testing.T) *cacheTree {
+	tr := newTree(t)
+	tr.l.Freqs = map[string]int64{"a": 1800, "b": 1200, "c": 600}
 	tr.addVM("a", 2)
 	tr.addVM("b", 1)
 	tr.addVM("x", 1) // no template: scanned, not listed
-	tr.write("cgroup/other.mount/cpu.stat", "usage_usec 0\n")
 	return tr
 }
 
@@ -234,6 +245,7 @@ func (tr *cacheTree) addVCPU(vm string, j int) {
 	dir := scopeOf(vm) + "/vcpu" + strconv.Itoa(j) + "/"
 	tr.write(dir+"cpu.stat", "usage_usec 1\n")
 	tr.write(dir+"cpu.max", "max 100000\n")
+	tr.write(dir+"cpu.max.burst", "0\n")
 	tr.write(dir+"cgroup.threads", strconv.Itoa(tr.nextTID)+"\n")
 	tr.write("proc/"+strconv.Itoa(tr.nextTID)+"/stat", procfs.FormatStat(tr.nextTID, "CPU/KVM", 10, j%2))
 	tr.nextTID++
@@ -468,6 +480,35 @@ func TestLinuxFailedDescriptorForcesRescan(t *testing.T) {
 		t.Fatal("write to a VM that does not exist succeeded")
 	}
 	tr.list("after a second failed write", now, 3)
+}
+
+// TestLinuxCoreOutOfRangeLeavesNoState: a core index the node does not
+// have — it is parsed from /proc, so it is outside input — is refused
+// before a handle is built. It used to cost one l.cores entry per distinct
+// value, never pruned, and its failed open had the next ListVMs scan the
+// tree again; here a change hidden from every stat stays believed, which
+// it would not after a scan.
+func TestLinuxCoreOutOfRangeLeavesNoState(t *testing.T) {
+	tr := newCacheTree(t)
+	start := []VMInfo{{"a", 2, 1800}, {"b", 1, 1200}}
+	tr.list("first call", start, 0)
+	if mhz, err := tr.l.CoreFreqMHz(1); err != nil || mhz != 1200 {
+		t.Fatalf("CoreFreqMHz(1) = %d, %v", mhz, err)
+	}
+	at := tr.mtime(scopeOf("a"))
+	tr.remove(scopeOf("a") + "/emulator")
+	tr.addVCPU("a", 2)
+	tr.setMtime(scopeOf("a"), at)
+
+	for _, core := range []int{-1, tr.l.Cores, tr.l.Cores + 1} {
+		if mhz, err := tr.l.CoreFreqMHz(core); err == nil {
+			t.Fatalf("CoreFreqMHz(%d) = %d on a %d-core node, want an error", core, mhz, tr.l.Cores)
+		}
+	}
+	if len(tr.l.cores) != 1 || !tr.l.scanOK {
+		t.Fatalf("%d core handles, scanOK %v after three refused cores, want 1 and true", len(tr.l.cores), tr.l.scanOK)
+	}
+	tr.list("after the refused cores", start, 0)
 }
 
 // TestLinuxDepartedScopeIsSkipped: a scope removed between the root's

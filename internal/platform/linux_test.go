@@ -87,9 +87,6 @@ func TestLinuxUsage(t *testing.T) {
 	if err != nil || u != 123456 {
 		t.Fatalf("usage = %d, %v", u, err)
 	}
-	if _, err := l.UsageUs("ghost", 0); err == nil {
-		t.Fatal("unknown VM read succeeded")
-	}
 }
 
 func TestLinuxSetAndClearMax(t *testing.T) {

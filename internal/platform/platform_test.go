@@ -33,29 +33,6 @@ func TestSimNode(t *testing.T) {
 	}
 }
 
-func TestSimListVMs(t *testing.T) {
-	s, mgr := newSim(t)
-	if _, err := mgr.Provision("a", vm.Small(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr.Provision("b", vm.Large(), nil); err != nil {
-		t.Fatal(err)
-	}
-	vms, err := s.ListVMs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vms) != 2 {
-		t.Fatalf("got %d VMs", len(vms))
-	}
-	if vms[0].Name != "a" || vms[0].VCPUs != 2 || vms[0].FreqMHz != 500 {
-		t.Fatalf("vms[0] = %+v", vms[0])
-	}
-	if vms[1].Name != "b" || vms[1].VCPUs != 4 || vms[1].FreqMHz != 1800 {
-		t.Fatalf("vms[1] = %+v", vms[1])
-	}
-}
-
 // The path memo follows the live VM set: a node that churns VMs for
 // 1000 cycles (new names, new thread ids every time, plus a shrink) ends
 // with exactly the entries of the vCPUs it still runs.
@@ -170,19 +147,6 @@ func TestSimThreadPlacementAndFreq(t *testing.T) {
 	spec := mgr.Machine().Spec()
 	if f < spec.MinMHz || f > spec.TurboMHz {
 		t.Fatalf("freq %d outside envelope", f)
-	}
-}
-
-func TestSimErrorsOnUnknownVM(t *testing.T) {
-	s, _ := newSim(t)
-	if _, err := s.UsageUs("ghost", 0); err == nil {
-		t.Fatal("usage of unknown VM succeeded")
-	}
-	if err := s.SetMax("ghost", 0, 1000, 100_000); err == nil {
-		t.Fatal("SetMax on unknown VM succeeded")
-	}
-	if _, err := s.ThreadID("ghost", 0); err == nil {
-		t.Fatal("ThreadID on unknown VM succeeded")
 	}
 }
 

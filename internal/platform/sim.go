@@ -20,7 +20,7 @@ import (
 type Sim struct {
 	mgr *vm.Manager
 
-	vcpuPaths map[vcpuKey]*simVCPUFiles
+	vcpuPaths map[VCPURef]*simVCPUFiles
 	tidPaths  map[int]string
 	corePaths []string
 
@@ -28,11 +28,6 @@ type Sim struct {
 
 	vmScratch []VMInfo       // ListVMs result, reused across calls
 	listed    []*vm.Instance // the instances behind vmScratch
-}
-
-type vcpuKey struct {
-	vm   string
-	vcpu int
 }
 
 // simVCPUFiles caches the pseudo-file paths of one vCPU cgroup.
@@ -47,7 +42,7 @@ type simVCPUFiles struct {
 func NewSim(mgr *vm.Manager) *Sim {
 	s := &Sim{
 		mgr:       mgr,
-		vcpuPaths: make(map[vcpuKey]*simVCPUFiles),
+		vcpuPaths: make(map[VCPURef]*simVCPUFiles),
 		tidPaths:  make(map[int]string),
 	}
 	cores := mgr.Machine().Spec().Cores
@@ -62,7 +57,7 @@ func NewSim(mgr *vm.Manager) *Sim {
 // are pure functions of (vm, vcpu), so an entry is never wrong; ListVMs
 // drops it once the vCPU is gone.
 func (s *Sim) files(vmName string, vcpu int) *simVCPUFiles {
-	k := vcpuKey{vm: vmName, vcpu: vcpu}
+	k := VCPURef{VM: vmName, VCPU: vcpu}
 	f := s.vcpuPaths[k]
 	if f == nil {
 		base := cgroupfs.DefaultMount + "/" + vm.VCPUCgroup(vmName, vcpu)
@@ -131,7 +126,7 @@ func (s *Sim) ListVMs() ([]VMInfo, error) {
 func (s *Sim) prune() {
 	threads := s.mgr.Machine().Sched
 	for k := range s.vcpuPaths {
-		if inst := s.mgr.Get(k.vm); inst == nil || k.vcpu >= inst.Template().VCPUs {
+		if inst := s.mgr.Get(k.VM); inst == nil || k.VCPU >= inst.Template().VCPUs {
 			delete(s.vcpuPaths, k)
 		}
 	}
@@ -172,14 +167,17 @@ func (s *Sim) ReadMax(vmName string, vcpu int) (int64, int64, error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("platform: reading cpu.max of %s/vcpu%d: %w", vmName, vcpu, err)
 	}
-	quota, period, err := cgroupfs.ParseCPUMax(content, 100_000)
-	if err != nil {
-		return 0, 0, err
+	return parseMax(content)
+}
+
+// parseMax is ReadMax's answer for a cpu.max file's content, "max" read as
+// NoQuota.
+func parseMax(content string) (quotaUs, periodUs int64, err error) {
+	quotaUs, periodUs, err = cgroupfs.ParseCPUMax(content, 100_000)
+	if err == nil && quotaUs < 0 {
+		quotaUs = NoQuota
 	}
-	if quota < 0 {
-		quota = NoQuota
-	}
-	return quota, period, nil
+	return quotaUs, periodUs, err
 }
 
 // ClearMax implements Host.

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"path/filepath"
-
-	"vfreq/internal/memfs"
 )
 
 // ErrNoCheckpoint is returned by Store.Load when no checkpoint has been
@@ -25,11 +22,12 @@ type Store interface {
 }
 
 // FileStore persists checkpoints to a real file with the classic
-// write-to-temp-then-rename protocol, so a crash mid-write never
-// corrupts the previous checkpoint.
+// write-to-temp, sync, then rename protocol, so a crash mid-write never
+// corrupts the previous checkpoint and a power loss after the rename
+// never surfaces an empty one.
 type FileStore struct {
-	// Path is the checkpoint file. Save writes Path+".tmp" first and
-	// renames it into place.
+	// Path is the checkpoint file. Save writes and syncs Path+".tmp"
+	// first and renames it into place.
 	Path string
 }
 
@@ -39,13 +37,34 @@ func (s FileStore) Save(data []byte) error {
 		return fmt.Errorf("platform: file store has no path")
 	}
 	tmp := s.Path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeSynced(tmp, data); err != nil {
 		return fmt.Errorf("platform: writing checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp, s.Path); err != nil {
 		return fmt.Errorf("platform: committing checkpoint: %w", err)
 	}
 	return nil
+}
+
+// writeSynced writes data to path and has it on stable storage before it
+// returns: the rename that follows must never publish bytes the disk does
+// not hold yet. A file it opened and could not finish is removed again.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = os.Remove(path) // best effort: the error to report is the write's
+	}
+	return err
 }
 
 // Load implements Store.
@@ -58,51 +77,4 @@ func (s FileStore) Load() ([]byte, error) {
 		return nil, fmt.Errorf("platform: reading checkpoint: %w", err)
 	}
 	return data, nil
-}
-
-// Dir returns the directory holding the checkpoint file.
-func (s FileStore) Dir() string { return filepath.Dir(s.Path) }
-
-// MemStore persists checkpoints into an in-memory filesystem with the
-// same temp-then-rename protocol as FileStore. Because every write goes
-// through the memfs fault hook, tests can inject checkpoint write
-// failures exactly like any other pseudo-file fault.
-type MemStore struct {
-	FS   *memfs.FS
-	Path string
-}
-
-// Save implements Store.
-func (s *MemStore) Save(data []byte) error {
-	if s.FS == nil || s.Path == "" {
-		return fmt.Errorf("platform: mem store not configured")
-	}
-	tmp := s.Path + ".tmp"
-	if !s.FS.Exists(tmp) {
-		if err := s.FS.AddFile(tmp, ""); err != nil {
-			return fmt.Errorf("platform: creating checkpoint temp: %w", err)
-		}
-	}
-	if err := s.FS.WriteFile(tmp, string(data)); err != nil {
-		// Leave no partial temp behind; the previous checkpoint is
-		// untouched either way.
-		_ = s.FS.Remove(tmp)
-		return fmt.Errorf("platform: writing checkpoint: %w", err)
-	}
-	if err := s.FS.Rename(tmp, s.Path); err != nil {
-		return fmt.Errorf("platform: committing checkpoint: %w", err)
-	}
-	return nil
-}
-
-// Load implements Store.
-func (s *MemStore) Load() ([]byte, error) {
-	if s.FS == nil || !s.FS.Exists(s.Path) {
-		return nil, ErrNoCheckpoint
-	}
-	data, err := s.FS.ReadFile(s.Path)
-	if err != nil {
-		return nil, fmt.Errorf("platform: reading checkpoint: %w", err)
-	}
-	return []byte(data), nil
 }

@@ -2,11 +2,10 @@ package platform
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"vfreq/internal/memfs"
 )
 
 func TestFileStoreRoundTrip(t *testing.T) {
@@ -32,55 +31,37 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if (FileStore{}).Save(nil) == nil {
 		t.Fatal("pathless store accepted a save")
 	}
-	if st := (FileStore{Path: "/ckpt.json"}); st.Dir() != "/" {
-		t.Fatalf("Dir = %q", st.Dir())
-	}
 }
 
-func TestMemStoreRoundTripAndFaults(t *testing.T) {
-	fs := memfs.New()
-	st := &MemStore{FS: fs, Path: "/ckpt.json"}
-	if _, err := st.Load(); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("Load before Save = %v, want ErrNoCheckpoint", err)
+// TestFileStoreFailedWriteKeepsPreviousCheckpoint: a save whose temp file
+// opens but cannot be written (here it is a link to /dev/full, so every
+// write is ENOSPC) fails, removes the temp it could not finish, and leaves
+// the previous checkpoint loadable — the atomicity crash recovery depends
+// on. Save used to be os.WriteFile + rename with neither Sync nor cleanup.
+func TestFileStoreFailedWriteKeepsPreviousCheckpoint(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail a write with")
 	}
+	st := FileStore{Path: filepath.Join(t.TempDir(), "ckpt.json")}
 	if err := st.Save([]byte("first")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.Load()
-	if err != nil || string(got) != "first" {
-		t.Fatalf("Load = %q, %v", got, err)
-	}
-
-	// A write fault mid-save must leave the previous checkpoint intact —
-	// the atomicity contract crash recovery depends on.
-	boom := errors.New("injected write fault")
-	fs.SetFaultHook(func(op, path string) error {
-		if op == "write" && strings.HasSuffix(path, ".tmp") {
-			return boom
-		}
-		return nil
-	})
-	if err := st.Save([]byte("second")); !errors.Is(err, boom) {
-		t.Fatalf("Save under fault = %v, want injected error", err)
-	}
-	if fs.Exists("/ckpt.json.tmp") {
-		t.Fatal("failed save left a temp file behind")
-	}
-	got, err = st.Load()
-	if err != nil || string(got) != "first" {
-		t.Fatalf("previous checkpoint damaged: %q, %v", got, err)
-	}
-
-	// Fault cleared: saves resume.
-	fs.SetFaultHook(nil)
-	if err := st.Save([]byte("third")); err != nil {
+	if err := os.Symlink("/dev/full", st.Path+".tmp"); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ = st.Load(); string(got) != "third" {
-		t.Fatalf("Load after recovery = %q", got)
+	if err := st.Save([]byte("second")); err == nil {
+		t.Fatal("a save that could not write its temp file succeeded")
 	}
-
-	if (&MemStore{}).Save(nil) == nil {
-		t.Fatal("unconfigured mem store accepted a save")
+	if _, err := os.Lstat(st.Path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed save left its temp behind (lstat: %v)", err)
+	}
+	if got, err := st.Load(); err != nil || string(got) != "first" {
+		t.Fatalf("previous checkpoint damaged: %q, %v", got, err)
+	}
+	if err := st.Save([]byte("third")); err != nil {
+		t.Fatalf("save after the fault cleared: %v", err)
+	}
+	if got, _ := st.Load(); string(got) != "third" {
+		t.Fatalf("Load after recovery = %q", got)
 	}
 }

@@ -6,6 +6,7 @@ package sysfs
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -152,18 +153,15 @@ func ParseCPUList(content string) ([]int, error) {
 	return out, nil
 }
 
-// ParseOnline parses an "online" range file ("0-63" or "0") into a count.
+// ParseOnline parses the cpu "online" cpulist ("0-63", or "0-3,8-11" with
+// CPUs offlined) into a core count: the highest online index plus one.
 func ParseOnline(content string) (int, error) {
-	s := strings.TrimSpace(content)
-	if i := strings.IndexByte(s, '-'); i >= 0 {
-		hi, err := strconv.Atoi(s[i+1:])
-		if err != nil {
-			return 0, fmt.Errorf("sysfs: bad online range %q", content)
-		}
-		return hi + 1, nil
+	cpus, err := ParseCPUList(content)
+	if err != nil {
+		return 0, err
 	}
-	if _, err := strconv.Atoi(s); err != nil {
-		return 0, fmt.Errorf("sysfs: bad online file %q", content)
+	if len(cpus) == 0 {
+		return 0, fmt.Errorf("sysfs: empty online file %q", content)
 	}
-	return 1, nil
+	return slices.Max(cpus) + 1, nil
 }

@@ -49,11 +49,27 @@ func TestParseErrors(t *testing.T) {
 	if _, err := ParseKHzBytes([]byte("-3")); err == nil {
 		t.Fatal("ParseKHzBytes accepted negative")
 	}
-	if _, err := ParseOnline("a-b"); err == nil {
-		t.Fatal("ParseOnline accepted garbage range")
+}
+
+// TestParseOnline: the core count is the highest online index plus one,
+// whatever shape of cpulist the kernel prints — a host with a CPU offlined
+// or hot-unplugged lists a gap.
+func TestParseOnline(t *testing.T) {
+	for content, want := range map[string]int{
+		"0-39\n":     40,
+		"0\n":        1,
+		"0-3,8-11\n": 12,
+		"0,2\n":      3,
+		"0,2-5\n":    6,
+	} {
+		if got, err := ParseOnline(content); err != nil || got != want {
+			t.Errorf("ParseOnline(%q) = %d, %v; want %d", content, got, err, want)
+		}
 	}
-	if _, err := ParseOnline("x"); err == nil {
-		t.Fatal("ParseOnline accepted garbage")
+	for _, bad := range []string{"", "\n", "a-b", "x", "3-1", "0-"} {
+		if got, err := ParseOnline(bad); err == nil {
+			t.Errorf("ParseOnline(%q) = %d, want an error", bad, got)
+		}
 	}
 }
 

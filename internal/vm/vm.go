@@ -54,7 +54,6 @@ func Large() Template  { return Template{Name: "large", VCPUs: 4, FreqMHz: 1800,
 type Instance struct {
 	name     string
 	template Template
-	machine  *host.Machine
 	scope    string // cgroup path relative to the mount
 	vcpus    []*sched.Thread
 	emulator *sched.Thread
@@ -118,30 +117,19 @@ func (mg *Manager) Provision(name string, tpl Template, srcs []workload.Source) 
 	inst := &Instance{
 		name:     name,
 		template: tpl,
-		machine:  mg.machine,
 		scope:    ScopePath(name),
-		sources:  srcs,
-		cycles:   make([]int64, tpl.VCPUs),
+		// Sized here, once: regrown between the cgroup and thread
+		// allocations they scatter those, ≈ 3 % of a cluster_fleet step.
+		sources: make([]workload.Source, 0, tpl.VCPUs),
+		cycles:  make([]int64, 0, tpl.VCPUs),
 	}
 	if _, err := mg.machine.Cgroups.CreateGroupAll(inst.scope); err != nil {
 		return nil, err
 	}
-	for j := 0; j < tpl.VCPUs; j++ {
-		rel := VCPUCgroup(name, j)
-		if _, err := mg.machine.Cgroups.CreateGroup(rel); err != nil {
+	for _, src := range srcs {
+		if err := mg.addVCPU(inst, src); err != nil {
 			return nil, err
 		}
-		src := srcs[j]
-		th, err := mg.machine.StartThread(rel, fmt.Sprintf("CPU %d/KVM", j), src.Demand)
-		if err != nil {
-			return nil, err
-		}
-		j := j
-		th.OnRun = func(nowUs, ranUs, freqMHz int64) {
-			inst.cycles[j] += ranUs * freqMHz
-			src.Account(nowUs, ranUs, freqMHz)
-		}
-		inst.vcpus = append(inst.vcpus, th)
 	}
 	emRel := inst.scope + "/emulator"
 	if _, err := mg.machine.Cgroups.CreateGroup(emRel); err != nil {
@@ -191,24 +179,10 @@ func (mg *Manager) Reconfigure(name string, tpl Template, srcs []workload.Source
 		if len(srcs) != grow {
 			return fmt.Errorf("vm: %d workload sources for %d new vCPUs", len(srcs), grow)
 		}
-		for j := old; j < tpl.VCPUs; j++ {
-			rel := VCPUCgroup(name, j)
-			if _, err := mg.machine.Cgroups.CreateGroup(rel); err != nil {
+		for _, src := range srcs {
+			if err := mg.addVCPU(inst, src); err != nil {
 				return err
 			}
-			src := srcs[j-old]
-			th, err := mg.machine.StartThread(rel, fmt.Sprintf("CPU %d/KVM", j), src.Demand)
-			if err != nil {
-				return err
-			}
-			inst.cycles = append(inst.cycles, 0)
-			inst.sources = append(inst.sources, src)
-			j := j
-			th.OnRun = func(nowUs, ranUs, freqMHz int64) {
-				inst.cycles[j] += ranUs * freqMHz
-				src.Account(nowUs, ranUs, freqMHz)
-			}
-			inst.vcpus = append(inst.vcpus, th)
 		}
 	} else if grow < 0 {
 		for j := tpl.VCPUs; j < old; j++ {
@@ -224,6 +198,29 @@ func (mg *Manager) Reconfigure(name string, tpl Template, srcs []workload.Source
 		inst.sources = inst.sources[:tpl.VCPUs]
 	}
 	inst.template = tpl
+	return nil
+}
+
+// addVCPU gives the instance its next vCPU: the cgroup, the thread in it
+// running src, and the instance's record of both. No source enters
+// inst.sources elsewhere, so the slice never shares a caller's array.
+func (mg *Manager) addVCPU(inst *Instance, src workload.Source) error {
+	j := len(inst.vcpus)
+	rel := VCPUCgroup(inst.name, j)
+	if _, err := mg.machine.Cgroups.CreateGroup(rel); err != nil {
+		return err
+	}
+	th, err := mg.machine.StartThread(rel, fmt.Sprintf("CPU %d/KVM", j), src.Demand)
+	if err != nil {
+		return err
+	}
+	inst.cycles = append(inst.cycles, 0)
+	inst.sources = append(inst.sources, src)
+	th.OnRun = func(nowUs, ranUs, freqMHz int64) {
+		inst.cycles[j] += ranUs * freqMHz
+		src.Account(nowUs, ranUs, freqMHz)
+	}
+	inst.vcpus = append(inst.vcpus, th)
 	return nil
 }
 
@@ -272,8 +269,9 @@ func (i *Instance) Name() string { return i.name }
 // Template returns the instance's template.
 func (i *Instance) Template() Template { return i.template }
 
-// Scope returns the instance's cgroup scope path.
-func (i *Instance) Scope() string { return i.scope }
+// Sources returns the workloads the instance runs now, one per vCPU: what
+// a migration provisions on the target. Callers must not mutate the slice.
+func (i *Instance) Sources() []workload.Source { return i.sources }
 
 // VCPUThread returns the scheduler thread of vCPU j.
 func (i *Instance) VCPUThread(j int) *sched.Thread { return i.vcpus[j] }
@@ -300,11 +298,4 @@ func (i *Instance) SnapshotCycles() []int64 {
 	out := make([]int64, len(i.cycles))
 	copy(out, i.cycles)
 	return out
-}
-
-// GuaranteedCyclesUs returns C_i of Eq. 2: the number of cycles (µs of
-// CPU time) per control period p that realise the template frequency on
-// this machine.
-func (i *Instance) GuaranteedCyclesUs(periodUs int64) int64 {
-	return periodUs * i.template.FreqMHz / i.machine.Spec().MaxMHz
 }

@@ -205,22 +205,6 @@ func TestWorkloadRunsAndCyclesAccrue(t *testing.T) {
 	_ = before
 }
 
-func TestGuaranteedCyclesEq2(t *testing.T) {
-	mg := newManager(t)
-	inst, err := mg.Provision("vm0", Large(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Eq. 2: C_i = p × F_v / F_max = 1e6 × 1800/2400 = 750000.
-	if c := inst.GuaranteedCyclesUs(1_000_000); c != 750_000 {
-		t.Fatalf("C_i = %d, want 750000", c)
-	}
-	inst2, _ := mg.Provision("vm1", Small(), nil)
-	if c := inst2.GuaranteedCyclesUs(1_000_000); c != 208_333 {
-		t.Fatalf("small C_i = %d, want 208333", c)
-	}
-}
-
 func TestDestroyCleansUp(t *testing.T) {
 	mg := newManager(t)
 	inst, err := mg.Provision("vm0", Small(), nil)
