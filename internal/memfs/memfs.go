@@ -75,15 +75,15 @@ func (fs *FS) SetFaultHook(fn FaultFunc) {
 	fs.mu.Unlock()
 }
 
-// checkFault runs the fault hook for one access.
-func (fs *FS) checkFault(op, p string) error {
+// checkFault runs the fault hook for one access to the clean path cp.
+func (fs *FS) checkFault(op, cp string) error {
 	fs.mu.RLock()
 	fn := fs.fault
 	fs.mu.RUnlock()
 	if fn == nil {
 		return nil
 	}
-	return fn(op, clean(p))
+	return fn(op, cp)
 }
 
 // New returns an empty filesystem containing only the root directory.
@@ -91,15 +91,30 @@ func New() *FS {
 	return &FS{root: &node{name: "/", dir: true, children: map[string]*node{}}}
 }
 
-// clean normalises p to an absolute slash-separated path.
+// clean normalises p to an absolute slash-separated path: path.Clean of
+// "/"+p. The paths the simulated host reads every period are built clean,
+// so one scan that meets no empty, "." or ".." element and no trailing
+// slash returns p itself; anything else goes to path.Clean.
 func clean(p string) string {
 	if p == "" {
 		return "/"
 	}
-	if !strings.HasPrefix(p, "/") {
-		p = "/" + p
+	if p[0] != '/' {
+		return path.Clean("/" + p)
 	}
-	return path.Clean(p)
+	// start is the index after the last slash seen: where the current
+	// element begins.
+	start := 1
+	for i := 1; i <= len(p); i++ {
+		if i < len(p) && p[i] != '/' {
+			continue
+		}
+		if el := p[start:i]; (el == "" && len(p) > 1) || el == "." || el == ".." {
+			return path.Clean(p)
+		}
+		start = i + 1
+	}
+	return p
 }
 
 // split returns the path elements of p, excluding the root.
@@ -111,10 +126,13 @@ func split(p string) []string {
 	return strings.Split(strings.TrimPrefix(p, "/"), "/")
 }
 
-// lookup walks the tree segment by segment without splitting the path
-// into a fresh slice, so reads on the hot monitor path allocate nothing.
-func (fs *FS) lookup(p string) (*node, error) {
-	cp := clean(p)
+// lookup finds the node at p.
+func (fs *FS) lookup(p string) (*node, error) { return fs.lookupClean(clean(p)) }
+
+// lookupClean walks the tree along the clean path cp segment by segment
+// without splitting it into a fresh slice, so reads on the hot monitor
+// path allocate nothing.
+func (fs *FS) lookupClean(cp string) (*node, error) {
 	cur := fs.root
 	for i := 1; i < len(cp); {
 		var el string
@@ -130,7 +148,7 @@ func (fs *FS) lookup(p string) (*node, error) {
 		}
 		next, ok := cur.children[el]
 		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNotExist, p)
+			return nil, fmt.Errorf("%w: %s", ErrNotExist, cp)
 		}
 		cur = next
 	}
@@ -231,11 +249,12 @@ func (fs *FS) addNode(p string, n *node) error {
 
 // ReadFile returns the current content of the file at p.
 func (fs *FS) ReadFile(p string) (string, error) {
+	p = clean(p)
 	if err := fs.checkFault("read", p); err != nil {
 		return "", err
 	}
 	fs.mu.RLock()
-	n, err := fs.lookup(p)
+	n, err := fs.lookupClean(p)
 	if err != nil {
 		fs.mu.RUnlock()
 		return "", err
@@ -265,11 +284,12 @@ func (fs *FS) ReadFile(p string) (string, error) {
 // capacity performs no heap allocation; other files fall back to the
 // string content. Fault hooks fire exactly as for ReadFile.
 func (fs *FS) ReadFileAppend(p string, buf []byte) ([]byte, error) {
+	p = clean(p)
 	if err := fs.checkFault("read", p); err != nil {
 		return buf, err
 	}
 	fs.mu.RLock()
-	n, err := fs.lookup(p)
+	n, err := fs.lookupClean(p)
 	if err != nil {
 		fs.mu.RUnlock()
 		return buf, err
@@ -293,11 +313,12 @@ func (fs *FS) ReadFileAppend(p string, buf []byte) ([]byte, error) {
 
 // WriteFile writes data to the file at p.
 func (fs *FS) WriteFile(p, data string) error {
+	p = clean(p)
 	if err := fs.checkFault("write", p); err != nil {
 		return err
 	}
 	fs.mu.Lock()
-	n, err := fs.lookup(p)
+	n, err := fs.lookupClean(p)
 	if err != nil {
 		fs.mu.Unlock()
 		return err

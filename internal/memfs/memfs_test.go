@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestMkdirAndReadDir(t *testing.T) {
@@ -288,4 +290,52 @@ func TestDynamicWriteOnlyFile(t *testing.T) {
 	if content, err := fs.ReadFile("/wo"); err != nil || content != "" {
 		t.Fatalf("write-only read = %q, %v", content, err)
 	}
+}
+
+// clean is path.Clean of "/"+p; a path that is clean already comes back as
+// the very string passed in, not a copy.
+func TestClean(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"", "/"},
+		{"/", "/"},
+		{"/a", "/a"},
+		{"/sys/fs/cgroup/machine.slice/vm0.scope/vcpu1/cpu.stat", "/sys/fs/cgroup/machine.slice/vm0.scope/vcpu1/cpu.stat"},
+		{"/a/..b/.c/d..", "/a/..b/.c/d.."},
+		{"/...", "/..."},
+		{"a/b", "/a/b"},
+		{"//", "/"},
+		{"//a", "/a"},
+		{"/a/", "/a"},
+		{"/a//b", "/a/b"},
+		{"/.", "/"},
+		{"/..", "/"},
+		{"/a/.", "/a"},
+		{"/a/./b", "/a/b"},
+		{"/a/../b", "/b"},
+		{"/a/b/..", "/a"},
+		{"../a", "/a"},
+		{".", "/"},
+	} {
+		got := clean(tc.in)
+		if got != tc.want || got != path.Clean("/"+tc.in) {
+			t.Errorf("clean(%q) = %q, want %q (path.Clean gives %q)", tc.in, got, tc.want, path.Clean("/"+tc.in))
+		}
+		if tc.in == tc.want && unsafe.StringData(got) != unsafe.StringData(tc.in) {
+			t.Errorf("clean(%q) copied a path that was clean", tc.in)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { clean("/proc/4211/task/4211/stat") }); n != 0 {
+		t.Errorf("clean of a clean path allocates %.0f times", n)
+	}
+}
+
+func FuzzCleanMatchesPathClean(f *testing.F) {
+	for _, s := range []string{"", "/", "/a/b", "a//b/", "/./a/../..", "/a/.../b", "//", "/a/.", "..", "/\x00/./"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, p string) {
+		if got, want := clean(p), path.Clean("/"+p); got != want {
+			t.Fatalf("clean(%q) = %q, path.Clean gives %q", p, got, want)
+		}
+	})
 }

@@ -104,6 +104,27 @@ func BenchmarkTickTableII(b *testing.B) {
 	}
 }
 
+// BenchmarkTickTableIIQuotaWrite is the same tick behind a quota write (one
+// of three values in turn: two in turn would repeat window after window,
+// ten ticks being an even number, and be replayed): beside
+// BenchmarkTickTableII, where the replay ring answers every tick, this is
+// what a tick costs when the ring looks, finds an input moved, runs
+// allocate and placeOnCores after all and records them. replayed/op is the
+// share of ticks the ring still answered in full.
+func BenchmarkTickTableIIQuotaWrite(b *testing.B) {
+	s := tableIINode()
+	vcpu := s.Root().Children[0].Children[0].Children[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := vcpu.SetQuota(45_000-int64(i%3)*10_000, DefaultPeriodUs); err != nil {
+			b.Fatal(err)
+		}
+		s.Tick(10_000)
+	}
+	b.ReportMetric(float64(s.replay.coreHits)/float64(b.N), "replayed/op")
+}
+
 func BenchmarkDeepHierarchy(b *testing.B) {
 	s := New(16)
 	g := s.Root()

@@ -1,0 +1,219 @@
+package sched
+
+import "math"
+
+// The replay ring. A controller steps once per second against 100 ms
+// bandwidth windows, so between two of its steps a node runs ten windows
+// that are copies of each other: tick k of a window meets the demands,
+// the remaining quotas and the placement tick k of the window before met.
+// The ring keeps, per tick of a window, what allocate (with waterfill) and
+// placeOnCores read and what they answered, and Tick takes the answer of
+// either from it when everything that function would read compares equal.
+// Nothing tells the ring that an input moved: it looks, every tick, at
+// every value.
+//
+//	what the skipped code reads                       where the ring keeps it
+//	tree shape (who is whose child, in what order)    replay.gen
+//	dtUs (capacity, the one-core bound, packing)      replay.dtUs
+//	Scheduler.Cores (capacity)                        replay.cores
+//	allocate: Group.Weight of every group             replay.weights
+//	allocate: Group.need of every group               replaySlot.needs
+//	allocate: Thread.want of every thread             threadRec.want
+//	placeOnCores: Thread.got (allocate's answer)      equal when the above are
+//	placeOnCores: Thread.LastCPU on entry             threadRec.lastCPU
+//
+// The placement of a loaded node can cycle with a period longer than one
+// window while its allocations repeat, hence the two answers: allocate is
+// skipped when the first six rows match, placeOnCores when the last does
+// too.
+//
+// quotaRemaining, which allocate also reads, is not in the list because
+// need stands in for it: a group below the root is never handed more than
+// its need, and its need is at most what remains of its quota, so the
+// clamp in allocate cannot bind there; at the root it binds exactly when
+// it has already bound need (TestNeedStandsInForQuotaRemaining).
+
+// replayMaxTicks bounds the ring: a tick shorter than 1/100 of a window
+// (1 ms) is not replayed, so the ring's memory does not scale with 1/dt.
+const replayMaxTicks = 100
+
+// threadRec is one thread's part of a slot: the two inputs and the two
+// outputs of its tick. Sixteen bits hold them whenever a slot can hit
+// (0 ≤ got ≤ want ≤ dtUs ≤ MaxInt16, cores ≤ MaxInt16); what does not fit
+// is compared wide and so never equals what was kept of it.
+type threadRec struct {
+	want, lastCPU int16
+	got, core     int16
+}
+
+// replaySlot is one tick of a window.
+type replaySlot struct {
+	valid   bool        // the outputs belong to the inputs
+	threads []threadRec // group by group in replay.groups order, each group's Threads in turn
+	needs   []int32     // one per group
+}
+
+type replay struct {
+	// What the ring below is laid out for; a tick that finds one of them
+	// moved lays it out again, empty.
+	gen   uint64
+	dtUs  int64
+	cores int
+
+	groups  []*Group     // the tree in pre-order
+	weights []int64      // their weights at the last tick; a write to one voids every slot
+	slots   []replaySlot // one per tick of a window, none when dtUs is not replayed
+
+	gotHits, coreHits uint64 // ticks that replayed the allocation, and the placement too; only the tests read them
+}
+
+// replayLookup finds the ring slot of the tick prepare has just set up,
+// stores the tick's inputs in it and reports what it held already: gotHit,
+// the inputs of allocate, so the recorded allocations are this tick's;
+// coreHit, those and every thread's LastCPU, so the recorded placement is
+// too. What missed is invalid until replayRecord completes it. The slot is
+// nil when the tick cannot be recorded: ticks of dtUs are not replayed, or
+// an input does not fit the slot's integers (what was cut off would later
+// equal a value the outputs were not computed for).
+func (s *Scheduler) replayLookup(dtUs int64) (sl *replaySlot, gotHit, coreHit bool) {
+	r := &s.replay
+	if r.groups == nil || r.gen != s.gen || r.dtUs != dtUs || r.cores != s.Cores {
+		s.layoutReplay(dtUs)
+	}
+	if len(r.slots) == 0 {
+		return nil, false, false
+	}
+	sl = &r.slots[s.nowUs/dtUs%int64(len(r.slots))]
+	gotHit, coreHit = sl.valid, sl.valid
+	fits, reweighted := true, false
+	k := 0
+	for i, g := range r.groups {
+		if r.weights[i] != g.Weight {
+			r.weights[i], reweighted = g.Weight, true
+		}
+		if int64(sl.needs[i]) != g.need {
+			sl.needs[i], gotHit = narrow[int32](g.need, &fits), false
+		}
+		for _, t := range g.Threads {
+			rec := &sl.threads[k]
+			k++
+			if int64(rec.want) != t.want {
+				rec.want, gotHit = narrow[int16](t.want, &fits), false
+			}
+			if int(rec.lastCPU) != t.LastCPU {
+				rec.lastCPU, coreHit = narrow[int16](int64(t.LastCPU), &fits), false
+			}
+		}
+	}
+	if reweighted {
+		for i := range r.slots {
+			r.slots[i].valid = false
+		}
+		gotHit = false
+	}
+	coreHit = coreHit && gotHit
+	sl.valid = coreHit
+	if !fits {
+		return nil, false, false
+	}
+	if gotHit {
+		r.gotHits++
+	}
+	if coreHit {
+		r.coreHits++
+	}
+	return sl, gotHit, coreHit
+}
+
+// narrow cuts v down to a slot's integer and clears fits if that lost
+// anything.
+func narrow[T int16 | int32](v int64, fits *bool) T {
+	n := T(v)
+	if int64(n) != v {
+		*fits = false
+	}
+	return n
+}
+
+// layoutReplay sizes an empty ring for the current tree and tick length:
+// fresh backing arrays of exactly the size needed, so a tree that shrank
+// gives its memory back.
+func (s *Scheduler) layoutReplay(dtUs int64) {
+	r := &s.replay
+	r.gen, r.dtUs, r.cores = s.gen, dtUs, s.Cores
+	r.groups = appendPreorder(make([]*Group, 0, countGroups(s.root)), s.root)
+	r.weights = make([]int64, len(r.groups))
+	for i, g := range r.groups {
+		r.weights[i] = g.Weight
+	}
+	r.slots = nil
+	n := DefaultPeriodUs / dtUs
+	if DefaultPeriodUs%dtUs != 0 || n > replayMaxTicks || dtUs > math.MaxInt16 || len(s.coreLoadUs) > math.MaxInt16 {
+		return
+	}
+	nt, ng := len(s.threads), len(r.groups)
+	threads, needs := make([]threadRec, int(n)*nt), make([]int32, int(n)*ng)
+	r.slots = make([]replaySlot, n)
+	for i := range r.slots {
+		r.slots[i] = replaySlot{threads: threads[i*nt : (i+1)*nt], needs: needs[i*ng : (i+1)*ng]}
+	}
+}
+
+func countGroups(g *Group) int {
+	n := 1
+	for _, c := range g.Children {
+		n += countGroups(c)
+	}
+	return n
+}
+
+func appendPreorder(dst []*Group, g *Group) []*Group {
+	dst = append(dst, g)
+	for _, c := range g.Children {
+		dst = appendPreorder(dst, c)
+	}
+	return dst
+}
+
+// replayGot hands every thread the allocation sl recorded, in place of
+// allocate.
+func (s *Scheduler) replayGot(sl *replaySlot) {
+	k := 0
+	for _, g := range s.replay.groups {
+		for _, t := range g.Threads {
+			t.got = int64(sl.threads[k].got)
+			k++
+		}
+	}
+}
+
+// replayCores writes the placement sl recorded, in place of placeOnCores.
+// settle listed the threads that ran in the order the slot holds them.
+func (s *Scheduler) replayCores(sl *replaySlot, allocs []Alloc) {
+	load := s.coreLoadUs
+	clear(load)
+	j := 0
+	for _, rec := range sl.threads {
+		if rec.got > 0 {
+			a := &allocs[j]
+			j++
+			a.Core = int(rec.core)
+			a.Thread.LastCPU = a.Core
+			load[a.Core] += a.RanUs
+		}
+	}
+}
+
+// replayRecord completes sl with what allocate and placeOnCores answered
+// to the inputs replayLookup stored.
+func (s *Scheduler) replayRecord(sl *replaySlot) {
+	k := 0
+	for _, g := range s.replay.groups {
+		for _, t := range g.Threads {
+			rec := &sl.threads[k]
+			k++
+			rec.got, rec.core = int16(t.got), int16(t.LastCPU)
+		}
+	}
+	sl.valid = true
+}

@@ -59,7 +59,8 @@ type Thread struct {
 	got int64
 }
 
-// Group is a node in the cgroup hierarchy.
+// Group is a node in the cgroup hierarchy. Parent, Children and Threads are
+// the Scheduler's to write (NewGroup, RemoveGroup, NewThread, RemoveThread).
 type Group struct {
 	Name     string
 	Parent   *Group
@@ -124,6 +125,11 @@ type Scheduler struct {
 	allocScratch []Alloc
 	keyScratch   []uint64
 	entScratch   []entity
+
+	// gen counts the changes to the tree's shape: NewGroup, RemoveGroup,
+	// NewThread and RemoveThread, the only writers of Children and Threads.
+	gen    uint64
+	replay replay
 }
 
 // New creates a scheduler for a machine with the given number of logical
@@ -167,6 +173,7 @@ func (s *Scheduler) NewGroup(parent *Group, name string) *Group {
 		windowStartUs: s.nowUs,
 	}
 	parent.Children = append(parent.Children, g)
+	s.gen++
 	return g
 }
 
@@ -179,6 +186,7 @@ func (s *Scheduler) RemoveGroup(g *Group) error {
 	rec = func(n *Group) {
 		for _, t := range n.Threads {
 			delete(s.threads, t.ID)
+			t.Group = nil
 		}
 		n.Threads = nil
 		for _, c := range n.Children {
@@ -194,6 +202,7 @@ func (s *Scheduler) RemoveGroup(g *Group) error {
 		}
 	}
 	g.Parent = nil
+	s.gen++
 	return nil
 }
 
@@ -261,6 +270,7 @@ func (s *Scheduler) NewThread(g *Group, demand func(nowUs, dtUs int64) float64) 
 	s.nextTID++
 	g.Threads = append(g.Threads, t)
 	s.threads[t.ID] = t
+	s.gen++
 	return t
 }
 
@@ -275,6 +285,7 @@ func (s *Scheduler) RemoveThread(t *Thread) {
 		}
 	}
 	t.Group = nil
+	s.gen++
 }
 
 // Thread returns the thread with the given ID, or nil.
@@ -329,17 +340,33 @@ type entity struct {
 // One tick walks the cgroup tree twice: prepare descends it (windows,
 // demands, cached needs), allocate hands the capacity down through the
 // groups that need any, and settle ascends it (usage, throttling, the
-// allocation list in the order prepare met the threads).
+// allocation list in the order prepare met the threads). Where the replay
+// ring (replay.go) holds this tick of the bandwidth window with the inputs
+// prepare has just computed, the allocations it recorded stand in for
+// allocate, and the placement for placeOnCores if the threads also come
+// from the cores they came from then.
 func (s *Scheduler) Tick(dtUs int64) []Alloc {
 	if dtUs <= 0 {
 		panic("sched: dt must be positive")
 	}
 	s.prepare(s.root, dtUs)
-	s.allocate(s.root, dtUs*int64(s.Cores))
+	slot, gotHit, coreHit := s.replayLookup(dtUs)
+	if gotHit {
+		s.replayGot(slot)
+	} else {
+		s.allocate(s.root, dtUs*int64(s.Cores))
+	}
 	s.allocScratch = s.allocScratch[:0]
 	s.settle(s.root)
 	allocs := s.allocScratch
-	s.placeOnCores(allocs, dtUs)
+	if coreHit {
+		s.replayCores(slot, allocs)
+	} else {
+		s.placeOnCores(allocs, dtUs)
+		if slot != nil {
+			s.replayRecord(slot)
+		}
+	}
 	s.nowUs += dtUs
 	s.lastDtUs = dtUs
 	return allocs

@@ -361,6 +361,9 @@ func TestRemoveGroup(t *testing.T) {
 	if err := s.RemoveGroup(g); err != nil {
 		t.Fatal(err)
 	}
+	if th.Group != nil {
+		t.Fatalf("thread of a removed group still points at %s", th.Group.Name)
+	}
 	s.Tick(tick)
 	if th.UsageUs != 0 {
 		t.Fatal("thread in removed group ran")
@@ -861,11 +864,17 @@ func (s *reference) recordThrottling(g *Group) {
 type chooser struct {
 	rng  *rand.Rand
 	data []byte
+	log  []byte // the bytes that make a data chooser repeat an rng chooser's draws
 }
 
 func (c *chooser) intn(n int) int {
 	if c.rng != nil {
-		return c.rng.Intn(n)
+		v := c.rng.Intn(n)
+		if n > 256 {
+			c.log = append(c.log, byte(v>>8))
+		}
+		c.log = append(c.log, byte(v))
+		return v
 	}
 	v := 0
 	for k := 0; k < 2 && (k == 0 || n > 256); k++ {
@@ -888,14 +897,24 @@ type twins struct {
 	groups  [2][]*Group
 	depth   []int
 	threads [2][]*Thread
-	calls   [2][]int // thread IDs in the order Demand was called this tick
+	shapes  []*demandShape // of threads[.][i], shared by the two sides
+	calls   [2][]int       // thread IDs in the order Demand was called this tick
+	calm    bool           // a quiet stretch: the time-varying shapes hold one level
+	ticks   uint64         // played so far
 }
+
+// demandShape is what a twin thread asks for; a schedule may change frac
+// mid-run.
+type demandShape struct{ kind, frac int }
 
 var (
 	diffQuotas  = []int64{NoQuota, 1, 7, 50, 1000, 5000, 12_345, 25_000, 50_000, 100_000, 250_000}
 	diffPeriods = []int64{100_000, 100_000, 50_000, 20_000, 7_000, 1_000_000}
 	diffWeights = []int64{100, 100, 0, 1, 50, 200, 1000, 10_000, -5}
 	diffTicks   = []int64{10_000, 10_000, 10_000, 10_000, 10_000, 10_000, 1, 3, 100, 1000, 2500, 30_000, 100_000, 250_000, 12_000_000}
+	// quietTicks are the tick lengths of quiet stretches: mostly ones the
+	// ring replays (4 to 100 slots), and two it does not.
+	quietTicks = []int64{10_000, 10_000, 10_000, 5000, 20_000, 25_000, 2500, 1000, 30_000, 50_000}
 )
 
 func newTwins(tb testing.TB, c *chooser) *twins {
@@ -968,34 +987,37 @@ func (tw *twins) setBurst(i int) {
 	tw.both("SetBurst", func(side int) error { return tw.groups[side][i].SetBurst(b) })
 }
 
-// demand returns one of the demand shapes for thread id on one side. All
-// are pure functions of (id, now), so the twins agree as long as Tick and
-// the reference evaluate them at the same times; the call log checks the
-// order too.
-func (tw *twins) demand(side, id, kind, frac int) func(nowUs, dtUs int64) float64 {
-	if kind == 0 {
+// demand returns the demand function of thread id on one side. Every shape
+// is a pure function of (id, now) and of schedule state the two sides
+// share, so the twins agree as long as Tick and the reference evaluate them
+// at the same times; the call log checks the order too.
+func (tw *twins) demand(side, id int, sh *demandShape) func(nowUs, dtUs int64) float64 {
+	if sh.kind == 0 {
 		return nil // always runnable
 	}
 	return func(nowUs, dtUs int64) float64 {
 		tw.calls[side] = append(tw.calls[side], id)
-		switch kind {
+		switch sh.kind {
 		case 1:
 			return 0
 		case 2:
-			return float64(frac) / 16
+			return float64(sh.frac) / 16
 		case 3:
 			return 1.5 // clamped to 1
 		case 4:
 			return -0.25 // clamped to 0
 		case 5:
 			return 0.005 // the emulator thread of vm.Manager
-		case 6:
-			return float64((nowUs/30_000 + int64(id)) % 2) // on/off phases
-		default:
-			x := uint64(nowUs)*0x9e3779b97f4a7c15 + uint64(id)*0xbf58476d1ce4e5b9
-			x ^= x >> 31
-			return float64(x%1001) / 1000
 		}
+		if tw.calm {
+			return float64(sh.frac) / 16
+		}
+		if sh.kind == 6 {
+			return float64((nowUs/30_000 + int64(id)) % 2) // on/off phases
+		}
+		x := uint64(nowUs)*0x9e3779b97f4a7c15 + uint64(id)*0xbf58476d1ce4e5b9
+		x ^= x >> 31
+		return float64(x%1001) / 1000
 	}
 }
 
@@ -1004,13 +1026,14 @@ func (tw *twins) newThread() {
 		return
 	}
 	g := tw.c.intn(len(tw.depth))
-	kind, frac := tw.c.intn(8), tw.c.intn(17)
+	sh := &demandShape{kind: tw.c.intn(8), frac: tw.c.intn(17)}
 	for side := 0; side < 2; side++ {
 		s := tw.sched(side)
 		th := s.NewThread(tw.groups[side][g], nil)
-		th.Demand = tw.demand(side, th.ID, kind, frac)
+		th.Demand = tw.demand(side, th.ID, sh)
 		tw.threads[side] = append(tw.threads[side], th)
 	}
+	tw.shapes = append(tw.shapes, sh)
 }
 
 func (tw *twins) removeThread() {
@@ -1022,6 +1045,7 @@ func (tw *twins) removeThread() {
 		tw.sched(side).RemoveThread(tw.threads[side][i])
 		tw.threads[side] = append(tw.threads[side][:i], tw.threads[side][i+1:]...)
 	}
+	tw.shapes = append(tw.shapes[:i], tw.shapes[i+1:]...)
 }
 
 func (tw *twins) removeGroup() {
@@ -1038,13 +1062,16 @@ func (tw *twins) removeGroup() {
 		return false
 	}
 	var depth []int
+	var shapes []*demandShape
 	for side := 0; side < 2; side++ {
 		top := tw.groups[side][i]
 		var groups []*Group
 		var threads []*Thread
-		for _, th := range tw.threads[side] {
+		shapes = shapes[:0]
+		for k, th := range tw.threads[side] {
 			if !under(th.Group, top) {
 				threads = append(threads, th)
+				shapes = append(shapes, tw.shapes[k])
 			}
 		}
 		depth = depth[:0]
@@ -1059,7 +1086,7 @@ func (tw *twins) removeGroup() {
 		}
 		tw.groups[side], tw.threads[side] = groups, threads
 	}
-	tw.depth = depth
+	tw.depth, tw.shapes = depth, shapes
 }
 
 func (tw *twins) mutate() {
@@ -1077,16 +1104,26 @@ func (tw *twins) mutate() {
 	case 6:
 		tw.setBurst(tw.c.intn(len(tw.depth)))
 	case 7:
-		i, w := tw.c.intn(len(tw.depth)), diffWeights[tw.c.intn(len(diffWeights))]
-		tw.groups[0][i].Weight, tw.groups[1][i].Weight = w, w
+		tw.setWeight()
 	}
 }
 
-// tick advances both sides by the same dt and compares everything the
-// tick wrote, with ==.
+// setWeight writes a group's Weight field directly, as cgroupfs does.
+func (tw *twins) setWeight() {
+	i, w := tw.c.intn(len(tw.depth)), diffWeights[tw.c.intn(len(diffWeights))]
+	tw.groups[0][i].Weight, tw.groups[1][i].Weight = w, w
+}
+
+// tick advances both sides by one tick of a drawn length.
 func (tw *twins) tick(label string) {
+	tw.tickOf(label, diffTicks[tw.c.intn(len(diffTicks))])
+}
+
+// tickOf advances both sides by the same dt and compares everything the
+// tick wrote, with ==.
+func (tw *twins) tickOf(label string, dt int64) {
 	tb := tw.tb
-	dt := diffTicks[tw.c.intn(len(diffTicks))]
+	tw.ticks++
 	tw.calls[0], tw.calls[1] = tw.calls[0][:0], tw.calls[1][:0]
 	got, want := tw.prod.Tick(dt), tw.ref.referenceTick(dt)
 	if len(got) != len(want) {
@@ -1137,10 +1174,79 @@ func (tw *twins) tick(label string) {
 	}
 }
 
-// run plays ticks ticks, mutating the tree before about a third of them.
+// quiet plays what the replay ring exists for and what must wake it: at
+// least three bandwidth windows of ticks of one length, no mutation, the
+// time-varying demands held level; then exactly one change; then two more
+// windows, in which a ring that slept through the change shows. It returns
+// the number of ticks played.
+func (tw *twins) quiet(label string) int {
+	dt := quietTicks[tw.c.intn(len(quietTicks))]
+	window := max(int(DefaultPeriodUs/dt), 2)
+	tw.calm = true
+	defer func() { tw.calm = false }()
+	n := 3*window + tw.c.intn(window+1)
+	for k := 0; k < n; k++ {
+		tw.tickOf(fmt.Sprintf("%s quiet tick %d", label, k), dt)
+	}
+	what := ""
+	switch any := tw.c.intn(len(tw.depth)); tw.c.intn(11) {
+	case 0:
+		what = "SetQuota"
+		tw.setQuota(any)
+	case 1:
+		what = "SetBurst"
+		tw.setBurst(any)
+	case 2:
+		what = "Weight write"
+		tw.setWeight()
+	case 3:
+		what = "NewThread"
+		tw.newThread()
+	case 4:
+		what = "RemoveThread"
+		tw.removeThread()
+	case 5:
+		what = "NewGroup"
+		tw.newGroup()
+	case 6:
+		what = "RemoveGroup"
+		tw.removeGroup()
+	case 7:
+		what = "demand level"
+		if len(tw.shapes) > 0 {
+			// Every shape but nil, 0 and the clamped ones follows frac
+			// while the stretch lasts; moving a level that is not
+			// listened to is a change that must change nothing.
+			sh := tw.shapes[tw.c.intn(len(tw.shapes))]
+			sh.frac = (sh.frac + 1 + tw.c.intn(16)) % 17
+		}
+	case 8:
+		what = "tick length"
+		dt = quietTicks[tw.c.intn(len(quietTicks))]
+	case 9:
+		what = "root quota"
+		q := []int64{NoQuota, 5000, 25_000, 250_000}[tw.c.intn(4)]
+		tw.both(what, func(side int) error { return tw.groups[side][0].SetQuota(q, DefaultPeriodUs) })
+	case 10:
+		what = "odd period"
+		q, per := diffQuotas[1+tw.c.intn(len(diffQuotas)-1)], diffPeriods[2+tw.c.intn(len(diffPeriods)-2)]
+		tw.both(what, func(side int) error { return tw.groups[side][any].SetQuota(q, per) })
+	}
+	for k := 0; k < 2*window; k++ {
+		tw.tickOf(fmt.Sprintf("%s tick %d after %s", label, k, what), dt)
+	}
+	return n + 2*window
+}
+
+// run plays at least ticks ticks: a mutation of the tree before about a
+// third of them, a quiet stretch in place of one in a hundred.
 func (tw *twins) run(label string, ticks int) {
 	for k := 0; k < ticks; k++ {
-		if tw.c.intn(3) == 0 {
+		switch c := tw.c.intn(100); {
+		case c == 0:
+			k += tw.quiet(fmt.Sprintf("%s tick %d", label, k))
+			continue
+		case c < 34:
 			for n := 1 + tw.c.intn(3); n > 0; n-- {
 				tw.mutate()
 			}
@@ -1154,15 +1260,24 @@ func (tw *twins) run(label string, ticks int) {
 // periods and bursts; nil, zero, fractional, out-of-range and time-varying
 // demands; tick lengths from 1 µs, which forces the waterfill's remainder
 // path, to 250 ms, which rolls several windows at once) with the tree
-// mutated mid-run.
+// mutated mid-run, and quiet stretches in which the replay ring answers
+// for allocate and placeOnCores: the last check is that it did.
 func TestTickAgainstReference(t *testing.T) {
 	schedules, ticks := 240, 300
 	if testing.Short() {
 		schedules = 40
 	}
+	var played, gotHits, coreHits uint64
 	for seed := 1; seed <= schedules; seed++ {
 		tw := newTwins(t, &chooser{rng: rand.New(rand.NewSource(int64(seed)))})
 		tw.run(fmt.Sprintf("seed %d", seed), ticks)
+		played += tw.ticks
+		gotHits += tw.prod.replay.gotHits
+		coreHits += tw.prod.replay.coreHits
+	}
+	t.Logf("%d ticks, %d replayed the allocation, %d the placement too", played, gotHits, coreHits)
+	if gotHits < played/5 || coreHits == 0 || coreHits == gotHits {
+		t.Fatal("the schedules do not exercise the replay ring: want a fifth of the ticks replayed, some of them without the placement")
 	}
 }
 
@@ -1170,20 +1285,23 @@ func TestTickAgainstReference(t *testing.T) {
 // repository benchmark steps (bench_test.go), where the lone-thread fast
 // path, the keyed placement sort and the early-exit core scan do the work.
 func TestTickAgainstReferenceTableII(t *testing.T) {
-	tw := &twins{tb: t, c: &chooser{}, prod: tableIINode(), ref: &reference{Scheduler: tableIINode()}}
-	var walk func(side int, g *Group)
-	walk = func(side int, g *Group) {
-		tw.groups[side] = append(tw.groups[side], g)
-		tw.threads[side] = append(tw.threads[side], g.Threads...)
-		for _, c := range g.Children {
-			walk(side, c)
-		}
-	}
-	walk(0, tw.prod.Root())
-	walk(1, tw.ref.Root())
+	tw := adoptTwins(t, tableIINode(), tableIINode())
 	for k := 0; k < 500; k++ {
 		tw.tick(fmt.Sprintf("table II tick %d", k)) // the zero chooser always ticks 10 ms
 	}
+}
+
+// adoptTwins makes twins of two schedulers built alike by hand; their
+// demands must be functions the two may share.
+func adoptTwins(tb testing.TB, prod, ref *Scheduler) *twins {
+	tw := &twins{tb: tb, c: &chooser{}, prod: prod, ref: &reference{Scheduler: ref}}
+	for side := 0; side < 2; side++ {
+		tw.groups[side] = appendPreorder(nil, tw.sched(side).Root())
+		for _, g := range tw.groups[side] {
+			tw.threads[side] = append(tw.threads[side], g.Threads...)
+		}
+	}
+	return tw
 }
 
 // FuzzTickAgainstReference lets the fuzzer write the schedule: its bytes
@@ -1196,6 +1314,16 @@ func FuzzTickAgainstReference(f *testing.F) {
 		b := make([]byte, 256)
 		rng.Read(b)
 		f.Add(b)
+	}
+	// Schedules the ring sleeps and is woken in: the draws of the first
+	// seeded schedules that replay and miss, as the bytes that repeat them.
+	for seed, n := int64(1), 0; n < 4; seed++ {
+		tw := newTwins(f, &chooser{rng: rand.New(rand.NewSource(seed))})
+		tw.run("corpus", 64)
+		if r := tw.prod.replay; r.gotHits > 20 && r.coreHits < r.gotHits {
+			f.Add(tw.c.log)
+			n++
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tw := newTwins(t, &chooser{data: data})
