@@ -5,11 +5,11 @@
 // node's guarantees become infeasible, and cluster-wide energy
 // accounting with idle nodes powered off.
 //
-// The control plane is built to scale to thousands of nodes: Step feeds
-// a persistent bounded worker pool instead of spawning goroutines,
-// BestFit/WorstFit admission and evacuation run against a free-capacity
-// index instead of scanning every node, and the steady state (no
-// failures, no placements) allocates nothing.
+// Step feeds a persistent bounded worker pool instead of spawning
+// goroutines, and the steady state (no failures, no placements)
+// allocates nothing. Admission, Rebalance and evacuation scan the nodes
+// with placement.Choose and read each node's load from its vm.Manager,
+// the only record of what the node carries.
 package cluster
 
 import (
@@ -96,12 +96,6 @@ type Node struct {
 	energyJ float64 // energy accrued while hosting at least one VM
 	lastJ   float64
 
-	// used is the total load of the deployed VMs, maintained on
-	// deploy/undeploy/migrate/resize so admission does not iterate the
-	// Manager's instances, which alone hold each VM's template and sources.
-	used    placement.Load
-	indexed bool // present in the cluster's free-capacity index
-
 	// healthPart is the node's contribution to the cluster Health
 	// aggregate after its last step. stepNode writes it (it owns the
 	// node); the sequential error-join walk sums the parts.
@@ -132,6 +126,16 @@ func capacityOf(spec host.Spec) placement.Load {
 	return n.Capacity()
 }
 
+// used returns the total load of the VMs n carries, summed from its
+// Manager.
+func used(n *Node) placement.Load {
+	var l placement.Load
+	for _, inst := range n.Manager.List() {
+		l = l.Add(loadOf(inst.Template()))
+	}
+	return l
+}
+
 // nodeHealth is one node's contribution to the cluster Health aggregate.
 type nodeHealth struct {
 	vcpus, degraded, faults   int
@@ -152,19 +156,14 @@ func (a nodeHealth) add(b nodeHealth) nodeHealth {
 
 // Cluster manages a set of nodes.
 type Cluster struct {
-	cfg        Config
-	nodes      []*Node
-	migrations int
-	migStats   MigrationStats
-	locations  map[string]int // VM name → node index
+	cfg       Config
+	nodes     []*Node
+	migStats  MigrationStats
+	locations map[string]int // VM name → node index
 
 	evacuations   int // cumulative VMs moved off failed nodes
 	lastEvacuated int // VMs evacuated during the last Step
 	lastStranded  int // VMs left on failed nodes during the last Step
-
-	// index orders the non-failed nodes by remaining capacity so
-	// BestFit/WorstFit admission and evacuation are O(log N) per VM.
-	index *placement.Index
 
 	// Health aggregate of the last Step, summed from the nodes'
 	// healthPart in Step's error-join walk.
@@ -195,6 +194,9 @@ func New(specs []host.Spec, cfg Config) (*Cluster, error) {
 	if err := cfg.Policy.Validate(); err != nil {
 		return nil, err
 	}
+	if err := cfg.Algorithm.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Policy.CoreSplitting {
 		return nil, fmt.Errorf("cluster: Policy.CoreSplitting is not supported by online admission (plain Eq. 7); only the offline placement.Place checks per-core feasibility")
 	}
@@ -219,37 +221,7 @@ func New(specs []host.Spec, cfg Config) (*Cluster, error) {
 			Ctrl:    ctrl,
 		})
 	}
-	c.index = placement.NewIndex(len(c.nodes))
-	c.rebuildIndex()
 	return c, nil
-}
-
-// rebuildIndex builds the free-capacity index from scratch at
-// construction; every later change goes through reindex.
-func (c *Cluster) rebuildIndex() {
-	c.index.Reset()
-	for _, n := range c.nodes {
-		n.indexed = false
-		c.reindex(n)
-	}
-}
-
-// reindex synchronises one node's index entry with its current
-// remaining capacity and failure state.
-func (c *Cluster) reindex(n *Node) {
-	if n.Failed {
-		if n.indexed {
-			c.index.Remove(n.Index)
-			n.indexed = false
-		}
-		return
-	}
-	if n.indexed {
-		c.index.Update(n.Index, c.remaining(n))
-	} else {
-		c.index.Insert(n.Index, c.remaining(n))
-		n.indexed = true
-	}
 }
 
 // Close stops the step worker pool, if one was started. The cluster
@@ -266,7 +238,7 @@ func (c *Cluster) Close() {
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
 // Migrations returns the number of VM migrations performed so far.
-func (c *Cluster) Migrations() int { return c.migrations }
+func (c *Cluster) Migrations() int { return c.migStats.Committed }
 
 // Evacuations returns the number of VMs moved off failed nodes so far
 // (every evacuation is also counted in Migrations).
@@ -298,20 +270,14 @@ func (c *Cluster) fitsResized(n *Node, old, tpl vm.Template) bool {
 	if c.cfg.Policy.Mode == placement.VirtualFrequency && tpl.FreqMHz > n.Spec().MaxMHz {
 		return false
 	}
-	return c.admits(n, n.used.Sub(loadOf(old)).Add(loadOf(tpl)))
+	return c.admits(n, used(n).Sub(loadOf(old)).Add(loadOf(tpl)))
 }
 
 // remaining returns the free CPU capacity of n in the policy's unit, for
-// the BestFit/WorstFit choice. It is also the node's key in the
-// free-capacity index: "remaining < demand" in the index prunes exactly
-// the nodes the admits capacity check would reject.
+// the BestFit/WorstFit choice.
 func (c *Cluster) remaining(n *Node) float64 {
-	return c.cfg.Policy.Headroom(capacityOf(n.Spec()), n.used)
+	return c.cfg.Policy.Headroom(capacityOf(n.Spec()), used(n))
 }
-
-// demand returns tpl's CPU demand in the policy's unit — the minimum
-// index key a node needs to pass the admits capacity check.
-func (c *Cluster) demand(tpl vm.Template) float64 { return c.cfg.Policy.CPU(loadOf(tpl)) }
 
 // Deploy admits a VM onto the cluster and provisions it. sources may be
 // nil (idle VM). It returns the chosen node index.
@@ -319,7 +285,7 @@ func (c *Cluster) Deploy(name string, tpl vm.Template, sources []workload.Source
 	if _, ok := c.locations[name]; ok {
 		return -1, fmt.Errorf("cluster: VM %q already deployed", name)
 	}
-	chosen, err := c.choose(tpl)
+	chosen, err := c.choose(c.cfg.Algorithm, tpl, -1)
 	if err != nil {
 		return -1, err
 	}
@@ -333,41 +299,28 @@ func (c *Cluster) Deploy(name string, tpl vm.Template, sources []workload.Source
 	return chosen, nil
 }
 
-// choose picks the admission target under the configured algorithm, or
-// -1 when no node fits. BestFit/WorstFit consult the free-capacity
-// index, an O(log N) search; FirstFit, which the index cannot help (it
-// orders by capacity, not node index), scans.
-func (c *Cluster) choose(tpl vm.Template) (int, error) {
-	switch c.cfg.Algorithm {
-	case placement.BestFit:
-		return c.index.Best(c.demand(tpl), func(id int) bool {
-			return c.fits(c.nodes[id], tpl)
-		}), nil
-	case placement.WorstFit:
-		return c.index.Worst(c.demand(tpl), func(id int) bool {
-			return c.fits(c.nodes[id], tpl)
-		}), nil
-	case placement.FirstFit:
-		for i, n := range c.nodes {
-			if !n.Failed && c.fits(n, tpl) {
-				return i, nil
-			}
-		}
-		return -1, nil
-	}
-	return -1, fmt.Errorf("cluster: unknown algorithm %v", c.cfg.Algorithm)
+// choose picks the node alg prefers for tpl among the non-failed nodes
+// other than exclude (-1 excludes none), or -1 when none fits.
+func (c *Cluster) choose(alg placement.Algorithm, tpl vm.Template, exclude int) (int, error) {
+	return placement.Choose(alg, len(c.nodes),
+		func(i int) bool { return i != exclude && !c.nodes[i].Failed && c.fits(c.nodes[i], tpl) },
+		func(i int) float64 { return c.remaining(c.nodes[i]) })
+}
+
+// bestTarget picks the BestFit migration target for tpl among the
+// non-failed nodes other than exclude, or -1.
+func (c *Cluster) bestTarget(tpl vm.Template, exclude int) int {
+	target, _ := c.choose(placement.BestFit, tpl, exclude) // BestFit is valid
+	return target
 }
 
 // provisionOn places the VM on a specific node, bypassing admission
-// (used by Deploy; Migrate runs its own prepare→commit bookkeeping).
+// (used by Deploy; Migrate runs its own prepare→commit sequence).
 func (c *Cluster) provisionOn(idx int, name string, tpl vm.Template, sources []workload.Source) error {
-	n := c.nodes[idx]
-	if _, err := n.Manager.Provision(name, tpl, sources); err != nil {
+	if _, err := c.nodes[idx].Manager.Provision(name, tpl, sources); err != nil {
 		return err
 	}
 	c.locations[name] = idx
-	n.used = n.used.Add(loadOf(tpl))
-	c.reindex(n)
 	return nil
 }
 
@@ -377,14 +330,10 @@ func (c *Cluster) Undeploy(name string) error {
 	if !ok {
 		return fmt.Errorf("cluster: no VM %q", name)
 	}
-	n := c.nodes[idx]
-	tpl := n.Manager.Get(name).Template()
-	if err := n.Manager.Destroy(name); err != nil {
+	if err := c.nodes[idx].Manager.Destroy(name); err != nil {
 		return err
 	}
 	delete(c.locations, name)
-	n.used = n.used.Sub(loadOf(tpl))
-	c.reindex(n)
 	return nil
 }
 
@@ -472,13 +421,8 @@ func (c *Cluster) Migrate(name string, target int) (moved bool, err error) {
 		}
 		return false, fmt.Errorf("cluster: migrating %q off node %d: %w", name, src, err)
 	}
-	from.used = from.used.Sub(loadOf(tpl))
-	c.reindex(from)
-	to.used = to.used.Add(loadOf(tpl))
-	c.reindex(to)
 	c.locations[name] = target
 	from.Ctrl.ForgetVM(name)
-	c.migrations++
 	c.migStats.Committed++
 	if c.met != nil {
 		c.met.migCommitted.Inc()
@@ -509,12 +453,7 @@ func (c *Cluster) Resize(name string, tpl vm.Template, srcs []workload.Source) e
 		return fmt.Errorf("cluster: node %d cannot host %q resized to %d vCPU @ %d MHz, %d GB",
 			idx, name, tpl.VCPUs, tpl.FreqMHz, tpl.MemoryGB)
 	}
-	if err := n.Manager.Reconfigure(name, tpl, srcs); err != nil {
-		return err
-	}
-	n.used = n.used.Sub(loadOf(old)).Add(loadOf(tpl))
-	c.reindex(n)
-	return nil
+	return n.Manager.Reconfigure(name, tpl, srcs)
 }
 
 // Overloaded returns the indices of nodes whose deployed guarantees
@@ -523,7 +462,7 @@ func (c *Cluster) Resize(name string, tpl vm.Template, srcs []workload.Source) e
 func (c *Cluster) Overloaded() []int {
 	var out []int
 	for i, n := range c.nodes {
-		if !c.admits(n, n.used) {
+		if !c.admits(n, used(n)) {
 			out = append(out, i)
 		}
 	}
@@ -544,7 +483,7 @@ func (c *Cluster) Rebalance() (int, error) {
 		n := c.nodes[idx]
 		// Move smallest-demand VMs first: they are the cheapest to
 		// migrate and often enough to restore feasibility.
-		for !c.admits(n, n.used) {
+		for !c.admits(n, used(n)) {
 			name := c.smallestVM(n)
 			if name == "" {
 				break
@@ -562,14 +501,6 @@ func (c *Cluster) Rebalance() (int, error) {
 		}
 	}
 	return moved, errors.Join(errs...)
-}
-
-// bestTarget picks the BestFit migration target for tpl among the
-// non-failed nodes other than exclude, or -1.
-func (c *Cluster) bestTarget(tpl vm.Template, exclude int) int {
-	return c.index.Best(c.demand(tpl), func(id int) bool {
-		return id != exclude && c.fits(c.nodes[id], tpl)
-	})
 }
 
 // smallestVM returns the deployed VM with the lowest vCPU·F demand.
@@ -653,10 +584,9 @@ func (c *Cluster) runStep(idx int) {
 //
 // When Config.FailThreshold is positive, Step additionally tracks
 // consecutive node-level failures: a node past the threshold is marked
-// failed, excluded from admission (and the free-capacity index), and
-// its VMs are evacuated to the surviving nodes under the same Eq. 7
-// constraint as initial placement. A failed node re-admits itself after
-// one clean Step.
+// failed, excluded from admission, and its VMs are evacuated to the
+// surviving nodes under the same Eq. 7 constraint as initial placement.
+// A failed node re-admits itself after one clean Step.
 func (c *Cluster) Step() error {
 	var t0 time.Time
 	if c.met != nil {
@@ -684,8 +614,7 @@ func (c *Cluster) Step() error {
 		}
 	}
 	// First sequential walk, in node-index order: join node errors
-	// deterministically, sum the per-node Health parts, and re-admit
-	// recovered nodes into the free-capacity index.
+	// deterministically and sum the per-node Health parts.
 	errs := c.errScratch[:0]
 	c.agg = nodeHealth{}
 	for _, n := range c.nodes {
@@ -693,26 +622,18 @@ func (c *Cluster) Step() error {
 			errs = append(errs, fmt.Errorf("cluster: node %d: %w", n.Index, n.LastErr))
 		}
 		c.agg = c.agg.add(n.healthPart)
-		if !n.Failed && !n.indexed {
-			c.reindex(n)
-		}
 	}
-	// Second sequential walk: mark nodes past the failure threshold
-	// (dropping them from the index) and evacuate their VMs. Marking
-	// and evacuating in the same ascending walk preserves the original
-	// semantics: evacuation from node i may still target a failing but
-	// not yet marked node j > i. FailedNodes is finalised here because
-	// it depends on the marks.
+	// Second sequential walk: mark nodes past the failure threshold and
+	// evacuate their VMs. Marking and evacuating in the same ascending
+	// walk preserves the original semantics: evacuation from node i may
+	// still target a failing but not yet marked node j > i. FailedNodes
+	// is finalised here because it depends on the marks.
 	c.lastEvacuated, c.lastStranded = 0, 0
 	failed := 0
 	for _, n := range c.nodes {
 		if c.cfg.FailThreshold > 0 {
-			if n.FailedSteps >= c.cfg.FailThreshold && !n.Failed {
+			if n.FailedSteps >= c.cfg.FailThreshold {
 				n.Failed = true
-				if n.indexed {
-					c.index.Remove(n.Index)
-					n.indexed = false
-				}
 			}
 			if n.Failed && len(n.Manager.List()) > 0 {
 				ev, str := c.evacuate(n)

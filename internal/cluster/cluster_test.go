@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vfreq/internal/host"
+	"vfreq/internal/placement"
 	"vfreq/internal/vm"
 	"vfreq/internal/workload"
 )
@@ -34,6 +35,9 @@ func TestNewValidation(t *testing.T) {
 	bad.Cores = 0
 	if _, err := New([]host.Spec{bad}, Config{}); err == nil {
 		t.Fatal("invalid node accepted")
+	}
+	if _, err := New([]host.Spec{host.Chetemi()}, Config{Algorithm: placement.Algorithm(9)}); err == nil {
+		t.Fatal("unknown algorithm accepted")
 	}
 }
 

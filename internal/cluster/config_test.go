@@ -171,8 +171,8 @@ func TestAdmissionOneRule(t *testing.T) {
 				pnFillX.Place(vmSpec(tpl), p)
 			}
 			pnFill.Place(vmSpec(fill), p)
-			if got, want := filled.nodes[0].used, pnFillX.Used(); got != want {
-				t.Fatalf("%+v: cluster bookkeeping %+v, placement %+v", p, got, want)
+			if got, want := used(filled.nodes[0]), pnFillX.Used(); got != want {
+				t.Fatalf("%+v: cluster load %+v, placement %+v", p, got, want)
 			}
 			for _, vcpus := range []int{1, 2, 3} {
 				for _, freq := range []int64{1499, 1500, 1501, 1999, 2000, 2001, spec.MaxMHz, spec.MaxMHz + 1} {

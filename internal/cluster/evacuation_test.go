@@ -65,8 +65,8 @@ func TestNodeFailureEvacuatesVMs(t *testing.T) {
 	}
 	// Eq. 7 on the target: the evacuated demand fits chiclet's capacity.
 	n1 := c.Nodes()[1]
-	if cap := int64(n1.Spec().Cores) * n1.Spec().MaxMHz; n1.used.FreqMHz > cap {
-		t.Fatalf("target overcommitted: %d MHz used > %d capacity", n1.used.FreqMHz, cap)
+	if cap := int64(n1.Spec().Cores) * n1.Spec().MaxMHz; used(n1).FreqMHz > cap {
+		t.Fatalf("target overcommitted: %d MHz used > %d capacity", used(n1).FreqMHz, cap)
 	}
 	// A failed node is excluded from admission…
 	if idx, err := c.Deploy("c", vm.Small(), busy(2)); err != nil {

@@ -179,9 +179,9 @@ func TestResizeReflectsInControllerGuarantee(t *testing.T) {
 	if got := len(st.VCPUs); got != 4 {
 		t.Fatalf("controller tracks %d vCPUs, want 4", got)
 	}
-	// The bookkeeping used by admission follows too.
-	if got := n.used.FreqMHz; got != 4*1200 {
-		t.Fatalf("used.FreqMHz = %d, want 4800", got)
+	// Admission sees the resized load too.
+	if got := used(n).FreqMHz; got != 4*1200 {
+		t.Fatalf("used(n).FreqMHz = %d, want 4800", got)
 	}
 	// Shrink back down.
 	if err := c.Resize("a", vm.Small(), nil); err != nil {

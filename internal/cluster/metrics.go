@@ -78,7 +78,7 @@ func (c *Cluster) ArmMetrics(reg *metrics.Registry) {
 	m.degraded = reg.Gauge("vfreq_cluster_degraded_vcpus", "Degraded vCPUs across the cluster.")
 	m.openVMs = reg.Gauge("vfreq_cluster_open_vms", "VMs behind an open breaker across the cluster.")
 	m.halfOpenVMs = reg.Gauge("vfreq_cluster_halfopen_vms", "VMs in the half-open breaker state across the cluster.")
-	m.lastMigrations = c.migrations
+	m.lastMigrations = c.migStats.Committed
 	for _, n := range c.nodes {
 		n.Ctrl.ArmMetrics(reg)
 	}
@@ -94,8 +94,8 @@ func (c *Cluster) recordStep(stepUs int64) {
 	m.steps.Inc()
 	m.evacuated.Add(int64(c.lastEvacuated))
 	m.stranded.Add(int64(c.lastStranded))
-	m.migrations.Add(int64(c.migrations - m.lastMigrations))
-	m.lastMigrations = c.migrations
+	m.migrations.Add(int64(c.migStats.Committed - m.lastMigrations))
+	m.lastMigrations = c.migStats.Committed
 	m.nodes.Set(int64(len(c.nodes)))
 	m.usedNodes.Set(int64(c.UsedNodes()))
 	m.failedNodes.Set(int64(h.FailedNodes))

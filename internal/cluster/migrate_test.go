@@ -203,7 +203,7 @@ func TestMigrateRollbackOnTargetProvisionFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	n0, n1 := c.Nodes()[0], c.Nodes()[1]
-	used := n0.used
+	before0 := used(n0)
 
 	moved, err := c.Migrate("a", 1)
 	if err == nil || moved {
@@ -212,16 +212,16 @@ func TestMigrateRollbackOnTargetProvisionFailure(t *testing.T) {
 	if !strings.Contains(err.Error(), "preparing") {
 		t.Fatalf("error %v does not name the prepare phase", err)
 	}
-	// Bit-identical pre-migration state: location, bookkeeping, index,
+	// Bit-identical pre-migration state: location, node loads,
 	// controller state, and no migration counted.
 	if c.Locate("a") != 0 {
 		t.Fatal("VM lost or moved after a failed prepare")
 	}
-	if got := n0.used; got != used {
-		t.Fatalf("source bookkeeping changed: %v, want %v", got, used)
+	if got := used(n0); got != before0 {
+		t.Fatalf("source load changed: %v, want %v", got, before0)
 	}
-	if n1.used != (placement.Load{}) || len(n1.VMs()) != 0 {
-		t.Fatalf("target bookkeeping dirtied: used=%+v deployed=%d", n1.used, len(n1.VMs()))
+	if used(n1) != (placement.Load{}) || len(n1.VMs()) != 0 {
+		t.Fatalf("target bookkeeping dirtied: used=%+v deployed=%d", used(n1), len(n1.VMs()))
 	}
 	if n1.Manager.Get("a") != nil {
 		t.Fatal("target manager kept a half-provisioned VM")

@@ -339,11 +339,47 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// Place runs the chosen algorithm: VMs are processed in the given order;
-// for each VM the algorithm picks a feasible node — the first (FirstFit),
+// Validate rejects an algorithm other than FirstFit, BestFit or WorstFit.
+func (a Algorithm) Validate() error {
+	if a < FirstFit || a > WorstFit {
+		return fmt.Errorf("placement: unknown algorithm %v", a)
+	}
+	return nil
+}
+
+// Choose is the node-choice rule of every packer here, offline and
+// online: among the nodes 0..n-1 for which fits holds, FirstFit takes the
+// first, BestFit the one with the least remaining capacity and WorstFit
+// the one with the most, the lowest index on ties. It returns -1 when no
+// node fits, and an error for an unknown algorithm before consulting any
+// node. remaining is asked only about fitting nodes, once each.
+func Choose(alg Algorithm, n int, fits func(int) bool, remaining func(int) float64) (int, error) {
+	if err := alg.Validate(); err != nil {
+		return -1, err
+	}
+	chosen, best := -1, 0.0
+	for i := 0; i < n; i++ {
+		if !fits(i) {
+			continue
+		}
+		if alg == FirstFit {
+			return i, nil
+		}
+		if r := remaining(i); chosen == -1 || (alg == BestFit && r < best) || (alg == WorstFit && r > best) {
+			chosen, best = i, r
+		}
+	}
+	return chosen, nil
+}
+
+// Place runs the chosen algorithm: VMs are processed in the given order
+// and each goes to the node Choose picks — the first feasible (FirstFit),
 // the fullest (BestFit) or the emptiest (WorstFit).
 func Place(alg Algorithm, nodes []NodeSpec, vms []VMSpec, p Policy) (*Result, error) {
 	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if err := alg.Validate(); err != nil {
 		return nil, err
 	}
 	res := &Result{Policy: p, Nodes: make([]*Node, len(nodes))}
@@ -357,29 +393,9 @@ func Place(alg Algorithm, nodes []NodeSpec, vms []VMSpec, p Policy) (*Result, er
 		if err := v.Validate(); err != nil {
 			return nil, err
 		}
-		chosen := -1
-		for i, node := range res.Nodes {
-			if !node.Fits(v, p) {
-				continue
-			}
-			switch alg {
-			case FirstFit:
-				chosen = i
-			case BestFit:
-				if chosen == -1 || node.Remaining(p) < res.Nodes[chosen].Remaining(p) {
-					chosen = i
-				}
-				continue
-			case WorstFit:
-				if chosen == -1 || node.Remaining(p) > res.Nodes[chosen].Remaining(p) {
-					chosen = i
-				}
-				continue
-			default:
-				return nil, fmt.Errorf("placement: unknown algorithm %v", alg)
-			}
-			break // FirstFit stops at the first feasible node
-		}
+		chosen, _ := Choose(alg, len(res.Nodes),
+			func(i int) bool { return res.Nodes[i].Fits(v, p) },
+			func(i int) float64 { return res.Nodes[i].Remaining(p) })
 		if chosen == -1 {
 			res.Unplaced = append(res.Unplaced, v)
 			continue

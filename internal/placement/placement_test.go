@@ -196,6 +196,54 @@ func TestUnplacedReported(t *testing.T) {
 	}
 }
 
+// TestChooseRule pins the one node-choice rule: FirstFit takes the first
+// fitting node whatever its headroom, BestFit the least and WorstFit the
+// most remaining capacity, ties to the lowest index, -1 when nothing fits,
+// and an unknown algorithm is an error even with no node to look at.
+func TestChooseRule(t *testing.T) {
+	remaining := []float64{5, 2, 9, 2, 9}
+	all := func(int) bool { return true }
+	none := func(int) bool { return false }
+	notFirst := func(i int) bool { return i != 0 }
+	for _, tc := range []struct {
+		alg  Algorithm
+		fits func(int) bool
+		n    int
+		want int
+	}{
+		{FirstFit, all, 5, 0},
+		{FirstFit, notFirst, 5, 1},
+		{BestFit, all, 5, 1},  // 1 and 3 tie at 2
+		{WorstFit, all, 5, 2}, // 2 and 4 tie at 9
+		{WorstFit, notFirst, 2, 1},
+		{FirstFit, none, 5, -1},
+		{BestFit, none, 5, -1},
+		{WorstFit, none, 5, -1},
+		{BestFit, all, 0, -1},
+	} {
+		got, err := Choose(tc.alg, tc.n, tc.fits, func(i int) float64 { return remaining[i] })
+		if err != nil || got != tc.want {
+			t.Errorf("Choose(%v, n=%d) = %d, %v; want %d", tc.alg, tc.n, got, err, tc.want)
+		}
+	}
+	for _, n := range []int{0, 5} {
+		asked := false
+		fits := func(int) bool { asked = true; return true }
+		if got, err := Choose(Algorithm(9), n, fits, nil); err == nil || got != -1 || asked {
+			t.Errorf("Choose(Algorithm(9), n=%d) = %d, %v, consulted nodes: %v; want -1, an error, none", n, got, err, asked)
+		}
+	}
+}
+
+// An unknown algorithm fails Place up front, also when no node would fit
+// (it used to return every VM unplaced then).
+func TestPlaceRejectsUnknownAlgorithm(t *testing.T) {
+	tiny := []NodeSpec{{Name: "tiny", Cores: 1, MaxFreqMHz: 2400, MemoryGB: 1}}
+	if _, err := Place(Algorithm(9), tiny, repeatVMs(large(), 2), Policy{Mode: CoreCount, Factor: 1}); err == nil {
+		t.Fatal("unknown algorithm accepted")
+	}
+}
+
 func TestSortDecreasing(t *testing.T) {
 	vms := []VMSpec{small(), large(), medium()}
 	SortDecreasing(vms)
