@@ -176,6 +176,7 @@ func run(id string, scale float64, csv bool, width int) error {
 			return err
 		}
 		fmt.Print(rep.Markdown())
+		fmt.Fprintf(os.Stderr, "report: %.1fs\n", rep.Elapsed.Seconds())
 		if rep.Passed() != len(rep.Checks) {
 			return fmt.Errorf("%d checks failed", len(rep.Checks)-rep.Passed())
 		}

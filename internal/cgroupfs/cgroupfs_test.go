@@ -1,6 +1,7 @@
 package cgroupfs
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -23,7 +24,7 @@ func newTree(t *testing.T, cores int) (*Tree, *sched.Scheduler, *memfs.FS) {
 func TestRootFilesExist(t *testing.T) {
 	_, _, fs := newTree(t, 2)
 	for _, f := range []string{"cpu.max", "cpu.max.burst", "cpu.stat", "cgroup.threads"} {
-		if !fs.Exists(DefaultMount + "/" + f) {
+		if _, err := fs.ReadFile(DefaultMount + "/" + f); err != nil {
 			t.Fatalf("missing root file %s", f)
 		}
 	}
@@ -41,7 +42,7 @@ func TestCreateGroupFiles(t *testing.T) {
 	if _, err := tree.CreateGroup("machine.slice/vm0"); err != nil {
 		t.Fatal(err)
 	}
-	if !fs.Exists(DefaultMount + "/machine.slice/vm0/cpu.max") {
+	if _, err := fs.ReadFile(DefaultMount + "/machine.slice/vm0/cpu.max"); err != nil {
 		t.Fatal("nested cpu.max missing")
 	}
 	// mkdir is not recursive.
@@ -51,7 +52,7 @@ func TestCreateGroupFiles(t *testing.T) {
 	if _, err := tree.CreateGroupAll("a/b/c"); err != nil {
 		t.Fatalf("CreateGroupAll: %v", err)
 	}
-	if !fs.Exists(DefaultMount + "/a/b/c/cpu.stat") {
+	if _, err := fs.ReadFile(DefaultMount + "/a/b/c/cpu.stat"); err != nil {
 		t.Fatal("CreateGroupAll did not create files")
 	}
 }
@@ -150,7 +151,7 @@ func TestRemoveGroupCleansUp(t *testing.T) {
 	if err := tree.RemoveGroup("vm"); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Exists(DefaultMount + "/vm") {
+	if _, err := fs.ReadFile(DefaultMount + "/vm"); !errors.Is(err, memfs.ErrNotExist) {
 		t.Fatal("directory survived removal")
 	}
 	if _, err := tree.Group("vm/vcpu0"); err == nil {

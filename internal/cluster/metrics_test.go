@@ -40,7 +40,11 @@ func TestClusterArmMetrics(t *testing.T) {
 
 	// Arming the cluster arms every node controller on the same
 	// registry, so the fleet-aggregated per-stage series exist too.
-	text := reg.Text()
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
 	for _, want := range []string{
 		"# TYPE vfreq_cluster_node_step_us histogram",
 		"vfreq_cluster_steps_total 4",

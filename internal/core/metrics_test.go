@@ -40,7 +40,11 @@ func TestArmMetricsRecordsSteps(t *testing.T) {
 
 	// The exposition must carry the per-stage series the acceptance
 	// criteria name.
-	text := reg.Text()
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
 	for _, want := range []string{
 		`vfreq_step_stage_us_count{stage="monitor"} 5`,
 		`vfreq_step_stage_us_count{stage="apply"} 5`,

@@ -40,19 +40,17 @@ func TestCachePenaltyScalesWithUtilisation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var work int64
 		th, err := m.StartThread("", "probe", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		th.OnRun = func(now, ran, freqMHz int64) { work += ran * freqMHz }
 		for i := 1; i < busyThreads; i++ {
 			if _, err := m.StartThread("", "noise", nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		m.Advance(2_000_000)
-		return work
+		return th.Cycles
 	}
 	alone := attained(1)
 	crowded := attained(4) // all 4 cores busy → u = 1
@@ -70,17 +68,15 @@ func TestZeroPenaltyUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var work int64
 	th, _ := m.StartThread("", "probe", nil)
-	th.OnRun = func(now, ran, freqMHz int64) { work += ran * freqMHz }
 	for i := 0; i < 3; i++ {
 		if _, err := m.StartThread("", "noise", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	m.Advance(1_000_000)
-	if work != 1_000_000*2400 {
-		t.Fatalf("work = %d, want exactly %d (no contention model)", work, int64(1_000_000)*2400)
+	if th.Cycles != 1_000_000*2400 {
+		t.Fatalf("work = %d, want exactly %d (no contention model)", th.Cycles, int64(1_000_000)*2400)
 	}
 }
 
@@ -93,9 +89,7 @@ func TestCacheContentionErodesVirtualFrequency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var work int64
 	th, _ := m.StartThread("", "victim", nil)
-	th.OnRun = func(now, ran, freqMHz int64) { work += ran * freqMHz }
 	for i := 0; i < 3; i++ {
 		if _, err := m.StartThread("", "noise", nil); err != nil {
 			t.Fatal(err)
@@ -105,7 +99,7 @@ func TestCacheContentionErodesVirtualFrequency(t *testing.T) {
 	if th.UsageUs != 4_000_000 { // full CPU time delivered
 		t.Fatalf("usage = %d, want full 4000000", th.UsageUs)
 	}
-	freq := float64(work) / 4_000_000
+	freq := float64(th.Cycles) / 4_000_000
 	if freq > 2000 { // but cycle rate well below the 2400 nominal
 		t.Fatalf("virtual frequency %.0f MHz not eroded by contention", freq)
 	}

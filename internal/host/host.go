@@ -254,27 +254,69 @@ func (m *Machine) StopThread(th *sched.Thread) error {
 
 // Step advances the machine by exactly one scheduler tick.
 func (m *Machine) Step() {
-	tick := m.TickUs
-	now := m.Sched.NowUs()
-	// Cache contention scales per-cycle throughput with the previous
-	// tick's machine utilisation (the contention the threads will meet).
-	slow := 1.0
-	if m.spec.CachePenalty > 0 {
-		u := m.Sched.Utilization()
-		slow = 1 - m.spec.CachePenalty*u*u
+	now, slow := m.Sched.NowUs(), m.slowdown()
+	m.account(now, m.Sched.Tick(m.TickUs), slow)
+}
+
+// Advance runs the machine for the given duration (rounded up to whole
+// ticks). At each window boundary with a whole window left it asks the
+// scheduler to repeat the window that ended there (sched.Repeat), and
+// accounts every tick of what was repeated as Step would have, in order;
+// Step is the one-tick twin of this loop.
+func (m *Machine) Advance(durationUs int64) {
+	for elapsed := int64(0); elapsed < durationUs; {
+		if n := m.Sched.Repeat(m.TickUs, (durationUs-elapsed)/sched.DefaultPeriodUs); n > 0 {
+			m.repeat(n)
+			elapsed += n * sched.DefaultPeriodUs
+			continue
+		}
+		m.Step()
+		elapsed += m.TickUs
 	}
-	allocs := m.Sched.Tick(tick)
-	// Account work at the frequency each core ran this tick. The
-	// governor output lags by one tick, as hardware DVFS does.
+}
+
+// repeat accounts the ticks of the windows Sched.Repeat just skipped, from
+// the allocations its ring recorded. The governor, the meter and the
+// cycles stay per tick: the governor's jitter does not repeat with the
+// window, so neither do the frequencies.
+func (m *Machine) repeat(windows int64) {
+	ticks := int(sched.DefaultPeriodUs / m.TickUs)
+	now := m.Sched.NowUs() - windows*sched.DefaultPeriodUs
+	for ; windows > 0; windows-- {
+		for k := 0; k < ticks; k++ {
+			slow := m.slowdown()
+			m.account(now, m.Sched.RepeatedTick(k), slow)
+			now += m.TickUs
+		}
+	}
+}
+
+// slowdown is the cache-contention factor of the next tick: per-cycle
+// throughput scaled by the previous tick's machine utilisation (the
+// contention the threads will meet).
+func (m *Machine) slowdown() float64 {
+	if m.spec.CachePenalty <= 0 {
+		return 1
+	}
+	u := m.Sched.Utilization()
+	return 1 - m.spec.CachePenalty*u*u
+}
+
+// account books one tick that started at now: each thread's cycles at the
+// frequency its core ran (the governor output lags by one tick, as
+// hardware DVFS does), then the meter and the governor.
+func (m *Machine) account(now int64, allocs []sched.Alloc, slow float64) {
 	for _, a := range allocs {
+		eff := int64(float64(m.DVFS.FreqMHz(a.Core)) * slow)
+		a.Thread.Cycles += a.RanUs * eff
 		if a.Thread.OnRun != nil {
-			eff := int64(float64(m.DVFS.FreqMHz(a.Core)) * slow)
 			a.Thread.OnRun(now, a.RanUs, eff)
 		}
 	}
 	// One pass over the cores yields what Sched.CoreUtilization,
 	// Sched.Utilization and DVFS.MeanMHz would each loop for, by the same
 	// expressions.
+	tick := m.TickUs
 	var busyUs, sumMHz int64
 	for c := range m.util {
 		l := m.Sched.CoreLoadUs(c)
@@ -285,12 +327,4 @@ func (m *Machine) Step() {
 	cores := int64(len(m.util))
 	m.Meter.Observe(float64(busyUs)/float64(tick*cores), float64(sumMHz)/float64(cores), tick)
 	m.DVFS.Update(m.util)
-}
-
-// Advance runs the machine for the given duration (rounded up to whole
-// ticks).
-func (m *Machine) Advance(durationUs int64) {
-	for elapsed := int64(0); elapsed < durationUs; elapsed += m.TickUs {
-		m.Step()
-	}
 }

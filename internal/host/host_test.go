@@ -1,11 +1,13 @@
 package host
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"vfreq/internal/cgroupfs"
 	"vfreq/internal/energy"
+	"vfreq/internal/memfs"
 	"vfreq/internal/procfs"
 	"vfreq/internal/sysfs"
 )
@@ -69,12 +71,10 @@ func TestThreadLifecycleAndWork(t *testing.T) {
 	if _, err := m.Cgroups.CreateGroup("vm"); err != nil {
 		t.Fatal(err)
 	}
-	var work int64
 	th, err := m.StartThread("vm", "CPU 0/KVM", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	th.OnRun = func(now, ran, freqMHz int64) { work += ran * freqMHz }
 	m.Advance(1_000_000)
 	if th.UsageUs != 1_000_000 {
 		t.Fatalf("usage = %d, want 1000000", th.UsageUs)
@@ -84,7 +84,7 @@ func TestThreadLifecycleAndWork(t *testing.T) {
 	// floor and stay under the turbo ceiling.
 	minWork := int64(1_000_000) * m.Spec().MinMHz
 	maxWork := int64(1_000_000) * m.Spec().TurboMHz
-	if work <= minWork || work > maxWork {
+	if work := th.Cycles; work <= minWork || work > maxWork {
 		t.Fatalf("work = %d, want in (%d, %d]", work, minWork, maxWork)
 	}
 	// /proc and cgroupfs views agree.
@@ -107,7 +107,7 @@ func TestThreadLifecycleAndWork(t *testing.T) {
 	if err := m.StopThread(th); err != nil {
 		t.Fatal(err)
 	}
-	if m.FS.Exists(fmt.Sprintf("/proc/%d", th.ID)) {
+	if _, err := m.FS.ReadFile(fmt.Sprintf("/proc/%d", th.ID)); !errors.Is(err, memfs.ErrNotExist) {
 		t.Fatal("proc entry survived StopThread")
 	}
 }

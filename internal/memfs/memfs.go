@@ -389,11 +389,3 @@ func (fs *FS) IsDir(p string) bool {
 	n, err := fs.lookup(p)
 	return err == nil && n.dir
 }
-
-// Exists reports whether p exists.
-func (fs *FS) Exists(p string) bool {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	_, err := fs.lookup(p)
-	return err == nil
-}

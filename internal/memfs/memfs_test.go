@@ -137,7 +137,7 @@ func TestRemoveAll(t *testing.T) {
 	if err := fs.RemoveAll("/d"); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Exists("/d") {
+	if _, err := fs.ReadFile("/d"); !errors.Is(err, ErrNotExist) {
 		t.Fatal("subtree still exists after RemoveAll")
 	}
 	// Removing a missing path is not an error.

@@ -53,6 +53,6 @@ func BenchmarkWriteText(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = r.Text()
+		_ = text(b, r)
 	}
 }

@@ -392,11 +392,3 @@ func writeSample(b *strings.Builder, name, suffix, labels, extra string, v int64
 	b.WriteString(strconv.FormatInt(v, 10))
 	b.WriteByte('\n')
 }
-
-// Text renders the registry as a string (WriteText into a builder) —
-// the convenience form used by the binaries' end-of-run dumps.
-func (r *Registry) Text() string {
-	var b strings.Builder
-	_ = r.WriteText(&b)
-	return b.String()
-}

@@ -1,12 +1,23 @@
 package metrics
 
 import (
+	"io"
 	"strings"
 	"sync"
 	"testing"
 
 	"vfreq/internal/raceflag"
 )
+
+// text renders r's exposition, failing tb if WriteText does.
+func text(tb testing.TB, r *Registry) string {
+	tb.Helper()
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		tb.Fatal(err)
+	}
+	return b.String()
+}
 
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
@@ -73,7 +84,7 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	// Bucket membership: le=10 → {5,10}; le=100 → +{11,99}; le=1000 →
 	// +{500}; +Inf → +{5000}. The exposition renders cumulative counts.
-	text := r.Text()
+	text := text(t, r)
 	for _, want := range []string{
 		`vfreq_lat_us_bucket{le="10"} 2`,
 		`vfreq_lat_us_bucket{le="100"} 4`,
@@ -127,11 +138,11 @@ func TestWriteTextDeterministic(t *testing.T) {
 		`vfreq_z_total 2`,
 	}, "\n") + "\n"
 
-	first := r.Text()
+	first := text(t, r)
 	if first != want {
 		t.Fatalf("exposition mismatch\n got:\n%s\nwant:\n%s", first, want)
 	}
-	if second := r.Text(); second != first {
+	if second := text(t, r); second != first {
 		t.Fatal("exposition must be deterministic across renders")
 	}
 }
@@ -148,7 +159,7 @@ func TestHistogramLabelOrderCanonical(t *testing.T) {
 func TestLabelValueEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("vfreq_esc_total", "h", Label{"path", `a"b\c` + "\nd"}).Inc()
-	text := r.Text()
+	text := text(t, r)
 	want := `vfreq_esc_total{path="a\"b\\c\nd"} 1`
 	if !strings.Contains(text, want+"\n") {
 		t.Fatalf("escaped exposition missing %q:\n%s", want, text)
@@ -187,7 +198,7 @@ func TestConcurrentRecording(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			_ = r.Text()
+			_ = r.WriteText(io.Discard)
 		}
 	}()
 	wg.Wait()

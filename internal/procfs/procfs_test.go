@@ -1,6 +1,7 @@
 package procfs
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -63,7 +64,7 @@ func TestUnregister(t *testing.T) {
 	if err := tab.Unregister(th.ID); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Exists(fmt.Sprintf("/proc/%d", th.ID)) {
+	if _, err := fs.ReadFile(fmt.Sprintf("/proc/%d", th.ID)); !errors.Is(err, memfs.ErrNotExist) {
 		t.Fatal("proc dir survived unregister")
 	}
 }

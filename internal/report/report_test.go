@@ -23,6 +23,23 @@ func TestRunAllChecksPass(t *testing.T) {
 	}
 }
 
+// Two runs render the same bytes. The fig6–fig9 checks each measure two
+// series, so a report that took their order from a map would differ
+// here in all but one of sixteen runs.
+func TestRowsDeterministic(t *testing.T) {
+	var md [2]string
+	for i := range md {
+		rep, err := Run(Options{Scale: 0.02, SkipEfficiency: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		md[i] = rep.Markdown()
+	}
+	if md[0] != md[1] {
+		t.Fatalf("two runs differ:\n%s\n%s", md[0], md[1])
+	}
+}
+
 func TestMarkdownRendering(t *testing.T) {
 	rep := &Report{Checks: []Check{
 		{Artefact: "fig7", Claim: "small ≈500", Measured: "499 MHz", Pass: true},

@@ -63,6 +63,7 @@ type replay struct {
 	groups  []*Group     // the tree in pre-order
 	weights []int64      // their weights at the last tick; a write to one voids every slot
 	slots   []replaySlot // one per tick of a window, none when dtUs is not replayed
+	last    snapshot     // the scheduler at the last window boundary Repeat passed (repeat.go)
 
 	gotHits, coreHits uint64 // ticks that replayed the allocation, and the placement too; only the tests read them
 }
@@ -77,9 +78,7 @@ type replay struct {
 // equal a value the outputs were not computed for).
 func (s *Scheduler) replayLookup(dtUs int64) (sl *replaySlot, gotHit, coreHit bool) {
 	r := &s.replay
-	if r.groups == nil || r.gen != s.gen || r.dtUs != dtUs || r.cores != s.Cores {
-		s.layoutReplay(dtUs)
-	}
+	s.layoutReplay(dtUs)
 	if len(r.slots) == 0 {
 		return nil, false, false
 	}
@@ -135,18 +134,21 @@ func narrow[T int16 | int32](v int64, fits *bool) T {
 	return n
 }
 
-// layoutReplay sizes an empty ring for the current tree and tick length:
-// fresh backing arrays of exactly the size needed, so a tree that shrank
-// gives its memory back.
+// layoutReplay sizes an empty ring for the current tree and tick length,
+// unless it is laid out for them already: fresh backing arrays of exactly
+// the size needed, so a tree that shrank gives its memory back.
 func (s *Scheduler) layoutReplay(dtUs int64) {
 	r := &s.replay
+	if r.groups != nil && r.gen == s.gen && r.dtUs == dtUs && r.cores == s.Cores {
+		return
+	}
 	r.gen, r.dtUs, r.cores = s.gen, dtUs, s.Cores
 	r.groups = appendPreorder(make([]*Group, 0, countGroups(s.root)), s.root)
 	r.weights = make([]int64, len(r.groups))
 	for i, g := range r.groups {
 		r.weights[i] = g.Weight
 	}
-	r.slots = nil
+	r.slots, r.last = nil, snapshot{}
 	n := DefaultPeriodUs / dtUs
 	if DefaultPeriodUs%dtUs != 0 || n > replayMaxTicks || dtUs > math.MaxInt16 || len(s.coreLoadUs) > math.MaxInt16 {
 		return
@@ -157,6 +159,7 @@ func (s *Scheduler) layoutReplay(dtUs int64) {
 	for i := range r.slots {
 		r.slots[i] = replaySlot{threads: threads[i*nt : (i+1)*nt], needs: needs[i*ng : (i+1)*ng]}
 	}
+	r.last = snapshot{groups: make([]groupSnap, ng), threads: make([]threadSnap, nt)}
 }
 
 func countGroups(g *Group) int {

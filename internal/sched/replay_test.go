@@ -20,9 +20,9 @@ import (
 //	drop the LastCPU comparison                     TestTickReplayKey/LastCPU
 //	drop the need comparison                        TestTickReplayKey/need
 //	drop the Weight comparison                      TestTickReplayKey/Weight
-//	drop `r.gen != s.gen` from the layout check     TestTickReplayKey/shape
-//	drop `r.dtUs != dtUs`                           TestTickReplayKey/dtUs
-//	drop `r.cores != s.Cores`                       TestTickReplayKey/Cores
+//	drop `r.gen == s.gen` from the layout check     TestTickReplayKey/shape
+//	drop `r.dtUs == dtUs`                           TestTickReplayKey/dtUs
+//	drop `r.cores == s.Cores`                       TestTickReplayKey/Cores
 //	skip settle when gotHit                         TestTickAgainstReferenceTableII
 //	replayCores sets Alloc.Core, not Thread.LastCPU TestTickAgainstReferenceTableII
 //	drop the check in narrow                        TestTickReplayKey/narrowing

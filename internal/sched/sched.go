@@ -43,12 +43,23 @@ type Thread struct {
 	// thread wants to run, in [0, 1]. Nil means always runnable at 1.
 	Demand func(nowUs, dtUs int64) float64
 
+	// Until returns how long Demand holds the level it has at nowUs, as
+	// workload.Source.Until does. Nil promises nothing, unless Demand is
+	// nil too. Repeat reads it; Tick does not.
+	Until func(nowUs int64) int64
+
 	// OnRun, if non-nil, is invoked after each tick with the time the
-	// thread actually ran and the frequency of the core it ran on.
+	// thread actually ran and the frequency of the core it ran on. The
+	// windows of a scheduler with such a thread are never repeated.
 	OnRun func(nowUs, ranUs int64, coreFreqMHz int64)
 
 	// UsageUs is the cumulative CPU time consumed, in microseconds.
 	UsageUs int64
+
+	// Cycles is the cumulative work the thread attained: per tick, the
+	// time it ran times the effective frequency of its core. The host
+	// that runs the scheduler keeps it; the scheduler never reads it.
+	Cycles int64
 
 	// LastCPU is the core the thread last ran on (-1 before first run).
 	LastCPU int
@@ -401,17 +412,7 @@ func (s *Scheduler) prepare(g *Group, dtUs int64) {
 	}
 	var want int64
 	for _, t := range g.Threads {
-		f := 1.0
-		if t.Demand != nil {
-			f = t.Demand(s.nowUs, dtUs)
-		}
-		if f < 0 {
-			f = 0
-		}
-		if f > 1 {
-			f = 1
-		}
-		t.want = int64(f * float64(dtUs))
+		t.want = t.demandUs(s.nowUs, dtUs)
 		t.got = 0
 		if t.want > 0 {
 			want += t.want
@@ -424,6 +425,21 @@ func (s *Scheduler) prepare(g *Group, dtUs int64) {
 		need += c.need
 	}
 	g.want, g.need, g.share = want, min(need, g.quotaRemaining()), 0
+}
+
+// demandUs is how much of the next dtUs the thread asks for.
+func (t *Thread) demandUs(nowUs, dtUs int64) int64 {
+	f := 1.0
+	if t.Demand != nil {
+		f = t.Demand(nowUs, dtUs)
+	}
+	if f < 0 {
+		f = 0
+	}
+	if f > 1 {
+		f = 1
+	}
+	return int64(f * float64(dtUs))
 }
 
 // quotaRemaining returns how much CPU time group g may still consume in

@@ -51,7 +51,7 @@ func TestReconfigureGrowsAndShrinks(t *testing.T) {
 			t.Fatalf("missing cgroup dir %s after grow", p)
 		}
 	}
-	if len(inst.vcpus) != 4 || len(inst.cycles) != 4 || len(inst.sources) != 4 {
+	if len(inst.vcpus) != 4 || len(inst.sources) != 4 {
 		t.Fatal("instance slices did not grow together")
 	}
 	// Existing vCPUs kept running state; new ones attain cycles.
@@ -68,7 +68,7 @@ func TestReconfigureGrowsAndShrinks(t *testing.T) {
 	if err := mg.Reconfigure("vm0", tpl, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(inst.vcpus) != 1 || len(inst.cycles) != 1 || len(inst.sources) != 1 {
+	if len(inst.vcpus) != 1 || len(inst.sources) != 1 {
 		t.Fatal("instance slices did not shrink together")
 	}
 	for j := 1; j < 4; j++ {

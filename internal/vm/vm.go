@@ -18,6 +18,13 @@ import (
 // Slice is the parent cgroup of all VM scopes, as created by libvirt.
 const Slice = "machine.slice"
 
+// emulator is the load of every VM's QEMU housekeeping thread, bound once
+// so provisioning does not allocate the two method values.
+var (
+	emulator                      = &workload.Constant{Level: 0.005}
+	emulatorDemand, emulatorUntil = emulator.Demand, emulator.Until
+)
+
 // Template is a VM flavour: the classic capacities plus the paper's
 // virtual frequency F_v.
 type Template struct {
@@ -58,7 +65,6 @@ type Instance struct {
 	vcpus    []*sched.Thread
 	emulator *sched.Thread
 	sources  []workload.Source
-	cycles   []int64 // attained cycles per vCPU
 }
 
 // ScopePath returns the libvirt-style scope cgroup path for a VM name.
@@ -121,7 +127,6 @@ func (mg *Manager) Provision(name string, tpl Template, srcs []workload.Source) 
 		// Sized here, once: regrown between the cgroup and thread
 		// allocations they scatter those, ≈ 3 % of a cluster_fleet step.
 		sources: make([]workload.Source, 0, tpl.VCPUs),
-		cycles:  make([]int64, 0, tpl.VCPUs),
 	}
 	if _, err := mg.machine.Cgroups.CreateGroupAll(inst.scope); err != nil {
 		return nil, err
@@ -135,10 +140,11 @@ func (mg *Manager) Provision(name string, tpl Template, srcs []workload.Source) 
 	if _, err := mg.machine.Cgroups.CreateGroup(emRel); err != nil {
 		return nil, err
 	}
-	em, err := mg.machine.StartThread(emRel, "qemu-system-x86", func(nowUs, dtUs int64) float64 { return 0.005 })
+	em, err := mg.machine.StartThread(emRel, "qemu-system-x86", emulatorDemand)
 	if err != nil {
 		return nil, err
 	}
+	em.Until = emulatorUntil
 	inst.emulator = em
 	mg.instances[name] = inst
 	mg.order = append(mg.order, name)
@@ -194,7 +200,6 @@ func (mg *Manager) Reconfigure(name string, tpl Template, srcs []workload.Source
 			}
 		}
 		inst.vcpus = inst.vcpus[:tpl.VCPUs]
-		inst.cycles = inst.cycles[:tpl.VCPUs]
 		inst.sources = inst.sources[:tpl.VCPUs]
 	}
 	inst.template = tpl
@@ -203,7 +208,9 @@ func (mg *Manager) Reconfigure(name string, tpl Template, srcs []workload.Source
 
 // addVCPU gives the instance its next vCPU: the cgroup, the thread in it
 // running src, and the instance's record of both. No source enters
-// inst.sources elsewhere, so the slice never shares a caller's array.
+// inst.sources elsewhere, so the slice never shares a caller's array. The
+// host counts the thread's cycles; a source that is an Accounter is told
+// of them as well.
 func (mg *Manager) addVCPU(inst *Instance, src workload.Source) error {
 	j := len(inst.vcpus)
 	rel := VCPUCgroup(inst.name, j)
@@ -214,12 +221,11 @@ func (mg *Manager) addVCPU(inst *Instance, src workload.Source) error {
 	if err != nil {
 		return err
 	}
-	inst.cycles = append(inst.cycles, 0)
-	inst.sources = append(inst.sources, src)
-	th.OnRun = func(nowUs, ranUs, freqMHz int64) {
-		inst.cycles[j] += ranUs * freqMHz
-		src.Account(nowUs, ranUs, freqMHz)
+	th.Until = src.Until
+	if a, ok := src.(workload.Accounter); ok {
+		th.OnRun = a.Account
 	}
+	inst.sources = append(inst.sources, src)
 	inst.vcpus = append(inst.vcpus, th)
 	return nil
 }
@@ -278,24 +284,26 @@ func (i *Instance) VCPUThread(j int) *sched.Thread { return i.vcpus[j] }
 
 // VCPUCycles returns the cumulative cycles attained by vCPU j — the
 // ground-truth virtual work, used to validate the controller's estimates.
-func (i *Instance) VCPUCycles(j int) int64 { return i.cycles[j] }
+func (i *Instance) VCPUCycles(j int) int64 { return i.vcpus[j].Cycles }
 
 // MeanVCPUFreqMHz returns the instance's average virtual frequency over a
 // window: (cycles now − cyclesBefore) / windowUs, averaged over vCPUs.
 func (i *Instance) MeanVCPUFreqMHz(cyclesBefore []int64, windowUs int64) float64 {
-	if windowUs <= 0 || len(cyclesBefore) != len(i.cycles) {
+	if windowUs <= 0 || len(cyclesBefore) != len(i.vcpus) {
 		return 0
 	}
 	var sum float64
-	for j := range i.cycles {
-		sum += float64(i.cycles[j]-cyclesBefore[j]) / float64(windowUs)
+	for j, th := range i.vcpus {
+		sum += float64(th.Cycles-cyclesBefore[j]) / float64(windowUs)
 	}
-	return sum / float64(len(i.cycles))
+	return sum / float64(len(i.vcpus))
 }
 
 // SnapshotCycles copies the current per-vCPU cycle counters.
 func (i *Instance) SnapshotCycles() []int64 {
-	out := make([]int64, len(i.cycles))
-	copy(out, i.cycles)
+	out := make([]int64, len(i.vcpus))
+	for j, th := range i.vcpus {
+		out[j] = th.Cycles
+	}
 	return out
 }

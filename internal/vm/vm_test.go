@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"path"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"vfreq/internal/cgroupfs"
 	"vfreq/internal/host"
+	"vfreq/internal/memfs"
 	"vfreq/internal/workload"
 )
 
@@ -216,10 +218,10 @@ func TestDestroyCleansUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := mg.Machine().FS
-	if fs.Exists(cgroupfs.DefaultMount + "/" + ScopePath("vm0")) {
+	if _, err := fs.ReadFile(cgroupfs.DefaultMount + "/" + ScopePath("vm0")); !errors.Is(err, memfs.ErrNotExist) {
 		t.Fatal("scope cgroup survived destroy")
 	}
-	if fs.Exists(fmt.Sprintf("/proc/%d", tid)) {
+	if _, err := fs.ReadFile(fmt.Sprintf("/proc/%d", tid)); !errors.Is(err, memfs.ErrNotExist) {
 		t.Fatal("proc entry survived destroy")
 	}
 	if mg.Get("vm0") != nil || len(mg.List()) != 0 {

@@ -102,12 +102,12 @@ func (b *Bench) Results() []RunResult { return b.results }
 // Threads returns the worker count.
 func (b *Bench) Threads() int { return b.threads }
 
-// Thread returns the Source driving worker i.
-func (b *Bench) Thread(i int) Source {
+// Thread returns worker i's source.
+func (b *Bench) Thread(i int) *BenchThread {
 	if i < 0 || i >= b.threads {
 		panic(fmt.Sprintf("workload: thread index %d out of range", i))
 	}
-	return &benchThread{b: b, idx: i}
+	return &BenchThread{b: b, idx: i}
 }
 
 // Sources returns one Source per worker thread.
@@ -126,12 +126,15 @@ func (b *Bench) startRun(nowUs int64) {
 	}
 }
 
-type benchThread struct {
+// BenchThread is one worker of a Bench: a Source and an Accounter, whose
+// demand follows the work it is told it did.
+type BenchThread struct {
 	b   *Bench
 	idx int
 }
 
-func (t *benchThread) Demand(nowUs, dtUs int64) float64 {
+// Demand implements Source.
+func (t *BenchThread) Demand(nowUs, dtUs int64) float64 {
 	b := t.b
 	if nowUs < b.startUs || b.Done() {
 		return 0
@@ -149,7 +152,12 @@ func (t *benchThread) Demand(nowUs, dtUs int64) float64 {
 	return b.waitDemand // finished, waiting at the barrier
 }
 
-func (t *benchThread) Account(nowUs, ranUs, freqMHz int64) {
+// Until implements Source. It promises nothing: the level moves when a
+// run's work completes, which only Account learns.
+func (t *BenchThread) Until(nowUs int64) int64 { return nowUs }
+
+// Account implements Accounter.
+func (t *BenchThread) Account(nowUs, ranUs, freqMHz int64) {
 	b := t.b
 	if !b.started || b.Done() || nowUs < b.dipUntil {
 		return

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -10,9 +11,8 @@ func TestConstant(t *testing.T) {
 	if d := c.Demand(0, 10_000); d != 0.4 {
 		t.Fatalf("demand = %v", d)
 	}
-	c.Account(0, 1000, 2400)
-	if c.CyclesDone != 2_400_000 {
-		t.Fatalf("cycles = %d, want 2400000", c.CyclesDone)
+	if u := c.Until(123); u != Forever {
+		t.Fatalf("horizon = %d, want Forever", u)
 	}
 	if Idle().Demand(0, 1) != 0 || Busy().Demand(0, 1) != 1 {
 		t.Fatal("Idle/Busy levels wrong")
@@ -58,15 +58,15 @@ func TestDelayed(t *testing.T) {
 	if d.Demand(500, 1) != 1 {
 		t.Fatal("did not run at start")
 	}
-	inner := &Constant{Level: 1}
-	dd := &Delayed{StartUs: 100, Inner: inner}
-	dd.Account(50, 10, 1000) // before start: dropped
-	if inner.CyclesDone != 0 {
-		t.Fatal("accounted before start")
+	if u := d.Until(100); u != 500 {
+		t.Fatalf("idle until %d, want the start 500", u)
 	}
-	dd.Account(150, 10, 1000)
-	if inner.CyclesDone != 10_000 {
-		t.Fatalf("cycles = %d", inner.CyclesDone)
+	if u := d.Until(700); u != Forever {
+		t.Fatalf("busy until %d, want Forever", u)
+	}
+	tr := &Delayed{StartUs: 1000, Inner: &Trace{Samples: []float64{0, 1, 0}, StepUs: 100}}
+	if u := tr.Until(1150); u != 1200 {
+		t.Fatalf("trace phase ends at %d, want 1200: the inner horizon shifted by the start", u)
 	}
 }
 
@@ -227,11 +227,10 @@ func TestQuickBenchCompletion(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		srcs := b.Sources()
 		now := int64(0)
 		for !b.Done() && now < 1_000_000 {
-			for _, s := range srcs {
-				if s.Demand(now, 2) == 1 {
+			for i := 0; i < threads; i++ {
+				if s := b.Thread(i); s.Demand(now, 2) == 1 {
 					s.Account(now, 2, 1500)
 				}
 			}
@@ -255,5 +254,58 @@ func TestQuickBenchCompletion(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: Until never promises too much. For every source in this
+// package, Demand at any t in [now, Until(now)) equals Demand at now; the
+// last promised microsecond is always among the samples, since a horizon
+// one step too late fails there first.
+func TestUntilNeverPromisesTooMuch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	level := func() float64 { return float64(rng.Intn(5)) / 4 }
+	period := func() int64 { return []int64{0, 1, 7, 100, 30_000, 100_000, 1_000_000}[rng.Intn(7)] }
+	var sources []Source
+	for i := 0; i < 400; i++ {
+		var src Source
+		switch i % 5 {
+		case 0:
+			src = &Constant{Level: level()}
+		case 1:
+			src = &Bursty{PeriodUs: period(), Duty: []float64{0, 0.3, 0.5, 1.0 / 3, 1, 1.5}[rng.Intn(6)],
+				High: level(), Low: level(), PhaseUs: rng.Int63n(200_000)}
+		case 2:
+			samples := make([]float64, rng.Intn(5))
+			for j := range samples {
+				samples[j] = level()
+			}
+			src = &Trace{Samples: samples, StepUs: period()}
+		case 3:
+			src = &Delayed{StartUs: rng.Int63n(500_000), Inner: &Trace{Samples: []float64{level(), level(), level()}, StepUs: period()}}
+		case 4:
+			b, err := NewOpenSSL(1, 1000+rng.Int63n(100_000), 2, rng.Int63n(100_000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src = b.Thread(0)
+		}
+		sources = append(sources, src)
+	}
+	for i, src := range sources {
+		for k := 0; k < 20; k++ {
+			now := rng.Int63n(3_000_000)
+			u := src.Until(now)
+			if u < now {
+				t.Fatalf("source %d (%T %+v): Until(%d) = %d lies in the past", i, src, src, now, u)
+			}
+			end := min(u, now+10_000_000) // Forever is sampled over ten seconds
+			want := src.Demand(now, 10_000)
+			for _, at := range []int64{now, end - 1, now + rng.Int63n(max(end-now, 1))} {
+				if at < end && src.Demand(at, 10_000) != want {
+					t.Fatalf("source %d (%T %+v): Until(%d) = %d, but Demand(%d) = %v differs from %v",
+						i, src, src, now, u, at, src.Demand(at, 10_000), want)
+				}
+			}
+		}
 	}
 }
