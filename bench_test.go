@@ -322,51 +322,41 @@ func BenchmarkPlacement(b *testing.B) {
 
 // Dynamic cluster (extension of §IV-C): the same Poisson arrival stream
 // admitted under the classic and Eq. 7 constraints — node and energy
-// savings over time. Run both sequentially and with parallel node
-// stepping; the reported metrics are identical, only wall-clock moves.
+// savings over time.
 func BenchmarkDynamicCluster(b *testing.B) {
-	for _, workers := range []int{1, 0} {
-		name := "sequential"
-		if workers == 0 {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			spec := host.Chetemi()
-			spec.Cores = 8
-			nodes := make([]host.Spec, 6)
-			for i := range nodes {
-				nodes[i] = spec
-			}
-			base := experiments.DynamicClusterExperiment{
-				Nodes:             nodes,
-				ArrivalsPerStep:   1.2,
-				MeanLifetimeSteps: 10,
-				Steps:             40,
-				Seed:              42,
-				StepWorkers:       workers,
-			}
-			var eq7Nodes, classicNodes, eq7kJ, classickJ float64
-			for i := 0; i < b.N; i++ {
-				e := base
-				e.Policy = placement.Policy{Mode: placement.VirtualFrequency, Factor: 1, Memory: true}
-				r, err := e.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				eq7Nodes, eq7kJ = r.MeanUsedNodes, r.ActiveEnergyJ/1000
-				e.Policy = placement.Policy{Mode: placement.CoreCount, Factor: 1, Memory: true}
-				r, err = e.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				classicNodes, classickJ = r.MeanUsedNodes, r.ActiveEnergyJ/1000
-			}
-			b.ReportMetric(eq7Nodes, "nodes_eq7")
-			b.ReportMetric(classicNodes, "nodes_classic")
-			b.ReportMetric(eq7kJ, "energy_eq7_kJ")
-			b.ReportMetric(classickJ, "energy_classic_kJ")
-		})
+	spec := host.Chetemi()
+	spec.Cores = 8
+	nodes := make([]host.Spec, 6)
+	for i := range nodes {
+		nodes[i] = spec
 	}
+	base := experiments.DynamicClusterExperiment{
+		Nodes:             nodes,
+		ArrivalsPerStep:   1.2,
+		MeanLifetimeSteps: 10,
+		Steps:             40,
+		Seed:              42,
+	}
+	var eq7Nodes, classicNodes, eq7kJ, classickJ float64
+	for i := 0; i < b.N; i++ {
+		e := base
+		e.Policy = placement.Policy{Mode: placement.VirtualFrequency, Factor: 1, Memory: true}
+		r, err := e.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		eq7Nodes, eq7kJ = r.MeanUsedNodes, r.ActiveEnergyJ/1000
+		e.Policy = placement.Policy{Mode: placement.CoreCount, Factor: 1, Memory: true}
+		r, err = e.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		classicNodes, classickJ = r.MeanUsedNodes, r.ActiveEnergyJ/1000
+	}
+	b.ReportMetric(eq7Nodes, "nodes_eq7")
+	b.ReportMetric(classicNodes, "nodes_classic")
+	b.ReportMetric(eq7kJ, "energy_eq7_kJ")
+	b.ReportMetric(classickJ, "energy_classic_kJ")
 }
 
 // Controller overhead — the paper's 5 ms/4 ms measurement, reported per

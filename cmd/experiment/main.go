@@ -37,10 +37,6 @@ import (
 // is armed on it. Served at -metrics-addr and dumped by -metrics-dump.
 var metricsReg = metrics.NewRegistry()
 
-// stepWorkers is the one concurrency knob (flag): results are identical
-// at any setting, only wall-clock moves.
-var stepWorkers int
-
 // Chaos soak knobs (flags), used by the "chaos" artefact only.
 var (
 	chaosSteps     int
@@ -55,8 +51,6 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "time scale of the simulation (1 = the paper's full durations)")
 	csv := flag.Bool("csv", false, "print raw series as CSV instead of charts")
 	width := flag.Int("width", 72, "chart width")
-	flag.IntVar(&stepWorkers, "step-workers", -1,
-		"cluster step worker-pool size for the dynamic experiment (0 = GOMAXPROCS, 1 = serial; -1 keeps the serial default)")
 	flag.IntVar(&rebalanceEvery, "rebalance-every", 0,
 		"steps between rebalance sweeps in the dynamic experiment (0 = never); sweeps live-migrate VMs off overloaded nodes, carrying controller state")
 	flag.IntVar(&chaosSteps, "chaos-steps", 5000, "fault-phase length of the chaos soak")
@@ -349,10 +343,6 @@ func placementTable() error {
 // workload admitted under the classic and the Eq. 7 constraints, with
 // idle nodes powered off.
 func dynamicTable() error {
-	workers := 1
-	if stepWorkers >= 0 {
-		workers = stepWorkers
-	}
 	base := experiments.DynamicClusterExperiment{
 		Nodes:             experimentsDynamicNodes(),
 		ArrivalsPerStep:   1.2,
@@ -360,7 +350,6 @@ func dynamicTable() error {
 		Steps:             60,
 		Seed:              42,
 		FailThreshold:     3,
-		StepWorkers:       workers,
 		RebalanceEvery:    rebalanceEvery,
 		Metrics:           metricsReg,
 	}
@@ -383,8 +372,8 @@ func dynamicTable() error {
 		fmt.Printf("  %-28s %-9d %-9d %-10.2f %-12.1f %-12.1f\n",
 			c.label, res.Deployed, res.Rejected, res.MeanUsedNodes,
 			res.ActiveEnergyJ/1000, res.AlwaysOnEnergyJ/1000)
-		fmt.Printf("    cluster step: mean %.0f µs, max %d µs (workers %s)\n",
-			res.MeanStepUs, res.MaxStepUs, describeWorkers(workers))
+		fmt.Printf("    cluster step: mean %.0f µs, max %d µs\n",
+			res.MeanStepUs, res.MaxStepUs)
 		if res.Faults > 0 || res.DegradedVCPUSteps > 0 {
 			fmt.Printf("    degradation: %d faults, %d degraded vCPU-steps\n",
 				res.Faults, res.DegradedVCPUSteps)
@@ -399,14 +388,6 @@ func dynamicTable() error {
 		}
 	}
 	return nil
-}
-
-// describeWorkers renders a StepWorkers value for humans.
-func describeWorkers(workers int) string {
-	if workers == 0 {
-		return "auto"
-	}
-	return fmt.Sprintf("%d", workers)
 }
 
 // experimentsDynamicNodes is a 6-node rack of 8-core machines.

@@ -15,10 +15,11 @@ var update = flag.Bool("update", false, "rewrite the golden CSV files under test
 
 // goldenScenarios are the three vfctl modes pinned by golden files:
 // static (monitoring only), dynamic (control on, seeded fault
-// injection, serial monitor) and cluster (3 nodes, serial step pool).
-// Everything in the scenarios is seeded, so the CSV is bit-identical
-// run to run — except the cluster mode's wall-clock cluster_step_us
-// column, which the test normalises away.
+// injection) and cluster (3 nodes on the default step pool). Everything
+// in the scenarios is seeded, and a cluster Step is bit-identical at any
+// pool size, so the CSV is bit-identical run to run — except the cluster
+// mode's wall-clock cluster_step_us column, which the test normalises
+// away.
 var goldenScenarios = []struct {
 	name string
 	sc   Scenario
@@ -54,11 +55,10 @@ var goldenScenarios = []struct {
 	{
 		name: "cluster",
 		sc: Scenario{
-			Node:        "chetemi",
-			DurationS:   20,
-			Control:     true,
-			Nodes:       3,
-			StepWorkers: 1,
+			Node:      "chetemi",
+			DurationS: 20,
+			Control:   true,
+			Nodes:     3,
 			VMs: []ScenarioVM{
 				{Name: "web", VCPUs: 2, FreqMHz: 500, MemoryGB: 2, Workload: "busy"},
 				{Name: "batch", VCPUs: 4, FreqMHz: 1800, MemoryGB: 8, Workload: "busy"},

@@ -11,9 +11,9 @@
 // Cluster mode: a scenario with "nodes": N (N ≥ 2) boots N identical
 // simulated machines, admits the VMs across them under the Eq. 7
 // constraint and steps the whole cluster every period on a persistent
-// worker pool ("step_workers" or -step-workers; 0 = GOMAXPROCS). The
-// CSV then carries cluster-level columns, including cluster_step_us —
-// the wall time of each cluster step.
+// worker pool of GOMAXPROCS goroutines. The CSV then carries
+// cluster-level columns, including cluster_step_us — the wall time of
+// each cluster step.
 //
 // Crash recovery: with -checkpoint the controller persists its state
 // (credits, caps, consumption histories) atomically every
@@ -70,11 +70,8 @@ type Scenario struct {
 	// the spec above), admits the scenario VMs across them under the
 	// Eq. 7 constraint, and steps the whole cluster every period; the CSV
 	// then carries cluster-level columns, including cluster_step_us — the
-	// wall time of each cluster Step. StepWorkers sizes the cluster's
-	// persistent step worker pool (0 = GOMAXPROCS, 1 = serial; results
-	// are identical at any setting). The -step-workers flag overrides it.
-	Nodes       int `json:"nodes,omitempty"`
-	StepWorkers int `json:"step_workers,omitempty"`
+	// wall time of each cluster Step.
+	Nodes int `json:"nodes,omitempty"`
 	// RebalanceEvery sweeps overloaded nodes every that many periods
 	// (cluster mode only; 0 = never). Each sweep live-migrates VMs off
 	// Eq. 7-infeasible nodes, carrying their controller state — credit
@@ -157,8 +154,6 @@ func main() {
 	resume := flag.Bool("resume", false, "restore controller state from -checkpoint before the first period")
 	example := flag.Bool("example", false, "print an example scenario and exit")
 	linux := flag.Bool("linux", false, "drive the real host via cgroup v2 instead of the simulator")
-	stepWorkers := flag.Int("step-workers", -1,
-		"cluster step worker-pool size (0 = GOMAXPROCS, 1 = serial; -1 defers to the scenario; needs nodes >= 2)")
 	rebalanceEvery := flag.Int("rebalance-every", -1,
 		"periods between cluster rebalance sweeps (0 = never; -1 defers to the scenario; needs nodes >= 2)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -204,12 +199,9 @@ func main() {
 	}
 	if err := validateMode(sc, modeFlags{
 		linux: *linux, csv: *csvPath, snapshot: *snapPath, checkpoint: *ckptPath,
-		stepWorkers: *stepWorkers, rebalanceEvery: *rebalanceEvery,
+		rebalanceEvery: *rebalanceEvery,
 	}); err != nil {
 		fatal(err)
-	}
-	if *stepWorkers >= 0 {
-		sc.StepWorkers = *stepWorkers
 	}
 	if *rebalanceEvery >= 0 {
 		sc.RebalanceEvery = *rebalanceEvery
@@ -250,9 +242,9 @@ func main() {
 // modeFlags are the command-line flags that only some run modes honour,
 // as given: "" and -1 mean the flag was not set.
 type modeFlags struct {
-	linux                       bool
-	csv, snapshot, checkpoint   string
-	stepWorkers, rebalanceEvery int
+	linux                     bool
+	csv, snapshot, checkpoint string
+	rebalanceEvery            int
 }
 
 // validateMode rejects every scenario field and flag the selected mode —
@@ -281,9 +273,7 @@ func validateMode(sc Scenario, f modeFlags) error {
 		{"scenario field fault_delay_us", sc.FaultDelayUs != 0, sim},
 		{"scenario field fault_sites", len(sc.FaultSites) != 0, sim},
 		{"scenario field fault_seed", sc.FaultSeed != 0, sim},
-		{"scenario field step_workers", sc.StepWorkers != 0, clusterSim},
 		{"scenario field rebalance_every", sc.RebalanceEvery != 0, clusterSim},
-		{"flag -step-workers", f.stepWorkers >= 0, clusterSim},
 		{"flag -rebalance-every", f.rebalanceEvery >= 0, clusterSim},
 		{"flag -csv", f.csv != "", sim | clusterSim},
 		{"flag -snapshot", f.snapshot != "", sim},
@@ -657,7 +647,7 @@ func runSim(sc Scenario, csvPath, snapPath string, ck checkpointOpts, reg *metri
 // Eq. 7 constraint, every period steps all node controllers on the
 // cluster's worker pool, and the CSV reports cluster-level health plus
 // cluster_step_us — the wall time of each cluster Step, the
-// decision-latency figure the pool and the placement index bound.
+// decision-latency figure the step pool bounds.
 func runSimCluster(sc Scenario, csvPath string, reg *metrics.Registry) error {
 	spec, err := nodeSpec(sc)
 	if err != nil {
@@ -668,8 +658,7 @@ func runSimCluster(sc Scenario, csvPath string, reg *metrics.Registry) error {
 		specs[i] = spec
 	}
 	cl, err := cluster.New(specs, cluster.Config{
-		Controller:  controllerConfig(sc),
-		StepWorkers: sc.StepWorkers,
+		Controller: controllerConfig(sc),
 		// One unreachable period per node is rare in simulation; three
 		// in a row marks the node failed and evacuates it, matching the
 		// dynamic experiment.

@@ -25,7 +25,7 @@ func TestExampleScenarioParses(t *testing.T) {
 // A scenario naming a knob that does not exist — removed, or misspelt —
 // must be refused with the field named, not run under other settings.
 func TestScenarioRejectsUnknownFields(t *testing.T) {
-	for _, field := range []string{"auction_shards", "estimate_shards", "monitor_workers"} {
+	for _, field := range []string{"auction_shards", "estimate_shards", "monitor_workers", "step_workers"} {
 		raw := fmt.Sprintf(`{"node": "chetemi", "duration_s": 5, %q: 4, "vms": []}`, field)
 		_, err := parseScenario([]byte(raw))
 		if err == nil || !strings.Contains(err.Error(), field) {
@@ -41,7 +41,7 @@ func TestScenarioRejectsUnknownFields(t *testing.T) {
 // the field or flag and the mode named, one row per combination; each
 // mode accepts everything it does read.
 func TestValidateMode(t *testing.T) {
-	none := modeFlags{stepWorkers: -1, rebalanceEvery: -1}
+	none := modeFlags{rebalanceEvery: -1}
 	with := func(edit func(*modeFlags)) modeFlags {
 		f := none
 		edit(&f)
@@ -57,8 +57,8 @@ func TestValidateMode(t *testing.T) {
 	}{
 		{"sim accepts faults, -csv, -snapshot, -checkpoint", faults,
 			with(func(f *modeFlags) { f.csv, f.snapshot, f.checkpoint = "o.csv", "s.json", "c.json" }), nil},
-		{"cluster accepts its knobs and -csv", Scenario{Nodes: 2, StepWorkers: 2, RebalanceEvery: 5},
-			with(func(f *modeFlags) { f.csv, f.stepWorkers, f.rebalanceEvery = "o.csv", 0, 0 }), nil},
+		{"cluster accepts its knobs and -csv", Scenario{Nodes: 2, RebalanceEvery: 5},
+			with(func(f *modeFlags) { f.csv, f.rebalanceEvery = "o.csv", 0 }), nil},
 		{"linux accepts -checkpoint", Scenario{HostRetries: 2},
 			with(func(f *modeFlags) { f.linux, f.checkpoint = true, "c.json" }), nil},
 
@@ -77,10 +77,8 @@ func TestValidateMode(t *testing.T) {
 		{"linux fault_seed", Scenario{FaultSeed: 3}, linux, []string{"fault_seed", "-linux"}},
 		{"linux -csv", Scenario{}, with(func(f *modeFlags) { f.linux, f.csv = true, "o.csv" }), []string{"-csv", "-linux"}},
 		{"linux -snapshot", Scenario{}, with(func(f *modeFlags) { f.linux, f.snapshot = true, "s.json" }), []string{"-snapshot", "-linux"}},
-		{"linux step_workers", Scenario{StepWorkers: 2}, linux, []string{"step_workers", "-linux"}},
-		{"sim step_workers", Scenario{Nodes: 1, StepWorkers: 2}, none, []string{"step_workers", "single-node"}},
+		{"linux rebalance_every", Scenario{RebalanceEvery: 5}, linux, []string{"rebalance_every", "-linux"}},
 		{"sim rebalance_every", Scenario{RebalanceEvery: 5}, none, []string{"rebalance_every", "single-node"}},
-		{"sim -step-workers", Scenario{}, with(func(f *modeFlags) { f.stepWorkers = 0 }), []string{"-step-workers", "single-node"}},
 		{"sim -rebalance-every", Scenario{}, with(func(f *modeFlags) { f.rebalanceEvery = 3 }), []string{"-rebalance-every", "single-node"}},
 	} {
 		err := validateMode(tc.sc, tc.flags)

@@ -6,10 +6,8 @@ import (
 	"math/rand"
 
 	"vfreq/internal/cluster"
-	"vfreq/internal/core"
 	"vfreq/internal/host"
 	"vfreq/internal/vm"
-	"vfreq/internal/workload"
 )
 
 // ClusterOptions tunes one cluster migration soak: randomized live
@@ -73,28 +71,9 @@ var errBlackout = errors.New("chaos: node blackout")
 // ClusterSoak runs the cluster migration soak and returns its summary;
 // any invariant violation aborts the run with an error naming the step.
 func ClusterSoak(o ClusterOptions) (ClusterResult, error) {
-	if o.Steps <= 0 {
-		o.Steps = 500
-	}
-	if o.Nodes <= 0 {
-		o.Nodes = 3
-	}
-	if o.Nodes > 8 {
-		o.Nodes = 8
-	}
-	if o.VMs <= 0 {
-		o.VMs = 6
-	}
-	if o.VMs > 16 {
-		o.VMs = 16
-	}
-	if o.EpochSteps <= 0 {
-		o.EpochSteps = 25
-	}
-	logf := o.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+	o.Steps, o.Nodes, o.VMs = option(o.Steps, 500, 0), option(o.Nodes, 3, 8), option(o.VMs, 6, 16)
+	o.EpochSteps = option(o.EpochSteps, 25, 0)
+	logf := logger(o.Logf)
 
 	specs := make([]host.Spec, o.Nodes)
 	for i := range specs {
@@ -103,15 +82,8 @@ func ClusterSoak(o ClusterOptions) (ClusterResult, error) {
 		s.Cores = 8 // 19200 MHz of Eq. 7 capacity per node
 		specs[i] = s
 	}
-	cfg := soakConfig(o.Seed)
-	if o.Quiet {
-		cfg.CallBudgetUs = 0
-	}
-	cl, err := cluster.New(specs, cluster.Config{
-		Controller:    cfg,
-		FailThreshold: 2,
-		StepWorkers:   1, // serial stepping: the whole run replays from the seed
-	})
+	cfg := soakConfig(o.Seed, o.Quiet)
+	cl, err := cluster.New(specs, cluster.Config{Controller: cfg, FailThreshold: 2})
 	if err != nil {
 		return ClusterResult{}, err
 	}
@@ -119,45 +91,29 @@ func ClusterSoak(o ClusterOptions) (ClusterResult, error) {
 
 	rng := rand.New(rand.NewSource(o.Seed))
 	names := make([]string, o.VMs)
-	tpls := []vm.Template{vm.Small(), vm.Small(), vm.Medium()}
 	for i := range names {
 		names[i] = fmt.Sprintf("cvm%d", i)
-		tpl := tpls[rng.Intn(len(tpls))]
-		srcs := make([]workload.Source, tpl.VCPUs)
-		for j := range srcs {
-			srcs[j] = &workload.Constant{Level: 0.2 + 0.6*rng.Float64()}
-		}
+		tpl, srcs := randomVM(rng, vm.Small(), vm.Small(), vm.Medium())
 		if _, err := cl.Deploy(names[i], tpl, srcs); err != nil {
 			return ClusterResult{}, fmt.Errorf("chaos: deploying %s: %w", names[i], err)
 		}
 	}
 
 	var res ClusterResult
-	blackouts := make([]bool, o.Nodes)
-	clearBlackouts := func() {
-		for i, on := range blackouts {
-			if on {
-				cl.Nodes()[i].Machine.ClearFileFaults()
-				blackouts[i] = false
-			}
+	blackout := -1 // the blacked-out node, at most one per epoch
+	clearBlackout := func() {
+		if blackout >= 0 {
+			cl.Nodes()[blackout].Machine.ClearFileFaults()
+			blackout = -1
 		}
-	}
-	anyBlackout := func() bool {
-		for _, on := range blackouts {
-			if on {
-				return true
-			}
-		}
-		return false
 	}
 
 	for step := 0; step < o.Steps; step++ {
 		if step%o.EpochSteps == 0 {
-			clearBlackouts()
+			clearBlackout()
 			if !o.Quiet && rng.Float64() < 0.4 {
-				i := rng.Intn(o.Nodes)
-				cl.Nodes()[i].Machine.FailReads("machine-", errBlackout, -1)
-				blackouts[i] = true
+				blackout = rng.Intn(o.Nodes)
+				cl.Nodes()[blackout].Machine.FailReads("machine-", errBlackout, -1)
 				res.Blackouts++
 			}
 			// A batch of random moves, some inevitably targeting the
@@ -170,27 +126,27 @@ func ClusterSoak(o ClusterOptions) (ClusterResult, error) {
 			if rng.Float64() < 0.3 {
 				// Rebalance under fire: stranded moves are reported, not
 				// fatal — the sweep itself must keep the bookkeeping sound.
-				if _, err := cl.Rebalance(); err != nil && !anyBlackout() {
+				if _, err := cl.Rebalance(); err != nil && blackout < 0 {
 					return res, fmt.Errorf("chaos: step %d: rebalance on a healthy cluster: %w", step, err)
 				}
 			}
 			res.Epochs++
 			logf("chaos: cluster epoch %d at step %d: blackout=%v migrations=%+v",
-				res.Epochs, step, anyBlackout(), cl.MigrationStats())
+				res.Epochs, step, blackout >= 0, cl.MigrationStats())
 		}
-		if err := clusterSoakStep(cl, names, &res, blackouts, step); err != nil {
+		if err := clusterSoakStep(cl, names, &res, blackout >= 0, step); err != nil {
 			return res, err
 		}
 	}
 
-	// Recovery: every blackout lifted, the cluster must reach a fully
+	// Recovery: the blackout lifted, the cluster must reach a fully
 	// healthy step — no failed nodes, no degradation, no stranded VMs,
 	// every breaker closed — within the breaker drain plus a margin.
-	clearBlackouts()
+	clearBlackout()
 	budget := cfg.BreakerOpenSteps + cfg.RecoverySteps + 30
 	recovered := false
 	for step := 0; step < budget; step++ {
-		if err := clusterSoakStep(cl, names, &res, make([]bool, o.Nodes), o.Steps+step); err != nil {
+		if err := clusterSoakStep(cl, names, &res, false, o.Steps+step); err != nil {
 			return res, err
 		}
 		h := cl.Health()
@@ -213,67 +169,36 @@ func ClusterSoak(o ClusterOptions) (ClusterResult, error) {
 	return res, nil
 }
 
-// randomMigrate attempts one randomized migration and asserts the
-// credit wallet is conserved whenever the cluster reports the state was
-// carried. Legitimate rejections (infeasible target, a blackout
-// breaking the prepare) are counted, not fatal; what must never happen
-// is a lost VM, which clusterSoakStep's location sweep would catch.
+// randomMigrate attempts one randomized migration. Legitimate
+// rejections (infeasible target, a blackout breaking the prepare) are
+// counted, not fatal; what must never happen is a failed migration that
+// moved the VM anyway, or a lost VM, which clusterSoakStep's ledger
+// catches.
 func randomMigrate(cl *cluster.Cluster, rng *rand.Rand, names []string, res *ClusterResult, step int) error {
 	name := names[rng.Intn(len(names))]
 	target := rng.Intn(len(cl.Nodes()))
 	src := cl.Locate(name)
-	if src < 0 {
-		return fmt.Errorf("chaos: step %d: %s has no location", step, name)
-	}
-	var pre int64 = -1
-	if st := cl.Nodes()[src].Ctrl.VM(name); st != nil {
-		pre = st.CreditUs
-	}
-	carried := cl.MigrationStats().StateCarried
-	moved, err := cl.Migrate(name, target)
-	if err != nil {
+	if _, err := cl.Migrate(name, target); err != nil {
 		res.MigrateRejected++
 		if cl.Locate(name) != src {
 			return fmt.Errorf("chaos: step %d: failed migration moved %s: %v", step, name, err)
-		}
-		return nil
-	}
-	if moved && pre >= 0 && cl.MigrationStats().StateCarried == carried+1 {
-		got := cl.Nodes()[target].Ctrl.VM(name)
-		if got == nil {
-			return fmt.Errorf("chaos: step %d: state-carried %s not tracked on target %d", step, name, target)
-		}
-		if got.CreditUs != pre {
-			return fmt.Errorf("chaos: step %d: credit not conserved across %s→%d: %d, want %d",
-				step, name, target, got.CreditUs, pre)
 		}
 	}
 	return nil
 }
 
-// clusterSoakStep advances the cluster one period and asserts the
-// standing invariants: every VM located exactly where its node's
-// manager and controller think it is, wallets non-negative, caps
-// bounded, per-node Σcaps within capacity, and the migration counters
-// mutually consistent.
-func clusterSoakStep(cl *cluster.Cluster, names []string, res *ClusterResult, blackouts []bool, step int) error {
-	blackout := false
-	for _, on := range blackouts {
-		if on {
-			blackout = true
-		}
-	}
-	migBefore := cl.Migrations()
+// clusterSoakStep advances the cluster one period, then checks the
+// placement ledger — every VM located exactly where its node's manager
+// and controller think it is, the migration counters mutually
+// consistent — and every node controller's invariants
+// (core.Controller.Check).
+func clusterSoakStep(cl *cluster.Cluster, names []string, res *ClusterResult, blackout bool, step int) error {
 	if err := cl.Step(); err != nil {
 		if !blackout {
 			return fmt.Errorf("chaos: step %d failed without a blackout armed: %w", step, err)
 		}
 		res.StepErrors++
 	}
-	// An evacuation commits migrations inside Step, after the target
-	// controllers already ran their distribute stage — the adopted caps
-	// are only re-bounded on the NEXT step.
-	evacuatedThisStep := cl.Migrations() > migBefore
 	res.Steps++
 	res.StrandedSteps += cl.Health().StrandedVMs
 
@@ -289,38 +214,17 @@ func clusterSoakStep(cl *cluster.Cluster, names []string, res *ClusterResult, bl
 		}
 	}
 	for i, n := range cl.Nodes() {
-		var sum int64
-		settled := !blackouts[i] && !evacuatedThisStep
+		// A controller only tracks VMs its own node hosts: migration must
+		// forget on the source and adopt on the target, never leave a
+		// stale twin behind.
 		for _, st := range n.Ctrl.VMs() {
-			// A controller only tracks VMs its own node hosts: migration
-			// must forget on the source and adopt on the target, never
-			// leave a stale twin behind.
 			if cl.Locate(st.Info.Name) != i {
 				return fmt.Errorf("chaos: step %d: node %d controller tracks %s, located on node %d",
 					step, i, st.Info.Name, cl.Locate(st.Info.Name))
 			}
-			if st.CreditUs < 0 {
-				return fmt.Errorf("chaos: step %d: %s credit %d is negative", step, st.Info.Name, st.CreditUs)
-			}
-			if st.Breaker.State != core.BreakerClosed {
-				settled = false
-			}
-			for _, v := range st.VCPUs {
-				if v.CapUs < 0 || v.CapUs > soakPeriodUs {
-					return fmt.Errorf("chaos: step %d: %s/vcpu%d cap %d outside [0, period]",
-						step, st.Info.Name, v.Index, v.CapUs)
-				}
-				sum += v.CapUs
-			}
 		}
-		// Σcaps ≤ capacity only holds once this node's distribute stage
-		// has re-bounded every cap: a blacked-out node cannot run the
-		// stage, and a quarantined VM keeps caps frozen — possibly
-		// allocated against the SOURCE node's capacity if it was just
-		// adopted. A fully healthy node must always be within bounds.
-		if settled && sum > n.Ctrl.CapacityUs() {
-			return fmt.Errorf("chaos: step %d: node %d Σcaps %d exceeds capacity %d",
-				step, i, sum, n.Ctrl.CapacityUs())
+		if err := n.Ctrl.Check(); err != nil {
+			return fmt.Errorf("chaos: step %d: node %d: %w", step, i, err)
 		}
 	}
 	if stats := cl.MigrationStats(); stats.Committed+stats.RolledBack > stats.Attempted {

@@ -146,13 +146,13 @@ func TestBreakerFaultyProbeReopens(t *testing.T) {
 }
 
 // TestBreakerConservationDuringQuarantine: quarantined caps are held,
-// so Σcaps stays within the machine capacity through trip, quarantine
-// and re-admission.
+// and the controller passes Check through trip, quarantine and
+// re-admission.
 func TestBreakerConservationDuringQuarantine(t *testing.T) {
 	inner := newFakeHost()
 	inner.AddVM("a", 2, 1200)
 	inner.AddVM("b", 1, 1800)
-	fh := platform.WithFaults(inner, 3)
+	fh := platform.WithFaults(readableQuotas{inner}, 3)
 	c := mustController(t, fh, breakerConfig())
 	warmUp(t, c, inner, 3, 900_000)
 
@@ -165,17 +165,8 @@ func TestBreakerConservationDuringQuarantine(t *testing.T) {
 			fh.Clear(platform.SiteUsage)
 		}
 		warmUp(t, c, inner, 1, 900_000)
-		var sum int64
-		for _, st := range c.VMs() {
-			for _, v := range st.VCPUs {
-				if v.CapUs < 0 || v.CapUs > c.Config().PeriodUs {
-					t.Fatalf("step %d: cap %d outside [0, period]", step, v.CapUs)
-				}
-				sum += v.CapUs
-			}
-		}
-		if sum > c.CapacityUs() {
-			t.Fatalf("step %d: Σcaps %d exceeds capacity %d", step, sum, c.CapacityUs())
+		if err := c.Check(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 }

@@ -179,10 +179,9 @@ func (c *Controller) RestoreFromStore(st platform.Store) (RestoreReport, error) 
 // adopt builds the state of one VM from a checkpoint-v3 entry and the
 // VM's live template — the one primitive behind Restore (every
 // checkpointed VM), AdoptVM (the one migrated VM) and cold registration
-// (vs empty: nothing carried, every vCPU registered fresh). It reads the
-// host but touches nothing on the controller; the caller tracks the
-// result. A failure is atomic per VM and comes back as a Fault naming
-// the vCPU.
+// (vs empty: nothing carried, every vCPU registered fresh). It touches
+// nothing on the controller; the caller tracks the result. A failure is
+// atomic per VM and comes back as a Fault naming the vCPU.
 //
 //   - The guarantee is recomputed from the live template (Eq. 2 is
 //     node-relative) and the wallet re-clamped under it.
@@ -190,9 +189,12 @@ func (c *Controller) RestoreFromStore(st platform.Store) (RestoreReport, error) 
 //     for its remaining OpenLeft steps and a half-open probe keeps its
 //     clean streak, so a restored twin re-admits the VM on the same step
 //     the dead incarnation would have.
-//   - A quarantined VM is rebuilt without touching the host at all: its
-//     breaker is open, so nobody was reading it — and its reads are
-//     likely still failing, which must not fail the adoption.
+//   - A quarantined VM is rebuilt without reading the host: its breaker
+//     is open, so nobody was reading it — and its reads are likely still
+//     failing, which must not fail the adoption. On fresh counters its
+//     cgroups are new and unlimited, and apply skips its degraded vCPUs
+//     for the whole quarantine, so adoption writes each held quota once
+//     (holdQuota).
 //   - Every other vCPU re-reads its usage baseline live, so the first
 //     delta spans live readings only, and reconciles its cap with the
 //     cpu.max in force (adoptQuota; adoptedQuotas counts the wins).
@@ -227,6 +229,7 @@ func (c *Controller) adopt(rep *StepReport, info platform.VMInfo, vs VMSnapshot,
 			v = c.snapshotVCPU(info.Name, vs.VCPUs[j])
 			if freshCounters {
 				v.PrevUsageUs = 0
+				c.holdQuota(v)
 			}
 		default:
 			v = c.snapshotVCPU(info.Name, vs.VCPUs[j])
@@ -244,8 +247,10 @@ func (c *Controller) adopt(rep *StepReport, info platform.VMInfo, vs VMSnapshot,
 }
 
 // track enters a VM built by adopt into the bookkeeping, last in
-// registration order. ForgetVM is its inverse.
+// registration order, marked adopted until a Step's stages bound it.
+// ForgetVM is its inverse.
 func (c *Controller) track(st *VMState) {
+	st.adopted = true
 	c.vms[st.Info.Name] = st
 	c.order = append(c.order, st.Info.Name)
 }
@@ -285,6 +290,20 @@ func (c *Controller) clampCycles(u int64) int64 {
 		return c.cfg.PeriodUs
 	}
 	return u
+}
+
+// holdQuota writes a quarantined vCPU's held cap into its new cgroup on
+// a migration target, once and best-effort: a failed write leaves the
+// last-applied cache invalid, so the first apply after the quarantine
+// writes through.
+func (c *Controller) holdQuota(v *VCPUState) {
+	if !c.cfg.ControlEnabled {
+		return
+	}
+	quota, period := c.quotaFor(v), c.cfg.CgroupPeriodUs
+	if c.host.SetMax(v.VM, v.Index, quota, period) == nil {
+		v.appliedQuotaUs, v.appliedPeriodUs, v.appliedQuotaOK = quota, period, true
+	}
 }
 
 // adoptQuota reconciles a vCPU's cap with the cpu.max quota live in its

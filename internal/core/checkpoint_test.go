@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -34,15 +35,18 @@ func (s *stubStore) Load() ([]byte, error) {
 }
 
 // readableQuotas adds the QuotaReader capability to a Scripted host,
-// serving back its write record. A wrapper, not a Scripted method: the
-// capability switches quota adoption on, which most restore tests want
-// off.
+// serving back its write record, so Check's cgroup clause runs. A
+// wrapper, not a Scripted method: the capability switches quota adoption
+// on, which most restore tests want off.
 type readableQuotas struct {
 	*platform.Scripted
 }
 
 func (q readableQuotas) ReadMax(vm string, j int) (int64, int64, error) {
 	v := q.VCPU(vm, j)
+	if v == nil {
+		return 0, 0, fmt.Errorf("no vCPU %s/%d", vm, j)
+	}
 	return v.QuotaUs, v.PeriodUs, nil
 }
 

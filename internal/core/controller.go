@@ -94,6 +94,12 @@ type VMState struct {
 	// Breaker is the VM's circuit breaker (inert unless
 	// Config.BreakerThreshold is positive).
 	Breaker BreakerState
+
+	// adopted marks a VM tracked since the last Step that ran its stages:
+	// one that AdoptVM or Restore built has caps bounded against another
+	// market and cgroups the apply stage has not written yet (Check
+	// exempts it). track sets it; the next such Step clears it.
+	adopted bool
 }
 
 // Controller runs the six-stage control loop against a platform host.
@@ -444,6 +450,9 @@ func (c *Controller) Step() error {
 		// marking every vCPU degraded, and the health accounting below
 		// must count the step the way the quarantine leaves it.
 		c.updateBreaker(&rep, st)
+		if err == nil {
+			st.adopted = false
+		}
 		switch st.Breaker.State {
 		case BreakerOpen:
 			rep.OpenVMs++

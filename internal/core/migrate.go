@@ -30,10 +30,13 @@ func (c *Controller) ExportVM(name string) (VMSnapshot, error) {
 // wallet re-clamped, histories and breaker carried verbatim, baselines
 // re-read live (the target's counters start at zero, so the first
 // monitor delta spans target readings only), quotas written through by
-// the first apply. The one thing this caller knows that Restore's does
-// not: the cgroups are new here, so a quarantined VM — adopted without a
-// host read — starts from a zero baseline, and its first half-open probe
-// computes a clamped full-period delta, exactly as a counter reset would.
+// the first apply. Until that apply the VM's new cgroups are unlimited:
+// one unthrottled period per migration. The one thing this caller knows
+// that Restore's does not: the cgroups are new here, so a quarantined VM
+// — adopted without a host read — starts from a zero baseline, and its
+// first half-open probe computes a clamped full-period delta, exactly as
+// a counter reset would. Its held quotas are written at adoption, since
+// no apply reaches it before the quarantine ends.
 //
 // On error the controller is unchanged; the caller can fall back to
 // letting the next Step register the VM cold (fresh wallet, no history).

@@ -162,6 +162,45 @@ func TestAdoptQuarantinedStaysQuarantined(t *testing.T) {
 	}
 }
 
+// A quarantined VM adopted by a migration target runs under its held
+// quota from adoption on. Apply skips its degraded vCPUs for the whole
+// open window, so without the write at adoption its new cgroup stayed
+// unlimited until the first probe.
+func TestAdoptQuarantinedWritesHeldQuota(t *testing.T) {
+	snap := VMSnapshot{
+		Name: "a", FreqMHz: 1200, GuaranteeUs: 500_000,
+		Breaker: int(BreakerOpen), BreakerFaultStreak: 3, BreakerOpenLeft: 2,
+		VCPUs: []VCPUSnapshot{{
+			Index: 0, ConsumedUs: 300_000, CapUs: 300_000, EstimateUs: 300_000,
+			Degraded: true, FailedSteps: 3,
+		}},
+	}
+	cfg := DefaultConfig()
+	cfg.BreakerThreshold = 3
+	cfg.BreakerOpenSteps = 4
+	tgt := newFakeHost()
+	tgt.AddVM("a", 1, 1200)
+	ct := mustController(t, tgt, cfg)
+	if err := ct.AdoptVM(snap); err != nil {
+		t.Fatal(err)
+	}
+	want := [2]int64{30_000, 100_000} // 300 000 µs of each 1 s period
+	for step := 0; ; step++ {
+		if got := quotaOf(tgt, "a", 0); got != want {
+			t.Fatalf("after %d steps the target cgroup holds %v, want the held %v", step, got, want)
+		}
+		if step == 2 { // the open window is over
+			break
+		}
+		if err := ct.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := ct.VM("a").Breaker.State; st != BreakerHalfOpen {
+		t.Fatalf("breaker %v after the open window, want half-open", st)
+	}
+}
+
 // A half-open probe in flight keeps its clean streak, so the target
 // re-admits the VM on the same step the source would have.
 func TestAdoptHalfOpenProbeContinues(t *testing.T) {

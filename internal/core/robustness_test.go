@@ -147,9 +147,9 @@ func TestVMChurn(t *testing.T) {
 	}
 }
 
-// Property: for arbitrary consumption sequences, the controller never
-// produces a negative cap, never exceeds one core per vCPU, never lets a
-// wallet go negative, and never oversubscribes the machine with caps.
+// Property: for arbitrary consumption sequences and placements —
+// oversubscribed ones (Eq. 7 violated) included — the controller passes
+// Check after every step.
 func TestQuickControllerInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -159,7 +159,7 @@ func TestQuickControllerInvariants(t *testing.T) {
 			h.AddVM(fmt.Sprintf("vm%d", i), rng.Intn(3)+1,
 				int64(rng.Intn(2300)+100))
 		}
-		c, err := New(h, DefaultConfig())
+		c, err := New(readableQuotas{h}, DefaultConfig())
 		if err != nil {
 			return false
 		}
@@ -172,26 +172,8 @@ func TestQuickControllerInvariants(t *testing.T) {
 			if err := c.Step(); err != nil {
 				return false
 			}
-			var total int64
-			for _, st := range c.VMs() {
-				if st.CreditUs < 0 {
-					return false
-				}
-				for _, v := range st.VCPUs {
-					if v.CapUs < 0 || v.CapUs > c.Config().PeriodUs {
-						return false
-					}
-					if v.EstUs < 0 || v.EstUs > c.Config().PeriodUs {
-						return false
-					}
-					total += v.CapUs
-				}
-			}
-			// Σcaps ≤ capacity holds whenever the guarantees are
-			// feasible (Eq. 7); an oversubscribed placement keeps
-			// every guarantee instead, so only per-vCPU bounds
-			// apply there.
-			if c.TotalGuaranteeUs() <= c.CapacityUs() && total > c.CapacityUs() {
+			if err := c.Check(); err != nil {
+				t.Logf("seed %d step %d: %v", seed, step, err)
 				return false
 			}
 		}

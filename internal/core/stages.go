@@ -226,10 +226,10 @@ func (c *Controller) quotaFor(v *VCPUState) int64 {
 // skipped, so a steady-state step issues no host writes at all. The cache
 // is dropped whenever the cgroup may no longer hold what was written (see
 // VCPUState.invalidateApplied), so a skipped write can never leave a
-// stale cap behind. The dirty quotas of each VM go out as one batch —
-// which the Linux backend groups by the VM's slice directory over its
-// cached descriptors, and platform's serial adapter turns into one SetMax
-// per entry on a host without the capability.
+// stale cap behind. The dirty quotas of each VM go out as one
+// BatchSetMax call; every backend in the tree serves it one SetMax per
+// entry (platform's serial adapter), so the batch fixes the call shape,
+// not the write count.
 //
 // Application is fault-isolated: the batch is attempt 0 of every entry
 // in it, a failed entry is retried alone through hostCall, and a final

@@ -35,10 +35,6 @@ type DynamicClusterExperiment struct {
 	// FailThreshold enables node-failure detection and evacuation (see
 	// cluster.Config.FailThreshold); 0 disables it.
 	FailThreshold int
-	// StepWorkers sizes the cluster's persistent step worker pool (see
-	// cluster.Config.StepWorkers): 0 picks GOMAXPROCS, 1 steps serially.
-	// Results are bit-identical at any setting; only wall-clock moves.
-	StepWorkers int
 	// RebalanceEvery sweeps overloaded nodes every that many steps
 	// (0 = never): VMs are live-migrated off Eq. 7-infeasible nodes,
 	// carrying their controller state to the target. Stranded VMs stay
@@ -76,8 +72,8 @@ type DynamicResult struct {
 	Evacuations     int
 	StrandedVMSteps int
 	// MeanStepUs and MaxStepUs record the wall time of cluster Steps —
-	// the decision-latency figure the worker pool and placement index
-	// exist to bound. They vary run to run; everything else is seeded.
+	// the decision-latency figure the step pool exists to bound. They
+	// vary run to run; everything else is seeded.
 	MeanStepUs float64
 	MaxStepUs  int64
 }
@@ -90,7 +86,6 @@ func (e DynamicClusterExperiment) Run() (*DynamicResult, error) {
 	cl, err := cluster.New(e.Nodes, cluster.Config{
 		Policy:        e.Policy,
 		FailThreshold: e.FailThreshold,
-		StepWorkers:   e.StepWorkers,
 	})
 	if err != nil {
 		return nil, err

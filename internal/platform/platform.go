@@ -97,9 +97,8 @@ type VCPUQuota struct {
 // quotas of several vCPUs of one VM in a single call. Implementations
 // must attempt every entry (a failed write never aborts the rest),
 // record the per-entry outcome in quotas[i].Err, and return a non-nil
-// error iff at least one entry failed. The controller's apply stage uses
-// it to group the dirty quotas of a VM into one pass over the host's
-// cached descriptors instead of a call per vCPU.
+// error iff at least one entry failed. The controller's apply stage hands
+// it the dirty quotas of one VM per call.
 type BatchQuotaWriter interface {
 	BatchSetMax(vm string, quotas []VCPUQuota) error
 }
