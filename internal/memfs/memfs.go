@@ -31,9 +31,9 @@ type ReadFunc func() string
 // ReadAppendFunc renders the current content of a dynamic file by
 // appending it to buf. Implementations must not retain buf. Files backed
 // by a ReadAppendFunc can be read without heap allocation through
-// ReadFileAppend — the property the simulated host's per-period
-// pseudo-file reads (cpu.stat, cgroup.threads, /proc/<tid>/stat,
-// scaling_cur_freq) rely on.
+// File.ReadAppend (or ReadFileAppend) — the property the simulated
+// host's per-period pseudo-file reads (cpu.stat, cgroup.threads,
+// /proc/<tid>/stat, scaling_cur_freq) rely on.
 type ReadAppendFunc func(buf []byte) []byte
 
 // WriteFunc consumes a write to a dynamic file. Returning an error makes
@@ -65,10 +65,14 @@ type FS struct {
 	mu    sync.RWMutex
 	root  *node
 	fault FaultFunc
+	// gen counts changes to the tree's shape (a directory or file added,
+	// a subtree removed); it starts at 1. A File's resolution — node or
+	// miss — is good while gen has not moved since the File made it.
+	gen uint64
 }
 
 // SetFaultHook installs (or, with nil, removes) the fault hook consulted
-// before every ReadFile and WriteFile.
+// before every read and write.
 func (fs *FS) SetFaultHook(fn FaultFunc) {
 	fs.mu.Lock()
 	fs.fault = fn
@@ -88,7 +92,7 @@ func (fs *FS) checkFault(op, cp string) error {
 
 // New returns an empty filesystem containing only the root directory.
 func New() *FS {
-	return &FS{root: &node{name: "/", dir: true, children: map[string]*node{}}}
+	return &FS{root: &node{name: "/", dir: true, children: map[string]*node{}}, gen: 1}
 }
 
 // clean normalises p to an absolute slash-separated path: path.Clean of
@@ -179,6 +183,7 @@ func (fs *FS) mkdirLocked(p string) error {
 		return fmt.Errorf("%w: %s", ErrExist, p)
 	}
 	parent.children[name] = &node{name: name, dir: true, children: map[string]*node{}}
+	fs.gen++
 	return nil
 }
 
@@ -217,9 +222,9 @@ func (fs *FS) AddDynamic(p string, read ReadFunc, write WriteFunc) error {
 }
 
 // AddDynamicAppend creates a dynamic file backed by an append-style
-// renderer: ReadFile wraps it into a string, ReadFileAppend uses it
-// directly and stays allocation-free. A nil write makes the file
-// read-only.
+// renderer: ReadFile wraps it into a string, File.ReadAppend and
+// ReadFileAppend use it directly and stay allocation-free. A nil write
+// makes the file read-only.
 func (fs *FS) AddDynamicAppend(p string, read ReadAppendFunc, write WriteFunc) error {
 	if read == nil {
 		return fmt.Errorf("memfs: nil append reader for %s", p)
@@ -244,64 +249,68 @@ func (fs *FS) addNode(p string, n *node) error {
 	}
 	n.name = name
 	parent.children[name] = n
+	fs.gen++
 	return nil
 }
 
-// ReadFile returns the current content of the file at p.
-func (fs *FS) ReadFile(p string) (string, error) {
-	p = clean(p)
-	if err := fs.checkFault("read", p); err != nil {
-		return "", err
-	}
-	fs.mu.RLock()
-	n, err := fs.lookupClean(p)
-	if err != nil {
-		fs.mu.RUnlock()
-		return "", err
-	}
-	if n.dir {
-		fs.mu.RUnlock()
-		return "", fmt.Errorf("%w: %s", ErrIsDir, p)
-	}
-	read := n.read
-	readAppend := n.readAppend
-	content := n.content
-	fs.mu.RUnlock()
-	// Dynamic reads run outside the lock: the callback may consult
-	// simulation state that itself mutates the filesystem.
-	if read != nil {
-		return read(), nil
-	}
-	if readAppend != nil {
-		return string(readAppend(nil)), nil
-	}
-	return content, nil
+// File is a handle on one path of an FS: the path is cleaned once, at
+// Open, and resolved on first use; the node found, or the miss, is kept.
+// Every later access re-walks the tree only if the tree's shape has
+// changed since (FS.gen moved), so a file read every period costs one
+// generation compare instead of a path scan and one map lookup per
+// element. The check is "verify, don't track": nothing records which
+// handles a change affects. Reads and writes through a File behave
+// exactly as the path calls on the same path — same errors, same fault
+// hook, which sees the clean path once per access.
+//
+// The path need not exist when the File is opened. A File may be used
+// from one goroutine at a time; the FS under it stays safe for
+// concurrent use.
+type File struct {
+	fs   *FS
+	path string // clean
+	gen  uint64 // fs.gen at the last resolve; 0: never resolved
+	node *node  // the node resolved then; nil on a miss
+	err  error  // the miss's error
 }
 
-// ReadFileAppend appends the current content of the file at p to buf and
-// returns the extended slice. For files created with AddDynamicAppend
-// the render happens directly into buf, so a read with sufficient
-// capacity performs no heap allocation; other files fall back to the
-// string content. Fault hooks fire exactly as for ReadFile.
-func (fs *FS) ReadFileAppend(p string, buf []byte) ([]byte, error) {
-	p = clean(p)
-	if err := fs.checkFault("read", p); err != nil {
+// Open returns a handle on the file at p, which need not exist yet.
+func (fs *FS) Open(p string) *File { return &File{fs: fs, path: clean(p)} }
+
+// resolveLocked returns the node at f.path, walking the tree only when
+// its shape changed since the last resolve. The caller holds fs.mu.
+func (f *File) resolveLocked() (*node, error) {
+	if f.gen != f.fs.gen {
+		f.node, f.err = f.fs.lookupClean(f.path)
+		f.gen = f.fs.gen
+	}
+	return f.node, f.err
+}
+
+// ReadAppend appends the current content of the file to buf and returns
+// the extended slice. For files created with AddDynamicAppend the render
+// happens directly into buf, so a read with sufficient capacity performs
+// no heap allocation; other files fall back to their string content.
+func (f *File) ReadAppend(buf []byte) ([]byte, error) {
+	if err := f.fs.checkFault("read", f.path); err != nil {
 		return buf, err
 	}
-	fs.mu.RLock()
-	n, err := fs.lookupClean(p)
+	f.fs.mu.RLock()
+	n, err := f.resolveLocked()
 	if err != nil {
-		fs.mu.RUnlock()
+		f.fs.mu.RUnlock()
 		return buf, err
 	}
 	if n.dir {
-		fs.mu.RUnlock()
-		return buf, fmt.Errorf("%w: %s", ErrIsDir, p)
+		f.fs.mu.RUnlock()
+		return buf, fmt.Errorf("%w: %s", ErrIsDir, f.path)
 	}
 	read := n.read
 	readAppend := n.readAppend
 	content := n.content
-	fs.mu.RUnlock()
+	f.fs.mu.RUnlock()
+	// Dynamic reads run outside the lock: the callback may consult
+	// simulation state that itself mutates the filesystem.
 	if readAppend != nil {
 		return readAppend(buf), nil
 	}
@@ -311,38 +320,55 @@ func (fs *FS) ReadFileAppend(p string, buf []byte) ([]byte, error) {
 	return append(buf, content...), nil
 }
 
-// WriteFile writes data to the file at p.
-func (fs *FS) WriteFile(p, data string) error {
-	p = clean(p)
-	if err := fs.checkFault("write", p); err != nil {
+// Write writes data to the file: a dynamic file passes it to its
+// WriteFunc, a static one replaces its content.
+func (f *File) Write(data string) error {
+	if err := f.fs.checkFault("write", f.path); err != nil {
 		return err
 	}
-	fs.mu.Lock()
-	n, err := fs.lookupClean(p)
+	f.fs.mu.Lock()
+	n, err := f.resolveLocked()
 	if err != nil {
-		fs.mu.Unlock()
+		f.fs.mu.Unlock()
 		return err
 	}
 	if n.dir {
-		fs.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrIsDir, p)
+		f.fs.mu.Unlock()
+		return fmt.Errorf("%w: %s", ErrIsDir, f.path)
 	}
-	if n.dynamic() {
-		w := n.write
-		fs.mu.Unlock()
+	if w := n.write; w != nil || n.dynamic() {
+		f.fs.mu.Unlock()
 		if w == nil {
-			return fmt.Errorf("%w: %s", ErrReadOnly, p)
+			return fmt.Errorf("%w: %s", ErrReadOnly, f.path)
 		}
 		return w(data)
 	}
-	if n.write != nil {
-		w := n.write
-		fs.mu.Unlock()
-		return w(data)
-	}
 	n.content = data
-	fs.mu.Unlock()
+	f.fs.mu.Unlock()
 	return nil
+}
+
+// ReadFile returns the current content of the file at p.
+func (fs *FS) ReadFile(p string) (string, error) {
+	content, err := fs.ReadFileAppend(p, nil)
+	if err != nil {
+		return "", err
+	}
+	return string(content), nil
+}
+
+// ReadFileAppend is File.ReadAppend on a one-use handle: it appends the
+// current content of the file at p to buf. A caller that reads the same
+// path repeatedly should Open it once instead and skip the path walk.
+func (fs *FS) ReadFileAppend(p string, buf []byte) ([]byte, error) {
+	f := File{fs: fs, path: clean(p)}
+	return f.ReadAppend(buf)
+}
+
+// WriteFile writes data to the file at p (see File.Write).
+func (fs *FS) WriteFile(p, data string) error {
+	f := File{fs: fs, path: clean(p)}
+	return f.Write(data)
 }
 
 // RemoveAll deletes the subtree rooted at p. Removing a path that does
@@ -351,6 +377,7 @@ func (fs *FS) RemoveAll(p string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	p = clean(p)
+	fs.gen++
 	if p == "/" {
 		fs.root.children = map[string]*node{}
 		return nil

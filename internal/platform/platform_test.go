@@ -33,7 +33,7 @@ func TestSimNode(t *testing.T) {
 	}
 }
 
-// The path memo follows the live VM set: a node that churns VMs for
+// The handle maps follow the live VM set: a node that churns VMs for
 // 1000 cycles (new names, new thread ids every time, plus a shrink) ends
 // with exactly the entries of the vCPUs it still runs.
 func TestSimPathMemoBounded(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vfreq/internal/cgroupfs"
+	"vfreq/internal/memfs"
 	"vfreq/internal/procfs"
 	"vfreq/internal/sysfs"
 	"vfreq/internal/vm"
@@ -13,16 +14,19 @@ import (
 // through the emulated pseudo-files (parsing included) so the controller
 // exercises the exact code paths it would use on Linux.
 //
-// The per-period read path is allocation-free at steady state: pseudo-file
-// paths are memoised (they are pure functions of VM name, vCPU index, tid
-// or core), file contents are rendered append-style into one scratch
-// buffer, and the byte parsers walk it in place.
+// The per-period read path is allocation-free at steady state and walks
+// no paths: every pseudo-file is opened once as a memfs.File (paths are
+// pure functions of VM name, vCPU index, tid or core), whose resolved
+// node stays valid until the emulated tree changes shape (memfs's
+// generation counter) — the simulator's counterpart of the descriptors
+// Linux keeps open. File contents are rendered append-style into one
+// scratch buffer, and the byte parsers walk it in place.
 type Sim struct {
 	mgr *vm.Manager
 
 	vcpuPaths map[VCPURef]*simVCPUFiles
-	tidPaths  map[int]string
-	corePaths []string
+	tidPaths  map[int]*memfs.File
+	corePaths []*memfs.File
 
 	buf []byte // read scratch: every read parses it before the next overwrites it
 
@@ -30,12 +34,12 @@ type Sim struct {
 	listed    []*vm.Instance // the instances behind vmScratch
 }
 
-// simVCPUFiles caches the pseudo-file paths of one vCPU cgroup.
+// simVCPUFiles holds the pseudo-file handles of one vCPU cgroup.
 type simVCPUFiles struct {
-	stat    string // cpu.stat
-	max     string // cpu.max
-	burst   string // cpu.max.burst
-	threads string // cgroup.threads
+	stat    *memfs.File // cpu.stat
+	max     *memfs.File // cpu.max
+	burst   *memfs.File // cpu.max.burst
+	threads *memfs.File // cgroup.threads
 }
 
 // NewSim wraps a VM manager.
@@ -43,49 +47,52 @@ func NewSim(mgr *vm.Manager) *Sim {
 	s := &Sim{
 		mgr:       mgr,
 		vcpuPaths: make(map[VCPURef]*simVCPUFiles),
-		tidPaths:  make(map[int]string),
+		tidPaths:  make(map[int]*memfs.File),
 	}
-	cores := mgr.Machine().Spec().Cores
-	s.corePaths = make([]string, cores)
-	for c := 0; c < cores; c++ {
-		s.corePaths[c] = sysfs.CurFreqPath(sysfs.Mount, c)
+	m := mgr.Machine()
+	s.corePaths = make([]*memfs.File, m.Spec().Cores)
+	for c := range s.corePaths {
+		s.corePaths[c] = m.FS.Open(sysfs.CurFreqPath(sysfs.Mount, c))
 	}
 	return s
 }
 
-// files returns the memoised pseudo-file paths of a vCPU cgroup. Paths
-// are pure functions of (vm, vcpu), so an entry is never wrong; ListVMs
-// drops it once the vCPU is gone.
+// files returns the pseudo-file handles of a vCPU cgroup. Paths are pure
+// functions of (vm, vcpu), and a handle re-resolves whenever the tree
+// changes shape, so an entry is never wrong — even across a Destroy and
+// re-Provision under the same name; ListVMs drops it once the vCPU is
+// gone.
 func (s *Sim) files(vmName string, vcpu int) *simVCPUFiles {
 	k := VCPURef{VM: vmName, VCPU: vcpu}
 	f := s.vcpuPaths[k]
 	if f == nil {
+		fs := s.mgr.Machine().FS
 		base := cgroupfs.DefaultMount + "/" + vm.VCPUCgroup(vmName, vcpu)
 		f = &simVCPUFiles{
-			stat:    base + "/cpu.stat",
-			max:     base + "/cpu.max",
-			burst:   base + "/cpu.max.burst",
-			threads: base + "/cgroup.threads",
+			stat:    fs.Open(base + "/cpu.stat"),
+			max:     fs.Open(base + "/cpu.max"),
+			burst:   fs.Open(base + "/cpu.max.burst"),
+			threads: fs.Open(base + "/cgroup.threads"),
 		}
 		s.vcpuPaths[k] = f
 	}
 	return f
 }
 
-// tidPath returns the memoised /proc/<tid>/stat path.
-func (s *Sim) tidPath(tid int) string {
-	p := s.tidPaths[tid]
-	if p == "" {
-		p = fmt.Sprintf("%s/%d/stat", procfs.Mount, tid)
-		s.tidPaths[tid] = p
+// tidFile returns the handle on /proc/<tid>/stat.
+func (s *Sim) tidFile(tid int) *memfs.File {
+	f := s.tidPaths[tid]
+	if f == nil {
+		f = s.mgr.Machine().FS.Open(fmt.Sprintf("%s/%d/stat", procfs.Mount, tid))
+		s.tidPaths[tid] = f
 	}
-	return p
+	return f
 }
 
 // read renders a pseudo-file into the scratch buffer. The returned bytes
 // are valid until the next read.
-func (s *Sim) read(path string) ([]byte, error) {
-	content, err := s.mgr.Machine().FS.ReadFileAppend(path, s.buf[:0])
+func (s *Sim) read(f *memfs.File) ([]byte, error) {
+	content, err := f.ReadAppend(s.buf[:0])
 	s.buf = content[:0] // keep whatever the render grew
 	return content, err
 }
@@ -100,7 +107,7 @@ func (s *Sim) Node() NodeInfo {
 // call; callers must not retain it.
 //
 // When the instances or their vCPU counts differ from the last call, it
-// prunes the path memo here, once per change, and not on the read path.
+// prunes the handle maps here, once per change, and not on the read path.
 func (s *Sim) ListVMs() ([]VMInfo, error) {
 	insts := s.mgr.List()
 	out := s.vmScratch[:0]
@@ -119,7 +126,7 @@ func (s *Sim) ListVMs() ([]VMInfo, error) {
 	return out, nil
 }
 
-// prune drops the memoised paths of vCPUs and threads that no longer
+// prune drops the handles of vCPUs and threads that no longer
 // exist. Thread ids are never reused and a churning node keeps meeting
 // new VM names, so without it both maps grow for as long as the node
 // lives.
@@ -148,8 +155,7 @@ func (s *Sim) UsageUs(vmName string, vcpu int) (int64, error) {
 
 // SetMax implements Host.
 func (s *Sim) SetMax(vmName string, vcpu int, quotaUs, periodUs int64) error {
-	return s.mgr.Machine().FS.WriteFile(s.files(vmName, vcpu).max,
-		fmt.Sprintf("%d %d", quotaUs, periodUs))
+	return s.files(vmName, vcpu).max.Write(fmt.Sprintf("%d %d", quotaUs, periodUs))
 }
 
 // BatchSetMax implements BatchQuotaWriter through the serial adapter:
@@ -163,11 +169,11 @@ func (s *Sim) BatchSetMax(vmName string, quotas []VCPUQuota) error {
 // ReadMax implements QuotaReader: it reads the vCPU's cpu.max back
 // through the pseudo-file, exactly as the controller would on Linux.
 func (s *Sim) ReadMax(vmName string, vcpu int) (int64, int64, error) {
-	content, err := s.mgr.Machine().FS.ReadFile(s.files(vmName, vcpu).max)
+	content, err := s.read(s.files(vmName, vcpu).max)
 	if err != nil {
 		return 0, 0, fmt.Errorf("platform: reading cpu.max of %s/vcpu%d: %w", vmName, vcpu, err)
 	}
-	return parseMax(content)
+	return parseMax(string(content))
 }
 
 // parseMax is ReadMax's answer for a cpu.max file's content, "max" read as
@@ -182,13 +188,12 @@ func parseMax(content string) (quotaUs, periodUs int64, err error) {
 
 // ClearMax implements Host.
 func (s *Sim) ClearMax(vmName string, vcpu int) error {
-	return s.mgr.Machine().FS.WriteFile(s.files(vmName, vcpu).max, "max")
+	return s.files(vmName, vcpu).max.Write("max")
 }
 
 // SetBurst implements Host.
 func (s *Sim) SetBurst(vmName string, vcpu int, burstUs int64) error {
-	return s.mgr.Machine().FS.WriteFile(s.files(vmName, vcpu).burst,
-		fmt.Sprintf("%d", burstUs))
+	return s.files(vmName, vcpu).burst.Write(fmt.Sprintf("%d", burstUs))
 }
 
 // ThreadID implements Host.
@@ -210,7 +215,7 @@ func (s *Sim) ThreadID(vmName string, vcpu int) (int, error) {
 
 // LastCPU implements Host.
 func (s *Sim) LastCPU(tid int) (int, error) {
-	line, err := s.read(s.tidPath(tid))
+	line, err := s.read(s.tidFile(tid))
 	if err != nil {
 		return 0, err
 	}

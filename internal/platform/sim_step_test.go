@@ -1,0 +1,92 @@
+package platform_test
+
+import (
+	"fmt"
+	"testing"
+
+	"vfreq/internal/core"
+	"vfreq/internal/host"
+	"vfreq/internal/platform"
+	"vfreq/internal/raceflag"
+	"vfreq/internal/vm"
+	"vfreq/internal/workload"
+)
+
+// tableIINode boots a chetemi carrying the paper's Table II mix, every
+// vCPU busy (20 small and 10 large VMs, 80 vCPUs), with a controller
+// over platform.Sim that has stepped warm periods.
+func tableIINode(tb testing.TB, warm int) (*host.Machine, *core.Controller) {
+	tb.Helper()
+	m, err := host.New(host.Chetemi())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mgr, err := vm.NewManager(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, c := range []struct {
+		prefix string
+		tpl    vm.Template
+		count  int
+	}{{"small", vm.Small(), 20}, {"large", vm.Large(), 10}} {
+		for i := 0; i < c.count; i++ {
+			srcs := make([]workload.Source, c.tpl.VCPUs)
+			for j := range srcs {
+				srcs[j] = workload.Busy()
+			}
+			if _, err := mgr.Provision(fmt.Sprintf("%s-%02d", c.prefix, i), c.tpl, srcs); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	cfg := core.DefaultConfig()
+	ctrl, err := core.New(platform.NewSim(mgr), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < warm; i++ {
+		m.Advance(cfg.PeriodUs)
+		if err := ctrl.Step(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return m, ctrl
+}
+
+// TestSimStepZeroAlloc: once warm, a controller period over the simulated
+// host — every pseudo-file read, parse and quota write Step makes through
+// platform.Sim — allocates nothing.
+func TestSimStepZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	m, ctrl := tableIINode(t, 20)
+	periodUs := core.DefaultConfig().PeriodUs
+	if allocs := testing.AllocsPerRun(10, func() {
+		m.Advance(periodUs)
+		if err := ctrl.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm Sim period (Advance + Step) allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// BenchmarkSimStep is Controller.Step alone over platform.Sim on the
+// Table II node: the monitor stage's pseudo-file reads plus the five
+// stages behind them. Advance runs with the timer stopped.
+func BenchmarkSimStep(b *testing.B) {
+	m, ctrl := tableIINode(b, 20)
+	periodUs := core.DefaultConfig().PeriodUs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m.Advance(periodUs)
+		b.StartTimer()
+		if err := ctrl.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
