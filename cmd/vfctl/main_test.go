@@ -35,6 +35,18 @@ func TestScenarioRejectsUnknownFields(t *testing.T) {
 	if _, err := parseScenario([]byte(`{"vms": [{"name": "a", "vcpu": 2}]}`)); err == nil || !strings.Contains(err.Error(), "vcpu") {
 		t.Errorf("unknown VM field: error %v, want one naming it", err)
 	}
+	// A fault site that does not exist (BatchSetMax was removed) parses
+	// but refuses to run, listing the sites that do.
+	sc, err := parseScenario([]byte(`{"node": "chetemi", "duration_s": 1, "control": true,
+		"fault_rate": 0.1, "fault_sites": ["BatchSetMax"], "vms": []}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = runSim(sc, filepath.Join(t.TempDir(), "x.csv"), "", checkpointOpts{}, metrics.NewRegistry())
+	const valid = "valid sites: ListVMs, UsageUs, SetMax, ClearMax, ReadMax, SetBurst, ThreadID, LastCPU, CoreFreqMHz"
+	if err == nil || !strings.Contains(err.Error(), `"BatchSetMax"`) || !strings.Contains(err.Error(), valid) {
+		t.Errorf("fault site BatchSetMax: error %v, want one naming it and listing the %s", err, valid)
+	}
 }
 
 // A known field or flag the selected mode does not read is refused with

@@ -131,12 +131,14 @@ func (t *Tree) RemoveGroup(rel string) error {
 
 func (t *Tree) addControlFiles(rel string, g *sched.Group) error {
 	dir := path.Join(t.mount, rel)
+	// Every file renders through an append-style callback, so a
+	// ReadFileAppend into a reused buffer allocates nothing.
 	files := map[string]struct {
-		read  memfs.ReadFunc
+		read  memfs.ReadAppendFunc
 		write memfs.WriteFunc
 	}{
 		"cpu.max": {
-			read: func() string { return FormatCPUMax(g.QuotaUs, g.PeriodUs) },
+			read: func(buf []byte) []byte { return appendCPUMax(buf, g.QuotaUs, g.PeriodUs) },
 			write: func(s string) error {
 				q, p, err := ParseCPUMax(s, g.PeriodUs)
 				if err != nil {
@@ -146,7 +148,7 @@ func (t *Tree) addControlFiles(rel string, g *sched.Group) error {
 			},
 		},
 		"cpu.max.burst": {
-			read: func() string { return fmt.Sprintf("%d\n", g.BurstUs) },
+			read: func(buf []byte) []byte { return appendBurst(buf, g.BurstUs) },
 			write: func(s string) error {
 				v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 				if err != nil {
@@ -155,25 +157,34 @@ func (t *Tree) addControlFiles(rel string, g *sched.Group) error {
 				return g.SetBurst(v)
 			},
 		},
+		"cpu.stat":       {read: func(buf []byte) []byte { return appendCPUStat(buf, g) }},
+		"cgroup.threads": {read: func(buf []byte) []byte { return appendTIDs(buf, g) }},
 	}
 	for name, f := range files {
-		if err := t.fs.AddDynamic(path.Join(dir, name), f.read, f.write); err != nil {
-			return err
-		}
-	}
-	// The files the controller's monitor stage reads every period for
-	// every vCPU render through append-style callbacks, so a
-	// ReadFileAppend into a reused buffer allocates nothing.
-	appendFiles := map[string]memfs.ReadAppendFunc{
-		"cpu.stat":       func(buf []byte) []byte { return appendCPUStat(buf, g) },
-		"cgroup.threads": func(buf []byte) []byte { return appendTIDs(buf, g) },
-	}
-	for name, read := range appendFiles {
-		if err := t.fs.AddDynamicAppend(path.Join(dir, name), read, nil); err != nil {
+		if err := t.fs.AddDynamicAppend(path.Join(dir, name), f.read, f.write); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// appendCPUMax renders cpu.max the way cgroup v2 does: "max PERIOD" for
+// an unlimited group, "QUOTA PERIOD" otherwise.
+func appendCPUMax(buf []byte, quotaUs, periodUs int64) []byte {
+	if quotaUs == sched.NoQuota {
+		buf = append(buf, "max"...)
+	} else {
+		buf = strconv.AppendInt(buf, quotaUs, 10)
+	}
+	buf = append(buf, ' ')
+	buf = strconv.AppendInt(buf, periodUs, 10)
+	return append(buf, '\n')
+}
+
+// appendBurst renders cpu.max.burst.
+func appendBurst(buf []byte, burstUs int64) []byte {
+	buf = strconv.AppendInt(buf, burstUs, 10)
+	return append(buf, '\n')
 }
 
 // appendCPUStat renders cpu.stat into buf, byte-identical to the
@@ -217,14 +228,6 @@ func appendTIDs(buf []byte, g *sched.Group) []byte {
 		prev = best
 	}
 	return buf
-}
-
-// FormatCPUMax renders quota/period the way cgroup v2 does.
-func FormatCPUMax(quotaUs, periodUs int64) string {
-	if quotaUs == sched.NoQuota {
-		return fmt.Sprintf("max %d\n", periodUs)
-	}
-	return fmt.Sprintf("%d %d\n", quotaUs, periodUs)
 }
 
 // ParseCPUMax parses a cpu.max write: "max", "QUOTA" or "QUOTA PERIOD".

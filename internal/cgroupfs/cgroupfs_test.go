@@ -175,20 +175,41 @@ func TestParseCPUMaxRoundTrip(t *testing.T) {
 	if err != nil || q != 42000 || p != 100000 {
 		t.Fatalf("ParseCPUMax(42000) = %d, %d, %v", q, p, err)
 	}
-	if FormatCPUMax(sched.NoQuota, 100000) != "max 100000\n" {
-		t.Fatal("FormatCPUMax(NoQuota) wrong")
+}
+
+// TestAppendRendersMatchFmt pins the append renders of cpu.max and
+// cpu.max.burst byte for byte against the fmt.Sprintf forms they
+// replaced.
+func TestAppendRendersMatchFmt(t *testing.T) {
+	for _, tc := range []struct{ quota, period int64 }{
+		{sched.NoQuota, 100000}, {sched.NoQuota, 1}, {500, 1000}, {1, 1},
+		{25000, 100000}, {100000, 100000}, {999999, 1000000}, {1 << 40, 1 << 41},
+	} {
+		want := fmt.Sprintf("%d %d\n", tc.quota, tc.period)
+		if tc.quota == sched.NoQuota {
+			want = fmt.Sprintf("max %d\n", tc.period)
+		}
+		if got := string(appendCPUMax(nil, tc.quota, tc.period)); got != want {
+			t.Errorf("cpu.max %d/%d = %q, want %q", tc.quota, tc.period, got, want)
+		}
 	}
-	if FormatCPUMax(500, 1000) != "500 1000\n" {
-		t.Fatal("FormatCPUMax(500,1000) wrong")
+	for _, burst := range []int64{0, 1, 9, 10, 12500, 1 << 40, -1} {
+		if got, want := string(appendBurst(nil, burst)), fmt.Sprintf("%d\n", burst); got != want {
+			t.Errorf("cpu.max.burst %d = %q, want %q", burst, got, want)
+		}
+	}
+	// The render appends: what the buffer held stays in front.
+	if got := string(appendCPUMax([]byte("x"), 5, 10)); got != "x5 10\n" {
+		t.Errorf("append onto a prefix = %q", got)
 	}
 }
 
-// Property: any valid quota/period round-trips through format+parse.
+// Property: any valid quota/period round-trips through render+parse.
 func TestQuickCPUMaxRoundTrip(t *testing.T) {
 	f := func(q, p uint32) bool {
 		quota := int64(q%1_000_000) + 1
 		period := int64(p%1_000_000) + 1
-		s := FormatCPUMax(quota, period)
+		s := string(appendCPUMax(nil, quota, period))
 		gq, gp, err := ParseCPUMax(s, 0)
 		return err == nil && gq == quota && gp == period
 	}

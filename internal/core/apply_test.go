@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -18,10 +19,9 @@ func reportSummary(rep StepReport) string {
 	return s
 }
 
-// TestApplySkipsCleanQuotas is the incremental-apply acceptance test on
-// a host without the batch capability (served by platform's serial
-// adapter): once the estimates stabilise, a steady-state step must issue
-// zero SetMax writes, and a changed estimate must write again.
+// TestApplySkipsCleanQuotas is the incremental-apply acceptance test:
+// once the estimates stabilise, a steady-state step must issue zero
+// SetMax writes, and a changed estimate must write again.
 func TestApplySkipsCleanQuotas(t *testing.T) {
 	h := newFakeHost()
 	h.AddVM("a", 2, 1200)
@@ -49,26 +49,22 @@ func TestApplySkipsCleanQuotas(t *testing.T) {
 	}
 }
 
-// TestApplyBatchedSkipsCleanQuotas is the same acceptance seen from a
-// host with the capability (FaultyHost's own, no plan armed, which tallies
-// every entry that reaches it): a steady-state step must hand BatchSetMax
-// nothing (the dirty set is empty), and a single dirtied vCPU must arrive
-// as one entry and one write.
-func TestApplyBatchedSkipsCleanQuotas(t *testing.T) {
+// TestApplySkipsCleanQuotasAtSetMax is the same acceptance counted at
+// the fault wrapper's SetMax site (no plan armed), which sees every call
+// the controller makes: a steady-state step must reach the site not at
+// all, and a single dirtied vCPU exactly once, landing as one write.
+func TestApplySkipsCleanQuotasAtSetMax(t *testing.T) {
 	h := newFakeHost()
 	h.AddVM("a", 2, 1200)
 	fh := platform.WithFaults(h, 1)
 	ctrl := mustController(t, fh, DefaultConfig())
-	if _, own := ctrl.batch.(*platform.FaultyHost); !own {
-		t.Fatal("batch capability not detected")
-	}
 	warmUp(t, ctrl, h, 8, 400_000)
 
-	entries, applied := fh.Calls(platform.SiteBatchSetMax), h.SetMaxCalls
+	calls, applied := fh.Calls(platform.SiteSetMax), h.SetMaxCalls
 	warmUp(t, ctrl, h, 5, 400_000)
-	if fh.Calls(platform.SiteBatchSetMax) != entries || h.SetMaxCalls != applied {
-		t.Fatalf("steady state issued %d batch entries / %d writes over 5 steps, want 0",
-			fh.Calls(platform.SiteBatchSetMax)-entries, h.SetMaxCalls-applied)
+	if fh.Calls(platform.SiteSetMax) != calls || h.SetMaxCalls != applied {
+		t.Fatalf("steady state made %d SetMax calls / %d writes over 5 steps, want 0",
+			fh.Calls(platform.SiteSetMax)-calls, h.SetMaxCalls-applied)
 	}
 
 	h.Consume("a", 0, 800_000)
@@ -76,78 +72,31 @@ func TestApplyBatchedSkipsCleanQuotas(t *testing.T) {
 	if err := ctrl.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if fh.Calls(platform.SiteBatchSetMax) != entries+1 || h.SetMaxCalls != applied+1 {
-		t.Fatalf("spike step issued %d batch entries and %d writes, want 1 and 1",
-			fh.Calls(platform.SiteBatchSetMax)-entries, h.SetMaxCalls-applied)
+	if fh.Calls(platform.SiteSetMax) != calls+1 || h.SetMaxCalls != applied+1 {
+		t.Fatalf("spike step made %d SetMax calls and %d writes, want 1 and 1",
+			fh.Calls(platform.SiteSetMax)-calls, h.SetMaxCalls-applied)
 	}
 }
 
-// TestApplyBatchedMatchesSerial runs a controller over a host served by
-// the serial adapter and one over a host with its own batch capability
-// through the same workload and requires identical quota maps and write
-// counts — the batch is a transport optimisation, not a semantic change.
-func TestApplyBatchedMatchesSerial(t *testing.T) {
-	hs, hb := newFakeHost(), newFakeHost()
-	for _, h := range []*platform.Scripted{hs, hb} {
-		h.AddVM("a", 2, 1200)
-		h.AddVM("b", 3, 900)
-	}
-	cfg := DefaultConfig()
-	cfg.BurstFraction = 0.25
-	serial := mustController(t, hs, cfg)
-	batched := mustController(t, platform.WithFaults(hb, 1), cfg)
-	for s := int64(0); s < 12; s++ {
-		for i, name := range []string{"a", "b"} {
-			for j := 0; j < 2+i; j++ {
-				u := (s*83_000 + int64(i)*41_000 + int64(j)*29_000) % 1_000_000
-				hs.Consume(name, j, u)
-				hb.Consume(name, j, u)
-			}
-		}
-		if err := serial.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if err := batched.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, vm := range vmsOf(hs) {
-		for j := 0; j < vm.VCPUs; j++ {
-			if qs, qb := quotaOf(hs, vm.Name, j), quotaOf(hb, vm.Name, j); qs != qb {
-				t.Fatalf("quota for %s/%d: serial %v, batched %v", vm.Name, j, qs, qb)
-			}
-			if bs, bb := hs.VCPU(vm.Name, j).BurstUs, hb.VCPU(vm.Name, j).BurstUs; bs != bb {
-				t.Fatalf("burst for %s/%d: serial %v, batched %v", vm.Name, j, bs, bb)
-			}
-		}
-	}
-	if hs.SetMaxCalls != hb.SetMaxCalls {
-		t.Fatalf("write counts diverged: serial %d, batched %d", hs.SetMaxCalls, hb.SetMaxCalls)
-	}
-}
-
-// TestApplyBatchedPartialFailure injects a per-entry fault into the
-// batched write: the failed vCPU alone degrades with an apply/setmax
-// fault and its dirty flag survives (the cache is invalidated), so the
-// quota is rewritten on the next clean step even though its cap never
-// changed; the other entries of the same batch land normally.
-func TestApplyBatchedPartialFailure(t *testing.T) {
+// TestApplyPartialFailure injects a write fault on one vCPU of a VM
+// whose every quota is dirty: that vCPU alone degrades with an
+// apply/setmax fault and its dirty flag survives (the cache is
+// invalidated), so the quota is rewritten on the next clean step even
+// though its cap never changed; the VM's other writes land normally.
+func TestApplyPartialFailure(t *testing.T) {
 	inner := newFakeHost()
 	inner.AddVM("a", 3, 1200)
 	fh := platform.WithFaults(inner, 1)
 	cfg := DefaultConfig()
 	cfg.HostRetries = 0
 	ctrl := mustController(t, fh, cfg)
-	if ctrl.batch == nil {
-		t.Fatal("FaultyHost should provide the batch capability")
-	}
 	warmUp(t, ctrl, inner, 8, 400_000)
 
-	fh.MustPlan(platform.SiteBatchSetMax, platform.FaultPlan{
+	fh.MustPlan(platform.SiteSetMax, platform.FaultPlan{
 		Persistent: true,
 		Match:      func(vm string, vcpu int) bool { return vcpu == 1 },
 	})
-	// Spike every vCPU so the whole batch is dirty.
+	// Spike every vCPU so every quota is dirty.
 	for j := 0; j < 3; j++ {
 		inner.Consume("a", j, 800_000)
 	}
@@ -167,28 +116,68 @@ func TestApplyBatchedPartialFailure(t *testing.T) {
 	if !found {
 		t.Fatalf("no apply/setmax fault for a/1 in report: %s", reportSummary(rep))
 	}
-	// The healthy entries of the same batch landed.
-	want := ctrl.VM("a").VCPUs[0].CapUs * cfg.CgroupPeriodUs / cfg.PeriodUs
-	if got := quotaOf(inner, "a", 0); got[0] != want {
-		t.Fatalf("a/0 quota = %v, want %d", got, want)
+	// The healthy writes of the same VM landed, before and after a/1.
+	for _, j := range []int{0, 2} {
+		want := ctrl.VM("a").VCPUs[j].CapUs * cfg.CgroupPeriodUs / cfg.PeriodUs
+		if got := quotaOf(inner, "a", j); got[0] != want {
+			t.Fatalf("a/%d quota = %v, want %d", j, got, want)
+		}
 	}
-	stale := quotaOf(inner, "a", 1)
 
 	// Plan cleared: the next step recovers a/1 and must rewrite its
-	// quota — the failed write dropped the cache, so the entry is still
-	// dirty even though the cap is unchanged.
-	fh.Clear(platform.SiteBatchSetMax)
-	warmUp(t, ctrl, inner, 2, 800_000)
+	// quota — the failed write dropped the cache, so it is still dirty
+	// even though the cap is unchanged.
+	fh.Clear(platform.SiteSetMax)
+	warmUp(t, ctrl, inner, 1, 800_000)
 	if ctrl.VM("a").VCPUs[1].Degraded {
 		t.Fatal("a/1 still degraded after the plan cleared")
 	}
-	fresh := quotaOf(inner, "a", 1)
 	wantQ := ctrl.VM("a").VCPUs[1].CapUs * cfg.CgroupPeriodUs / cfg.PeriodUs
-	if fresh == stale && fresh[0] != wantQ {
-		t.Fatalf("a/1 quota never rewritten after recovery: %v (cap wants %d)", fresh, wantQ)
-	}
-	if fresh[0] != wantQ {
+	if fresh := quotaOf(inner, "a", 1); fresh[0] != wantQ {
 		t.Fatalf("a/1 quota = %v, want %d", fresh, wantQ)
+	}
+}
+
+// TestApplySlowWriteDegradesOnlyItself arms a call budget and a write
+// delay far beyond it on one vCPU: that write comes back ErrCallBudget,
+// unretried, and degrades its vCPU alone; the VM's other writes are timed
+// on their own and land.
+func TestApplySlowWriteDegradesOnlyItself(t *testing.T) {
+	inner := newFakeHost()
+	inner.AddVM("a", 3, 1200)
+	fh := platform.WithFaults(inner, 1)
+	cfg := DefaultConfig()
+	cfg.CallBudgetUs = 20_000
+	ctrl := mustController(t, fh, cfg)
+	warmUp(t, ctrl, inner, 8, 400_000)
+
+	fh.MustPlan(platform.SiteSetMax, platform.FaultPlan{
+		DelayRate: 1,
+		DelayUs:   100_000,
+		Match:     func(vm string, vcpu int) bool { return vcpu == 1 },
+	})
+	for j := 0; j < 3; j++ {
+		inner.Consume("a", j, 800_000)
+	}
+	calls := fh.Calls(platform.SiteSetMax)
+	if err := ctrl.Step(); err != nil {
+		t.Fatal(err)
+	}
+	rep := ctrl.LastReport()
+	if rep.DegradedVCPUs != 1 || !ctrl.VM("a").VCPUs[1].Degraded {
+		t.Fatalf("degraded vCPUs = %d, want a/1 alone: %s", rep.DegradedVCPUs, reportSummary(rep))
+	}
+	if len(rep.Faults) != 1 || rep.Faults[0].Op != "setmax" || !errors.Is(rep.Faults[0].Err, ErrCallBudget) {
+		t.Fatalf("faults = %s, want one setmax ErrCallBudget", reportSummary(rep))
+	}
+	if got := fh.Calls(platform.SiteSetMax) - calls; got != 3 {
+		t.Fatalf("%d SetMax calls, want 3 (the slow one never retried)", got)
+	}
+	for _, j := range []int{0, 2} {
+		want := ctrl.VM("a").VCPUs[j].CapUs * cfg.CgroupPeriodUs / cfg.PeriodUs
+		if got := quotaOf(inner, "a", j); got[0] != want {
+			t.Fatalf("a/%d quota = %v, want %d", j, got, want)
+		}
 	}
 }
 

@@ -226,15 +226,15 @@ func TestStepSkipsCleanWrites(t *testing.T) {
 	}
 }
 
-// TestApplyStageBatchedZeroAlloc asserts the apply stage — dirty
-// collection into the reused entry buffer, the batch call, the outcome
-// resolution — allocates nothing even when every quota is dirty.
-func TestApplyStageBatchedZeroAlloc(t *testing.T) {
+// TestApplyStageDirtyZeroAlloc asserts the apply stage — one SetMax
+// through hostCall per vCPU and the cache updates — allocates nothing
+// even when every quota is dirty.
+func TestApplyStageDirtyZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	// FaultyHost brings the batch capability; with no plan armed it only
-	// tallies the entries, in maps whose keys exist after the first step.
+	// FaultyHost with no plan armed only tallies the calls, in maps whose
+	// keys exist after the first step.
 	h := platform.WithFaults(newBenchHost(20, 2), 1)
 	c, err := New(h, DefaultConfig())
 	if err != nil {
@@ -261,10 +261,10 @@ func TestApplyStageBatchedZeroAlloc(t *testing.T) {
 		c.apply(&rep)
 	})
 	if allocs != 0 {
-		t.Fatalf("batched apply allocates %.1f/op, want 0", allocs)
+		t.Fatalf("all-dirty apply allocates %.1f/op, want 0", allocs)
 	}
-	if h.Calls(platform.SiteBatchSetMax) == 0 {
-		t.Fatal("batch path never ran")
+	if h.Calls(platform.SiteSetMax) == 0 {
+		t.Fatal("no quota write ran")
 	}
 }
 
@@ -281,11 +281,11 @@ func BenchmarkEstimateEnforce(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyStageBatched measures stage 6 with every quota dirty —
+// BenchmarkApplyStageDirty measures stage 6 with every quota dirty —
 // the worst case; the steady-state best case (all clean, zero writes) is
-// what BenchmarkApplyStage measures. The batch capability is FaultyHost's,
-// so the figure includes its two map tallies per entry.
-func BenchmarkApplyStageBatched(b *testing.B) {
+// what BenchmarkApplyStage measures. The writes go through FaultyHost,
+// so the figure includes its map tally per call.
+func BenchmarkApplyStageDirty(b *testing.B) {
 	c, err := New(platform.WithFaults(newBenchHost(40, 2), 1), DefaultConfig())
 	if err != nil {
 		b.Fatal(err)

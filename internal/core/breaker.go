@@ -22,17 +22,11 @@ func (c *Controller) callStart() time.Time {
 	return time.Now()
 }
 
-// callOver reports whether the call timed by t0 exceeded the budget.
-func (c *Controller) callOver(t0 time.Time) bool {
-	if t0.IsZero() {
-		return false
-	}
-	return time.Since(t0) > time.Duration(c.cfg.CallBudgetUs)*time.Microsecond
-}
-
-// budgeted converts a slow success into ErrCallBudget.
+// budgeted converts a success of the call timed by t0 into ErrCallBudget
+// when the call took longer than Config.CallBudgetUs (a zero t0 means the
+// budget is disabled).
 func (c *Controller) budgeted(t0 time.Time, err error) error {
-	if err == nil && c.callOver(t0) {
+	if err == nil && !t0.IsZero() && time.Since(t0) > time.Duration(c.cfg.CallBudgetUs)*time.Microsecond {
 		return ErrCallBudget
 	}
 	return err

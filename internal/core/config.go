@@ -96,8 +96,8 @@ type Config struct {
 	// a call that succeeds but takes longer than this is treated as
 	// failed (the affected vCPU degrades, holding its last-known-good
 	// cap) and is never retried — retrying a slow call is how a stalling
-	// cgroupfs drags a whole Step past the watchdog. The apply stage's
-	// batched write is timed as one call. 0 disables the budget.
+	// cgroupfs drags a whole Step past the watchdog. 0 disables the
+	// budget.
 	CallBudgetUs int64
 	// RetryBackoffUs, when positive, sleeps before every retry of every
 	// host call (Config.HostRetries): the k-th retry waits an

@@ -123,11 +123,6 @@ type Controller struct {
 	// StepReport; nil (the default) records nothing.
 	met *ctrlMetrics
 
-	// batch writes the apply stage's quotas: the host's own
-	// BatchQuotaWriter capability, or platform's serial adapter over its
-	// SetMax. Resolved once at New, never nil.
-	batch platform.BatchQuotaWriter
-
 	// stepT0 and stepBudget frame the running Step's deadline window:
 	// set at the top of runStages, they bound every retry-backoff sleep
 	// so backoff can never push the Step past its watchdog. Outside a
@@ -138,12 +133,11 @@ type Controller struct {
 	backoffSeq uint64
 
 	// Reused per-Step scratch, so the steady-state control loop runs
-	// without heap allocations: the sync-stage seen set, the
-	// auction/distribution buyer list and the batched-apply entry buffer
-	// all keep their backing storage across Steps.
+	// without heap allocations: the sync-stage seen set and the
+	// auction/distribution buyer list keep their backing storage across
+	// Steps.
 	seen      map[string]bool
 	buyersBuf []*VCPUState
-	batchBuf  []platform.VCPUQuota
 }
 
 // New creates a controller.
@@ -156,11 +150,10 @@ func New(h platform.Host, cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("core: invalid node info %+v", node)
 	}
 	return &Controller{
-		cfg:   cfg,
-		host:  h,
-		node:  node,
-		vms:   map[string]*VMState{},
-		batch: platform.BatchWriter(h),
+		cfg:  cfg,
+		host: h,
+		node: node,
+		vms:  map[string]*VMState{},
 	}, nil
 }
 
@@ -221,18 +214,9 @@ func (op hostOp) String() string { return hostOpNames[op] }
 // retried reports a success that needed more than one attempt (the
 // caller counts it in StepReport.Retries).
 //
-// A non-nil prior says the caller already made attempt 0 by other means
-// (the apply stage's batched write) and it failed with that error: the
-// loop resumes at attempt 1, and with no attempt left — or a prior
-// ErrCallBudget — prior itself comes back.
-//
 // hostCall takes no closure and allocates nothing.
-func (c *Controller) hostCall(op hostOp, vm string, i int, x, y int64, prior error) (val int64, retried bool, err error) {
-	attempt := 0
-	if err = prior; err != nil {
-		attempt = 1
-	}
-	for ; attempt <= c.cfg.HostRetries && err != ErrCallBudget; attempt++ {
+func (c *Controller) hostCall(op hostOp, vm string, i int, x, y int64) (val int64, retried bool, err error) {
+	for attempt := 0; attempt <= c.cfg.HostRetries && err != ErrCallBudget; attempt++ {
 		if attempt > 0 {
 			c.backoffSleep(attempt)
 		}
@@ -265,7 +249,7 @@ func (c *Controller) hostCall(op hostOp, vm string, i int, x, y int64, prior err
 // retryUsage reads a vCPU usage counter outside the monitor stage: at
 // registration, restore and adoption.
 func (c *Controller) retryUsage(rep *StepReport, vm string, j int) (int64, error) {
-	usage, retried, err := c.hostCall(opUsage, vm, j, 0, 0, nil)
+	usage, retried, err := c.hostCall(opUsage, vm, j, 0, 0)
 	if retried {
 		rep.Retries++
 	}
@@ -672,7 +656,7 @@ func (c *Controller) monitorVCPU(rep *StepReport, v *VCPUState) {
 // read issues one monitor read of v through hostCall; a failure degrades
 // v, and ok reports whether the vCPU's chain of reads may go on.
 func (c *Controller) read(rep *StepReport, v *VCPUState, op hostOp, vm string, i int) (val int64, ok bool) {
-	val, retried, err := c.hostCall(op, vm, i, 0, 0, nil)
+	val, retried, err := c.hostCall(op, vm, i, 0, 0)
 	if retried {
 		rep.Retries++
 	}

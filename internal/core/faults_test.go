@@ -417,13 +417,12 @@ func TestHostCallPolicy(t *testing.T) {
 		{opSetMax, "setmax", platform.SiteSetMax, 0, 0},
 		{opSetBurst, "setburst", platform.SiteSetBurst, 0, 0},
 	}
-	batchErr := errors.New("the batch said no")
 	for _, o := range ops {
 		t.Run(o.name, func(t *testing.T) {
 			if o.op.String() != o.name {
 				t.Fatalf("op renders %q, want %q", o.op, o.name)
 			}
-			run := func(retries int, budgetUs int64, plan *platform.FaultPlan, prior error) (int64, bool, error, int) {
+			run := func(retries int, budgetUs int64, plan platform.FaultPlan) (int64, bool, error, int) {
 				inner := newFakeHost()
 				inner.AddVM("a", 1, 1200)
 				inner.Consume("a", 0, 123)
@@ -433,37 +432,22 @@ func TestHostCallPolicy(t *testing.T) {
 				cfg.HostRetries = retries
 				cfg.CallBudgetUs = budgetUs
 				c := mustController(t, fh, cfg)
-				if plan != nil {
-					fh.MustPlan(o.site, *plan)
-				}
-				val, retried, err := c.hostCall(o.op, "a", o.i, 50_000, 100_000, prior)
+				fh.MustPlan(o.site, plan)
+				val, retried, err := c.hostCall(o.op, "a", o.i, 50_000, 100_000)
 				return val, retried, err, fh.Calls(o.site)
 			}
 
-			val, retried, err, calls := run(1, 0, &platform.FaultPlan{Count: 1}, nil)
+			val, retried, err, calls := run(1, 0, platform.FaultPlan{Count: 1})
 			if err != nil || !retried || calls != 2 || val != o.want {
 				t.Fatalf("fail-then-succeed: val=%d retried=%v err=%v calls=%d, want %d true nil 2", val, retried, err, calls, o.want)
 			}
-			_, retried, err, calls = run(3, 200, &platform.FaultPlan{DelayRate: 1, DelayUs: 4_000}, nil)
+			_, retried, err, calls = run(3, 200, platform.FaultPlan{DelayRate: 1, DelayUs: 4_000})
 			if err != ErrCallBudget || retried || calls != 1 {
 				t.Fatalf("blown budget: retried=%v err=%v calls=%d, want false ErrCallBudget 1", retried, err, calls)
 			}
-			_, retried, err, calls = run(0, 0, &platform.FaultPlan{Persistent: true}, nil)
+			_, retried, err, calls = run(0, 0, platform.FaultPlan{Persistent: true})
 			if !errors.Is(err, platform.ErrInjected) || retried || calls != 1 {
 				t.Fatalf("HostRetries=0: retried=%v err=%v calls=%d, want false ErrInjected 1", retried, err, calls)
-			}
-			// The caller made attempt 0 itself (the apply batch) and it failed.
-			_, retried, err, calls = run(0, 0, nil, batchErr)
-			if err != batchErr || retried || calls != 0 {
-				t.Fatalf("prior, HostRetries=0: retried=%v err=%v calls=%d, want false the prior error 0", retried, err, calls)
-			}
-			_, retried, err, calls = run(1, 0, nil, batchErr)
-			if err != nil || !retried || calls != 1 {
-				t.Fatalf("prior, HostRetries=1: retried=%v err=%v calls=%d, want true nil 1", retried, err, calls)
-			}
-			_, _, err, calls = run(3, 0, nil, ErrCallBudget)
-			if err != ErrCallBudget || calls != 0 {
-				t.Fatalf("prior ErrCallBudget: err=%v calls=%d, want it back untried", err, calls)
 			}
 		})
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "vfreq/internal/platform"
-
 // estimateAll implements stage 2: per-vCPU estimation of the upcoming
 // consumption, using the Eq. 3 trend over the consumption history and the
 // trigger/factor mechanism of §III-B2. Degraded vCPUs have no fresh
@@ -226,31 +224,25 @@ func (c *Controller) quotaFor(v *VCPUState) int64 {
 // skipped, so a steady-state step issues no host writes at all. The cache
 // is dropped whenever the cgroup may no longer hold what was written (see
 // VCPUState.invalidateApplied), so a skipped write can never leave a
-// stale cap behind. The dirty quotas of each VM go out as one
-// BatchSetMax call; every backend in the tree serves it one SetMax per
-// entry (platform's serial adapter), so the batch fixes the call shape,
-// not the write count.
+// stale cap behind. Each dirty quota is one SetMax through hostCall,
+// timed, retried and budgeted like every other host call.
 //
-// Application is fault-isolated: the batch is attempt 0 of every entry
-// in it, a failed entry is retried alone through hostCall, and a final
-// failure degrades that vCPU alone (its cgroup keeps the previous quota,
-// which equals the held cap) while every healthy vCPU still gets its
-// fresh quota. vCPUs already degraded in monitoring are skipped — their
-// cap is unchanged, so the quota in the cgroup is already the one we
-// would write.
+// Application is fault-isolated: a final write failure degrades that
+// vCPU alone (its cgroup keeps the previous quota, which equals the held
+// cap) while every healthy vCPU still gets its fresh quota. vCPUs
+// already degraded in monitoring are skipped — their cap is unchanged,
+// so the quota in the cgroup is already the one we would write.
 //
 // With burst control on, the kernel refuses a cpu.max below the cgroup's
 // cpu.max.burst and a cpu.max.burst above its cpu.max, so the writes keep
 // burst ≤ quota at every step of the way: a shrinking burst goes out
-// before the quota batch (shrinkBurst), a growing one after it
-// (applyBurst). The budget is a fixed fraction of the quota, so the two
-// always move in the same direction.
+// before the quota (shrinkBurst), a growing one after it (applyBurst).
+// The budget is a fixed fraction of the quota, so the two always move in
+// the same direction.
 func (c *Controller) apply(rep *StepReport) {
 	period := c.cfg.CgroupPeriodUs
 	for _, name := range c.order {
-		st := c.vms[name]
-		buf := c.batchBuf[:0]
-		for _, v := range st.VCPUs {
+		for _, v := range c.vms[name].VCPUs {
 			if v.Degraded {
 				continue
 			}
@@ -258,46 +250,10 @@ func (c *Controller) apply(rep *StepReport) {
 			if !c.shrinkBurst(rep, v, quota) {
 				continue
 			}
-			if v.appliedQuotaOK && v.appliedQuotaUs == quota && v.appliedPeriodUs == period {
-				continue
-			}
-			buf = append(buf, platform.VCPUQuota{VCPU: v.Index, QuotaUs: quota, PeriodUs: period})
-		}
-		c.batchBuf = buf
-		if len(buf) > 0 {
-			// The summary error is redundant with the per-entry Err
-			// fields resolved below. The whole batch is timed as one
-			// call: when it blows the budget, every entry that would
-			// otherwise look fine is poisoned with ErrCallBudget, so a
-			// slow write path degrades its vCPUs instead of stalling the
-			// step (and hostCall skips the pointless per-entry retries).
-			t := c.callStart()
-			_ = c.batch.BatchSetMax(name, buf)
-			if c.callOver(t) {
-				for i := range buf {
-					if buf[i].Err == nil {
-						buf[i].Err = ErrCallBudget
-					}
-				}
-			}
-		}
-		// The batch holds the dirty subset of st.VCPUs in index order, so
-		// one ordered cursor matches entries back to their vCPUs.
-		bi := 0
-		for _, v := range st.VCPUs {
-			if v.Degraded {
-				continue
-			}
-			quota := c.quotaFor(v)
-			if bi < len(buf) && buf[bi].VCPU == v.Index {
-				err := buf[bi].Err
-				bi++
-				if err != nil {
-					var retried bool
-					_, retried, err = c.hostCall(opSetMax, v.VM, v.Index, quota, period, err)
-					if retried {
-						rep.Retries++
-					}
+			if !v.appliedQuotaOK || v.appliedQuotaUs != quota || v.appliedPeriodUs != period {
+				_, retried, err := c.hostCall(opSetMax, v.VM, v.Index, quota, period)
+				if retried {
+					rep.Retries++
 				}
 				if err != nil {
 					c.degrade(rep, v, "apply", opSetMax, err)
@@ -351,7 +307,7 @@ func (c *Controller) applyBurst(rep *StepReport, v *VCPUState, quota int64) {
 // writeBurst writes one vCPU's cpu.max.burst and caches the budget; a
 // final failure degrades the vCPU.
 func (c *Controller) writeBurst(rep *StepReport, v *VCPUState, burst int64) bool {
-	_, retried, err := c.hostCall(opSetBurst, v.VM, v.Index, burst, 0, nil)
+	_, retried, err := c.hostCall(opSetBurst, v.VM, v.Index, burst, 0)
 	if retried {
 		rep.Retries++
 	}

@@ -105,7 +105,7 @@ func TestFileErrorsAreThePathErrors(t *testing.T) {
 	if err := dir.Write("x"); !errors.Is(err, ErrIsDir) {
 		t.Fatalf("write of a directory: %v, want ErrIsDir", err)
 	}
-	if err := fs.AddDynamic("/d/f", func() string { return "r" }, nil); err != nil {
+	if err := fs.AddDynamicAppend("/d/f", func(b []byte) []byte { return append(b, 'r') }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := f.ReadAppend(nil); err != nil || string(got) != "r" {
@@ -128,7 +128,7 @@ func TestFileErrorsAreThePathErrors(t *testing.T) {
 func TestFileWriteReachesWriteFunc(t *testing.T) {
 	fs := New()
 	var first, second []string
-	if err := fs.AddDynamic("/ctl", nil, func(s string) error { first = append(first, s); return nil }); err != nil {
+	if err := fs.AddDynamicAppend("/ctl", empty, func(s string) error { first = append(first, s); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	f := fs.Open("/ctl")
@@ -138,7 +138,7 @@ func TestFileWriteReachesWriteFunc(t *testing.T) {
 	if err := fs.RemoveAll("/ctl"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.AddDynamic("/ctl", nil, func(s string) error { second = append(second, s); return nil }); err != nil {
+	if err := fs.AddDynamicAppend("/ctl", empty, func(s string) error { second = append(second, s); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Write("b"); err != nil {

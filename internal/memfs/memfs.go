@@ -25,9 +25,6 @@ var (
 	ErrReadOnly = errors.New("memfs: file is read-only")
 )
 
-// ReadFunc produces the current content of a dynamic file.
-type ReadFunc func() string
-
 // ReadAppendFunc renders the current content of a dynamic file by
 // appending it to buf. Implementations must not retain buf. Files backed
 // by a ReadAppendFunc can be read without heap allocation through
@@ -44,15 +41,11 @@ type node struct {
 	name     string
 	dir      bool
 	children map[string]*node
-	// static content, used when read and readAppend are nil
+	// static content, used when readAppend is nil
 	content    string
-	read       ReadFunc
 	readAppend ReadAppendFunc
 	write      WriteFunc
 }
-
-// dynamic reports whether the node's reads run a callback.
-func (n *node) dynamic() bool { return n.read != nil || n.readAppend != nil }
 
 // FaultFunc inspects an access before it happens; a non-nil return
 // aborts the operation with that error. op is "read" or "write". It lets
@@ -214,13 +207,6 @@ func (fs *FS) AddFile(p, content string) error {
 	return fs.addNode(p, &node{content: content})
 }
 
-// AddDynamic creates a file whose reads call read and whose writes call
-// write. Either may be nil: a nil read yields the empty string, a nil
-// write makes the file read-only.
-func (fs *FS) AddDynamic(p string, read ReadFunc, write WriteFunc) error {
-	return fs.addNode(p, &node{read: read, write: write})
-}
-
 // AddDynamicAppend creates a dynamic file backed by an append-style
 // renderer: ReadFile wraps it into a string, File.ReadAppend and
 // ReadFileAppend use it directly and stay allocation-free. A nil write
@@ -290,7 +276,7 @@ func (f *File) resolveLocked() (*node, error) {
 // ReadAppend appends the current content of the file to buf and returns
 // the extended slice. For files created with AddDynamicAppend the render
 // happens directly into buf, so a read with sufficient capacity performs
-// no heap allocation; other files fall back to their string content.
+// no heap allocation; static files append their content.
 func (f *File) ReadAppend(buf []byte) ([]byte, error) {
 	if err := f.fs.checkFault("read", f.path); err != nil {
 		return buf, err
@@ -305,7 +291,6 @@ func (f *File) ReadAppend(buf []byte) ([]byte, error) {
 		f.fs.mu.RUnlock()
 		return buf, fmt.Errorf("%w: %s", ErrIsDir, f.path)
 	}
-	read := n.read
 	readAppend := n.readAppend
 	content := n.content
 	f.fs.mu.RUnlock()
@@ -313,9 +298,6 @@ func (f *File) ReadAppend(buf []byte) ([]byte, error) {
 	// simulation state that itself mutates the filesystem.
 	if readAppend != nil {
 		return readAppend(buf), nil
-	}
-	if read != nil {
-		return append(buf, read()...), nil
 	}
 	return append(buf, content...), nil
 }
@@ -336,7 +318,7 @@ func (f *File) Write(data string) error {
 		f.fs.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrIsDir, f.path)
 	}
-	if w := n.write; w != nil || n.dynamic() {
+	if w := n.write; w != nil || n.readAppend != nil {
 		f.fs.mu.Unlock()
 		if w == nil {
 			return fmt.Errorf("%w: %s", ErrReadOnly, f.path)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -80,8 +81,8 @@ func TestStaticFileRoundTrip(t *testing.T) {
 func TestDynamicFile(t *testing.T) {
 	fs := New()
 	val := 7
-	err := fs.AddDynamic("/dyn",
-		func() string { return fmt.Sprint(val) },
+	err := fs.AddDynamicAppend("/dyn",
+		func(b []byte) []byte { return strconv.AppendInt(b, int64(val), 10) },
 		func(s string) error {
 			if s == "bad" {
 				return errors.New("invalid")
@@ -108,7 +109,7 @@ func TestDynamicFile(t *testing.T) {
 
 func TestDynamicReadOnly(t *testing.T) {
 	fs := New()
-	if err := fs.AddDynamic("/ro", func() string { return "x" }, nil); err != nil {
+	if err := fs.AddDynamicAppend("/ro", func(b []byte) []byte { return append(b, 'x') }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.WriteFile("/ro", "y"); !errors.Is(err, ErrReadOnly) {
@@ -274,11 +275,15 @@ func TestRemoveAllRoot(t *testing.T) {
 	}
 }
 
+// empty renders a dynamic file with no content.
+func empty(buf []byte) []byte { return buf }
+
 func TestDynamicWriteOnlyFile(t *testing.T) {
 	fs := New()
 	var got string
-	// nil read with a write callback: write-only control file.
-	if err := fs.AddDynamic("/wo", nil, func(s string) error { got = s; return nil }); err != nil {
+	// A renderer that appends nothing with a write callback: a
+	// write-only control file.
+	if err := fs.AddDynamicAppend("/wo", empty, func(s string) error { got = s; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.WriteFile("/wo", "ping"); err != nil {

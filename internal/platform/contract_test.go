@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -323,32 +322,6 @@ func TestHostContract(t *testing.T) {
 			}
 			if _, err := r.host.UsageUs("b", 0); err != nil {
 				t.Fatalf("the VM that stayed: %v", err)
-			}
-		}},
-		// Red when: serialBatch returns at the first failed entry, or returns
-		// nil; FaultyHost.BatchSetMax returns at the first failed entry.
-		{"a batch attempts every entry and reports each", func(t *testing.T, r *contractRig) {
-			r.addVM("a", 3, 1200)
-			r.list(t)
-			stale := errors.New("left over from the last batch")
-			quotas := []VCPUQuota{
-				{VCPU: 0, QuotaUs: 20_000, PeriodUs: 100_000, Err: stale},
-				{VCPU: 7, QuotaUs: 30_000, PeriodUs: 100_000, Err: stale}, // no such vCPU
-				{VCPU: 2, QuotaUs: 40_000, PeriodUs: 100_000, Err: stale},
-			}
-			if err := BatchWriter(r.host).BatchSetMax("a", quotas); err == nil {
-				t.Fatal("summary error nil with a failed entry")
-			}
-			if quotas[0].Err != nil || quotas[2].Err != nil {
-				t.Fatalf("entries around the failed one: %v, %v, want both written", quotas[0].Err, quotas[2].Err)
-			}
-			if quotas[1].Err == nil || quotas[1].Err == stale {
-				t.Fatalf("entry for the missing vCPU: Err = %v", quotas[1].Err)
-			}
-			if qr, reads := r.host.(QuotaReader); reads {
-				if q, _, err := qr.ReadMax("a", 2); err != nil || q != 40_000 {
-					t.Fatalf("the entry after the failed one: ReadMax = %d, %v, want 40000", q, err)
-				}
 			}
 		}},
 	}

@@ -16,22 +16,21 @@ type FaultSite string
 
 // The injectable call sites, one per Host method.
 const (
-	SiteListVMs     FaultSite = "ListVMs"
-	SiteUsage       FaultSite = "UsageUs"
-	SiteSetMax      FaultSite = "SetMax"
-	SiteBatchSetMax FaultSite = "BatchSetMax"
-	SiteClearMax    FaultSite = "ClearMax"
-	SiteReadMax     FaultSite = "ReadMax"
-	SiteSetBurst    FaultSite = "SetBurst"
-	SiteThreadID    FaultSite = "ThreadID"
-	SiteLastCPU     FaultSite = "LastCPU"
-	SiteCoreFreq    FaultSite = "CoreFreqMHz"
+	SiteListVMs  FaultSite = "ListVMs"
+	SiteUsage    FaultSite = "UsageUs"
+	SiteSetMax   FaultSite = "SetMax"
+	SiteClearMax FaultSite = "ClearMax"
+	SiteReadMax  FaultSite = "ReadMax"
+	SiteSetBurst FaultSite = "SetBurst"
+	SiteThreadID FaultSite = "ThreadID"
+	SiteLastCPU  FaultSite = "LastCPU"
+	SiteCoreFreq FaultSite = "CoreFreqMHz"
 )
 
 // Sites lists every injectable call site.
 var Sites = []FaultSite{
-	SiteListVMs, SiteUsage, SiteSetMax, SiteBatchSetMax, SiteClearMax,
-	SiteReadMax, SiteSetBurst, SiteThreadID, SiteLastCPU, SiteCoreFreq,
+	SiteListVMs, SiteUsage, SiteSetMax, SiteClearMax, SiteReadMax,
+	SiteSetBurst, SiteThreadID, SiteLastCPU, SiteCoreFreq,
 }
 
 // SiteByName resolves a call-site name (as spelled in the constants).
@@ -76,9 +75,9 @@ type FaultPlan struct {
 	// from the host seed. Required (positive) when DelayRate > 0.
 	DelayUs int64
 
-	// Match restricts VM-scoped sites (UsageUs, SetMax, BatchSetMax,
-	// ClearMax, ReadMax, SetBurst, ThreadID) to particular vCPUs; nil
-	// matches all calls. Sites without a VM operand (ListVMs, LastCPU,
+	// Match restricts VM-scoped sites (UsageUs, SetMax, ClearMax,
+	// ReadMax, SetBurst, ThreadID) to particular vCPUs; nil matches all
+	// calls. Sites without a VM operand (ListVMs, LastCPU,
 	// CoreFreqMHz) ignore it.
 	Match func(vm string, vcpu int) bool
 }
@@ -278,28 +277,6 @@ func (f *FaultyHost) SetMax(vm string, vcpu int, quotaUs, periodUs int64) error 
 		return err
 	}
 	return f.inner.SetMax(vm, vcpu, quotaUs, periodUs)
-}
-
-// BatchSetMax implements BatchQuotaWriter. Each entry is injected
-// independently: first at SiteBatchSetMax, then through the regular
-// SetMax path, so SiteSetMax plans keep firing for batched writes (a
-// batch is semantically N quota writes). Entries forward one by one via
-// SetMax rather than the inner host's own batch capability — this keeps
-// per-entry injection exact and lets the wrapper add the capability to
-// any host, matching the controller's per-entry fault accounting.
-func (f *FaultyHost) BatchSetMax(vm string, quotas []VCPUQuota) error {
-	var firstErr error
-	for i := range quotas {
-		q := &quotas[i]
-		q.Err = f.fail(SiteBatchSetMax, vm, q.VCPU)
-		if q.Err == nil {
-			q.Err = f.SetMax(vm, q.VCPU, q.QuotaUs, q.PeriodUs)
-		}
-		if q.Err != nil && firstErr == nil {
-			firstErr = q.Err
-		}
-	}
-	return firstErr
 }
 
 // ClearMax implements Host.

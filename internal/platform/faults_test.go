@@ -253,48 +253,3 @@ func TestFaultyHostLatencyIsReproducible(t *testing.T) {
 		t.Fatal("rate 0.3 never fired in 60 calls")
 	}
 }
-
-// TestFaultyHostBatchSetMax covers the wrapper's batch capability: each
-// entry is injected independently at SiteBatchSetMax, AND flows through
-// the regular SetMax path, so an armed SiteSetMax plan keeps firing for
-// batched writes. Entries that survive injection land on the inner host.
-func TestFaultyHostBatchSetMax(t *testing.T) {
-	fh, s := newFaultySim(t)
-	fh.MustPlan(SiteBatchSetMax, FaultPlan{
-		Persistent: true,
-		Match:      func(vm string, vcpu int) bool { return vcpu == 1 },
-	})
-	quotas := []VCPUQuota{
-		{VCPU: 0, QuotaUs: 10_000, PeriodUs: 100_000},
-		{VCPU: 1, QuotaUs: 20_000, PeriodUs: 100_000},
-	}
-	if err := fh.BatchSetMax("a", quotas); !errors.Is(err, ErrInjected) {
-		t.Fatalf("summary err = %v, want injected", err)
-	}
-	if quotas[0].Err != nil {
-		t.Fatalf("unmatched entry failed: %v", quotas[0].Err)
-	}
-	if !errors.Is(quotas[1].Err, ErrInjected) {
-		t.Fatalf("matched entry err = %v, want injected", quotas[1].Err)
-	}
-	// The surviving entry reached the inner host's cgroup file.
-	if q, p, err := s.ReadMax("a", 0); err != nil || q != 10_000 || p != 100_000 {
-		t.Fatalf("vcpu0 quota = %d/%d, %v", q, p, err)
-	}
-
-	// A SetMax plan must keep firing for batched writes: a batch is
-	// semantically N quota writes.
-	fh.ClearAll()
-	fh.MustPlan(SiteSetMax, FaultPlan{Persistent: true})
-	setMaxCalls := fh.Calls(SiteSetMax)
-	quotas[0].Err, quotas[1].Err = nil, nil
-	if err := fh.BatchSetMax("a", quotas); err == nil {
-		t.Fatal("SetMax plan ignored by the batch path")
-	}
-	if quotas[0].Err == nil || quotas[1].Err == nil {
-		t.Fatal("SetMax plan missed a batched entry")
-	}
-	if got := fh.Calls(SiteSetMax) - setMaxCalls; got != 2 {
-		t.Fatalf("SetMax saw %d calls from the batch, want 2", got)
-	}
-}

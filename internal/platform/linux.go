@@ -509,11 +509,10 @@ func (l *Linux) SetMax(vm string, vcpu int, quotaUs, periodUs int64) error {
 	return h.write(b)
 }
 
-// BatchSetMax implements BatchQuotaWriter through the serial adapter:
-// SetMax already writes through the cached descriptor, and with one
-// goroutine per host there is no lock for a batch to amortise. The method
-// exists only because the benchmark's host decorator requires the
-// capability of the hosts it wraps.
+// BatchSetMax implements BatchQuotaWriter through the serial adapter.
+//
+// Deprecated: unused by the controller; kept only until benchmark/
+// stops requiring BatchQuotaWriter of the hosts it wraps.
 func (l *Linux) BatchSetMax(vm string, quotas []VCPUQuota) error {
 	return serialBatch{l}.BatchSetMax(vm, quotas)
 }

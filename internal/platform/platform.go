@@ -82,10 +82,10 @@ type Topology interface {
 }
 
 // VCPUQuota is one entry of a BatchSetMax call: the quota to write for
-// one vCPU of the batch's VM, plus the per-entry outcome. Err is set by
-// the host implementation — nil when the write landed, the write error
-// otherwise — so a caller can tell exactly which vCPUs of a partially
-// failed batch still hold their previous quota.
+// one vCPU of the batch's VM, plus the per-entry outcome in Err.
+//
+// Deprecated: unused by the controller, which writes each quota with
+// SetMax; kept only until benchmark/ stops requiring BatchQuotaWriter.
 type VCPUQuota struct {
 	VCPU     int
 	QuotaUs  int64
@@ -93,28 +93,21 @@ type VCPUQuota struct {
 	Err      error
 }
 
-// BatchQuotaWriter is an optional Host capability: writing the cpu.max
-// quotas of several vCPUs of one VM in a single call. Implementations
-// must attempt every entry (a failed write never aborts the rest),
-// record the per-entry outcome in quotas[i].Err, and return a non-nil
-// error iff at least one entry failed. The controller's apply stage hands
-// it the dirty quotas of one VM per call.
+// BatchQuotaWriter writes the cpu.max quotas of several vCPUs of one VM
+// in a single call, attempting every entry, recording each outcome in
+// quotas[i].Err and returning a non-nil error iff an entry failed.
+//
+// Deprecated: unused by the controller, which writes each quota with
+// SetMax; kept only until benchmark/ stops requiring it of the hosts it
+// wraps.
 type BatchQuotaWriter interface {
 	BatchSetMax(vm string, quotas []VCPUQuota) error
 }
 
-// BatchWriter returns h's own BatchQuotaWriter capability, or the serial
-// adapter over h.SetMax when it has none, so a caller writes batches to
-// any host through one code path.
-func BatchWriter(h Host) BatchQuotaWriter {
-	if bw, ok := h.(BatchQuotaWriter); ok {
-		return bw
-	}
-	return serialBatch{h}
-}
-
 // serialBatch is the BatchQuotaWriter contract over plain SetMax: one
 // write per entry, every entry attempted, the per-entry outcome recorded.
+//
+// Deprecated: serves only Sim.BatchSetMax and Linux.BatchSetMax.
 type serialBatch struct{ Host }
 
 func (s serialBatch) BatchSetMax(vm string, quotas []VCPUQuota) error {

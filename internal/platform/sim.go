@@ -158,10 +158,10 @@ func (s *Sim) SetMax(vmName string, vcpu int, quotaUs, periodUs int64) error {
 	return s.files(vmName, vcpu).max.Write(fmt.Sprintf("%d %d", quotaUs, periodUs))
 }
 
-// BatchSetMax implements BatchQuotaWriter through the serial adapter:
-// there is no descriptor cache to amortise in the simulator. The method
-// exists only because the benchmark's host decorator requires the
-// capability of the hosts it wraps.
+// BatchSetMax implements BatchQuotaWriter through the serial adapter.
+//
+// Deprecated: unused by the controller; kept only until benchmark/
+// stops requiring BatchQuotaWriter of the hosts it wraps.
 func (s *Sim) BatchSetMax(vmName string, quotas []VCPUQuota) error {
 	return serialBatch{s}.BatchSetMax(vmName, quotas)
 }
