@@ -1,6 +1,13 @@
 package cgroupfs
 
-import "testing"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+	"testing"
+
+	"vfreq/internal/sched"
+)
 
 func TestParseCPUStatBytes(t *testing.T) {
 	content := []byte("usage_usec 123456\nuser_usec 123000\nsystem_usec 456\nnr_periods 9\n")
@@ -48,5 +55,61 @@ func TestParseCPUStatBytesZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ParseCPUStatBytes allocates %.1f/op", allocs)
+	}
+}
+
+// parseCPUMaxFields is ParseCPUMax as it was written over strings.Fields,
+// kept as the reference for the in-place split.
+func parseCPUMaxFields(s string, currentPeriod int64) (quotaUs, periodUs int64, err error) {
+	fields := strings.Fields(s)
+	if len(fields) == 0 || len(fields) > 2 {
+		return 0, 0, fmt.Errorf("cgroupfs: malformed cpu.max write %q", s)
+	}
+	periodUs = currentPeriod
+	if len(fields) == 2 {
+		periodUs, err = strconv.ParseInt(fields[1], 10, 64)
+		if err != nil || periodUs <= 0 {
+			return 0, 0, fmt.Errorf("cgroupfs: bad period in %q", s)
+		}
+	}
+	if fields[0] == "max" {
+		return sched.NoQuota, periodUs, nil
+	}
+	quotaUs, err = strconv.ParseInt(fields[0], 10, 64)
+	if err != nil || quotaUs <= 0 {
+		return 0, 0, fmt.Errorf("cgroupfs: bad quota in %q", s)
+	}
+	return quotaUs, periodUs, nil
+}
+
+// TestParseCPUMaxMatchesFields holds ParseCPUMax to the strings.Fields
+// form it replaced: the same values, and the same error text, on valid
+// writes, on every kind of malformed one and on the Unicode spaces Fields
+// splits at.
+func TestParseCPUMaxMatchesFields(t *testing.T) {
+	for _, in := range []string{
+		"max", "max 250000", "42000", "42000 100000", "25000 100000\n", "  7\t 9  ", "\v5\f6\r",
+		"", " ", "\n", "1 2 3", "max max", "0 100", "-5 100", "5 0", "5 -1", "5 x", "x 5", "5x",
+		"9223372036854775807 1", "9223372036854775808 1", "5\u00a06", "5\u20286", "5\u0085 6", "5\x85 6",
+		"\u3000max\u3000100\u3000", "max\u00a0", "5\xff6", "\u00a0",
+	} {
+		gq, gp, gerr := ParseCPUMax(in, 100_000)
+		wq, wp, werr := parseCPUMaxFields(in, 100_000)
+		if gq != wq || gp != wp || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Errorf("ParseCPUMax(%q) = %d, %d, %v; the Fields form gives %d, %d, %v", in, gq, gp, gerr, wq, wp, werr)
+		}
+	}
+}
+
+// TestParseCPUMaxZeroAlloc: a valid cpu.max write parses without
+// allocating, as every quota the simulated controller writes does.
+func TestParseCPUMaxZeroAlloc(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := ParseCPUMax("25000 100000", 100_000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ParseCPUMax allocates %.1f/op", allocs)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"path"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"vfreq/internal/memfs"
 	"vfreq/internal/sched"
@@ -231,27 +232,41 @@ func appendTIDs(buf []byte, g *sched.Group) []byte {
 }
 
 // ParseCPUMax parses a cpu.max write: "max", "QUOTA" or "QUOTA PERIOD".
-// A missing period keeps the current one (the kernel behaviour).
+// A missing period keeps the current one (the kernel behaviour). It splits
+// the fields as strings.Fields does, in place: a valid write allocates
+// nothing.
 func ParseCPUMax(s string, currentPeriod int64) (quotaUs, periodUs int64, err error) {
-	fields := strings.Fields(s)
-	if len(fields) == 0 || len(fields) > 2 {
+	quota, rest := nextField(s)
+	period, rest := nextField(rest)
+	if extra, _ := nextField(rest); quota == "" || extra != "" {
 		return 0, 0, fmt.Errorf("cgroupfs: malformed cpu.max write %q", s)
 	}
 	periodUs = currentPeriod
-	if len(fields) == 2 {
-		periodUs, err = strconv.ParseInt(fields[1], 10, 64)
+	if period != "" {
+		periodUs, err = strconv.ParseInt(period, 10, 64)
 		if err != nil || periodUs <= 0 {
 			return 0, 0, fmt.Errorf("cgroupfs: bad period in %q", s)
 		}
 	}
-	if fields[0] == "max" {
+	if quota == "max" {
 		return sched.NoQuota, periodUs, nil
 	}
-	quotaUs, err = strconv.ParseInt(fields[0], 10, 64)
+	quotaUs, err = strconv.ParseInt(quota, 10, 64)
 	if err != nil || quotaUs <= 0 {
 		return 0, 0, fmt.Errorf("cgroupfs: bad quota in %q", s)
 	}
 	return quotaUs, periodUs, nil
+}
+
+// nextField returns the first of s's space-separated fields, with the
+// spaces strings.Fields splits at, and what follows it; "" when there is
+// none.
+func nextField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if end := strings.IndexFunc(s, unicode.IsSpace); end >= 0 {
+		return s[:end], s[end:]
+	}
+	return s, ""
 }
 
 // ParseCPUStatBytes extracts the named counter from a cpu.stat read. It

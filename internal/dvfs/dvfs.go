@@ -12,6 +12,11 @@ package dvfs
 
 import "fmt"
 
+// Phases is the period of the governor's jitter: Update number s gives core
+// c the phase (s + 7c) mod Phases, so the frequencies an Update sets are a
+// function of its utilisation input and Step() mod Phases alone.
+const Phases = 8
+
 // Governor names mirror the Linux cpufreq governors that matter here.
 const (
 	GovernorPerformance = "performance"
@@ -90,6 +95,22 @@ func (m *Model) FreqKHz(c int) int64 { return m.freqMHz[c] * 1000 }
 // Cores returns the number of cores.
 func (m *Model) Cores() int { return len(m.freqMHz) }
 
+// Step returns how many times Update has run.
+func (m *Model) Step() int64 { return m.step }
+
+// AppendFreqsMHz appends every core's frequency to dst, in core order.
+func (m *Model) AppendFreqsMHz(dst []int64) []int64 { return append(dst, m.freqMHz...) }
+
+// Restore puts the model in the state a run of Updates left it in: the
+// frequency of every core, in core order, and the number of Updates.
+func (m *Model) Restore(freqMHz []int64, step int64) {
+	if len(freqMHz) != len(m.freqMHz) {
+		panic("dvfs: frequency slice has wrong length")
+	}
+	copy(m.freqMHz, freqMHz)
+	m.step = step
+}
+
 // Update recomputes each core's frequency from its utilisation over the
 // last scheduling tick (values in [0,1]). It implements the selected
 // governor and applies turbo and jitter.
@@ -139,7 +160,7 @@ func (m *Model) Update(coreUtil []float64) {
 		if m.policy.JitterMHz > 0 && u > 0.05 && f > m.policy.MinMHz {
 			// Deterministic triangle-wave jitter, phase-shifted
 			// per core.
-			phase := (m.step + int64(c)*7) % 8
+			phase := (m.step + int64(c)*7) % Phases
 			j := m.policy.JitterMHz
 			delta := (phase - 4) * j / 4
 			f += delta

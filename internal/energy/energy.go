@@ -72,9 +72,19 @@ func NewMeter(model PowerModel) (*Meter, error) {
 	return &Meter{model: model}, nil
 }
 
-// Observe accounts dtUs microseconds at utilisation u and frequency fMHz.
-func (m *Meter) Observe(u float64, fMHz float64, dtUs int64) {
-	m.joules += m.model.Power(u, fMHz) * float64(dtUs) / 1e6
+// Observe accounts dtUs microseconds at utilisation u and frequency fMHz,
+// and returns the power it accounted them at.
+func (m *Meter) Observe(u float64, fMHz float64, dtUs int64) float64 {
+	w := m.model.Power(u, fMHz)
+	m.AddWatts(w, dtUs)
+	return w
+}
+
+// AddWatts accounts dtUs microseconds at w watts. Observe adds through it,
+// so a power Observe returned, added again here, grows the sum by the same
+// bits.
+func (m *Meter) AddWatts(w float64, dtUs int64) {
+	m.joules += w * float64(dtUs) / 1e6
 }
 
 // Joules returns the accumulated energy.

@@ -121,6 +121,12 @@ type Machine struct {
 
 	util []float64 // scratch buffer for governor updates
 
+	// memo holds, per jitter phase a repeated window started at, what that
+	// window did (repeat). evaluated and lookedUp count the repeated windows
+	// accounted tick by tick and those looked up; only the tests read them.
+	memo                [dvfs.Phases]*windowRecord
+	evaluated, lookedUp int
+
 	faultMu sync.Mutex
 	faults  []*pathFault
 }
@@ -276,19 +282,111 @@ func (m *Machine) Advance(durationUs int64) {
 }
 
 // repeat accounts the ticks of the windows Sched.Repeat just skipped, from
-// the allocations its ring recorded. The governor, the meter and the
-// cycles stay per tick: the governor's jitter does not repeat with the
-// window, so neither do the frequencies.
+// the allocations its ring recorded. A repeated window is a function of
+// the ring's outputs, the tick length, the state it starts in and the
+// governor's jitter phase, so the first window of each key is accounted
+// tick by tick and recorded (evaluate), and every later one is looked up:
+// its ticks' powers added to the meter in order, the governor set to where
+// the window left it, and its cycle growth counted, to be added to each
+// thread once, at the end of the call.
 func (m *Machine) repeat(windows int64) {
-	ticks := int(sched.DefaultPeriodUs / m.TickUs)
+	threads := m.Sched.RepeatedThreads()
 	now := m.Sched.NowUs() - windows*sched.DefaultPeriodUs
 	for ; windows > 0; windows-- {
-		for k := 0; k < ticks; k++ {
-			slow := m.slowdown()
-			m.account(now, m.Sched.RepeatedTick(k), slow)
-			now += m.TickUs
+		step := m.DVFS.Step()
+		phase := step % dvfs.Phases
+		if rec := m.memo[phase]; !m.matches(rec) {
+			m.evaluate(phase, now, threads)
+		} else {
+			for _, w := range rec.watts {
+				m.Meter.AddWatts(w, m.TickUs)
+			}
+			m.DVFS.Restore(rec.end, step+int64(len(rec.watts)))
+			rec.hits++
+			m.lookedUp++
+		}
+		now += sched.DefaultPeriodUs
+	}
+	for _, rec := range m.memo {
+		if rec == nil || rec.hits == 0 {
+			continue
+		}
+		for i, t := range threads {
+			t.Cycles += rec.hits * rec.cycles[i]
+		}
+		rec.hits = 0
+	}
+}
+
+// windowRecord is what one repeated window did, under the key it did it
+// for. The jitter phase it starts at is the record's index in the memo.
+type windowRecord struct {
+	// The key besides the phase. gen stands for the ring's outputs: every
+	// tick's allocations, placement and core loads (Sched.RepeatGen).
+	gen       uint64
+	tickUs    int64
+	startSlow float64 // the cache slowdown of the first tick: the utilisation before it
+	start     []int64 // the core frequencies before the first tick
+
+	end    []int64   // the core frequencies after the last tick
+	watts  []float64 // the power of each tick, in tick order
+	cycles []int64   // each ring thread's cycle growth, in RepeatedThreads order
+	hits   int64     // windows looked up in this call, whose growth is not added yet
+}
+
+// matches reports whether rec holds the window about to be repeated at its
+// phase. The start frequencies and slowdown are implied by the rest: a
+// window boundary where Sched.Repeat succeeds follows tick n−1 of a ring
+// whose outputs stand (RepeatGen), and the governor's Update after it set
+// the frequencies from that tick's loads and the phase. They are compared
+// all the same, so that a write to DVFS between calls cannot go unseen.
+func (m *Machine) matches(rec *windowRecord) bool {
+	if rec == nil || rec.gen != m.Sched.RepeatGen() || rec.tickUs != m.TickUs || rec.startSlow != m.slowdown() {
+		return false
+	}
+	for c, f := range rec.start {
+		if m.DVFS.FreqMHz(c) != f {
+			return false
 		}
 	}
+	return true
+}
+
+// evaluate accounts the window about to be repeated tick by tick, from the
+// ring, and records it at its phase: exact-size slices, allocated the first
+// time the phase is reached and again only when a size moves. The record
+// it overwrites has no hits pending: within one repeat every key compares
+// as it did at the phase's first window, so a record that was looked up
+// is not evaluated again before repeat adds its growth.
+func (m *Machine) evaluate(phase, now int64, threads []*sched.Thread) {
+	rec := m.memo[phase]
+	if rec == nil {
+		cores := m.DVFS.Cores()
+		rec = &windowRecord{start: make([]int64, 0, cores), end: make([]int64, 0, cores)}
+		m.memo[phase] = rec
+	}
+	ticks := int(sched.DefaultPeriodUs / m.TickUs)
+	if len(rec.watts) != ticks {
+		rec.watts = make([]float64, ticks)
+	}
+	if len(rec.cycles) != len(threads) {
+		rec.cycles = make([]int64, len(threads))
+	}
+	rec.gen, rec.tickUs, rec.startSlow = m.Sched.RepeatGen(), m.TickUs, m.slowdown()
+	rec.start = m.DVFS.AppendFreqsMHz(rec.start[:0])
+	for i, t := range threads {
+		rec.cycles[i] = -t.Cycles
+	}
+	for k := range rec.watts {
+		slow := m.slowdown()
+		rec.watts[k] = m.account(now, m.Sched.RepeatedTick(k), slow)
+		now += m.TickUs
+	}
+	for i, t := range threads {
+		rec.cycles[i] += t.Cycles
+	}
+	rec.end = m.DVFS.AppendFreqsMHz(rec.end[:0])
+	m.evaluated++
 }
 
 // slowdown is the cache-contention factor of the next tick: per-cycle
@@ -304,8 +402,9 @@ func (m *Machine) slowdown() float64 {
 
 // account books one tick that started at now: each thread's cycles at the
 // frequency its core ran (the governor output lags by one tick, as
-// hardware DVFS does), then the meter and the governor.
-func (m *Machine) account(now int64, allocs []sched.Alloc, slow float64) {
+// hardware DVFS does), then the meter and the governor. It returns the
+// power the meter booked the tick at.
+func (m *Machine) account(now int64, allocs []sched.Alloc, slow float64) float64 {
 	for _, a := range allocs {
 		eff := int64(float64(m.DVFS.FreqMHz(a.Core)) * slow)
 		a.Thread.Cycles += a.RanUs * eff
@@ -325,6 +424,7 @@ func (m *Machine) account(now int64, allocs []sched.Alloc, slow float64) {
 		m.util[c] = float64(l) / float64(tick)
 	}
 	cores := int64(len(m.util))
-	m.Meter.Observe(float64(busyUs)/float64(tick*cores), float64(sumMHz)/float64(cores), tick)
+	w := m.Meter.Observe(float64(busyUs)/float64(tick*cores), float64(sumMHz)/float64(cores), tick)
 	m.DVFS.Update(m.util)
+	return w
 }

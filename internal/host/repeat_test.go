@@ -17,8 +17,8 @@ import (
 // every cpu.stat counter, every thread's usage, last core and cycles,
 // every core's frequency and the metered joules, compared with ==.
 //
-// The kill list: each of these one-line mutations of sched/repeat.go or of
-// host.go was applied and turned the named test red.
+// The kill list: each of these one-line mutations of sched/repeat.go,
+// sched/replay.go or host.go was applied and turned the named test red.
 //
 //	drop QuotaUs from carried                  TestAdvanceRepeatKey/QuotaUs
 //	drop PeriodUs from carried                 TestAdvanceRepeatKey/PeriodUs
@@ -37,6 +37,25 @@ import (
 //	skip Meter.Observe on repeated ticks       TestAdvanceAgainstStep
 //	call DVFS.Update once per repeated window  TestAdvanceAgainstStep
 //	never repeat (m always 0)                  TestAdvanceRepeatsSteadyWindows
+//
+// The window memo behind repeat (host.go), each mutation also red in
+// TestAdvanceAgainstStep:
+//
+//	drop the phase from the key                TestAdvanceLooksUpSteadyWindows
+//	drop the RepeatGen compare                 TestAdvanceRepeatKey/ringOutputs
+//	skip the RepeatGen bump in replayRecord    TestAdvanceRepeatKey/ringOutputs
+//	skip the RepeatGen bump in layoutReplay    TestAdvanceRepeatKey/ringLayout
+//	add a hit's cycle growth once, not hits×   TestAdvanceRepeatKey/ringOutputs
+//	skip the governor's step advance on a hit  TestAdvanceLooksUpSteadyWindows
+//	a hit leaves tick 0's core loads           TestAdvanceRepeatKey/QuotaUs
+//
+// Equivalent mutants, green as they must be: drop the start-frequency, the
+// start-slowdown or the tick-length compare. Each is implied by RepeatGen
+// and the phase, as matches says; a tick-length change lays the ring out
+// again. Leaving the core loads alone after a hit, as
+// repeat does, is right and not a mutant: a boundary where Repeat succeeds
+// follows tick n−1 of the ring, whose loads are the ones a hit's last
+// tick leaves; compare checks every core's load.
 //
 // TestAdvanceAgainstStep alone turns red on eleven of the first sixteen.
 
@@ -346,9 +365,13 @@ func (tw *twin) compare(label string) {
 		}
 	}
 	for c := 0; c < a.DVFS.Cores(); c++ {
-		if a.DVFS.FreqMHz(c) != b.DVFS.FreqMHz(c) {
-			tb.Fatalf("%s: core %d at %d MHz, stepped %d MHz", label, c, a.DVFS.FreqMHz(c), b.DVFS.FreqMHz(c))
+		if a.DVFS.FreqMHz(c) != b.DVFS.FreqMHz(c) || a.Sched.CoreLoadUs(c) != b.Sched.CoreLoadUs(c) {
+			tb.Fatalf("%s: core %d at %d MHz, loaded %d µs, stepped %d MHz, %d µs", label, c,
+				a.DVFS.FreqMHz(c), a.Sched.CoreLoadUs(c), b.DVFS.FreqMHz(c), b.Sched.CoreLoadUs(c))
 		}
+	}
+	if a.DVFS.Step() != b.DVFS.Step() {
+		tb.Fatalf("%s: governor at update %d, stepped %d", label, a.DVFS.Step(), b.DVFS.Step())
 	}
 	if math.Float64bits(a.Meter.Joules()) != math.Float64bits(b.Meter.Joules()) {
 		tb.Fatalf("%s: metered %v J, stepped %v J", label, a.Meter.Joules(), b.Meter.Joules())
@@ -385,16 +408,21 @@ func TestAdvanceAgainstStep(t *testing.T) {
 	if testing.Short() {
 		schedules = 20
 	}
-	var advanced, stepped int
+	var advanced, stepped, evaluated, lookedUp int
 	for seed := int64(1); seed <= int64(schedules); seed++ {
 		tw := newTwin(t, seed)
 		tw.run(fmt.Sprintf("seed %d", seed), calls)
 		advanced += tw.calls[0]
 		stepped += tw.calls[1]
+		evaluated += tw.m[0].evaluated
+		lookedUp += tw.m[0].lookedUp
 	}
-	t.Logf("Demand calls: %d advancing, %d stepping", advanced, stepped)
+	t.Logf("Demand calls: %d advancing, %d stepping; repeated windows: %d evaluated, %d looked up", advanced, stepped, evaluated, lookedUp)
 	if advanced > stepped*4/5 {
 		t.Fatal("the schedules do not exercise the repeat: Advance asked the sources for more than 4/5 of what Step did")
+	}
+	if lookedUp < evaluated {
+		t.Fatal("the schedules do not exercise the memo: Advance looked up fewer repeated windows than it evaluated")
 	}
 }
 
@@ -465,6 +493,35 @@ func TestAdvanceRepeatsSteadyWindows(t *testing.T) {
 	ticked := (*offBoundary - before) / 9
 	if windows := periods * 10; ticked > windows/10 {
 		t.Fatalf("%d of %d steady windows were ticked, want at most %d", ticked, windows, windows/10)
+	}
+}
+
+// TestAdvanceLooksUpSteadyWindows keeps the memo from rotting: on the Table
+// II node, once each jitter phase's window has been evaluated, a one-second
+// Advance evaluates no repeated window tick by tick; it looks all ten up.
+func TestAdvanceLooksUpSteadyWindows(t *testing.T) {
+	m, _ := tableII(t)
+	m.Advance(1_000_000)
+	evaluated, lookedUp := m.evaluated, m.lookedUp
+	m.Advance(1_000_000)
+	if n := m.evaluated - evaluated; n != 0 {
+		t.Fatalf("a steady Advance evaluated %d repeated windows tick by tick, want 0", n)
+	}
+	if n := m.lookedUp - lookedUp; n != 10 {
+		t.Fatalf("a steady Advance looked %d windows up, want 10", n)
+	}
+}
+
+// BenchmarkAdvanceTableII is one steady one-second Advance of the Table II
+// node: what the repository benchmark's node_steady pays the simulator per
+// node-period.
+func BenchmarkAdvanceTableII(b *testing.B) {
+	m, _ := tableII(b)
+	m.Advance(1_000_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Advance(1_000_000)
 	}
 }
 
@@ -636,6 +693,32 @@ var keyCases = []keyCase{
 		name: "Until", cores: 1,
 		build: func(k *keySide) {
 			k.thread(k.s.Root(), &workload.Trace{Samples: []float64{1, 0.5}, StepUs: 3_450_000})
+		},
+	},
+	{
+		// Two busy threads on two cores trade cores. Every allocation, core
+		// load and frequency stays, but each thread now meets the other
+		// core's jitter: only RepeatGen tells the memo that the ring's
+		// outputs moved.
+		name: "ringOutputs", cores: 2,
+		build: func(k *keySide) {
+			k.thread(k.s.NewGroup(nil, "a"), workload.Busy())
+			k.thread(k.s.NewGroup(nil, "b"), workload.Busy())
+		},
+		change: func(k *keySide) {
+			a, b := k.s.Root().Children[0].Threads[0], k.s.Root().Children[1].Threads[0]
+			a.LastCPU, b.LastCPU = b.LastCPU, a.LastCPU
+		},
+	},
+	{
+		// Every thread idle with core 0 its last, as a thread that ran
+		// there and stopped is, and one more such starts. The new layout's
+		// slots record the zeros the fresh ones held, so only the layout's
+		// own count tells the memo that its records are a thread short.
+		name: "ringLayout", cores: 1,
+		build: func(k *keySide) { k.thread(k.s.Root(), workload.Idle()).LastCPU = 0 },
+		change: func(k *keySide) {
+			k.thread(k.s.NewGroup(nil, "late"), workload.Idle()).LastCPU = 0
 		},
 	},
 	{

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"strconv"
 
 	"vfreq/internal/cgroupfs"
 	"vfreq/internal/memfs"
@@ -28,7 +29,9 @@ type Sim struct {
 	tidPaths  map[int]*memfs.File
 	corePaths []*memfs.File
 
-	buf []byte // read scratch: every read parses it before the next overwrites it
+	// buf is the scratch every read renders into and parses, and every
+	// write renders into, before the next call overwrites it.
+	buf []byte
 
 	vmScratch []VMInfo       // ListVMs result, reused across calls
 	listed    []*vm.Instance // the instances behind vmScratch
@@ -153,9 +156,13 @@ func (s *Sim) UsageUs(vmName string, vcpu int) (int64, error) {
 	return cgroupfs.ParseCPUStatBytes(content, "usage_usec")
 }
 
-// SetMax implements Host.
+// SetMax implements Host. The write renders into the scratch buffer; its
+// one allocation is the string the pseudo-file is handed.
 func (s *Sim) SetMax(vmName string, vcpu int, quotaUs, periodUs int64) error {
-	return s.files(vmName, vcpu).max.Write(fmt.Sprintf("%d %d", quotaUs, periodUs))
+	s.buf = strconv.AppendInt(s.buf[:0], quotaUs, 10)
+	s.buf = append(s.buf, ' ')
+	s.buf = strconv.AppendInt(s.buf, periodUs, 10)
+	return s.files(vmName, vcpu).max.Write(string(s.buf))
 }
 
 // BatchSetMax implements BatchQuotaWriter through the serial adapter.
@@ -193,7 +200,8 @@ func (s *Sim) ClearMax(vmName string, vcpu int) error {
 
 // SetBurst implements Host.
 func (s *Sim) SetBurst(vmName string, vcpu int, burstUs int64) error {
-	return s.files(vmName, vcpu).burst.Write(fmt.Sprintf("%d", burstUs))
+	s.buf = strconv.AppendInt(s.buf[:0], burstUs, 10)
+	return s.files(vmName, vcpu).burst.Write(string(s.buf))
 }
 
 // ThreadID implements Host.

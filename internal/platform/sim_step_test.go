@@ -73,6 +73,47 @@ func TestSimStepZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSimWriteAllocs pins the cost of a simulated quota write: SetMax and
+// SetBurst render into the Sim's scratch and cpu.max parses in place, so
+// each allocates at most the string the pseudo-file is handed.
+func TestSimWriteAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	m, err := host.New(host.Chetemi())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := vm.NewManager(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Provision("web", vm.Small(), []workload.Source{workload.Busy(), workload.Busy()}); err != nil {
+		t.Fatal(err)
+	}
+	sim := platform.NewSim(mgr)
+	quota := int64(20_000)
+	for _, w := range []struct {
+		name  string
+		write func() error
+	}{
+		{"SetMax", func() error { quota ^= 5000; return sim.SetMax("web", 1, quota, 100_000) }},
+		{"SetBurst", func() error { quota ^= 5000; return sim.SetBurst("web", 1, quota/4) }},
+	} {
+		if err := w.write(); err != nil { // the first write opens the handles
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := w.write(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s allocates %.1f/op, want at most 1", w.name, allocs)
+		}
+	}
+}
+
 // BenchmarkSimStep is Controller.Step alone over platform.Sim on the
 // Table II node: the monitor stage's pseudo-file reads plus the five
 // stages behind them. Advance runs with the timer stopped.

@@ -201,16 +201,23 @@ func (s *Scheduler) RepeatedTick(k int) []Alloc {
 	sl := &s.replay.slots[k]
 	allocs, load := s.allocScratch[:0], s.coreLoadUs
 	clear(load)
-	j := 0
-	for _, g := range s.replay.groups {
-		for _, t := range g.Threads {
-			if rec := sl.threads[j]; rec.got > 0 {
-				allocs = append(allocs, Alloc{Thread: t, RanUs: int64(rec.got), Core: int(rec.core)})
-				load[rec.core] += int64(rec.got)
-			}
-			j++
+	for j, t := range s.replay.threads {
+		if rec := sl.threads[j]; rec.got > 0 {
+			allocs = append(allocs, Alloc{Thread: t, RanUs: int64(rec.got), Core: int(rec.core)})
+			load[rec.core] += int64(rec.got)
 		}
 	}
 	s.allocScratch = allocs
 	return allocs
 }
+
+// RepeatedThreads returns the threads the ring's slots hold, in slot order;
+// the slice is the ring's and is laid out afresh when RepeatGen moves.
+func (s *Scheduler) RepeatedThreads() []*Thread { return s.replay.threads }
+
+// RepeatGen changes whenever what RepeatedTick hands out may have changed:
+// the ring was laid out again, or a tick recorded an allocation or a core
+// other than the one its slot held. While it stands still, RepeatedTick(k)
+// returns the same allocations, to the same RepeatedThreads, and leaves the
+// same core loads.
+func (s *Scheduler) RepeatGen() uint64 { return s.replay.outGen }

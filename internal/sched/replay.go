@@ -61,9 +61,14 @@ type replay struct {
 	cores int
 
 	groups  []*Group     // the tree in pre-order
+	threads []*Thread    // group by group in groups order, each group's Threads in turn: a slot's threads
 	weights []int64      // their weights at the last tick; a write to one voids every slot
 	slots   []replaySlot // one per tick of a window, none when dtUs is not replayed
 	last    snapshot     // the scheduler at the last window boundary Repeat passed (repeat.go)
+
+	// outGen counts the changes to what the slots answer: a new layout, or
+	// a slot whose recorded got or core replayRecord changed (RepeatGen).
+	outGen uint64
 
 	gotHits, coreHits uint64 // ticks that replayed the allocation, and the placement too; only the tests read them
 }
@@ -143,7 +148,12 @@ func (s *Scheduler) layoutReplay(dtUs int64) {
 		return
 	}
 	r.gen, r.dtUs, r.cores = s.gen, dtUs, s.Cores
+	r.outGen++
 	r.groups = appendPreorder(make([]*Group, 0, countGroups(s.root)), s.root)
+	r.threads = make([]*Thread, 0, len(s.threads))
+	for _, g := range r.groups {
+		r.threads = append(r.threads, g.Threads...)
+	}
 	r.weights = make([]int64, len(r.groups))
 	for i, g := range r.groups {
 		r.weights[i] = g.Weight
@@ -181,12 +191,8 @@ func appendPreorder(dst []*Group, g *Group) []*Group {
 // replayGot hands every thread the allocation sl recorded, in place of
 // allocate.
 func (s *Scheduler) replayGot(sl *replaySlot) {
-	k := 0
-	for _, g := range s.replay.groups {
-		for _, t := range g.Threads {
-			t.got = int64(sl.threads[k].got)
-			k++
-		}
+	for k, t := range s.replay.threads {
+		t.got = int64(sl.threads[k].got)
 	}
 }
 
@@ -208,15 +214,19 @@ func (s *Scheduler) replayCores(sl *replaySlot, allocs []Alloc) {
 }
 
 // replayRecord completes sl with what allocate and placeOnCores answered
-// to the inputs replayLookup stored.
+// to the inputs replayLookup stored, and counts a change of either answer
+// in outGen.
 func (s *Scheduler) replayRecord(sl *replaySlot) {
-	k := 0
-	for _, g := range s.replay.groups {
-		for _, t := range g.Threads {
-			rec := &sl.threads[k]
-			k++
-			rec.got, rec.core = int16(t.got), int16(t.LastCPU)
-		}
+	r := &s.replay
+	changed := false
+	for k, t := range r.threads {
+		rec := &sl.threads[k]
+		got, core := int16(t.got), int16(t.LastCPU)
+		changed = changed || rec.got != got || rec.core != core
+		rec.got, rec.core = got, core
+	}
+	if changed {
+		r.outGen++
 	}
 	sl.valid = true
 }

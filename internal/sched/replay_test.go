@@ -313,6 +313,7 @@ func TestTickReplayFootprint(t *testing.T) {
 		r := &s.replay
 		n := unsafe.Sizeof(*r) +
 			uintptr(cap(r.groups))*unsafe.Sizeof(r.groups[0]) +
+			uintptr(cap(r.threads))*unsafe.Sizeof(r.threads[0]) +
 			uintptr(cap(r.weights))*unsafe.Sizeof(r.weights[0]) +
 			uintptr(cap(r.slots))*unsafe.Sizeof(r.slots[0])
 		if len(r.slots) > 0 {
