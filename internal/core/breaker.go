@@ -178,11 +178,7 @@ func (c *Controller) updateBreaker(rep *StepReport, st *VMState) {
 			return
 		}
 		b.ProbeClean++
-		need := c.cfg.RecoverySteps
-		if need < 1 {
-			need = 1
-		}
-		if b.ProbeClean >= need {
+		if b.ProbeClean >= max(c.cfg.RecoverySteps, 1) {
 			b.State = BreakerClosed
 			b.FaultStreak = 0
 			b.ProbeClean = 0
@@ -200,10 +196,7 @@ func (c *Controller) tripBreaker(rep *StepReport, st *VMState, cause error) {
 	b.State = BreakerOpen
 	b.FaultStreak = 0
 	b.ProbeClean = 0
-	b.OpenLeft = c.cfg.BreakerOpenSteps
-	if b.OpenLeft < 1 {
-		b.OpenLeft = 1
-	}
+	b.OpenLeft = max(c.cfg.BreakerOpenSteps, 1)
 	rep.BreakerTrips++
 	rep.record(Fault{VM: st.Info.Name, VCPU: -1, Stage: "breaker", Op: "open", Err: cause})
 	for _, v := range st.VCPUs {

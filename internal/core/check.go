@@ -14,6 +14,8 @@ import (
 // clause.
 //
 //   - The last StepReport splits its vCPUs into degraded + healthy.
+//   - The VM order and the name index hold the same VMs, and each vCPU
+//     points at the VM that lists it and carries that VM's name.
 //   - Every cap and every estimate is in [0, PeriodUs].
 //   - Every wallet is in [0, CreditCapPeriods × C_i × vCPUs] (no upper
 //     bound when CreditCapPeriods is 0).
@@ -40,10 +42,16 @@ func (c *Controller) Check() error {
 		return fmt.Errorf("core: check: step %d report splits %d vCPUs into %d degraded + %d healthy",
 			r.Step, r.VCPUs, r.DegradedVCPUs, r.HealthyVCPUs)
 	}
+	if len(c.vms) != len(c.order) {
+		return fmt.Errorf("core: check: name index holds %d VMs, order %d", len(c.vms), len(c.order))
+	}
 	var sum int64
 	var above *VCPUState // the first healthy vCPU above its Eq. 5 base
-	for _, name := range c.order {
-		st := c.vms[name]
+	for _, st := range c.order {
+		name := st.Info.Name
+		if c.vms[name] != st {
+			return fmt.Errorf("core: check: name index maps %s to another VM than order holds", name)
+		}
 		if st.CreditUs < 0 {
 			return fmt.Errorf("core: check: %s wallet %d is negative", name, st.CreditUs)
 		}
@@ -51,6 +59,9 @@ func (c *Controller) Check() error {
 			return fmt.Errorf("core: check: %s wallet %d above its credit cap %d", name, st.CreditUs, bound)
 		}
 		for _, v := range st.VCPUs {
+			if v.vm != st || v.VM != name {
+				return fmt.Errorf("core: check: %s/vcpu%d is owned by another VM (%q)", name, v.Index, v.VM)
+			}
 			if v.CapUs < 0 || v.CapUs > c.cfg.PeriodUs {
 				return fmt.Errorf("core: check: %s/vcpu%d cap %d outside [0, period]", name, v.Index, v.CapUs)
 			}
@@ -68,7 +79,7 @@ func (c *Controller) Check() error {
 	}
 	if sum > c.CapacityUs() && above != nil {
 		return fmt.Errorf("core: check: Σcaps %d above capacity %d (Eq. 6), yet healthy %s/vcpu%d holds %d, estimate %d, guarantee %d",
-			sum, c.CapacityUs(), above.VM, above.Index, above.CapUs, above.EstUs, c.vms[above.VM].GuaranteeUs)
+			sum, c.CapacityUs(), above.VM, above.Index, above.CapUs, above.EstUs, above.vm.GuaranteeUs)
 	}
 	if err := c.checkQuotas(); err != nil {
 		return err
@@ -104,21 +115,21 @@ func (c *Controller) checkQuotas() error {
 	if !ok || !c.cfg.ControlEnabled || c.report.Step > c.steps {
 		return nil
 	}
-	for _, name := range c.order {
-		if c.vms[name].adopted {
+	for _, st := range c.order {
+		if st.adopted {
 			continue
 		}
-		for _, v := range c.vms[name].VCPUs {
+		for _, v := range st.VCPUs {
 			if v.Degraded {
 				continue
 			}
-			quota, period, err := qr.ReadMax(name, v.Index)
+			quota, period, err := qr.ReadMax(v.VM, v.Index)
 			if err != nil {
-				return fmt.Errorf("core: check: reading %s/vcpu%d cpu.max: %w", name, v.Index, err)
+				return fmt.Errorf("core: check: reading %s/vcpu%d cpu.max: %w", v.VM, v.Index, err)
 			}
 			if want := c.quotaFor(v); quota != want || period != c.cfg.CgroupPeriodUs {
 				return fmt.Errorf("core: check: %s/vcpu%d cgroup holds quota %d/%d, cap %d wants %d/%d",
-					name, v.Index, quota, period, v.CapUs, want, c.cfg.CgroupPeriodUs)
+					v.VM, v.Index, quota, period, v.CapUs, want, c.cfg.CgroupPeriodUs)
 			}
 		}
 	}

@@ -31,7 +31,11 @@ import (
 //  13. read cgroups with control off;
 //  14. read cgroups after a Step that failed whole;
 //  15. read through the fault wrapper instead of beneath it;
-//  16. drop the checkpoint clause.
+//  16. drop the checkpoint clause;
+//  17. drop the name-index length comparison, or the index lookup;
+//  18. drop either half of the owner clause (`v.vm != st`, `v.VM != name`);
+//  19. leave `vm` unset in newVCPUState (cold registration, the reconcile
+//     grow) or in snapshotVCPU (AdoptVM, Restore).
 func TestCheck(t *testing.T) {
 	// Every case starts from checkNode after three steps at 300 000 µs
 	// per vCPU: both caps settle at 315 790, under capacity.
@@ -81,6 +85,20 @@ func TestCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{name: "grown by a reconcile", edit: func(t *testing.T, c *Controller, h *platform.Scripted, _ *platform.FaultyHost) {
+			h.SetTemplate("a", 2, 1200)
+			mustStep(t, c)
+			if len(c.VM("a").VCPUs) != 2 {
+				t.Fatal("a did not grow")
+			}
+		}},
+		{name: "restored", edit: func(t *testing.T, c *Controller, _ *platform.Scripted, fh *platform.FaultyHost) {
+			twin := mustController(t, fh, c.cfg)
+			if _, err := twin.Restore(c.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			*c = *twin // Check the restored twin
+		}},
 		{name: "control off", ctl: true},
 		{name: "step failed after the host moved", edit: func(t *testing.T, c *Controller, h *platform.Scripted, fh *platform.FaultyHost) {
 			fh.MustPlan(platform.SiteListVMs, always)
@@ -95,6 +113,18 @@ func TestCheck(t *testing.T) {
 
 		{name: "report split", want: "report splits", edit: func(t *testing.T, c *Controller, _ *platform.Scripted, _ *platform.FaultyHost) {
 			c.report.HealthyVCPUs++
+		}},
+		{name: "name index holds an untracked VM", want: "name index holds 3 VMs", edit: func(t *testing.T, c *Controller, _ *platform.Scripted, _ *platform.FaultyHost) {
+			c.vms["ghost"] = c.VM("a")
+		}},
+		{name: "name index swapped", want: "name index maps a", edit: func(t *testing.T, c *Controller, _ *platform.Scripted, _ *platform.FaultyHost) {
+			c.vms["a"], c.vms["b"] = c.vms["b"], c.vms["a"]
+		}},
+		{name: "vCPU owned by another VM", want: "a/vcpu0 is owned by another VM", edit: func(t *testing.T, c *Controller, _ *platform.Scripted, _ *platform.FaultyHost) {
+			vcpu(c, "a").vm = c.VM("b")
+		}},
+		{name: "vCPU named for another VM", want: "a/vcpu0 is owned by another VM", edit: func(t *testing.T, c *Controller, _ *platform.Scripted, _ *platform.FaultyHost) {
+			vcpu(c, "a").VM = "b"
 		}},
 		{name: "cap above period", want: "cap 1000001 outside", edit: func(t *testing.T, c *Controller, _ *platform.Scripted, _ *platform.FaultyHost) {
 			vcpu(c, "a").CapUs = c.cfg.PeriodUs + 1

@@ -84,9 +84,9 @@ func (r RestoreReport) String() string {
 // Restore is only valid on a fresh controller that has not stepped yet.
 func (c *Controller) Restore(s Snapshot) (RestoreReport, error) {
 	var rr RestoreReport
-	if c.steps > 0 || len(c.vms) > 0 {
+	if c.steps > 0 || len(c.order) > 0 {
 		return rr, fmt.Errorf("core: restore into a used controller (step %d, %d VMs)",
-			c.steps, len(c.vms))
+			c.steps, len(c.order))
 	}
 	if s.Version != SnapshotVersion {
 		return rr, fmt.Errorf("core: checkpoint version %d, want %d", s.Version, SnapshotVersion)
@@ -224,15 +224,15 @@ func (c *Controller) adopt(rep *StepReport, info platform.VMInfo, vs VMSnapshot,
 		var v *VCPUState
 		switch {
 		case j >= len(vs.VCPUs):
-			v, err = c.newVCPUState(rep, st, info.Name, j)
+			v, err = c.newVCPUState(rep, st, j)
 		case st.Breaker.State == BreakerOpen:
-			v = c.snapshotVCPU(info.Name, vs.VCPUs[j])
+			v = c.snapshotVCPU(st, vs.VCPUs[j])
 			if freshCounters {
 				v.PrevUsageUs = 0
 				c.holdQuota(v)
 			}
 		default:
-			v = c.snapshotVCPU(info.Name, vs.VCPUs[j])
+			v = c.snapshotVCPU(st, vs.VCPUs[j])
 			if v.PrevUsageUs, err = c.retryUsage(rep, info.Name, j); err == nil && c.adoptQuota(v) {
 				adoptedQuotas++
 			}
@@ -252,15 +252,16 @@ func (c *Controller) adopt(rep *StepReport, info platform.VMInfo, vs VMSnapshot,
 func (c *Controller) track(st *VMState) {
 	st.adopted = true
 	c.vms[st.Info.Name] = st
-	c.order = append(c.order, st.Info.Name)
+	c.order = append(c.order, st)
 }
 
-// snapshotVCPU rebuilds one vCPU purely from its checkpoint entry, with
-// no host interaction.
-func (c *Controller) snapshotVCPU(name string, vs VCPUSnapshot) *VCPUState {
+// snapshotVCPU rebuilds one vCPU of st purely from its checkpoint entry,
+// with no host interaction.
+func (c *Controller) snapshotVCPU(st *VMState, vs VCPUSnapshot) *VCPUState {
 	v := &VCPUState{
-		VM:          name,
+		VM:          st.Info.Name,
 		Index:       vs.Index,
+		vm:          st,
 		Hist:        NewHistory(c.cfg.HistoryLen),
 		PrevUsageUs: vs.PrevUsageUs,
 		LastU:       c.clampCycles(vs.ConsumedUs),

@@ -11,7 +11,7 @@ import (
 
 // Property: the auction conserves value — cycles bought equal credits
 // spent, the market shrinks by exactly the amount sold, and nobody buys
-// beyond their estimate.
+// beyond their estimate — and sells exactly what referenceAuction sells.
 func TestQuickAuctionConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -39,7 +39,12 @@ func TestQuickAuctionConservation(t *testing.T) {
 			}
 		}
 		market := int64(rng.Intn(2_000_000))
+		wallets, buyers := auctionInputs(c)
 		left := c.auction(market)
+		if err := diffReference(c, wallets, buyers, market, left); err != nil {
+			t.Log(err)
+			return false
+		}
 		if left < 0 || left > market {
 			return false
 		}

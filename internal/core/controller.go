@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"vfreq/internal/platform"
@@ -48,6 +49,11 @@ type VCPUState struct {
 	// CleanSteps counts consecutive clean Steps since the vCPU was
 	// last degraded; only meaningful while FailedSteps > 0.
 	CleanSteps int
+
+	// vm is the VM that lists this vCPU, set by the two constructors
+	// (newVCPUState, snapshotVCPU): the auction reads its wallet through
+	// it, and Check asserts it.
+	vm *VMState
 
 	// warm marks a vCPU registered during the current step: the first
 	// usage reading happens at registration time, so no consumption
@@ -100,6 +106,9 @@ type VMState struct {
 	// market and cgroups the apply stage has not written yet (Check
 	// exempts it). track sets it; the next such Step clears it.
 	adopted bool
+	// listed is the number of the last Step whose VM listing named this
+	// VM; syncVMs drops every VM it did not stamp.
+	listed int64
 }
 
 // Controller runs the six-stage control loop against a platform host.
@@ -108,8 +117,11 @@ type Controller struct {
 	host platform.Host
 	node platform.NodeInfo
 
+	// order holds the tracked VMs in registration order, and every walk
+	// goes over it; vms indexes the same VMs by name, for the calls a
+	// name comes in with.
+	order []*VMState
 	vms   map[string]*VMState
-	order []string
 
 	steps   int64
 	timings StageTimings
@@ -132,11 +144,9 @@ type Controller struct {
 	stepBudget time.Duration
 	backoffSeq uint64
 
-	// Reused per-Step scratch, so the steady-state control loop runs
-	// without heap allocations: the sync-stage seen set and the
-	// auction/distribution buyer list keep their backing storage across
-	// Steps.
-	seen      map[string]bool
+	// buyersBuf is the auction/distribution buyer list, reused across
+	// Steps so the steady-state control loop runs without heap
+	// allocations.
 	buyersBuf []*VCPUState
 }
 
@@ -176,13 +186,7 @@ func (c *Controller) LastReport() StepReport { return c.report }
 func (c *Controller) VM(name string) *VMState { return c.vms[name] }
 
 // VMs returns all VM states in provisioning order.
-func (c *Controller) VMs() []*VMState {
-	out := make([]*VMState, 0, len(c.order))
-	for _, n := range c.order {
-		out = append(out, c.vms[n])
-	}
-	return out
-}
+func (c *Controller) VMs() []*VMState { return slices.Clone(c.order) }
 
 // guarantee computes C_i (Eq. 2) for a template frequency on this node.
 func (c *Controller) guarantee(freqMHz int64) int64 {
@@ -269,14 +273,15 @@ func (c *Controller) validFreq(freqMHz int64) error {
 }
 
 // newVCPUState registers one vCPU, reading its initial usage counter.
-func (c *Controller) newVCPUState(rep *StepReport, st *VMState, name string, j int) (*VCPUState, error) {
-	usage, err := c.retryUsage(rep, name, j)
+func (c *Controller) newVCPUState(rep *StepReport, st *VMState, j int) (*VCPUState, error) {
+	usage, err := c.retryUsage(rep, st.Info.Name, j)
 	if err != nil {
 		return nil, err
 	}
 	return &VCPUState{
-		VM:          name,
+		VM:          st.Info.Name,
 		Index:       j,
+		vm:          st,
 		Hist:        NewHistory(c.cfg.HistoryLen),
 		PrevUsageUs: usage,
 		CapUs:       st.GuaranteeUs,
@@ -311,15 +316,9 @@ func (c *Controller) syncVMs(rep *StepReport) error {
 	if err != nil {
 		return fmt.Errorf("core: listing VMs: %w", err)
 	}
-	if c.seen == nil {
-		c.seen = make(map[string]bool, len(infos))
-	} else {
-		clear(c.seen)
-	}
-	seen := c.seen
 	for _, info := range infos {
-		seen[info.Name] = true
 		if st, ok := c.vms[info.Name]; ok {
+			st.listed = rep.Step
 			c.reconcileVM(rep, st, info)
 			continue
 		}
@@ -331,24 +330,24 @@ func (c *Controller) syncVMs(rep *StepReport) error {
 			rep.record(err.(Fault))
 			continue
 		}
+		st.listed = rep.Step
 		c.track(st)
 		rep.Added = append(rep.Added, info.Name)
 	}
 	// Drop departed VMs in registration order (reports and the seeded
 	// fault draws of the release writes replay), releasing their quotas
 	// so reused cgroup paths start unthrottled.
-	for i := 0; i < len(c.order); {
-		name := c.order[i]
-		if seen[name] {
-			i++
-			continue
+	c.order = slices.DeleteFunc(c.order, func(st *VMState) bool {
+		if st.listed == rep.Step {
+			return false
 		}
-		for _, v := range c.vms[name].VCPUs {
-			c.releaseVCPU(name, v.Index)
+		for _, v := range st.VCPUs {
+			c.releaseVCPU(st.Info.Name, v.Index)
 		}
-		c.ForgetVM(name) // splices c.order[i] out: the next name slides in
-		rep.Removed = append(rep.Removed, name)
-	}
+		delete(c.vms, st.Info.Name)
+		rep.Removed = append(rep.Removed, st.Info.Name)
+		return true
+	})
 	return nil
 }
 
@@ -382,7 +381,7 @@ func (c *Controller) reconcileVM(rep *StepReport, st *VMState, info platform.VMI
 		// stops the growth at that index; the remainder is retried
 		// next period.
 		for j := len(st.VCPUs); j < info.VCPUs; j++ {
-			v, err := c.newVCPUState(rep, st, info.Name, j)
+			v, err := c.newVCPUState(rep, st, j)
 			if err != nil {
 				rep.record(Fault{VM: info.Name, VCPU: j, Stage: "sync", Op: "usage", Err: err})
 				break
@@ -427,9 +426,8 @@ func (c *Controller) Step() error {
 		rep.SkippedPeriods = int64(rep.Timings.Total / period)
 	}
 
-	rep.VMs = len(c.vms)
-	for _, name := range c.order {
-		st := c.vms[name]
+	rep.VMs = len(c.order)
+	for _, st := range c.order {
 		// The breaker advances first: a trip quarantines the VM by
 		// marking every vCPU degraded, and the health accounting below
 		// must count the step the way the quarantine leaves it.
@@ -453,11 +451,7 @@ func (c *Controller) Step() error {
 			rep.HealthyVCPUs++
 			if v.FailedSteps > 0 {
 				v.CleanSteps++
-				need := c.cfg.RecoverySteps
-				if need < 1 {
-					need = 1
-				}
-				if v.CleanSteps >= need {
+				if v.CleanSteps >= max(c.cfg.RecoverySteps, 1) {
 					v.FailedSteps = 0
 					v.CleanSteps = 0
 					rep.Recovered++
@@ -526,7 +520,7 @@ func (c *Controller) runStages(rep *StepReport, t0 time.Time) (err error) {
 		// accrual) until fresh measurements rebuild it — and the
 		// last-applied quota cache is dropped, since the apply stage may
 		// have died between writing a cgroup and recording the write.
-		for _, st := range c.vms {
+		for _, st := range c.order {
 			for _, v := range st.VCPUs {
 				v.invalidateApplied()
 				if !v.Degraded {
@@ -585,8 +579,7 @@ func (c *Controller) runStages(rep *StepReport, t0 time.Time) (err error) {
 // four host reads, then its commit, then the next vCPU — the paper's
 // serial monitor, which is where 4 of its 5 ms per period go.
 func (c *Controller) monitor(rep *StepReport) {
-	for _, name := range c.order {
-		st := c.vms[name]
+	for _, st := range c.order {
 		if st.Breaker.State == BreakerOpen {
 			// Quarantined: no reads at all. The vCPUs stay degraded
 			// (caps held, quotas untouched) until the breaker half-opens
@@ -684,7 +677,7 @@ func (c *Controller) degrade(rep *StepReport, v *VCPUState, stage string, op hos
 // by the placement layer) is clamped to zero.
 func (c *Controller) market() int64 {
 	total := int64(c.node.Cores) * c.cfg.PeriodUs
-	for _, st := range c.vms {
+	for _, st := range c.order {
 		for _, v := range st.VCPUs {
 			total -= v.CapUs
 		}
@@ -702,8 +695,8 @@ func (c *Controller) market() int64 {
 // until the next buyers call.
 func (c *Controller) buyers() []*VCPUState {
 	out := c.buyersBuf[:0]
-	for _, name := range c.order {
-		for _, v := range c.vms[name].VCPUs {
+	for _, st := range c.order {
+		for _, v := range st.VCPUs {
 			if !v.Degraded && v.CapUs < v.EstUs {
 				out = append(out, v)
 			}
@@ -721,9 +714,8 @@ func (c *Controller) buyers() []*VCPUState {
 func (c *Controller) sortByCredit(buyers []*VCPUState) {
 	for i := 1; i < len(buyers); i++ {
 		b := buyers[i]
-		cr := c.vms[b.VM].CreditUs
 		j := i
-		for j > 0 && c.vms[buyers[j-1].VM].CreditUs < cr {
+		for j > 0 && buyers[j-1].vm.CreditUs < b.vm.CreditUs {
 			buyers[j] = buyers[j-1]
 			j--
 		}

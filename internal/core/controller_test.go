@@ -117,6 +117,57 @@ func TestSyncVMsAddRemove(t *testing.T) {
 	if c.VM("a") != nil || len(c.VMs()) != 1 {
 		t.Fatal("VM a not removed")
 	}
+
+	// A Step drops every VM its listing did not name: the departure stamp
+	// is the Step's number, so a VM AdoptVM took before the first Step
+	// (stamped with nothing) goes on that Step if it has left meanwhile,
+	// and a VM that left while ListVMs failed goes on the next clean Step.
+	// Kill list, each verified red: stamping with c.steps instead of the
+	// Step's number (the adopted row), and not stamping arrivals (the rows
+	// above).
+	t.Run("adopted, gone before the first Step", func(t *testing.T) {
+		h := newFakeHost()
+		h.AddVM("m", 1, 1200)
+		h.AddVM("keep", 1, 1200)
+		c := mustController(t, h, DefaultConfig())
+		if err := c.AdoptVM(VMSnapshot{Name: "m", FreqMHz: 1200,
+			VCPUs: []VCPUSnapshot{{Index: 0, CapUs: 300_000, EstimateUs: 300_000}}}); err != nil {
+			t.Fatal(err)
+		}
+		h.RemoveVM("m")
+		mustStep(t, c)
+		if got := c.LastReport().Removed; !reflect.DeepEqual(got, []string{"m"}) {
+			t.Fatalf("Removed = %v, want [m]", got)
+		}
+		if want := []platform.VCPURef{{VM: "m"}}; !reflect.DeepEqual(h.Cleared, want) {
+			t.Fatalf("quotas released as %v, want %v", h.Cleared, want)
+		}
+		if got := c.VMs(); len(got) != 1 || got[0].Info.Name != "keep" {
+			t.Fatalf("tracked %v, want only keep", got)
+		}
+	})
+	t.Run("gone during a listing outage", func(t *testing.T) {
+		h := newFakeHost()
+		for _, n := range []string{"x", "y", "z"} {
+			h.AddVM(n, 1, 1200)
+		}
+		fh := platform.WithFaults(h, 1)
+		c := mustController(t, fh, DefaultConfig())
+		warmUp(t, c, h, 2, 100_000)
+		fh.MustPlan(platform.SiteListVMs, always)
+		h.RemoveVM("y")
+		if err := c.Step(); err == nil {
+			t.Fatal("Step succeeded with ListVMs failing")
+		}
+		fh.Clear(platform.SiteListVMs)
+		warmUp(t, c, h, 1, 100_000)
+		if got := c.LastReport().Removed; !reflect.DeepEqual(got, []string{"y"}) {
+			t.Fatalf("Removed = %v, want [y]", got)
+		}
+		if got := c.VMs(); len(got) != 2 || got[0].Info.Name != "x" || got[1].Info.Name != "z" {
+			t.Fatalf("tracked %v, want x and z", got)
+		}
+	})
 }
 
 func TestSyncRejectsInfeasibleFrequency(t *testing.T) {

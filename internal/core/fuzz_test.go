@@ -111,7 +111,8 @@ func (s *fuzzByteStream) u16() uint16 {
 // wallets — through the auction. The property under test is the
 // conservation contract of Algorithm 1: it may not panic, mint, leak or
 // double-sell cycles, overdraw a wallet, or cap a vCPU beyond its
-// estimate or below its pre-auction (Eq. 5) base.
+// estimate or below its pre-auction (Eq. 5) base. Every cap, wallet and
+// the leftover must also equal referenceAuction's.
 func FuzzAuction(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 200, 16, 39, 2, 1, 0, 0, 4, 4})
@@ -146,7 +147,11 @@ func FuzzAuction(f *testing.F) {
 			}
 		}
 		market := int64(s.u16()) * 32
+		wallets, buyers := auctionInputs(c)
 		left := c.auction(market)
+		if err := diffReference(c, wallets, buyers, market, left); err != nil {
+			t.Fatal(err)
+		}
 
 		if left < 0 || left > market {
 			t.Fatalf("leftover %d outside [0, %d]", left, market)

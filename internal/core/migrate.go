@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"vfreq/internal/platform"
 )
@@ -74,18 +75,14 @@ func (c *Controller) AdoptVM(snap VMSnapshot) error {
 // the host — the source-side epilogue of a migration, called after the
 // VM's cgroups were already destroyed on this node, so there is no quota
 // left to release (the departure pass of syncVMs, whose cgroup paths may
-// be reused, clears the quotas first and then untracks through here). It
-// reports whether the VM was tracked.
+// be reused, clears the quotas before it untracks). It reports whether
+// the VM was tracked.
 func (c *Controller) ForgetVM(name string) bool {
-	if _, ok := c.vms[name]; !ok {
+	st, ok := c.vms[name]
+	if !ok {
 		return false
 	}
 	delete(c.vms, name)
-	for i, n := range c.order {
-		if n == name {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
+	c.order = slices.DeleteFunc(c.order, func(o *VMState) bool { return o == st })
 	return true
 }

@@ -87,8 +87,8 @@ func (c *Controller) Snapshot() Snapshot {
 		DegradedVCPUs:    c.report.DegradedVCPUs,
 		Faults:           c.report.FaultCount(),
 	}
-	for _, name := range c.order {
-		vs := vmSnapshot(c.vms[name])
+	for _, st := range c.order {
+		vs := vmSnapshot(st)
 		for _, v := range vs.VCPUs {
 			s.TotalCapUs += v.CapUs
 		}

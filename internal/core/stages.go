@@ -5,8 +5,8 @@ package core
 // trigger/factor mechanism of §III-B2. Degraded vCPUs have no fresh
 // measurement to estimate from and keep their previous estimate.
 func (c *Controller) estimateAll() {
-	for _, name := range c.order {
-		for _, v := range c.vms[name].VCPUs {
+	for _, st := range c.order {
+		for _, v := range st.VCPUs {
 			if v.Degraded {
 				continue
 			}
@@ -64,8 +64,7 @@ func (c *Controller) estimate(v *VCPUState) int64 {
 // enforceBase implements stage 3: award credits (Eq. 4) and set the base
 // capping c = min(e, C_i) (Eq. 5).
 func (c *Controller) enforceBase() {
-	for _, name := range c.order {
-		st := c.vms[name]
+	for _, st := range c.order {
 		// Eq. 4: credits accrue for every vCPU consuming less than
 		// the guarantee. vCPUs without a measurement yet — warm or
 		// degraded — earn nothing.
@@ -118,7 +117,7 @@ func (c *Controller) auction(market int64) int64 {
 		progress := false
 		next := buyers[:0]
 		for _, v := range buyers {
-			st := c.vms[v.VM]
+			st := v.vm
 			if market <= 0 {
 				next = append(next, v)
 				continue
@@ -241,8 +240,8 @@ func (c *Controller) quotaFor(v *VCPUState) int64 {
 // the same direction.
 func (c *Controller) apply(rep *StepReport) {
 	period := c.cfg.CgroupPeriodUs
-	for _, name := range c.order {
-		for _, v := range c.vms[name].VCPUs {
+	for _, st := range c.order {
+		for _, v := range st.VCPUs {
 			if v.Degraded {
 				continue
 			}
@@ -324,7 +323,7 @@ func (c *Controller) writeBurst(rep *StepReport, v *VCPUState, burst int64) bool
 // check the Eq. 7 feasibility of the current placement.
 func (c *Controller) TotalGuaranteeUs() int64 {
 	var total int64
-	for _, st := range c.vms {
+	for _, st := range c.order {
 		total += st.GuaranteeUs * int64(len(st.VCPUs))
 	}
 	return total

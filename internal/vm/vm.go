@@ -9,6 +9,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"vfreq/internal/host"
 	"vfreq/internal/sched"
@@ -81,9 +82,8 @@ func VCPUCgroup(name string, j int) string {
 // role libvirt plays on a real host.
 type Manager struct {
 	machine   *host.Machine
-	instances map[string]*Instance
-	order     []string
-	list      []*Instance // List() cache, rebuilt on Provision/Destroy
+	instances map[string]*Instance // name index of list
+	list      []*Instance          // the instances in provisioning order
 }
 
 // NewManager creates a manager and the machine.slice cgroup.
@@ -147,7 +147,6 @@ func (mg *Manager) Provision(name string, tpl Template, srcs []workload.Source) 
 	em.Until = emulatorUntil
 	inst.emulator = em
 	mg.instances[name] = inst
-	mg.order = append(mg.order, name)
 	mg.list = append(mg.list, inst)
 	return inst, nil
 }
@@ -249,13 +248,7 @@ func (mg *Manager) Destroy(name string) error {
 		return err
 	}
 	delete(mg.instances, name)
-	for i, n := range mg.order {
-		if n == name {
-			mg.order = append(mg.order[:i], mg.order[i+1:]...)
-			mg.list = append(mg.list[:i], mg.list[i+1:]...)
-			break
-		}
-	}
+	mg.list = slices.DeleteFunc(mg.list, func(i *Instance) bool { return i == inst })
 	return nil
 }
 
