@@ -42,7 +42,6 @@ var goldenScenarios = []struct {
 			Node:      "chetemi",
 			DurationS: 20,
 			Control:   true,
-			Seed:      7,
 			FaultRate: 0.1,
 			FaultSeed: 7,
 			VMs: []ScenarioVM{

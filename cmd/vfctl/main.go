@@ -91,15 +91,12 @@ type Scenario struct {
 
 	// Robustness knobs (zero values keep the features off, matching
 	// core.DefaultConfig). CallBudgetUs bounds each host call;
-	// RetryBackoffUs/RetryBackoffMaxUs arm jittered exponential retry
-	// backoff; BreakerThreshold/BreakerOpenSteps arm the per-VM circuit
-	// breaker; Seed fixes the backoff jitter stream.
-	CallBudgetUs      int64 `json:"call_budget_us,omitempty"`
-	RetryBackoffUs    int64 `json:"retry_backoff_us,omitempty"`
-	RetryBackoffMaxUs int64 `json:"retry_backoff_max_us,omitempty"`
-	BreakerThreshold  int   `json:"breaker_threshold,omitempty"`
-	BreakerOpenSteps  int   `json:"breaker_open_steps,omitempty"`
-	Seed              int64 `json:"seed,omitempty"`
+	// RetryBackoffUs arms the pause before each retry;
+	// BreakerThreshold/BreakerOpenSteps arm the per-VM circuit breaker.
+	CallBudgetUs     int64 `json:"call_budget_us,omitempty"`
+	RetryBackoffUs   int64 `json:"retry_backoff_us,omitempty"`
+	BreakerThreshold int   `json:"breaker_threshold,omitempty"`
+	BreakerOpenSteps int   `json:"breaker_open_steps,omitempty"`
 
 	// Fault injection (single-node simulation only; cluster and -linux
 	// runs reject these fields): each listed host call site fails
@@ -454,16 +451,12 @@ func controllerConfig(sc Scenario) core.Config {
 	if sc.RetryBackoffUs > 0 {
 		cfg.RetryBackoffUs = sc.RetryBackoffUs
 	}
-	if sc.RetryBackoffMaxUs > 0 {
-		cfg.RetryBackoffMaxUs = sc.RetryBackoffMaxUs
-	}
 	if sc.BreakerThreshold > 0 {
 		cfg.BreakerThreshold = sc.BreakerThreshold
 	}
 	if sc.BreakerOpenSteps > 0 {
 		cfg.BreakerOpenSteps = sc.BreakerOpenSteps
 	}
-	cfg.Seed = sc.Seed
 	return cfg
 }
 

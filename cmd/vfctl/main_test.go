@@ -25,7 +25,7 @@ func TestExampleScenarioParses(t *testing.T) {
 // A scenario naming a knob that does not exist — removed, or misspelt —
 // must be refused with the field named, not run under other settings.
 func TestScenarioRejectsUnknownFields(t *testing.T) {
-	for _, field := range []string{"auction_shards", "estimate_shards", "monitor_workers", "step_workers"} {
+	for _, field := range []string{"auction_shards", "estimate_shards", "monitor_workers", "step_workers", "seed", "retry_backoff_max_us"} {
 		raw := fmt.Sprintf(`{"node": "chetemi", "duration_s": 5, %q: 4, "vms": []}`, field)
 		_, err := parseScenario([]byte(raw))
 		if err == nil || !strings.Contains(err.Error(), field) {

@@ -92,7 +92,7 @@ func (r Result) String() string {
 // simulated machine advances 10× fewer scheduler ticks per step and a
 // 5,000-step soak stays fast. A quiet soak drops the wall-clock call
 // budget, so scheduler hiccups cannot fail a control run.
-func soakConfig(seed int64, quiet bool) core.Config {
+func soakConfig(quiet bool) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.PeriodUs = 100_000
 	cfg.CgroupPeriodUs = 100_000
@@ -104,8 +104,6 @@ func soakConfig(seed int64, quiet bool) core.Config {
 		cfg.CallBudgetUs = 2_000 // only an injected stall can blow this in-process
 	}
 	cfg.RetryBackoffUs = 100
-	cfg.RetryBackoffMaxUs = 800
-	cfg.Seed = seed
 	return cfg
 }
 
@@ -152,7 +150,7 @@ func Soak(o Options) (Result, error) {
 		provisioned[i] = true
 	}
 	fh := platform.WithFaults(platform.NewSim(mgr), o.Seed+1)
-	cfg := soakConfig(o.Seed, o.Quiet)
+	cfg := soakConfig(o.Quiet)
 	ctrl, err := core.New(fh, cfg)
 	if err != nil {
 		return Result{}, err

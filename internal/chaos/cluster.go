@@ -82,7 +82,7 @@ func ClusterSoak(o ClusterOptions) (ClusterResult, error) {
 		s.Cores = 8 // 19200 MHz of Eq. 7 capacity per node
 		specs[i] = s
 	}
-	cfg := soakConfig(o.Seed, o.Quiet)
+	cfg := soakConfig(o.Quiet)
 	cl, err := cluster.New(specs, cluster.Config{Controller: cfg, FailThreshold: 2})
 	if err != nil {
 		return ClusterResult{}, err

@@ -32,69 +32,15 @@ func (c *Controller) budgeted(t0 time.Time, err error) error {
 	return err
 }
 
-// splitmix64 is the SplitMix64 mixer: a stateless hash good enough for
-// jitter. Hashing (seed + sequence) needs no generator state beyond
-// the draw counter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// backoffDelay computes the sleep before retry attempt a (1-based):
-// exponential doubling of RetryBackoffUs capped at RetryBackoffMaxUs,
-// jittered uniformly into [base/2, base], then clamped to the remaining
-// step deadline budget so backoff never pushes a Step past its
-// watchdog. Outside a running Step (controller construction, restore)
-// there is no budget and the delay is zero. Exposed separately from the
-// sleep for tests.
-func (c *Controller) backoffDelay(attempt int) time.Duration {
-	base := c.cfg.RetryBackoffUs
-	if base <= 0 || attempt < 1 {
-		return 0
+// backoffSleep pauses the stepping goroutine before a retry for
+// Config.RetryBackoffUs, cut to what is left of the running Step's
+// deadline. Between Steps (construction, restore, adoption) no deadline
+// frames the call, and it does not pause.
+func (c *Controller) backoffSleep() {
+	if c.stepT0.IsZero() {
+		return
 	}
-	max := c.cfg.RetryBackoffMaxUs
-	if max <= 0 {
-		max = base << 6
-	}
-	d := base
-	if attempt <= 63 {
-		d = base << uint(attempt-1)
-	}
-	if d <= 0 || d > max {
-		d = max
-	}
-	// Jitter into [d/2, d]; the sequence counter makes every draw
-	// distinct.
-	half := d / 2
-	span := uint64(d - half + 1)
-	c.backoffSeq++
-	j := half + int64(splitmix64(uint64(c.cfg.Seed)+c.backoffSeq)%span)
-	dur := time.Duration(j) * time.Microsecond
-	if rem := c.stepBudgetLeft(); dur > rem {
-		dur = rem
-	}
-	return dur
-}
-
-// stepBudgetLeft returns how much of the current Step's deadline budget
-// remains for sleeping; zero outside a Step.
-func (c *Controller) stepBudgetLeft() time.Duration {
-	if c.stepBudget <= 0 || c.stepT0.IsZero() {
-		return 0
-	}
-	rem := c.stepBudget - time.Since(c.stepT0)
-	if rem < 0 {
-		return 0
-	}
-	return rem
-}
-
-// backoffSleep blocks the stepping goroutine for the attempt's jittered
-// delay.
-func (c *Controller) backoffSleep(attempt int) {
-	if d := c.backoffDelay(attempt); d > 0 {
+	if d := min(time.Duration(c.cfg.RetryBackoffUs)*time.Microsecond, c.deadline()-time.Since(c.stepT0)); d > 0 {
 		time.Sleep(d)
 	}
 }

@@ -214,90 +214,101 @@ func TestCallBudgetDegradesSlowVCPU(t *testing.T) {
 	}
 }
 
-// TestBackoffDelayBounds pins the backoff arithmetic: exponential
-// doubling from RetryBackoffUs, capped at RetryBackoffMaxUs, jittered
-// into [base/2, base], clamped to the remaining step budget, zero
-// outside a step, and deterministic per seed.
-func TestBackoffDelayBounds(t *testing.T) {
-	mk := func(seed int64) *Controller {
+// TestRetryPause pins the one pause before a retry: none by default,
+// Config.RetryBackoffUs inside a Step, cut at the Step's deadline (half
+// the period), and none before the first Step. Kill list, each verified
+// red:
+//   - drop the deadline cut in backoffSleep ("cut at the deadline");
+//   - drop the stepT0 reset in runStages (TestRetryPauseNotBetweenSteps);
+//   - sleep the full pause while stepT0 is zero ("not before the first
+//     Step");
+//   - use PeriodUs in place of PeriodUs / 2 in deadline
+//     (TestStepDeadlineOverrun).
+func TestRetryPause(t *testing.T) {
+	// retriedStep steps once to register VM a, then runs a Step whose
+	// first usage read fails once and is retried, and returns its report.
+	retriedStep := func(t *testing.T, cfg Config) StepReport {
+		t.Helper()
+		inner := newFakeHost()
+		inner.AddVM("a", 1, 1200)
+		fh := platform.WithFaults(inner, 1)
+		c := mustController(t, fh, cfg)
+		mustStep(t, c)
+		fh.MustPlan(platform.SiteUsage, platform.FaultPlan{Count: 1})
+		mustStep(t, c)
+		rep := c.LastReport()
+		if rep.Retries != 1 || rep.DegradedVCPUs != 0 {
+			t.Fatalf("want one successful retry: %s (retries %d)", rep.String(), rep.Retries)
+		}
+		return rep
+	}
+
+	t.Run("default retries at once", func(t *testing.T) {
 		cfg := DefaultConfig()
-		cfg.RetryBackoffUs = 100
-		cfg.RetryBackoffMaxUs = 1_000
-		cfg.Seed = seed
-		h := newFakeHost()
-		return mustController(t, h, cfg)
-	}
-
-	c := mk(42)
-	// Outside a Step there is no budget window: no sleeping during
-	// construction or restore.
-	if d := c.backoffDelay(1); d != 0 {
-		t.Fatalf("backoff outside a step = %v, want 0", d)
-	}
-
-	c.stepT0 = time.Now()
-	c.stepBudget = time.Second
-	for attempt := 1; attempt <= 10; attempt++ {
-		base := int64(100) << uint(attempt-1)
-		if base > 1_000 {
-			base = 1_000
+		if cfg.RetryBackoffUs != 0 || cfg.CallBudgetUs != 0 || cfg.BreakerThreshold != 0 {
+			t.Fatalf("robustness knobs armed by default: %+v", cfg)
 		}
-		d := c.backoffDelay(attempt)
-		lo := time.Duration(base/2) * time.Microsecond
-		hi := time.Duration(base) * time.Microsecond
-		if d < lo || d > hi {
-			t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, lo, hi)
+		if d := retriedStep(t, cfg).Timings.Total; d >= 50*time.Millisecond {
+			t.Fatalf("retried Step took %v with no pause configured", d)
 		}
-	}
-
-	// The step budget clamps the sleep so backoff cannot blow the
-	// watchdog deadline.
-	c.stepBudget = 50 * time.Microsecond
-	c.stepT0 = time.Now()
-	if d := c.backoffDelay(5); d > 50*time.Microsecond {
-		t.Fatalf("delay %v exceeds the 50us step budget", d)
-	}
-
-	// Same seed, same jitter sequence.
-	a, b := mk(7), mk(7)
-	a.stepT0, b.stepT0 = time.Now(), time.Now()
-	a.stepBudget, b.stepBudget = time.Second, time.Second
-	for i := 1; i <= 20; i++ {
-		da, db := a.backoffDelay(1+i%4), b.backoffDelay(1+i%4)
-		if da != db {
-			t.Fatalf("draw %d: %v vs %v with the same seed", i, da, db)
+	})
+	t.Run("pause inside a Step", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.RetryBackoffUs = 20_000
+		if d := retriedStep(t, cfg).Timings.Total; d < 20*time.Millisecond {
+			t.Fatalf("retried Step took %v, under its 20ms pause", d)
 		}
-	}
-	// Different seed, different sequence (somewhere in 20 draws).
-	dif := mk(8)
-	dif.stepT0, dif.stepBudget = time.Now(), time.Second
-	same := true
-	x, y := mk(7), mk(8)
-	x.stepT0, x.stepBudget = time.Now(), time.Second
-	y.stepT0, y.stepBudget = time.Now(), time.Second
-	for i := 0; i < 20; i++ {
-		if x.backoffDelay(3) != y.backoffDelay(3) {
-			same = false
+	})
+	t.Run("cut at the deadline", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.PeriodUs = 100_000 // deadline 50 ms
+		cfg.RetryBackoffUs = 2_000_000
+		d := retriedStep(t, cfg).Timings.Total
+		if d < 50*time.Millisecond || d >= time.Second {
+			t.Fatalf("retried Step took %v, want the 2s pause cut at the 50ms deadline", d)
 		}
-	}
-	if same {
-		t.Fatal("seeds 7 and 8 drew identical jitter for 20 draws")
-	}
+	})
+	t.Run("not before the first Step", func(t *testing.T) {
+		inner := newFakeHost()
+		inner.AddVM("m", 1, 1200)
+		fh := platform.WithFaults(inner, 1)
+		cfg := DefaultConfig()
+		cfg.RetryBackoffUs = 2_000_000
+		adoptRetried(t, mustController(t, fh, cfg), fh, "m")
+	})
 }
 
-// TestBackoffDisabledByDefault: the default configuration retries
-// immediately, so fault-heavy steps keep their pre-backoff latency.
-func TestBackoffDisabledByDefault(t *testing.T) {
+// TestRetryPauseNotBetweenSteps: a host call made between Steps — here a
+// migration's AdoptVM after the first Step — retries without pausing,
+// though the last Step's deadline had time left.
+func TestRetryPauseNotBetweenSteps(t *testing.T) {
+	inner := newFakeHost()
+	inner.AddVM("a", 1, 1200)
+	fh := platform.WithFaults(inner, 1)
 	cfg := DefaultConfig()
-	if cfg.RetryBackoffUs != 0 || cfg.CallBudgetUs != 0 || cfg.BreakerThreshold != 0 {
-		t.Fatalf("robustness knobs armed by default: %+v", cfg)
+	cfg.RetryBackoffUs = 1_000_000
+	c := mustController(t, fh, cfg)
+	mustStep(t, c)
+	inner.AddVM("m", 1, 1200)
+	adoptRetried(t, c, fh, "m")
+}
+
+// adoptRetried adopts VM name on c with its first usage read failing
+// once, and fails t unless the read was retried without a pause.
+func adoptRetried(t *testing.T, c *Controller, fh *platform.FaultyHost, name string) {
+	t.Helper()
+	fh.MustPlan(platform.SiteUsage, platform.FaultPlan{Count: 1})
+	calls := fh.Calls(platform.SiteUsage)
+	t0 := time.Now()
+	if err := c.AdoptVM(VMSnapshot{Name: name, FreqMHz: 1200,
+		VCPUs: []VCPUSnapshot{{Index: 0, CapUs: 300_000, EstimateUs: 300_000}}}); err != nil {
+		t.Fatal(err)
 	}
-	h := newFakeHost()
-	c := mustController(t, h, cfg)
-	c.stepT0 = time.Now()
-	c.stepBudget = time.Second
-	if d := c.backoffDelay(3); d != 0 {
-		t.Fatalf("disabled backoff returned %v", d)
+	if d := time.Since(t0); d >= 50*time.Millisecond {
+		t.Fatalf("AdoptVM outside a Step took %v: it paused before its retry", d)
+	}
+	if got := fh.Calls(platform.SiteUsage) - calls; got != 2 {
+		t.Fatalf("AdoptVM made %d usage reads, want a failed one and its retry", got)
 	}
 }
 

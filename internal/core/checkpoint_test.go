@@ -554,7 +554,7 @@ func TestStepRecoversFromPanic(t *testing.T) {
 
 func TestStepDeadlineOverrun(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.PeriodUs = 20_000 // 20 ms period, 10 ms deadline at the default 0.5
+	cfg.PeriodUs = 20_000 // 20 ms period, 10 ms deadline
 	cfg.CgroupPeriodUs = 10_000
 	cfg.MinQuotaUs = 500
 	cfg.WindowUs = 1_000
@@ -590,15 +590,30 @@ func TestStepDeadlineOverrun(t *testing.T) {
 		t.Fatalf("step 2 report: overrun=%v stage=%q, want monitor overrun", rep.Overrun, rep.OverrunStage)
 	}
 
-	// Deadline disabled: slow but never reported as overrunning.
-	cfg.StepDeadlineFrac = 0
-	c2 := mustController(t, h, cfg)
-	if err := c2.Step(); err != nil {
+	// The deadline is half the period, not the whole of it: a Step that
+	// stalls 300 ms of its 400 ms period (two 150 ms usage reads, the
+	// registration's and the monitor's) overruns without skipping one.
+	cfg.PeriodUs = 400_000
+	sh := stallHost{newFakeHost(), 150 * time.Millisecond}
+	sh.AddVM("a", 1, 500)
+	c = mustController(t, sh, cfg)
+	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if rep = c2.LastReport(); rep.Overrun {
-		t.Fatalf("overrun reported with deadline disabled: %s", rep.String())
+	if rep = c.LastReport(); !rep.Overrun || rep.SkippedPeriods != 0 {
+		t.Fatalf("300 ms Step of a 400 ms period: %s, want an overrun and no skipped period", rep.String())
 	}
+}
+
+// stallHost stalls every usage read for a fixed time.
+type stallHost struct {
+	*platform.Scripted
+	stall time.Duration
+}
+
+func (s stallHost) UsageUs(vm string, j int) (int64, error) {
+	time.Sleep(s.stall)
+	return s.Scripted.UsageUs(vm, j)
 }
 
 // TestPeriodSleepClampsOverrun is the regression for the end-of-step

@@ -85,11 +85,6 @@ type Config struct {
 	// Controller.AttachStore), persists a full controller checkpoint
 	// every this many completed Steps. 0 disables checkpointing.
 	CheckpointEvery int64
-	// StepDeadlineFrac is the watchdog budget: the fraction of PeriodUs
-	// a Step may spend in wall-clock time before it is reported as
-	// overrunning (Overrun in the StepReport, with skipped-period
-	// accounting). 0 disables the deadline.
-	StepDeadlineFrac float64
 	// Deprecated: ignored — the monitor stage is serial; kept only until benchmark/ stops assigning it.
 	MonitorWorkers int
 	// CallBudgetUs is the deadline of every host call, in microseconds:
@@ -99,17 +94,12 @@ type Config struct {
 	// cgroupfs drags a whole Step past the watchdog. 0 disables the
 	// budget.
 	CallBudgetUs int64
-	// RetryBackoffUs, when positive, sleeps before every retry of every
-	// host call (Config.HostRetries): the k-th retry waits an
-	// exponentially grown base of RetryBackoffUs × 2^(k−1) µs, jittered uniformly
-	// into [base/2, base] (seeded from Config.Seed, so fault runs are
-	// reproducible), and clamped to the remaining step deadline budget
-	// so backoff can never push a Step past its watchdog. 0 retries
-	// immediately (the pre-backoff behaviour).
+	// RetryBackoffUs, when positive, pauses before every retry of every
+	// host call (Config.HostRetries) for this many microseconds, cut to
+	// what is left of the running Step's deadline (half the period), so
+	// a pause can never push a Step past its watchdog. A call made
+	// between Steps retries without pausing. 0 retries immediately.
 	RetryBackoffUs int64
-	// RetryBackoffMaxUs caps the exponential backoff base. 0 defaults
-	// to RetryBackoffUs × 64 (six doublings).
-	RetryBackoffMaxUs int64
 	// BreakerThreshold, when positive, arms a per-VM circuit breaker: a
 	// VM with any degraded vCPU in BreakerThreshold consecutive Steps
 	// trips its breaker open. An open breaker quarantines the VM — all
@@ -126,11 +116,6 @@ type Config struct {
 	// BreakerOpenSteps is how many Steps a tripped breaker holds the VM
 	// quarantined before probing. Values below 1 behave like 1.
 	BreakerOpenSteps int
-	// Seed drives the controller's internal jitter randomness (the
-	// retry backoff). It does not influence any allocation decision:
-	// two controllers with different seeds compute identical caps,
-	// credits and reports — only retry timing differs.
-	Seed int64
 }
 
 // DefaultConfig returns the paper's evaluation configuration.
@@ -150,7 +135,6 @@ func DefaultConfig() Config {
 		ControlEnabled:   true,
 		HostRetries:      1,
 		RecoverySteps:    1,
-		StepDeadlineFrac: 0.5,
 	}
 }
 
@@ -201,21 +185,11 @@ func (c Config) Validate() error {
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("core: checkpoint interval must be non-negative")
 	}
-	if c.StepDeadlineFrac < 0 || c.StepDeadlineFrac > 1 {
-		return fmt.Errorf("core: step deadline fraction %g outside [0, 1]", c.StepDeadlineFrac)
-	}
 	if c.CallBudgetUs < 0 {
 		return fmt.Errorf("core: call budget must be non-negative")
 	}
 	if c.RetryBackoffUs < 0 {
 		return fmt.Errorf("core: retry backoff must be non-negative")
-	}
-	if c.RetryBackoffMaxUs < 0 {
-		return fmt.Errorf("core: retry backoff cap must be non-negative")
-	}
-	if c.RetryBackoffMaxUs > 0 && c.RetryBackoffUs > c.RetryBackoffMaxUs {
-		return fmt.Errorf("core: retry backoff base %d above its cap %d",
-			c.RetryBackoffUs, c.RetryBackoffMaxUs)
 	}
 	if c.BreakerThreshold < 0 {
 		return fmt.Errorf("core: breaker threshold must be non-negative")

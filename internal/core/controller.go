@@ -135,14 +135,10 @@ type Controller struct {
 	// StepReport; nil (the default) records nothing.
 	met *ctrlMetrics
 
-	// stepT0 and stepBudget frame the running Step's deadline window:
-	// set at the top of runStages, they bound every retry-backoff sleep
-	// so backoff can never push the Step past its watchdog. Outside a
-	// Step (construction, restore) the window is closed and backoff
-	// does not sleep. backoffSeq numbers the jitter draws.
-	stepT0     time.Time
-	stepBudget time.Duration
-	backoffSeq uint64
+	// stepT0 is the start of the running Step, and the zero time
+	// between Steps: a retry pause sleeps only inside a Step, and never
+	// past its deadline.
+	stepT0 time.Time
 
 	// buyersBuf is the auction/distribution buyer list, reused across
 	// Steps so the steady-state control loop runs without heap
@@ -211,9 +207,9 @@ var hostOpNames = [...]string{"usage", "tid", "lastcpu", "freq", "setmax", "setb
 func (op hostOp) String() string { return hostOpNames[op] }
 
 // hostCall is the controller's whole host-call policy, stated once: up to
-// Config.HostRetries extra attempts with jittered exponential backoff
-// between them (Config.RetryBackoffUs, bounded by the remaining step
-// deadline), every attempt timed against Config.CallBudgetUs, and a call
+// Config.HostRetries extra attempts with a pause of Config.RetryBackoffUs
+// before each (cut to what is left of the Step's deadline, none between
+// Steps), every attempt timed against Config.CallBudgetUs, and a call
 // that blew its budget never retried — the site is slow, not flaky.
 // retried reports a success that needed more than one attempt (the
 // caller counts it in StepReport.Retries).
@@ -222,7 +218,7 @@ func (op hostOp) String() string { return hostOpNames[op] }
 func (c *Controller) hostCall(op hostOp, vm string, i int, x, y int64) (val int64, retried bool, err error) {
 	for attempt := 0; attempt <= c.cfg.HostRetries && err != ErrCallBudget; attempt++ {
 		if attempt > 0 {
-			c.backoffSleep(attempt)
+			c.backoffSleep()
 		}
 		t := c.callStart()
 		switch op {
@@ -414,9 +410,9 @@ func (c *Controller) reconcileVM(rep *StepReport, st *VMState, info platform.VMI
 //
 // Step is additionally watchdogged: a panic in any stage is recovered
 // into a degraded step (every vCPU marked degraded, the panic recorded as
-// a fault), and a step whose wall-clock time crosses the
-// Config.StepDeadlineFrac budget is flagged Overrun with skipped-period
-// accounting, so a periodic caller can detect and report missed ticks.
+// a fault), and a step whose wall-clock time crosses its deadline, half
+// the period, is flagged Overrun with skipped-period accounting, so a
+// periodic caller can detect and report missed ticks.
 func (c *Controller) Step() error {
 	rep := StepReport{Step: c.steps + 1}
 	t0 := time.Now()
@@ -486,23 +482,25 @@ func (c *Controller) PeriodSleep(spent time.Duration) time.Duration {
 	return period - spent
 }
 
+// deadline is a Step's wall-clock budget: half the period. A Step that
+// runs past it is flagged Overrun, and a retry pause never sleeps past
+// it. The paper's Step spends about 5 ms of a 1 s period, so crossing
+// half the period means the host is pathologically slow.
+func (c *Controller) deadline() time.Duration {
+	return time.Duration(c.cfg.PeriodUs/2) * time.Microsecond
+}
+
 // runStages executes the six stages under the watchdog: a per-stage
 // deadline check and a panic recovery that converts a crashing stage
 // into a degraded (but completed) step.
 func (c *Controller) runStages(rep *StepReport, t0 time.Time) (err error) {
-	var deadline time.Duration
-	if c.cfg.StepDeadlineFrac > 0 {
-		deadline = time.Duration(float64(c.cfg.PeriodUs)*c.cfg.StepDeadlineFrac) * time.Microsecond
-	}
-	// Open the backoff window: retry sleeps may spend at most the
-	// deadline budget (the whole period when no deadline is set).
+	deadline := c.deadline()
+	// Retry pauses sleep only while this Step runs; the reset also runs
+	// after a recovered panic.
 	c.stepT0 = t0
-	c.stepBudget = deadline
-	if c.stepBudget <= 0 {
-		c.stepBudget = time.Duration(c.cfg.PeriodUs) * time.Microsecond
-	}
+	defer func() { c.stepT0 = time.Time{} }()
 	checkStage := func(name string) {
-		if deadline > 0 && !rep.Overrun && time.Since(t0) > deadline {
+		if !rep.Overrun && time.Since(t0) > deadline {
 			rep.Overrun = true
 			rep.OverrunStage = name
 		}

@@ -79,8 +79,8 @@ type StepReport struct {
 	// panic is recorded as a "step/panic" fault instead of crashing the
 	// control loop.
 	Panicked bool
-	// Overrun reports that the Step's wall-clock time crossed the
-	// deadline budget Config.StepDeadlineFrac × PeriodUs.
+	// Overrun reports that the Step's wall-clock time crossed its
+	// deadline, half of Config.PeriodUs.
 	Overrun bool
 	// OverrunStage names the first stage after which the deadline was
 	// found exceeded ("sync", "monitor", "estimate", "enforce",

@@ -13,6 +13,7 @@ package placement
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -195,24 +196,36 @@ func (n *Node) Fits(v VMSpec, p Policy) bool {
 	if !p.Admits(n.Spec.Capacity(), n.used.Add(v.Load())) {
 		return false
 	}
-	return !(eq7 && p.CoreSplitting) || n.coreSplitFits(v)
+	return !(eq7 && p.CoreSplitting) || spreadVCPUs(slices.Clone(n.cores()), v, n.Spec.MaxFreqMHz)
 }
 
-// coreSplitFits checks integral per-core feasibility with first-fit over
-// cores (worst-fit order: emptiest core first, which keeps headroom
-// spread for later VMs).
-func (n *Node) coreSplitFits(v VMSpec) bool {
+// Place adds v to n. Callers must check Fits first.
+func (n *Node) Place(v VMSpec, p Policy) {
+	n.VMs = append(n.VMs, v)
+	n.used = n.used.Add(v.Load())
+	if p.CoreSplitting && !spreadVCPUs(n.cores(), v, n.Spec.MaxFreqMHz) {
+		panic("placement: Place called without Fits")
+	}
+}
+
+// cores returns the per-core Σ F, allocated on first use.
+func (n *Node) cores() []int64 {
 	if n.coreFreq == nil {
 		n.coreFreq = make([]int64, n.Spec.Cores)
 	}
-	cores := append([]int64(nil), n.coreFreq...)
+	return n.coreFreq
+}
+
+// spreadVCPUs adds each of v's vCPUs to the emptiest core with room for
+// its frequency, the lowest index on ties (worst fit, which keeps headroom
+// spread for later VMs), and reports whether every vCPU found a core.
+// cores is left partly updated when one did not.
+func spreadVCPUs(cores []int64, v VMSpec, maxMHz int64) bool {
 	for placed := 0; placed < v.VCPUs; placed++ {
 		best := -1
 		for c := range cores {
-			if cores[c]+v.FreqMHz <= n.Spec.MaxFreqMHz {
-				if best == -1 || cores[c] < cores[best] {
-					best = c
-				}
+			if cores[c]+v.FreqMHz <= maxMHz && (best == -1 || cores[c] < cores[best]) {
+				best = c
 			}
 		}
 		if best == -1 {
@@ -221,31 +234,6 @@ func (n *Node) coreSplitFits(v VMSpec) bool {
 		cores[best] += v.FreqMHz
 	}
 	return true
-}
-
-// Place adds v to n. Callers must check Fits first.
-func (n *Node) Place(v VMSpec, p Policy) {
-	n.VMs = append(n.VMs, v)
-	n.used = n.used.Add(v.Load())
-	if p.CoreSplitting {
-		if n.coreFreq == nil {
-			n.coreFreq = make([]int64, n.Spec.Cores)
-		}
-		for placed := 0; placed < v.VCPUs; placed++ {
-			best := -1
-			for c := range n.coreFreq {
-				if n.coreFreq[c]+v.FreqMHz <= n.Spec.MaxFreqMHz {
-					if best == -1 || n.coreFreq[c] < n.coreFreq[best] {
-						best = c
-					}
-				}
-			}
-			if best == -1 {
-				panic("placement: Place called without Fits")
-			}
-			n.coreFreq[best] += v.FreqMHz
-		}
-	}
 }
 
 // Result is the outcome of a placement run.
