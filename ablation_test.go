@@ -13,10 +13,7 @@ import (
 	"vfreq/internal/core"
 	"vfreq/internal/dvfs"
 	"vfreq/internal/experiments"
-	"vfreq/internal/host"
 	"vfreq/internal/platform"
-	"vfreq/internal/vm"
-	"vfreq/internal/workload"
 )
 
 // newScriptHost is the host the estimator and credit ablations feed exact
@@ -285,72 +282,6 @@ func BenchmarkAblationCachePenalty(b *testing.B) {
 			dur := float64(e.DurationUs) / 1e6
 			b.ReportMetric(res.Rec.Series("large").MedianRange(dur*2/3, dur), "large_MHz")
 			b.ReportMetric(res.Rec.Series("small").MedianRange(dur*2/3, dur), "small_MHz")
-		})
-	}
-}
-
-// Burst fraction (extension over the paper): a workload with 100 ms
-// demand spikes per 200 ms can never consume more than half its cap
-// without burst, so the paper's stable-case recalibration (est = u/0.95)
-// shrinks its cap geometrically until it collapses to the minimum quota —
-// the estimator assumes sub-period-uniform demand. With a full burst
-// budget (cpu.max.burst = quota), off-spike windows bank enough bandwidth
-// that the spikes run unthrottled, u tracks the cap, and the estimator
-// stays converged: attained CPU rises ~30×. Partial burst (50 %) still
-// collapses. Steady CPU-bound workloads (the paper's benchmarks) are
-// unaffected by the knob.
-func BenchmarkAblationBurstFraction(b *testing.B) {
-	for _, frac := range []float64{0, 0.5, 1.0} {
-		b.Run(fmt.Sprintf("burst_%.0f%%", frac*100), func(b *testing.B) {
-			var attainedUs int64
-			for i := 0; i < b.N; i++ {
-				machine, err := host.New(host.Spec{
-					Name: "burst-bench", Cores: 2,
-					MinMHz: 1200, MaxMHz: 2400, MemoryGB: 16,
-					Governor: dvfs.GovernorPerformance,
-					Power:    host.Chetemi().Power,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				mgr, err := vm.NewManager(machine)
-				if err != nil {
-					b.Fatal(err)
-				}
-				spiky := &workload.Bursty{PeriodUs: 200_000, Duty: 0.5, High: 1, Low: 0}
-				inst, err := mgr.Provision("spiky",
-					vm.Template{Name: "spiky", VCPUs: 1, FreqMHz: 1200, MemoryGB: 1},
-					[]workload.Source{spiky})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := mgr.Provision("busy",
-					vm.Template{Name: "busy", VCPUs: 2, FreqMHz: 1800, MemoryGB: 1},
-					[]workload.Source{workload.Busy(), workload.Busy()}); err != nil {
-					b.Fatal(err)
-				}
-				cfg := core.DefaultConfig()
-				cfg.BurstFraction = frac
-				ctrl, err := core.New(platform.NewSim(mgr), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for step := 0; step < 30; step++ {
-					machine.Advance(cfg.PeriodUs)
-					if err := ctrl.Step(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				before := inst.VCPUThread(0).UsageUs
-				for step := 0; step < 30; step++ {
-					machine.Advance(cfg.PeriodUs)
-					if err := ctrl.Step(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				attainedUs = inst.VCPUThread(0).UsageUs - before
-			}
-			b.ReportMetric(float64(attainedUs)/1000, "spiky_attained_ms")
 		})
 	}
 }

@@ -425,39 +425,35 @@ func parseScenario(raw []byte) (Scenario, error) {
 	return sc, nil
 }
 
+// controllerConfig applies the scenario's controller overrides to the
+// paper defaults. Every non-zero value goes through as written, so an
+// out-of-range one reaches core.Config.Validate and is refused rather
+// than dropped; only host_retries -1 is translated (to no retries).
 func controllerConfig(sc Scenario) core.Config {
 	cfg := core.DefaultConfig()
-	if sc.IncreaseTrigger > 0 {
-		cfg.IncreaseTrigger = sc.IncreaseTrigger
-	}
-	if sc.IncreaseFactor > 0 {
-		cfg.IncreaseFactor = sc.IncreaseFactor
-	}
-	if sc.DecreaseTrigger > 0 {
-		cfg.DecreaseTrigger = sc.DecreaseTrigger
-	}
-	if sc.DecreaseFactor > 0 {
-		cfg.DecreaseFactor = sc.DecreaseFactor
-	}
-	if sc.HostRetries > 0 {
-		cfg.HostRetries = sc.HostRetries
-	} else if sc.HostRetries < 0 {
+	override(&cfg.IncreaseTrigger, sc.IncreaseTrigger)
+	override(&cfg.IncreaseFactor, sc.IncreaseFactor)
+	override(&cfg.DecreaseTrigger, sc.DecreaseTrigger)
+	override(&cfg.DecreaseFactor, sc.DecreaseFactor)
+	if sc.HostRetries == -1 {
 		cfg.HostRetries = 0
+	} else {
+		override(&cfg.HostRetries, sc.HostRetries)
 	}
 	cfg.ControlEnabled = sc.Control
-	if sc.CallBudgetUs > 0 {
-		cfg.CallBudgetUs = sc.CallBudgetUs
-	}
-	if sc.RetryBackoffUs > 0 {
-		cfg.RetryBackoffUs = sc.RetryBackoffUs
-	}
-	if sc.BreakerThreshold > 0 {
-		cfg.BreakerThreshold = sc.BreakerThreshold
-	}
-	if sc.BreakerOpenSteps > 0 {
-		cfg.BreakerOpenSteps = sc.BreakerOpenSteps
-	}
+	override(&cfg.CallBudgetUs, sc.CallBudgetUs)
+	override(&cfg.RetryBackoffUs, sc.RetryBackoffUs)
+	override(&cfg.BreakerThreshold, sc.BreakerThreshold)
+	override(&cfg.BreakerOpenSteps, sc.BreakerOpenSteps)
 	return cfg
+}
+
+// override sets *dst to v unless v is zero, a scenario's "keep the
+// default".
+func override[T int | int64 | float64](dst *T, v T) {
+	if v != 0 {
+		*dst = v
+	}
 }
 
 // faultHost wraps h with the scenario's fault plans, or returns it

@@ -35,17 +35,19 @@ func TestScenarioRejectsUnknownFields(t *testing.T) {
 	if _, err := parseScenario([]byte(`{"vms": [{"name": "a", "vcpu": 2}]}`)); err == nil || !strings.Contains(err.Error(), "vcpu") {
 		t.Errorf("unknown VM field: error %v, want one naming it", err)
 	}
-	// A fault site that does not exist (BatchSetMax was removed) parses
-	// but refuses to run, listing the sites that do.
-	sc, err := parseScenario([]byte(`{"node": "chetemi", "duration_s": 1, "control": true,
-		"fault_rate": 0.1, "fault_sites": ["BatchSetMax"], "vms": []}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = runSim(sc, filepath.Join(t.TempDir(), "x.csv"), "", checkpointOpts{}, metrics.NewRegistry())
-	const valid = "valid sites: ListVMs, UsageUs, SetMax, ClearMax, ReadMax, SetBurst, ThreadID, LastCPU, CoreFreqMHz"
-	if err == nil || !strings.Contains(err.Error(), `"BatchSetMax"`) || !strings.Contains(err.Error(), valid) {
-		t.Errorf("fault site BatchSetMax: error %v, want one naming it and listing the %s", err, valid)
+	// A fault site that does not exist (BatchSetMax and SetBurst were
+	// removed) parses but refuses to run, listing the sites that do.
+	const valid = "valid sites: ListVMs, UsageUs, SetMax, ClearMax, ReadMax, ThreadID, LastCPU, CoreFreqMHz"
+	for _, site := range []string{"BatchSetMax", "SetBurst"} {
+		sc, err := parseScenario([]byte(`{"node": "chetemi", "duration_s": 1, "control": true,
+			"fault_rate": 0.1, "fault_sites": ["` + site + `"], "vms": []}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = runSim(sc, filepath.Join(t.TempDir(), "x.csv"), "", checkpointOpts{}, metrics.NewRegistry())
+		if err == nil || !strings.Contains(err.Error(), `"`+site+`"`) || !strings.Contains(err.Error(), valid) {
+			t.Errorf("fault site %s: error %v, want one naming it and listing the %s", site, err, valid)
+		}
 	}
 }
 
@@ -185,6 +187,46 @@ func TestControllerConfigOverrides(t *testing.T) {
 	def := controllerConfig(Scenario{})
 	if def.IncreaseTrigger != 0.95 || def.DecreaseFactor != 0.05 {
 		t.Fatalf("defaults lost: %+v", def)
+	}
+}
+
+// An out-of-range controller override is refused, never dropped: the run
+// must not go on under the default in its place. host_retries -1 keeps
+// its meaning (no retries); anything below it is refused too.
+func TestControllerConfigRejectsOutOfRange(t *testing.T) {
+	cases := []struct {
+		field string
+		sc    Scenario
+		want  string // fragment of the Validate error
+	}{
+		{"increase_trigger", Scenario{IncreaseTrigger: -0.5}, "increase trigger"},
+		{"increase_factor", Scenario{IncreaseFactor: -0.1}, "increase factor"},
+		{"decrease_trigger", Scenario{DecreaseTrigger: -0.3}, "decrease trigger"},
+		{"decrease_factor", Scenario{DecreaseFactor: -0.05}, "decrease factor"},
+		{"host_retries", Scenario{HostRetries: -2}, "host retries"},
+		{"call_budget_us", Scenario{CallBudgetUs: -5}, "call budget"},
+		{"retry_backoff_us", Scenario{RetryBackoffUs: -1}, "retry backoff"},
+		{"breaker_threshold", Scenario{BreakerThreshold: -2}, "breaker threshold"},
+		{"breaker_open_steps", Scenario{BreakerOpenSteps: -1}, "breaker open steps"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.field, func(t *testing.T) {
+			err := controllerConfig(tc.sc).Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s out of range: error %v, want one naming the %s", tc.field, err, tc.want)
+			}
+		})
+	}
+	if cfg := controllerConfig(Scenario{HostRetries: -1}); cfg.HostRetries != 0 || cfg.Validate() != nil {
+		t.Fatalf("host_retries -1: HostRetries %d, Validate %v; want 0 and valid", cfg.HostRetries, cfg.Validate())
+	}
+	sc, err := parseScenario([]byte(`{"node": "chetemi", "duration_s": 3, "control": true,
+		"call_budget_us": -5, "vms": [{"name": "a", "vcpus": 1, "freq_mhz": 1200, "workload": "busy"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runSim(sc, filepath.Join(t.TempDir(), "x.csv"), "", checkpointOpts{}, metrics.NewRegistry()); err == nil {
+		t.Fatal("scenario with call_budget_us -5 ran")
 	}
 }
 

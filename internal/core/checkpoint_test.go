@@ -522,7 +522,7 @@ func TestStepRecoversFromPanic(t *testing.T) {
 	}
 	for _, st := range c.VMs() {
 		for _, v := range st.VCPUs {
-			if v.appliedQuotaOK || v.appliedBurstOK {
+			if v.appliedQuotaOK {
 				t.Fatalf("%s/%d keeps its applied-quota cache across a panicked step", v.VM, v.Index)
 			}
 		}

@@ -61,12 +61,6 @@ type Config struct {
 	// CreditCapPeriods bounds a VM's credit wallet to this many
 	// periods of its full guarantee; 0 means unbounded.
 	CreditCapPeriods int64
-	// BurstFraction, when positive, additionally writes a
-	// cpu.max.burst budget of BurstFraction × quota for every vCPU, so
-	// sub-period demand spikes can borrow bandwidth banked during
-	// quiet cgroup periods (an extension over the paper, using the
-	// kernel's CFS burst feature).
-	BurstFraction float64
 	// ControlEnabled distinguishes the paper's execution modes: B
 	// (true, full control) and A (false, monitoring only — no quota is
 	// ever written).
@@ -172,9 +166,6 @@ func (c Config) Validate() error {
 	}
 	if c.CreditCapPeriods < 0 {
 		return fmt.Errorf("core: credit cap must be non-negative")
-	}
-	if c.BurstFraction < 0 || c.BurstFraction > 1 {
-		return fmt.Errorf("core: burst fraction %g outside [0, 1]", c.BurstFraction)
 	}
 	if c.HostRetries < 0 || c.HostRetries > 16 {
 		return fmt.Errorf("core: host retries %d outside [0, 16]", c.HostRetries)

@@ -63,8 +63,7 @@ type VCPUState struct {
 
 	// appliedQuotaUs/appliedPeriodUs cache the last (quota, period) the
 	// apply stage successfully wrote for this vCPU, valid while
-	// appliedQuotaOK holds; appliedBurstUs/appliedBurstOK do the same
-	// for the burst budget. Apply skips vCPUs whose fresh quota matches
+	// appliedQuotaOK holds. Apply skips vCPUs whose fresh quota matches
 	// the cache, so a steady-state step issues no writes at all. The
 	// fields are unexported on purpose: they never enter a checkpoint
 	// (a restored vCPU starts with an invalid cache and writes through),
@@ -73,19 +72,16 @@ type VCPUState struct {
 	appliedQuotaUs  int64
 	appliedPeriodUs int64
 	appliedQuotaOK  bool
-	appliedBurstUs  int64
-	appliedBurstOK  bool
 }
 
-// invalidateApplied forgets the last-applied quota and burst, forcing
-// the next apply stage to write through. Called on every event after
-// which the cgroup's content is no longer trusted: a degradation (the
-// cgroup may have vanished and been recreated unlimited), a usage
-// counter reset (VM restart rebuilds the cgroup), a recovered step
-// panic, and a VM reconfiguration.
+// invalidateApplied forgets the last-applied quota, forcing the next
+// apply stage to write through. Called on every event after which the
+// cgroup's content is no longer trusted: a degradation (the cgroup may
+// have vanished and been recreated unlimited), a usage counter reset (VM
+// restart rebuilds the cgroup), a recovered step panic, and a VM
+// reconfiguration.
 func (v *VCPUState) invalidateApplied() {
 	v.appliedQuotaOK = false
-	v.appliedBurstOK = false
 }
 
 // VMState is the controller's per-VM bookkeeping.
@@ -189,20 +185,19 @@ func (c *Controller) guarantee(freqMHz int64) int64 {
 	return c.cfg.PeriodUs * freqMHz / c.node.MaxFreqMHz
 }
 
-// hostOp names one of the six host calls a Step issues per vCPU. The
+// hostOp names one of the five host calls a Step issues per vCPU. The
 // names are the Fault.Op vocabulary of the monitor and apply stages.
 type hostOp uint8
 
 const (
-	opUsage    hostOp = iota // Host.UsageUs(vm, i): cpu.stat usage_usec
-	opTID                    // Host.ThreadID(vm, i): cgroup.threads
-	opLastCPU                // Host.LastCPU(i): /proc/<tid>/stat, i is the tid
-	opFreq                   // Host.CoreFreqMHz(i): scaling_cur_freq, i is the core
-	opSetMax                 // Host.SetMax(vm, i, x, y): cpu.max quota x over period y
-	opSetBurst               // Host.SetBurst(vm, i, x): cpu.max.burst
+	opUsage   hostOp = iota // Host.UsageUs(vm, i): cpu.stat usage_usec
+	opTID                   // Host.ThreadID(vm, i): cgroup.threads
+	opLastCPU               // Host.LastCPU(i): /proc/<tid>/stat, i is the tid
+	opFreq                  // Host.CoreFreqMHz(i): scaling_cur_freq, i is the core
+	opSetMax                // Host.SetMax(vm, i, x, y): cpu.max quota x over period y
 )
 
-var hostOpNames = [...]string{"usage", "tid", "lastcpu", "freq", "setmax", "setburst"}
+var hostOpNames = [...]string{"usage", "tid", "lastcpu", "freq", "setmax"}
 
 func (op hostOp) String() string { return hostOpNames[op] }
 
@@ -236,8 +231,6 @@ func (c *Controller) hostCall(op hostOp, vm string, i int, x, y int64) (val int6
 			val, err = c.host.CoreFreqMHz(i)
 		case opSetMax:
 			err = c.host.SetMax(vm, i, x, y)
-		case opSetBurst:
-			err = c.host.SetBurst(vm, i, x)
 		}
 		if err = c.budgeted(t, err); err == nil {
 			return val, attempt > 0, nil
@@ -287,19 +280,16 @@ func (c *Controller) newVCPUState(rep *StepReport, st *VMState, j int) (*VCPUSta
 	}, nil
 }
 
-// releaseVCPU restores a vCPU cgroup to an unlimited quota (and a zero
-// burst budget) when the controller stops managing it — on VM departure
-// and on a live vCPU-count shrink. Without this, a reused cgroup path
-// would inherit the dead vCPU's quota. The restore is best-effort: on a
-// real departure the cgroup is usually already gone.
+// releaseVCPU restores a vCPU cgroup to an unlimited quota when the
+// controller stops managing it — on VM departure and on a live
+// vCPU-count shrink. Without this, a reused cgroup path would inherit
+// the dead vCPU's quota. The restore is best-effort: on a real
+// departure the cgroup is usually already gone.
 func (c *Controller) releaseVCPU(vm string, j int) {
 	if !c.cfg.ControlEnabled {
 		return
 	}
 	_ = c.host.ClearMax(vm, j)
-	if c.cfg.BurstFraction > 0 {
-		_ = c.host.SetBurst(vm, j, 0)
-	}
 }
 
 // syncVMs reconciles the controller state with the host's VM list:

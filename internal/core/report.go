@@ -19,10 +19,10 @@ type Fault struct {
 	// Stage names the controller stage: "sync", "monitor", "apply" or
 	// "breaker".
 	Stage string
-	// Op names what failed: one of the six host calls (the hostOp table
-	// in controller.go: "usage", "tid", "lastcpu", "freq", "setmax",
-	// "setburst"), "template" (a rejected VM template), "open" (a circuit
-	// breaker tripping), "panic" or "save" (a checkpoint).
+	// Op names what failed: one of the five host calls (the hostOp table
+	// in controller.go: "usage", "tid", "lastcpu", "freq", "setmax"),
+	// "template" (a rejected VM template), "open" (a circuit breaker
+	// tripping), "panic" or "save" (a checkpoint).
 	Op string
 	// Err is the underlying host error.
 	Err error

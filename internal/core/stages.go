@@ -231,13 +231,6 @@ func (c *Controller) quotaFor(v *VCPUState) int64 {
 // cap) while every healthy vCPU still gets its fresh quota. vCPUs
 // already degraded in monitoring are skipped — their cap is unchanged,
 // so the quota in the cgroup is already the one we would write.
-//
-// With burst control on, the kernel refuses a cpu.max below the cgroup's
-// cpu.max.burst and a cpu.max.burst above its cpu.max, so the writes keep
-// burst ≤ quota at every step of the way: a shrinking burst goes out
-// before the quota (shrinkBurst), a growing one after it (applyBurst).
-// The budget is a fixed fraction of the quota, so the two always move in
-// the same direction.
 func (c *Controller) apply(rep *StepReport) {
 	period := c.cfg.CgroupPeriodUs
 	for _, st := range c.order {
@@ -246,77 +239,22 @@ func (c *Controller) apply(rep *StepReport) {
 				continue
 			}
 			quota := c.quotaFor(v)
-			if !c.shrinkBurst(rep, v, quota) {
+			if v.appliedQuotaOK && v.appliedQuotaUs == quota && v.appliedPeriodUs == period {
 				continue
 			}
-			if !v.appliedQuotaOK || v.appliedQuotaUs != quota || v.appliedPeriodUs != period {
-				_, retried, err := c.hostCall(opSetMax, v.VM, v.Index, quota, period)
-				if retried {
-					rep.Retries++
-				}
-				if err != nil {
-					c.degrade(rep, v, "apply", opSetMax, err)
-					continue
-				}
-				v.appliedQuotaUs = quota
-				v.appliedPeriodUs = period
-				v.appliedQuotaOK = true
+			_, retried, err := c.hostCall(opSetMax, v.VM, v.Index, quota, period)
+			if retried {
+				rep.Retries++
 			}
-			c.applyBurst(rep, v, quota)
+			if err != nil {
+				c.degrade(rep, v, "apply", opSetMax, err)
+				continue
+			}
+			v.appliedQuotaUs = quota
+			v.appliedPeriodUs = period
+			v.appliedQuotaOK = true
 		}
 	}
-}
-
-// burstFor is the cpu.max.burst budget that goes with a quota.
-func (c *Controller) burstFor(quota int64) int64 {
-	return int64(float64(quota) * c.cfg.BurstFraction)
-}
-
-// shrinkBurst runs before a vCPU's quota write, when burst control is
-// enabled: it lowers the cgroup's burst budget to the one that goes with
-// quota when the budget last applied is larger, and to zero when it is
-// unknown (the cgroup may hold any budget; applyBurst raises it again
-// after the quota). It reports false when the write failed and degraded
-// the vCPU, whose quota must then not be written either.
-func (c *Controller) shrinkBurst(rep *StepReport, v *VCPUState, quota int64) bool {
-	if c.cfg.BurstFraction <= 0 {
-		return true
-	}
-	burst := c.burstFor(quota)
-	switch {
-	case !v.appliedBurstOK:
-		burst = 0
-	case burst >= v.appliedBurstUs:
-		return true
-	}
-	return c.writeBurst(rep, v, burst)
-}
-
-// applyBurst runs after a vCPU's quota write, when burst control is
-// enabled: it raises the burst budget to the one that goes with quota.
-func (c *Controller) applyBurst(rep *StepReport, v *VCPUState, quota int64) {
-	if c.cfg.BurstFraction <= 0 {
-		return
-	}
-	if burst := c.burstFor(quota); !v.appliedBurstOK || v.appliedBurstUs != burst {
-		c.writeBurst(rep, v, burst)
-	}
-}
-
-// writeBurst writes one vCPU's cpu.max.burst and caches the budget; a
-// final failure degrades the vCPU.
-func (c *Controller) writeBurst(rep *StepReport, v *VCPUState, burst int64) bool {
-	_, retried, err := c.hostCall(opSetBurst, v.VM, v.Index, burst, 0)
-	if retried {
-		rep.Retries++
-	}
-	if err != nil {
-		c.degrade(rep, v, "apply", opSetBurst, err)
-		return false
-	}
-	v.appliedBurstUs = burst
-	v.appliedBurstOK = true
-	return true
 }
 
 // TotalGuaranteeUs returns Σ C_i × vCPUs over all hosted VMs, useful to

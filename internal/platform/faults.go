@@ -21,7 +21,6 @@ const (
 	SiteSetMax   FaultSite = "SetMax"
 	SiteClearMax FaultSite = "ClearMax"
 	SiteReadMax  FaultSite = "ReadMax"
-	SiteSetBurst FaultSite = "SetBurst"
 	SiteThreadID FaultSite = "ThreadID"
 	SiteLastCPU  FaultSite = "LastCPU"
 	SiteCoreFreq FaultSite = "CoreFreqMHz"
@@ -30,7 +29,7 @@ const (
 // Sites lists every injectable call site.
 var Sites = []FaultSite{
 	SiteListVMs, SiteUsage, SiteSetMax, SiteClearMax, SiteReadMax,
-	SiteSetBurst, SiteThreadID, SiteLastCPU, SiteCoreFreq,
+	SiteThreadID, SiteLastCPU, SiteCoreFreq,
 }
 
 // SiteByName resolves a call-site name (as spelled in the constants).
@@ -76,7 +75,7 @@ type FaultPlan struct {
 	DelayUs int64
 
 	// Match restricts VM-scoped sites (UsageUs, SetMax, ClearMax,
-	// ReadMax, SetBurst, ThreadID) to particular vCPUs; nil matches all
+	// ReadMax, ThreadID) to particular vCPUs; nil matches all
 	// calls. Sites without a VM operand (ListVMs, LastCPU,
 	// CoreFreqMHz) ignore it.
 	Match func(vm string, vcpu int) bool
@@ -300,11 +299,12 @@ func (f *FaultyHost) ReadMax(vm string, vcpu int) (int64, int64, error) {
 	return qr.ReadMax(vm, vcpu)
 }
 
-// SetBurst implements Host.
+// SetBurst implements Host. It has no fault site: the controller never
+// calls it, so a plan there could never fire.
+//
+// Deprecated: unused by the controller; kept only until benchmark/ stops
+// requiring it of the hosts it wraps.
 func (f *FaultyHost) SetBurst(vm string, vcpu int, burstUs int64) error {
-	if err := f.fail(SiteSetBurst, vm, vcpu); err != nil {
-		return err
-	}
 	return f.inner.SetBurst(vm, vcpu, burstUs)
 }
 

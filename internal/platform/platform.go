@@ -47,6 +47,10 @@ type Host interface {
 	ClearMax(vm string, vcpu int) error
 	// SetBurst writes the vCPU's cgroup cpu.max.burst budget. A zero
 	// burst disables bursting.
+	//
+	// Deprecated: unused by the controller, which writes only cpu.max;
+	// kept only until benchmark/ stops requiring it of the hosts it
+	// wraps.
 	SetBurst(vm string, vcpu int, burstUs int64) error
 	// ThreadID returns the kernel tid of the vCPU thread
 	// (cgroup.threads; KVM vCPU cgroups hold exactly one thread). The tid
