@@ -1,6 +1,7 @@
 // Package cgroupfs exposes a sched.Scheduler cgroup hierarchy through the
 // files of Linux cgroup v2 the controller reads and writes (cpu.max,
-// cpu.max.burst, cpu.stat, cgroup.threads).
+// cpu.stat, cgroup.threads). Like a kernel before 5.14, it has no
+// cpu.max.burst; cpu.stat holds only the usage counters.
 //
 // The virtual-frequency controller of the paper interacts with the kernel
 // exclusively through these files; emulating them byte-for-byte means the
@@ -148,16 +149,6 @@ func (t *Tree) addControlFiles(rel string, g *sched.Group) error {
 				return g.SetQuota(q, p)
 			},
 		},
-		"cpu.max.burst": {
-			read: func(buf []byte) []byte { return appendBurst(buf, g.BurstUs) },
-			write: func(s string) error {
-				v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-				if err != nil {
-					return fmt.Errorf("cgroupfs: invalid cpu.max.burst %q", s)
-				}
-				return g.SetBurst(v)
-			},
-		},
 		"cpu.stat":       {read: func(buf []byte) []byte { return appendCPUStat(buf, g) }},
 		"cgroup.threads": {read: func(buf []byte) []byte { return appendTIDs(buf, g) }},
 	}
@@ -182,30 +173,15 @@ func appendCPUMax(buf []byte, quotaUs, periodUs int64) []byte {
 	return append(buf, '\n')
 }
 
-// appendBurst renders cpu.max.burst.
-func appendBurst(buf []byte, burstUs int64) []byte {
-	buf = strconv.AppendInt(buf, burstUs, 10)
-	return append(buf, '\n')
-}
-
-// appendCPUStat renders cpu.stat into buf, byte-identical to the
-// previous fmt.Sprintf form.
+// appendCPUStat renders cpu.stat into buf: the three usage counters, all
+// of the simulated time user time. The controller reads usage_usec; the
+// bandwidth and burst counters of a real cpu.stat have no reader here.
 func appendCPUStat(buf []byte, g *sched.Group) []byte {
 	buf = append(buf, "usage_usec "...)
 	buf = strconv.AppendInt(buf, g.UsageUs, 10)
 	buf = append(buf, "\nuser_usec "...)
 	buf = strconv.AppendInt(buf, g.UsageUs, 10)
-	buf = append(buf, "\nsystem_usec 0\nnr_periods "...)
-	buf = strconv.AppendInt(buf, g.NrPeriods, 10)
-	buf = append(buf, "\nnr_throttled "...)
-	buf = strconv.AppendInt(buf, g.NrThrottled, 10)
-	buf = append(buf, "\nthrottled_usec "...)
-	buf = strconv.AppendInt(buf, g.ThrottledUs, 10)
-	buf = append(buf, "\nnr_bursts "...)
-	buf = strconv.AppendInt(buf, g.NrBursts, 10)
-	buf = append(buf, "\nburst_usec "...)
-	buf = strconv.AppendInt(buf, g.BurstUsedUs, 10)
-	return append(buf, '\n')
+	return append(buf, "\nsystem_usec 0\n"...)
 }
 
 // appendTIDs renders the group's thread IDs ascending, one per line,

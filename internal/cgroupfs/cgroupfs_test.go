@@ -23,7 +23,7 @@ func newTree(t *testing.T, cores int) (*Tree, *sched.Scheduler, *memfs.FS) {
 
 func TestRootFilesExist(t *testing.T) {
 	_, _, fs := newTree(t, 2)
-	for _, f := range []string{"cpu.max", "cpu.max.burst", "cpu.stat", "cgroup.threads"} {
+	for _, f := range []string{"cpu.max", "cpu.stat", "cgroup.threads"} {
 		if _, err := fs.ReadFile(DefaultMount + "/" + f); err != nil {
 			t.Fatalf("missing root file %s", f)
 		}
@@ -118,8 +118,8 @@ func TestCPUStatContents(t *testing.T) {
 	if usage != 10_000 {
 		t.Fatalf("usage_usec = %d, want 10000", usage)
 	}
-	if _, err := ParseCPUStatBytes([]byte(content), "nr_throttled"); err != nil {
-		t.Fatalf("nr_throttled missing: %v", err)
+	if want := "usage_usec 10000\nuser_usec 10000\nsystem_usec 0\n"; content != want {
+		t.Fatalf("cpu.stat = %q, want %q", content, want)
 	}
 	if _, err := ParseCPUStatBytes([]byte(content), "no_such_key"); err == nil {
 		t.Fatal("unknown key parsed")
@@ -177,9 +177,8 @@ func TestParseCPUMaxRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendRendersMatchFmt pins the append renders of cpu.max and
-// cpu.max.burst byte for byte against the fmt.Sprintf forms they
-// replaced.
+// TestAppendRendersMatchFmt pins the append render of cpu.max byte for
+// byte against the fmt.Sprintf form it replaced.
 func TestAppendRendersMatchFmt(t *testing.T) {
 	for _, tc := range []struct{ quota, period int64 }{
 		{sched.NoQuota, 100000}, {sched.NoQuota, 1}, {500, 1000}, {1, 1},
@@ -191,11 +190,6 @@ func TestAppendRendersMatchFmt(t *testing.T) {
 		}
 		if got := string(appendCPUMax(nil, tc.quota, tc.period)); got != want {
 			t.Errorf("cpu.max %d/%d = %q, want %q", tc.quota, tc.period, got, want)
-		}
-	}
-	for _, burst := range []int64{0, 1, 9, 10, 12500, 1 << 40, -1} {
-		if got, want := string(appendBurst(nil, burst)), fmt.Sprintf("%d\n", burst); got != want {
-			t.Errorf("cpu.max.burst %d = %q, want %q", burst, got, want)
 		}
 	}
 	// The render appends: what the buffer held stays in front.

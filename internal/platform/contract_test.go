@@ -1,11 +1,13 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
 	"testing"
 
+	"vfreq/internal/memfs"
 	"vfreq/internal/vm"
 	"vfreq/internal/workload"
 )
@@ -21,6 +23,9 @@ type contractRig struct {
 	// sizes, the listing's validity), for the rows that require a refused
 	// call to leave nothing behind.
 	footprint func() string
+	// noBurst: the host has no cpu.max.burst, as a kernel before 5.14
+	// has none, and SetBurst fails with memfs.ErrNotExist.
+	noBurst bool
 }
 
 func simRig(t *testing.T) *contractRig {
@@ -46,6 +51,7 @@ func simRig(t *testing.T) *contractRig {
 		},
 		advance:   func() { mgr.Machine().Advance(100_000) },
 		footprint: func() string { return fmt.Sprint(len(s.vcpuPaths), len(s.tidPaths)) },
+		noBurst:   true,
 	}
 }
 
@@ -251,7 +257,7 @@ func TestHostContract(t *testing.T) {
 			}
 		}},
 		// Red when: Sim.ClearMax writes nothing; FaultyHost.ReadMax forwards
-		// vCPU 0 whatever it was asked.
+		// vCPU 0 whatever it was asked; Sim.SetBurst returns nil.
 		{"a quota written reads back, a cleared one reads NoQuota", func(t *testing.T, r *contractRig) {
 			r.addVM("a", 2, 1200)
 			r.list(t)
@@ -268,7 +274,11 @@ func TestHostContract(t *testing.T) {
 				}
 			}
 			for _, burstUs := range []int64{5_000, 0} {
-				if err := r.host.SetBurst("a", 1, burstUs); err != nil {
+				err := r.host.SetBurst("a", 1, burstUs)
+				if r.noBurst && !errors.Is(err, memfs.ErrNotExist) {
+					t.Fatalf("SetBurst(%d) on a host without cpu.max.burst = %v, want memfs.ErrNotExist", burstUs, err)
+				}
+				if !r.noBurst && err != nil {
 					t.Fatal(err)
 				}
 			}

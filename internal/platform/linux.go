@@ -24,13 +24,13 @@ import (
 // supplied via Freqs, keyed by VM name, playing the role of the cloud
 // manager's template database.
 //
-// The per-period paths (UsageUs, ThreadID, LastCPU, CoreFreqMHz, SetMax,
-// SetBurst) keep their files open and pread/pwrite at offset zero into
-// per-file scratch buffers, so a steady-state control Step performs no
-// path construction, no open/close churn and no heap allocation. A
-// failed read or write closes and drops the descriptor, and the next
-// call reopens the path — which is how cgroup recreation on VM restart
-// is picked up.
+// The per-period paths (UsageUs, ThreadID, LastCPU, CoreFreqMHz, SetMax),
+// and the deprecated SetBurst, keep their files open and pread/pwrite at
+// offset zero into per-file scratch buffers, so a steady-state control
+// Step performs no path construction, no open/close churn and no heap
+// allocation. A failed read or write closes and drops the descriptor, and
+// the next call reopens the path — which is how cgroup recreation on VM
+// restart is picked up.
 //
 // Two answers are remembered instead of re-read every period, each with
 // the events that invalidate it (DESIGN §7 has the table):

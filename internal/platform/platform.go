@@ -46,7 +46,9 @@ type Host interface {
 	// ClearMax removes the vCPU's quota ("max").
 	ClearMax(vm string, vcpu int) error
 	// SetBurst writes the vCPU's cgroup cpu.max.burst budget. A zero
-	// burst disables bursting.
+	// burst disables bursting. A host without the file fails: a kernel
+	// before 5.14, and Sim, which emulates none and answers with an
+	// error wrapping memfs.ErrNotExist.
 	//
 	// Deprecated: unused by the controller, which writes only cpu.max;
 	// kept only until benchmark/ stops requiring it of the hosts it

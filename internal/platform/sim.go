@@ -41,7 +41,6 @@ type Sim struct {
 type simVCPUFiles struct {
 	stat    *memfs.File // cpu.stat
 	max     *memfs.File // cpu.max
-	burst   *memfs.File // cpu.max.burst
 	threads *memfs.File // cgroup.threads
 }
 
@@ -74,7 +73,6 @@ func (s *Sim) files(vmName string, vcpu int) *simVCPUFiles {
 		f = &simVCPUFiles{
 			stat:    fs.Open(base + "/cpu.stat"),
 			max:     fs.Open(base + "/cpu.max"),
-			burst:   fs.Open(base + "/cpu.max.burst"),
 			threads: fs.Open(base + "/cgroup.threads"),
 		}
 		s.vcpuPaths[k] = f
@@ -198,10 +196,14 @@ func (s *Sim) ClearMax(vmName string, vcpu int) error {
 	return s.files(vmName, vcpu).max.Write("max")
 }
 
-// SetBurst implements Host.
+// SetBurst implements Host the way a kernel before 5.14 answers: the
+// emulated tree has no cpu.max.burst, so the write fails with an error
+// wrapping memfs.ErrNotExist.
+//
+// Deprecated: unused by the controller; kept only until benchmark/ stops
+// requiring it of the hosts it wraps.
 func (s *Sim) SetBurst(vmName string, vcpu int, burstUs int64) error {
-	s.buf = strconv.AppendInt(s.buf[:0], burstUs, 10)
-	return s.files(vmName, vcpu).burst.Write(string(s.buf))
+	return fmt.Errorf("platform: writing cpu.max.burst of %s/vcpu%d: %w", vmName, vcpu, memfs.ErrNotExist)
 }
 
 // ThreadID implements Host.

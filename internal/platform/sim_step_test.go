@@ -73,9 +73,9 @@ func TestSimStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSimWriteAllocs pins the cost of a simulated quota write: SetMax and
-// SetBurst render into the Sim's scratch and cpu.max parses in place, so
-// each allocates at most the string the pseudo-file is handed.
+// TestSimWriteAllocs pins the cost of a simulated quota write: SetMax
+// renders into the Sim's scratch and cpu.max parses in place, so it
+// allocates at most the string the pseudo-file is handed.
 func TestSimWriteAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -98,7 +98,6 @@ func TestSimWriteAllocs(t *testing.T) {
 		write func() error
 	}{
 		{"SetMax", func() error { quota ^= 5000; return sim.SetMax("web", 1, quota, 100_000) }},
-		{"SetBurst", func() error { quota ^= 5000; return sim.SetBurst("web", 1, quota/4) }},
 	} {
 		if err := w.write(); err != nil { // the first write opens the handles
 			t.Fatal(err)

@@ -17,10 +17,9 @@ import "math"
 // allocations from the ring, whose slots hold them.
 //
 //	carried: what a tick reads (compared)        accumulated: what it only adds to (m × the window's growth)
-//	Group.QuotaUs, PeriodUs, BurstUs, Weight     Group.UsageUs, NrPeriods, NrThrottled, ThrottledUs
-//	Group.burstReserve, throttledNow             Group.NrBursts, BurstUsedUs
-//	under a quota: windowUsedUs, the window's    Group.windowStartUs, and windowUsedUs without a
-//	  age nowUs − windowStartUs                    quota, where no tick reads it
+//	Group.QuotaUs, PeriodUs, Weight              Group.UsageUs, windowStartUs, and windowUsedUs
+//	under a quota: windowUsedUs, the window's      without a quota, where no tick reads it
+//	  age nowUs − windowStartUs
 //	Thread.LastCPU                               Thread.UsageUs
 //	tree shape, Cores, dtUs                      nowUs
 //	  (the ring's layout; a new one drops the snapshot)
@@ -45,7 +44,7 @@ type snapshot struct {
 
 type groupSnap struct {
 	carried
-	acc [8]int64 // the counters accumulated lists, in its order
+	acc [3]int64 // the counters accumulated lists, in its order
 }
 
 type threadSnap struct {
@@ -55,18 +54,14 @@ type threadSnap struct {
 
 // carried is what a tick reads of one group.
 type carried struct {
-	quotaUs, periodUs, burstUs, weight, burstReserve int64
-	throttledNow                                     bool
+	quotaUs, periodUs, weight int64
 	// Under a quota: how much of the bandwidth window is used, and how
 	// old the window is. Without one no tick reads either.
 	windowUsedUs, windowAgeUs int64
 }
 
 func (g *Group) carried(nowUs int64) carried {
-	c := carried{
-		quotaUs: g.QuotaUs, periodUs: g.PeriodUs, burstUs: g.BurstUs, weight: g.Weight,
-		burstReserve: g.burstReserve, throttledNow: g.throttledNow,
-	}
+	c := carried{quotaUs: g.QuotaUs, periodUs: g.PeriodUs, weight: g.Weight}
 	if g.QuotaUs != NoQuota {
 		c.windowUsedUs, c.windowAgeUs = g.windowUsedUs, nowUs-g.windowStartUs
 	}
@@ -75,9 +70,8 @@ func (g *Group) carried(nowUs int64) carried {
 
 // accumulated lists what a tick only adds to. Under a quota windowUsedUs is
 // carried as well, so equal at both boundaries: its growth is zero.
-func (g *Group) accumulated() [8]*int64 {
-	return [8]*int64{&g.UsageUs, &g.NrPeriods, &g.NrThrottled, &g.ThrottledUs,
-		&g.NrBursts, &g.BurstUsedUs, &g.windowStartUs, &g.windowUsedUs}
+func (g *Group) accumulated() [3]*int64 {
+	return [3]*int64{&g.UsageUs, &g.windowStartUs, &g.windowUsedUs}
 }
 
 // Repeat, called at a window boundary in place of the next tick of dtUs,

@@ -1,7 +1,7 @@
 // Package sched implements a discrete-time "fluid" model of the Linux
 // Completely Fair Scheduler (CFS) with cgroup v2 semantics: hierarchical
 // weighted fair sharing between groups and CFS bandwidth control
-// (cpu.max quota/period) with throttling accounting.
+// (cpu.max quota/period).
 //
 // Instead of simulating per-core run queues at nanosecond granularity, the
 // scheduler distributes the machine's CPU time for one tick (typically
@@ -85,35 +85,16 @@ type Group struct {
 	QuotaUs  int64
 	PeriodUs int64
 
-	// BurstUs is the CFS bandwidth burst budget (cpu.max.burst):
-	// quota left unused in previous periods accumulates up to BurstUs
-	// and may be spent on top of the quota in a later period.
-	BurstUs int64
-
 	// UsageUs is the cumulative CPU time of the subtree (cpu.stat).
 	UsageUs int64
 
-	// NrPeriods, NrThrottled and ThrottledUs mirror the cpu.stat
-	// bandwidth statistics.
-	NrPeriods   int64
-	NrThrottled int64
-	ThrottledUs int64
-
-	// NrBursts and BurstUsedUs mirror the cpu.stat burst statistics:
-	// periods in which the group ran beyond its quota, and the total
-	// time spent doing so.
-	NrBursts    int64
-	BurstUsedUs int64
-
 	windowStartUs int64
 	windowUsedUs  int64
-	burstReserve  int64
-	throttledNow  bool
 
-	// Per-tick cache, written by prepare: the subtree's demand, that
-	// demand clamped by every quota on the way down, and the share the
-	// parent's waterfill handed the group (read by allocate and settle).
-	want, need, share int64
+	// Per-tick cache, written by prepare: the subtree's demand clamped
+	// by every quota on the way down, and the share the parent's
+	// waterfill handed the group (read by allocate).
+	need, share int64
 }
 
 // Scheduler simulates a multi-core machine's CPU-time allocation.
@@ -217,9 +198,7 @@ func (s *Scheduler) RemoveGroup(g *Group) error {
 	return nil
 }
 
-// SetQuota configures bandwidth control for g. quotaUs may be NoQuota. As
-// the kernel does, it rejects a finite quota below the current burst:
-// shrink the burst first.
+// SetQuota configures bandwidth control for g. quotaUs may be NoQuota.
 func (g *Group) SetQuota(quotaUs, periodUs int64) error {
 	if periodUs <= 0 {
 		return fmt.Errorf("sched: period must be positive, got %d", periodUs)
@@ -227,30 +206,8 @@ func (g *Group) SetQuota(quotaUs, periodUs int64) error {
 	if quotaUs < 0 && quotaUs != NoQuota {
 		return fmt.Errorf("sched: invalid quota %d", quotaUs)
 	}
-	if quotaUs != NoQuota && g.BurstUs > quotaUs {
-		return fmt.Errorf("sched: quota %d below burst %d", quotaUs, g.BurstUs)
-	}
 	g.QuotaUs = quotaUs
 	g.PeriodUs = periodUs
-	return nil
-}
-
-// SetBurst configures the bandwidth burst budget (cpu.max.burst). The
-// kernel rejects bursts without a quota or larger than the quota.
-func (g *Group) SetBurst(burstUs int64) error {
-	if burstUs < 0 {
-		return fmt.Errorf("sched: invalid burst %d", burstUs)
-	}
-	if burstUs > 0 && g.QuotaUs == NoQuota {
-		return fmt.Errorf("sched: burst requires a quota")
-	}
-	if burstUs > 0 && burstUs > g.QuotaUs {
-		return fmt.Errorf("sched: burst %d exceeds quota %d", burstUs, g.QuotaUs)
-	}
-	g.BurstUs = burstUs
-	if g.burstReserve > burstUs {
-		g.burstReserve = burstUs
-	}
 	return nil
 }
 
@@ -350,8 +307,8 @@ type entity struct {
 //
 // One tick walks the cgroup tree twice: prepare descends it (windows,
 // demands, cached needs), allocate hands the capacity down through the
-// groups that need any, and settle ascends it (usage, throttling, the
-// allocation list in the order prepare met the threads). Where the replay
+// groups that need any, and settle ascends it (usage, the allocation list
+// in the order prepare met the threads). Where the replay
 // ring (replay.go) holds this tick of the bandwidth window with the inputs
 // prepare has just computed, the allocations it recorded stand in for
 // allocate, and the placement for placeOnCores if the threads also come
@@ -384,47 +341,29 @@ func (s *Scheduler) Tick(dtUs int64) []Alloc {
 }
 
 // prepare is the tick's descent. Per group it opens the bandwidth periods
-// that are due, settling the burst reserve (unused quota accumulates up to
-// BurstUs, overruns drain it), evaluates the demands of the group's
-// threads, and on the way back caches the subtree's demand and its feasible
-// part: the demand clamped by every quota on the way down.
+// that are due, evaluates the demands of the group's threads, and on the
+// way back caches the subtree's feasible demand: its demand clamped by
+// every quota on the way down.
 func (s *Scheduler) prepare(g *Group, dtUs int64) {
 	if g.QuotaUs != NoQuota {
 		for s.nowUs-g.windowStartUs >= g.PeriodUs {
-			if over := g.windowUsedUs - g.QuotaUs; over > 0 {
-				g.burstReserve -= over
-				if g.burstReserve < 0 {
-					g.burstReserve = 0
-				}
-				g.NrBursts++
-				g.BurstUsedUs += over
-			} else {
-				g.burstReserve += -over
-				if g.burstReserve > g.BurstUs {
-					g.burstReserve = g.BurstUs
-				}
-			}
 			g.windowStartUs += g.PeriodUs
 			g.windowUsedUs = 0
-			g.NrPeriods++
-			g.throttledNow = false
 		}
 	}
-	var want int64
+	var need int64
 	for _, t := range g.Threads {
 		t.want = t.demandUs(s.nowUs, dtUs)
 		t.got = 0
 		if t.want > 0 {
-			want += t.want
+			need += t.want
 		}
 	}
-	need := want
 	for _, c := range g.Children {
 		s.prepare(c, dtUs)
-		want += c.want
 		need += c.need
 	}
-	g.want, g.need, g.share = want, min(need, g.quotaRemaining()), 0
+	g.need, g.share = min(need, g.quotaRemaining()), 0
 }
 
 // demandUs is how much of the next dtUs the thread asks for.
@@ -448,7 +387,7 @@ func (g *Group) quotaRemaining() int64 {
 	if g.QuotaUs == NoQuota {
 		return int64(1) << 62
 	}
-	r := g.QuotaUs + g.burstReserve - g.windowUsedUs
+	r := g.QuotaUs - g.windowUsedUs
 	if r < 0 {
 		return 0
 	}
@@ -566,10 +505,8 @@ func waterfill(active []entity, capacity int64) {
 
 // settle is the tick's ascent. Per group it records the usage of the
 // group's threads and lists their allocations (threads before sub-groups,
-// the order prepare met them), folds the subtree's usage into the group
-// and its bandwidth window, and updates the cpu.stat throttling counters:
-// a group is throttled in a tick when its quota window is exhausted while
-// its subtree still has unmet demand. It returns the subtree's usage.
+// the order prepare met them), and folds the subtree's usage into the
+// group and its bandwidth window. It returns the subtree's usage.
 func (s *Scheduler) settle(g *Group) int64 {
 	var got int64
 	for _, t := range g.Threads {
@@ -588,13 +525,6 @@ func (s *Scheduler) settle(g *Group) int64 {
 	}
 	g.UsageUs += got
 	g.windowUsedUs += got
-	if unmet := g.want - got; unmet > 0 && g.QuotaUs != NoQuota && g.quotaRemaining() == 0 {
-		if !g.throttledNow {
-			g.NrThrottled++
-			g.throttledNow = true
-		}
-		g.ThrottledUs += unmet
-	}
 	return got
 }
 

@@ -208,9 +208,6 @@ func TestQuotaEnforcedOverWindow(t *testing.T) {
 	if th.UsageUs != 300_000 {
 		t.Fatalf("UsageUs = %d, want 300000", th.UsageUs)
 	}
-	if g.NrThrottled == 0 || g.ThrottledUs == 0 {
-		t.Fatalf("expected throttling stats, got nr=%d us=%d", g.NrThrottled, g.ThrottledUs)
-	}
 }
 
 func TestQuotaUnusedWhenIdle(t *testing.T) {
@@ -225,9 +222,6 @@ func TestQuotaUnusedWhenIdle(t *testing.T) {
 	}
 	if th.UsageUs != 100_000 { // 10% demand, quota 30% → demand-bound
 		t.Fatalf("UsageUs = %d, want 100000", th.UsageUs)
-	}
-	if g.NrThrottled != 0 {
-		t.Fatalf("unexpected throttling: %d", g.NrThrottled)
 	}
 }
 
@@ -504,11 +498,12 @@ func TestQuickWeightMonotonicity(t *testing.T) {
 // Reference tick and the differential tests that pin Tick to it.
 //
 // reference is the tick this package shipped before Tick became one
-// descent and one ascent of the cgroup tree: four recursive walks
+// descent and one ascent of the cgroup tree: recursive walks
 // (refreshWindows, collectDemands, allocate re-recursing need() at every
-// level, recordThrottling with an inner subtree walk), a per-thread
-// ancestor walk for usage and an insertion sort for placement. The code
-// below is that tick verbatim, with its scratch moved off the Scheduler.
+// level), a per-thread ancestor walk for usage and an insertion sort for
+// placement. The code below is that tick verbatim, with its scratch moved
+// off the Scheduler and without the burst reserve and throttle accounting,
+// which left with the counters they fed.
 // The simulation's contract is bit-identity with it (DESIGN.md §5): the
 // repository benchmark's state digests hash every vCPU's cycle counter.
 // ---------------------------------------------------------------------
@@ -579,35 +574,17 @@ func (s *reference) referenceTick(dtUs int64) []Alloc {
 	}
 	s.allocScratch = allocs
 	s.placeOnCores(allocs, dtUs)
-	s.recordThrottling(s.root)
 	s.nowUs += dtUs
 	s.lastDtUs = dtUs
 	return allocs
 }
 
-// refreshWindows opens new bandwidth periods where due, settling the
-// burst reserve: unused quota accumulates (up to BurstUs) and overruns
-// drain it.
+// refreshWindows opens new bandwidth periods where due.
 func (s *reference) refreshWindows(g *Group, dtUs int64) {
 	if g.QuotaUs != NoQuota {
 		for s.nowUs-g.windowStartUs >= g.PeriodUs {
-			if over := g.windowUsedUs - g.QuotaUs; over > 0 {
-				g.burstReserve -= over
-				if g.burstReserve < 0 {
-					g.burstReserve = 0
-				}
-				g.NrBursts++
-				g.BurstUsedUs += over
-			} else {
-				g.burstReserve += -over
-				if g.burstReserve > g.BurstUs {
-					g.burstReserve = g.BurstUs
-				}
-			}
 			g.windowStartUs += g.PeriodUs
 			g.windowUsedUs = 0
-			g.NrPeriods++
-			g.throttledNow = false
 		}
 	}
 	for _, c := range g.Children {
@@ -827,37 +804,6 @@ func (s *reference) placeOnCores(allocs []Alloc, dtUs int64) {
 	}
 }
 
-// recordThrottling updates cpu.stat-style throttling counters: a group is
-// throttled in a tick when its quota window is exhausted while its threads
-// still have unmet demand.
-func (s *reference) recordThrottling(g *Group) {
-	if g.QuotaUs != NoQuota && g.quotaRemaining() == 0 {
-		unmet := int64(0)
-		var rec func(*Group)
-		rec = func(n *Group) {
-			for _, t := range n.Threads {
-				if t.want > t.got {
-					unmet += t.want - t.got
-				}
-			}
-			for _, c := range n.Children {
-				rec(c)
-			}
-		}
-		rec(g)
-		if unmet > 0 {
-			if !g.throttledNow {
-				g.NrThrottled++
-				g.throttledNow = true
-			}
-			g.ThrottledUs += unmet
-		}
-	}
-	for _, c := range g.Children {
-		s.recordThrottling(c)
-	}
-}
-
 // chooser draws the decisions of a differential schedule: from a seeded
 // generator in the tests, from the fuzzer's bytes (zeros once they run
 // out) in the fuzz target.
@@ -975,16 +921,6 @@ func (tw *twins) setQuota(i int) {
 	q := diffQuotas[tw.c.intn(len(diffQuotas))]
 	per := diffPeriods[tw.c.intn(len(diffPeriods))]
 	tw.both("SetQuota", func(side int) error { return tw.groups[side][i].SetQuota(q, per) })
-	if q != NoQuota && tw.c.intn(3) == 0 {
-		tw.setBurst(i)
-	}
-}
-
-func (tw *twins) setBurst(i int) {
-	// Sometimes invalid on purpose (no quota, or above it): both sides
-	// must then refuse.
-	b := int64(tw.c.intn(5)) * 6000
-	tw.both("SetBurst", func(side int) error { return tw.groups[side][i].SetBurst(b) })
 }
 
 // demand returns the demand function of thread id on one side. Every shape
@@ -1090,7 +1026,7 @@ func (tw *twins) removeGroup() {
 }
 
 func (tw *twins) mutate() {
-	switch tw.c.intn(8) {
+	switch tw.c.intn(7) {
 	case 0:
 		tw.newGroup()
 	case 1:
@@ -1102,13 +1038,12 @@ func (tw *twins) mutate() {
 	case 5:
 		tw.setQuota(tw.c.intn(len(tw.depth)))
 	case 6:
-		tw.setBurst(tw.c.intn(len(tw.depth)))
-	case 7:
 		tw.setWeight()
 	}
 }
 
-// setWeight writes a group's Weight field directly, as cgroupfs does.
+// setWeight writes a group's Weight field directly: nothing writes it
+// through a file, as no emulated cgroup has a cpu.weight.
 func (tw *twins) setWeight() {
 	i, w := tw.c.intn(len(tw.depth)), diffWeights[tw.c.intn(len(diffWeights))]
 	tw.groups[0][i].Weight, tw.groups[1][i].Weight = w, w
@@ -1144,18 +1079,9 @@ func (tw *twins) tickOf(label string, dt int64) {
 				label, g.ID, g.UsageUs, g.LastCPU, w.UsageUs, w.LastCPU)
 		}
 	}
-	type counters struct {
-		usage, periods, throttled, throttledUs, bursts, burstUsed int64
-		windowStart, windowUsed, reserve                          int64
-		throttledNow                                              bool
-	}
+	type counters struct{ usage, windowStart, windowUsed int64 }
 	of := func(g *Group) counters {
-		return counters{
-			usage: g.UsageUs, periods: g.NrPeriods, throttled: g.NrThrottled, throttledUs: g.ThrottledUs,
-			bursts: g.NrBursts, burstUsed: g.BurstUsedUs,
-			windowStart: g.windowStartUs, windowUsed: g.windowUsedUs, reserve: g.burstReserve,
-			throttledNow: g.throttledNow,
-		}
+		return counters{usage: g.UsageUs, windowStart: g.windowStartUs, windowUsed: g.windowUsedUs}
 	}
 	for i, g := range tw.groups[0] {
 		if a, b := of(g), of(tw.groups[1][i]); a != b {
@@ -1189,29 +1115,26 @@ func (tw *twins) quiet(label string) int {
 		tw.tickOf(fmt.Sprintf("%s quiet tick %d", label, k), dt)
 	}
 	what := ""
-	switch any := tw.c.intn(len(tw.depth)); tw.c.intn(11) {
+	switch any := tw.c.intn(len(tw.depth)); tw.c.intn(10) {
 	case 0:
 		what = "SetQuota"
 		tw.setQuota(any)
 	case 1:
-		what = "SetBurst"
-		tw.setBurst(any)
-	case 2:
 		what = "Weight write"
 		tw.setWeight()
-	case 3:
+	case 2:
 		what = "NewThread"
 		tw.newThread()
-	case 4:
+	case 3:
 		what = "RemoveThread"
 		tw.removeThread()
-	case 5:
+	case 4:
 		what = "NewGroup"
 		tw.newGroup()
-	case 6:
+	case 5:
 		what = "RemoveGroup"
 		tw.removeGroup()
-	case 7:
+	case 6:
 		what = "demand level"
 		if len(tw.shapes) > 0 {
 			// Every shape but nil, 0 and the clamped ones follows frac
@@ -1220,14 +1143,14 @@ func (tw *twins) quiet(label string) int {
 			sh := tw.shapes[tw.c.intn(len(tw.shapes))]
 			sh.frac = (sh.frac + 1 + tw.c.intn(16)) % 17
 		}
-	case 8:
+	case 7:
 		what = "tick length"
 		dt = quietTicks[tw.c.intn(len(quietTicks))]
-	case 9:
+	case 8:
 		what = "root quota"
 		q := []int64{NoQuota, 5000, 25_000, 250_000}[tw.c.intn(4)]
 		tw.both(what, func(side int) error { return tw.groups[side][0].SetQuota(q, DefaultPeriodUs) })
-	case 10:
+	case 9:
 		what = "odd period"
 		q, per := diffQuotas[1+tw.c.intn(len(diffQuotas)-1)], diffPeriods[2+tw.c.intn(len(diffPeriods)-2)]
 		tw.both(what, func(side int) error { return tw.groups[side][any].SetQuota(q, per) })
@@ -1256,8 +1179,8 @@ func (tw *twins) run(label string, ticks int) {
 }
 
 // TestTickAgainstReference holds Tick bit-identical to the reference over
-// seeded schedules of random trees (depth ≤ 4; mixed weights, quotas,
-// periods and bursts; nil, zero, fractional, out-of-range and time-varying
+// seeded schedules of random trees (depth ≤ 4; mixed weights, quotas and
+// periods; nil, zero, fractional, out-of-range and time-varying
 // demands; tick lengths from 1 µs, which forces the waterfill's remainder
 // path, to 250 ms, which rolls several windows at once) with the tree
 // mutated mid-run, and quiet stretches in which the replay ring answers

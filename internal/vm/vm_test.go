@@ -85,9 +85,10 @@ func TestProvisionCreatesKVMLayout(t *testing.T) {
 }
 
 // TestEmulatedTreeInventory lists every pseudo-file a booted node with one
-// VM serves. A file stays in the emulation only while something reads it
-// (the controller through platform.Sim, the ablation harness, a benchmark
-// workload), so a new entry here has to name its reader.
+// VM serves, and every counter a vCPU's cpu.stat holds. A file or a counter
+// stays in the emulation only while something reads it (the controller
+// through platform.Sim, the ablation harness, a benchmark workload), so a
+// new entry here has to name its reader.
 func TestEmulatedTreeInventory(t *testing.T) {
 	spec := host.Chetemi()
 	spec.Cores = 2
@@ -134,31 +135,39 @@ func TestEmulatedTreeInventory(t *testing.T) {
 		"/sys/devices/system/node/online",
 		"/sys/fs/cgroup/cgroup.threads",
 		"/sys/fs/cgroup/cpu.max",
-		"/sys/fs/cgroup/cpu.max.burst",
 		"/sys/fs/cgroup/cpu.stat",
 		"/sys/fs/cgroup/machine.slice/cgroup.threads",
 		"/sys/fs/cgroup/machine.slice/cpu.max",
-		"/sys/fs/cgroup/machine.slice/cpu.max.burst",
 		"/sys/fs/cgroup/machine.slice/cpu.stat",
 		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/cgroup.threads",
 		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/cpu.max",
-		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/cpu.max.burst",
 		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/cpu.stat",
 		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/emulator/cgroup.threads",
 		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/emulator/cpu.max",
-		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/emulator/cpu.max.burst",
 		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/emulator/cpu.stat",
 		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/vcpu0/cgroup.threads",
 		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/vcpu0/cpu.max",
-		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/vcpu0/cpu.max.burst",
 		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/vcpu0/cpu.stat",
 		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/vcpu1/cgroup.threads",
 		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/vcpu1/cpu.max",
-		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/vcpu1/cpu.max.burst",
 		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/vcpu1/cpu.stat",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("emulated tree serves\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	// usage_usec is the controller's (stage 1); user_usec and
+	// system_usec complete the usage counters every cpu.stat has.
+	stat, err := m.FS.ReadFile("/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/vcpu0/cpu.stat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, line := range strings.Split(strings.TrimSuffix(stat, "\n"), "\n") {
+		key, _, _ := strings.Cut(line, " ")
+		keys = append(keys, key)
+	}
+	if got, want := strings.Join(keys, " "), "usage_usec user_usec system_usec"; got != want {
+		t.Fatalf("a vCPU's cpu.stat holds %s, want %s", got, want)
 	}
 }
 
