@@ -13,36 +13,62 @@ import (
 // is how a stalling cgroupfs drags a Step past its watchdog.
 var ErrCallBudget = errors.New("core: host call exceeded its budget")
 
-// callStart begins timing one host call against Config.CallBudgetUs;
-// the zero time means the budget is disabled.
-func (c *Controller) callStart() time.Time {
+// callStart begins timing one host call against Config.CallBudgetUs and
+// reports whether the budget is armed. Inside a Step the call starts
+// where the last one ended (c.lap), so the clock is read once per call,
+// by budgeted; between Steps no chain runs, and the call is timed on its
+// own.
+func (c *Controller) callStart() bool {
 	if c.cfg.CallBudgetUs <= 0 {
-		return time.Time{}
+		return false
 	}
-	return time.Now()
+	if c.stepT0.IsZero() {
+		c.lapT0, c.lap = time.Now(), 0
+	}
+	return true
 }
 
-// budgeted converts a success of the call timed by t0 into ErrCallBudget
-// when the call took longer than Config.CallBudgetUs (a zero t0 means the
-// budget is disabled).
-func (c *Controller) budgeted(t0 time.Time, err error) error {
-	if err == nil && !t0.IsZero() && time.Since(t0) > time.Duration(c.cfg.CallBudgetUs)*time.Microsecond {
+// budgeted converts a success of the call callStart opened into
+// ErrCallBudget when the call took longer than Config.CallBudgetUs, and
+// starts the next call where this one ended.
+func (c *Controller) budgeted(armed bool, err error) error {
+	if !armed {
+		return err
+	}
+	end := time.Since(c.lapT0)
+	took := end - c.lap
+	c.lap = end
+	if err == nil && took > time.Duration(c.cfg.CallBudgetUs)*time.Microsecond {
 		return ErrCallBudget
 	}
 	return err
 }
 
+// restartLap starts the next budgeted call now. Inside a Step it follows
+// the host calls that are not budgeted (ListVMs, a release's ClearMax), so
+// their time is not charged to the call after them; between Steps
+// callStart restarts every call anyway.
+func (c *Controller) restartLap() {
+	if c.cfg.CallBudgetUs > 0 && !c.stepT0.IsZero() {
+		c.lap = time.Since(c.lapT0)
+	}
+}
+
 // backoffSleep pauses the stepping goroutine before a retry for
 // Config.RetryBackoffUs, cut to what is left of the running Step's
-// deadline. Between Steps (construction, restore, adoption) no deadline
-// frames the call, and it does not pause.
+// deadline, and restarts the budget chain after it: the pause is not the
+// retry's time. Between Steps (construction, restore, adoption) no
+// deadline frames the call, and it does not pause.
 func (c *Controller) backoffSleep() {
 	if c.stepT0.IsZero() {
 		return
 	}
-	if d := min(time.Duration(c.cfg.RetryBackoffUs)*time.Microsecond, c.deadline()-time.Since(c.stepT0)); d > 0 {
+	now := time.Since(c.stepT0)
+	if d := min(time.Duration(c.cfg.RetryBackoffUs)*time.Microsecond, c.deadline()-now); d > 0 {
 		time.Sleep(d)
+		now = time.Since(c.stepT0)
 	}
+	c.lap = now
 }
 
 // BreakerPhase is a per-VM circuit breaker state.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -212,6 +213,82 @@ func TestCallBudgetDegradesSlowVCPU(t *testing.T) {
 	if !c.VM("a").VCPUs[1].Degraded {
 		t.Fatal("slow vCPU not degraded")
 	}
+}
+
+// TestCallBudgetChain: inside a Step a host call is timed from where the
+// last one ended, so each restart of that chain is what keeps time that
+// is not the call's own off its budget. One row per restart, each
+// verified red with that restart removed:
+//   - "retry pause": the lap reset at the end of backoffSleep;
+//   - "slow ListVMs": restartLap after ListVMs in syncVMs;
+//   - "slow release": restartLap after ClearMax in releaseVCPU;
+//   - "adoption after a gap": the between-Steps restart in callStart.
+func TestCallBudgetChain(t *testing.T) {
+	const budgetUs, stallUs = 5_000, 20_000 // a 10–20 ms stall, far over budget
+	stall := platform.FaultPlan{DelayRate: 1, DelayUs: stallUs}
+	rig := func(t *testing.T, cfg Config) (*Controller, *platform.Scripted, *platform.FaultyHost) {
+		t.Helper()
+		inner := newFakeHost()
+		inner.AddVM("a", 2, 1200)
+		inner.AddVM("b", 1, 1200)
+		fh := platform.WithFaults(inner, 1)
+		cfg.CallBudgetUs = budgetUs
+		c := mustController(t, fh, cfg)
+		warmUp(t, c, inner, 2, 300_000)
+		return c, inner, fh
+	}
+	// clean fails t unless the last Step recorded no fault and left every
+	// vCPU healthy.
+	clean := func(t *testing.T, c *Controller) StepReport {
+		t.Helper()
+		rep := c.LastReport()
+		if len(rep.Faults) != 0 || rep.DegradedVCPUs != 0 {
+			t.Fatalf("a stall was charged to the call after it: %s, faults %v", rep.String(), rep.Faults)
+		}
+		return rep
+	}
+
+	t.Run("retry pause", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.RetryBackoffUs = stallUs
+		c, inner, fh := rig(t, cfg)
+		fh.MustPlan(platform.SiteUsage, platform.FaultPlan{Count: 1})
+		warmUp(t, c, inner, 1, 300_000)
+		if rep := clean(t, c); rep.Retries != 1 {
+			t.Fatalf("retries = %d, want the failed read retried once", rep.Retries)
+		}
+	})
+	t.Run("slow ListVMs", func(t *testing.T) {
+		c, inner, fh := rig(t, DefaultConfig())
+		inner.AddVM("n", 1, 600) // registered in the sync stage, right after ListVMs
+		fh.MustPlan(platform.SiteListVMs, stall)
+		warmUp(t, c, inner, 1, 300_000)
+		if rep := clean(t, c); !slices.Equal(rep.Added, []string{"n"}) {
+			t.Fatalf("added %v, want [n]", rep.Added)
+		}
+	})
+	t.Run("slow release", func(t *testing.T) {
+		c, inner, fh := rig(t, DefaultConfig())
+		// a shrinks before b grows, in listing order: a's release write
+		// runs just before b's new vCPU reads its first usage.
+		inner.SetTemplate("a", 1, 1200)
+		inner.SetTemplate("b", 2, 1200)
+		fh.MustPlan(platform.SiteClearMax, stall)
+		warmUp(t, c, inner, 1, 300_000)
+		clean(t, c)
+		if n := len(c.VM("b").VCPUs); n != 2 {
+			t.Fatalf("b tracks %d vCPUs after growing to 2", n)
+		}
+	})
+	t.Run("adoption after a gap", func(t *testing.T) {
+		c, inner, _ := rig(t, DefaultConfig())
+		inner.AddVM("m", 1, 1200)
+		time.Sleep(stallUs * time.Microsecond)
+		if err := c.AdoptVM(VMSnapshot{Name: "m", FreqMHz: 1200,
+			VCPUs: []VCPUSnapshot{{Index: 0, CapUs: 300_000, EstimateUs: 300_000}}}); err != nil {
+			t.Fatalf("AdoptVM after a gap between Steps: %v", err)
+		}
+	})
 }
 
 // TestRetryPause pins the one pause before a retry: none by default,

@@ -87,6 +87,15 @@ type Config struct {
 	// cap) and is never retried — retrying a slow call is how a stalling
 	// cgroupfs drags a whole Step past the watchdog. 0 disables the
 	// budget.
+	//
+	// Inside a Step a call is timed from where the previous one ended,
+	// with one monotonic clock reading per call: it may be charged the
+	// few ns of controller code since that call, never less than its own
+	// time. The chain restarts at the start of each stage that calls the
+	// host, after the host calls that are not budgeted (ListVMs, a
+	// release's ClearMax) and after every retry pause, so none of those
+	// is charged to the next call. Between Steps each call is timed on
+	// its own.
 	CallBudgetUs int64
 	// RetryBackoffUs, when positive, pauses before every retry of every
 	// host call (Config.HostRetries) for this many microseconds, cut to

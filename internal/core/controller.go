@@ -136,6 +136,15 @@ type Controller struct {
 	// past its deadline.
 	stepT0 time.Time
 
+	// lapT0 and lap time host calls against Config.CallBudgetUs with one
+	// clock reading per call: the next call starts lap after lapT0, and
+	// its end starts the call after it. Inside a Step lapT0 is the Step's
+	// start, and lap restarts at the start of each stage that calls the
+	// host, after ListVMs and a release's ClearMax, and after every retry
+	// pause; between Steps each call restarts both.
+	lapT0 time.Time
+	lap   time.Duration
+
 	// buyersBuf is the auction/distribution buyer list, reused across
 	// Steps so the steady-state control loop runs without heap
 	// allocations.
@@ -215,7 +224,7 @@ func (c *Controller) hostCall(op hostOp, vm string, i int, x, y int64) (val int6
 		if attempt > 0 {
 			c.backoffSleep()
 		}
-		t := c.callStart()
+		armed := c.callStart()
 		switch op {
 		case opUsage:
 			val, err = c.host.UsageUs(vm, i)
@@ -232,7 +241,7 @@ func (c *Controller) hostCall(op hostOp, vm string, i int, x, y int64) (val int6
 		case opSetMax:
 			err = c.host.SetMax(vm, i, x, y)
 		}
-		if err = c.budgeted(t, err); err == nil {
+		if err = c.budgeted(armed, err); err == nil {
 			return val, attempt > 0, nil
 		}
 	}
@@ -290,6 +299,7 @@ func (c *Controller) releaseVCPU(vm string, j int) {
 		return
 	}
 	_ = c.host.ClearMax(vm, j)
+	c.restartLap()
 }
 
 // syncVMs reconciles the controller state with the host's VM list:
@@ -302,6 +312,7 @@ func (c *Controller) syncVMs(rep *StepReport) error {
 	if err != nil {
 		return fmt.Errorf("core: listing VMs: %w", err)
 	}
+	c.restartLap()
 	for _, info := range infos {
 		if st, ok := c.vms[info.Name]; ok {
 			st.listed = rep.Step
@@ -486,8 +497,8 @@ func (c *Controller) deadline() time.Duration {
 func (c *Controller) runStages(rep *StepReport, t0 time.Time) (err error) {
 	deadline := c.deadline()
 	// Retry pauses sleep only while this Step runs; the reset also runs
-	// after a recovered panic.
-	c.stepT0 = t0
+	// after a recovered panic. The Step's host calls are timed from t0.
+	c.stepT0, c.lapT0, c.lap = t0, t0, 0
 	defer func() { c.stepT0 = time.Time{} }()
 	checkStage := func(name string) {
 		if !rep.Overrun && time.Since(t0) > deadline {
@@ -525,6 +536,7 @@ func (c *Controller) runStages(rep *StepReport, t0 time.Time) (err error) {
 	checkStage("sync")
 
 	tm0 := time.Now()
+	c.lap = tm0.Sub(t0)
 	c.monitor(rep)
 	rep.Timings.Monitor = time.Since(tm0)
 	checkStage("monitor")
@@ -550,6 +562,7 @@ func (c *Controller) runStages(rep *StepReport, t0 time.Time) (err error) {
 	checkStage("distribute")
 
 	tp := time.Now()
+	c.lap = tp.Sub(t0)
 	if c.cfg.ControlEnabled {
 		c.apply(rep)
 	}

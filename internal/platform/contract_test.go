@@ -92,7 +92,7 @@ func linuxRig(t *testing.T) *contractRig {
 			}
 		},
 		footprint: func() string {
-			return fmt.Sprint(len(tr.l.vcpus), len(tr.l.procs), len(tr.l.cores), tr.l.scanOK)
+			return fmt.Sprint(len(tr.l.vcpus), len(tr.l.procs), coreHandles(tr.l), tr.l.scanOK)
 		},
 	}
 }

@@ -32,7 +32,7 @@ import (
 // the next call reopens the path — which is how cgroup recreation on VM
 // restart is picked up.
 //
-// Two answers are remembered instead of re-read every period, each with
+// Three answers are remembered instead of re-read every period, each with
 // the events that invalidate it (DESIGN §7 has the table):
 //
 //   - ListVMs keeps its last scan of the tree and only re-stats the root
@@ -45,6 +45,19 @@ import (
 //     cpu.stat read fails. A replaced thread is therefore noticed on the
 //     call that fails, not before: one period without that vCPU's
 //     placement, after which the new tid is read.
+//   - CoreFreqMHz reads each core's scaling_cur_freq once per ListVMs
+//     call and answers from that reading until the next call: one
+//     period stale at most, as the Host doc allows. A failed read is not
+//     remembered, and the next call reads again.
+//
+// A quota write (SetMax, ClearMax) truncates the file only on a fresh
+// descriptor or when the payload is shorter than the one before: the
+// handle remembers the length its last write left the file at, and
+// forgets it when the descriptor closes. That relies on the controller
+// being the file's only writer while it holds the descriptor open. On
+// kernfs a write is the whole value and leaves no tail to remove; a tree
+// of regular files (the tests, the benchmark) must have cpu.max written
+// before the backend first opens it, and not rewritten behind it.
 //
 // The stat identity makes this type Linux-only (syscall.Stat_t.Mtim).
 type Linux struct {
@@ -60,7 +73,11 @@ type Linux struct {
 	// Lazily-built handle caches.
 	vcpus map[VCPURef]*vcpuFiles
 	procs map[int]*procFile
-	cores map[int]*handle
+	cores []coreFreq // one per core, built on the first CoreFreqMHz
+
+	// epoch counts ListVMs calls: a core frequency read in this epoch is
+	// answered again until the next call.
+	epoch uint64
 
 	// The last scan of the cgroup tree, unfiltered by Freqs: rootID is
 	// the root's identity taken before its listing, scan one entry per
@@ -106,12 +123,24 @@ type procFile struct {
 	owner *vcpuFiles // the vCPU whose tid this is; nil for a tid ThreadID never returned
 }
 
+// coreFreq is one core's kept-open scaling_cur_freq and the MHz last read
+// from it, valid while epoch is the host's and nonzero.
+type coreFreq struct {
+	handle
+	mhz   int64
+	epoch uint64
+}
+
 // handle is one kept-open file plus its scratch buffer. Reads pread at
 // offset zero, so there is no seek position to maintain.
 type handle struct {
 	path string
 	f    *os.File
 	host *Linux // told of every failure, see Linux.scanOK
+	// size is the length the last write left the file at, 0 while it is
+	// not known: on a fresh descriptor, or after a failed truncate. No
+	// payload is empty.
+	size int
 	buf  [512]byte
 }
 
@@ -141,10 +170,12 @@ func (h *handle) read() ([]byte, error) {
 	return h.buf[:n], nil
 }
 
-// write pwrites the payload at offset zero. Control files treat every
-// write as a full transaction; regular files (tests) would keep stale
-// trailing bytes, so the length is truncated — kernfs rejects the
-// truncate, which is ignored.
+// write pwrites the payload at offset zero. A kernfs control file takes
+// every write as the whole value; a regular file keeps the bytes past the
+// payload, so the file is truncated to the payload's length whenever it
+// may be longer: on a fresh descriptor and after a longer payload (see
+// the Linux doc for the single-writer assumption). A failed truncate is
+// ignored, and the next write truncates again.
 func (h *handle) write(payload []byte) error {
 	if h.f == nil {
 		f, err := os.OpenFile(h.path, os.O_WRONLY, 0)
@@ -158,7 +189,13 @@ func (h *handle) write(payload []byte) error {
 		h.failed()
 		return err
 	}
-	_ = h.f.Truncate(int64(len(payload)))
+	n := len(payload)
+	if h.size == 0 || n < h.size {
+		if h.f.Truncate(int64(n)) != nil {
+			n = 0
+		}
+	}
+	h.size = n
 	return nil
 }
 
@@ -167,6 +204,7 @@ func (h *handle) close() {
 		h.f.Close()
 		h.f = nil
 	}
+	h.size = 0
 }
 
 // vcpu returns (building on first use) the cached files of one vCPU.
@@ -217,19 +255,6 @@ func (l *Linux) dropProc(tid int) {
 		}
 		delete(l.procs, tid)
 	}
-}
-
-// core returns the cached scaling_cur_freq handle of one core.
-func (l *Linux) core(core int) *handle {
-	if l.cores == nil {
-		l.cores = map[int]*handle{}
-	}
-	h, ok := l.cores[core]
-	if !ok {
-		h = &handle{path: sysfs.CurFreqPath(l.SysCPURoot, core), host: l}
-		l.cores[core] = h
-	}
-	return h
 }
 
 // pruneDeparted closes and forgets the cached files of VMs (or trailing
@@ -462,6 +487,7 @@ func (l *Linux) scanCurrent() bool {
 // withdrawn shows at once. Cached descriptors are pruned after a scan and
 // when the result differs from the last one, not on every call.
 func (l *Linux) ListVMs() ([]VMInfo, error) {
+	l.epoch++
 	rescanned := !l.scanCurrent()
 	if rescanned {
 		if err := l.rescan(); err != nil {
@@ -574,7 +600,8 @@ func (l *Linux) LastCPU(tid int) (int, error) {
 	return procfs.ParseStatLastCPUBytes(b)
 }
 
-// CoreFreqMHz implements Host.
+// CoreFreqMHz implements Host, answering from one read per core per
+// ListVMs call (see the Linux doc).
 func (l *Linux) CoreFreqMHz(core int) (int64, error) {
 	// The index is outside input (parsed from /proc/<tid>/stat). One the
 	// node does not have is refused before a handle is built for it, whose
@@ -582,7 +609,17 @@ func (l *Linux) CoreFreqMHz(core int) (int64, error) {
 	if core < 0 || core >= l.Cores {
 		return 0, fmt.Errorf("platform: core %d out of range", core)
 	}
-	b, err := l.core(core).read()
+	if l.cores == nil {
+		l.cores = make([]coreFreq, l.Cores)
+	}
+	c := &l.cores[core]
+	if c.epoch == l.epoch && c.epoch != 0 {
+		return c.mhz, nil
+	}
+	if c.path == "" {
+		c.handle = handle{path: sysfs.CurFreqPath(l.SysCPURoot, core), host: l}
+	}
+	b, err := c.read()
 	if err != nil {
 		return 0, err
 	}
@@ -590,5 +627,6 @@ func (l *Linux) CoreFreqMHz(core int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return khz / 1000, nil
+	c.mhz, c.epoch = khz/1000, l.epoch
+	return c.mhz, nil
 }

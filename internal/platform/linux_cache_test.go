@@ -183,13 +183,13 @@ func TestLinuxUsageFailureForgetsTID(t *testing.T) {
 // cacheTree is a cgroup and /proc tree the listing-cache tests add VMs to
 // and remove them from.
 type cacheTree struct {
-	t       *testing.T
+	t       testing.TB
 	l       *Linux
 	nextTID int
 }
 
 // newTree is a two-core host with no VM on it.
-func newTree(t *testing.T) *cacheTree {
+func newTree(t testing.TB) *cacheTree {
 	root := t.TempDir()
 	tr := &cacheTree{t: t, nextTID: 100, l: &Linux{
 		NodeName:   "tree",
@@ -482,9 +482,20 @@ func TestLinuxFailedDescriptorForcesRescan(t *testing.T) {
 	tr.list("after a second failed write", now, 3)
 }
 
+// coreHandles counts the cores whose scaling_cur_freq handle was built.
+func coreHandles(l *Linux) int {
+	n := 0
+	for i := range l.cores {
+		if l.cores[i].path != "" {
+			n++
+		}
+	}
+	return n
+}
+
 // TestLinuxCoreOutOfRangeLeavesNoState: a core index the node does not
 // have — it is parsed from /proc, so it is outside input — is refused
-// before a handle is built. It used to cost one l.cores entry per distinct
+// before a handle is built. It used to cost one core handle per distinct
 // value, never pruned, and its failed open had the next ListVMs scan the
 // tree again; here a change hidden from every stat stays believed, which
 // it would not after a scan.
@@ -505,10 +516,89 @@ func TestLinuxCoreOutOfRangeLeavesNoState(t *testing.T) {
 			t.Fatalf("CoreFreqMHz(%d) = %d on a %d-core node, want an error", core, mhz, tr.l.Cores)
 		}
 	}
-	if len(tr.l.cores) != 1 || !tr.l.scanOK {
-		t.Fatalf("%d core handles, scanOK %v after three refused cores, want 1 and true", len(tr.l.cores), tr.l.scanOK)
+	if n := coreHandles(tr.l); n != 1 || !tr.l.scanOK {
+		t.Fatalf("%d core handles, scanOK %v after three refused cores, want 1 and true", n, tr.l.scanOK)
 	}
 	tr.list("after the refused cores", start, 0)
+}
+
+// TestLinuxCoreFreqOncePerListing: CoreFreqMHz reads each core once per
+// ListVMs call. Kill list, each verified red: answer every call from the
+// file (no memo); ListVMs leaves the epoch alone; stamp the epoch before
+// the read, so a failed read is remembered.
+func TestLinuxCoreFreqOncePerListing(t *testing.T) {
+	tr := newTree(t)
+	freq := func(core int, want int64) {
+		t.Helper()
+		if mhz, err := tr.l.CoreFreqMHz(core); err != nil || mhz != want {
+			t.Fatalf("CoreFreqMHz(%d) = %d, %v, want %d", core, mhz, err, want)
+		}
+	}
+	tr.list("first call", nil, 0)
+	freq(1, 1200)
+	tr.write("sys/cpu/cpu1/cpufreq/scaling_cur_freq", "1800000\n")
+	freq(1, 1200) // within the period: the reading taken since ListVMs
+	tr.list("next period", nil, 0)
+	freq(1, 1800)
+
+	// A read that fails, on open or on parse, is made again by the next
+	// call of the same period.
+	tr.remove("sys/cpu/cpu0/cpufreq/scaling_cur_freq")
+	if mhz, err := tr.l.CoreFreqMHz(0); err == nil {
+		t.Fatalf("CoreFreqMHz(0) = %d with its file gone", mhz)
+	}
+	tr.write("sys/cpu/cpu0/cpufreq/scaling_cur_freq", "garbage\n")
+	if mhz, err := tr.l.CoreFreqMHz(0); err == nil {
+		t.Fatalf("CoreFreqMHz(0) = %d from an unparsable file", mhz)
+	}
+	tr.write("sys/cpu/cpu0/cpufreq/scaling_cur_freq", "2200000\n")
+	freq(0, 2200)
+}
+
+// TestLinuxWriteLength: a quota write leaves exactly its payload in a
+// regular file, though it truncates only on a fresh descriptor or after a
+// longer payload. Kill list, each verified red: never truncate; keep the
+// remembered length when the descriptor closes.
+func TestLinuxWriteLength(t *testing.T) {
+	l := fixtureHost(t)
+	path := filepath.Join(l.CgroupRoot, "machine-qemu-guest1.scope/vcpu0/cpu.max")
+	holds := func(want string) {
+		t.Helper()
+		if raw, err := os.ReadFile(path); err != nil || string(raw) != want {
+			t.Fatalf("cpu.max = %q, %v, want %q", raw, err, want)
+		}
+	}
+	set := func(quota, period int64, want string) {
+		t.Helper()
+		if err := l.SetMax("guest1", 0, quota, period); err != nil {
+			t.Fatal(err)
+		}
+		holds(want)
+	}
+	set(123456, 1000000, "123456 1000000")
+	set(5, 100000, "5 100000")
+	if err := l.ClearMax("guest1", 0); err != nil {
+		t.Fatal(err)
+	}
+	holds("max")
+	set(123456, 1000000, "123456 1000000")
+
+	// The descriptor breaks under the handle: the write fails and drops
+	// it. The file is then rewritten longer behind the backend's back, so
+	// the next write, on a fresh descriptor, must truncate again though
+	// its payload is no shorter than the last one.
+	h := &l.vcpu("guest1", 0).max
+	h.f.Close()
+	if err := l.SetMax("guest1", 0, 7, 100000); err == nil {
+		t.Fatal("write through a closed descriptor succeeded")
+	}
+	if h.f != nil {
+		t.Fatal("a failed write kept its descriptor")
+	}
+	if err := os.WriteFile(path, []byte("123456789 10000000\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	set(1234567, 1000000, "1234567 1000000")
 }
 
 // TestLinuxDepartedScopeIsSkipped: a scope removed between the root's

@@ -67,7 +67,12 @@ type Host interface {
 	// (/proc/<tid>/stat field 39).
 	LastCPU(tid int) (int, error)
 	// CoreFreqMHz returns the current frequency of a core
-	// (scaling_cur_freq).
+	// (scaling_cur_freq). An implementation may answer from a reading
+	// taken since the last ListVMs call, so the answer is at most one
+	// period stale and is read afresh after the next ListVMs
+	// (platform.Linux reads each core once per ListVMs call). A failed
+	// read is not remembered. Like the tid, the frequency feeds only the
+	// reported VCPUState.FreqMHz.
 	CoreFreqMHz(core int) (int64, error)
 }
 
