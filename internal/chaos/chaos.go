@@ -95,9 +95,7 @@ func (r Result) String() string {
 func soakConfig(quiet bool) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.PeriodUs = 100_000
-	cfg.CgroupPeriodUs = 100_000
 	cfg.HostRetries = 1
-	cfg.RecoverySteps = 2
 	cfg.BreakerThreshold = 3
 	cfg.BreakerOpenSteps = 4
 	if !quiet {
@@ -105,6 +103,14 @@ func soakConfig(quiet bool) core.Config {
 	}
 	cfg.RetryBackoffUs = 100
 	return cfg
+}
+
+// recoveryBudget is how many Steps a soak's recovery phase gets to reach
+// a fully healthy step once every fault is cleared: the quarantine of a
+// breaker tripped on the last faulty step, its one clean probe, and a
+// generous margin for scheduler noise.
+func recoveryBudget(cfg core.Config) int {
+	return cfg.BreakerOpenSteps + 1 + 30
 }
 
 // option resolves a size option: def when unset, capped at limit (0: no
@@ -211,7 +217,7 @@ func Soak(o Options) (Result, error) {
 	// noise may dirty an individual step, so the assertion is that a
 	// clean step EXISTS within the budget, not that every step is clean.
 	fh.ClearAll()
-	budget := cfg.BreakerOpenSteps + cfg.RecoverySteps + 30
+	budget := recoveryBudget(cfg)
 	recovered := false
 	for step := 0; step < budget; step++ {
 		if err := soakStep(machine, ctrl, &res, false, o.Steps+step); err != nil {

@@ -143,7 +143,7 @@ func ClusterSoak(o ClusterOptions) (ClusterResult, error) {
 	// healthy step — no failed nodes, no degradation, no stranded VMs,
 	// every breaker closed — within the breaker drain plus a margin.
 	clearBlackout()
-	budget := cfg.BreakerOpenSteps + cfg.RecoverySteps + 30
+	budget := recoveryBudget(cfg)
 	recovered := false
 	for step := 0; step < budget; step++ {
 		if err := clusterSoakStep(cl, names, &res, false, o.Steps+step); err != nil {

@@ -81,8 +81,8 @@ const (
 	// BreakerOpen quarantines the VM: every vCPU is treated as
 	// degraded and the monitor stage skips its reads entirely.
 	BreakerOpen
-	// BreakerHalfOpen probes the VM normally; clean probes close the
-	// breaker, one faulty probe re-opens it.
+	// BreakerHalfOpen probes the VM normally; one clean probe closes
+	// the breaker, one faulty probe re-opens it.
 	BreakerHalfOpen
 )
 
@@ -108,8 +108,6 @@ type BreakerState struct {
 	FaultStreak int
 	// OpenLeft counts the remaining quarantine Steps while open.
 	OpenLeft int
-	// ProbeClean counts consecutive clean probe Steps while half-open.
-	ProbeClean int
 }
 
 // updateBreaker advances one VM's breaker at the end of a Step, before
@@ -142,19 +140,14 @@ func (c *Controller) updateBreaker(rep *StepReport, st *VMState) {
 		b.OpenLeft--
 		if b.OpenLeft <= 0 {
 			b.State = BreakerHalfOpen
-			b.ProbeClean = 0
 		}
 	case BreakerHalfOpen:
 		if faulty {
 			c.tripBreaker(rep, st, errors.New("core: breaker re-opened by a faulty probe step"))
 			return
 		}
-		b.ProbeClean++
-		if b.ProbeClean >= max(c.cfg.RecoverySteps, 1) {
-			b.State = BreakerClosed
-			b.FaultStreak = 0
-			b.ProbeClean = 0
-		}
+		b.State = BreakerClosed
+		b.FaultStreak = 0
 	}
 }
 
@@ -167,13 +160,11 @@ func (c *Controller) tripBreaker(rep *StepReport, st *VMState, cause error) {
 	b := &st.Breaker
 	b.State = BreakerOpen
 	b.FaultStreak = 0
-	b.ProbeClean = 0
 	b.OpenLeft = max(c.cfg.BreakerOpenSteps, 1)
 	rep.BreakerTrips++
 	rep.record(Fault{VM: st.Info.Name, VCPU: -1, Stage: "breaker", Op: "open", Err: cause})
 	for _, v := range st.VCPUs {
 		v.invalidateApplied()
-		v.CleanSteps = 0
 		if !v.Degraded {
 			v.Degraded = true
 			v.FailedSteps++

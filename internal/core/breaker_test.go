@@ -10,20 +10,19 @@ import (
 )
 
 // breakerConfig is the shared tuning of the breaker tests: trip after 3
-// consecutive faulty steps, quarantine for 2, close after 2 clean
-// probes. No retries, so every injected fault lands.
+// consecutive faulty steps, quarantine for 2, close on the first clean
+// probe. No retries, so every injected fault lands.
 func breakerConfig() Config {
 	cfg := DefaultConfig()
 	cfg.HostRetries = 0
 	cfg.BreakerThreshold = 3
 	cfg.BreakerOpenSteps = 2
-	cfg.RecoverySteps = 2
 	return cfg
 }
 
 // TestBreakerTripQuarantineReadmit walks one VM through the whole state
 // machine: closed → (3 faulty steps) → open → (2 quarantined steps with
-// no host reads at all) → half-open → (2 clean probes) → closed, while
+// no host reads at all) → half-open → (1 clean probe) → closed, while
 // a healthy neighbour VM keeps being monitored and controlled
 // throughout.
 func TestBreakerTripQuarantineReadmit(t *testing.T) {
@@ -83,7 +82,7 @@ func TestBreakerTripQuarantineReadmit(t *testing.T) {
 			t.Fatalf("quarantine step %d: %d usage calls, want 1 (VM b only)", i, got)
 		}
 		rep := c.LastReport()
-		if rep.DegradedVCPUs != 2 || rep.HealthyVCPUs != 1 {
+		if rep.DegradedVCPUs != 2 || rep.VCPUs != 3 {
 			t.Fatalf("quarantine step %d: %s", i, rep.String())
 		}
 		if i == 0 && rep.OpenVMs != 1 {
@@ -98,15 +97,11 @@ func TestBreakerTripQuarantineReadmit(t *testing.T) {
 		t.Fatalf("half-open not reported: %s", rep.String())
 	}
 
-	// The host recovers; two clean probes re-admit the VM.
+	// The host recovers; one clean probe re-admits the VM.
 	fh.Clear(platform.SiteUsage)
 	warmUp(t, c, inner, 1, 300_000)
-	if st := c.VM("a").Breaker; st.State != BreakerHalfOpen || st.ProbeClean != 1 {
-		t.Fatalf("breaker after first probe = %+v", st)
-	}
-	warmUp(t, c, inner, 1, 300_000)
-	if st := c.VM("a").Breaker; st.State != BreakerClosed {
-		t.Fatalf("breaker after second probe = %+v", st)
+	if st := c.VM("a").Breaker; st.State != BreakerClosed || st.FaultStreak != 0 {
+		t.Fatalf("breaker after the probe = %+v", st)
 	}
 	rep = c.LastReport()
 	if rep.Recovered != 2 || rep.DegradedVCPUs != 0 {
@@ -144,6 +139,63 @@ func TestBreakerFaultyProbeReopens(t *testing.T) {
 	if rep.BreakerTrips != 1 || rep.OpenVMs != 1 {
 		t.Fatalf("failed probe not reported as a trip: %s", rep.String())
 	}
+}
+
+// TestBreakerIgnoresFailedSteps: a Step that fails whole (the VM list is
+// unreachable, no stage runs) leaves every breaker where it was. Its
+// Degraded flags are the previous Step's, so counting them would trip a
+// closed breaker on faults it already counted, and would drain an open
+// breaker's quarantine with no Step completed.
+func TestBreakerIgnoresFailedSteps(t *testing.T) {
+	outage := func(t *testing.T, c *Controller, fh *platform.FaultyHost, steps int) {
+		t.Helper()
+		fh.MustPlan(platform.SiteListVMs, always)
+		for i := 0; i < steps; i++ {
+			if err := c.Step(); err == nil {
+				t.Fatal("Step succeeded with ListVMs failing")
+			}
+		}
+		fh.Clear(platform.SiteListVMs)
+	}
+	t.Run("closed streak", func(t *testing.T) {
+		inner := newFakeHost()
+		inner.AddVM("a", 1, 1200)
+		fh := platform.WithFaults(inner, 11)
+		c := mustController(t, fh, breakerConfig())
+		warmUp(t, c, inner, 3, 300_000)
+
+		fh.MustPlan(platform.SiteUsage, platform.FaultPlan{Count: 1})
+		warmUp(t, c, inner, 1, 300_000)
+		outage(t, c, fh, 2)
+		if st := c.VM("a").Breaker; st.State != BreakerClosed || st.FaultStreak != 1 {
+			t.Fatalf("breaker after 1 faulty and 2 failed steps = %+v, want closed with streak 1", st)
+		}
+		warmUp(t, c, inner, 1, 300_000)
+		if st := c.VM("a").Breaker; st.State != BreakerClosed || st.FaultStreak != 0 {
+			t.Fatalf("breaker after a clean step = %+v, want closed with streak 0", st)
+		}
+	})
+	t.Run("open quarantine", func(t *testing.T) {
+		inner := newFakeHost()
+		inner.AddVM("a", 1, 1200)
+		fh := platform.WithFaults(inner, 11)
+		c := mustController(t, fh, breakerConfig())
+		warmUp(t, c, inner, 3, 300_000)
+
+		fh.MustPlan(platform.SiteUsage, always)
+		warmUp(t, c, inner, 3, 300_000)
+		if st := c.VM("a").Breaker; st.State != BreakerOpen || st.OpenLeft != 2 {
+			t.Fatalf("breaker after the trip = %+v", st)
+		}
+		outage(t, c, fh, 2)
+		if st := c.VM("a").Breaker; st.State != BreakerOpen || st.OpenLeft != 2 {
+			t.Fatalf("breaker after 2 failed steps = %+v, want open with 2 steps left", st)
+		}
+		warmUp(t, c, inner, 2, 300_000)
+		if st := c.VM("a").Breaker; st.State != BreakerHalfOpen {
+			t.Fatalf("breaker after 2 completed quarantine steps = %+v, want half-open", st)
+		}
+	})
 }
 
 // TestBreakerConservationDuringQuarantine: quarantined caps are held,
@@ -195,8 +247,8 @@ func TestCallBudgetDegradesSlowVCPU(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := c.LastReport()
-	if rep.DegradedVCPUs != 1 || rep.HealthyVCPUs != 1 {
-		t.Fatalf("degraded/healthy = %d/%d: %s", rep.DegradedVCPUs, rep.HealthyVCPUs, rep.String())
+	if rep.DegradedVCPUs != 1 || rep.VCPUs != 2 {
+		t.Fatalf("degraded/total = %d/%d: %s", rep.DegradedVCPUs, rep.VCPUs, rep.String())
 	}
 	if rep.Retries != 0 {
 		t.Fatalf("a budget overrun was retried (%d retries)", rep.Retries)
@@ -456,10 +508,11 @@ func TestBreakerSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestRecoveryStreakSurvivesRestore (the checkpoint/restore ×
-// degradation satellite): a vCPU partway through its RecoverySteps
-// clean streak keeps the streak across a kill-and-restore while a fault
-// plan is still active elsewhere — restore must not reset CleanSteps,
-// or recovery latency would silently double on every crash.
+// degradation satellite): a degraded vCPU's FailedSteps counter survives
+// a kill-and-restore while a fault plan is still active elsewhere, and
+// the first clean Step after the restore resets it, counted once as
+// Recovered — restore neither forgets the fault history nor delays the
+// recovery.
 func TestRecoveryStreakSurvivesRestore(t *testing.T) {
 	inner := newFakeHost()
 	inner.AddVM("a", 1, 1200)
@@ -467,13 +520,11 @@ func TestRecoveryStreakSurvivesRestore(t *testing.T) {
 	fh := platform.WithFaults(inner, 11)
 	cfg := DefaultConfig()
 	cfg.HostRetries = 0
-	cfg.RecoverySteps = 3
 	c := mustController(t, fh, cfg)
 	warmUp(t, c, inner, 3, 300_000)
 
-	// Degrade a/0 for two steps, then let it run clean — but keep a
-	// fault plan active against b/0 the whole time, including across
-	// the restore boundary.
+	// Degrade a/0 for two steps — and keep a fault plan active against
+	// b/0 the whole time, including across the restore boundary.
 	fh.MustPlan(platform.SiteUsage, platform.FaultPlan{
 		Count: 2,
 		Match: func(vm string, vcpu int) bool { return vm == "a" },
@@ -483,10 +534,9 @@ func TestRecoveryStreakSurvivesRestore(t *testing.T) {
 		Match:      func(vm string, vcpu int) bool { return vm == "b" },
 	})
 	warmUp(t, c, inner, 2, 300_000) // a degraded twice
-	warmUp(t, c, inner, 1, 300_000) // first clean step for a
 	v := c.VM("a").VCPUs[0]
-	if v.Degraded || v.FailedSteps != 2 || v.CleanSteps != 1 {
-		t.Fatalf("pre-checkpoint streak = %+v, want FailedSteps 2, CleanSteps 1", v)
+	if !v.Degraded || v.FailedSteps != 2 {
+		t.Fatalf("pre-checkpoint state = %+v, want degraded with FailedSteps 2", v)
 	}
 
 	snap, err := c.Snapshot().JSON()
@@ -501,24 +551,17 @@ func TestRecoveryStreakSurvivesRestore(t *testing.T) {
 	if _, err := c2.Restore(decoded); err != nil {
 		t.Fatal(err)
 	}
-	v2 := c2.VM("a").VCPUs[0]
-	if v2.FailedSteps != 2 || v2.CleanSteps != 1 {
-		t.Fatalf("restore reset the streak: FailedSteps %d, CleanSteps %d, want 2, 1",
-			v2.FailedSteps, v2.CleanSteps)
+	if v2 := c2.VM("a").VCPUs[0]; !v2.Degraded || v2.FailedSteps != 2 {
+		t.Fatalf("restore reset the fault history: %+v, want degraded with FailedSteps 2", v2)
 	}
 
-	// Exactly 2 more clean steps (not 3) complete the streak: recovery
-	// latency is preserved across the crash.
-	warmUp(t, c2, inner, 1, 300_000)
-	if rep := c2.LastReport(); rep.Recovered != 0 {
-		t.Fatalf("recovered one step early: %s", rep.String())
-	}
+	// The first clean Step after the restore recovers the vCPU.
 	warmUp(t, c2, inner, 1, 300_000)
 	rep := c2.LastReport()
 	if rep.Recovered != 1 {
-		t.Fatalf("streak not completed on schedule: %s", rep.String())
+		t.Fatalf("first clean step after restore did not recover a/0: %s", rep.String())
 	}
-	if v2 := c2.VM("a").VCPUs[0]; v2.FailedSteps != 0 || v2.CleanSteps != 0 {
+	if v2 := c2.VM("a").VCPUs[0]; v2.Degraded || v2.FailedSteps != 0 {
 		t.Fatalf("post-recovery counters = %+v", v2)
 	}
 	// The b-side plan fired across the boundary: the fault environment

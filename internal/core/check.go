@@ -13,7 +13,6 @@ import (
 // nothing and is never on the Step path. DESIGN.md §12 argues each
 // clause.
 //
-//   - The last StepReport splits its vCPUs into degraded + healthy.
 //   - The VM order and the name index hold the same VMs, and each vCPU
 //     points at the VM that lists it and carries that VM's name.
 //   - Every cap and every estimate is in [0, PeriodUs].
@@ -38,10 +37,6 @@ import (
 // the VM list was unreachable) nothing was written and the host may have
 // moved under the stale listing, so the cgroup clause is skipped.
 func (c *Controller) Check() error {
-	if r := c.report; r.DegradedVCPUs+r.HealthyVCPUs != r.VCPUs {
-		return fmt.Errorf("core: check: step %d report splits %d vCPUs into %d degraded + %d healthy",
-			r.Step, r.VCPUs, r.DegradedVCPUs, r.HealthyVCPUs)
-	}
 	if len(c.vms) != len(c.order) {
 		return fmt.Errorf("core: check: name index holds %d VMs, order %d", len(c.vms), len(c.order))
 	}

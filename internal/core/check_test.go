@@ -111,9 +111,6 @@ func TestCheck(t *testing.T) {
 			fh.MustPlan(platform.SiteReadMax, always)
 		}},
 
-		{name: "report split", want: "report splits", edit: func(t *testing.T, c *Controller, _ *platform.Scripted, _ *platform.FaultyHost) {
-			c.report.HealthyVCPUs++
-		}},
 		{name: "name index holds an untracked VM", want: "name index holds 3 VMs", edit: func(t *testing.T, c *Controller, _ *platform.Scripted, _ *platform.FaultyHost) {
 			c.vms["ghost"] = c.VM("a")
 		}},

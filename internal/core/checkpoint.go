@@ -186,8 +186,8 @@ func (c *Controller) RestoreFromStore(st platform.Store) (RestoreReport, error) 
 //   - The guarantee is recomputed from the live template (Eq. 2 is
 //     node-relative) and the wallet re-clamped under it.
 //   - The breaker resumes mid-window: a quarantined VM stays quarantined
-//     for its remaining OpenLeft steps and a half-open probe keeps its
-//     clean streak, so a restored twin re-admits the VM on the same step
+//     for its remaining OpenLeft steps and a half-open one probes on its
+//     next Step, so a restored twin re-admits the VM on the same step
 //     the dead incarnation would have.
 //   - A quarantined VM is rebuilt without reading the host: its breaker
 //     is open, so nobody was reading it — and its reads are likely still
@@ -218,7 +218,6 @@ func (c *Controller) adopt(rep *StepReport, info platform.VMInfo, vs VMSnapshot,
 			State:       BreakerPhase(vs.Breaker),
 			FaultStreak: vs.BreakerFaultStreak,
 			OpenLeft:    vs.BreakerOpenLeft,
-			ProbeClean:  vs.BreakerProbeClean,
 		}}
 	for j := 0; j < info.VCPUs; j++ {
 		var v *VCPUState
@@ -272,7 +271,6 @@ func (c *Controller) snapshotVCPU(st *VMState, vs VCPUSnapshot) *VCPUState {
 		FreqMHz:     vs.VirtFreqMHz,
 		Degraded:    vs.Degraded,
 		FailedSteps: vs.FailedSteps,
-		CleanSteps:  vs.CleanSteps,
 		warm:        vs.Warm,
 	}
 	for _, u := range vs.Hist {
@@ -301,9 +299,9 @@ func (c *Controller) holdQuota(v *VCPUState) {
 	if !c.cfg.ControlEnabled {
 		return
 	}
-	quota, period := c.quotaFor(v), c.cfg.CgroupPeriodUs
-	if c.host.SetMax(v.VM, v.Index, quota, period) == nil {
-		v.appliedQuotaUs, v.appliedPeriodUs, v.appliedQuotaOK = quota, period, true
+	quota := c.quotaFor(v)
+	if c.host.SetMax(v.VM, v.Index, quota, c.cfg.CgroupPeriodUs) == nil {
+		v.appliedQuotaUs, v.appliedQuotaOK = quota, true
 	}
 }
 

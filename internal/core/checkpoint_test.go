@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -96,6 +97,92 @@ func TestCheckpointRoundTripExact(t *testing.T) {
 	}
 	if !reflect.DeepEqual(snap, got) {
 		t.Fatalf("checkpoint not round-trippable:\nwrote %+v\nread  %+v", snap, got)
+	}
+}
+
+// TestRestoreIgnoresRetiredCounterKeys: a version-3 checkpoint written
+// while the recovery streak was configurable carries "clean_steps" per
+// vCPU and "breaker_probe_clean" per VM. It still decodes and restores,
+// and the restored controller steps exactly like one restored from the
+// same checkpoint without those keys.
+func TestRestoreIgnoresRetiredCounterKeys(t *testing.T) {
+	inner := newFakeHost()
+	inner.AddVM("a", 2, 1200)
+	inner.AddVM("b", 1, 600)
+	fh := platform.WithFaults(inner, 11)
+	c := mustController(t, fh, breakerConfig())
+	warmUp(t, c, inner, 3, 300_000)
+	// Trip a's breaker and run its quarantine out: a is half-open, its
+	// vCPUs degraded with a fault history.
+	fh.MustPlan(platform.SiteUsage, platform.FaultPlan{
+		Persistent: true,
+		Match:      func(vm string, vcpu int) bool { return vm == "a" },
+	})
+	warmUp(t, c, inner, 5, 300_000)
+	fh.Clear(platform.SiteUsage)
+	if st := c.VM("a").Breaker; st.State != BreakerHalfOpen {
+		t.Fatalf("breaker = %+v, want half-open", st)
+	}
+
+	raw, err := c.Snapshot().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, vm := range doc["vms"].([]any) {
+		vm := vm.(map[string]any)
+		vm["breaker_probe_clean"] = 1
+		for _, v := range vm["vcpus"].([]any) {
+			v.(map[string]any)["clean_steps"] = 1
+		}
+	}
+	legacy, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	restore := func(data []byte) *Controller {
+		t.Helper()
+		snap, err := DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := mustController(t, inner, breakerConfig())
+		rr, err := r.Restore(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rr.Adopted) != 2 {
+			t.Fatalf("restore report: %s", rr.String())
+		}
+		return r
+	}
+	withKeys, without := restore(legacy), restore(raw)
+	for i := 0; i < 4; i++ {
+		// Both controllers read the one host, so each consumption is
+		// seen by both Steps.
+		inner.Consume("a", 0, 200_000)
+		inner.Consume("b", 0, 400_000)
+		for _, r := range []*Controller{withKeys, without} {
+			if err := r.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s1, s2 := withKeys.Snapshot(), without.Snapshot()
+		scrubVolatile(&s1)
+		scrubVolatile(&s2)
+		if !reflect.DeepEqual(s1, s2) {
+			t.Fatalf("step %d: the retired keys changed the restored controller:\nwith    %+v\nwithout %+v", i, s1, s2)
+		}
+		if r1, r2 := withKeys.LastReport(), without.LastReport(); r1.Recovered != r2.Recovered || r1.HalfOpenVMs != r2.HalfOpenVMs {
+			t.Fatalf("step %d: reports differ:\nwith    %s\nwithout %s", i, r1.String(), r2.String())
+		}
+	}
+	if st := withKeys.VM("a").Breaker; st.State != BreakerClosed {
+		t.Fatalf("breaker after the probe = %+v, want closed", st)
 	}
 }
 
@@ -425,54 +512,6 @@ func TestRestoreFromStore(t *testing.T) {
 	}
 }
 
-// Satellite: FailedSteps holds through clean steps and resets only after
-// RecoverySteps consecutive clean ones, reported as Recovered.
-func TestRecoveryStepsHoldFailureCounter(t *testing.T) {
-	h, fh := newFlaky()
-	h.AddVM("a", 1, 500)
-	cfg := DefaultConfig()
-	cfg.HostRetries = 0
-	cfg.RecoverySteps = 3
-	c := mustController(t, fh, cfg)
-
-	for i := 0; i < 2; i++ { // register and warm up
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fh.MustPlan(platform.SiteUsage, always)
-	for i := 0; i < 2; i++ {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v := c.VM("a").VCPUs[0]
-	if !v.Degraded || v.FailedSteps != 2 {
-		t.Fatalf("after 2 faulty steps: degraded=%v failed=%d", v.Degraded, v.FailedSteps)
-	}
-	fh.Clear(platform.SiteUsage)
-	for i := 1; i <= 2; i++ {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if v.FailedSteps != 2 || v.CleanSteps != i {
-			t.Fatalf("clean step %d: failed=%d clean=%d, counter reset too early", i, v.FailedSteps, v.CleanSteps)
-		}
-		if c.LastReport().Recovered != 0 {
-			t.Fatalf("clean step %d: Recovered = %d too early", i, c.LastReport().Recovered)
-		}
-	}
-	if err := c.Step(); err != nil { // third clean step
-		t.Fatal(err)
-	}
-	if v.FailedSteps != 0 || v.CleanSteps != 0 {
-		t.Fatalf("after 3 clean steps: failed=%d clean=%d, want reset", v.FailedSteps, v.CleanSteps)
-	}
-	if got := c.LastReport().Recovered; got != 1 {
-		t.Fatalf("Recovered = %d, want 1", got)
-	}
-}
-
 // panicHost crashes the usage read of one VM to exercise the step
 // watchdog. It stays a type of its own because a panic is not something
 // the shared doubles can script: Scripted answers or errors, and a
@@ -508,7 +547,7 @@ func TestStepRecoversFromPanic(t *testing.T) {
 	if !rep.Panicked {
 		t.Fatal("Panicked not set")
 	}
-	if rep.DegradedVCPUs != 4 || rep.HealthyVCPUs != 0 {
+	if rep.DegradedVCPUs != 4 || rep.VCPUs != 4 {
 		t.Fatalf("report after panic: %s", rep.String())
 	}
 	if rep.FaultCount() == 0 || rep.Faults[0].Op != "panic" {

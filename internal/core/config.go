@@ -70,11 +70,6 @@ type Config struct {
 	// degraded for the period (transient /proc and cgroup read races
 	// usually succeed on the immediate retry). 0 disables retrying.
 	HostRetries int
-	// RecoverySteps is the number of consecutive clean Steps after
-	// which a previously degraded vCPU's FailedSteps counter resets (a
-	// reset is reported as Recovered in the StepReport). 0 behaves like
-	// 1: the counter clears on the first clean step.
-	RecoverySteps int
 	// CheckpointEvery, when positive and a Store is attached (see
 	// Controller.AttachStore), persists a full controller checkpoint
 	// every this many completed Steps. 0 disables checkpointing.
@@ -109,8 +104,8 @@ type Config struct {
 	// its vCPUs are treated as degraded (caps held, skipped by the
 	// monitor and apply stages, no credit accrual) for
 	// BreakerOpenSteps, after which the breaker goes half-open and the
-	// VM is probed normally; Config.RecoverySteps consecutive clean
-	// probe Steps close the breaker, one faulty probe re-opens it.
+	// VM is probed normally; one clean probe Step closes the breaker,
+	// one faulty probe re-opens it.
 	// Quarantine is what stops a flapping VM (a vCPU thread dying and
 	// respawning, a cgroup being rebuilt in a loop) from burning the
 	// whole step budget on doomed reads and retries. 0 disables the
@@ -137,7 +132,6 @@ func DefaultConfig() Config {
 		CreditCapPeriods: 60,
 		ControlEnabled:   true,
 		HostRetries:      1,
-		RecoverySteps:    1,
 	}
 }
 
@@ -178,9 +172,6 @@ func (c Config) Validate() error {
 	}
 	if c.HostRetries < 0 || c.HostRetries > 16 {
 		return fmt.Errorf("core: host retries %d outside [0, 16]", c.HostRetries)
-	}
-	if c.RecoverySteps < 0 {
-		return fmt.Errorf("core: recovery steps must be non-negative")
 	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("core: checkpoint interval must be non-negative")

@@ -42,13 +42,9 @@ type VCPUState struct {
 	// FailedSteps counts consecutive Steps this vCPU has been
 	// degraded; 0 when healthy. A value above 1 indicates a persistent
 	// fault (dead thread, vanished cgroup) rather than a transient
-	// read race. The counter holds through clean Steps until
-	// Config.RecoverySteps of them pass, then resets (counted as
-	// Recovered in the StepReport).
+	// read race. The first clean Step resets it (counted as Recovered
+	// in the StepReport).
 	FailedSteps int
-	// CleanSteps counts consecutive clean Steps since the vCPU was
-	// last degraded; only meaningful while FailedSteps > 0.
-	CleanSteps int
 
 	// vm is the VM that lists this vCPU, set by the two constructors
 	// (newVCPUState, snapshotVCPU): the auction reads its wallet through
@@ -61,17 +57,16 @@ type VCPUState struct {
 	// guarantee-level allocation and accrue no credits.
 	warm bool
 
-	// appliedQuotaUs/appliedPeriodUs cache the last (quota, period) the
-	// apply stage successfully wrote for this vCPU, valid while
-	// appliedQuotaOK holds. Apply skips vCPUs whose fresh quota matches
-	// the cache, so a steady-state step issues no writes at all. The
+	// appliedQuotaUs caches the last quota the apply stage successfully
+	// wrote for this vCPU (always over Config.CgroupPeriodUs), valid
+	// while appliedQuotaOK holds. Apply skips vCPUs whose fresh quota
+	// matches the cache, so a steady-state step issues no writes at all. The
 	// fields are unexported on purpose: they never enter a checkpoint
 	// (a restored vCPU starts with an invalid cache and writes through),
 	// and invalidateApplied drops them whenever the cgroup may no longer
 	// hold what was last written.
-	appliedQuotaUs  int64
-	appliedPeriodUs int64
-	appliedQuotaOK  bool
+	appliedQuotaUs int64
+	appliedQuotaOK bool
 }
 
 // invalidateApplied forgets the last-applied quota, forcing the next
@@ -119,9 +114,8 @@ type Controller struct {
 	order []*VMState
 	vms   map[string]*VMState
 
-	steps   int64
-	timings StageTimings
-	report  StepReport
+	steps  int64
+	report StepReport
 
 	// store, when attached, receives a checkpoint every
 	// Config.CheckpointEvery completed Steps.
@@ -178,7 +172,7 @@ func (c *Controller) Node() platform.NodeInfo { return c.node }
 func (c *Controller) Steps() int64 { return c.steps }
 
 // LastTimings returns the stage timings of the most recent Step.
-func (c *Controller) LastTimings() StageTimings { return c.timings }
+func (c *Controller) LastTimings() StageTimings { return c.report.Timings }
 
 // LastReport returns the degradation report of the most recent Step.
 func (c *Controller) LastReport() StepReport { return c.report }
@@ -428,8 +422,10 @@ func (c *Controller) Step() error {
 		// The breaker advances first: a trip quarantines the VM by
 		// marking every vCPU degraded, and the health accounting below
 		// must count the step the way the quarantine leaves it.
-		c.updateBreaker(&rep, st)
+		// A Step that failed whole ran no stage: the Degraded flags are
+		// the previous Step's, and the breaker must not count them again.
 		if err == nil {
+			c.updateBreaker(&rep, st)
 			st.adopted = false
 		}
 		switch st.Breaker.State {
@@ -441,22 +437,13 @@ func (c *Controller) Step() error {
 		for _, v := range st.VCPUs {
 			rep.VCPUs++
 			if v.Degraded {
-				v.CleanSteps = 0
 				rep.DegradedVCPUs++
-				continue
-			}
-			rep.HealthyVCPUs++
-			if v.FailedSteps > 0 {
-				v.CleanSteps++
-				if v.CleanSteps >= max(c.cfg.RecoverySteps, 1) {
-					v.FailedSteps = 0
-					v.CleanSteps = 0
-					rep.Recovered++
-				}
+			} else if v.FailedSteps > 0 {
+				v.FailedSteps = 0
+				rep.Recovered++
 			}
 		}
 	}
-	c.timings = rep.Timings
 	c.report = rep
 	if err == nil {
 		c.steps++
@@ -615,9 +602,9 @@ func (c *Controller) monitorVCPU(rep *StepReport, v *VCPUState) {
 	if !ok {
 		return
 	}
-	// FailedSteps holds until enough clean Steps pass; the recovery
-	// accounting runs at the end of Step, after apply had its chance to
-	// degrade the vCPU again.
+	// FailedSteps holds until the end of Step, where the recovery
+	// accounting runs after apply had its chance to degrade the vCPU
+	// again.
 	v.Degraded = false
 
 	if v.warm {

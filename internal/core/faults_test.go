@@ -74,8 +74,8 @@ func TestPersistentFaultHoldsLastGoodCap(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep := c.LastReport()
-		if rep.DegradedVCPUs != 1 || rep.HealthyVCPUs != 1 {
-			t.Fatalf("step %d: degraded/healthy = %d/%d", i, rep.DegradedVCPUs, rep.HealthyVCPUs)
+		if rep.DegradedVCPUs != 1 || rep.VCPUs != 2 {
+			t.Fatalf("step %d: degraded/total = %d/%d", i, rep.DegradedVCPUs, rep.VCPUs)
 		}
 		if !errors.Is(rep.Faults[0].Err, platform.ErrInjected) {
 			t.Fatalf("fault not the injected one: %v", rep.Faults[0])
@@ -331,8 +331,8 @@ func TestStepReportFaultCap(t *testing.T) {
 	if rep.FaultCount() != 160 {
 		t.Fatalf("FaultCount = %d, want 160", rep.FaultCount())
 	}
-	if rep.DegradedVCPUs != 160 || rep.HealthyVCPUs != 0 {
-		t.Fatalf("degraded/healthy = %d/%d", rep.DegradedVCPUs, rep.HealthyVCPUs)
+	if rep.DegradedVCPUs != 160 || rep.VCPUs != 160 {
+		t.Fatalf("degraded/total = %d/%d", rep.DegradedVCPUs, rep.VCPUs)
 	}
 }
 

@@ -201,16 +201,16 @@ func TestAdoptQuarantinedWritesHeldQuota(t *testing.T) {
 	}
 }
 
-// A half-open probe in flight keeps its clean streak, so the target
-// re-admits the VM on the same step the source would have.
+// A half-open breaker is carried as half-open, so the target probes the
+// VM on its first Step and one clean probe re-admits it, on the same
+// step the source would have.
 func TestAdoptHalfOpenProbeContinues(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BreakerThreshold = 3
 	cfg.BreakerOpenSteps = 4
-	cfg.RecoverySteps = 2
 	snap := VMSnapshot{
 		Name: "a", FreqMHz: 1200, GuaranteeUs: 500_000,
-		Breaker: int(BreakerHalfOpen), BreakerProbeClean: 1,
+		Breaker: int(BreakerHalfOpen),
 		VCPUs: []VCPUSnapshot{{
 			Index: 0, ConsumedUs: 100_000, CapUs: 500_000, EstimateUs: 100_000,
 			Hist: []int64{100_000},
@@ -222,10 +222,10 @@ func TestAdoptHalfOpenProbeContinues(t *testing.T) {
 	if err := ct.AdoptVM(snap); err != nil {
 		t.Fatal(err)
 	}
-	if st := ct.VM("a"); st.Breaker.State != BreakerHalfOpen || st.Breaker.ProbeClean != 1 {
+	if st := ct.VM("a"); st.Breaker.State != BreakerHalfOpen {
 		t.Fatalf("probe state not carried: %+v", st.Breaker)
 	}
-	// One clean probe completes the RecoverySteps=2 streak.
+	// One clean probe closes the breaker.
 	tgt.Consume("a", 0, 100_000)
 	if err := ct.Step(); err != nil {
 		t.Fatal(err)

@@ -55,14 +55,11 @@ type StepReport struct {
 	// DegradedVCPUs counts vCPUs whose monitor or apply stage failed
 	// this Step; their caps are held at the last-known-good value.
 	DegradedVCPUs int
-	// HealthyVCPUs counts vCPUs fully monitored and (when control is
-	// enabled) successfully applied this Step.
-	HealthyVCPUs int
 	// Retries counts host operations that succeeded only after an
 	// in-step retry (Config.HostRetries).
 	Retries int
-	// Recovered counts vCPUs whose FailedSteps counter was reset this
-	// Step after Config.RecoverySteps consecutive clean Steps.
+	// Recovered counts vCPUs whose FailedSteps counter this Step reset:
+	// degraded in an earlier Step, clean in this one.
 	Recovered int
 	// OpenVMs counts VMs quarantined behind an open circuit breaker at
 	// the end of this Step (their vCPUs are all in DegradedVCPUs).
@@ -125,7 +122,7 @@ func (r StepReport) Degraded() bool { return r.DegradedVCPUs > 0 || r.FaultCount
 // String summarises the report in one line.
 func (r StepReport) String() string {
 	s := fmt.Sprintf("step %d: %d VMs, %d/%d vCPUs healthy, %d degraded, %d faults (+%d added, -%d removed, ~%d reconfigured)",
-		r.Step, r.VMs, r.HealthyVCPUs, r.VCPUs, r.DegradedVCPUs, r.FaultCount(),
+		r.Step, r.VMs, r.VCPUs-r.DegradedVCPUs, r.VCPUs, r.DegradedVCPUs, r.FaultCount(),
 		len(r.Added), len(r.Removed), len(r.Reconfigured))
 	if r.Retries > 0 {
 		s += fmt.Sprintf(" [%d retries]", r.Retries)

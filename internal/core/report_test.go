@@ -17,14 +17,14 @@ func TestStepReportStringGolden(t *testing.T) {
 		{
 			name: "healthy",
 			rep: StepReport{
-				Step: 7, VMs: 3, VCPUs: 6, HealthyVCPUs: 6,
+				Step: 7, VMs: 3, VCPUs: 6,
 			},
 			want: "step 7: 3 VMs, 6/6 vCPUs healthy, 0 degraded, 0 faults (+0 added, -0 removed, ~0 reconfigured)",
 		},
 		{
 			name: "churn",
 			rep: StepReport{
-				Step: 2, VMs: 4, VCPUs: 8, HealthyVCPUs: 8,
+				Step: 2, VMs: 4, VCPUs: 8,
 				Added: []string{"a"}, Removed: []string{"b", "c"}, Reconfigured: []string{"d"},
 			},
 			want: "step 2: 4 VMs, 8/8 vCPUs healthy, 0 degraded, 0 faults (+1 added, -2 removed, ~1 reconfigured)",
@@ -32,7 +32,7 @@ func TestStepReportStringGolden(t *testing.T) {
 		{
 			name: "retries and recovery",
 			rep: StepReport{
-				Step: 9, VMs: 2, VCPUs: 4, HealthyVCPUs: 4,
+				Step: 9, VMs: 2, VCPUs: 4,
 				Retries: 3, Recovered: 2,
 			},
 			want: "step 9: 2 VMs, 4/4 vCPUs healthy, 0 degraded, 0 faults (+0 added, -0 removed, ~0 reconfigured) [3 retries] [2 vCPUs recovered]",
@@ -40,7 +40,7 @@ func TestStepReportStringGolden(t *testing.T) {
 		{
 			name: "breaker trip without open VMs",
 			rep: StepReport{
-				Step: 5, VMs: 2, VCPUs: 4, HealthyVCPUs: 2, DegradedVCPUs: 2,
+				Step: 5, VMs: 2, VCPUs: 4, DegradedVCPUs: 2,
 				BreakerTrips: 1,
 				Faults:       []Fault{{VM: "a", VCPU: -1, Stage: "breaker", Op: "open", Err: errors.New("tripped")}},
 			},
@@ -49,7 +49,7 @@ func TestStepReportStringGolden(t *testing.T) {
 		{
 			name: "quarantined",
 			rep: StepReport{
-				Step: 6, VMs: 2, VCPUs: 4, HealthyVCPUs: 2, DegradedVCPUs: 2,
+				Step: 6, VMs: 2, VCPUs: 4, DegradedVCPUs: 2,
 				OpenVMs: 1, HalfOpenVMs: 1, BreakerTrips: 2,
 			},
 			want: "step 6: 2 VMs, 2/4 vCPUs healthy, 2 degraded, 0 faults (+0 added, -0 removed, ~0 reconfigured) [breakers: 1 open, 1 half-open, 2 tripped]",

@@ -44,13 +44,12 @@ type VMSnapshot struct {
 	VCPUs       []VCPUSnapshot `json:"vcpus"`
 
 	// The circuit breaker (since version 3): phase as an integer
-	// (0 closed, 1 open, 2 half-open) plus its three counters. All
+	// (0 closed, 1 open, 2 half-open) plus its two counters. All
 	// omitempty, so a VM with a closed idle breaker — the overwhelming
 	// steady state — costs no checkpoint bytes.
 	Breaker            int `json:"breaker,omitempty"`
 	BreakerFaultStreak int `json:"breaker_fault_streak,omitempty"`
 	BreakerOpenLeft    int `json:"breaker_open_left,omitempty"`
-	BreakerProbeClean  int `json:"breaker_probe_clean,omitempty"`
 }
 
 // VCPUSnapshot is one vCPU's controller state.
@@ -67,7 +66,6 @@ type VCPUSnapshot struct {
 	Warm        bool    `json:"warm,omitempty"`
 	Degraded    bool    `json:"degraded,omitempty"`
 	FailedSteps int     `json:"failed_steps,omitempty"`
-	CleanSteps  int     `json:"clean_steps,omitempty"`
 }
 
 // Snapshot captures the current controller state.
@@ -82,8 +80,8 @@ func (c *Controller) Snapshot() Snapshot {
 		CapacityUs:       c.CapacityUs(),
 		TotalGuaranteeUs: c.TotalGuaranteeUs(),
 		MarketUs:         c.market(),
-		StepMicros:       c.timings.Total.Microseconds(),
-		MonitorMicros:    c.timings.Monitor.Microseconds(),
+		StepMicros:       c.report.Timings.Total.Microseconds(),
+		MonitorMicros:    c.report.Timings.Monitor.Microseconds(),
 		DegradedVCPUs:    c.report.DegradedVCPUs,
 		Faults:           c.report.FaultCount(),
 	}
@@ -108,7 +106,6 @@ func vmSnapshot(st *VMState) VMSnapshot {
 		Breaker:            int(st.Breaker.State),
 		BreakerFaultStreak: st.Breaker.FaultStreak,
 		BreakerOpenLeft:    st.Breaker.OpenLeft,
-		BreakerProbeClean:  st.Breaker.ProbeClean,
 	}
 	for _, v := range st.VCPUs {
 		// nil (not empty) when there are no samples, so that the
@@ -130,7 +127,6 @@ func vmSnapshot(st *VMState) VMSnapshot {
 			Warm:        v.warm,
 			Degraded:    v.Degraded,
 			FailedSteps: v.FailedSteps,
-			CleanSteps:  v.CleanSteps,
 		})
 	}
 	return vs
@@ -201,7 +197,7 @@ func validateVMSnapshot(vm VMSnapshot, maxFreqMHz, periodUs int64) error {
 		return fmt.Errorf("core: checkpoint VM %q breaker phase %d unknown",
 			vm.Name, vm.Breaker)
 	}
-	if vm.BreakerFaultStreak < 0 || vm.BreakerOpenLeft < 0 || vm.BreakerProbeClean < 0 {
+	if vm.BreakerFaultStreak < 0 || vm.BreakerOpenLeft < 0 {
 		return fmt.Errorf("core: checkpoint VM %q has negative breaker counters",
 			vm.Name)
 	}
@@ -218,8 +214,8 @@ func validateVMSnapshot(vm VMSnapshot, maxFreqMHz, periodUs int64) error {
 			return fmt.Errorf("core: checkpoint %s/vcpu%d has negative accounting",
 				vm.Name, v.Index)
 		}
-		if v.FailedSteps < 0 || v.CleanSteps < 0 {
-			return fmt.Errorf("core: checkpoint %s/vcpu%d has negative step counters",
+		if v.FailedSteps < 0 {
+			return fmt.Errorf("core: checkpoint %s/vcpu%d has a negative failed-step counter",
 				vm.Name, v.Index)
 		}
 		for _, u := range v.Hist {

@@ -218,8 +218,8 @@ func (c *Controller) quotaFor(v *VCPUState) int64 {
 // cgroup cpu.max quotas. Allocations are expressed per control period p;
 // quotas are written against the (shorter) cgroup bandwidth period.
 //
-// Application is incremental: each vCPU caches the (quota, period) last
-// written successfully, and a vCPU whose fresh quota matches the cache is
+// Application is incremental: each vCPU caches the quota last written
+// successfully, and a vCPU whose fresh quota matches the cache is
 // skipped, so a steady-state step issues no host writes at all. The cache
 // is dropped whenever the cgroup may no longer hold what was written (see
 // VCPUState.invalidateApplied), so a skipped write can never leave a
@@ -239,7 +239,7 @@ func (c *Controller) apply(rep *StepReport) {
 				continue
 			}
 			quota := c.quotaFor(v)
-			if v.appliedQuotaOK && v.appliedQuotaUs == quota && v.appliedPeriodUs == period {
+			if v.appliedQuotaOK && v.appliedQuotaUs == quota {
 				continue
 			}
 			_, retried, err := c.hostCall(opSetMax, v.VM, v.Index, quota, period)
@@ -251,7 +251,6 @@ func (c *Controller) apply(rep *StepReport) {
 				continue
 			}
 			v.appliedQuotaUs = quota
-			v.appliedPeriodUs = period
 			v.appliedQuotaOK = true
 		}
 	}
