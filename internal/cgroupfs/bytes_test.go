@@ -2,6 +2,7 @@ package cgroupfs
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -43,6 +44,37 @@ func TestParseSingleTID(t *testing.T) {
 	}
 	if _, _, err := ParseSingleTID([]byte("abc\n")); err == nil {
 		t.Fatal("garbage tid parsed")
+	}
+}
+
+// TestParseInt64BytesOverflow: a value outside int64 is refused by both
+// callers of parseInt64Bytes, not wrapped into a plausible number.
+func TestParseInt64BytesOverflow(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want int64
+		ok   bool
+	}{
+		{"9223372036854775807", math.MaxInt64, true},
+		{"-9223372036854775807", -math.MaxInt64, true},
+		{"9223372036854775808", 0, false},
+		{"18446744073709551623", 0, false}, // wraps to 7
+		{"20000000000000000000", 0, false}, // wraps to 1553255926290448384
+		{"-20000000000000000000", 0, false},
+		{"99999999999999999999999", 0, false},
+	} {
+		got, err := ParseCPUStatBytes([]byte("usage_usec "+c.in+"\n"), "usage_usec")
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParseCPUStatBytes(usage_usec %s) = %d, %v; want %d, ok %v", c.in, got, err, c.want, c.ok)
+		}
+		wantN := 0
+		if c.ok {
+			wantN = 1
+		}
+		tid, n, err := ParseSingleTID([]byte(c.in + "\n"))
+		if (err == nil) != c.ok || int64(tid) != c.want || n != wantN {
+			t.Errorf("ParseSingleTID(%s) = %d, %d, %v; want %d, ok %v", c.in, tid, n, err, c.want, c.ok)
+		}
 	}
 }
 

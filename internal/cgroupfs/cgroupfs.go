@@ -11,6 +11,7 @@ package cgroupfs
 
 import (
 	"fmt"
+	"math"
 	"path"
 	"strconv"
 	"strings"
@@ -314,7 +315,7 @@ func isBlank(b []byte) bool {
 }
 
 // parseInt64Bytes parses a possibly whitespace-padded decimal without
-// going through a string.
+// going through a string. A value outside int64 is not a decimal.
 func parseInt64Bytes(b []byte) (int64, bool) {
 	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\n' || b[0] == '\r') {
 		b = b[1:]
@@ -335,13 +336,11 @@ func parseInt64Bytes(b []byte) (int64, bool) {
 	}
 	var v int64
 	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
+		d := int64(c - '0')
+		if c < '0' || c > '9' || v > (math.MaxInt64-d)/10 {
+			return 0, false // not a digit, or v*10+d overflows
 		}
-		v = v*10 + int64(c-'0')
-		if v < 0 {
-			return 0, false // overflow
-		}
+		v = v*10 + d
 	}
 	if neg {
 		v = -v

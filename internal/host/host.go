@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"vfreq/internal/cgroupfs"
 	"vfreq/internal/dvfs"
@@ -129,6 +130,10 @@ type Machine struct {
 
 	faultMu sync.Mutex
 	faults  []*pathFault
+	// armed is len(faults), stored under faultMu and loaded without it:
+	// a read while no fault is armed, every read of a fault-free run,
+	// takes no lock in fileFault.
+	armed atomic.Int32
 }
 
 // pathFault is one armed pseudo-file read fault (see FailReads).
@@ -191,7 +196,7 @@ func New(spec Spec) (*Machine, error) {
 
 // fileFault is the memfs hook matching reads against armed faults.
 func (m *Machine) fileFault(op, path string) error {
-	if op != "read" {
+	if op != "read" || m.armed.Load() == 0 {
 		return nil
 	}
 	m.faultMu.Lock()
@@ -204,6 +209,7 @@ func (m *Machine) fileFault(op, path string) error {
 			f.count--
 			if f.count == 0 {
 				m.faults = append(m.faults[:i], m.faults[i+1:]...)
+				m.armed.Store(int32(len(m.faults)))
 			}
 		}
 		return fmt.Errorf("host: %s %s: %w", op, path, f.err)
@@ -215,6 +221,11 @@ func (m *Machine) fileFault(op, path string) error {
 // containing substr fail with err (count < 0 makes the fault persistent
 // until ClearFileFaults). This models the /proc and cgroup read races a
 // real host exhibits when vCPU threads die or cgroups vanish mid-access.
+//
+// FailReads and ClearFileFaults may be called from any goroutine, also
+// while another reads: a read that starts after either returns sees its
+// effect. Faults match in the order they were armed. While none is armed,
+// a read pays one atomic load for the check, not a lock.
 func (m *Machine) FailReads(substr string, err error, count int) {
 	if count == 0 || err == nil {
 		return
@@ -222,6 +233,7 @@ func (m *Machine) FailReads(substr string, err error, count int) {
 	m.faultMu.Lock()
 	defer m.faultMu.Unlock()
 	m.faults = append(m.faults, &pathFault{substr: substr, err: err, count: count})
+	m.armed.Store(int32(len(m.faults)))
 }
 
 // ClearFileFaults disarms every pseudo-file fault.
@@ -229,6 +241,7 @@ func (m *Machine) ClearFileFaults() {
 	m.faultMu.Lock()
 	defer m.faultMu.Unlock()
 	m.faults = nil
+	m.armed.Store(0)
 }
 
 // Spec returns the machine's hardware description.

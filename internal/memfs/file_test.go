@@ -188,6 +188,12 @@ func TestFileFaultHookOncePerAccess(t *testing.T) {
 	if err := f.Write("x"); err != fail {
 		t.Fatalf("faulted write: %v, want the hook's error", err)
 	}
+	// First means before the resolution too: its error loses to the hook's.
+	for _, p := range []string{"/missing", "/"} {
+		if _, err := fs.Open(p).ReadAppend(nil); err != fail {
+			t.Fatalf("faulted read of %s: %v, want the hook's error", p, err)
+		}
+	}
 	fs.SetFaultHook(nil)
 	if got, err := f.ReadAppend(nil); err != nil || string(got) != "w" {
 		t.Fatalf("after faults, read = %q, %v; want the unfaulted write's content", got, err)

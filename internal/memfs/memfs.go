@@ -51,6 +51,9 @@ type node struct {
 // aborts the operation with that error. op is "read" or "write". It lets
 // a simulation inject the transient and persistent pseudo-file failures
 // a real kernel produces when threads die or cgroups vanish mid-access.
+// It runs outside the FS lock, possibly from several goroutines at once.
+// A read resolves its node before its hook runs, so a hook must not
+// change the tree it guards.
 type FaultFunc func(op, path string) error
 
 // FS is a concurrency-safe in-memory file tree.
@@ -277,23 +280,32 @@ func (f *File) resolveLocked() (*node, error) {
 // the extended slice. For files created with AddDynamicAppend the render
 // happens directly into buf, so a read with sufficient capacity performs
 // no heap allocation; static files append their content.
+//
+// A read takes the FS lock once: under it, the hook is read and the node
+// resolved. The hook then runs first, outside the lock, on the clean path,
+// and its error wins over the resolution's.
 func (f *File) ReadAppend(buf []byte) ([]byte, error) {
-	if err := f.fs.checkFault("read", f.path); err != nil {
-		return buf, err
-	}
 	f.fs.mu.RLock()
+	fault := f.fs.fault
 	n, err := f.resolveLocked()
+	var (
+		readAppend ReadAppendFunc
+		content    string
+	)
+	if err == nil && n.dir {
+		err = fmt.Errorf("%w: %s", ErrIsDir, f.path)
+	} else if err == nil {
+		readAppend, content = n.readAppend, n.content
+	}
+	f.fs.mu.RUnlock()
+	if fault != nil {
+		if ferr := fault("read", f.path); ferr != nil {
+			return buf, ferr
+		}
+	}
 	if err != nil {
-		f.fs.mu.RUnlock()
 		return buf, err
 	}
-	if n.dir {
-		f.fs.mu.RUnlock()
-		return buf, fmt.Errorf("%w: %s", ErrIsDir, f.path)
-	}
-	readAppend := n.readAppend
-	content := n.content
-	f.fs.mu.RUnlock()
 	// Dynamic reads run outside the lock: the callback may consult
 	// simulation state that itself mutates the filesystem.
 	if readAppend != nil {

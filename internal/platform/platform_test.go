@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -148,6 +149,71 @@ func TestSimThreadPlacementAndFreq(t *testing.T) {
 	if f < spec.MinMHz || f > spec.TurboMHz {
 		t.Fatalf("freq %d outside envelope", f)
 	}
+}
+
+// TestSimFaultArmedElsewhere: host.Machine's read faults are armed and
+// cleared from another goroutine between two Sim reads, and the next
+// matching read sees the change. A count-1 fault fails exactly one
+// matching read and no other, a persistent one every matching read until
+// ClearFileFaults. Last, arming and clearing race a run of warm reads,
+// for the race detector.
+func TestSimFaultArmedElsewhere(t *testing.T) {
+	s, mgr := newSim(t)
+	if _, err := mgr.Provision("a", vm.Small(),
+		[]workload.Source{workload.Busy(), workload.Busy()}); err != nil {
+		t.Fatal(err)
+	}
+	m := mgr.Machine()
+	m.Advance(100_000)
+	tid, err := s.ThreadID("a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elsewhere := func(f func()) {
+		done := make(chan struct{})
+		go func() { f(); close(done) }()
+		<-done
+	}
+	stat := fmt.Sprintf("/proc/%d/", tid)
+	boom := errors.New("thread died")
+	lastCPU := func() error { _, err := s.LastCPU(tid); return err }
+	usage := func() error { _, err := s.UsageUs("a", 0); return err }
+	for i, c := range []struct {
+		arm  func()
+		read func() error
+		fail bool
+	}{
+		{nil, lastCPU, false}, // warm: the handle is resolved
+		{func() { m.FailReads(stat, boom, 1) }, usage, false},
+		{nil, lastCPU, true},
+		{nil, lastCPU, false}, // the count-1 fault fired once
+		{func() { m.FailReads(stat, boom, -1) }, lastCPU, true},
+		{nil, lastCPU, true},
+		{nil, usage, false},
+		{m.ClearFileFaults, lastCPU, false},
+		{func() { m.FailReads("cpu.stat", boom, 1); m.ClearFileFaults() }, usage, false},
+	} {
+		if c.arm != nil {
+			elsewhere(c.arm)
+		}
+		if err := c.read(); (err != nil) != c.fail || (c.fail && !errors.Is(err, boom)) {
+			t.Fatalf("read %d: err = %v, want failure %v", i, err, c.fail)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			m.FailReads("no such file", boom, 1)
+			m.ClearFileFaults()
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if err := lastCPU(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
 }
 
 // The Linux backend needs a real cgroup v2 + libvirt host; skip unless

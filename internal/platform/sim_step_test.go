@@ -15,7 +15,7 @@ import (
 // tableIINode boots a chetemi carrying the paper's Table II mix, every
 // vCPU busy (20 small and 10 large VMs, 80 vCPUs), with a controller
 // over platform.Sim that has stepped warm periods.
-func tableIINode(tb testing.TB, warm int) (*host.Machine, *core.Controller) {
+func tableIINode(tb testing.TB, warm int) (*host.Machine, *platform.Sim, *core.Controller) {
 	tb.Helper()
 	m, err := host.New(host.Chetemi())
 	if err != nil {
@@ -41,7 +41,8 @@ func tableIINode(tb testing.TB, warm int) (*host.Machine, *core.Controller) {
 		}
 	}
 	cfg := core.DefaultConfig()
-	ctrl, err := core.New(platform.NewSim(mgr), cfg)
+	sim := platform.NewSim(mgr)
+	ctrl, err := core.New(sim, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func tableIINode(tb testing.TB, warm int) (*host.Machine, *core.Controller) {
 			tb.Fatal(err)
 		}
 	}
-	return m, ctrl
+	return m, sim, ctrl
 }
 
 // TestSimStepZeroAlloc: once warm, a controller period over the simulated
@@ -61,7 +62,7 @@ func TestSimStepZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	m, ctrl := tableIINode(t, 20)
+	m, _, ctrl := tableIINode(t, 20)
 	periodUs := core.DefaultConfig().PeriodUs
 	if allocs := testing.AllocsPerRun(10, func() {
 		m.Advance(periodUs)
@@ -117,7 +118,7 @@ func TestSimWriteAllocs(t *testing.T) {
 // Table II node: the monitor stage's pseudo-file reads plus the five
 // stages behind them. Advance runs with the timer stopped.
 func BenchmarkSimStep(b *testing.B) {
-	m, ctrl := tableIINode(b, 20)
+	m, _, ctrl := tableIINode(b, 20)
 	periodUs := core.DefaultConfig().PeriodUs
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -128,5 +129,53 @@ func BenchmarkSimStep(b *testing.B) {
 		if err := ctrl.Step(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSimReads times each Host read of the monitor stage on its own,
+// one call per iteration over platform.Sim on the warm Table II node,
+// cycling through its 80 vCPUs.
+func BenchmarkSimReads(b *testing.B) {
+	_, sim, _ := tableIINode(b, 20)
+	vms, err := sim.ListVMs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	type vcpu struct {
+		vm              string
+		j, tid, lastCPU int
+	}
+	var vcpus []vcpu
+	for _, v := range vms {
+		for j := 0; j < v.VCPUs; j++ {
+			tid, err := sim.ThreadID(v.Name, j)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cpu, err := sim.LastCPU(tid)
+			if err != nil {
+				b.Fatal(err)
+			}
+			vcpus = append(vcpus, vcpu{v.Name, j, tid, cpu})
+		}
+	}
+	for _, r := range []struct {
+		name string
+		read func(v *vcpu) error
+	}{
+		{"ListVMs", func(*vcpu) error { _, err := sim.ListVMs(); return err }},
+		{"UsageUs", func(v *vcpu) error { _, err := sim.UsageUs(v.vm, v.j); return err }},
+		{"ThreadID", func(v *vcpu) error { _, err := sim.ThreadID(v.vm, v.j); return err }},
+		{"LastCPU", func(v *vcpu) error { _, err := sim.LastCPU(v.tid); return err }},
+		{"CoreFreqMHz", func(v *vcpu) error { _, err := sim.CoreFreqMHz(v.lastCPU); return err }},
+	} {
+		b.Run(r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := r.read(&vcpus[i%len(vcpus)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

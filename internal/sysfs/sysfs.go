@@ -6,6 +6,7 @@ package sysfs
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -48,7 +49,7 @@ func CurFreqPath(mount string, c int) string {
 
 // ParseKHzBytes parses a cpufreq value file into kHz; it allocates
 // nothing, for the per-period per-vCPU frequency read of the monitor
-// stage.
+// stage. A value outside int64 is an error.
 func ParseKHzBytes(content []byte) (int64, error) {
 	b := content
 	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\n' || b[0] == '\r') {
@@ -62,13 +63,11 @@ func ParseKHzBytes(content []byte) (int64, error) {
 	}
 	var v int64
 	for _, c := range b {
-		if c < '0' || c > '9' {
+		d := int64(c - '0')
+		if c < '0' || c > '9' || v > (math.MaxInt64-d)/10 {
 			return 0, fmt.Errorf("sysfs: bad frequency %q", content)
 		}
-		v = v*10 + int64(c-'0')
-		if v < 0 {
-			return 0, fmt.Errorf("sysfs: bad frequency %q", content)
-		}
+		v = v*10 + d
 	}
 	return v, nil
 }

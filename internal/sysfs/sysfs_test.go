@@ -1,6 +1,7 @@
 package sysfs
 
 import (
+	"math"
 	"testing"
 
 	"vfreq/internal/dvfs"
@@ -91,5 +92,26 @@ func TestParseKHzBytes(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ParseKHzBytes allocates %.1f/op", allocs)
+	}
+}
+
+// TestParseKHzBytesOverflow: a frequency outside int64 is an error, not a
+// wrapped value.
+func TestParseKHzBytesOverflow(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want int64
+		ok   bool
+	}{
+		{"9223372036854775807\n", math.MaxInt64, true},
+		{"9223372036854775808\n", 0, false},
+		{"18446744073709551623\n", 0, false}, // wraps to 7
+		{"20000000000000000000\n", 0, false}, // wraps to 1553255926290448384
+		{"99999999999999999999999\n", 0, false},
+	} {
+		got, err := ParseKHzBytes([]byte(c.in))
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParseKHzBytes(%q) = %d, %v; want %d, ok %v", c.in, got, err, c.want, c.ok)
+		}
 	}
 }
