@@ -80,7 +80,7 @@ func TestCSVGolden(t *testing.T) {
 			if tc.sc.Nodes >= 2 {
 				err = runSimCluster(tc.sc, out, metrics.NewRegistry())
 			} else {
-				err = runSim(tc.sc, out, "", checkpointOpts{}, metrics.NewRegistry())
+				err = runSim(tc.sc, out, checkpointOpts{}, metrics.NewRegistry())
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -15,11 +15,13 @@
 // cluster-level columns, including cluster_step_us — the wall time of
 // each cluster step.
 //
-// Crash recovery: with -checkpoint the controller persists its state
+// Crash recovery: with -checkpoint vfctl persists the controller's state
 // (credits, caps, consumption histories) atomically every
-// -checkpoint-every periods, plus once at clean exit; -resume restores
-// from that file before the first period, revalidating against the live
-// host. A missing checkpoint degrades -resume into a cold start.
+// -checkpoint-every periods (0: only the final save), plus once at clean
+// exit. A failed periodic save is one line on stderr and the run goes
+// on, the previous checkpoint still in place. -resume restores from that
+// file before the first period, revalidating against the live host. A
+// missing checkpoint degrades -resume into a cold start.
 //
 //	vfctl -config scenario.json -checkpoint state.json -resume
 //
@@ -145,9 +147,8 @@ const exampleScenario = `{
 func main() {
 	cfgPath := flag.String("config", "", "scenario JSON file")
 	csvPath := flag.String("csv", "", "write the per-period CSV here instead of stdout")
-	snapPath := flag.String("snapshot", "", "write the final controller state as JSON here")
 	ckptPath := flag.String("checkpoint", "", "persist controller checkpoints to this file for crash recovery")
-	ckptEvery := flag.Int64("checkpoint-every", 1, "periods between checkpoints (with -checkpoint)")
+	ckptEvery := flag.Int64("checkpoint-every", 1, "periods between checkpoints (with -checkpoint; 0 = only the final save)")
 	resume := flag.Bool("resume", false, "restore controller state from -checkpoint before the first period")
 	example := flag.Bool("example", false, "print an example scenario and exit")
 	linux := flag.Bool("linux", false, "drive the real host via cgroup v2 instead of the simulator")
@@ -191,13 +192,16 @@ func main() {
 	if sc.DurationS <= 0 {
 		fatal(fmt.Errorf("scenario: duration_s must be positive"))
 	}
-	if *resume && *ckptPath == "" {
-		fatal(fmt.Errorf("-resume requires -checkpoint"))
+	mf := modeFlags{
+		linux: *linux, csv: *csvPath, checkpoint: *ckptPath,
+		rebalanceEvery: *rebalanceEvery, resume: *resume,
 	}
-	if err := validateMode(sc, modeFlags{
-		linux: *linux, csv: *csvPath, snapshot: *snapPath, checkpoint: *ckptPath,
-		rebalanceEvery: *rebalanceEvery,
-	}); err != nil {
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "checkpoint-every" {
+			mf.checkpointEvery = ckptEvery
+		}
+	})
+	if err := validateMode(sc, mf); err != nil {
 		fatal(err)
 	}
 	if *rebalanceEvery >= 0 {
@@ -220,7 +224,7 @@ func main() {
 	case sc.Nodes >= 2:
 		err = runSimCluster(sc, *csvPath, reg)
 	default:
-		err = runSim(sc, *csvPath, *snapPath, ck, reg)
+		err = runSim(sc, *csvPath, ck, reg)
 	}
 	if cpuFile != nil {
 		pprof.StopCPUProfile()
@@ -237,19 +241,34 @@ func main() {
 }
 
 // modeFlags are the command-line flags that only some run modes honour,
-// as given: "" and -1 mean the flag was not set.
+// or only with another flag, as given: "", -1 and nil mean the flag was
+// not set.
 type modeFlags struct {
-	linux                     bool
-	csv, snapshot, checkpoint string
-	rebalanceEvery            int
+	linux           bool
+	csv, checkpoint string
+	rebalanceEvery  int
+	checkpointEvery *int64
+	resume          bool
 }
 
 // validateMode rejects every scenario field and flag the selected mode —
 // single-node simulation, cluster simulation (nodes >= 2) or -linux —
 // would otherwise drop: like an unknown field, a known one that the mode
 // does not read must not let the run proceed under different settings
-// without a word.
+// without a word. Nor may -resume or -checkpoint-every without the
+// -checkpoint they apply to, or a negative -checkpoint-every.
 func validateMode(sc Scenario, f modeFlags) error {
+	if f.checkpoint == "" {
+		switch {
+		case f.resume:
+			return fmt.Errorf("-resume requires -checkpoint")
+		case f.checkpointEvery != nil:
+			return fmt.Errorf("-checkpoint-every requires -checkpoint")
+		}
+	}
+	if f.checkpointEvery != nil && *f.checkpointEvery < 0 {
+		return fmt.Errorf("-checkpoint-every %d is negative", *f.checkpointEvery)
+	}
 	const sim, clusterSim, linux = 1, 2, 4
 	mode, modeName := sim, "single-node simulation"
 	switch {
@@ -273,7 +292,6 @@ func validateMode(sc Scenario, f modeFlags) error {
 		{"scenario field rebalance_every", sc.RebalanceEvery != 0, clusterSim},
 		{"flag -rebalance-every", f.rebalanceEvery >= 0, clusterSim},
 		{"flag -csv", f.csv != "", sim | clusterSim},
-		{"flag -snapshot", f.snapshot != "", sim},
 		{"flag -checkpoint", f.checkpoint != "", sim | linux},
 	} {
 		if k.set && k.modes&mode == 0 {
@@ -295,34 +313,64 @@ func writeHeapProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-// checkpointOpts carries the crash-recovery flags.
+// checkpointOpts carries the crash-recovery flags. With a path, the
+// controller's checkpoint is saved there after every every-th Step (never
+// when every is 0) and once at clean exit.
 type checkpointOpts struct {
 	path   string
 	every  int64
 	resume bool
 }
 
-// arm attaches (and optionally restores from) the checkpoint file. It
-// returns whether the controller resumed from a previous incarnation.
-func (ck checkpointOpts) arm(ctrl *core.Controller) (bool, error) {
-	if ck.path == "" {
+// restore restores ctrl from the checkpoint file when -resume asked for
+// it, and reports whether it did: a missing file is a cold start.
+func (ck checkpointOpts) restore(ctrl *core.Controller) (bool, error) {
+	if !ck.resume {
 		return false, nil
 	}
-	store := platform.FileStore{Path: ck.path}
-	if ck.resume {
-		rr, err := ctrl.RestoreFromStore(store)
-		switch {
-		case err == nil:
-			fmt.Fprintf(os.Stderr, "vfctl: %s\n", rr)
-			return true, nil
-		case errors.Is(err, platform.ErrNoCheckpoint):
-			fmt.Fprintln(os.Stderr, "vfctl: no checkpoint yet, cold-starting")
-		default:
-			return false, err
-		}
+	data, err := platform.FileStore{Path: ck.path}.Load()
+	if errors.Is(err, platform.ErrNoCheckpoint) {
+		fmt.Fprintln(os.Stderr, "vfctl: no checkpoint yet, cold-starting")
+		return false, nil
 	}
-	ctrl.AttachStore(store)
-	return false, nil
+	if err != nil {
+		return false, err
+	}
+	snap, err := core.DecodeSnapshot(data)
+	if err != nil {
+		return false, err
+	}
+	rr, err := ctrl.Restore(snap)
+	if err != nil {
+		return false, err
+	}
+	fmt.Fprintf(os.Stderr, "vfctl: %s\n", rr)
+	return true, nil
+}
+
+// afterStep saves the checkpoint when the Step just taken completes an
+// interval. A failed save is one line on stderr and the run goes on:
+// the previous checkpoint stays in place.
+func (ck checkpointOpts) afterStep(ctrl *core.Controller) {
+	if ck.every == 0 || ctrl.Steps()%ck.every != 0 {
+		return
+	}
+	if err := ck.save(ctrl); err != nil {
+		fmt.Fprintf(os.Stderr, "vfctl: checkpoint at step %d: %v\n", ctrl.Steps(), err)
+	}
+}
+
+// save writes ctrl's checkpoint to the file, if there is one, so that a
+// later -resume continues from the very last period.
+func (ck checkpointOpts) save(ctrl *core.Controller) error {
+	if ck.path == "" {
+		return nil
+	}
+	data, err := ctrl.Snapshot().JSON()
+	if err != nil {
+		return fmt.Errorf("encoding checkpoint: %w", err)
+	}
+	return platform.FileStore{Path: ck.path}.Save(data)
 }
 
 func fatal(err error) {
@@ -500,7 +548,7 @@ func dumpMetrics(out *os.File, reg *metrics.Registry) {
 	_ = reg.WriteText(trace.NewCommentWriter(out, "# "))
 }
 
-func runSim(sc Scenario, csvPath, snapPath string, ck checkpointOpts, reg *metrics.Registry) error {
+func runSim(sc Scenario, csvPath string, ck checkpointOpts, reg *metrics.Registry) error {
 	spec, err := nodeSpec(sc)
 	if err != nil {
 		return err
@@ -526,11 +574,7 @@ func runSim(sc Scenario, csvPath, snapPath string, ck checkpointOpts, reg *metri
 	if err != nil {
 		return err
 	}
-	cfg := controllerConfig(sc)
-	if ck.path != "" {
-		cfg.CheckpointEvery = ck.every
-	}
-	ctrl, err := core.New(h, cfg)
+	ctrl, err := core.New(h, controllerConfig(sc))
 	if err != nil {
 		return err
 	}
@@ -538,7 +582,7 @@ func runSim(sc Scenario, csvPath, snapPath string, ck checkpointOpts, reg *metri
 	if fh, ok := h.(*platform.FaultyHost); ok {
 		fh.ArmMetrics(reg)
 	}
-	if _, err := ck.arm(ctrl); err != nil {
+	if _, err := ck.restore(ctrl); err != nil {
 		return err
 	}
 
@@ -568,6 +612,7 @@ func runSim(sc Scenario, csvPath, snapPath string, ck checkpointOpts, reg *metri
 		if err := ctrl.Step(); err != nil {
 			return err
 		}
+		ck.afterStep(ctrl)
 		fmt.Fprintf(out, "%d", ctrl.Steps())
 		var caps int64
 		for _, v := range sc.VMs {
@@ -612,23 +657,7 @@ func runSim(sc Scenario, csvPath, snapPath string, ck checkpointOpts, reg *metri
 			f.Sum(), health.Series("retries").Sum(),
 			health.Series("degraded_vcpus").Max(), health.Series("degraded_vcpus").Mean())
 	}
-	if snapPath != "" {
-		raw, err := ctrl.Snapshot().JSON()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
-			return err
-		}
-	}
-	if ck.path != "" {
-		// A final checkpoint so a later -resume continues from the very
-		// last period, not the last interval boundary.
-		if err := ctrl.Checkpoint(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ck.save(ctrl)
 }
 
 // runSimCluster drives a simulated cluster of sc.Nodes identical
@@ -723,16 +752,12 @@ func runLinux(sc Scenario, ck checkpointOpts, reg *metrics.Registry) error {
 	if err != nil {
 		return fmt.Errorf("linux backend: %w", err)
 	}
-	cfg := controllerConfig(sc)
-	if ck.path != "" {
-		cfg.CheckpointEvery = ck.every
-	}
-	ctrl, err := core.New(h, cfg)
+	ctrl, err := core.New(h, controllerConfig(sc))
 	if err != nil {
 		return err
 	}
 	ctrl.ArmMetrics(reg)
-	resumed, err := ck.arm(ctrl)
+	resumed, err := ck.restore(ctrl)
 	if err != nil {
 		return err
 	}
@@ -747,6 +772,7 @@ func runLinux(sc Scenario, ck checkpointOpts, reg *metrics.Registry) error {
 		if err := ctrl.Step(); err != nil {
 			return err
 		}
+		ck.afterStep(ctrl)
 		if rep := ctrl.LastReport(); rep.Degraded() {
 			fmt.Printf("t=%-4d degraded: %s\n", step+1, rep.String())
 		}
@@ -767,10 +793,5 @@ func runLinux(sc Scenario, ck checkpointOpts, reg *metrics.Registry) error {
 			time.Sleep(d)
 		}
 	}
-	if ck.path != "" {
-		if err := ctrl.Checkpoint(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ck.save(ctrl)
 }

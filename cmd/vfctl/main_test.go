@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"vfreq/internal/core"
 	"vfreq/internal/metrics"
 	"vfreq/internal/workload"
 )
@@ -44,7 +45,7 @@ func TestScenarioRejectsUnknownFields(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = runSim(sc, filepath.Join(t.TempDir(), "x.csv"), "", checkpointOpts{}, metrics.NewRegistry())
+		err = runSim(sc, filepath.Join(t.TempDir(), "x.csv"), checkpointOpts{}, metrics.NewRegistry())
 		if err == nil || !strings.Contains(err.Error(), `"`+site+`"`) || !strings.Contains(err.Error(), valid) {
 			t.Errorf("fault site %s: error %v, want one naming it and listing the %s", site, err, valid)
 		}
@@ -62,6 +63,7 @@ func TestValidateMode(t *testing.T) {
 		return f
 	}
 	linux := with(func(f *modeFlags) { f.linux = true })
+	every := func(n int64) *int64 { return &n }
 	faults := Scenario{FaultRate: 0.1, FaultDelayRate: 0.1, FaultDelayUs: 50, FaultSites: []string{"UsageUs"}, FaultSeed: 7}
 	for _, tc := range []struct {
 		name  string
@@ -69,12 +71,14 @@ func TestValidateMode(t *testing.T) {
 		flags modeFlags
 		want  []string // substrings of the error; nil = accepted
 	}{
-		{"sim accepts faults, -csv, -snapshot, -checkpoint", faults,
-			with(func(f *modeFlags) { f.csv, f.snapshot, f.checkpoint = "o.csv", "s.json", "c.json" }), nil},
+		{"sim accepts faults, -csv, -checkpoint and its cadence, -resume", faults,
+			with(func(f *modeFlags) {
+				f.csv, f.checkpoint, f.checkpointEvery, f.resume = "o.csv", "c.json", every(0), true
+			}), nil},
 		{"cluster accepts its knobs and -csv", Scenario{Nodes: 2, RebalanceEvery: 5},
 			with(func(f *modeFlags) { f.csv, f.rebalanceEvery = "o.csv", 0 }), nil},
-		{"linux accepts -checkpoint", Scenario{HostRetries: 2},
-			with(func(f *modeFlags) { f.linux, f.checkpoint = true, "c.json" }), nil},
+		{"linux accepts -checkpoint and its cadence", Scenario{HostRetries: 2},
+			with(func(f *modeFlags) { f.linux, f.checkpoint, f.checkpointEvery = true, "c.json", every(5) }), nil},
 
 		{"linux cluster", Scenario{Nodes: 2}, linux, []string{"nodes", "-linux"}},
 		{"cluster fault_rate", Scenario{Nodes: 2, FaultRate: 0.1}, none, []string{"fault_rate", "cluster"}},
@@ -83,17 +87,22 @@ func TestValidateMode(t *testing.T) {
 		{"cluster fault_sites", Scenario{Nodes: 2, FaultSites: []string{"SetMax"}}, none, []string{"fault_sites", "cluster"}},
 		{"cluster fault_seed", Scenario{Nodes: 2, FaultSeed: 3}, none, []string{"fault_seed", "cluster"}},
 		{"cluster -checkpoint", Scenario{Nodes: 2}, with(func(f *modeFlags) { f.checkpoint = "c.json" }), []string{"-checkpoint", "cluster"}},
-		{"cluster -snapshot", Scenario{Nodes: 2}, with(func(f *modeFlags) { f.snapshot = "s.json" }), []string{"-snapshot", "cluster"}},
 		{"linux fault_rate", Scenario{FaultRate: 0.1}, linux, []string{"fault_rate", "-linux"}},
 		{"linux fault_delay_rate", Scenario{FaultDelayRate: 0.1}, linux, []string{"fault_delay_rate", "-linux"}},
 		{"linux fault_delay_us", Scenario{FaultDelayUs: 50}, linux, []string{"fault_delay_us", "-linux"}},
 		{"linux fault_sites", Scenario{FaultSites: []string{"SetMax"}}, linux, []string{"fault_sites", "-linux"}},
 		{"linux fault_seed", Scenario{FaultSeed: 3}, linux, []string{"fault_seed", "-linux"}},
 		{"linux -csv", Scenario{}, with(func(f *modeFlags) { f.linux, f.csv = true, "o.csv" }), []string{"-csv", "-linux"}},
-		{"linux -snapshot", Scenario{}, with(func(f *modeFlags) { f.linux, f.snapshot = true, "s.json" }), []string{"-snapshot", "-linux"}},
 		{"linux rebalance_every", Scenario{RebalanceEvery: 5}, linux, []string{"rebalance_every", "-linux"}},
 		{"sim rebalance_every", Scenario{RebalanceEvery: 5}, none, []string{"rebalance_every", "single-node"}},
 		{"sim -rebalance-every", Scenario{}, with(func(f *modeFlags) { f.rebalanceEvery = 3 }), []string{"-rebalance-every", "single-node"}},
+		{"-resume without -checkpoint", Scenario{}, with(func(f *modeFlags) { f.resume = true }), []string{"-resume", "-checkpoint"}},
+		{"-checkpoint-every without -checkpoint", Scenario{}, with(func(f *modeFlags) { f.checkpointEvery = every(2) }),
+			[]string{"-checkpoint-every", "requires -checkpoint"}},
+		{"linux -checkpoint-every without -checkpoint", Scenario{}, with(func(f *modeFlags) { f.linux, f.checkpointEvery = true, every(1) }),
+			[]string{"-checkpoint-every", "requires -checkpoint"}},
+		{"negative -checkpoint-every", Scenario{}, with(func(f *modeFlags) { f.checkpoint, f.checkpointEvery = "c.json", every(-1) }),
+			[]string{"-checkpoint-every", "negative"}},
 	} {
 		err := validateMode(tc.sc, tc.flags)
 		if tc.want == nil {
@@ -225,7 +234,7 @@ func TestControllerConfigRejectsOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runSim(sc, filepath.Join(t.TempDir(), "x.csv"), "", checkpointOpts{}, metrics.NewRegistry()); err == nil {
+	if err := runSim(sc, filepath.Join(t.TempDir(), "x.csv"), checkpointOpts{}, metrics.NewRegistry()); err == nil {
 		t.Fatal("scenario with call_budget_us -5 ran")
 	}
 }
@@ -243,10 +252,10 @@ func TestRunSimProducesCSV(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out.csv")
 	snap := filepath.Join(dir, "snap.json")
-	if err := runSim(sc, out, snap, checkpointOpts{}, metrics.NewRegistry()); err != nil {
+	if err := runSim(sc, out, checkpointOpts{path: snap}, metrics.NewRegistry()); err != nil {
 		t.Fatal(err)
 	}
-	// The snapshot is valid JSON with both VMs.
+	// The final checkpoint is valid JSON with both VMs.
 	raw, err := os.ReadFile(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +310,213 @@ func TestRunSimValidatesVMs(t *testing.T) {
 		Node: "chetemi", DurationS: 1, Control: true,
 		VMs: []ScenarioVM{{Name: "bad", VCPUs: 0, FreqMHz: 500, Workload: "busy"}},
 	}
-	if err := runSim(sc, filepath.Join(t.TempDir(), "x.csv"), "", checkpointOpts{}, metrics.NewRegistry()); err == nil {
+	if err := runSim(sc, filepath.Join(t.TempDir(), "x.csv"), checkpointOpts{}, metrics.NewRegistry()); err == nil {
 		t.Fatal("invalid VM accepted")
+	}
+}
+
+// captureStderr runs f with os.Stderr redirected to a file and returns
+// what f wrote there.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	old := os.Stderr
+	os.Stderr = tmp
+	defer func() { os.Stderr = old }()
+	f()
+	raw, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// checkpointStep decodes the checkpoint at path and returns its step.
+func checkpointStep(t *testing.T, path string) int64 {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := core.DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.Step
+}
+
+// -checkpoint, -checkpoint-every and -resume end to end through runSim:
+// a resume with no checkpoint yet cold-starts, the final save, a resumed
+// run continuing the step count, a blocked periodic save that warns
+// without stopping the run or touching the previous checkpoint, and a
+// corrupt checkpoint that refuses the resume.
+func TestRunSimCheckpointResume(t *testing.T) {
+	sc := Scenario{
+		Node: "chetemi", DurationS: 5, Control: true,
+		VMs: []ScenarioVM{
+			{Name: "web", VCPUs: 2, FreqMHz: 500, MemoryGB: 2, Workload: "bursty:4:0.5"},
+			{Name: "batch", VCPUs: 2, FreqMHz: 1800, MemoryGB: 4, Workload: "busy"},
+		},
+	}
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "state.json")
+	csv := filepath.Join(dir, "out.csv")
+	run := func(ck checkpointOpts, periods int) (string, error) {
+		t.Helper()
+		sc := sc
+		sc.DurationS = periods
+		var err error
+		stderr := captureStderr(t, func() { err = runSim(sc, csv, ck, metrics.NewRegistry()) })
+		return stderr, err
+	}
+	firstTime := func() string {
+		t.Helper()
+		raw, err := os.ReadFile(csv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, _ := splitCSV(string(raw))
+		return strings.SplitN(rows[1], ",", 2)[0]
+	}
+
+	// No checkpoint yet: -resume cold-starts.
+	stderr, err := run(checkpointOpts{path: ckpt, every: 2, resume: true}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr, "no checkpoint yet, cold-starting") || firstTime() != "1" {
+		t.Fatalf("resume without a checkpoint: CSV starts at %s, stderr:\n%s", firstTime(), stderr)
+	}
+	if got := checkpointStep(t, ckpt); got != 5 {
+		t.Fatalf("checkpoint after 5 periods at step %d, want 5 (the final save)", got)
+	}
+
+	stderr, err = run(checkpointOpts{path: ckpt, every: 2, resume: true}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr, "restored step 5: 2 adopted") {
+		t.Fatalf("resume did not report the restore:\n%s", stderr)
+	}
+	if got := firstTime(); got != "6" {
+		t.Fatalf("resumed CSV starts at time_s %s, want 6", got)
+	}
+	if got := checkpointStep(t, ckpt); got != 8 {
+		t.Fatalf("checkpoint after the resumed run at step %d, want 8", got)
+	}
+
+	// A directory squats on the temp path: every save fails.
+	good, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(ckpt+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stderr, err = run(checkpointOpts{path: ckpt, every: 2, resume: true}, 3)
+	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
+		t.Fatalf("final save through a blocked temp path: error %v, want one naming the checkpoint", err)
+	}
+	// Steps 9 to 11 ran; the one periodic save due, at 10, warned.
+	if got := strings.Count(stderr, "vfctl: checkpoint at step"); got != 1 || !strings.Contains(stderr, "checkpoint at step 10:") {
+		t.Fatalf("want one warning, for step 10; stderr:\n%s", stderr)
+	}
+	raw, err := os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, _ := splitCSV(string(raw)); len(rows) != 4 || !strings.HasPrefix(rows[3], "11,") {
+		t.Fatalf("blocked saves stopped the run:\n%s", raw)
+	}
+	after, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(good) {
+		t.Fatal("a failed save changed the previous checkpoint")
+	}
+
+	// A corrupt checkpoint refuses the resume rather than cold-starting.
+	corrupt := filepath.Join(dir, "corrupt.json")
+	if err := os.WriteFile(corrupt, []byte("{broken"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run(checkpointOpts{path: corrupt, resume: true}, 1); err == nil || !strings.Contains(err.Error(), "decoding checkpoint") {
+		t.Fatalf("resume from a corrupt checkpoint: error %v, want a decode error", err)
+	}
+}
+
+// testdata/checkpoint_v3.json is a version-3 checkpoint, written by the
+// vfctl of that format after 6 periods of v3Scenario with
+// -checkpoint-every 0. Resuming from it runs exactly like resuming from
+// its version-4 re-encoding: the keys version 4 dropped were never read.
+func TestResumeFromVersion3Checkpoint(t *testing.T) {
+	v3Scenario := Scenario{
+		Node: "chetemi", DurationS: 4, Control: true,
+		VMs: []ScenarioVM{
+			{Name: "web", VCPUs: 2, FreqMHz: 500, MemoryGB: 2, Workload: "bursty:4:0.5"},
+			{Name: "batch", VCPUs: 2, FreqMHz: 1800, MemoryGB: 4, Workload: "busy"},
+		},
+	}
+	v3, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v3.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(v3), `"version": 3,`) || !strings.Contains(string(v3), `"market_us"`) {
+		t.Fatal("fixture is not a version-3 checkpoint")
+	}
+	snap, err := core.DecodeSnapshot(v3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4, err := snap.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := func(checkpoint []byte) (rows []string, final string) {
+		t.Helper()
+		dir := t.TempDir()
+		ckpt, csv := filepath.Join(dir, "state.json"), filepath.Join(dir, "out.csv")
+		if err := os.WriteFile(ckpt, checkpoint, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		stderr := captureStderr(t, func() {
+			err = runSim(v3Scenario, csv, checkpointOpts{path: ckpt, resume: true}, metrics.NewRegistry())
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(stderr, "restored step 6: 2 adopted") {
+			t.Fatalf("resume did not adopt both wallets:\n%s", stderr)
+		}
+		raw, err := os.ReadFile(csv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, _ = splitCSV(string(raw))
+		after, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, string(after)
+	}
+	rows3, final3 := resume(v3)
+	rows4, final4 := resume(v4)
+	if len(rows3) != 5 || !strings.HasPrefix(rows3[1], "7,") {
+		t.Fatalf("resumed run from the v3 checkpoint:\n%s", strings.Join(rows3, "\n"))
+	}
+	if strings.Join(rows3, "\n") != strings.Join(rows4, "\n") {
+		t.Fatalf("v3 and v4 resumes diverged:\nv3:\n%s\nv4:\n%s", strings.Join(rows3, "\n"), strings.Join(rows4, "\n"))
+	}
+	if final3 != final4 {
+		t.Fatal("v3 and v4 resumes wrote different final checkpoints")
+	}
+	if s, err := core.DecodeSnapshot([]byte(final3)); err != nil || s.Version != core.SnapshotVersion || s.Step != 10 {
+		t.Fatalf("final checkpoint: version %d step %d (%v), want version %d step 10", s.Version, s.Step, err, core.SnapshotVersion)
 	}
 }

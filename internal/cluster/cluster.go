@@ -96,10 +96,10 @@ type Node struct {
 	energyJ float64 // energy accrued while hosting at least one VM
 	lastJ   float64
 
-	// healthPart is the node's contribution to the cluster Health
-	// aggregate after its last step. stepNode writes it (it owns the
-	// node); the sequential error-join walk sums the parts.
-	healthPart nodeHealth
+	// healthPart is the node's contribution to the cluster Health after
+	// its last step: the fields a StepReport fills. stepNode writes it
+	// (it owns the node); the sequential error-join walk sums the parts.
+	healthPart Health
 }
 
 // Spec returns the node's hardware description.
@@ -136,24 +136,6 @@ func used(n *Node) placement.Load {
 	return l
 }
 
-// nodeHealth is one node's contribution to the cluster Health aggregate.
-type nodeHealth struct {
-	vcpus, degraded, faults   int
-	degradedNodes, overruns   int
-	recovered, open, halfOpen int
-	trips                     int
-}
-
-func (a nodeHealth) add(b nodeHealth) nodeHealth {
-	return nodeHealth{
-		vcpus: a.vcpus + b.vcpus, degraded: a.degraded + b.degraded,
-		faults: a.faults + b.faults, degradedNodes: a.degradedNodes + b.degradedNodes,
-		overruns: a.overruns + b.overruns, recovered: a.recovered + b.recovered,
-		open: a.open + b.open, halfOpen: a.halfOpen + b.halfOpen,
-		trips: a.trips + b.trips,
-	}
-}
-
 // Cluster manages a set of nodes.
 type Cluster struct {
 	cfg       Config
@@ -161,14 +143,11 @@ type Cluster struct {
 	migStats  MigrationStats
 	locations map[string]int // VM name → node index
 
-	evacuations   int // cumulative VMs moved off failed nodes
-	lastEvacuated int // VMs evacuated during the last Step
-	lastStranded  int // VMs left on failed nodes during the last Step
+	evacuations int // cumulative VMs moved off failed nodes
 
-	// Health aggregate of the last Step, summed from the nodes'
-	// healthPart in Step's error-join walk.
-	agg         nodeHealth
-	failedNodes int
+	// health is the last Step's Health: the nodes' healthPart summed in
+	// Step's error-join walk, then the failure/evacuation pass's counts.
+	health Health
 
 	errScratch []error // reused error-join scratch
 
@@ -616,20 +595,18 @@ func (c *Cluster) Step() error {
 	// First sequential walk, in node-index order: join node errors
 	// deterministically and sum the per-node Health parts.
 	errs := c.errScratch[:0]
-	c.agg = nodeHealth{}
+	c.health = Health{}
 	for _, n := range c.nodes {
 		if n.LastErr != nil {
 			errs = append(errs, fmt.Errorf("cluster: node %d: %w", n.Index, n.LastErr))
 		}
-		c.agg = c.agg.add(n.healthPart)
+		c.health = c.health.add(n.healthPart)
 	}
 	// Second sequential walk: mark nodes past the failure threshold and
 	// evacuate their VMs. Marking and evacuating in the same ascending
 	// walk preserves the original semantics: evacuation from node i may
 	// still target a failing but not yet marked node j > i. FailedNodes
-	// is finalised here because it depends on the marks.
-	c.lastEvacuated, c.lastStranded = 0, 0
-	failed := 0
+	// is counted here because it depends on the marks.
 	for _, n := range c.nodes {
 		if c.cfg.FailThreshold > 0 {
 			if n.FailedSteps >= c.cfg.FailThreshold {
@@ -637,15 +614,14 @@ func (c *Cluster) Step() error {
 			}
 			if n.Failed && len(n.Manager.List()) > 0 {
 				ev, str := c.evacuate(n)
-				c.lastEvacuated += ev
-				c.lastStranded += str
+				c.health.EvacuatedVMs += ev
+				c.health.StrandedVMs += str
 			}
 		}
 		if n.LastErr != nil || n.Failed {
-			failed++
+			c.health.FailedNodes++
 		}
 	}
-	c.failedNodes = failed
 	err := errors.Join(errs...)
 	c.errScratch = errs[:0]
 	if c.met != nil {
@@ -681,16 +657,16 @@ func (c *Cluster) stepNode(n *Node, period int64) {
 		n.energyJ += j - n.lastJ
 	}
 	n.lastJ = j
-	part := nodeHealth{
-		vcpus: rep.VCPUs, degraded: rep.DegradedVCPUs, faults: rep.FaultCount(),
-		recovered: rep.Recovered, open: rep.OpenVMs, halfOpen: rep.HalfOpenVMs,
-		trips: rep.BreakerTrips,
+	part := Health{
+		VCPUs: rep.VCPUs, DegradedVCPUs: rep.DegradedVCPUs, Faults: rep.FaultCount(),
+		Recovered: rep.Recovered, OpenVMs: rep.OpenVMs, HalfOpenVMs: rep.HalfOpenVMs,
+		BreakerTrips: rep.BreakerTrips,
 	}
 	if rep.Degraded() {
-		part.degradedNodes = 1
+		part.DegradedNodes = 1
 	}
 	if rep.Overrun {
-		part.overruns = 1
+		part.Overruns = 1
 	}
 	n.healthPart = part
 	if c.met != nil {
@@ -741,7 +717,7 @@ type Health struct {
 	// budget during the last Step.
 	Overruns int
 	// Recovered counts vCPUs whose failure counters reset during the
-	// last Step after the configured clean streak.
+	// last Step: degraded in an earlier Step, clean in this one.
 	Recovered int
 	// EvacuatedVMs counts VMs moved off failed nodes during the last
 	// Step; StrandedVMs those left behind for lack of a feasible target.
@@ -756,24 +732,27 @@ type Health struct {
 	BreakerTrips int
 }
 
-// Health returns the degradation summary of the last Step, which Step
-// summed over the nodes; the call itself reads the stored aggregate.
-func (c *Cluster) Health() Health {
+// add returns the field-wise sum of h and o.
+func (h Health) add(o Health) Health {
 	return Health{
-		VCPUs:         c.agg.vcpus,
-		DegradedVCPUs: c.agg.degraded,
-		Faults:        c.agg.faults,
-		DegradedNodes: c.agg.degradedNodes,
-		FailedNodes:   c.failedNodes,
-		Overruns:      c.agg.overruns,
-		Recovered:     c.agg.recovered,
-		EvacuatedVMs:  c.lastEvacuated,
-		StrandedVMs:   c.lastStranded,
-		OpenVMs:       c.agg.open,
-		HalfOpenVMs:   c.agg.halfOpen,
-		BreakerTrips:  c.agg.trips,
+		VCPUs:         h.VCPUs + o.VCPUs,
+		DegradedVCPUs: h.DegradedVCPUs + o.DegradedVCPUs,
+		Faults:        h.Faults + o.Faults,
+		DegradedNodes: h.DegradedNodes + o.DegradedNodes,
+		FailedNodes:   h.FailedNodes + o.FailedNodes,
+		Overruns:      h.Overruns + o.Overruns,
+		Recovered:     h.Recovered + o.Recovered,
+		EvacuatedVMs:  h.EvacuatedVMs + o.EvacuatedVMs,
+		StrandedVMs:   h.StrandedVMs + o.StrandedVMs,
+		OpenVMs:       h.OpenVMs + o.OpenVMs,
+		HalfOpenVMs:   h.HalfOpenVMs + o.HalfOpenVMs,
+		BreakerTrips:  h.BreakerTrips + o.BreakerTrips,
 	}
 }
+
+// Health returns the degradation summary of the last Step, which Step
+// summed over the nodes; the call itself reads the stored sum.
+func (c *Cluster) Health() Health { return c.health }
 
 // UsedNodes counts nodes hosting at least one VM.
 func (c *Cluster) UsedNodes() int {

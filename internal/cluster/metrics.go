@@ -13,10 +13,9 @@ type clusterMetrics struct {
 	stepUs     *metrics.Histogram // whole-cluster Step wall clock
 	nodeStepUs *metrics.Histogram // one observation per node per Step
 
-	steps      *metrics.Counter
-	evacuated  *metrics.Counter
-	stranded   *metrics.Counter
-	migrations *metrics.Counter
+	steps     *metrics.Counter
+	evacuated *metrics.Counter
+	stranded  *metrics.Counter
 
 	// Migration outcome counters (see MigrationStats), incremented
 	// inline by Migrate — off the Step hot path, atomic and
@@ -34,8 +33,6 @@ type clusterMetrics struct {
 	degraded      *metrics.Gauge
 	openVMs       *metrics.Gauge
 	halfOpenVMs   *metrics.Gauge
-
-	lastMigrations int // previous cumulative total, for the counter delta
 }
 
 // ArmMetrics registers the cluster's instruments in reg and starts
@@ -61,7 +58,6 @@ func (c *Cluster) ArmMetrics(reg *metrics.Registry) {
 	m.steps = reg.Counter("vfreq_cluster_steps_total", "Completed cluster Steps.")
 	m.evacuated = reg.Counter("vfreq_cluster_evacuated_vms_total", "VMs moved off failed nodes.")
 	m.stranded = reg.Counter("vfreq_cluster_stranded_vm_steps_total", "VM-steps stuck on failed nodes with no feasible target.")
-	m.migrations = reg.Counter("vfreq_cluster_migrations_total", "VM migrations (rebalances and evacuations).")
 	m.migAttempted = reg.Counter("vfreq_cluster_migration_attempted_total",
 		"Migrations attempted (validated non-no-op Migrate calls).")
 	m.migCommitted = reg.Counter("vfreq_cluster_migration_committed_total",
@@ -78,7 +74,6 @@ func (c *Cluster) ArmMetrics(reg *metrics.Registry) {
 	m.degraded = reg.Gauge("vfreq_cluster_degraded_vcpus", "Degraded vCPUs across the cluster.")
 	m.openVMs = reg.Gauge("vfreq_cluster_open_vms", "VMs behind an open breaker across the cluster.")
 	m.halfOpenVMs = reg.Gauge("vfreq_cluster_halfopen_vms", "VMs in the half-open breaker state across the cluster.")
-	m.lastMigrations = c.migStats.Committed
 	for _, n := range c.nodes {
 		n.Ctrl.ArmMetrics(reg)
 	}
@@ -92,10 +87,8 @@ func (c *Cluster) recordStep(stepUs int64) {
 	h := c.Health()
 	m.stepUs.Observe(stepUs)
 	m.steps.Inc()
-	m.evacuated.Add(int64(c.lastEvacuated))
-	m.stranded.Add(int64(c.lastStranded))
-	m.migrations.Add(int64(c.migStats.Committed - m.lastMigrations))
-	m.lastMigrations = c.migStats.Committed
+	m.evacuated.Add(int64(h.EvacuatedVMs))
+	m.stranded.Add(int64(h.StrandedVMs))
 	m.nodes.Set(int64(len(c.nodes)))
 	m.usedNodes.Set(int64(c.UsedNodes()))
 	m.failedNodes.Set(int64(h.FailedNodes))

@@ -100,7 +100,7 @@ func (p BreakerPhase) String() string {
 }
 
 // BreakerState is one VM's circuit breaker, exported for inspection and
-// checkpointed in Snapshot v3 so kill-and-restore twins stay exact.
+// checkpointed in every Snapshot so kill-and-restore twins stay exact.
 type BreakerState struct {
 	// State is the current phase.
 	State BreakerPhase

@@ -336,7 +336,7 @@ func TestCallBudgetChain(t *testing.T) {
 		c, inner, _ := rig(t, DefaultConfig())
 		inner.AddVM("m", 1, 1200)
 		time.Sleep(stallUs * time.Microsecond)
-		if err := c.AdoptVM(VMSnapshot{Name: "m", FreqMHz: 1200,
+		if err := c.AdoptVM(VMSnapshot{Name: "m",
 			VCPUs: []VCPUSnapshot{{Index: 0, CapUs: 300_000, EstimateUs: 300_000}}}); err != nil {
 			t.Fatalf("AdoptVM after a gap between Steps: %v", err)
 		}
@@ -429,7 +429,7 @@ func adoptRetried(t *testing.T, c *Controller, fh *platform.FaultyHost, name str
 	fh.MustPlan(platform.SiteUsage, platform.FaultPlan{Count: 1})
 	calls := fh.Calls(platform.SiteUsage)
 	t0 := time.Now()
-	if err := c.AdoptVM(VMSnapshot{Name: name, FreqMHz: 1200,
+	if err := c.AdoptVM(VMSnapshot{Name: name,
 		VCPUs: []VCPUSnapshot{{Index: 0, CapUs: 300_000, EstimateUs: 300_000}}}); err != nil {
 		t.Fatal(err)
 	}

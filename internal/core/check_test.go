@@ -80,7 +80,7 @@ func TestCheck(t *testing.T) {
 			a.CapUs, a.EstUs = 600_000, 700_000 // bought 100 000 at auction
 			writeQuotas(c, h)
 			h.AddVM("c", 1, 1200)
-			if err := c.AdoptVM(VMSnapshot{Name: "c", FreqMHz: 1200, GuaranteeUs: 500_000,
+			if err := c.AdoptVM(VMSnapshot{Name: "c",
 				VCPUs: []VCPUSnapshot{{Index: 0, CapUs: 900_000, EstimateUs: 900_000}}}); err != nil {
 				t.Fatal(err)
 			}

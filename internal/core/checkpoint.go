@@ -6,37 +6,6 @@ import (
 	"vfreq/internal/platform"
 )
 
-// AttachStore attaches a checkpoint store. When Config.CheckpointEvery is
-// positive, Step persists a checkpoint every that many completed
-// iterations; a failed save is recorded as a "checkpoint" fault in the
-// StepReport instead of aborting the step.
-func (c *Controller) AttachStore(s platform.Store) { c.store = s }
-
-// Checkpoint persists the current state to the attached store now,
-// regardless of Config.CheckpointEvery. Use it for a clean shutdown.
-func (c *Controller) Checkpoint() error {
-	if c.store == nil {
-		return fmt.Errorf("core: no checkpoint store attached")
-	}
-	data, err := c.Snapshot().JSON()
-	if err != nil {
-		return fmt.Errorf("core: encoding checkpoint: %w", err)
-	}
-	return c.store.Save(data)
-}
-
-// maybeCheckpoint persists a checkpoint when the interval elapses.
-func (c *Controller) maybeCheckpoint(rep *StepReport) {
-	if c.store == nil || c.cfg.CheckpointEvery <= 0 || c.steps%c.cfg.CheckpointEvery != 0 {
-		return
-	}
-	if err := c.Checkpoint(); err != nil {
-		rep.record(Fault{VCPU: -1, Stage: "checkpoint", Op: "save", Err: err})
-		return
-	}
-	rep.Checkpointed = true
-}
-
 // RestoreReport describes what a Restore did with each VM it found in the
 // checkpoint or on the live host.
 type RestoreReport struct {
@@ -156,27 +125,7 @@ func (c *Controller) Restore(s Snapshot) (RestoreReport, error) {
 	return rr, nil
 }
 
-// RestoreFromStore loads, decodes and restores the last checkpoint from
-// st, then attaches st for future checkpoints. A missing checkpoint is
-// reported as platform.ErrNoCheckpoint so callers can cold-start instead.
-func (c *Controller) RestoreFromStore(st platform.Store) (RestoreReport, error) {
-	data, err := st.Load()
-	if err != nil {
-		return RestoreReport{}, err
-	}
-	snap, err := DecodeSnapshot(data)
-	if err != nil {
-		return RestoreReport{}, err
-	}
-	rr, err := c.Restore(snap)
-	if err != nil {
-		return rr, err
-	}
-	c.store = st
-	return rr, nil
-}
-
-// adopt builds the state of one VM from a checkpoint-v3 entry and the
+// adopt builds the state of one VM from a checkpoint entry and the
 // VM's live template — the one primitive behind Restore (every
 // checkpointed VM), AdoptVM (the one migrated VM) and cold registration
 // (vs empty: nothing carried, every vCPU registered fresh). It touches

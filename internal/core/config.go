@@ -70,10 +70,6 @@ type Config struct {
 	// degraded for the period (transient /proc and cgroup read races
 	// usually succeed on the immediate retry). 0 disables retrying.
 	HostRetries int
-	// CheckpointEvery, when positive and a Store is attached (see
-	// Controller.AttachStore), persists a full controller checkpoint
-	// every this many completed Steps. 0 disables checkpointing.
-	CheckpointEvery int64
 	// Deprecated: ignored — the monitor stage is serial; kept only until benchmark/ stops assigning it.
 	MonitorWorkers int
 	// CallBudgetUs is the deadline of every host call, in microseconds:
@@ -172,9 +168,6 @@ func (c Config) Validate() error {
 	}
 	if c.HostRetries < 0 || c.HostRetries > 16 {
 		return fmt.Errorf("core: host retries %d outside [0, 16]", c.HostRetries)
-	}
-	if c.CheckpointEvery < 0 {
-		return fmt.Errorf("core: checkpoint interval must be non-negative")
 	}
 	if c.CallBudgetUs < 0 {
 		return fmt.Errorf("core: call budget must be non-negative")

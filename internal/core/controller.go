@@ -117,10 +117,6 @@ type Controller struct {
 	steps  int64
 	report StepReport
 
-	// store, when attached, receives a checkpoint every
-	// Config.CheckpointEvery completed Steps.
-	store platform.Store
-
 	// met, when armed via ArmMetrics, receives every finished
 	// StepReport; nil (the default) records nothing.
 	met *ctrlMetrics
@@ -447,8 +443,6 @@ func (c *Controller) Step() error {
 	c.report = rep
 	if err == nil {
 		c.steps++
-		c.maybeCheckpoint(&rep)
-		c.report = rep // pick up Checkpointed and any checkpoint fault
 	}
 	if c.met != nil {
 		c.met.recordStep(&rep)

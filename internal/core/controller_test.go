@@ -130,7 +130,7 @@ func TestSyncVMsAddRemove(t *testing.T) {
 		h.AddVM("m", 1, 1200)
 		h.AddVM("keep", 1, 1200)
 		c := mustController(t, h, DefaultConfig())
-		if err := c.AdoptVM(VMSnapshot{Name: "m", FreqMHz: 1200,
+		if err := c.AdoptVM(VMSnapshot{Name: "m",
 			VCPUs: []VCPUSnapshot{{Index: 0, CapUs: 300_000, EstimateUs: 300_000}}}); err != nil {
 			t.Fatal(err)
 		}
@@ -539,8 +539,12 @@ func TestCapacityAndGuaranteeTotals(t *testing.T) {
 		t.Fatalf("capacity = %d", got)
 	}
 	// 2×500000 + 4×250000 = 2000000.
-	if got := c.TotalGuaranteeUs(); got != 2_000_000 {
-		t.Fatalf("total guarantee = %d", got)
+	var total int64
+	for _, st := range c.VMs() {
+		total += st.GuaranteeUs * int64(len(st.VCPUs))
+	}
+	if total != 2_000_000 {
+		t.Fatalf("total guarantee = %d", total)
 	}
 }
 

@@ -375,8 +375,6 @@ func TestSeededFaultRunReplaysAtDefault(t *testing.T) {
 			}
 			reps[i] = r.ctrl.LastReport()
 			snaps[i] = r.ctrl.Snapshot()
-			// Wall-clock stage timings are the one legitimate difference.
-			snaps[i].StepMicros, snaps[i].MonitorMicros = 0, 0
 		}
 		if a, b := reportSummary(reps[0]), reportSummary(reps[1]); a != b {
 			t.Fatalf("step %d reports diverged:\n%s\n%s", step, a, b)

@@ -38,15 +38,15 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`{"version":2,"step":1}`)) // pre-breaker version: rejected
-	f.Add([]byte(`{"version":3,"step":-1}`))
-	f.Add([]byte(`{"version":3,"cores":4,"max_freq_mhz":2400,"period_us":1000000,` +
-		`"vms":[{"name":"a","freq_mhz":99999}]}`))
-	f.Add([]byte(`{"version":3,"cores":4,"max_freq_mhz":2400,"period_us":1000000,` +
-		`"vms":[{"name":"a","freq_mhz":500,"vcpus":[{"index":7}]}]}`))
-	f.Add([]byte(`{"version":3,"cores":4,"max_freq_mhz":2400,"period_us":1000000,` +
-		`"vms":[{"name":"a","freq_mhz":500,"breaker":1}]}`)) // open with no window left
-	f.Add([]byte(`{"version":3,"cores":4,"max_freq_mhz":2400,"period_us":1000000,` +
-		`"vms":[{"name":"a","freq_mhz":500,"breaker":7}]}`)) // unknown phase
+	f.Add([]byte(`{"version":4,"step":-1}`))
+	f.Add([]byte(`{"version":3,"cores":4,"max_freq_mhz":2400,"period_us":1000000,"market_us":7,` +
+		`"vms":[{"name":"a","freq_mhz":500,"guarantee_us":250000,"vcpus":[{"index":0}]}]}`)) // v3 keys: ignored
+	f.Add([]byte(`{"version":4,"cores":4,"max_freq_mhz":2400,"period_us":1000000,` +
+		`"vms":[{"name":"a","vcpus":[{"index":7}]}]}`))
+	f.Add([]byte(`{"version":4,"cores":4,"max_freq_mhz":2400,"period_us":1000000,` +
+		`"vms":[{"name":"a","breaker":1}]}`)) // open with no window left
+	f.Add([]byte(`{"version":4,"cores":4,"max_freq_mhz":2400,"period_us":1000000,` +
+		`"vms":[{"name":"a","breaker":7}]}`)) // unknown phase
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSnapshot(data) // must not panic, whatever the input
@@ -63,7 +63,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 
 		h := platform.NewScripted(platform.NodeInfo{Name: s.Node, Cores: s.Cores, MaxFreqMHz: s.MaxFreqMHz})
 		for _, vm := range s.VMs {
-			h.AddVM(vm.Name, len(vm.VCPUs), vm.FreqMHz)
+			h.AddVM(vm.Name, len(vm.VCPUs), s.MaxFreqMHz)
 		}
 		cfg := DefaultConfig()
 		cfg.PeriodUs = s.PeriodUs
@@ -206,12 +206,13 @@ func FuzzAdoptVM(f *testing.F) {
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"name":"web"}`))
-	f.Add([]byte(`{"name":"web","freq_mhz":1200,"credit_us":-5}`))
-	f.Add([]byte(`{"name":"web","freq_mhz":1200,"breaker":1}`)) // open, no window
-	f.Add([]byte(`{"name":"web","freq_mhz":1200,"vcpus":[{"index":3}]}`))
-	f.Add([]byte(`{"name":"ghost","freq_mhz":1200}`)) // not provisioned
-	f.Add([]byte(`{"name":"web","freq_mhz":99999}`))  // above F_MAX
-	f.Add([]byte(`{"name":"web","freq_mhz":1200,"vcpus":[{"index":0,"hist":[-1]}]}`))
+	f.Add([]byte(`{"name":"web","credit_us":-5}`))
+	f.Add([]byte(`{"name":"web","breaker":1}`)) // open, no window
+	f.Add([]byte(`{"name":"web","breaker":2,"breaker_fault_streak":-1}`))
+	f.Add([]byte(`{"name":"web","vcpus":[{"index":3}]}`))
+	f.Add([]byte(`{"name":"ghost"}`))                                  // not provisioned
+	f.Add([]byte(`{"name":"web","freq_mhz":99999,"guarantee_us":-1}`)) // v3 keys: ignored
+	f.Add([]byte(`{"name":"web","vcpus":[{"index":0,"hist":[-1]}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var snap VMSnapshot
@@ -235,8 +236,7 @@ func FuzzAdoptVM(f *testing.F) {
 		if err != nil {
 			t.Fatalf("adopted VM does not re-export: %v", err)
 		}
-		node := tgt.Node()
-		if err := validateVMSnapshot(re, node.MaxFreqMHz, DefaultConfig().PeriodUs); err != nil {
+		if err := validateVMSnapshot(re); err != nil {
 			t.Fatalf("adopted VM re-exports an invalid snapshot: %v", err)
 		}
 		if err := ct.Step(); err != nil {

@@ -26,7 +26,6 @@ type ctrlMetrics struct {
 	overruns       *metrics.Counter
 	panics         *metrics.Counter
 	skippedPeriods *metrics.Counter
-	checkpoints    *metrics.Counter
 
 	vms         *metrics.Gauge
 	vcpus       *metrics.Gauge
@@ -59,7 +58,6 @@ func (c *Controller) ArmMetrics(reg *metrics.Registry) {
 	m.overruns = reg.Counter("vfreq_step_overruns_total", "Steps whose wall-clock time crossed the deadline budget.")
 	m.panics = reg.Counter("vfreq_step_panics_total", "Stage panics recovered into degraded steps.")
 	m.skippedPeriods = reg.Counter("vfreq_skipped_periods_total", "Whole control periods missed by overrunning steps.")
-	m.checkpoints = reg.Counter("vfreq_checkpoints_total", "Checkpoints persisted to the attached store.")
 	m.vms = reg.Gauge("vfreq_vms", "VMs tracked after reconciliation.")
 	m.vcpus = reg.Gauge("vfreq_vcpus", "Controlled vCPUs.")
 	m.degraded = reg.Gauge("vfreq_degraded_vcpus", "vCPUs currently degraded.")
@@ -93,9 +91,6 @@ func (m *ctrlMetrics) recordStep(rep *StepReport) {
 		m.panics.Inc()
 	}
 	m.skippedPeriods.Add(rep.SkippedPeriods)
-	if rep.Checkpointed {
-		m.checkpoints.Inc()
-	}
 
 	m.vms.Set(int64(rep.VMs))
 	m.vcpus.Set(int64(rep.VCPUs))

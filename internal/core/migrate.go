@@ -7,7 +7,7 @@ import (
 	"vfreq/internal/platform"
 )
 
-// ExportVM captures one VM's controller state as a checkpoint-v3
+// ExportVM captures one VM's controller state as a checkpoint
 // VMSnapshot: the credit wallet (Eq. 4), the per-vCPU consumption
 // history rings (Eq. 3), caps, estimates and the circuit-breaker phase
 // with its counters. It is the unit of state a live migration hands to
@@ -26,7 +26,7 @@ func (c *Controller) ExportVM(name string) (VMSnapshot, error) {
 // target-side half of a migration, valid on a running controller (the
 // node keeps stepping its other VMs throughout). The VM must already be
 // provisioned on this host and not yet tracked. The snapshot is validated
-// against this node's F_MAX and period, then rebuilt by the same adopt
+// as DecodeSnapshot validates each VM, then rebuilt by the same adopt
 // primitive Restore runs per VM: guarantee from the live template,
 // wallet re-clamped, histories and breaker carried verbatim, baselines
 // re-read live (the target's counters start at zero, so the first
@@ -42,7 +42,7 @@ func (c *Controller) ExportVM(name string) (VMSnapshot, error) {
 // On error the controller is unchanged; the caller can fall back to
 // letting the next Step register the VM cold (fresh wallet, no history).
 func (c *Controller) AdoptVM(snap VMSnapshot) error {
-	if err := validateVMSnapshot(snap, c.node.MaxFreqMHz, c.cfg.PeriodUs); err != nil {
+	if err := validateVMSnapshot(snap); err != nil {
 		return err
 	}
 	if _, ok := c.vms[snap.Name]; ok {

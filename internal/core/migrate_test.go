@@ -105,7 +105,7 @@ func TestAdoptFreshCounterFirstDelta(t *testing.T) {
 // recovery streak does not restart from zero on the target.
 func TestAdoptDegradedVCPUCarryover(t *testing.T) {
 	snap := VMSnapshot{
-		Name: "a", FreqMHz: 1200, GuaranteeUs: 500_000, CreditUs: 40_000,
+		Name: "a", CreditUs: 40_000,
 		VCPUs: []VCPUSnapshot{{
 			Index: 0, ConsumedUs: 200_000, CapUs: 500_000, EstimateUs: 300_000,
 			Hist: []int64{200_000, 210_000}, Degraded: true, FailedSteps: 3,
@@ -128,7 +128,7 @@ func TestAdoptDegradedVCPUCarryover(t *testing.T) {
 // walk on the target exactly where the source left it.
 func TestAdoptQuarantinedStaysQuarantined(t *testing.T) {
 	snap := VMSnapshot{
-		Name: "a", FreqMHz: 1200, GuaranteeUs: 500_000, CreditUs: 10_000,
+		Name: "a", CreditUs: 10_000,
 		Breaker: int(BreakerOpen), BreakerFaultStreak: 3, BreakerOpenLeft: 2,
 		VCPUs: []VCPUSnapshot{{
 			Index: 0, ConsumedUs: 100_000, CapUs: 500_000, EstimateUs: 100_000,
@@ -168,7 +168,7 @@ func TestAdoptQuarantinedStaysQuarantined(t *testing.T) {
 // unlimited until the first probe.
 func TestAdoptQuarantinedWritesHeldQuota(t *testing.T) {
 	snap := VMSnapshot{
-		Name: "a", FreqMHz: 1200, GuaranteeUs: 500_000,
+		Name:    "a",
 		Breaker: int(BreakerOpen), BreakerFaultStreak: 3, BreakerOpenLeft: 2,
 		VCPUs: []VCPUSnapshot{{
 			Index: 0, ConsumedUs: 300_000, CapUs: 300_000, EstimateUs: 300_000,
@@ -209,7 +209,7 @@ func TestAdoptHalfOpenProbeContinues(t *testing.T) {
 	cfg.BreakerThreshold = 3
 	cfg.BreakerOpenSteps = 4
 	snap := VMSnapshot{
-		Name: "a", FreqMHz: 1200, GuaranteeUs: 500_000,
+		Name:    "a",
 		Breaker: int(BreakerHalfOpen),
 		VCPUs: []VCPUSnapshot{{
 			Index: 0, ConsumedUs: 100_000, CapUs: 500_000, EstimateUs: 100_000,
@@ -239,13 +239,13 @@ func TestAdoptVMValidation(t *testing.T) {
 	tgt := newFakeHost()
 	tgt.AddVM("a", 1, 1200)
 	ct := mustController(t, tgt, DefaultConfig())
-	ok := VMSnapshot{Name: "a", FreqMHz: 1200, GuaranteeUs: 500_000,
+	ok := VMSnapshot{Name: "a",
 		VCPUs: []VCPUSnapshot{{Index: 0}}}
 
 	bad := ok
-	bad.FreqMHz = 0
+	bad.VCPUs = []VCPUSnapshot{{Index: 1}}
 	if err := ct.AdoptVM(bad); err == nil {
-		t.Fatal("zero-frequency snapshot adopted")
+		t.Fatal("non-positional vCPU index adopted")
 	}
 	bad = ok
 	bad.CreditUs = -1
@@ -274,7 +274,7 @@ func TestAdoptClampsCreditAndGrows(t *testing.T) {
 	tgt := newFakeHost()
 	tgt.AddVM("a", 2, 1200) // grew: the snapshot knows one vCPU
 	ct := mustController(t, tgt, cfg)
-	snap := VMSnapshot{Name: "a", FreqMHz: 1200, GuaranteeUs: 500_000,
+	snap := VMSnapshot{Name: "a",
 		CreditUs: 1 << 40,
 		VCPUs:    []VCPUSnapshot{{Index: 0, ConsumedUs: 100_000, Hist: []int64{100_000}}}}
 	if err := ct.AdoptVM(snap); err != nil {

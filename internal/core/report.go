@@ -16,13 +16,13 @@ type Fault struct {
 	VM string
 	// VCPU is the affected vCPU index, or -1 for a VM-level fault.
 	VCPU int
-	// Stage names the controller stage: "sync", "monitor", "apply" or
-	// "breaker".
+	// Stage names the controller stage: "sync", "monitor", "apply",
+	// "breaker" or "step" (the watchdog).
 	Stage string
 	// Op names what failed: one of the five host calls (the hostOp table
 	// in controller.go: "usage", "tid", "lastcpu", "freq", "setmax"),
 	// "template" (a rejected VM template), "open" (a circuit breaker
-	// tripping), "panic" or "save" (a checkpoint).
+	// tripping) or "panic" (a stage panic the watchdog recovered).
 	Op string
 	// Err is the underlying host error.
 	Err error
@@ -87,9 +87,6 @@ type StepReport struct {
 	// this Step ran: a caller ticking every PeriodUs missed this many
 	// ticks. 0 for a Step that fits in its period.
 	SkippedPeriods int64
-	// Checkpointed reports that this Step persisted a checkpoint to the
-	// attached store.
-	Checkpointed bool
 	// Faults lists the recorded failures, at most maxFaultsPerStep.
 	Faults []Fault
 	// FaultsDropped counts faults beyond the Faults capacity.

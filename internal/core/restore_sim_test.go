@@ -11,7 +11,8 @@ import (
 	"vfreq/internal/workload"
 )
 
-// simRig is one simulated node with a checkpointing controller on it.
+// simRig is one simulated node with a controller on it and a file store
+// for its checkpoints.
 type simRig struct {
 	mgr   *vm.Manager
 	ctrl  *core.Controller
@@ -35,8 +36,39 @@ func newSimRig(t *testing.T, cfg core.Config) *simRig {
 		t.Fatal(err)
 	}
 	store := platform.FileStore{Path: filepath.Join(t.TempDir(), "vfreq-ckpt.json")}
-	ctrl.AttachStore(store)
 	return &simRig{mgr: mgr, ctrl: ctrl, store: store}
+}
+
+// save persists the controller's checkpoint through the file store.
+func (r *simRig) save() error {
+	data, err := r.ctrl.Snapshot().JSON()
+	if err != nil {
+		return err
+	}
+	return r.store.Save(data)
+}
+
+// stepAndSave steps the rig and checkpoints it, failing t on either error.
+func (r *simRig) stepAndSave(t *testing.T) {
+	t.Helper()
+	r.step(t)
+	if err := r.save(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// load decodes the last checkpoint in the rig's store.
+func (r *simRig) load(t *testing.T) core.Snapshot {
+	t.Helper()
+	data, err := r.store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := core.DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 func (r *simRig) step(t *testing.T) {
@@ -53,14 +85,12 @@ func (r *simRig) step(t *testing.T) {
 // the twin exactly — same step counter, credits and per-vCPU caps.
 func TestKillAndRestoreConvergesWithUninterruptedTwin(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cfg.CheckpointEvery = 1
-
 	ref := newSimRig(t, cfg) // never interrupted
-	vic := newSimRig(t, cfg) // killed at step 10, restored, resumed
+	vic := newSimRig(t, cfg) // checkpointed every step, killed at step 10, restored, resumed
 
 	for i := 0; i < 10; i++ {
 		ref.step(t)
-		vic.step(t)
+		vic.stepAndSave(t)
 	}
 
 	// Kill: drop the controller on the floor. Recover: build a fresh one
@@ -69,7 +99,7 @@ func TestKillAndRestoreConvergesWithUninterruptedTwin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := reborn.RestoreFromStore(vic.store)
+	rr, err := reborn.Restore(vic.load(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +113,7 @@ func TestKillAndRestoreConvergesWithUninterruptedTwin(t *testing.T) {
 
 	for i := 0; i < 10; i++ {
 		ref.step(t)
-		vic.step(t)
+		vic.stepAndSave(t)
 	}
 
 	if got, want := vic.ctrl.Steps(), ref.ctrl.Steps(); got != want {
@@ -105,20 +135,17 @@ func TestKillAndRestoreConvergesWithUninterruptedTwin(t *testing.T) {
 			}
 		}
 	}
-	// The restored incarnation keeps checkpointing through the same store.
-	if !vic.ctrl.LastReport().Checkpointed {
-		t.Fatal("restored controller stopped checkpointing")
+	// The restored incarnation checkpoints through the same store.
+	if got := vic.load(t).Step; got != 20 {
+		t.Fatalf("last checkpoint step = %d, want 20", got)
 	}
 }
 
 // A checkpoint written through the file store survives a write fault:
 // the temp-then-rename protocol leaves the previous checkpoint intact.
 func TestCheckpointWriteFaultKeepsPreviousCheckpoint(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.CheckpointEvery = 1
-	rig := newSimRig(t, cfg)
-
-	rig.step(t)
+	rig := newSimRig(t, core.DefaultConfig())
+	rig.stepAndSave(t)
 	good, err := rig.store.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -130,12 +157,8 @@ func TestCheckpointWriteFaultKeepsPreviousCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	rig.step(t)
-	rep := rig.ctrl.LastReport()
-	if rep.Checkpointed {
-		t.Fatal("Checkpointed set despite write fault")
-	}
-	if rep.FaultCount() == 0 || rep.Faults[0].Stage != "checkpoint" {
-		t.Fatalf("checkpoint fault not recorded: %s", rep.String())
+	if err := rig.save(); err == nil {
+		t.Fatal("save succeeded despite the write fault")
 	}
 	after, err := rig.store.Load()
 	if err != nil {
@@ -149,19 +172,8 @@ func TestCheckpointWriteFaultKeepsPreviousCheckpoint(t *testing.T) {
 	if err := os.Remove(tmp); err != nil {
 		t.Fatal(err)
 	}
-	rig.step(t)
-	if !rig.ctrl.LastReport().Checkpointed {
-		t.Fatal("checkpointing did not resume after fault cleared")
-	}
-	latest, err := rig.store.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := core.DecodeSnapshot(latest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Step != 3 {
-		t.Fatalf("latest checkpoint step = %d, want 3", snap.Step)
+	rig.stepAndSave(t)
+	if got := rig.load(t).Step; got != 3 {
+		t.Fatalf("latest checkpoint step = %d, want 3", got)
 	}
 }

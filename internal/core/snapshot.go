@@ -5,43 +5,33 @@ import (
 	"fmt"
 )
 
-// SnapshotVersion is the checkpoint format version written by Snapshot
-// and required by DecodeSnapshot. Version 1 was the telemetry-only view
-// without history rings; version 2 carried the full round-trippable
-// controller state; version 3 adds the per-VM circuit breaker state so
-// a kill-and-restore twin quarantines and re-admits VMs on exactly the
-// same steps the dead incarnation would have.
-const SnapshotVersion = 3
+// SnapshotVersion is the checkpoint format version written by Snapshot.
+// Version 1 was the telemetry-only view without history rings; version 2
+// carried the full round-trippable controller state; version 3 added the
+// per-VM circuit breaker state so a kill-and-restore twin quarantines and
+// re-admits VMs on exactly the same steps the dead incarnation would
+// have; version 4 keeps only what Restore reads.
+const SnapshotVersion = 4
 
 // Snapshot is a JSON-serialisable view of the controller state after a
 // Step. Since version 2 it is a complete checkpoint: Restore rebuilds a
 // controller from it, so crash recovery resumes with the same credits,
 // caps and consumption histories the dead incarnation had.
 type Snapshot struct {
-	Version          int          `json:"version"`
-	Step             int64        `json:"step"`
-	Node             string       `json:"node"`
-	Cores            int          `json:"cores"`
-	MaxFreqMHz       int64        `json:"max_freq_mhz"`
-	PeriodUs         int64        `json:"period_us"`
-	CapacityUs       int64        `json:"capacity_us"`
-	TotalGuaranteeUs int64        `json:"total_guarantee_us"`
-	TotalCapUs       int64        `json:"total_cap_us"`
-	MarketUs         int64        `json:"market_us"`
-	StepMicros       int64        `json:"step_micros"`
-	MonitorMicros    int64        `json:"monitor_micros"`
-	DegradedVCPUs    int          `json:"degraded_vcpus"`
-	Faults           int          `json:"faults"`
-	VMs              []VMSnapshot `json:"vms"`
+	Version    int          `json:"version"`
+	Step       int64        `json:"step"`
+	Node       string       `json:"node"`
+	Cores      int          `json:"cores"`
+	MaxFreqMHz int64        `json:"max_freq_mhz"`
+	PeriodUs   int64        `json:"period_us"`
+	VMs        []VMSnapshot `json:"vms"`
 }
 
 // VMSnapshot is one VM's controller state.
 type VMSnapshot struct {
-	Name        string         `json:"name"`
-	FreqMHz     int64          `json:"freq_mhz"`
-	GuaranteeUs int64          `json:"guarantee_us"`
-	CreditUs    int64          `json:"credit_us"`
-	VCPUs       []VCPUSnapshot `json:"vcpus"`
+	Name     string         `json:"name"`
+	CreditUs int64          `json:"credit_us"`
+	VCPUs    []VCPUSnapshot `json:"vcpus"`
 
 	// The circuit breaker (since version 3): phase as an integer
 	// (0 closed, 1 open, 2 half-open) plus its two counters. All
@@ -71,26 +61,15 @@ type VCPUSnapshot struct {
 // Snapshot captures the current controller state.
 func (c *Controller) Snapshot() Snapshot {
 	s := Snapshot{
-		Version:          SnapshotVersion,
-		Step:             c.steps,
-		Node:             c.node.Name,
-		Cores:            c.node.Cores,
-		MaxFreqMHz:       c.node.MaxFreqMHz,
-		PeriodUs:         c.cfg.PeriodUs,
-		CapacityUs:       c.CapacityUs(),
-		TotalGuaranteeUs: c.TotalGuaranteeUs(),
-		MarketUs:         c.market(),
-		StepMicros:       c.report.Timings.Total.Microseconds(),
-		MonitorMicros:    c.report.Timings.Monitor.Microseconds(),
-		DegradedVCPUs:    c.report.DegradedVCPUs,
-		Faults:           c.report.FaultCount(),
+		Version:    SnapshotVersion,
+		Step:       c.steps,
+		Node:       c.node.Name,
+		Cores:      c.node.Cores,
+		MaxFreqMHz: c.node.MaxFreqMHz,
+		PeriodUs:   c.cfg.PeriodUs,
 	}
 	for _, st := range c.order {
-		vs := vmSnapshot(st)
-		for _, v := range vs.VCPUs {
-			s.TotalCapUs += v.CapUs
-		}
-		s.VMs = append(s.VMs, vs)
+		s.VMs = append(s.VMs, vmSnapshot(st))
 	}
 	return s
 }
@@ -100,8 +79,6 @@ func (c *Controller) Snapshot() Snapshot {
 func vmSnapshot(st *VMState) VMSnapshot {
 	vs := VMSnapshot{
 		Name:               st.Info.Name,
-		FreqMHz:            st.Info.FreqMHz,
-		GuaranteeUs:        st.GuaranteeUs,
 		CreditUs:           st.CreditUs,
 		Breaker:            int(st.Breaker.State),
 		BreakerFaultStreak: st.Breaker.FaultStreak,
@@ -139,13 +116,20 @@ func (s Snapshot) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  "
 // malformed input: any structural or semantic problem is returned as an
 // error, so a corrupted checkpoint degrades a restart into a cold start
 // instead of crashing the recovering controller.
+//
+// A version-3 checkpoint decodes too, as version 4: it is a version-4
+// document plus keys nothing reads, so an upgrade keeps every wallet.
 func DecodeSnapshot(data []byte) (Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
 		return Snapshot{}, fmt.Errorf("core: decoding checkpoint: %w", err)
 	}
-	if s.Version != SnapshotVersion {
-		return Snapshot{}, fmt.Errorf("core: checkpoint version %d, want %d", s.Version, SnapshotVersion)
+	switch s.Version {
+	case SnapshotVersion:
+	case 3:
+		s.Version = SnapshotVersion
+	default:
+		return Snapshot{}, fmt.Errorf("core: checkpoint version %d, want %d or 3", s.Version, SnapshotVersion)
 	}
 	if s.Step < 0 {
 		return Snapshot{}, fmt.Errorf("core: checkpoint step %d is negative", s.Step)
@@ -166,28 +150,20 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 			return Snapshot{}, fmt.Errorf("core: checkpoint VM %q duplicated", vm.Name)
 		}
 		seen[vm.Name] = true
-		if err := validateVMSnapshot(vm, s.MaxFreqMHz, s.PeriodUs); err != nil {
+		if err := validateVMSnapshot(vm); err != nil {
 			return Snapshot{}, err
 		}
 	}
 	return s, nil
 }
 
-// validateVMSnapshot checks one VM entry's semantic invariants against a
-// node shape (F_MAX, control period) — shared by DecodeSnapshot for
-// whole checkpoints and by AdoptVM for the single-VM snapshots a
-// migration carries. It never panics on malformed input.
-func validateVMSnapshot(vm VMSnapshot, maxFreqMHz, periodUs int64) error {
+// validateVMSnapshot checks one VM entry's semantic invariants — shared
+// by DecodeSnapshot for whole checkpoints and by AdoptVM for the
+// single-VM snapshots a migration carries. It never panics on malformed
+// input.
+func validateVMSnapshot(vm VMSnapshot) error {
 	if vm.Name == "" {
 		return fmt.Errorf("core: checkpoint VM has no name")
-	}
-	if vm.FreqMHz <= 0 || vm.FreqMHz > maxFreqMHz {
-		return fmt.Errorf("core: checkpoint VM %q frequency %d MHz outside (0, %d]",
-			vm.Name, vm.FreqMHz, maxFreqMHz)
-	}
-	if vm.GuaranteeUs < 0 || vm.GuaranteeUs > periodUs {
-		return fmt.Errorf("core: checkpoint VM %q guarantee %d outside [0, period]",
-			vm.Name, vm.GuaranteeUs)
 	}
 	if vm.CreditUs < 0 {
 		return fmt.Errorf("core: checkpoint VM %q credit %d is negative",

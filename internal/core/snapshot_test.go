@@ -20,36 +20,15 @@ func TestSnapshotContents(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := c.Snapshot()
-	if s.Step != 2 || s.Node != "fake" || s.Cores != 4 || s.MaxFreqMHz != 2400 {
+	if s.Version != SnapshotVersion || s.Step != 2 || s.Node != "fake" || s.Cores != 4 ||
+		s.MaxFreqMHz != 2400 || s.PeriodUs != 1_000_000 {
 		t.Fatalf("header wrong: %+v", s)
-	}
-	if s.CapacityUs != 4_000_000 {
-		t.Fatalf("capacity = %d", s.CapacityUs)
-	}
-	// 2×500000 + 1×250000.
-	if s.TotalGuaranteeUs != 1_250_000 {
-		t.Fatalf("total guarantee = %d", s.TotalGuaranteeUs)
 	}
 	if len(s.VMs) != 2 || s.VMs[0].Name != "a" || len(s.VMs[0].VCPUs) != 2 {
 		t.Fatalf("VM list wrong: %+v", s.VMs)
 	}
 	if s.VMs[0].VCPUs[0].ConsumedUs != 300_000 {
 		t.Fatalf("consumed = %d", s.VMs[0].VCPUs[0].ConsumedUs)
-	}
-	var totalCap int64
-	for _, vm := range s.VMs {
-		for _, v := range vm.VCPUs {
-			totalCap += v.CapUs
-		}
-	}
-	if s.TotalCapUs != totalCap {
-		t.Fatal("TotalCapUs inconsistent")
-	}
-	if s.MarketUs != s.CapacityUs-totalCap {
-		t.Fatalf("market = %d, want %d", s.MarketUs, s.CapacityUs-totalCap)
-	}
-	if s.StepMicros < 0 || s.MonitorMicros < 0 {
-		t.Fatal("timings negative")
 	}
 }
 

@@ -256,16 +256,6 @@ func (c *Controller) apply(rep *StepReport) {
 	}
 }
 
-// TotalGuaranteeUs returns Σ C_i × vCPUs over all hosted VMs, useful to
-// check the Eq. 7 feasibility of the current placement.
-func (c *Controller) TotalGuaranteeUs() int64 {
-	var total int64
-	for _, st := range c.order {
-		total += st.GuaranteeUs * int64(len(st.VCPUs))
-	}
-	return total
-}
-
 // CapacityUs returns the machine capacity per period (cores × p).
 func (c *Controller) CapacityUs() int64 {
 	return int64(c.node.Cores) * c.cfg.PeriodUs

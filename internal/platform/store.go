@@ -7,31 +7,22 @@ import (
 	"os"
 )
 
-// ErrNoCheckpoint is returned by Store.Load when no checkpoint has been
-// saved yet. Callers starting a controller treat it as a cold start.
+// ErrNoCheckpoint is returned by FileStore.Load when no checkpoint has
+// been saved yet. Callers starting a controller treat it as a cold start.
 var ErrNoCheckpoint = errors.New("platform: no checkpoint")
 
-// Store persists opaque controller checkpoints. Save must be atomic: a
-// crash during Save leaves either the previous checkpoint or the new one,
-// never a torn mix — restart recovery depends on it.
-type Store interface {
-	// Save durably replaces the stored checkpoint.
-	Save(data []byte) error
-	// Load returns the last saved checkpoint, or ErrNoCheckpoint.
-	Load() ([]byte, error)
-}
-
-// FileStore persists checkpoints to a real file with the classic
-// write-to-temp, sync, then rename protocol, so a crash mid-write never
-// corrupts the previous checkpoint and a power loss after the rename
-// never surfaces an empty one.
+// FileStore persists opaque controller checkpoints to a real file with
+// the classic write-to-temp, sync, then rename protocol, so a crash
+// mid-write leaves either the previous checkpoint or the new one, never
+// a torn mix, and a power loss after the rename never surfaces an empty
+// one — restart recovery depends on it.
 type FileStore struct {
 	// Path is the checkpoint file. Save writes and syncs Path+".tmp"
 	// first and renames it into place.
 	Path string
 }
 
-// Save implements Store.
+// Save durably replaces the stored checkpoint.
 func (s FileStore) Save(data []byte) error {
 	if s.Path == "" {
 		return fmt.Errorf("platform: file store has no path")
@@ -67,7 +58,7 @@ func writeSynced(path string, data []byte) error {
 	return err
 }
 
-// Load implements Store.
+// Load returns the last saved checkpoint, or ErrNoCheckpoint.
 func (s FileStore) Load() ([]byte, error) {
 	data, err := os.ReadFile(s.Path)
 	if errors.Is(err, fs.ErrNotExist) {

@@ -138,8 +138,6 @@ type (
 	// RestoreReport describes what Controller.Restore adopted, cold-
 	// started and dropped.
 	RestoreReport = core.RestoreReport
-	// CheckpointStore persists checkpoints atomically.
-	CheckpointStore = platform.Store
 	// FileCheckpointStore persists to a real file via write-then-rename.
 	FileCheckpointStore = platform.FileStore
 	// QuotaReader is the optional Host capability to read live cpu.max
@@ -147,7 +145,7 @@ type (
 	QuotaReader = platform.QuotaReader
 )
 
-// ErrNoCheckpoint is returned by CheckpointStore.Load before any save.
+// ErrNoCheckpoint is returned by FileCheckpointStore.Load before any save.
 var ErrNoCheckpoint = platform.ErrNoCheckpoint
 
 // DecodeSnapshot parses and validates a checkpoint without panicking on
