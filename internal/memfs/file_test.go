@@ -13,7 +13,11 @@ import (
 //	mutation                                   red
 //	drop the gen bump in mkdirLocked           TestFileMatchesPathAccess/directory_created_after_open
 //	drop the gen bump in addNode               TestFileMatchesPathAccess/opened_before_the_file_exists
-//	drop the gen bump in RemoveAll             TestFileMatchesPathAccess/removed_file, removed_ancestor, ...
+//	drop the gen bump in RemoveAll             TestFileMatchesPathAccess/path_through_a_file_that_goes
+//	mark no node gone in RemoveAll             TestFileMatchesPathAccess/removed_file, removed_ancestor, ...
+//	mark only the removed node, not below it   TestFileMatchesPathAccess/removed_ancestor, removed_root, ...
+//	mark nothing gone in RemoveAll("/")        TestFileMatchesPathAccess/removed_root
+//	re-walk a hit whenever gen moved           TestFileWalksOnlyWhenItsNodeGoes
 //	skip the fault hook on a cached resolve    TestFileFaultHookOncePerAccess
 
 // TestFileMatchesPathAccess holds File to the path API: every row drives
@@ -51,6 +55,9 @@ func TestFileMatchesPathAccess(t *testing.T) {
 		{name: "remove then re-create", steps: []step{mkdirs, add("one"), remove("/a"), mkdirs, add("two")}},
 		{name: "directory created after open", path: "/a/b", steps: []step{mkdirs}},
 		{name: "path through a file", path: "/a/b/f/g", steps: []step{mkdirs, add("one")}},
+		{name: "path through a file that goes", path: "/a/b/f/g", steps: []step{mkdirs, add("one"), remove(p)}},
+		{name: "file replaced by a directory", steps: []step{mkdirs, add("one"), remove(p),
+			{"mkdir " + p, func(t *testing.T, fs *FS) { mustNil(t, fs.Mkdir(p)) }}}},
 		{name: "static write replaces content", steps: []step{mkdirs, add("one"),
 			{"write", func(t *testing.T, fs *FS) { mustNil(t, fs.WriteFile(p, "two")) }}}},
 		{name: "unrelated churn", steps: []step{mkdirs, add("one"),
@@ -82,6 +89,49 @@ func TestFileMatchesPathAccess(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFileWalksOnlyWhenItsNodeGoes: a handle that found its node walks
+// the tree again only once that node is removed, whatever else the tree
+// does; a handle that missed walks again on any change of shape.
+func TestFileWalksOnlyWhenItsNodeGoes(t *testing.T) {
+	fs := New()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(fs.MkdirAll("/a/b"))
+	must(fs.AddFile("/a/b/f", "one"))
+	hit, miss := fs.Open("/a/b/f"), fs.Open("/a/b/g")
+	read := func(f *File, want string, walks uint64) {
+		t.Helper()
+		before := fs.walks.Load()
+		got, err := f.ReadAppend(nil)
+		if string(got) != want || (err == nil) != (want != "") {
+			t.Fatalf("read %s = %q, %v; want %q", f.path, got, err, want)
+		}
+		if n := fs.walks.Load() - before; n != walks {
+			t.Fatalf("read %s walked %d times, want %d", f.path, n, walks)
+		}
+	}
+	read(hit, "one", 1)
+	read(miss, "", 1)
+	read(hit, "one", 0)
+	read(miss, "", 0)
+
+	must(fs.MkdirAll("/a/c/d"))
+	must(fs.AddFile("/a/c/d/x", "x"))
+	must(fs.RemoveAll("/a/c"))
+	must(fs.RemoveAll("/nowhere"))
+	read(hit, "one", 0)
+	read(miss, "", 1)
+
+	must(fs.RemoveAll("/a/b/f"))
+	must(fs.AddFile("/a/b/f", "two"))
+	read(hit, "two", 1)
+	read(hit, "two", 0)
 }
 
 // TestFileErrorsAreThePathErrors pins the error classes behind the rows

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Common errors returned by the filesystem, mirroring the ones a real
@@ -38,8 +39,11 @@ type ReadAppendFunc func(buf []byte) []byte
 type WriteFunc func(data string) error
 
 type node struct {
-	name     string
-	dir      bool
+	name string
+	dir  bool
+	// gone marks a node RemoveAll detached from the tree: a File that
+	// resolved to it must walk again.
+	gone     bool
 	children map[string]*node
 	// static content, used when readAppend is nil
 	content    string
@@ -62,9 +66,12 @@ type FS struct {
 	root  *node
 	fault FaultFunc
 	// gen counts changes to the tree's shape (a directory or file added,
-	// a subtree removed); it starts at 1. A File's resolution — node or
-	// miss — is good while gen has not moved since the File made it.
+	// a subtree removed); it starts at 1. A File's miss is good while gen
+	// has not moved since the File made it.
 	gen uint64
+	// walks counts the path walks of File resolutions; only the tests
+	// read it.
+	walks atomic.Uint64
 }
 
 // SetFaultHook installs (or, with nil, removes) the fault hook consulted
@@ -244,13 +251,17 @@ func (fs *FS) addNode(p string, n *node) error {
 
 // File is a handle on one path of an FS: the path is cleaned once, at
 // Open, and resolved on first use; the node found, or the miss, is kept.
-// Every later access re-walks the tree only if the tree's shape has
-// changed since (FS.gen moved), so a file read every period costs one
-// generation compare instead of a path scan and one map lookup per
-// element. The check is "verify, don't track": nothing records which
-// handles a change affects. Reads and writes through a File behave
-// exactly as the path calls on the same path — same errors, same fault
-// hook, which sees the clean path once per access.
+// A node found stays the answer until RemoveAll detaches it: adding to
+// the tree cannot change what an existing path names, and a removal marks
+// every node it detaches. A miss is walked again whenever the tree's
+// shape has changed since (FS.gen moved), removals included: a miss
+// through a file changes error class when the file goes. So a file read
+// every period costs one flag check instead of a path scan and one map
+// lookup per element, however the tree changes elsewhere. The check is
+// "verify, don't track": nothing records which handles a change affects.
+// Reads and writes through a File behave exactly as the path calls on the
+// same path — same errors, same fault hook, which sees the clean path
+// once per access.
 //
 // The path need not exist when the File is opened. A File may be used
 // from one goroutine at a time; the FS under it stays safe for
@@ -258,7 +269,7 @@ func (fs *FS) addNode(p string, n *node) error {
 type File struct {
 	fs   *FS
 	path string // clean
-	gen  uint64 // fs.gen at the last resolve; 0: never resolved
+	gen  uint64 // fs.gen at the last walk; 0: never resolved
 	node *node  // the node resolved then; nil on a miss
 	err  error  // the miss's error
 }
@@ -267,9 +278,14 @@ type File struct {
 func (fs *FS) Open(p string) *File { return &File{fs: fs, path: clean(p)} }
 
 // resolveLocked returns the node at f.path, walking the tree only when
-// its shape changed since the last resolve. The caller holds fs.mu.
+// the node resolved last is gone, or after a miss when the tree's shape
+// changed since. The caller holds fs.mu.
 func (f *File) resolveLocked() (*node, error) {
-	if f.gen != f.fs.gen {
+	if n := f.node; n != nil && !n.gone {
+		return n, nil
+	}
+	if f.node != nil || f.gen != f.fs.gen {
+		f.fs.walks.Add(1)
 		f.node, f.err = f.fs.lookupClean(f.path)
 		f.gen = f.fs.gen
 	}
@@ -365,14 +381,18 @@ func (fs *FS) WriteFile(p, data string) error {
 	return f.Write(data)
 }
 
-// RemoveAll deletes the subtree rooted at p. Removing a path that does
-// not exist is not an error, matching os.RemoveAll.
+// RemoveAll deletes the subtree rooted at p, marking every node in it
+// gone. Removing a path that does not exist is not an error, matching
+// os.RemoveAll.
 func (fs *FS) RemoveAll(p string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	p = clean(p)
 	fs.gen++
 	if p == "/" {
+		for _, n := range fs.root.children {
+			n.markGone()
+		}
 		fs.root.children = map[string]*node{}
 		return nil
 	}
@@ -380,8 +400,19 @@ func (fs *FS) RemoveAll(p string) error {
 	if err != nil {
 		return nil
 	}
-	delete(parent.children, path.Base(p))
+	if n, ok := parent.children[path.Base(p)]; ok {
+		n.markGone()
+		delete(parent.children, path.Base(p))
+	}
 	return nil
+}
+
+// markGone marks n and everything under it as detached from the tree.
+func (n *node) markGone() {
+	n.gone = true
+	for _, c := range n.children {
+		c.markGone()
+	}
 }
 
 // ReadDir lists the names in the directory at p, sorted.

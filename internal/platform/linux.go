@@ -3,9 +3,9 @@ package platform
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -35,12 +35,15 @@ import (
 // Three answers are remembered instead of re-read every period, each with
 // the events that invalidate it (DESIGN §7 has the table):
 //
-//   - ListVMs keeps its last scan of the tree and only re-stats the root
-//     and every directory under it. It scans again when a (st_ino,
-//     st_nlink, st_mtim) moved, when a stat fails, and — the backstop for
-//     a change no stat shows — when any cached descriptor failed since
-//     the scan. The Freqs filter and the scan are separate: a template
-//     registered or withdrawn shows on the next call, scan or no scan.
+//   - ListVMs keeps its last scan of the tree and an inotify watch on the
+//     root and on every VM scope, each armed before its directory was
+//     listed. A call whose one read of the watch answers EAGAIN answers
+//     from the scan; any event, an overflow, a read error, a watch that
+//     could not be armed and — the backstop for a change the watch does
+//     not report — any cached descriptor that failed since the scan make
+//     it scan again. The Freqs filter and the scan are separate: a
+//     template registered or withdrawn shows on the next call, scan or
+//     no scan.
 //   - ThreadID keeps the tid it found until LastCPU(tid) or the vCPU's
 //     cpu.stat read fails. A replaced thread is therefore noticed on the
 //     call that fails, not before: one period without that vCPU's
@@ -59,7 +62,7 @@ import (
 // of regular files (the tests, the benchmark) must have cpu.max written
 // before the backend first opens it, and not rewritten behind it.
 //
-// The stat identity makes this type Linux-only (syscall.Stat_t.Mtim).
+// The inotify watch makes this type Linux-only.
 type Linux struct {
 	NodeName    string
 	CgroupRoot  string // e.g. /sys/fs/cgroup/machine.slice
@@ -79,12 +82,12 @@ type Linux struct {
 	// answered again until the next call.
 	epoch uint64
 
-	// The last scan of the cgroup tree, unfiltered by Freqs: rootID is
-	// the root's identity taken before its listing, scan one entry per
-	// directory under it. scanOK is set by a completed scan and cleared
-	// by any handle whose open, read or write failed since.
-	rootID dirID
+	// The last scan of the cgroup tree, unfiltered by Freqs: one entry
+	// per VM scope under it, and the watch armed on the root and on every
+	// scope before each was listed. scanOK is set by a completed scan and
+	// cleared by any handle whose open, read or write failed since.
 	scan   []dirScan
+	watch  *watch
 	scanOK bool
 	// listed is the previous ListVMs result: descriptors are pruned only
 	// when the result differs from it.
@@ -136,6 +139,10 @@ type coreFreq struct {
 type handle struct {
 	path string
 	f    *os.File
+	// fd is f's descriptor, taken once when read opens it: (*os.File).Fd
+	// on a pollable file (kernfs and sysfs files are) costs an fcntl per
+	// call.
+	fd   int
 	host *Linux // told of every failure, see Linux.scanOK
 	// size is the length the last write left the file at, 0 while it is
 	// not known: on a fresh descriptor, or after a failed truncate. No
@@ -151,8 +158,11 @@ func (h *handle) failed() {
 	h.host.scanOK = false
 }
 
-// read returns the file's current contents, pread into the handle's
-// scratch and valid until the handle's next read or write.
+// read returns the file's current contents, valid until the handle's
+// next read or write: one pread(2) at offset zero into the scratch. Every
+// pseudo-file the monitor reads fits, and a longer one is cut at the
+// scratch's length. (*os.File).ReadAt would read again until the buffer
+// is full, so a short file cost a second pread that returned 0.
 func (h *handle) read() ([]byte, error) {
 	if h.f == nil {
 		f, err := os.Open(h.path)
@@ -160,14 +170,19 @@ func (h *handle) read() ([]byte, error) {
 			h.failed()
 			return nil, err
 		}
-		h.f = f
+		h.f, h.fd = f, int(f.Fd())
 	}
-	n, err := h.f.ReadAt(h.buf[:], 0)
-	if err != nil && err != io.EOF {
-		h.failed()
-		return nil, err
+	for {
+		n, err := syscall.Pread(h.fd, h.buf[:], 0)
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			h.failed()
+			return nil, &os.PathError{Op: "read", Path: h.path, Err: err}
+		}
+		return h.buf[:n], nil
 	}
-	return h.buf[:n], nil
 }
 
 // write pwrites the payload at offset zero. A kernfs control file takes
@@ -367,59 +382,89 @@ func (l *Linux) Node() NodeInfo {
 	return NodeInfo{Name: l.NodeName, Cores: l.Cores, MaxFreqMHz: l.MaxFreqMHz}
 }
 
-// dirID is what a directory's listing is remembered under. On kernfs a
-// mkdir or rmdir of a child moves st_nlink and leaves st_mtim alone, and
-// a directory recreated under its old name has a new st_ino; a regular
-// filesystem (the tests, the benchmark tree) moves mtime too.
-type dirID struct {
-	ino, nlink uint64
-	sec, nsec  int64
+// watchMask is what the listing's watch reports: a child created,
+// deleted or renamed in or out of a watched directory, and the directory
+// itself deleted or renamed. IN_ONLYDIR refuses a name that is no
+// directory.
+const watchMask = syscall.IN_CREATE | syscall.IN_DELETE | syscall.IN_MOVED_FROM | syscall.IN_MOVED_TO |
+	syscall.IN_DELETE_SELF | syscall.IN_MOVE_SELF | syscall.IN_ONLYDIR
+
+// nameMax is NAME_MAX, the longest name an inotify event carries.
+const nameMax = 255
+
+// watch is the non-blocking inotify descriptor behind the listing, -1
+// while none is open: not yet armed, or a watch could not be added, after
+// which every ListVMs scans. A finalizer closes it when the backend is
+// dropped without a last scan to replace it.
+type watch struct {
+	fd  int
+	buf [syscall.SizeofInotifyEvent + nameMax + 1]byte // room for one event
 }
 
-// statDir returns the identity of the directory at path.
-func statDir(path string) (dirID, error) {
-	var st syscall.Stat_t
-	if err := syscall.Lstat(path, &st); err != nil {
-		return dirID{}, &os.PathError{Op: "lstat", Path: path, Err: err}
+func newWatch() *watch {
+	w := &watch{fd: -1}
+	runtime.SetFinalizer(w, (*watch).close)
+	return w
+}
+
+// rearm replaces the descriptor with a fresh one that watches nothing
+// yet, releasing the events the old one held.
+func (w *watch) rearm() {
+	w.close()
+	if fd, err := syscall.InotifyInit1(syscall.IN_NONBLOCK | syscall.IN_CLOEXEC); err == nil {
+		w.fd = fd
 	}
-	return dirID{ino: st.Ino, nlink: uint64(st.Nlink), sec: int64(st.Mtim.Sec), nsec: int64(st.Mtim.Nsec)}, nil
 }
 
-// dirScan is one directory under the cgroup root as the last scan found
-// it. Every directory is remembered, not only the VM scopes: on kernfs a
-// sibling that left in the period a VM arrived keeps the root's st_nlink
-// where it was, and only the sibling's own failing stat shows the change.
+// add watches the directory at path. A watch that cannot be added closes
+// the descriptor: a listing that is not wholly watched is never current.
+func (w *watch) add(path string) {
+	if w.fd < 0 {
+		return
+	}
+	if _, err := syscall.InotifyAddWatch(w.fd, path, watchMask); err != nil {
+		w.close()
+	}
+}
+
+// quiet reports whether no watched directory changed since it was added:
+// one read that answers EAGAIN. An event, an overflow and a failed read
+// all answer false.
+func (w *watch) quiet() bool {
+	if w.fd < 0 {
+		return false
+	}
+	for {
+		_, err := syscall.Read(w.fd, w.buf[:])
+		if err != syscall.EINTR {
+			return err == syscall.EAGAIN
+		}
+	}
+}
+
+func (w *watch) close() {
+	if w.fd >= 0 {
+		syscall.Close(w.fd)
+		w.fd = -1
+	}
+}
+
+// dirScan is one VM scope under the cgroup root as the last scan found it.
 type dirScan struct {
-	path  string
-	vm    string // the VM of a machine-qemu-<vm>.scope, "" for any other directory
-	id    dirID  // taken before the listing that counted vcpus
+	vm    string
 	vcpus int
 }
 
-// identity stats the directory. Of one that is no VM's only the inode
-// counts: what happens inside it is not listed.
-func (s *dirScan) identity() (dirID, error) {
-	id, err := statDir(s.path)
-	if s.vm == "" {
-		id = dirID{ino: id.ino}
-	}
-	return id, err
-}
-
-// scanDir stats one directory under the cgroup root and, for a VM's scope,
-// counts its vcpuN sub-cgroups. gone reports a directory that departed
-// between the root's listing and this scan, which is no error: it is
-// simply not there any more.
-func scanDir(path, vm string) (s dirScan, gone bool, err error) {
-	s.path, s.vm = path, vm
-	s.id, err = s.identity()
-	if err == nil && vm != "" {
-		var subs []os.DirEntry
-		subs, err = os.ReadDir(path)
-		for _, sub := range subs {
-			if sub.IsDir() && strings.HasPrefix(sub.Name(), "vcpu") {
-				s.vcpus++
-			}
+// scanDir watches one VM's scope and then counts its vcpuN sub-cgroups.
+// gone reports a scope that departed between the root's listing and this
+// scan, which is no error: it is simply not there any more.
+func (w *watch) scanDir(path, vm string) (s dirScan, gone bool, err error) {
+	s.vm = vm
+	w.add(path)
+	subs, err := os.ReadDir(path)
+	for _, sub := range subs {
+		if sub.IsDir() && strings.HasPrefix(sub.Name(), "vcpu") {
+			s.vcpus++
 		}
 	}
 	if errors.Is(err, syscall.ENOENT) || errors.Is(err, syscall.ENOTDIR) {
@@ -428,31 +473,32 @@ func scanDir(path, vm string) (s dirScan, gone bool, err error) {
 	return s, false, err
 }
 
-// rescan lists the whole tree into l.scan.
+// rescan lists the whole tree into l.scan under a fresh watch, each
+// directory watched before it is listed: a change made while the scan
+// runs is reported on the next call.
 func (l *Linux) rescan() error {
 	l.scanOK = false
-	rootID, err := statDir(l.CgroupRoot)
-	if err != nil {
-		return err
+	if l.watch == nil {
+		l.watch = newWatch()
 	}
+	w := l.watch
+	w.rearm()
+	w.add(l.CgroupRoot)
 	entries, err := os.ReadDir(l.CgroupRoot)
 	if err != nil {
 		return err
 	}
 	l.scan = l.scan[:0]
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
 		// Only libvirt's machine-qemu-<name>.scope is a VM: vcpu() rebuilds
 		// the directory from the name, so a scope without the prefix could
 		// be listed but never read.
 		vm, prefixed := strings.CutPrefix(e.Name(), "machine-qemu-")
 		vm, suffixed := strings.CutSuffix(vm, ".scope")
-		if !prefixed || !suffixed {
-			vm = ""
+		if !e.IsDir() || !prefixed || !suffixed {
+			continue
 		}
-		s, gone, err := scanDir(filepath.Join(l.CgroupRoot, e.Name()), vm)
+		s, gone, err := w.scanDir(filepath.Join(l.CgroupRoot, e.Name()), vm)
 		if err != nil {
 			return err
 		}
@@ -460,32 +506,21 @@ func (l *Linux) rescan() error {
 			l.scan = append(l.scan, s)
 		}
 	}
-	l.rootID, l.scanOK = rootID, true
+	l.scanOK = true
 	return nil
 }
 
 // scanCurrent reports whether the tree still is what rescan listed: no
-// descriptor failed since, and the root and every directory under it
-// stat as they did.
+// descriptor failed since, and the watch has nothing to report.
 func (l *Linux) scanCurrent() bool {
-	if !l.scanOK {
-		return false
-	}
-	if id, err := statDir(l.CgroupRoot); err != nil || id != l.rootID {
-		return false
-	}
-	for i := range l.scan {
-		if id, err := l.scan[i].identity(); err != nil || id != l.scan[i].id {
-			return false
-		}
-	}
-	return true
+	return l.scanOK && l.watch.quiet()
 }
 
-// ListVMs implements Host. The tree is scanned only when scanCurrent says
-// it moved; Freqs is looked up on every call, so a template registered or
-// withdrawn shows at once. Cached descriptors are pruned after a scan and
-// when the result differs from the last one, not on every call.
+// ListVMs implements Host. The tree is scanned only when scanCurrent
+// cannot vouch for the last scan; Freqs is looked up on every call, so a
+// template registered or withdrawn shows at once. Cached descriptors are
+// pruned after a scan and when the result differs from the last one, not
+// on every call.
 func (l *Linux) ListVMs() ([]VMInfo, error) {
 	l.epoch++
 	rescanned := !l.scanCurrent()

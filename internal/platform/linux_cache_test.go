@@ -203,7 +203,43 @@ func newTree(t testing.TB) *cacheTree {
 	tr.write("cgroup/other.mount/cpu.stat", "usage_usec 0\n")
 	tr.write("sys/cpu/cpu0/cpufreq/scaling_cur_freq", "2200000\n")
 	tr.write("sys/cpu/cpu1/cpufreq/scaling_cur_freq", "1200000\n")
+	t.Cleanup(func() { closeWatch(tr.l) })
 	return tr
+}
+
+// closeWatch releases a backend's inotify descriptor at once instead of
+// at its finalizer: the test binary may build more backends than a user
+// may hold inotify instances (128 by default) before a collection runs.
+func closeWatch(l *Linux) {
+	if l.watch != nil {
+		l.watch.close()
+	}
+}
+
+// armedWatch returns the backend's watch after a listing, skipping the
+// test on a host that gives no inotify descriptor: there the backend lists
+// on every call, and what the test pins does not exist.
+func armedWatch(t *testing.T, l *Linux) *watch {
+	t.Helper()
+	if l.watch == nil || l.watch.fd < 0 {
+		t.Skip("no inotify watch on this host")
+	}
+	return l.watch
+}
+
+// drain reads every event the watch holds, as if the kernel had lost
+// them: the next ListVMs believes its last scan.
+func drain(t *testing.T, l *Linux) {
+	t.Helper()
+	w := armedWatch(t, l)
+	var buf [4096]byte
+	for {
+		if _, err := syscall.Read(w.fd, buf[:]); err == syscall.EAGAIN {
+			return
+		} else if err != nil && err != syscall.EINTR {
+			t.Fatal(err)
+		}
+	}
 }
 
 func newCacheTree(t *testing.T) *cacheTree {
@@ -336,8 +372,7 @@ func TestLinuxListingCache(t *testing.T) {
 			[]VMInfo{a2, b1, {"c", 1, 600}}, 3},
 		{"departure", func(tr *cacheTree) { tr.remove(scopeOf("a")) },
 			[]VMInfo{b1}, 1},
-		// Root st_nlink ends where it began: what shows on kernfs is that
-		// the directory which left no longer stats.
+		// Root st_nlink ends where it began; the root's watch reports both.
 		{"departure and arrival, same count", func(tr *cacheTree) {
 			tr.remove(scopeOf("b"))
 			tr.addVM("c", 1)
@@ -350,6 +385,17 @@ func TestLinuxListingCache(t *testing.T) {
 			[]VMInfo{{"a", 3, 1800}, b1}, 3},
 		{"vCPU shrink", func(tr *cacheTree) { tr.remove(scopeOf("a") + "/vcpu1") },
 			[]VMInfo{{"a", 1, 1800}, b1}, 2},
+		// The scope's link count stays: one directory out, one in.
+		{"emulator replaced by a vCPU", func(tr *cacheTree) {
+			tr.remove(scopeOf("a") + "/emulator")
+			tr.addVCPU("a", 2)
+		}, []VMInfo{{"a", 3, 1800}, b1}, 3},
+		// Two vCPUs and no emulator: as many links as before.
+		{"scope recreated with the same link count", func(tr *cacheTree) {
+			tr.remove(scopeOf("b"))
+			tr.addVCPU("b", 0)
+			tr.addVCPU("b", 1)
+		}, []VMInfo{a2, {"b", 2, 1200}}, 3},
 		{"scope recreated with another vCPU count", func(tr *cacheTree) {
 			tr.remove(scopeOf("b"))
 			tr.addVM("b", 2)
@@ -406,68 +452,20 @@ func TestLinuxListingCache(t *testing.T) {
 	}
 }
 
-// TestLinuxScanIdentity: st_mtim alone and st_ino alone each make ListVMs
-// scan again (st_nlink alone is every mtime-frozen row above). Both swap
-// directories inside a scope so that its link count stays.
-func TestLinuxScanIdentity(t *testing.T) {
-	start := []VMInfo{{"a", 2, 1800}, {"b", 1, 1200}}
-	t.Run("mtime", func(t *testing.T) {
-		tr := newCacheTree(t)
-		tr.list("first call", start, 0)
-		at := tr.mtime(scopeOf("a"))
-		tr.remove(scopeOf("a") + "/emulator")
-		tr.addVCPU("a", 2)
-		// The change is stamped by a coarse clock; the next period is not.
-		tr.setMtime(scopeOf("a"), at.Add(time.Second))
-		tr.list("vcpu2 in place of emulator", []VMInfo{{"a", 3, 1800}, {"b", 1, 1200}}, 0)
-	})
-	t.Run("inode", func(t *testing.T) {
-		tr := newCacheTree(t)
-		tr.list("first call", start, 0)
-		scope := tr.path(scopeOf("b"))
-		rootAt, at := tr.mtime("cgroup"), tr.mtime(scopeOf("b"))
-		before, err := statDir(scope)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr.remove(scopeOf("b"))
-		for i := 0; i < 16; i++ {
-			// Have something else take the inode numbers just freed.
-			tr.write("spare/"+strconv.Itoa(i)+"/f", "")
-		}
-		tr.addVCPU("b", 0)
-		tr.addVCPU("b", 1) // two vCPUs, no emulator: as many links as before
-		tr.setMtime("cgroup", rootAt)
-		tr.setMtime(scopeOf("b"), at)
-		after, err := statDir(scope)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi, err := os.Lstat(scope); err != nil || fi.Sys().(*syscall.Stat_t).Ino == before.ino {
-			t.Skip("the filesystem gave the recreated directory its old inode number")
-		}
-		if after.ino = before.ino; before != after {
-			t.Fatalf("recreated scope differs in more than the inode: %+v, then %+v", before, after)
-		}
-		tr.list("scope recreated", []VMInfo{{"a", 2, 1800}, {"b", 2, 1200}}, 0)
-	})
-}
-
-// TestLinuxFailedDescriptorForcesRescan: a change none of the stats show
-// — here a vcpu2 that took the place of the emulator directory, the
-// scope's mtime put back — is believed until any cached file fails; the
-// call after that scans.
+// TestLinuxFailedDescriptorForcesRescan: a change the watch lost — here a
+// vcpu2 that took the place of the emulator directory, its events drained
+// by the test — is believed until any cached file fails; the call after
+// that scans.
 func TestLinuxFailedDescriptorForcesRescan(t *testing.T) {
 	tr := newCacheTree(t)
 	start := []VMInfo{{"a", 2, 1800}, {"b", 1, 1200}}
 	tr.list("first call", start, 0)
 	tr.read(start)
 
-	at := tr.mtime(scopeOf("a"))
 	tr.remove(scopeOf("a") + "/emulator")
 	tr.addVCPU("a", 2)
-	tr.setMtime(scopeOf("a"), at)
-	tr.list("hidden change", start, 3)
+	drain(t, tr.l)
+	tr.list("lost change", start, 3)
 
 	if err := tr.l.SetMax("gone", 0, 50_000, 100_000); err == nil {
 		t.Fatal("write to a VM that does not exist succeeded")
@@ -497,8 +495,8 @@ func coreHandles(l *Linux) int {
 // have — it is parsed from /proc, so it is outside input — is refused
 // before a handle is built. It used to cost one core handle per distinct
 // value, never pruned, and its failed open had the next ListVMs scan the
-// tree again; here a change hidden from every stat stays believed, which
-// it would not after a scan.
+// tree again; here a change whose events the test drained stays believed,
+// which it would not after a scan.
 func TestLinuxCoreOutOfRangeLeavesNoState(t *testing.T) {
 	tr := newCacheTree(t)
 	start := []VMInfo{{"a", 2, 1800}, {"b", 1, 1200}}
@@ -506,10 +504,9 @@ func TestLinuxCoreOutOfRangeLeavesNoState(t *testing.T) {
 	if mhz, err := tr.l.CoreFreqMHz(1); err != nil || mhz != 1200 {
 		t.Fatalf("CoreFreqMHz(1) = %d, %v", mhz, err)
 	}
-	at := tr.mtime(scopeOf("a"))
 	tr.remove(scopeOf("a") + "/emulator")
 	tr.addVCPU("a", 2)
-	tr.setMtime(scopeOf("a"), at)
+	drain(t, tr.l)
 
 	for _, core := range []int{-1, tr.l.Cores, tr.l.Cores + 1} {
 		if mhz, err := tr.l.CoreFreqMHz(core); err == nil {
@@ -607,24 +604,27 @@ func TestLinuxWriteLength(t *testing.T) {
 func TestLinuxDepartedScopeIsSkipped(t *testing.T) {
 	tr := newCacheTree(t)
 	dir := tr.path(scopeOf("a"))
-	if s, gone, err := scanDir(dir, "a"); err != nil || gone || s.vcpus != 2 || s.vm != "a" {
+	w := newWatch()
+	defer w.close()
+	w.rearm()
+	if s, gone, err := w.scanDir(dir, "a"); err != nil || gone || s.vcpus != 2 || s.vm != "a" {
 		t.Fatalf("live scope: %+v, gone=%v, %v", s, gone, err)
 	}
-	if _, gone, err := scanDir(tr.path(scopeOf("left")), "left"); err != nil || !gone {
+	if _, gone, err := w.scanDir(tr.path(scopeOf("left")), "left"); err != nil || !gone {
 		t.Fatalf("vanished scope: gone=%v, %v; want gone and no error", gone, err)
 	}
 	file := filepath.Join(dir, "vcpu0/cpu.stat") // a name that is no directory any more
-	if _, gone, err := scanDir(file, "a"); err != nil || !gone {
+	if _, gone, err := w.scanDir(file, "a"); err != nil || !gone {
 		t.Fatalf("scope replaced by a file: gone=%v, %v; want gone and no error", gone, err)
 	}
-	if _, _, err := scanDir(dir+"\x00", "a"); err == nil {
+	if _, _, err := w.scanDir(dir+"\x00", "a"); err == nil {
 		t.Fatal("an error that is not a departure was swallowed")
 	}
 }
 
-// TestLinuxSteadyStateAllocs: a period in which nothing changed costs one
-// path conversion per stat plus the result slice in ListVMs, and nothing
-// in ThreadID — no directory is listed, no cgroup.threads parsed.
+// TestLinuxSteadyStateAllocs: a period in which nothing changed costs the
+// result slice in ListVMs, and nothing in ThreadID — no directory is
+// listed or stat'ed, no cgroup.threads parsed.
 func TestLinuxSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -634,14 +634,14 @@ func TestLinuxSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	armedWatch(t, tr.l)
 	tr.read(vms)
-	dirs := 1 + len(tr.l.scan) // the root, and every directory under it
 	if allocs := testing.AllocsPerRun(20, func() {
 		if _, err := tr.l.ListVMs(); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > float64(dirs+1) {
-		t.Fatalf("unchanged ListVMs allocates %.1f/op over %d directories, want at most one each plus the result", allocs, dirs)
+	}); allocs > 1 {
+		t.Fatalf("unchanged ListVMs allocates %.1f/op, want at most the result", allocs)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
 		if tid, err := tr.l.ThreadID("a", 1); err != nil || tid != 101 {

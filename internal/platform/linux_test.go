@@ -44,7 +44,7 @@ func fixtureHost(t *testing.T) *Linux {
 	// /proc/<tid>/stat for the vCPU thread.
 	mk("proc/4242/stat", procfs.FormatStat(4242, "CPU 0/KVM", 120_000, 1))
 
-	return &Linux{
+	l := &Linux{
 		NodeName:   "fixture",
 		CgroupRoot: filepath.Join(root, "cgroup"),
 		ProcRoot:   filepath.Join(root, "proc"),
@@ -53,6 +53,8 @@ func fixtureHost(t *testing.T) *Linux {
 		MaxFreqMHz: 2400,
 		Freqs:      map[string]int64{"guest1": 1800},
 	}
+	t.Cleanup(func() { closeWatch(l) })
+	return l
 }
 
 func TestLinuxListVMs(t *testing.T) {

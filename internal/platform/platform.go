@@ -34,8 +34,9 @@ type Host interface {
 	// answer from its previous enumeration while it can tell that nothing
 	// arrived, left or changed its vCPU count; one that cannot tell for
 	// some event must say for how long the old answer can outlive it
-	// (platform.Linux: never past the next call after any failed read or
-	// write). A VM that leaves during the enumeration is left out of the
+	// (platform.Linux, which the kernel tells of every change through an
+	// inotify watch: a change the watch lost outlives it until the next
+	// call after any failed read or write). A VM that leaves during the enumeration is left out of the
 	// result; an error means the host itself could not be listed.
 	ListVMs() ([]VMInfo, error)
 	// UsageUs returns the cumulative CPU time of vCPU j of the named
