@@ -1,12 +1,13 @@
-// Package cgroupfs exposes a sched.Scheduler cgroup hierarchy through the
-// files of Linux cgroup v2 the controller reads and writes (cpu.max,
-// cpu.stat, cgroup.threads). Like a kernel before 5.14, it has no
-// cpu.max.burst; cpu.stat holds only the usage counters.
+// Package cgroupfs holds the cgroup v2 side of the simulated host and of
+// the Linux backend. Tree names a sched.Scheduler's groups by their path
+// under the cgroup mount, the registry the VM manager creates cgroups
+// through; the parsers read the files of Linux cgroup v2 the controller
+// consumes (cpu.max, cpu.stat, cgroup.threads).
 //
 // The virtual-frequency controller of the paper interacts with the kernel
-// exclusively through these files; emulating them byte-for-byte means the
-// controller code exercised in simulation is the same code that would run
-// against /sys/fs/cgroup on a real host.
+// exclusively through these files: platform.Linux parses them with the
+// functions here, and platform.Sim answers the same questions from the
+// groups themselves.
 package cgroupfs
 
 import (
@@ -17,32 +18,21 @@ import (
 	"strings"
 	"unicode"
 
-	"vfreq/internal/memfs"
 	"vfreq/internal/sched"
 )
 
 // DefaultMount is the conventional cgroup v2 mount point.
 const DefaultMount = "/sys/fs/cgroup"
 
-// Tree binds a scheduler's cgroup hierarchy to a memfs mount.
+// Tree names a scheduler's cgroup hierarchy by path.
 type Tree struct {
-	fs     *memfs.FS
 	sched  *sched.Scheduler
-	mount  string
-	groups map[string]*sched.Group // by path relative to mount, "" = root
+	groups map[string]*sched.Group // by path relative to the mount, "" = root
 }
 
-// New mounts the scheduler's root cgroup at mount inside fs.
-func New(fs *memfs.FS, s *sched.Scheduler, mount string) (*Tree, error) {
-	t := &Tree{fs: fs, sched: s, mount: mount, groups: map[string]*sched.Group{}}
-	if err := fs.MkdirAll(mount); err != nil {
-		return nil, err
-	}
-	t.groups[""] = s.Root()
-	if err := t.addControlFiles("", s.Root()); err != nil {
-		return nil, err
-	}
-	return t, nil
+// New returns the tree of the scheduler's root cgroup.
+func New(s *sched.Scheduler) *Tree {
+	return &Tree{sched: s, groups: map[string]*sched.Group{"": s.Root()}}
 }
 
 // normalize cleans a group path relative to the mount ("" is the root).
@@ -73,20 +63,12 @@ func (t *Tree) CreateGroup(rel string) (*sched.Group, error) {
 	if _, ok := t.groups[rel]; ok {
 		return nil, fmt.Errorf("cgroupfs: cgroup %q already exists", rel)
 	}
-	parentRel := normalize(path.Dir(rel))
-	parent, ok := t.groups[parentRel]
+	parent, ok := t.groups[normalize(path.Dir(rel))]
 	if !ok {
 		return nil, fmt.Errorf("cgroupfs: parent of %q does not exist", rel)
 	}
 	g := t.sched.NewGroup(parent, path.Base(rel))
-	dir := path.Join(t.mount, rel)
-	if err := t.fs.Mkdir(dir); err != nil {
-		return nil, err
-	}
 	t.groups[rel] = g
-	if err := t.addControlFiles(rel, g); err != nil {
-		return nil, err
-	}
 	return g, nil
 }
 
@@ -129,83 +111,7 @@ func (t *Tree) RemoveGroup(rel string) error {
 			delete(t.groups, k)
 		}
 	}
-	return t.fs.RemoveAll(path.Join(t.mount, rel))
-}
-
-func (t *Tree) addControlFiles(rel string, g *sched.Group) error {
-	dir := path.Join(t.mount, rel)
-	// Every file renders through an append-style callback, so a
-	// ReadFileAppend into a reused buffer allocates nothing.
-	files := map[string]struct {
-		read  memfs.ReadAppendFunc
-		write memfs.WriteFunc
-	}{
-		"cpu.max": {
-			read: func(buf []byte) []byte { return appendCPUMax(buf, g.QuotaUs, g.PeriodUs) },
-			write: func(s string) error {
-				q, p, err := ParseCPUMax(s, g.PeriodUs)
-				if err != nil {
-					return err
-				}
-				return g.SetQuota(q, p)
-			},
-		},
-		"cpu.stat":       {read: func(buf []byte) []byte { return appendCPUStat(buf, g) }},
-		"cgroup.threads": {read: func(buf []byte) []byte { return appendTIDs(buf, g) }},
-	}
-	for name, f := range files {
-		if err := t.fs.AddDynamicAppend(path.Join(dir, name), f.read, f.write); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// appendCPUMax renders cpu.max the way cgroup v2 does: "max PERIOD" for
-// an unlimited group, "QUOTA PERIOD" otherwise.
-func appendCPUMax(buf []byte, quotaUs, periodUs int64) []byte {
-	if quotaUs == sched.NoQuota {
-		buf = append(buf, "max"...)
-	} else {
-		buf = strconv.AppendInt(buf, quotaUs, 10)
-	}
-	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, periodUs, 10)
-	return append(buf, '\n')
-}
-
-// appendCPUStat renders cpu.stat into buf: the three usage counters, all
-// of the simulated time user time. The controller reads usage_usec; the
-// bandwidth and burst counters of a real cpu.stat have no reader here.
-func appendCPUStat(buf []byte, g *sched.Group) []byte {
-	buf = append(buf, "usage_usec "...)
-	buf = strconv.AppendInt(buf, g.UsageUs, 10)
-	buf = append(buf, "\nuser_usec "...)
-	buf = strconv.AppendInt(buf, g.UsageUs, 10)
-	return append(buf, "\nsystem_usec 0\n"...)
-}
-
-// appendTIDs renders the group's thread IDs ascending, one per line,
-// without building a sorted slice: thread IDs are unique, so emitting the
-// successor of the last emitted ID per round is a selection sort over the
-// (typically single-digit) member list.
-func appendTIDs(buf []byte, g *sched.Group) []byte {
-	prev := -1
-	for range g.Threads {
-		best := -1
-		for _, th := range g.Threads {
-			if th.ID > prev && (best == -1 || th.ID < best) {
-				best = th.ID
-			}
-		}
-		if best == -1 {
-			break
-		}
-		buf = strconv.AppendInt(buf, int64(best), 10)
-		buf = append(buf, '\n')
-		prev = best
-	}
-	return buf
 }
 
 // ParseCPUMax parses a cpu.max write: "max", "QUOTA" or "QUOTA PERIOD".

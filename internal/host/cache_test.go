@@ -40,12 +40,12 @@ func TestCachePenaltyScalesWithUtilisation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		th, err := m.StartThread("", "probe", nil)
+		th, err := m.StartThread("", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 1; i < busyThreads; i++ {
-			if _, err := m.StartThread("", "noise", nil); err != nil {
+			if _, err := m.StartThread("", nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -68,9 +68,9 @@ func TestZeroPenaltyUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, _ := m.StartThread("", "probe", nil)
+	th, _ := m.StartThread("", nil)
 	for i := 0; i < 3; i++ {
-		if _, err := m.StartThread("", "noise", nil); err != nil {
+		if _, err := m.StartThread("", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,9 +89,9 @@ func TestCacheContentionErodesVirtualFrequency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, _ := m.StartThread("", "victim", nil)
+	th, _ := m.StartThread("", nil)
 	for i := 0; i < 3; i++ {
-		if _, err := m.StartThread("", "noise", nil); err != nil {
+		if _, err := m.StartThread("", nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,7 @@
 // Package host models a physical IaaS node: logical CPU cores with DVFS,
-// a CFS-like scheduler, cgroup/proc/sys pseudo-filesystems and a power
-// meter. It is the simulated stand-in for the Grid'5000 nodes the paper
-// experiments on; the presets Chetemi and Chiclet reproduce their specs
+// a CFS-like scheduler with its cgroup hierarchy, and a power meter. It
+// is the simulated stand-in for the Grid'5000 nodes the paper experiments
+// on; the presets Chetemi and Chiclet reproduce their specs
 // (Table IV of the paper) using logical CPUs, the only interpretation
 // under which the paper's workloads satisfy its own Eq. 7.
 package host
@@ -15,10 +15,7 @@ import (
 	"vfreq/internal/cgroupfs"
 	"vfreq/internal/dvfs"
 	"vfreq/internal/energy"
-	"vfreq/internal/memfs"
-	"vfreq/internal/procfs"
 	"vfreq/internal/sched"
-	"vfreq/internal/sysfs"
 )
 
 // DefaultTickUs is the scheduler tick the machine advances by (10 ms).
@@ -72,6 +69,20 @@ func (s Spec) Validate() error {
 	return s.Power.Validate()
 }
 
+// CoreNodes maps each logical CPU to its NUMA node, laid out as the kernel
+// lists /sys/devices/system/node: NUMANodes contiguous equal blocks of
+// cores (0 meaning 1, more than Cores meaning Cores), the remainder of an
+// uneven split on the last node.
+func (s Spec) CoreNodes() []int {
+	nodes := min(max(s.NUMANodes, 1), s.Cores)
+	per := s.Cores / nodes
+	out := make([]int, s.Cores)
+	for c := range out {
+		out[c] = min(c/per, nodes-1)
+	}
+	return out
+}
+
 // Chetemi returns the spec of the Grid'5000 chetemi node: 2× Intel Xeon
 // E5-2630 v4 (10 cores / 20 threads each), 2.4 GHz, 256 GB RAM.
 func Chetemi() Spec {
@@ -111,10 +122,8 @@ func Chiclet() Spec {
 // Machine is a running simulated node.
 type Machine struct {
 	spec    Spec
-	FS      *memfs.FS
 	Sched   *sched.Scheduler
 	Cgroups *cgroupfs.Tree
-	Procs   *procfs.Table
 	DVFS    *dvfs.Model
 	Meter   *energy.Meter
 
@@ -132,7 +141,7 @@ type Machine struct {
 	faults  []*pathFault
 	// armed is len(faults), stored under faultMu and loaded without it:
 	// a read while no fault is armed, every read of a fault-free run,
-	// takes no lock in fileFault.
+	// takes no lock in ReadFault.
 	armed atomic.Int32
 }
 
@@ -148,16 +157,7 @@ func New(spec Spec) (*Machine, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	fs := memfs.New()
 	s := sched.New(spec.Cores)
-	cg, err := cgroupfs.New(fs, s, cgroupfs.DefaultMount)
-	if err != nil {
-		return nil, err
-	}
-	pt, err := procfs.New(fs, procfs.Mount)
-	if err != nil {
-		return nil, err
-	}
 	model, err := dvfs.New(spec.Cores, spec.Governor, dvfs.Policy{
 		MinMHz: spec.MinMHz, MaxMHz: spec.MaxMHz,
 		TurboMHz: spec.TurboMHz, JitterMHz: spec.JitterMHz,
@@ -165,38 +165,27 @@ func New(spec Spec) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := sysfs.MountModel(fs, model, sysfs.Mount); err != nil {
-		return nil, err
-	}
-	numa := spec.NUMANodes
-	if numa <= 0 {
-		numa = 1
-	}
-	if err := sysfs.MountNodes(fs, sysfs.NodeMount, spec.Cores, numa); err != nil {
-		return nil, err
-	}
 	meter, err := energy.NewMeter(spec.Power)
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{
+	return &Machine{
 		spec:    spec,
-		FS:      fs,
 		Sched:   s,
-		Cgroups: cg,
-		Procs:   pt,
+		Cgroups: cgroupfs.New(s),
 		DVFS:    model,
 		Meter:   meter,
 		TickUs:  DefaultTickUs,
 		util:    make([]float64, spec.Cores),
-	}
-	fs.SetFaultHook(m.fileFault)
-	return m, nil
+	}, nil
 }
 
-// fileFault is the memfs hook matching reads against armed faults.
-func (m *Machine) fileFault(op, path string) error {
-	if op != "read" || m.armed.Load() == 0 {
+// ReadFault is the check a simulated read of the pseudo-file at path makes
+// before it looks anything up: it returns the error of the first armed
+// fault whose substring path contains (see FailReads), spending one of
+// its injections, or nil. Writes never fault.
+func (m *Machine) ReadFault(path string) error {
+	if m.armed.Load() == 0 {
 		return nil
 	}
 	m.faultMu.Lock()
@@ -212,7 +201,7 @@ func (m *Machine) fileFault(op, path string) error {
 				m.armed.Store(int32(len(m.faults)))
 			}
 		}
-		return fmt.Errorf("host: %s %s: %w", op, path, f.err)
+		return fmt.Errorf("host: read %s: %w", path, f.err)
 	}
 	return nil
 }
@@ -251,25 +240,17 @@ func (m *Machine) Spec() Spec { return m.spec }
 func (m *Machine) NowUs() int64 { return m.Sched.NowUs() }
 
 // StartThread creates a runnable thread in the cgroup at rel (relative to
-// the cgroup mount; "" is the root) and registers it in /proc.
-func (m *Machine) StartThread(rel, comm string, demand func(nowUs, dtUs int64) float64) (*sched.Thread, error) {
+// the cgroup mount; "" is the root).
+func (m *Machine) StartThread(rel string, demand func(nowUs, dtUs int64) float64) (*sched.Thread, error) {
 	g, err := m.Cgroups.Group(rel)
 	if err != nil {
 		return nil, err
 	}
-	th := m.Sched.NewThread(g, demand)
-	if err := m.Procs.Register(th, comm); err != nil {
-		m.Sched.RemoveThread(th)
-		return nil, err
-	}
-	return th, nil
+	return m.Sched.NewThread(g, demand), nil
 }
 
-// StopThread removes a thread from scheduling and /proc.
-func (m *Machine) StopThread(th *sched.Thread) error {
-	m.Sched.RemoveThread(th)
-	return m.Procs.Unregister(th.ID)
-}
+// StopThread removes a thread from scheduling.
+func (m *Machine) StopThread(th *sched.Thread) { m.Sched.RemoveThread(th) }
 
 // Step advances the machine by exactly one scheduler tick.
 func (m *Machine) Step() {

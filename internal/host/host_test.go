@@ -1,15 +1,10 @@
 package host
 
 import (
-	"errors"
-	"fmt"
+	"slices"
 	"testing"
 
-	"vfreq/internal/cgroupfs"
 	"vfreq/internal/energy"
-	"vfreq/internal/memfs"
-	"vfreq/internal/procfs"
-	"vfreq/internal/sysfs"
 )
 
 func TestPresetsValid(t *testing.T) {
@@ -23,6 +18,30 @@ func TestPresetsValid(t *testing.T) {
 	}
 	if Chetemi().MaxMHz != 2400 || Chiclet().MaxMHz != 2400 {
 		t.Fatal("preset F_MAX wrong")
+	}
+}
+
+// TestSpecCoreNodes: the NUMA layout is contiguous equal blocks, the
+// remainder of an uneven split on the last node, and a node count
+// clamped to [1, cores].
+func TestSpecCoreNodes(t *testing.T) {
+	for _, c := range []struct {
+		cores, nodes int
+		want         []int
+	}{
+		{4, 2, []int{0, 0, 1, 1}},
+		{5, 2, []int{0, 0, 1, 1, 1}},
+		{7, 3, []int{0, 0, 1, 1, 2, 2, 2}},
+		{3, 0, []int{0, 0, 0}},
+		{3, 1, []int{0, 0, 0}},
+		{3, 5, []int{0, 1, 2}},
+		{1, 2, []int{0}},
+	} {
+		spec := Chetemi()
+		spec.Cores, spec.NUMANodes = c.cores, c.nodes
+		if got := spec.CoreNodes(); !slices.Equal(got, c.want) {
+			t.Errorf("%d cores on %d nodes: CoreNodes = %v, want %v", c.cores, c.nodes, got, c.want)
+		}
 	}
 }
 
@@ -71,7 +90,7 @@ func TestThreadLifecycleAndWork(t *testing.T) {
 	if _, err := m.Cgroups.CreateGroup("vm"); err != nil {
 		t.Fatal(err)
 	}
-	th, err := m.StartThread("vm", "CPU 0/KVM", nil)
+	th, err := m.StartThread("vm", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,34 +106,23 @@ func TestThreadLifecycleAndWork(t *testing.T) {
 	if work := th.Cycles; work <= minWork || work > maxWork {
 		t.Fatalf("work = %d, want in (%d, %d]", work, minWork, maxWork)
 	}
-	// /proc and cgroupfs views agree.
-	stat, err := m.FS.ReadFile(fmt.Sprintf("/proc/%d/stat", th.ID))
-	if err != nil {
-		t.Fatal(err)
+	// The cgroup and the thread carry what cpu.stat and /proc/<tid>/stat
+	// report.
+	if g, err := m.Cgroups.Group("vm"); err != nil || g.UsageUs != 1_000_000 {
+		t.Fatalf("cgroup usage = %v, %v; want 1000000", g, err)
 	}
-	cpu, err := procfs.ParseStatLastCPUBytes([]byte(stat))
-	if err != nil {
-		t.Fatal(err)
+	if th.LastCPU < 0 || th.LastCPU >= m.Spec().Cores {
+		t.Fatalf("LastCPU = %d, want a core", th.LastCPU)
 	}
-	if cpu != th.LastCPU {
-		t.Fatalf("stat cpu %d != LastCPU %d", cpu, th.LastCPU)
-	}
-	content, _ := m.FS.ReadFile(cgroupfs.DefaultMount + "/vm/cpu.stat")
-	usage, err := cgroupfs.ParseCPUStatBytes([]byte(content), "usage_usec")
-	if err != nil || usage != 1_000_000 {
-		t.Fatalf("cgroup usage = %d, %v", usage, err)
-	}
-	if err := m.StopThread(th); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.FS.ReadFile(fmt.Sprintf("/proc/%d", th.ID)); !errors.Is(err, memfs.ErrNotExist) {
-		t.Fatal("proc entry survived StopThread")
+	m.StopThread(th)
+	if m.Sched.Thread(th.ID) != nil || th.Group != nil {
+		t.Fatal("thread survived StopThread")
 	}
 }
 
 func TestStartThreadUnknownCgroup(t *testing.T) {
 	m, _ := New(Chetemi())
-	if _, err := m.StartThread("nope", "x", nil); err == nil {
+	if _, err := m.StartThread("nope", nil); err == nil {
 		t.Fatal("unknown cgroup accepted")
 	}
 }
@@ -122,7 +130,7 @@ func TestStartThreadUnknownCgroup(t *testing.T) {
 func TestDVFSRespondsToLoad(t *testing.T) {
 	m, _ := New(Chiclet())
 	for i := 0; i < m.Spec().Cores; i++ {
-		if _, err := m.StartThread("", "burn", nil); err != nil {
+		if _, err := m.StartThread("", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +159,7 @@ func TestStepMatchesAccessors(t *testing.T) {
 	m, _ := New(Chetemi())
 	for i := 0; i < 25; i++ {
 		share := float64(i%5) / 4
-		if _, err := m.StartThread("", "mixed", func(nowUs, dtUs int64) float64 { return share }); err != nil {
+		if _, err := m.StartThread("", func(nowUs, dtUs int64) float64 { return share }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,25 +179,6 @@ func TestStepMatchesAccessors(t *testing.T) {
 				t.Fatalf("tick %d: core %d util %v, CoreUtilization %v", k, c, m.util[c], m.Sched.CoreUtilization(c))
 			}
 		}
-	}
-}
-
-func TestSysfsFrequencyVisible(t *testing.T) {
-	m, _ := New(Chetemi())
-	if _, err := m.StartThread("", "burn", nil); err != nil {
-		t.Fatal(err)
-	}
-	m.Advance(200_000)
-	content, err := m.FS.ReadFile(sysfs.CurFreqPath(sysfs.Mount, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	khz, err := sysfs.ParseKHzBytes([]byte(content))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if khz < m.Spec().MinMHz*1000 || khz > m.Spec().TurboMHz*1000 {
-		t.Fatalf("scaling_cur_freq = %d kHz outside envelope", khz)
 	}
 }
 

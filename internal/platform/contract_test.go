@@ -3,11 +3,11 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"slices"
 	"strconv"
 	"testing"
 
-	"vfreq/internal/memfs"
 	"vfreq/internal/vm"
 	"vfreq/internal/workload"
 )
@@ -24,7 +24,7 @@ type contractRig struct {
 	// call to leave nothing behind.
 	footprint func() string
 	// noBurst: the host has no cpu.max.burst, as a kernel before 5.14
-	// has none, and SetBurst fails with memfs.ErrNotExist.
+	// has none, and SetBurst fails with fs.ErrNotExist.
 	noBurst bool
 }
 
@@ -275,8 +275,8 @@ func TestHostContract(t *testing.T) {
 			}
 			for _, burstUs := range []int64{5_000, 0} {
 				err := r.host.SetBurst("a", 1, burstUs)
-				if r.noBurst && !errors.Is(err, memfs.ErrNotExist) {
-					t.Fatalf("SetBurst(%d) on a host without cpu.max.burst = %v, want memfs.ErrNotExist", burstUs, err)
+				if r.noBurst && !errors.Is(err, fs.ErrNotExist) {
+					t.Fatalf("SetBurst(%d) on a host without cpu.max.burst = %v, want fs.ErrNotExist", burstUs, err)
 				}
 				if !r.noBurst && err != nil {
 					t.Fatal(err)

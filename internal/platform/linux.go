@@ -588,6 +588,16 @@ func (l *Linux) ReadMax(vm string, vcpu int) (int64, int64, error) {
 	return parseMax(string(b))
 }
 
+// parseMax is ReadMax's answer for a cpu.max file's content, "max" read as
+// NoQuota.
+func parseMax(content string) (quotaUs, periodUs int64, err error) {
+	quotaUs, periodUs, err = cgroupfs.ParseCPUMax(content, 100_000)
+	if err == nil && quotaUs < 0 {
+		quotaUs = NoQuota
+	}
+	return quotaUs, periodUs, err
+}
+
 var clearMaxPayload = []byte("max")
 
 // ClearMax implements Host.

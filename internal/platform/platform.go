@@ -1,12 +1,15 @@
 // Package platform defines the narrow host interface the virtual-
-// frequency controller consumes, with two implementations: a simulated
-// backend reading the emulated cgroup/proc/sys files of internal/host,
-// and a real-Linux backend reading the same files under /sys and /proc.
+// frequency controller consumes, with two implementations: a real-Linux
+// backend reading and writing the cgroup, proc and sys files under /sys
+// and /proc, and a simulated backend answering the same calls from the
+// scheduler, VM and DVFS model of internal/host.
 //
 // Everything the controller knows about the world flows through this
 // interface, exactly mirroring what the paper's C++ implementation reads
 // and writes on a KVM host.
 package platform
+
+import "vfreq/internal/sched"
 
 // NodeInfo describes the physical machine.
 type NodeInfo struct {
@@ -48,8 +51,8 @@ type Host interface {
 	ClearMax(vm string, vcpu int) error
 	// SetBurst writes the vCPU's cgroup cpu.max.burst budget. A zero
 	// burst disables bursting. A host without the file fails: a kernel
-	// before 5.14, and Sim, which emulates none and answers with an
-	// error wrapping memfs.ErrNotExist.
+	// before 5.14, and Sim, which models none and answers with an error
+	// wrapping fs.ErrNotExist.
 	//
 	// Deprecated: unused by the controller, which writes only cpu.max;
 	// kept only until benchmark/ stops requiring it of the hosts it
@@ -78,8 +81,8 @@ type Host interface {
 }
 
 // NoQuota is the quota value ReadMax returns for an unlimited cgroup
-// ("max" in cpu.max).
-const NoQuota = int64(-1)
+// ("max" in cpu.max), the scheduler's own.
+const NoQuota = sched.NoQuota
 
 // Topology is an optional Host capability: the NUMA placement of the
 // machine's logical CPUs, read from /sys/devices/system/node. The

@@ -34,7 +34,7 @@ func TestSimNode(t *testing.T) {
 	}
 }
 
-// The handle maps follow the live VM set: a node that churns VMs for
+// The path maps follow the live VM set: a node that churns VMs for
 // 1000 cycles (new names, new thread ids every time, plus a shrink) ends
 // with exactly the entries of the vCPUs it still runs.
 func TestSimPathMemoBounded(t *testing.T) {
@@ -183,7 +183,7 @@ func TestSimFaultArmedElsewhere(t *testing.T) {
 		read func() error
 		fail bool
 	}{
-		{nil, lastCPU, false}, // warm: the handle is resolved
+		{nil, lastCPU, false}, // warm: the path is cached
 		{func() { m.FailReads(stat, boom, 1) }, usage, false},
 		{nil, lastCPU, true},
 		{nil, lastCPU, false}, // the count-1 fault fired once
@@ -235,10 +235,10 @@ func TestLinuxBackendOnRealHost(t *testing.T) {
 }
 
 // TestTopologyCoreNodes covers both Topology implementations: the
-// simulator reading the tree its machine mounts, and the Linux backend
-// parsing cpulist ranges and lists from a node tree on disk — where a
-// tree that is missing, names no node, or holds a malformed cpulist is
-// an error, never a partly filled map.
+// simulator answering its spec's layout (host.Spec.CoreNodes), and the
+// Linux backend parsing cpulist ranges and lists from a node tree on disk
+// — where a tree that is missing, names no node, or holds a malformed
+// cpulist is an error, never a partly filled map.
 func TestTopologyCoreNodes(t *testing.T) {
 	s, _ := newSim(t)
 	got, err := s.CoreNodes()

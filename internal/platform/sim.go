@@ -2,105 +2,117 @@ package platform
 
 import (
 	"fmt"
+	"io/fs"
 	"strconv"
 
 	"vfreq/internal/cgroupfs"
-	"vfreq/internal/memfs"
+	"vfreq/internal/host"
 	"vfreq/internal/procfs"
+	"vfreq/internal/sched"
 	"vfreq/internal/sysfs"
 	"vfreq/internal/vm"
 )
 
-// Sim adapts a simulated machine to the Host interface. All reads go
-// through the emulated pseudo-files (parsing included) so the controller
-// exercises the exact code paths it would use on Linux.
+// Sim adapts a simulated machine to the Host interface. It answers each
+// call from the model a kernel's pseudo-files would report: the vCPU
+// cgroup's sched.Group for cpu.stat, cpu.max and cgroup.threads, the
+// sched.Thread for /proc/<tid>/stat, and the dvfs.Model for
+// scaling_cur_freq. The values are the ones those files carry, down to a
+// never-run thread's core 0; platform.Linux is the backend that parses
+// them.
 //
-// The per-period read path is allocation-free at steady state and walks
-// no paths: every pseudo-file is opened once as a memfs.File (paths are
-// pure functions of VM name, vCPU index, tid or core), whose resolved
-// node stays valid until the emulated tree changes shape (memfs's
-// generation counter) — the simulator's counterpart of the descriptors
-// Linux keeps open. File contents are rendered append-style into one
-// scratch buffer, and the byte parsers walk it in place.
+// Every read names the file it stands for: it first asks the machine for
+// an armed fault on that path (host.Machine.ReadFault), as a kernel read
+// can race a dying thread before it finds the file, and only then looks
+// the model up, afresh on every call, so a VM destroyed and provisioned
+// again under its name is read as the new one. An unknown VM, vCPU or tid
+// is an error wrapping fs.ErrNotExist that names the path. The paths are
+// kept per vCPU, tid and core, so the per-period read path allocates
+// nothing at steady state.
 type Sim struct {
 	mgr *vm.Manager
+	m   *host.Machine
 
-	vcpuPaths map[VCPURef]*simVCPUFiles
-	tidPaths  map[int]*memfs.File
-	corePaths []*memfs.File
-
-	// buf is the scratch every read renders into and parses, and every
-	// write renders into, before the next call overwrites it.
-	buf []byte
+	vcpuPaths map[VCPURef]simVCPUPaths
+	tidPaths  map[int]string // /proc/<tid>/stat
+	corePaths []string       // scaling_cur_freq, by core
 
 	vmScratch []VMInfo       // ListVMs result, reused across calls
 	listed    []*vm.Instance // the instances behind vmScratch
 }
 
-// simVCPUFiles holds the pseudo-file handles of one vCPU cgroup.
-type simVCPUFiles struct {
-	stat    *memfs.File // cpu.stat
-	max     *memfs.File // cpu.max
-	threads *memfs.File // cgroup.threads
+// simVCPUPaths holds the pseudo-file paths of one vCPU cgroup.
+type simVCPUPaths struct {
+	stat, max, threads string // cpu.stat, cpu.max, cgroup.threads
 }
 
 // NewSim wraps a VM manager.
 func NewSim(mgr *vm.Manager) *Sim {
 	s := &Sim{
 		mgr:       mgr,
-		vcpuPaths: make(map[VCPURef]*simVCPUFiles),
-		tidPaths:  make(map[int]*memfs.File),
+		m:         mgr.Machine(),
+		vcpuPaths: make(map[VCPURef]simVCPUPaths),
+		tidPaths:  make(map[int]string),
 	}
-	m := mgr.Machine()
-	s.corePaths = make([]*memfs.File, m.Spec().Cores)
+	s.corePaths = make([]string, s.m.Spec().Cores)
 	for c := range s.corePaths {
-		s.corePaths[c] = m.FS.Open(sysfs.CurFreqPath(sysfs.Mount, c))
+		s.corePaths[c] = sysfs.CurFreqPath(sysfs.Mount, c)
 	}
 	return s
 }
 
-// files returns the pseudo-file handles of a vCPU cgroup. Paths are pure
-// functions of (vm, vcpu), and a handle re-resolves whenever the tree
-// changes shape, so an entry is never wrong — even across a Destroy and
-// re-Provision under the same name; ListVMs drops it once the vCPU is
-// gone.
-func (s *Sim) files(vmName string, vcpu int) *simVCPUFiles {
+// paths returns the pseudo-file paths of a vCPU cgroup. Paths are pure
+// functions of (vm, vcpu), so an entry is never wrong; ListVMs drops it
+// once the vCPU is gone.
+func (s *Sim) paths(vmName string, vcpu int) simVCPUPaths {
 	k := VCPURef{VM: vmName, VCPU: vcpu}
-	f := s.vcpuPaths[k]
-	if f == nil {
-		fs := s.mgr.Machine().FS
+	p, ok := s.vcpuPaths[k]
+	if !ok {
 		base := cgroupfs.DefaultMount + "/" + vm.VCPUCgroup(vmName, vcpu)
-		f = &simVCPUFiles{
-			stat:    fs.Open(base + "/cpu.stat"),
-			max:     fs.Open(base + "/cpu.max"),
-			threads: fs.Open(base + "/cgroup.threads"),
-		}
-		s.vcpuPaths[k] = f
+		p = simVCPUPaths{stat: base + "/cpu.stat", max: base + "/cpu.max", threads: base + "/cgroup.threads"}
+		s.vcpuPaths[k] = p
 	}
-	return f
+	return p
 }
 
-// tidFile returns the handle on /proc/<tid>/stat.
-func (s *Sim) tidFile(tid int) *memfs.File {
-	f := s.tidPaths[tid]
-	if f == nil {
-		f = s.mgr.Machine().FS.Open(fmt.Sprintf("%s/%d/stat", procfs.Mount, tid))
-		s.tidPaths[tid] = f
+// tidPath returns the path of /proc/<tid>/stat.
+func (s *Sim) tidPath(tid int) string {
+	p, ok := s.tidPaths[tid]
+	if !ok {
+		p = procfs.Mount + "/" + strconv.Itoa(tid) + "/stat"
+		s.tidPaths[tid] = p
 	}
-	return f
+	return p
 }
 
-// read renders a pseudo-file into the scratch buffer. The returned bytes
-// are valid until the next read.
-func (s *Sim) read(f *memfs.File) ([]byte, error) {
-	content, err := f.ReadAppend(s.buf[:0])
-	s.buf = content[:0] // keep whatever the render grew
-	return content, err
+// notExist is the error of a read or write of a file the model does not
+// hold.
+func notExist(path string) error { return fmt.Errorf("platform: %s: %w", path, fs.ErrNotExist) }
+
+// group returns the cgroup of vCPU vcpu of the named VM, or nil.
+func (s *Sim) group(vmName string, vcpu int) *sched.Group {
+	inst := s.mgr.Get(vmName)
+	if inst == nil || vcpu < 0 || vcpu >= inst.Template().VCPUs {
+		return nil
+	}
+	return inst.VCPUThread(vcpu).Group
+}
+
+// readGroup is a read of the file at path of a vCPU cgroup: the armed
+// fault on path first, then the group.
+func (s *Sim) readGroup(vmName string, vcpu int, path string) (*sched.Group, error) {
+	if err := s.m.ReadFault(path); err != nil {
+		return nil, err
+	}
+	if g := s.group(vmName, vcpu); g != nil {
+		return g, nil
+	}
+	return nil, notExist(path)
 }
 
 // Node implements Host.
 func (s *Sim) Node() NodeInfo {
-	spec := s.mgr.Machine().Spec()
+	spec := s.m.Spec()
 	return NodeInfo{Name: spec.Name, Cores: spec.Cores, MaxFreqMHz: spec.MaxMHz}
 }
 
@@ -108,7 +120,7 @@ func (s *Sim) Node() NodeInfo {
 // call; callers must not retain it.
 //
 // When the instances or their vCPU counts differ from the last call, it
-// prunes the handle maps here, once per change, and not on the read path.
+// prunes the path maps here, once per change, and not on the read path.
 func (s *Sim) ListVMs() ([]VMInfo, error) {
 	insts := s.mgr.List()
 	out := s.vmScratch[:0]
@@ -127,40 +139,43 @@ func (s *Sim) ListVMs() ([]VMInfo, error) {
 	return out, nil
 }
 
-// prune drops the handles of vCPUs and threads that no longer
-// exist. Thread ids are never reused and a churning node keeps meeting
-// new VM names, so without it both maps grow for as long as the node
-// lives.
+// prune drops the paths of vCPUs and threads that no longer exist. Thread
+// ids are never reused and a churning node keeps meeting new VM names, so
+// without it both maps grow for as long as the node lives.
 func (s *Sim) prune() {
-	threads := s.mgr.Machine().Sched
 	for k := range s.vcpuPaths {
 		if inst := s.mgr.Get(k.VM); inst == nil || k.VCPU >= inst.Template().VCPUs {
 			delete(s.vcpuPaths, k)
 		}
 	}
 	for tid := range s.tidPaths {
-		if threads.Thread(tid) == nil {
+		if s.m.Sched.Thread(tid) == nil {
 			delete(s.tidPaths, tid)
 		}
 	}
 }
 
-// UsageUs implements Host.
+// UsageUs implements Host: the vCPU cgroup's usage_usec.
 func (s *Sim) UsageUs(vmName string, vcpu int) (int64, error) {
-	content, err := s.read(s.files(vmName, vcpu).stat)
+	g, err := s.readGroup(vmName, vcpu, s.paths(vmName, vcpu).stat)
 	if err != nil {
 		return 0, fmt.Errorf("platform: reading cpu.stat of %s/vcpu%d: %w", vmName, vcpu, err)
 	}
-	return cgroupfs.ParseCPUStatBytes(content, "usage_usec")
+	return g.UsageUs, nil
 }
 
-// SetMax implements Host. The write renders into the scratch buffer; its
-// one allocation is the string the pseudo-file is handed.
+// SetMax implements Host. Like a cpu.max write, it refuses a quota or a
+// period that is not positive, which sched.Group.SetQuota would take.
 func (s *Sim) SetMax(vmName string, vcpu int, quotaUs, periodUs int64) error {
-	s.buf = strconv.AppendInt(s.buf[:0], quotaUs, 10)
-	s.buf = append(s.buf, ' ')
-	s.buf = strconv.AppendInt(s.buf, periodUs, 10)
-	return s.files(vmName, vcpu).max.Write(string(s.buf))
+	g := s.group(vmName, vcpu)
+	if g == nil {
+		return notExist(s.paths(vmName, vcpu).max)
+	}
+	if quotaUs <= 0 || periodUs <= 0 {
+		return fmt.Errorf("platform: writing cpu.max of %s/vcpu%d: quota %d and period %d must be positive",
+			vmName, vcpu, quotaUs, periodUs)
+	}
+	return g.SetQuota(quotaUs, periodUs)
 }
 
 // BatchSetMax implements BatchQuotaWriter through the serial adapter.
@@ -171,98 +186,67 @@ func (s *Sim) BatchSetMax(vmName string, quotas []VCPUQuota) error {
 	return serialBatch{s}.BatchSetMax(vmName, quotas)
 }
 
-// ReadMax implements QuotaReader: it reads the vCPU's cpu.max back
-// through the pseudo-file, exactly as the controller would on Linux.
+// ReadMax implements QuotaReader: the vCPU cgroup's quota (NoQuota when
+// unlimited, sched.NoQuota being NoQuota) and period.
 func (s *Sim) ReadMax(vmName string, vcpu int) (int64, int64, error) {
-	content, err := s.read(s.files(vmName, vcpu).max)
+	g, err := s.readGroup(vmName, vcpu, s.paths(vmName, vcpu).max)
 	if err != nil {
 		return 0, 0, fmt.Errorf("platform: reading cpu.max of %s/vcpu%d: %w", vmName, vcpu, err)
 	}
-	return parseMax(string(content))
+	return g.QuotaUs, g.PeriodUs, nil
 }
 
-// parseMax is ReadMax's answer for a cpu.max file's content, "max" read as
-// NoQuota.
-func parseMax(content string) (quotaUs, periodUs int64, err error) {
-	quotaUs, periodUs, err = cgroupfs.ParseCPUMax(content, 100_000)
-	if err == nil && quotaUs < 0 {
-		quotaUs = NoQuota
-	}
-	return quotaUs, periodUs, err
-}
-
-// ClearMax implements Host.
+// ClearMax implements Host. Like a "max" write to cpu.max, it keeps the
+// period in force.
 func (s *Sim) ClearMax(vmName string, vcpu int) error {
-	return s.files(vmName, vcpu).max.Write("max")
+	g := s.group(vmName, vcpu)
+	if g == nil {
+		return notExist(s.paths(vmName, vcpu).max)
+	}
+	return g.SetQuota(sched.NoQuota, g.PeriodUs)
 }
 
 // SetBurst implements Host the way a kernel before 5.14 answers: the
-// emulated tree has no cpu.max.burst, so the write fails with an error
-// wrapping memfs.ErrNotExist.
+// simulated cgroup has no cpu.max.burst, so the write fails with an error
+// wrapping fs.ErrNotExist.
 //
 // Deprecated: unused by the controller; kept only until benchmark/ stops
 // requiring it of the hosts it wraps.
 func (s *Sim) SetBurst(vmName string, vcpu int, burstUs int64) error {
-	return fmt.Errorf("platform: writing cpu.max.burst of %s/vcpu%d: %w", vmName, vcpu, memfs.ErrNotExist)
+	return fmt.Errorf("platform: writing cpu.max.burst of %s/vcpu%d: %w", vmName, vcpu, fs.ErrNotExist)
 }
 
-// ThreadID implements Host.
+// ThreadID implements Host: the one thread of the vCPU cgroup.
 func (s *Sim) ThreadID(vmName string, vcpu int) (int, error) {
-	content, err := s.read(s.files(vmName, vcpu).threads)
+	g, err := s.readGroup(vmName, vcpu, s.paths(vmName, vcpu).threads)
 	if err != nil {
 		return 0, err
 	}
-	tid, n, err := cgroupfs.ParseSingleTID(content)
-	if err != nil {
-		return 0, err
-	}
-	if n != 1 {
+	if n := len(g.Threads); n != 1 {
 		return 0, fmt.Errorf("platform: vCPU cgroup %s/vcpu%d holds %d threads, want 1",
 			vmName, vcpu, n)
 	}
-	return tid, nil
+	return g.Threads[0].ID, nil
 }
 
-// LastCPU implements Host.
+// LastCPU implements Host. A thread that never ran reports core 0, as
+// its /proc/<tid>/stat does.
 func (s *Sim) LastCPU(tid int) (int, error) {
-	line, err := s.read(s.tidFile(tid))
-	if err != nil {
+	p := s.tidPath(tid)
+	if err := s.m.ReadFault(p); err != nil {
 		return 0, err
 	}
-	return procfs.ParseStatLastCPUBytes(line)
+	th := s.m.Sched.Thread(tid)
+	if th == nil {
+		return 0, notExist(p)
+	}
+	return max(th.LastCPU, 0), nil
 }
 
-// CoreNodes implements Topology: it reads the emulated
-// /sys/devices/system/node tree, exactly as the Linux backend reads
-// the real one, and like it fails on an unreadable tree or a malformed
-// cpulist instead of returning a partly filled map.
+// CoreNodes implements Topology: the NUMA layout of the machine's spec
+// (host.Spec.CoreNodes).
 func (s *Sim) CoreNodes() ([]int, error) {
-	m := s.mgr.Machine()
-	names, err := m.FS.ReadDir(sysfs.NodeMount)
-	if err != nil {
-		return nil, err
-	}
-	nodes := make([]int, m.Spec().Cores)
-	for _, name := range names {
-		var id int
-		if _, err := fmt.Sscanf(name, "node%d", &id); err != nil || id < 0 {
-			continue // the "online" file
-		}
-		content, err := m.FS.ReadFile(sysfs.NodeCPUListPath(sysfs.NodeMount, id))
-		if err != nil {
-			return nil, err
-		}
-		cpus, err := sysfs.ParseCPUList(content)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range cpus {
-			if c >= 0 && c < len(nodes) {
-				nodes[c] = id
-			}
-		}
-	}
-	return nodes, nil
+	return s.m.Spec().CoreNodes(), nil
 }
 
 // CoreFreqMHz implements Host.
@@ -270,13 +254,8 @@ func (s *Sim) CoreFreqMHz(core int) (int64, error) {
 	if core < 0 || core >= len(s.corePaths) {
 		return 0, fmt.Errorf("platform: core %d out of range", core)
 	}
-	content, err := s.read(s.corePaths[core])
-	if err != nil {
+	if err := s.m.ReadFault(s.corePaths[core]); err != nil {
 		return 0, err
 	}
-	khz, err := sysfs.ParseKHzBytes(content)
-	if err != nil {
-		return 0, err
-	}
-	return khz / 1000, nil
+	return s.m.DVFS.FreqMHz(core), nil
 }

@@ -56,8 +56,8 @@ func tableIINode(tb testing.TB, warm int) (*host.Machine, *platform.Sim, *core.C
 }
 
 // TestSimStepZeroAlloc: once warm, a controller period over the simulated
-// host — every pseudo-file read, parse and quota write Step makes through
-// platform.Sim — allocates nothing.
+// host — every read and quota write Step makes through platform.Sim —
+// allocates nothing.
 func TestSimStepZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -74,9 +74,8 @@ func TestSimStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSimWriteAllocs pins the cost of a simulated quota write: SetMax
-// renders into the Sim's scratch and cpu.max parses in place, so it
-// allocates at most the string the pseudo-file is handed.
+// TestSimWriteAllocs pins the cost of a simulated quota write: SetMax and
+// ClearMax set the vCPU cgroup's quota and allocate nothing.
 func TestSimWriteAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -99,8 +98,9 @@ func TestSimWriteAllocs(t *testing.T) {
 		write func() error
 	}{
 		{"SetMax", func() error { quota ^= 5000; return sim.SetMax("web", 1, quota, 100_000) }},
+		{"ClearMax", func() error { return sim.ClearMax("web", 1) }},
 	} {
-		if err := w.write(); err != nil { // the first write opens the handles
+		if err := w.write(); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
@@ -108,15 +108,15 @@ func TestSimWriteAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 1 {
-			t.Errorf("%s allocates %.1f/op, want at most 1", w.name, allocs)
+		if allocs != 0 {
+			t.Errorf("%s allocates %.1f/op, want 0", w.name, allocs)
 		}
 	}
 }
 
 // BenchmarkSimStep is Controller.Step alone over platform.Sim on the
-// Table II node: the monitor stage's pseudo-file reads plus the five
-// stages behind them. Advance runs with the timer stopped.
+// Table II node: the monitor stage's reads plus the five stages behind
+// them. Advance runs with the timer stopped.
 func BenchmarkSimStep(b *testing.B) {
 	m, _, ctrl := tableIINode(b, 20)
 	periodUs := core.DefaultConfig().PeriodUs

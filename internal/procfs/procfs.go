@@ -1,15 +1,16 @@
-// Package procfs emulates the subset of /proc the virtual-frequency
+// Package procfs handles the subset of /proc the virtual-frequency
 // controller reads: /proc/<tid>/stat, whose 39th field (`task_cpu`) is the
 // identifier of the core the thread last ran on. The controller combines
 // it with the core's scaling_cur_freq to estimate a vCPU's virtual
 // frequency.
 //
-// This placement read happens once per vCPU per period, so its two ends
-// are built for it. AppendStat renders a line into a caller's buffer from
-// constant runs of zero fields around the three live ones.
-// ParseStatLastCPUBytes, which platform.Linux uses on the kernel's file as
-// well, finds the comm's closing ')' with forward IndexByte jumps and
-// counts the fields after it eight bytes at a time. Neither allocates.
+// This placement read happens once per vCPU per period, so both ends of a
+// stat line are built for it. AppendStat renders a line into a caller's
+// buffer from constant runs of zero fields around the three live ones (the
+// benchmark's file tree is written with it). ParseStatLastCPUBytes, which
+// platform.Linux uses on the kernel's file, finds the comm's closing ')'
+// with forward IndexByte jumps and counts the fields after it eight bytes
+// at a time. Neither allocates.
 package procfs
 
 import (
@@ -19,44 +20,10 @@ import (
 	"math"
 	"math/bits"
 	"strconv"
-
-	"vfreq/internal/memfs"
-	"vfreq/internal/sched"
 )
 
 // Mount is the conventional mount point.
 const Mount = "/proc"
-
-// Table exposes scheduler threads through /proc files.
-type Table struct {
-	fs    *memfs.FS
-	mount string
-}
-
-// New mounts the table at mount inside fs.
-func New(fs *memfs.FS, mount string) (*Table, error) {
-	if err := fs.MkdirAll(mount); err != nil {
-		return nil, err
-	}
-	return &Table{fs: fs, mount: mount}, nil
-}
-
-// Register exposes a thread as /proc/<tid>/stat. It must be called once
-// per thread after creation.
-func (t *Table) Register(th *sched.Thread, comm string) error {
-	dir := fmt.Sprintf("%s/%d", t.mount, th.ID)
-	if err := t.fs.MkdirAll(dir); err != nil {
-		return err
-	}
-	return t.fs.AddDynamicAppend(dir+"/stat", func(buf []byte) []byte {
-		return AppendStat(buf, th.ID, comm, th.UsageUs, th.LastCPU)
-	}, nil)
-}
-
-// Unregister removes a thread's /proc entries.
-func (t *Table) Unregister(tid int) error {
-	return t.fs.RemoveAll(fmt.Sprintf("%s/%d", t.mount, tid))
-}
 
 // FormatStat renders a /proc/<tid>/stat line as a string.
 func FormatStat(tid int, comm string, usageUs int64, lastCPU int) string {

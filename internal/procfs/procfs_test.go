@@ -1,7 +1,6 @@
 package procfs
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,67 +8,12 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"vfreq/internal/memfs"
-	"vfreq/internal/sched"
 )
-
-func TestRegisterAndRead(t *testing.T) {
-	fs := memfs.New()
-	s := sched.New(2)
-	tab, err := New(fs, Mount)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := s.NewThread(nil, nil)
-	if err := tab.Register(th, "CPU 0/KVM"); err != nil {
-		t.Fatal(err)
-	}
-	s.Tick(10_000)
-	line, err := fs.ReadFile(fmt.Sprintf("/proc/%d/stat", th.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu, err := ParseStatLastCPUBytes([]byte(line))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cpu != th.LastCPU {
-		t.Fatalf("parsed cpu %d, thread LastCPU %d", cpu, th.LastCPU)
-	}
-	if ticks := utimeField(line); ticks != "1" { // 10 ms = 1 tick at USER_HZ=100
-		t.Fatalf("utime ticks = %s, want 1", ticks)
-	}
-	if comm := commField(line); comm != "CPU 0/KVM" {
-		t.Fatalf("comm = %q", comm)
-	}
-}
-
-// commField returns field 2 of a stat line without its parentheses.
-func commField(line string) string {
-	return line[strings.Index(line, "(")+1 : strings.LastIndex(line, ")")]
-}
 
 // utimeField returns field 14 of a stat line: the 12th after the comm,
 // which may itself contain spaces and parentheses.
 func utimeField(line string) string {
 	return strings.Fields(line[strings.LastIndex(line, ")")+1:])[11]
-}
-
-func TestUnregister(t *testing.T) {
-	fs := memfs.New()
-	s := sched.New(1)
-	tab, _ := New(fs, Mount)
-	th := s.NewThread(nil, nil)
-	if err := tab.Register(th, "x"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Unregister(th.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.ReadFile(fmt.Sprintf("/proc/%d", th.ID)); !errors.Is(err, memfs.ErrNotExist) {
-		t.Fatal("proc dir survived unregister")
-	}
 }
 
 func TestFormatStatFieldCount(t *testing.T) {

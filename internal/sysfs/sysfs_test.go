@@ -3,45 +3,7 @@ package sysfs
 import (
 	"math"
 	"testing"
-
-	"vfreq/internal/dvfs"
-	"vfreq/internal/memfs"
 )
-
-func model(t *testing.T, cores int) *dvfs.Model {
-	t.Helper()
-	m, err := dvfs.New(cores, dvfs.GovernorSchedutil,
-		dvfs.Policy{MinMHz: 1200, MaxMHz: 2400, TurboMHz: 3100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func TestMountAndRead(t *testing.T) {
-	fs := memfs.New()
-	m := model(t, 4)
-	if err := MountModel(fs, m, Mount); err != nil {
-		t.Fatal(err)
-	}
-	content, err := fs.ReadFile(CurFreqPath(Mount, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	khz, err := ParseKHzBytes([]byte(content))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if khz != 1_200_000 {
-		t.Fatalf("idle freq = %d kHz, want 1200000", khz)
-	}
-	m.Update([]float64{1, 1, 1, 1})
-	content, _ = fs.ReadFile(CurFreqPath(Mount, 2))
-	khz, _ = ParseKHzBytes([]byte(content))
-	if khz != 2_400_000 {
-		t.Fatalf("loaded freq = %d kHz, want 2400000", khz)
-	}
-}
 
 func TestParseErrors(t *testing.T) {
 	if _, err := ParseKHzBytes([]byte("fast")); err == nil {

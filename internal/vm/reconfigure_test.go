@@ -3,7 +3,6 @@ package vm
 import (
 	"testing"
 
-	"vfreq/internal/cgroupfs"
 	"vfreq/internal/workload"
 )
 
@@ -35,8 +34,7 @@ func TestReconfigureGrowsAndShrinks(t *testing.T) {
 	}
 	mg.Machine().Advance(500_000)
 	usageBefore := inst.VCPUThread(0).UsageUs
-	fs := mg.Machine().FS
-	base := cgroupfs.DefaultMount + "/" + ScopePath("vm0")
+	cgroups := mg.Machine().Cgroups
 
 	// Grow 2 → 4 with busy workloads on the new vCPUs.
 	tpl := Small()
@@ -46,9 +44,8 @@ func TestReconfigureGrowsAndShrinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < 4; j++ {
-		p := base + "/vcpu" + string(rune('0'+j))
-		if !fs.IsDir(p) {
-			t.Fatalf("missing cgroup dir %s after grow", p)
+		if _, err := cgroups.Group(VCPUCgroup("vm0", j)); err != nil {
+			t.Fatalf("vCPU %d after grow: %v", j, err)
 		}
 	}
 	if len(inst.vcpus) != 4 || len(inst.sources) != 4 {
@@ -72,9 +69,8 @@ func TestReconfigureGrowsAndShrinks(t *testing.T) {
 		t.Fatal("instance slices did not shrink together")
 	}
 	for j := 1; j < 4; j++ {
-		p := base + "/vcpu" + string(rune('0'+j))
-		if fs.IsDir(p) {
-			t.Fatalf("cgroup dir %s survived shrink", p)
+		if _, err := cgroups.Group(VCPUCgroup("vm0", j)); err == nil {
+			t.Fatalf("vCPU %d cgroup survived shrink", j)
 		}
 	}
 	// The survivor keeps running.

@@ -64,7 +64,6 @@ type Instance struct {
 	template Template
 	scope    string // cgroup path relative to the mount
 	vcpus    []*sched.Thread
-	emulator *sched.Thread
 	sources  []workload.Source
 }
 
@@ -140,12 +139,11 @@ func (mg *Manager) Provision(name string, tpl Template, srcs []workload.Source) 
 	if _, err := mg.machine.Cgroups.CreateGroup(emRel); err != nil {
 		return nil, err
 	}
-	em, err := mg.machine.StartThread(emRel, "qemu-system-x86", emulatorDemand)
+	em, err := mg.machine.StartThread(emRel, emulatorDemand)
 	if err != nil {
 		return nil, err
 	}
 	em.Until = emulatorUntil
-	inst.emulator = em
 	mg.instances[name] = inst
 	mg.list = append(mg.list, inst)
 	return inst, nil
@@ -191,9 +189,7 @@ func (mg *Manager) Reconfigure(name string, tpl Template, srcs []workload.Source
 		}
 	} else if grow < 0 {
 		for j := tpl.VCPUs; j < old; j++ {
-			if err := mg.machine.StopThread(inst.vcpus[j]); err != nil {
-				return err
-			}
+			mg.machine.StopThread(inst.vcpus[j])
 			if err := mg.machine.Cgroups.RemoveGroup(VCPUCgroup(name, j)); err != nil {
 				return err
 			}
@@ -216,7 +212,7 @@ func (mg *Manager) addVCPU(inst *Instance, src workload.Source) error {
 	if _, err := mg.machine.Cgroups.CreateGroup(rel); err != nil {
 		return err
 	}
-	th, err := mg.machine.StartThread(rel, fmt.Sprintf("CPU %d/KVM", j), src.Demand)
+	th, err := mg.machine.StartThread(rel, src.Demand)
 	if err != nil {
 		return err
 	}
@@ -234,14 +230,6 @@ func (mg *Manager) Destroy(name string) error {
 	inst, ok := mg.instances[name]
 	if !ok {
 		return fmt.Errorf("vm: no instance %q", name)
-	}
-	for _, th := range inst.vcpus {
-		if err := mg.machine.Procs.Unregister(th.ID); err != nil {
-			return err
-		}
-	}
-	if err := mg.machine.Procs.Unregister(inst.emulator.ID); err != nil {
-		return err
 	}
 	// Removing the scope cgroup detaches all threads at once.
 	if err := mg.machine.Cgroups.RemoveGroup(inst.scope); err != nil {

@@ -1,16 +1,13 @@
 package vm
 
 import (
-	"errors"
 	"fmt"
-	"path"
 	"sort"
 	"strings"
 	"testing"
 
-	"vfreq/internal/cgroupfs"
 	"vfreq/internal/host"
-	"vfreq/internal/memfs"
+	"vfreq/internal/sched"
 	"vfreq/internal/workload"
 )
 
@@ -61,34 +58,27 @@ func TestProvisionCreatesKVMLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := mg.Machine().FS
-	base := cgroupfs.DefaultMount + "/" + ScopePath("vm0")
-	for _, p := range []string{base, base + "/vcpu0", base + "/vcpu1", base + "/emulator"} {
-		if !fs.IsDir(p) {
-			t.Fatalf("missing cgroup dir %s", p)
+	cgroups := mg.Machine().Cgroups
+	for _, rel := range []string{ScopePath("vm0"), VCPUCgroup("vm0", 0), VCPUCgroup("vm0", 1), ScopePath("vm0") + "/emulator"} {
+		if _, err := cgroups.Group(rel); err != nil {
+			t.Fatalf("missing cgroup %s: %v", rel, err)
 		}
 	}
-	// Each vCPU cgroup holds exactly one thread.
-	content, _ := fs.ReadFile(base + "/vcpu0/cgroup.threads")
-	tid, n, err := cgroupfs.ParseSingleTID([]byte(content))
-	if err != nil || n != 1 {
-		t.Fatalf("vcpu0 threads = %q, %v", content, err)
-	}
-	if tid != inst.VCPUThread(0).ID {
-		t.Fatal("cgroup tid mismatch")
-	}
-	// Field 2 of /proc/<tid>/stat carries the KVM thread name.
-	stat, _ := fs.ReadFile(fmt.Sprintf("/proc/%d/stat", tid))
-	if want := fmt.Sprintf("%d (CPU 0/KVM) ", tid); !strings.HasPrefix(stat, want) {
-		t.Fatalf("stat = %q, want prefix %q", stat, want)
+	// Each vCPU cgroup holds exactly one thread: the vCPU's.
+	for j := 0; j < 2; j++ {
+		g, _ := cgroups.Group(VCPUCgroup("vm0", j))
+		if len(g.Threads) != 1 || g.Threads[0] != inst.VCPUThread(j) || inst.VCPUThread(j).Group != g {
+			t.Fatalf("vcpu%d cgroup holds %d threads, want its vCPU thread alone", j, len(g.Threads))
+		}
 	}
 }
 
-// TestEmulatedTreeInventory lists every pseudo-file a booted node with one
-// VM serves, and every counter a vCPU's cpu.stat holds. A file or a counter
-// stays in the emulation only while something reads it (the controller
-// through platform.Sim, the ablation harness, a benchmark workload), so a
-// new entry here has to name its reader.
+// TestEmulatedTreeInventory lists every cgroup a booted node with one VM
+// holds, by the path the Tree names it with: the root, machine.slice, the
+// VM scope and its three leaves, each holding the threads libvirt puts
+// there. A cgroup stays in the model only while something reads it (the
+// controller through platform.Sim, the ablation harness, a benchmark
+// workload), so a new entry here has to name its reader.
 func TestEmulatedTreeInventory(t *testing.T) {
 	spec := host.Chetemi()
 	spec.Cores = 2
@@ -104,70 +94,33 @@ func TestEmulatedTreeInventory(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	var walk func(dir string)
-	walk = func(dir string) {
-		names, err := m.FS.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
+	var walk func(g *sched.Group)
+	walk = func(g *sched.Group) {
+		rel := strings.TrimPrefix(g.Path(), "/")
+		if tg, err := m.Cgroups.Group(rel); err != nil || tg != g {
+			t.Fatalf("the Tree names %q as %v, %v; want the scheduler's group", rel, tg, err)
 		}
-		for _, name := range names {
-			p := path.Join(dir, name)
-			if m.FS.IsDir(p) {
-				walk(p)
-			} else {
-				got = append(got, p)
-			}
+		var tids []string
+		for _, th := range g.Threads {
+			tids = append(tids, fmt.Sprint(th.ID))
+		}
+		got = append(got, fmt.Sprintf("/%s [%s]", rel, strings.Join(tids, " ")))
+		for _, c := range g.Children {
+			walk(c)
 		}
 	}
-	walk("/")
+	walk(m.Sched.Root())
 	sort.Strings(got)
-	// Two vCPU threads and the emulator thread; two cores; the NUMA tree
-	// (kept for platform.Topology, which benchmark/ compiles against); the
-	// root cgroup, machine.slice, the VM scope and its three leaves.
 	want := []string{
-		"/proc/1/stat",
-		"/proc/2/stat",
-		"/proc/3/stat",
-		"/sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq",
-		"/sys/devices/system/cpu/cpu1/cpufreq/scaling_cur_freq",
-		"/sys/devices/system/node/node0/cpulist",
-		"/sys/devices/system/node/node1/cpulist",
-		"/sys/devices/system/node/online",
-		"/sys/fs/cgroup/cgroup.threads",
-		"/sys/fs/cgroup/cpu.max",
-		"/sys/fs/cgroup/cpu.stat",
-		"/sys/fs/cgroup/machine.slice/cgroup.threads",
-		"/sys/fs/cgroup/machine.slice/cpu.max",
-		"/sys/fs/cgroup/machine.slice/cpu.stat",
-		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/cgroup.threads",
-		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/cpu.max",
-		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/cpu.stat",
-		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/emulator/cgroup.threads",
-		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/emulator/cpu.max",
-		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/emulator/cpu.stat",
-		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/vcpu0/cgroup.threads",
-		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/vcpu0/cpu.max",
-		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/vcpu0/cpu.stat",
-		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/vcpu1/cgroup.threads",
-		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/vcpu1/cpu.max",
-		"/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/vcpu1/cpu.stat",
+		"/ []",
+		"/machine.slice []",
+		"/machine.slice/machine-qemu-vm0.scope []",
+		"/machine.slice/machine-qemu-vm0.scope/emulator [3]",
+		"/machine.slice/machine-qemu-vm0.scope/vcpu0 [1]",
+		"/machine.slice/machine-qemu-vm0.scope/vcpu1 [2]",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("emulated tree serves\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
-	// usage_usec is the controller's (stage 1); user_usec and
-	// system_usec complete the usage counters every cpu.stat has.
-	stat, err := m.FS.ReadFile("/sys/fs/cgroup/machine.slice/machine-qemu-vm0.scope/vcpu0/cpu.stat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys []string
-	for _, line := range strings.Split(strings.TrimSuffix(stat, "\n"), "\n") {
-		key, _, _ := strings.Cut(line, " ")
-		keys = append(keys, key)
-	}
-	if got, want := strings.Join(keys, " "), "usage_usec user_usec system_usec"; got != want {
-		t.Fatalf("a vCPU's cpu.stat holds %s, want %s", got, want)
+		t.Fatalf("cgroup tree holds\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -226,12 +179,11 @@ func TestDestroyCleansUp(t *testing.T) {
 	if err := mg.Destroy("vm0"); err != nil {
 		t.Fatal(err)
 	}
-	fs := mg.Machine().FS
-	if _, err := fs.ReadFile(cgroupfs.DefaultMount + "/" + ScopePath("vm0")); !errors.Is(err, memfs.ErrNotExist) {
+	if _, err := mg.Machine().Cgroups.Group(ScopePath("vm0")); err == nil {
 		t.Fatal("scope cgroup survived destroy")
 	}
-	if _, err := fs.ReadFile(fmt.Sprintf("/proc/%d", tid)); !errors.Is(err, memfs.ErrNotExist) {
-		t.Fatal("proc entry survived destroy")
+	if mg.Machine().Sched.Thread(tid) != nil {
+		t.Fatal("vCPU thread survived destroy")
 	}
 	if mg.Get("vm0") != nil || len(mg.List()) != 0 {
 		t.Fatal("registry not cleaned")

@@ -11,9 +11,9 @@
 // complements the controller at the cluster level.
 //
 // Two execution platforms are provided behind one interface: a simulated
-// host (CFS-like scheduler, the cgroup/proc/sys pseudo-files the
-// controller reads and writes, DVFS and an energy model — a stand-in for
-// the paper's Grid'5000 nodes) and a real-Linux backend reading
+// host (CFS-like scheduler with cgroups, DVFS and an energy model — a
+// stand-in for the paper's Grid'5000 nodes — answering what its
+// cgroup/proc/sys files would report) and a real-Linux backend reading
 // /sys/fs/cgroup directly. The controller code is identical on both.
 //
 // Quick start:
