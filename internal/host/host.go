@@ -180,10 +180,16 @@ func New(spec Spec) (*Machine, error) {
 	}, nil
 }
 
+// FaultsArmed reports whether any read fault is armed, at the cost of one
+// atomic load. While it is false ReadFault returns nil for every path, so
+// a simulated read builds the path it would pass only when it is true.
+func (m *Machine) FaultsArmed() bool { return m.armed.Load() != 0 }
+
 // ReadFault is the check a simulated read of the pseudo-file at path makes
 // before it looks anything up: it returns the error of the first armed
 // fault whose substring path contains (see FailReads), spending one of
-// its injections, or nil. Writes never fault.
+// its injections, or nil. Writes never fault. It loads the armed count
+// itself, so a fault cleared after a caller's FaultsArmed is not drawn.
 func (m *Machine) ReadFault(path string) error {
 	if m.armed.Load() == 0 {
 		return nil
@@ -214,7 +220,8 @@ func (m *Machine) ReadFault(path string) error {
 // FailReads and ClearFileFaults may be called from any goroutine, also
 // while another reads: a read that starts after either returns sees its
 // effect. Faults match in the order they were armed. While none is armed,
-// a read pays one atomic load for the check, not a lock.
+// a read pays one atomic load for the check (FaultsArmed), not a lock, and
+// builds no path.
 func (m *Machine) FailReads(substr string, err error, count int) {
 	if count == 0 || err == nil {
 		return

@@ -50,7 +50,7 @@ func simRig(t *testing.T) *contractRig {
 			}
 		},
 		advance:   func() { mgr.Machine().Advance(100_000) },
-		footprint: func() string { return fmt.Sprint(len(s.vcpuPaths), len(s.tidPaths)) },
+		footprint: func() string { return simRetained(s) },
 		noBurst:   true,
 	}
 }

@@ -3,9 +3,11 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"testing"
 
 	"vfreq/internal/host"
@@ -34,16 +36,40 @@ func TestSimNode(t *testing.T) {
 	}
 }
 
-// The path maps follow the live VM set: a node that churns VMs for
-// 1000 cycles (new names, new thread ids every time, plus a shrink) ends
-// with exactly the entries of the vCPUs it still runs.
-func TestSimPathMemoBounded(t *testing.T) {
+// simRetained renders what Sim holds between calls: the instance and the
+// thread it last resolved, each marked when the model has let it go.
+func simRetained(s *Sim) string {
+	inst, thread := "-", "-"
+	if s.inst != nil {
+		inst = s.inst.Name()
+		if s.inst.Destroyed() {
+			inst += " (destroyed)"
+		}
+	}
+	if s.thread != nil {
+		thread = strconv.Itoa(s.thread.ID)
+		if s.thread.Group == nil {
+			thread += " (removed)"
+		}
+	}
+	return inst + " " + thread
+}
+
+// Sim remembers references, not paths: a node that churns VMs for 1000
+// cycles (new names, new thread ids every time, plus a shrink) holds the
+// one instance and the one thread its last reads resolved, and never a
+// destroyed instance or a removed thread once a read of its name or tid
+// has found it gone.
+func TestSimRetainsOneReference(t *testing.T) {
 	s, mgr := newSim(t)
-	read := func() {
+	// read is the monitor's chain over every vCPU; Sim then holds the
+	// last VM listed and the thread of its last vCPU.
+	read := func() string {
 		vms, err := s.ListVMs()
 		if err != nil {
 			t.Fatal(err)
 		}
+		last := "-"
 		for _, v := range vms {
 			for j := 0; j < v.VCPUs; j++ {
 				tid, err := s.ThreadID(v.Name, j)
@@ -53,7 +79,15 @@ func TestSimPathMemoBounded(t *testing.T) {
 				if _, err := s.LastCPU(tid); err != nil {
 					t.Fatal(err)
 				}
+				last = v.Name + " " + strconv.Itoa(tid)
 			}
+		}
+		return last
+	}
+	check := func(when, want string) {
+		t.Helper()
+		if got := simRetained(s); got != want {
+			t.Fatalf("%s: Sim holds %s, want %s", when, got, want)
 		}
 	}
 	if _, err := mgr.Provision("resident", vm.Large(), nil); err != nil {
@@ -64,25 +98,24 @@ func TestSimPathMemoBounded(t *testing.T) {
 		if _, err := mgr.Provision(name, vm.Small(), nil); err != nil {
 			t.Fatal(err)
 		}
-		read()
-		if got := len(s.vcpuPaths); got != 6 || len(s.tidPaths) != 6 {
-			t.Fatalf("cycle %d: %d vCPU and %d thread entries with 6 live vCPUs", i, got, len(s.tidPaths))
-		}
+		check(fmt.Sprintf("cycle %d, churn VM live", i), read())
+		tid := mgr.Get(name).VCPUThread(1).ID
 		if err := mgr.Destroy(name); err != nil {
 			t.Fatal(err)
 		}
-		read()
-		if got := len(s.vcpuPaths); got != 4 || len(s.tidPaths) != 4 {
-			t.Fatalf("cycle %d: %d vCPU and %d thread entries with 4 live vCPUs", i, got, len(s.tidPaths))
+		if _, err := s.LastCPU(tid); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("cycle %d: LastCPU of a destroyed VM's thread: %v", i, err)
 		}
+		if _, err := s.UsageUs(name, 0); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("cycle %d: UsageUs of a destroyed VM: %v", i, err)
+		}
+		check(fmt.Sprintf("cycle %d, churn VM read after destroy", i), "- -")
+		check(fmt.Sprintf("cycle %d, churn VM gone", i), read())
 	}
 	if err := mgr.Reconfigure("resident", vm.Small(), nil); err != nil { // 4 → 2 vCPUs
 		t.Fatal(err)
 	}
-	read()
-	if len(s.vcpuPaths) != 2 || len(s.tidPaths) != 2 {
-		t.Fatalf("after shrink: %d vCPU and %d thread entries, want 2 and 2", len(s.vcpuPaths), len(s.tidPaths))
-	}
+	check("after shrink", read())
 }
 
 func TestSimUsageAndQuota(t *testing.T) {

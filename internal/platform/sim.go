@@ -21,68 +21,57 @@ import (
 // never-run thread's core 0; platform.Linux is the backend that parses
 // them.
 //
-// Every read names the file it stands for: it first asks the machine for
-// an armed fault on that path (host.Machine.ReadFault), as a kernel read
-// can race a dying thread before it finds the file, and only then looks
-// the model up, afresh on every call, so a VM destroyed and provisioned
-// again under its name is read as the new one. An unknown VM, vCPU or tid
-// is an error wrapping fs.ErrNotExist that names the path. The paths are
-// kept per vCPU, tid and core, so the per-period read path allocates
-// nothing at steady state.
+// Every read stands for a file: while the machine has a read fault armed
+// (host.Machine.FaultsArmed), it builds that file's path and asks for the
+// fault (host.Machine.ReadFault) before it looks anything up, as a kernel
+// read can race a dying thread before it finds the file. While none is
+// armed it builds no path, and a read allocates nothing. An unknown VM,
+// vCPU or tid is an error wrapping fs.ErrNotExist that names the path.
+//
+// Sim remembers two references, the access pattern of the controller's
+// monitor stage: the instance it last resolved by name and the thread it
+// last resolved by tid. Each is checked against the model before it is
+// used — an instance the VM manager destroyed, or a thread the scheduler
+// removed, is looked up afresh — so a VM destroyed and provisioned again
+// under its name is read as the new one. Like every Host, Sim is driven
+// by one goroutine, and the references take no lock.
 type Sim struct {
 	mgr *vm.Manager
 	m   *host.Machine
 
-	vcpuPaths map[VCPURef]simVCPUPaths
-	tidPaths  map[int]string // /proc/<tid>/stat
-	corePaths []string       // scaling_cur_freq, by core
+	inst   *vm.Instance  // last resolved by name; nil after a miss
+	thread *sched.Thread // last resolved by tid; nil after a miss
 
-	vmScratch []VMInfo       // ListVMs result, reused across calls
-	listed    []*vm.Instance // the instances behind vmScratch
-}
-
-// simVCPUPaths holds the pseudo-file paths of one vCPU cgroup.
-type simVCPUPaths struct {
-	stat, max, threads string // cpu.stat, cpu.max, cgroup.threads
+	vmScratch []VMInfo // ListVMs result, reused across calls
 }
 
 // NewSim wraps a VM manager.
 func NewSim(mgr *vm.Manager) *Sim {
-	s := &Sim{
-		mgr:       mgr,
-		m:         mgr.Machine(),
-		vcpuPaths: make(map[VCPURef]simVCPUPaths),
-		tidPaths:  make(map[int]string),
-	}
-	s.corePaths = make([]string, s.m.Spec().Cores)
-	for c := range s.corePaths {
-		s.corePaths[c] = sysfs.CurFreqPath(sysfs.Mount, c)
-	}
-	return s
+	return &Sim{mgr: mgr, m: mgr.Machine()}
 }
 
-// paths returns the pseudo-file paths of a vCPU cgroup. Paths are pure
-// functions of (vm, vcpu), so an entry is never wrong; ListVMs drops it
-// once the vCPU is gone.
-func (s *Sim) paths(vmName string, vcpu int) simVCPUPaths {
-	k := VCPURef{VM: vmName, VCPU: vcpu}
-	p, ok := s.vcpuPaths[k]
-	if !ok {
-		base := cgroupfs.DefaultMount + "/" + vm.VCPUCgroup(vmName, vcpu)
-		p = simVCPUPaths{stat: base + "/cpu.stat", max: base + "/cpu.max", threads: base + "/cgroup.threads"}
-		s.vcpuPaths[k] = p
-	}
-	return p
+// vcpuFile returns the path of a file of a vCPU cgroup,
+// cgroupfs.DefaultMount + "/" + vm.VCPUCgroup(vmName, vcpu) + "/" + file,
+// spelled out so that it is built in one allocation.
+func vcpuFile(vmName string, vcpu int, file string) string {
+	return cgroupfs.DefaultMount + "/" + vm.Slice + "/machine-qemu-" + vmName + ".scope/vcpu" +
+		strconv.Itoa(vcpu) + "/" + file
 }
 
-// tidPath returns the path of /proc/<tid>/stat.
-func (s *Sim) tidPath(tid int) string {
-	p, ok := s.tidPaths[tid]
-	if !ok {
-		p = procfs.Mount + "/" + strconv.Itoa(tid) + "/stat"
-		s.tidPaths[tid] = p
+// statPath returns the path of /proc/<tid>/stat, built in one allocation.
+func statPath(tid int) string {
+	var buf [32]byte
+	b := strconv.AppendInt(append(buf[:0], procfs.Mount+"/"...), int64(tid), 10)
+	return string(append(b, "/stat"...))
+}
+
+// readFault is the fault check of a read of the file path names: one
+// atomic load while no fault is armed, and only then the path.
+func (s *Sim) readFault(path func() string) error {
+	if !s.m.FaultsArmed() {
+		return nil
 	}
-	return p
+	return s.m.ReadFault(path())
 }
 
 // notExist is the error of a read or write of a file the model does not
@@ -91,23 +80,27 @@ func notExist(path string) error { return fmt.Errorf("platform: %s: %w", path, f
 
 // group returns the cgroup of vCPU vcpu of the named VM, or nil.
 func (s *Sim) group(vmName string, vcpu int) *sched.Group {
-	inst := s.mgr.Get(vmName)
+	inst := s.inst
+	if inst == nil || inst.Name() != vmName || inst.Destroyed() {
+		inst = s.mgr.Get(vmName)
+		s.inst = inst
+	}
 	if inst == nil || vcpu < 0 || vcpu >= inst.Template().VCPUs {
 		return nil
 	}
 	return inst.VCPUThread(vcpu).Group
 }
 
-// readGroup is a read of the file at path of a vCPU cgroup: the armed
-// fault on path first, then the group.
-func (s *Sim) readGroup(vmName string, vcpu int, path string) (*sched.Group, error) {
-	if err := s.m.ReadFault(path); err != nil {
+// readGroup is a read of a file of a vCPU cgroup: the armed fault on the
+// file's path first, then the group.
+func (s *Sim) readGroup(vmName string, vcpu int, file string) (*sched.Group, error) {
+	if err := s.readFault(func() string { return vcpuFile(vmName, vcpu, file) }); err != nil {
 		return nil, err
 	}
 	if g := s.group(vmName, vcpu); g != nil {
 		return g, nil
 	}
-	return nil, notExist(path)
+	return nil, notExist(vcpuFile(vmName, vcpu, file))
 }
 
 // Node implements Host.
@@ -118,46 +111,19 @@ func (s *Sim) Node() NodeInfo {
 
 // ListVMs implements Host. The returned slice is reused by the next
 // call; callers must not retain it.
-//
-// When the instances or their vCPU counts differ from the last call, it
-// prunes the path maps here, once per change, and not on the read path.
 func (s *Sim) ListVMs() ([]VMInfo, error) {
-	insts := s.mgr.List()
 	out := s.vmScratch[:0]
-	changed := len(insts) != len(s.listed)
-	for i, inst := range insts {
+	for _, inst := range s.mgr.List() {
 		t := inst.Template()
-		// out[i] still holds the last call's entry until the append.
-		changed = changed || s.listed[i] != inst || s.vmScratch[i].VCPUs != t.VCPUs
 		out = append(out, VMInfo{Name: inst.Name(), VCPUs: t.VCPUs, FreqMHz: t.FreqMHz})
 	}
 	s.vmScratch = out
-	if changed {
-		s.listed = append(s.listed[:0], insts...)
-		s.prune()
-	}
 	return out, nil
-}
-
-// prune drops the paths of vCPUs and threads that no longer exist. Thread
-// ids are never reused and a churning node keeps meeting new VM names, so
-// without it both maps grow for as long as the node lives.
-func (s *Sim) prune() {
-	for k := range s.vcpuPaths {
-		if inst := s.mgr.Get(k.VM); inst == nil || k.VCPU >= inst.Template().VCPUs {
-			delete(s.vcpuPaths, k)
-		}
-	}
-	for tid := range s.tidPaths {
-		if s.m.Sched.Thread(tid) == nil {
-			delete(s.tidPaths, tid)
-		}
-	}
 }
 
 // UsageUs implements Host: the vCPU cgroup's usage_usec.
 func (s *Sim) UsageUs(vmName string, vcpu int) (int64, error) {
-	g, err := s.readGroup(vmName, vcpu, s.paths(vmName, vcpu).stat)
+	g, err := s.readGroup(vmName, vcpu, "cpu.stat")
 	if err != nil {
 		return 0, fmt.Errorf("platform: reading cpu.stat of %s/vcpu%d: %w", vmName, vcpu, err)
 	}
@@ -169,7 +135,7 @@ func (s *Sim) UsageUs(vmName string, vcpu int) (int64, error) {
 func (s *Sim) SetMax(vmName string, vcpu int, quotaUs, periodUs int64) error {
 	g := s.group(vmName, vcpu)
 	if g == nil {
-		return notExist(s.paths(vmName, vcpu).max)
+		return notExist(vcpuFile(vmName, vcpu, "cpu.max"))
 	}
 	if quotaUs <= 0 || periodUs <= 0 {
 		return fmt.Errorf("platform: writing cpu.max of %s/vcpu%d: quota %d and period %d must be positive",
@@ -189,7 +155,7 @@ func (s *Sim) BatchSetMax(vmName string, quotas []VCPUQuota) error {
 // ReadMax implements QuotaReader: the vCPU cgroup's quota (NoQuota when
 // unlimited, sched.NoQuota being NoQuota) and period.
 func (s *Sim) ReadMax(vmName string, vcpu int) (int64, int64, error) {
-	g, err := s.readGroup(vmName, vcpu, s.paths(vmName, vcpu).max)
+	g, err := s.readGroup(vmName, vcpu, "cpu.max")
 	if err != nil {
 		return 0, 0, fmt.Errorf("platform: reading cpu.max of %s/vcpu%d: %w", vmName, vcpu, err)
 	}
@@ -201,7 +167,7 @@ func (s *Sim) ReadMax(vmName string, vcpu int) (int64, int64, error) {
 func (s *Sim) ClearMax(vmName string, vcpu int) error {
 	g := s.group(vmName, vcpu)
 	if g == nil {
-		return notExist(s.paths(vmName, vcpu).max)
+		return notExist(vcpuFile(vmName, vcpu, "cpu.max"))
 	}
 	return g.SetQuota(sched.NoQuota, g.PeriodUs)
 }
@@ -216,9 +182,10 @@ func (s *Sim) SetBurst(vmName string, vcpu int, burstUs int64) error {
 	return fmt.Errorf("platform: writing cpu.max.burst of %s/vcpu%d: %w", vmName, vcpu, fs.ErrNotExist)
 }
 
-// ThreadID implements Host: the one thread of the vCPU cgroup.
+// ThreadID implements Host: the one thread of the vCPU cgroup, which the
+// next LastCPU of its tid then finds without a lookup.
 func (s *Sim) ThreadID(vmName string, vcpu int) (int, error) {
-	g, err := s.readGroup(vmName, vcpu, s.paths(vmName, vcpu).threads)
+	g, err := s.readGroup(vmName, vcpu, "cgroup.threads")
 	if err != nil {
 		return 0, err
 	}
@@ -226,19 +193,25 @@ func (s *Sim) ThreadID(vmName string, vcpu int) (int, error) {
 		return 0, fmt.Errorf("platform: vCPU cgroup %s/vcpu%d holds %d threads, want 1",
 			vmName, vcpu, n)
 	}
-	return g.Threads[0].ID, nil
+	s.thread = g.Threads[0]
+	return s.thread.ID, nil
 }
 
 // LastCPU implements Host. A thread that never ran reports core 0, as
-// its /proc/<tid>/stat does.
+// its /proc/<tid>/stat does. The remembered thread is the one asked for
+// while it has the tid and a group: the scheduler clears the group of a
+// thread it removes, and never reuses a tid.
 func (s *Sim) LastCPU(tid int) (int, error) {
-	p := s.tidPath(tid)
-	if err := s.m.ReadFault(p); err != nil {
+	if err := s.readFault(func() string { return statPath(tid) }); err != nil {
 		return 0, err
 	}
-	th := s.m.Sched.Thread(tid)
-	if th == nil {
-		return 0, notExist(p)
+	th := s.thread
+	if th == nil || th.ID != tid || th.Group == nil {
+		th = s.m.Sched.Thread(tid)
+		s.thread = th
+		if th == nil {
+			return 0, notExist(statPath(tid))
+		}
 	}
 	return max(th.LastCPU, 0), nil
 }
@@ -251,10 +224,10 @@ func (s *Sim) CoreNodes() ([]int, error) {
 
 // CoreFreqMHz implements Host.
 func (s *Sim) CoreFreqMHz(core int) (int64, error) {
-	if core < 0 || core >= len(s.corePaths) {
+	if core < 0 || core >= s.m.DVFS.Cores() {
 		return 0, fmt.Errorf("platform: core %d out of range", core)
 	}
-	if err := s.m.ReadFault(s.corePaths[core]); err != nil {
+	if err := s.readFault(func() string { return sysfs.CurFreqPath(sysfs.Mount, core) }); err != nil {
 		return 0, err
 	}
 	return s.m.DVFS.FreqMHz(core), nil

@@ -25,6 +25,11 @@ import (
 //	readGroup looks the model up before ReadFault   a read of a missing file spends no armed fault
 //	ClearMax resets the period to the default       ReadMax after "max" shows another period
 //	LastCPU skips ReadFault                         a fault armed on "/proc/" never fires
+//	group trusts a destroyed instance it holds      the name just destroyed reads the old cgroup
+//	LastCPU drops its th.Group != nil check         the tid of a thread just stopped reads a core
+//	readFault skips ReadFault while one is armed    no read spends a fault
+//	readGroup builds the path after the lookup      a read of a missing file spends no armed fault
+//	  and returns on a miss first
 
 // renderedReader answers Sim's calls the way the simulated host did while
 // it served pseudo-files: one read of a file is the machine's fault check
@@ -189,7 +194,12 @@ func (r renderedReader) ClearMax(vmName string, vcpu int) error { return r.write
 // an injected fault must be equal, so Sim draws faults exactly as the
 // rendered files did. Names, vCPU indices, tids and cores outside the
 // live set are read too, and the first reads come before any Advance,
-// while no thread has run.
+// while no thread has run. Before each step Sim reads a thread of the VM
+// the step acts on, so its remembered instance and thread are that VM's;
+// after it, the first reads are that thread's tid and that VM's name,
+// without a ListVMs: a VM just destroyed (and half the time provisioned
+// again under its name) or a thread just stopped is met while Sim still
+// holds a reference to it.
 func TestSimMatchesRenderedUnderChurn(t *testing.T) {
 	newMachine := func() (*host.Machine, *vm.Manager) {
 		m, err := host.New(host.Chetemi())
@@ -251,6 +261,28 @@ func TestSimMatchesRenderedUnderChurn(t *testing.T) {
 		}
 		readMax(step, name, j)
 	}
+	readVM := func(step int, name string) {
+		t.Helper()
+		for j := -1; j < 5; j++ {
+			what := fmt.Sprintf("%s/vcpu%d", name, j)
+			ua, ea := s.UsageUs(name, j)
+			ub, eb := ref.UsageUs(name, j)
+			eq(step, "UsageUs "+what, ua, ub, ea, eb)
+			readMax(step, name, j)
+			ta, ea := s.ThreadID(name, j)
+			tb, eb := ref.ThreadID(name, j)
+			eq(step, "ThreadID "+what, ta, tb, ea, eb)
+			if ea == nil {
+				tids[ta] = true
+			}
+		}
+	}
+	lastCPU := func(step, tid int) {
+		t.Helper()
+		ca, ea := s.LastCPU(tid)
+		cb, eb := ref.LastCPU(tid)
+		eq(step, fmt.Sprintf("LastCPU %d", tid), ca, cb, ea, eb)
+	}
 	compare := func(step int, list bool) {
 		t.Helper()
 		if list {
@@ -259,24 +291,10 @@ func TestSimMatchesRenderedUnderChurn(t *testing.T) {
 			}
 		}
 		for _, name := range names {
-			for j := -1; j < 5; j++ {
-				what := fmt.Sprintf("%s/vcpu%d", name, j)
-				ua, ea := s.UsageUs(name, j)
-				ub, eb := ref.UsageUs(name, j)
-				eq(step, "UsageUs "+what, ua, ub, ea, eb)
-				readMax(step, name, j)
-				ta, ea := s.ThreadID(name, j)
-				tb, eb := ref.ThreadID(name, j)
-				eq(step, "ThreadID "+what, ta, tb, ea, eb)
-				if ea == nil {
-					tids[ta] = true
-				}
-			}
+			readVM(step, name)
 		}
 		for tid := range tids {
-			ca, ea := s.LastCPU(tid)
-			cb, eb := ref.LastCPU(tid)
-			eq(step, fmt.Sprintf("LastCPU %d", tid), ca, cb, ea, eb)
+			lastCPU(step, tid)
 		}
 		for core := -1; core <= ma.Spec().Cores; core++ {
 			fa, ea := s.CoreFreqMHz(core)
@@ -300,13 +318,21 @@ func TestSimMatchesRenderedUnderChurn(t *testing.T) {
 	for step := 1; step <= 300; step++ {
 		name := names[rng.Intn(len(names))]
 		tpl := templates[rng.Intn(len(templates))]
+		j := rng.Intn(4)
+		tid, pa := s.ThreadID(name, j)
+		tidB, pb := ref.ThreadID(name, j)
+		eq(step, fmt.Sprintf("ThreadID %s/vcpu%d", name, j), tid, tidB, pa, pb)
 		var ea, eb error
 		switch op := rng.Intn(8); op {
 		case 0, 1: // provision, possibly a name destroyed earlier with another vCPU count
 			_, ea = mgrA.Provision(name, tpl, busy(tpl.VCPUs))
 			_, eb = mgrB.Provision(name, tpl, busy(tpl.VCPUs))
-		case 2:
+		case 2: // a destroy, then half the time the name again with tpl
 			ea, eb = mgrA.Destroy(name), mgrB.Destroy(name)
+			if ea == nil && rng.Intn(2) == 0 {
+				_, ea = mgrA.Provision(name, tpl, busy(tpl.VCPUs))
+				_, eb = mgrB.Provision(name, tpl, busy(tpl.VCPUs))
+			}
 		case 3:
 			ea, eb = mgrA.Reconfigure(name, tpl, busy(tpl.VCPUs)), mgrB.Reconfigure(name, tpl, busy(tpl.VCPUs))
 		case 4:
@@ -319,7 +345,6 @@ func TestSimMatchesRenderedUnderChurn(t *testing.T) {
 				mb.ClearFileFaults()
 			}
 		case 6: // a quota write, then half the time "max" over it
-			j := rng.Intn(4)
 			quota, period := quotas[rng.Intn(len(quotas))], periods[rng.Intn(len(periods))]
 			write(step, "SetMax", name, j, s.SetMax(name, j, quota, period), ref.SetMax(name, j, quota, period))
 			if rng.Intn(2) == 0 {
@@ -332,9 +357,10 @@ func TestSimMatchesRenderedUnderChurn(t *testing.T) {
 		if errString(ea) != errString(eb) {
 			t.Fatalf("step %d: the script diverged: %v on A, %v on B", step, ea, eb)
 		}
+		lastCPU(step, tid)
+		readVM(step, name)
 		// Half the time Sim reads without listing first, as when a VM
-		// vanishes between a step's ListVMs and its reads: prune has not
-		// run, so Sim's paths may name a vCPU that is gone.
+		// vanishes between a step's ListVMs and its reads.
 		compare(step, rng.Intn(2) == 0)
 	}
 	if faultsA == 0 || refused == 0 || refused == writes {

@@ -1,6 +1,7 @@
 package platform_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -114,6 +115,60 @@ func TestSimWriteAllocs(t *testing.T) {
 	}
 }
 
+// TestSimReadAllocs pins the cost of a simulated read: while no fault is
+// armed a read builds no path and allocates nothing; while a persistent
+// fault is armed on a substring no path contains, a read allocates at
+// most its path.
+func TestSimReadAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	m, sim, _ := tableIINode(t, 2)
+	vms, err := sim.ListVMs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := vms[len(vms)-1].Name
+	tid, err := sim.ThreadID(name, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core, err := sim.LastCPU(tid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := []struct {
+		name string
+		read func() error
+	}{
+		{"ListVMs", func() error { _, err := sim.ListVMs(); return err }},
+		{"UsageUs", func() error { _, err := sim.UsageUs(name, 1); return err }},
+		{"ThreadID", func() error { _, err := sim.ThreadID(name, 1); return err }},
+		{"LastCPU", func() error { _, err := sim.LastCPU(tid); return err }},
+		{"CoreFreqMHz", func() error { _, err := sim.CoreFreqMHz(core); return err }},
+		{"ReadMax", func() error { _, _, err := sim.ReadMax(name, 1); return err }},
+	}
+	for _, armed := range []bool{false, true} {
+		limit := 0.0
+		if armed {
+			m.FailReads("no path holds this", errors.New("never drawn"), -1)
+			limit = 1
+		}
+		for _, r := range reads {
+			if err := r.read(); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(100, func() {
+				if err := r.read(); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs > limit {
+				t.Errorf("%s allocates %.1f/op with a fault armed: %v, want at most %.0f", r.name, allocs, armed, limit)
+			}
+		}
+	}
+}
+
 // BenchmarkSimStep is Controller.Step alone over platform.Sim on the
 // Table II node: the monitor stage's reads plus the five stages behind
 // them. Advance runs with the timer stopped.
@@ -134,7 +189,9 @@ func BenchmarkSimStep(b *testing.B) {
 
 // BenchmarkSimReads times each Host read of the monitor stage on its own,
 // one call per iteration over platform.Sim on the warm Table II node,
-// cycling through its 80 vCPUs.
+// cycling through its 80 vCPUs, and then MonitorChain: the monitor's four
+// reads of one vCPU in its order (UsageUs, ThreadID, LastCPU of that tid,
+// CoreFreqMHz of that core) per iteration, over the same 80 vCPUs.
 func BenchmarkSimReads(b *testing.B) {
 	_, sim, _ := tableIINode(b, 20)
 	vms, err := sim.ListVMs()
@@ -168,6 +225,21 @@ func BenchmarkSimReads(b *testing.B) {
 		{"ThreadID", func(v *vcpu) error { _, err := sim.ThreadID(v.vm, v.j); return err }},
 		{"LastCPU", func(v *vcpu) error { _, err := sim.LastCPU(v.tid); return err }},
 		{"CoreFreqMHz", func(v *vcpu) error { _, err := sim.CoreFreqMHz(v.lastCPU); return err }},
+		{"MonitorChain", func(v *vcpu) error {
+			if _, err := sim.UsageUs(v.vm, v.j); err != nil {
+				return err
+			}
+			tid, err := sim.ThreadID(v.vm, v.j)
+			if err != nil {
+				return err
+			}
+			core, err := sim.LastCPU(tid)
+			if err != nil {
+				return err
+			}
+			_, err = sim.CoreFreqMHz(core)
+			return err
+		}},
 	} {
 		b.Run(r.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -16,9 +16,10 @@ import (
 // Mount is the conventional location of the cpu devices tree.
 const Mount = "/sys/devices/system/cpu"
 
-// CurFreqPath returns the scaling_cur_freq path of core c under mount.
+// CurFreqPath returns the scaling_cur_freq path of core c under mount, in
+// one allocation while c < 100.
 func CurFreqPath(mount string, c int) string {
-	return fmt.Sprintf("%s/cpu%d/cpufreq/scaling_cur_freq", mount, c)
+	return mount + "/cpu" + strconv.Itoa(c) + "/cpufreq/scaling_cur_freq"
 }
 
 // ParseKHzBytes parses a cpufreq value file into kHz; it allocates

@@ -65,6 +65,9 @@ type Instance struct {
 	scope    string // cgroup path relative to the mount
 	vcpus    []*sched.Thread
 	sources  []workload.Source
+	// destroyed tells a holder of the instance it from a new one
+	// provisioned under its name.
+	destroyed bool
 }
 
 // ScopePath returns the libvirt-style scope cgroup path for a VM name.
@@ -235,6 +238,7 @@ func (mg *Manager) Destroy(name string) error {
 	if err := mg.machine.Cgroups.RemoveGroup(inst.scope); err != nil {
 		return err
 	}
+	inst.destroyed = true
 	delete(mg.instances, name)
 	mg.list = slices.DeleteFunc(mg.list, func(i *Instance) bool { return i == inst })
 	return nil
@@ -252,6 +256,9 @@ func (mg *Manager) List() []*Instance {
 
 // Name returns the instance name.
 func (i *Instance) Name() string { return i.name }
+
+// Destroyed reports whether Manager.Destroy removed the instance.
+func (i *Instance) Destroyed() bool { return i.destroyed }
 
 // Template returns the instance's template.
 func (i *Instance) Template() Template { return i.template }
