@@ -110,7 +110,8 @@ func BenchmarkTickTableII(b *testing.B) {
 // BenchmarkTickTableII, where the replay ring answers every tick, this is
 // what a tick costs when the ring looks, finds an input moved, runs
 // allocate and placeOnCores after all and records them. replayed/op is the
-// share of ticks the ring still answered in full.
+// share of ticks the ring still answered in full, previous/op the share
+// the previous tick did.
 func BenchmarkTickTableIIQuotaWrite(b *testing.B) {
 	s := tableIINode()
 	vcpu := s.Root().Children[0].Children[0].Children[0]
@@ -122,7 +123,8 @@ func BenchmarkTickTableIIQuotaWrite(b *testing.B) {
 		}
 		s.Tick(10_000)
 	}
-	b.ReportMetric(float64(s.replay.coreHits)/float64(b.N), "replayed/op")
+	b.ReportMetric(float64(s.replay.coresFrom[fromSlot])/float64(b.N), "replayed/op")
+	b.ReportMetric(float64(s.replay.coresFrom[fromPrev])/float64(b.N), "previous/op")
 }
 
 func BenchmarkDeepHierarchy(b *testing.B) {

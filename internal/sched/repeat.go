@@ -189,10 +189,12 @@ func (s *Scheduler) takeSnapshot() {
 
 // RepeatedTick returns the allocations of tick k of the window the last
 // Repeat repeated, in the order Tick returned them, and sets the core
-// loads (CoreLoadUs, Utilization) as that tick did. Like Tick's, the slice
-// is reused by the next call.
+// loads (CoreLoadUs, Utilization) as that tick did; the next Tick then
+// places its threads afresh. Like Tick's, the slice is reused by the next
+// call.
 func (s *Scheduler) RepeatedTick(k int) []Alloc {
 	sl := &s.replay.slots[k]
+	s.replay.prevSlot = nil
 	allocs, load := s.allocScratch[:0], s.coreLoadUs
 	clear(load)
 	for j, t := range s.replay.threads {

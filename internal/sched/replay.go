@@ -2,30 +2,48 @@ package sched
 
 import "math"
 
-// The replay ring. A controller steps once per second against 100 ms
-// bandwidth windows, so between two of its steps a node runs ten windows
-// that are copies of each other: tick k of a window meets the demands,
-// the remaining quotas and the placement tick k of the window before met.
-// The ring keeps, per tick of a window, what allocate (with waterfill) and
-// placeOnCores read and what they answered, and Tick takes the answer of
-// either from it when everything that function would read compares equal.
-// Nothing tells the ring that an input moved: it looks, every tick, at
-// every value.
+// The replay ring and the previous tick. A controller steps once per
+// second against 100 ms bandwidth windows, so between two of its steps a
+// node runs ten windows that are copies of each other: tick k of a window
+// meets the demands, the remaining quotas and the placement tick k of the
+// window before met. The ring keeps, per tick of a window, what allocate
+// (with waterfill) and placeOnCores read and what they answered, and Tick
+// takes the answer of either from it when everything that function would
+// read compares equal. Within a window, too, a tick often meets what the
+// tick before it met: while no quota binds, need = min(demand,
+// quotaRemaining()) holds still. Then the answers the previous computed
+// tick left behind stand as they are. Nothing tells either memory that an
+// input moved: each looks, every tick, at every value.
 //
-//	what the skipped code reads                       where the ring keeps it
-//	tree shape (who is whose child, in what order)    replay.gen
-//	dtUs (capacity, the one-core bound, packing)      replay.dtUs
-//	Scheduler.Cores (capacity)                        replay.cores
-//	allocate: Group.Weight of every group             replay.weights
-//	allocate: Group.need of every group               replaySlot.needs
-//	allocate: Thread.want of every thread             threadRec.want
-//	placeOnCores: Thread.got (allocate's answer)      equal when the above are
-//	placeOnCores: Thread.LastCPU on entry             threadRec.lastCPU
+//	what the skipped code reads             the ring keeps it in     the previous tick left it in
+//	tree shape (who is whose child, order)  replay.gen               replay.gen (prevOK)
+//	dtUs (capacity, one-core bound, keys)   replay.dtUs              replay.dtUs (prevOK)
+//	Scheduler.Cores (capacity)              replay.cores             replay.cores (prevOK)
+//	allocate: Group.Weight of every group   replay.weights           replay.weights
+//	allocate: Group.need of every group     replaySlot.needs         Group.need (prepare compares)
+//	allocate: Thread.want of every thread   threadRec.want           Thread.want (prepare compares)
+//	placeOnCores: Thread.got                equal when the above are Thread.got
+//	placeOnCores: Thread.LastCPU on entry   threadRec.lastCPU        prevSlot's threadRec.core
 //
 // The placement of a loaded node can cycle with a period longer than one
 // window while its allocations repeat, hence the two answers: allocate is
 // skipped when the first six rows match, placeOnCores when the last does
-// too.
+// too. The previous tick's placement stands without a record of its
+// entry: first-fit-decreasing with affinity, started from the cores it
+// produced itself, is a fixed point. Induct over the order: if every
+// thread before the i-th chose the core it chose last tick, the i-th meets
+// the loads it met then; either its last core had room then, and has room
+// now, or it was sent to the lowest-index least-loaded core, which it
+// finds again. So it suffices that every thread that runs still comes
+// from the core the previous tick gave it (prevSlot keeps them) and that
+// no RepeatedTick, which writes the core loads, ran since. Repeat writes
+// neither: the boundary it repeats from follows the tick the ring's last
+// slot recorded, and it leaves that tick's loads and cores in place.
+//
+// A slot also keeps the first-fit-decreasing order of its allocation
+// (replaySlot.order), which is a function of the allocations alone: a
+// tick that takes the slot's allocation places in that order without
+// sorting.
 //
 // quotaRemaining, which allocate also reads, is not in the list because
 // need stands in for it: a group below the root is never handed more than
@@ -49,9 +67,21 @@ type threadRec struct {
 // replaySlot is one tick of a window.
 type replaySlot struct {
 	valid   bool        // the outputs belong to the inputs
+	ordered bool        // order belongs to the recorded allocation
 	threads []threadRec // group by group in replay.groups order, each group's Threads in turn
 	needs   []int32     // one per group
+	order   []uint16    // the recorded allocation's first-fit-decreasing order, as indexes of the tick's allocations
 }
+
+// source is where a tick takes an answer from: its allocation, or its
+// placement.
+type source uint8
+
+const (
+	fromSlot source = iota // the ring slot of this tick of the window
+	fromPrev               // the previous computed tick, whose answer stands
+	compute                // allocate, or placeOnCores
+)
 
 type replay struct {
 	// What the ring below is laid out for; a tick that finds one of them
@@ -70,63 +100,103 @@ type replay struct {
 	// a slot whose recorded got or core replayRecord changed (RepeatGen).
 	outGen uint64
 
-	gotHits, coreHits uint64 // ticks that replayed the allocation, and the placement too; only the tests read them
+	// The previous computed tick: its wants and needs are still in the
+	// threads and groups when prepare compares them, its allocation in
+	// Thread.got, its placement in Thread.LastCPU and the core loads.
+	prevOK   bool        // the ring was not laid out since: the tree shape, dtUs and Cores are its
+	prevSlot *replaySlot // while prevOK, the slot holding its placement; nil if it had none, or RepeatedTick ran since
+
+	// Ticks whose allocation, and placement, a memory answered, by the
+	// memory. Only the tests read them.
+	gotFrom, coresFrom [compute]uint64
 }
 
-// replayLookup finds the ring slot of the tick prepare has just set up,
-// stores the tick's inputs in it and reports what it held already: gotHit,
-// the inputs of allocate, so the recorded allocations are this tick's;
-// coreHit, those and every thread's LastCPU, so the recorded placement is
-// too. What missed is invalid until replayRecord completes it. The slot is
-// nil when the tick cannot be recorded: ticks of dtUs are not replayed, or
-// an input does not fit the slot's integers (what was cut off would later
-// equal a value the outputs were not computed for).
-func (s *Scheduler) replayLookup(dtUs int64) (sl *replaySlot, gotHit, coreHit bool) {
+// replayLookup decides where the tick prepare has just set up takes its
+// allocation and its placement from; same reports that prepare found every
+// want and need as the previous computed tick left them. The previous
+// tick answers where every input equals its own (fromPrev: nothing to
+// do), else the ring slot of this tick (fromSlot), else the code itself
+// (compute). The slot is looked up whatever the answer: replayLookup
+// stores the tick's inputs in it, and what missed is invalid until
+// replayRecord completes it. The slot is nil when the tick cannot be
+// recorded: ticks of dtUs are not replayed, or an input does not fit the
+// slot's integers (what was cut off would later equal a value the outputs
+// were not computed for).
+func (s *Scheduler) replayLookup(dtUs int64, same bool) (sl *replaySlot, got, cores source) {
 	r := &s.replay
 	s.layoutReplay(dtUs)
-	if len(r.slots) == 0 {
-		return nil, false, false
+	reweighted := s.reweighted()
+	prev, placed := same && r.prevOK && !reweighted, r.prevSlot
+	if !prev {
+		placed = nil
 	}
-	sl = &r.slots[s.nowUs/dtUs%int64(len(r.slots))]
-	gotHit, coreHit = sl.valid, sl.valid
-	fits, reweighted := true, false
-	k := 0
+	gotHit, coreHit := false, false
+	if len(r.slots) > 0 {
+		if reweighted {
+			for i := range r.slots {
+				r.slots[i].valid = false
+			}
+		}
+		sl = &r.slots[s.nowUs/dtUs%int64(len(r.slots))]
+		gotHit, coreHit = sl.valid, sl.valid
+		fits, k := true, 0
+		for i, g := range r.groups {
+			if int64(sl.needs[i]) != g.need {
+				sl.needs[i], gotHit = narrow[int32](g.need, &fits), false
+			}
+			for _, t := range g.Threads {
+				rec := &sl.threads[k]
+				if placed != nil && t.got > 0 && int(placed.threads[k].core) != t.LastCPU {
+					placed = nil
+				}
+				k++
+				if int64(rec.want) != t.want {
+					rec.want, gotHit = narrow[int16](t.want, &fits), false
+				}
+				if int(rec.lastCPU) != t.LastCPU {
+					rec.lastCPU, coreHit = narrow[int16](int64(t.LastCPU), &fits), false
+				}
+			}
+		}
+		coreHit = coreHit && gotHit
+		sl.valid = coreHit
+		sl.ordered = sl.ordered && gotHit
+		if !fits {
+			sl, gotHit, coreHit = nil, false, false
+		}
+	}
+	got, cores = compute, compute
+	switch {
+	case prev:
+		got = fromPrev
+	case gotHit:
+		got = fromSlot
+	}
+	switch {
+	case prev && placed != nil:
+		cores = fromPrev
+	case coreHit:
+		cores = fromSlot
+	}
+	if got != compute {
+		r.gotFrom[got]++
+	}
+	if cores != compute {
+		r.coresFrom[cores]++
+	}
+	return sl, got, cores
+}
+
+// reweighted reports whether a group's Weight moved since the last tick,
+// and keeps the new weights for the next.
+func (s *Scheduler) reweighted() bool {
+	r, moved := &s.replay, false
 	for i, g := range r.groups {
 		if r.weights[i] != g.Weight {
-			r.weights[i], reweighted = g.Weight, true
-		}
-		if int64(sl.needs[i]) != g.need {
-			sl.needs[i], gotHit = narrow[int32](g.need, &fits), false
-		}
-		for _, t := range g.Threads {
-			rec := &sl.threads[k]
-			k++
-			if int64(rec.want) != t.want {
-				rec.want, gotHit = narrow[int16](t.want, &fits), false
-			}
-			if int(rec.lastCPU) != t.LastCPU {
-				rec.lastCPU, coreHit = narrow[int16](int64(t.LastCPU), &fits), false
-			}
+			r.weights[i], moved = g.Weight, true
 		}
 	}
-	if reweighted {
-		for i := range r.slots {
-			r.slots[i].valid = false
-		}
-		gotHit = false
-	}
-	coreHit = coreHit && gotHit
-	sl.valid = coreHit
-	if !fits {
-		return nil, false, false
-	}
-	if gotHit {
-		r.gotHits++
-	}
-	if coreHit {
-		r.coreHits++
-	}
-	return sl, gotHit, coreHit
+	return moved
 }
 
 // narrow cuts v down to a slot's integer and clears fits if that lost
@@ -149,6 +219,7 @@ func (s *Scheduler) layoutReplay(dtUs int64) {
 	}
 	r.gen, r.dtUs, r.cores = s.gen, dtUs, s.Cores
 	r.outGen++
+	r.prevOK = false
 	r.groups = appendPreorder(make([]*Group, 0, countGroups(s.root)), s.root)
 	r.threads = make([]*Thread, 0, len(s.threads))
 	for _, g := range r.groups {
@@ -164,10 +235,14 @@ func (s *Scheduler) layoutReplay(dtUs int64) {
 		return
 	}
 	nt, ng := len(s.threads), len(r.groups)
-	threads, needs := make([]threadRec, int(n)*nt), make([]int32, int(n)*ng)
+	threads, needs, orders := make([]threadRec, int(n)*nt), make([]int32, int(n)*ng), make([]uint16, int(n)*nt)
 	r.slots = make([]replaySlot, n)
 	for i := range r.slots {
-		r.slots[i] = replaySlot{threads: threads[i*nt : (i+1)*nt], needs: needs[i*ng : (i+1)*ng]}
+		r.slots[i] = replaySlot{
+			threads: threads[i*nt : (i+1)*nt],
+			needs:   needs[i*ng : (i+1)*ng],
+			order:   orders[i*nt : i*nt : (i+1)*nt],
+		}
 	}
 	r.last = snapshot{groups: make([]groupSnap, ng), threads: make([]threadSnap, nt)}
 }

@@ -20,6 +20,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 )
@@ -117,6 +118,7 @@ type Scheduler struct {
 	allocScratch []Alloc
 	keyScratch   []uint64
 	entScratch   []entity
+	floorScratch []uint64 // placeOnCores' bit per core
 
 	// gen counts the changes to the tree's shape: NewGroup, RemoveGroup,
 	// NewThread and RemoveThread, the only writers of Children and Threads.
@@ -138,9 +140,10 @@ func New(cores int) *Scheduler {
 			QuotaUs:  NoQuota,
 			PeriodUs: DefaultPeriodUs,
 		},
-		nextTID:    1,
-		threads:    map[int]*Thread{},
-		coreLoadUs: make([]int64, cores),
+		nextTID:      1,
+		threads:      map[int]*Thread{},
+		coreLoadUs:   make([]int64, cores),
+		floorScratch: make([]uint64, (cores+63)/64),
 	}
 }
 
@@ -308,33 +311,36 @@ type entity struct {
 // One tick walks the cgroup tree twice: prepare descends it (windows,
 // demands, cached needs), allocate hands the capacity down through the
 // groups that need any, and settle ascends it (usage, the allocation list
-// in the order prepare met the threads). Where the replay
-// ring (replay.go) holds this tick of the bandwidth window with the inputs
-// prepare has just computed, the allocations it recorded stand in for
-// allocate, and the placement for placeOnCores if the threads also come
-// from the cores they came from then.
+// in the order prepare met the threads). Two memories stand in for
+// allocate, and for placeOnCores, where every input they would read
+// compares equal (replay.go): the previous computed tick, whose answers
+// still stand in the threads and the core loads, and the replay ring,
+// which holds this tick of the bandwidth window as it was last computed.
 func (s *Scheduler) Tick(dtUs int64) []Alloc {
 	if dtUs <= 0 {
 		panic("sched: dt must be positive")
 	}
-	s.prepare(s.root, dtUs)
-	slot, gotHit, coreHit := s.replayLookup(dtUs)
-	if gotHit {
+	moved := s.prepare(s.root, dtUs)
+	slot, got, cores := s.replayLookup(dtUs, moved == 0)
+	switch got {
+	case fromSlot:
 		s.replayGot(slot)
-	} else {
-		s.allocate(s.root, dtUs*int64(s.Cores))
+	case compute:
+		s.allocateTick(dtUs)
 	}
 	s.allocScratch = s.allocScratch[:0]
 	s.settle(s.root)
 	allocs := s.allocScratch
-	if coreHit {
+	switch cores {
+	case fromSlot:
 		s.replayCores(slot, allocs)
-	} else {
-		s.placeOnCores(allocs, dtUs)
-		if slot != nil {
-			s.replayRecord(slot)
-		}
+	case compute:
+		s.placeOnCores(allocs, dtUs, slot)
 	}
+	if slot != nil && !slot.valid {
+		s.replayRecord(slot)
+	}
+	s.replay.prevOK, s.replay.prevSlot = true, slot
 	s.nowUs += dtUs
 	s.lastDtUs = dtUs
 	return allocs
@@ -343,8 +349,10 @@ func (s *Scheduler) Tick(dtUs int64) []Alloc {
 // prepare is the tick's descent. Per group it opens the bandwidth periods
 // that are due, evaluates the demands of the group's threads, and on the
 // way back caches the subtree's feasible demand: its demand clamped by
-// every quota on the way down.
-func (s *Scheduler) prepare(g *Group, dtUs int64) {
+// every quota on the way down. It returns 0 if every want and need it
+// wrote equals the one it overwrote, which the previous computed tick
+// left there.
+func (s *Scheduler) prepare(g *Group, dtUs int64) (moved int64) {
 	if g.QuotaUs != NoQuota {
 		for s.nowUs-g.windowStartUs >= g.PeriodUs {
 			g.windowStartUs += g.PeriodUs
@@ -353,17 +361,21 @@ func (s *Scheduler) prepare(g *Group, dtUs int64) {
 	}
 	var need int64
 	for _, t := range g.Threads {
-		t.want = t.demandUs(s.nowUs, dtUs)
-		t.got = 0
-		if t.want > 0 {
-			need += t.want
+		want := t.demandUs(s.nowUs, dtUs)
+		moved |= want ^ t.want
+		t.want = want
+		if want > 0 {
+			need += want
 		}
 	}
 	for _, c := range g.Children {
-		s.prepare(c, dtUs)
+		moved |= s.prepare(c, dtUs)
 		need += c.need
 	}
-	g.need, g.share = min(need, g.quotaRemaining()), 0
+	need = min(need, g.quotaRemaining())
+	moved |= need ^ g.need
+	g.need, g.share = need, 0
+	return moved
 }
 
 // demandUs is how much of the next dtUs the thread asks for.
@@ -392,6 +404,16 @@ func (g *Group) quotaRemaining() int64 {
 		return 0
 	}
 	return r
+}
+
+// allocateTick is the allocation when no memory holds it: every thread's
+// got from zero, then allocate from the root. The ring's thread list must
+// be laid out for the tree.
+func (s *Scheduler) allocateTick(dtUs int64) {
+	for _, t := range s.replay.threads {
+		t.got = 0
+	}
+	s.allocate(s.root, dtUs*int64(s.Cores))
 }
 
 // allocate distributes capacity µs of CPU time within group g using
@@ -505,8 +527,9 @@ func waterfill(active []entity, capacity int64) {
 
 // settle is the tick's ascent. Per group it records the usage of the
 // group's threads and lists their allocations (threads before sub-groups,
-// the order prepare met them), and folds the subtree's usage into the
-// group and its bandwidth window. It returns the subtree's usage.
+// the order prepare met them) on the cores they last ran on, which the
+// placement then moves, and folds the subtree's usage into the group and
+// its bandwidth window. It returns the subtree's usage.
 func (s *Scheduler) settle(g *Group) int64 {
 	var got int64
 	for _, t := range g.Threads {
@@ -518,7 +541,7 @@ func (s *Scheduler) settle(g *Group) int64 {
 		}
 		t.UsageUs += t.got
 		got += t.got
-		s.allocScratch = append(s.allocScratch, Alloc{Thread: t, RanUs: t.got})
+		s.allocScratch = append(s.allocScratch, Alloc{Thread: t, RanUs: t.got, Core: t.LastCPU})
 	}
 	for _, c := range g.Children {
 		got += s.settle(c)
@@ -530,20 +553,61 @@ func (s *Scheduler) settle(g *Group) int64 {
 
 // placeOnCores assigns each allocation to a core for the tick. Threads
 // prefer their previous core if it has room (models CFS affinity: loaded
-// threads migrate rarely); otherwise they go to the least-loaded core.
-func (s *Scheduler) placeOnCores(allocs []Alloc, dtUs int64) {
+// threads migrate rarely); otherwise they go to the least-loaded core,
+// lowest index first.
+func (s *Scheduler) placeOnCores(allocs []Alloc, dtUs int64, sl *replaySlot) {
 	load := s.coreLoadUs
 	clear(load)
-	// Largest allocations first gives first-fit-decreasing packing, ties
-	// in allocation order. Packing (dtUs − RanUs, index) into one integer
-	// per allocation turns that stable descending order into a plain
-	// ascending sort (RanUs ≤ dtUs: no thread outruns one core). The keys
-	// are distinct, so where the sort starts from does not change where it
-	// ends: starting from the last tick's order, still in the low bits of
-	// the scratch, leaves it little to do while allocations are steady.
+	keys, mask := s.ffdOrder(allocs, dtUs, sl)
+	// atFloor holds a bit per core at the least load, the floor, but for
+	// those placed on since: loads only grow within a tick, so while one
+	// is left the lowest is the least-loaded core, lowest index first.
+	// Words below w are empty; once every word is, the floor has risen
+	// and is found again.
+	atFloor, w := s.floorScratch, len(s.floorScratch)
+	clear(atFloor)
+	for _, k := range keys {
+		a := &allocs[k&mask]
+		t := a.Thread
+		core := t.LastCPU
+		if core < 0 || core >= len(load) || load[core]+a.RanUs > dtUs {
+			for w < len(atFloor) && atFloor[w] == 0 {
+				w++
+			}
+			if w == len(atFloor) {
+				floor := slices.Min(load)
+				for c, l := range load {
+					if l == floor {
+						atFloor[c>>6] |= 1 << (c & 63)
+					}
+				}
+				for w = 0; atFloor[w] == 0; w++ {
+				}
+			}
+			core = w<<6 | bits.TrailingZeros64(atFloor[w])
+		}
+		load[core] += a.RanUs
+		atFloor[core>>6] &^= 1 << (core & 63)
+		t.LastCPU = core
+		a.Core = core
+	}
+}
+
+// ffdOrder leaves the indexes of allocs in first-fit-decreasing order
+// (largest allocation first, ties in allocation order) in the mask bits
+// of the keys it returns. The tick's ring slot, if it has one, keeps the
+// order; where it holds it already (replaySlot.ordered), the order is
+// copied, not sorted.
+func (s *Scheduler) ffdOrder(allocs []Alloc, dtUs int64, sl *replaySlot) (keys []uint64, mask uint64) {
+	// Packing (dtUs − RanUs, index) into one integer per allocation turns
+	// that stable descending order into a plain ascending sort (RanUs ≤
+	// dtUs: no thread outruns one core). The keys are distinct, so where
+	// the sort starts from does not change where it ends: starting from
+	// the last order, still in the mask bits of the scratch, leaves it
+	// little to do while allocations are steady.
 	shift := bits.Len(uint(len(allocs)))
-	mask := uint64(1)<<shift - 1
-	keys := s.keyScratch
+	mask = uint64(1)<<shift - 1
+	keys = s.keyScratch
 	if len(keys) != len(allocs) {
 		keys = keys[:0]
 		for i := range allocs {
@@ -551,32 +615,22 @@ func (s *Scheduler) placeOnCores(allocs []Alloc, dtUs int64) {
 		}
 		s.keyScratch = keys
 	}
+	if sl != nil && sl.ordered {
+		for j, i := range sl.order {
+			keys[j] = uint64(i)
+		}
+		return keys, mask
+	}
 	for j, k := range keys {
 		keys[j] = uint64(dtUs-allocs[k&mask].RanUs)<<shift | k&mask
 	}
 	slices.Sort(keys)
-	// floor is the least load a scan has found so far. Loads only grow
-	// within a tick, so the first core still at floor is the least
-	// loaded, lowest index first, and the scan stops there.
-	floor := int64(0)
-	for _, k := range keys {
-		a := &allocs[k&mask]
-		t := a.Thread
-		core := t.LastCPU
-		if core < 0 || core >= len(load) || load[core]+a.RanUs > dtUs {
-			least := int64(1) << 62
-			for c, l := range load {
-				if l < least {
-					least, core = l, c
-					if l == floor {
-						break
-					}
-				}
-			}
-			floor = least
+	if sl != nil && len(keys) <= math.MaxUint16+1 {
+		sl.order = sl.order[:len(keys)]
+		for j, k := range keys {
+			sl.order[j] = uint16(k & mask)
 		}
-		load[core] += a.RanUs
-		t.LastCPU = core
-		a.Core = core
+		sl.ordered = true
 	}
+	return keys, mask
 }

@@ -846,6 +846,7 @@ type twins struct {
 	shapes  []*demandShape // of threads[.][i], shared by the two sides
 	calls   [2][]int       // thread IDs in the order Demand was called this tick
 	calm    bool           // a quiet stretch: the time-varying shapes hold one level
+	quiets  int            // quiet stretches begun; in every other one the on/off shape flips every tick
 	ticks   uint64         // played so far
 }
 
@@ -866,7 +867,9 @@ var (
 func newTwins(tb testing.TB, c *chooser) *twins {
 	cores := 1 + c.intn(8)
 	if c.intn(8) == 0 {
-		cores = 40
+		// A chetemi, and the machines of one word of placeOnCores' floor
+		// mask and of one core more.
+		cores = []int{40, 64, 65}[c.intn(3)]
 	}
 	tw := &twins{tb: tb, c: c, prod: New(cores), ref: &reference{Scheduler: New(cores)}, depth: []int{0}}
 	tw.groups[0] = []*Group{tw.prod.Root()}
@@ -946,6 +949,11 @@ func (tw *twins) demand(side, id int, sh *demandShape) func(nowUs, dtUs int64) f
 			return 0.005 // the emulator thread of vm.Manager
 		}
 		if tw.calm {
+			if sh.kind == 6 && tw.quiets%2 == 0 {
+				// Running on every other tick keeps the previous tick
+				// from answering, and leaves it to the ring.
+				return float64(sh.frac) / 16 * float64((nowUs/dtUs+int64(id))%2)
+			}
 			return float64(sh.frac) / 16
 		}
 		if sh.kind == 6 {
@@ -1109,6 +1117,7 @@ func (tw *twins) quiet(label string) int {
 	dt := quietTicks[tw.c.intn(len(quietTicks))]
 	window := max(int(DefaultPeriodUs/dt), 2)
 	tw.calm = true
+	tw.quiets++
 	defer func() { tw.calm = false }()
 	n := 3*window + tw.c.intn(window+1)
 	for k := 0; k < n; k++ {
@@ -1183,24 +1192,32 @@ func (tw *twins) run(label string, ticks int) {
 // periods; nil, zero, fractional, out-of-range and time-varying
 // demands; tick lengths from 1 µs, which forces the waterfill's remainder
 // path, to 250 ms, which rolls several windows at once) with the tree
-// mutated mid-run, and quiet stretches in which the replay ring answers
-// for allocate and placeOnCores: the last check is that it did.
+// mutated mid-run, and quiet stretches in which the replay ring and the
+// previous tick answer for allocate and placeOnCores: the last checks are
+// that they did.
 func TestTickAgainstReference(t *testing.T) {
 	schedules, ticks := 240, 300
 	if testing.Short() {
 		schedules = 40
 	}
-	var played, gotHits, coreHits uint64
+	var played uint64
+	var gotFrom, coresFrom [compute]uint64
 	for seed := 1; seed <= schedules; seed++ {
 		tw := newTwins(t, &chooser{rng: rand.New(rand.NewSource(int64(seed)))})
 		tw.run(fmt.Sprintf("seed %d", seed), ticks)
 		played += tw.ticks
-		gotHits += tw.prod.replay.gotHits
-		coreHits += tw.prod.replay.coreHits
+		for i := range gotFrom {
+			gotFrom[i] += tw.prod.replay.gotFrom[i]
+			coresFrom[i] += tw.prod.replay.coresFrom[i]
+		}
 	}
-	t.Logf("%d ticks, %d replayed the allocation, %d the placement too", played, gotHits, coreHits)
-	if gotHits < played/5 || coreHits == 0 || coreHits == gotHits {
-		t.Fatal("the schedules do not exercise the replay ring: want a fifth of the ticks replayed, some of them without the placement")
+	t.Logf("%d ticks; the ring answered %d allocations, %d placements; the previous tick %d allocations, %d placements",
+		played, gotFrom[fromSlot], coresFrom[fromSlot], gotFrom[fromPrev], coresFrom[fromPrev])
+	if ring := gotFrom[fromSlot]; ring < played/16 || coresFrom[fromSlot] == 0 || coresFrom[fromSlot] == ring {
+		t.Fatal("the schedules do not exercise the replay ring: want a sixteenth of the ticks answered by it, some of them without the placement")
+	}
+	if prev := coresFrom[fromPrev]; prev < played/4 || prev == gotFrom[fromPrev] {
+		t.Fatal("the schedules do not exercise the previous tick: want a quarter of the ticks answered by it whole, and some only the allocation")
 	}
 }
 
@@ -1243,10 +1260,17 @@ func FuzzTickAgainstReference(f *testing.F) {
 	for seed, n := int64(1), 0; n < 4; seed++ {
 		tw := newTwins(f, &chooser{rng: rand.New(rand.NewSource(seed))})
 		tw.run("corpus", 64)
-		if r := tw.prod.replay; r.gotHits > 20 && r.coreHits < r.gotHits {
+		if r := tw.prod.replay; r.gotFrom[fromSlot] > 20 && r.coresFrom[fromSlot] < r.gotFrom[fromSlot] {
 			f.Add(tw.c.log)
 			n++
 		}
+	}
+	// A 64-core and a 65-core machine: the draws 0, 0 take newTwins to
+	// the wide machines, the third picks one.
+	for _, wide := range []byte{1, 2} {
+		b := make([]byte, 256)
+		rng.Read(b)
+		f.Add(append([]byte{0, 0, wide}, b...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tw := newTwins(t, &chooser{data: data})
