@@ -132,10 +132,11 @@ type Machine struct {
 	util []float64 // scratch buffer for governor updates
 
 	// memo holds, per jitter phase a repeated window started at, what that
-	// window did (repeat). evaluated and lookedUp count the repeated windows
-	// accounted tick by tick and those looked up; only the tests read them.
-	memo                [dvfs.Phases]*windowRecord
-	evaluated, lookedUp int
+	// window did (repeat). placed, evaluated and lookedUp count the
+	// repeated windows placed afresh, those accounted tick by tick and
+	// recorded, and those looked up; only the tests read them.
+	memo                        [dvfs.Phases]*windowRecord
+	placed, evaluated, lookedUp int
 
 	faultMu sync.Mutex
 	faults  []*pathFault
@@ -283,20 +284,29 @@ func (m *Machine) Advance(durationUs int64) {
 }
 
 // repeat accounts the ticks of the windows Sched.Repeat just skipped, from
-// the allocations its ring recorded. A repeated window is a function of
-// the ring's outputs, the tick length, the state it starts in and the
-// governor's jitter phase, so the first window of each key is accounted
-// tick by tick and recorded (evaluate), and every later one is looked up:
-// its ticks' powers added to the meter in order, the governor set to where
-// the window left it, and its cycle growth counted, to be added to each
-// thread once, at the end of the call.
+// the allocations its ring recorded. Until the placement repeats
+// (Sched.PlacementRepeats) a window is placed afresh, tick by tick, and
+// accounted as it goes, unrecorded: what it does depends on where the
+// threads begin it, which no key holds. From then on a repeated window is
+// a function of the ring's outputs, the tick length, the state it starts
+// in and the governor's jitter phase, so the first window of each key is
+// accounted tick by tick and recorded (evaluate), and every later one is
+// looked up: its ticks' powers added to the meter in order, the governor
+// set to where the window left it, and its cycle growth counted, to be
+// added to each thread once, at the end of the call.
 func (m *Machine) repeat(windows int64) {
 	threads := m.Sched.RepeatedThreads()
 	now := m.Sched.NowUs() - windows*sched.DefaultPeriodUs
 	for ; windows > 0; windows-- {
 		step := m.DVFS.Step()
 		phase := step % dvfs.Phases
-		if rec := m.memo[phase]; !m.matches(rec) {
+		if !m.Sched.PlacementRepeats() {
+			for k := range int(sched.DefaultPeriodUs / m.TickUs) {
+				slow := m.slowdown()
+				m.account(now+int64(k)*m.TickUs, m.Sched.RepeatedTick(k), slow)
+			}
+			m.placed++
+		} else if rec := m.memo[phase]; !m.matches(rec) {
 			m.evaluate(phase, now, threads)
 		} else {
 			for _, w := range rec.watts {
@@ -321,6 +331,8 @@ func (m *Machine) repeat(windows int64) {
 
 // windowRecord is what one repeated window did, under the key it did it
 // for. The jitter phase it starts at is the record's index in the memo.
+// Only a window whose placement repeats is recorded or looked up: one placed
+// afresh depends on where its threads begin, which the key does not hold.
 type windowRecord struct {
 	// The key besides the phase. gen stands for the ring's outputs: every
 	// tick's allocations, placement and core loads (Sched.RepeatGen).
@@ -336,11 +348,12 @@ type windowRecord struct {
 }
 
 // matches reports whether rec holds the window about to be repeated at its
-// phase. The start frequencies and slowdown are implied by the rest: a
-// window boundary where Sched.Repeat succeeds follows tick n−1 of a ring
-// whose outputs stand (RepeatGen), and the governor's Update after it set
-// the frequencies from that tick's loads and the phase. They are compared
-// all the same, so that a write to DVFS between calls cannot go unseen.
+// phase, whose placement repeats. The start frequencies and slowdown are
+// implied by the rest: such a window follows tick n−1 of a ring whose
+// outputs stand (RepeatGen), ticked, looked up or placed afresh, and the
+// governor's Update after it set the frequencies from that tick's loads
+// and the phase. They are compared all the same, so that a write to DVFS
+// between calls cannot go unseen.
 func (m *Machine) matches(rec *windowRecord) bool {
 	if rec == nil || rec.gen != m.Sched.RepeatGen() || rec.tickUs != m.TickUs || rec.startSlow != m.slowdown() {
 		return false

@@ -19,15 +19,14 @@ import (
 //
 // The kill list: each of these one-line mutations of sched/repeat.go,
 // sched/replay.go or host.go was applied and turned the named test red.
-// Every row was applied again once carried had shrunk to its five group
-// fields, and every one is still red.
+// Every row was applied again once Repeat compared the placement apart
+// from the allocation state, and every one is still red.
 //
 //	drop QuotaUs from carried                  TestAdvanceRepeatKey/QuotaUs
 //	drop PeriodUs from carried                 TestAdvanceRepeatKey/PeriodUs
 //	drop Weight from carried                   TestAdvanceRepeatKey/Weight
 //	drop windowUsedUs from carried             TestAdvanceRepeatKey/windowUsedUs
 //	drop the window's age from carried         TestAdvanceRepeatKey/windowAge
-//	drop the LastCPU comparison                TestAdvanceRepeatKey/LastCPU
 //	drop the slot-valid check                  TestAdvanceRepeatKey/slotValid
 //	ignore Until (every horizon Forever)       TestAdvanceRepeatKey/Until
 //	drop the level-against-slots check         TestAdvanceRepeatKey/level
@@ -37,12 +36,28 @@ import (
 //	call DVFS.Update once per repeated window  TestAdvanceAgainstStep
 //	never repeat (m always 0)                  TestAdvanceRepeatsSteadyWindows
 //
+// The placement of a repeated window (placed in Repeat, placeRepeated,
+// PlacementRepeats and the host's afresh branch):
+//
+//	drop the LastCPU comparison from Repeat    TestAdvanceRepeatKey/LastCPU
+//	take the slot's cores on a miss            TestAdvanceRepeatKey/ringOutputs
+//	skip rewriting the slot's entries on a miss  TestAdvanceRepeatKey/placementCycle
+//	skip the RepeatGen bump on a miss          TestAdvanceRepeatKey/ringOutputs
+//	let the memo answer a window whose
+//	  placement is not a fixed point           TestAdvanceRepeatKey/ringOutputs
+//	drop the end-of-window fixed-point check:
+//	  a fixed point is never found             TestAdvanceRepeatsWanderingPlacement/settling
+//	  every window is one                      TestAdvanceRepeatKey/placementCycle
+//	PlacementRepeats records no start          TestAdvanceRepeatKey/placementCycle
+//	a miss leaves a cut-off entry valid        TestAdvanceRepeatNarrowCore
+//	read the slowdown after an afresh tick     TestAdvanceAgainstStep
+//
 // The window memo behind repeat (host.go), each mutation also red in
 // TestAdvanceAgainstStep:
 //
 //	drop the phase from the key                TestAdvanceLooksUpSteadyWindows
 //	drop the RepeatGen compare                 TestAdvanceRepeatKey/ringOutputs
-//	skip the RepeatGen bump in replayRecord    TestAdvanceRepeatKey/ringOutputs
+//	skip the RepeatGen bump in replayRecord    TestAdvanceRepeatKey/QuotaUs
 //	skip the RepeatGen bump in layoutReplay    TestAdvanceRepeatKey/ringLayout
 //	add a hit's cycle growth once, not hits×   TestAdvanceRepeatKey/ringOutputs
 //	skip the governor's step advance on a hit  TestAdvanceLooksUpSteadyWindows
@@ -54,10 +69,14 @@ import (
 // again. Leaving the core loads alone after a hit, as
 // repeat does, is right and not a mutant: a boundary where Repeat succeeds
 // follows tick n−1 of the ring, whose loads are the ones a hit's last
-// tick leaves; compare checks every core's load.
+// tick leaves; compare checks every core's load. One mutant no test kills:
+// a hit in placeRepeated that ignores the slot's validity. A slot is
+// invalid there only after a running thread's core was written out of the
+// int16 range, and the mutant needs that thread to wander back onto the
+// cut-off value within the same Advance.
 //
-// TestAdvanceAgainstStep alone turns red on ten of the first thirteen: not
-// on the QuotaUs, PeriodUs or windowUsedUs rows.
+// TestAdvanceAgainstStep alone turns red on eleven of the first thirteen:
+// not on the QuotaUs or PeriodUs rows.
 
 // twin drives two machines through one schedule: side 0 calls Advance,
 // side 1 calls Step once per tick. groups[.][0] is the root; the threads'
@@ -503,6 +522,87 @@ func TestAdvanceLooksUpSteadyWindows(t *testing.T) {
 	}
 }
 
+// TestAdvanceRepeatsWanderingPlacement keeps the repeat of a window whose
+// allocations repeat while its placement moves: on the Table II node Advance
+// stays bit-identical to Step, and after a first second at most 1 in 10 of
+// its windows is ticked. On "rotating" vm0's vCPUs are capped lower, and
+// 12 threads go round the cores for ever: every window is placed afresh.
+// On "settling" eight threads are moved to the next core at a boundary:
+// at most 3 windows of the second after are placed afresh before the
+// placement comes back to a fixed point, and the rest are answered by the
+// window memo.
+func TestAdvanceRepeatsWanderingPlacement(t *testing.T) {
+	for _, name := range []string{"rotating", "settling"} {
+		t.Run(name, func(t *testing.T) {
+			tw := &twin{tb: t}
+			var offBoundary *int
+			for side := range tw.m {
+				m, n := tableII(t)
+				tw.m[side] = m
+				if side == 0 {
+					offBoundary = n
+				}
+				if name == "rotating" {
+					for _, vcpu := range m.Sched.Root().Children[0].Children[0].Children[:2] {
+						must(vcpu.SetQuota(30_000, sched.DefaultPeriodUs))
+					}
+				}
+			}
+			tw.adopt()
+			tw.advance("first second", 1_000_000)
+			for s := 0; s < 3; s++ {
+				if name == "settling" {
+					for side := range tw.m {
+						for _, th := range tw.threads[side][:8] {
+							th.LastCPU = (th.LastCPU + 1) % 40
+						}
+					}
+				}
+				ticked, placed, lookedUp := *offBoundary, tw.m[0].placed, tw.m[0].lookedUp
+				tw.advance(fmt.Sprintf("second %d", s), 1_000_000)
+				ticked = (*offBoundary - ticked) / 9
+				placed, lookedUp = tw.m[0].placed-placed, tw.m[0].lookedUp-lookedUp
+				if ticked > 1 {
+					t.Fatalf("second %d: %d of 10 windows were ticked, want at most 1", s, ticked)
+				}
+				if name == "settling" && (placed > 3 || lookedUp == 0) {
+					t.Fatalf("second %d: %d of 10 windows were placed afresh and %d looked up, want at most 3 and some", s, placed, lookedUp)
+				}
+				if name == "rotating" && placed < 9 {
+					t.Fatalf("second %d: %d of 10 windows were placed afresh: the case tests nothing", s, placed)
+				}
+			}
+		})
+	}
+}
+
+// TestAdvanceRepeatNarrowCore: a busy thread's core written out of the
+// slots' int16 range at a boundary is placed afresh, and the slot that
+// placed it is left invalid, as Tick leaves such a tick unrecorded: the
+// entry it kept was cut off, and equals the core written next (3), which
+// the placement it holds (core 0) was not computed for.
+func TestAdvanceRepeatNarrowCore(t *testing.T) {
+	tw := &twin{tb: t}
+	for side := range tw.m {
+		spec := Chetemi()
+		spec.Cores, spec.NUMANodes = 4, 1
+		m, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tw.m[side] = m
+		m.Sched.NewThread(nil, nil)
+	}
+	tw.adopt()
+	tw.advance("quiet", 3_000_000)
+	for i, core := range []int{1<<16 + 3, 3} {
+		for side := range tw.m {
+			tw.threads[side][0].LastCPU = core
+		}
+		tw.advance(fmt.Sprintf("core %d written", core), []int64{sched.DefaultPeriodUs, 1_000_000}[i])
+	}
+}
+
 // BenchmarkAdvanceTableII is one steady one-second Advance of the Table II
 // node: what the repository benchmark's node_steady pays the simulator per
 // node-period.
@@ -665,6 +765,22 @@ var keyCases = []keyCase{
 		change: func(k *keySide) {
 			a, b := k.s.Root().Children[0].Threads[0], k.s.Root().Children[1].Threads[0]
 			a.LastCPU, b.LastCPU = b.LastCPU, a.LastCPU
+		},
+	},
+	{
+		// Five busy threads, four of them quota'd, on two cores: the
+		// allocations repeat every window, the placement never does.
+		// Each window is placed afresh from where the last one ended,
+		// and the slots' entries and cores follow it round.
+		name: "placementCycle", cores: 2,
+		build: func(k *keySide) {
+			for _, q := range []int64{30_000, 30_000, sched.NoQuota, 45_000, 75_000} {
+				g := k.s.NewGroup(nil, "g")
+				if q != sched.NoQuota {
+					must(g.SetQuota(q, sched.DefaultPeriodUs))
+				}
+				k.thread(g, workload.Busy())
+			}
 		},
 	},
 	{

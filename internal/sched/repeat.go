@@ -4,25 +4,36 @@ import "math"
 
 // Repeating a window. The replay ring (replay.go) spares one tick its
 // allocate and placeOnCores when tick k of a window meets what tick k of
-// the window before met; Repeat spares whole windows. A tick is a function
-// of the scheduler's carried state, the tree's shape and the demands: when
-// the carried state at a window boundary equals the carried state one
+// the window before met; Repeat spares whole windows. A tick's allocation
+// is a function of the scheduler's carried state, the tree's shape and the
+// demands, and its growth of every counter a function of the allocation:
+// when the carried state at a window boundary equals the carried state one
 // boundary earlier, and the demands of the windows to come equal those of
-// the window between, the windows to come are copies of it, tick by tick:
-// the same allocations, the same placement, the same growth of every
-// counter. Repeat checks exactly that, with ==, against one snapshot taken
-// at the previous boundary, and where it holds adds the growth of the last
-// window, m times, to the accumulated counters and moves the clock on by m
-// windows. RepeatedTick then hands the host each skipped tick's
-// allocations from the ring, whose slots hold them.
+// the window between, the windows to come have its allocations and its
+// growth, tick by tick. Repeat checks exactly that, with ==, against one
+// snapshot taken at the previous boundary, and where it holds adds the
+// growth of the last window, m times, to the accumulated counters and
+// moves the clock on by m windows. RepeatedTick then hands the host each
+// skipped tick's allocations from the ring, whose slots hold them.
 //
-//	carried: what a tick reads (compared)        accumulated: what it only adds to (m × the window's growth)
+//	carried: what allocate reads (compared)      accumulated: what a tick only adds to (m × the window's growth)
 //	Group.QuotaUs, PeriodUs, Weight              Group.UsageUs, windowStartUs, and windowUsedUs
 //	under a quota: windowUsedUs, the window's      without a quota, where no tick reads it
 //	  age nowUs − windowStartUs
-//	Thread.LastCPU                               Thread.UsageUs
-//	tree shape, Cores, dtUs                      nowUs
+//	tree shape, Cores, dtUs                      Thread.UsageUs, nowUs
 //	  (the ring's layout; a new one drops the snapshot)
+//
+// The placement is the tick's other half: placeOnCores reads the
+// allocation, the first-fit-decreasing order (a function of the
+// allocation) and every Thread.LastCPU on entry, and is deterministic in
+// them; nothing the allocation reads is written by it. So where every
+// LastCPU at the boundary also equals the snapshot's, the placement is a
+// fixed point: the windows to come are copies of the last, cores and core
+// loads included, and RepeatedTick hands out the slots' cores. Where one
+// does not, RepeatedTick places each tick afresh from where the threads
+// are (placeRepeated), and the host asks PlacementRepeats, window by
+// window, whether the placement has come back to where a window began:
+// from that window on the copies hold again.
 //
 // The demands are not state but promises: every thread's Until must cover
 // the m windows, and its level must be the one every slot recorded. A
@@ -36,7 +47,10 @@ import "math"
 // group. It is sized with the ring and dropped when the ring is laid out
 // again.
 type snapshot struct {
-	valid   bool
+	valid bool
+	// placed: the windows the last Repeat repeated are copies of the
+	// window the slots hold, placement included (PlacementRepeats).
+	placed  bool
 	nowUs   int64
 	groups  []groupSnap
 	threads []threadSnap
@@ -48,7 +62,7 @@ type groupSnap struct {
 }
 
 type threadSnap struct {
-	lastCPU int
+	lastCPU int // the core the thread began the window the slots hold on
 	usageUs int64
 }
 
@@ -77,7 +91,8 @@ func (g *Group) accumulated() [3]*int64 {
 // Repeat, called at a window boundary in place of the next tick of dtUs,
 // repeats the window that ended here up to maxWindows times and returns
 // how many it did: the clock has moved on by that many windows, and
-// RepeatedTick(k) holds each skipped tick k. Off a boundary, or with
+// RepeatedTick(k) hands out each skipped tick k, window by window, with
+// PlacementRepeats asked before each window. Off a boundary, or with
 // maxWindows < 1, it returns 0 and does nothing. When the window does not
 // repeat it returns 0 after taking the snapshot the next boundary
 // compares.
@@ -95,12 +110,13 @@ func (s *Scheduler) Repeat(dtUs, maxWindows int64) int64 {
 	if len(r.slots) == 0 {
 		return 0
 	}
-	m := s.repeats(dtUs, maxWindows)
+	m, placed := s.repeats(dtUs, maxWindows)
 	if m == 0 {
 		s.takeSnapshot()
 		return 0
 	}
 	last, k := &r.last, 0
+	last.placed = placed
 	for i, g := range r.groups {
 		sn := &last.groups[i]
 		for j, c := range g.accumulated() {
@@ -120,35 +136,36 @@ func (s *Scheduler) Repeat(dtUs, maxWindows int64) int64 {
 	return m
 }
 
-// repeats is how many windows, up to maxWindows, repeat the last one: 0
-// unless the snapshot is of the previous boundary, every slot holds a tick
-// of the window since, and every carried value, horizon and level holds.
-func (s *Scheduler) repeats(dtUs, maxWindows int64) int64 {
+// repeats is how many windows, up to maxWindows, repeat the last one's
+// allocations: 0 unless the snapshot is of the previous boundary, every
+// slot holds a tick of the window since, and every carried value, horizon
+// and level holds. placed reports whether every thread also begins where
+// it began that window, so that the placement repeats too.
+func (s *Scheduler) repeats(dtUs, maxWindows int64) (m int64, placed bool) {
 	r := &s.replay
 	if !r.last.valid || r.last.nowUs != s.nowUs-DefaultPeriodUs {
-		return 0
+		return 0, false
 	}
 	for i := range r.slots {
 		if !r.slots[i].valid {
-			return 0
+			return 0, false
 		}
 	}
-	m, k := maxWindows, 0
+	m, placed = maxWindows, true
+	k := 0
 	for i, g := range r.groups {
 		if g.carried(s.nowUs) != r.last.groups[i].carried {
-			return 0
+			return 0, false
 		}
 		for _, t := range g.Threads {
-			if t.LastCPU != r.last.threads[k].lastCPU {
-				return 0
-			}
+			placed = placed && t.LastCPU == r.last.threads[k].lastCPU
 			if m = min(m, s.holds(t, k, dtUs)); m < 1 {
-				return 0
+				return 0, false
 			}
 			k++
 		}
 	}
-	return m
+	return m, placed
 }
 
 // holds is how many whole windows thread t, the ring's k-th, keeps asking
@@ -187,6 +204,26 @@ func (s *Scheduler) takeSnapshot() {
 	}
 }
 
+// PlacementRepeats reports whether the window about to be repeated places
+// its threads as the ring's slots hold them, as every window after it
+// then does: the last Repeat found every thread where it began the window
+// before, or the last window RepeatedTick placed afresh ended where it
+// began. Where it returns false, RepeatedTick places that window's ticks
+// afresh, and the caller hands out all of them, in order, before it asks
+// again. Once true it stays true until the next Repeat.
+func (s *Scheduler) PlacementRepeats() bool {
+	last := &s.replay.last
+	if !last.placed {
+		last.placed = true
+		for k, t := range s.replay.threads {
+			sn := &last.threads[k]
+			last.placed = last.placed && sn.lastCPU == t.LastCPU
+			sn.lastCPU = t.LastCPU
+		}
+	}
+	return last.placed
+}
+
 // RepeatedTick returns the allocations of tick k of the window the last
 // Repeat repeated, in the order Tick returned them, and sets the core
 // loads (CoreLoadUs, Utilization) as that tick did; the next Tick then
@@ -195,6 +232,9 @@ func (s *Scheduler) takeSnapshot() {
 func (s *Scheduler) RepeatedTick(k int) []Alloc {
 	sl := &s.replay.slots[k]
 	s.replay.prevSlot = nil
+	if !s.replay.last.placed {
+		return s.placeRepeated(sl)
+	}
 	allocs, load := s.allocScratch[:0], s.coreLoadUs
 	clear(load)
 	for j, t := range s.replay.threads {
@@ -207,13 +247,46 @@ func (s *Scheduler) RepeatedTick(k int) []Alloc {
 	return allocs
 }
 
+// placeRepeated is RepeatedTick where the placement is not yet known to
+// repeat: slot sl's allocations, in its first-fit-decreasing order, placed
+// from the cores the threads are on. Where every thread that runs begins
+// on the core the slot recorded, the slot's cores are the placement's;
+// else placeOnCores places the tick, and the slot records the new entry
+// and cores, which RepeatGen counts if they moved. Either way each thread
+// that runs moves to its core, as Tick moves it.
+func (s *Scheduler) placeRepeated(sl *replaySlot) []Alloc {
+	r := &s.replay
+	allocs, hit := s.allocScratch[:0], sl.valid
+	for j, t := range r.threads {
+		if rec := sl.threads[j]; rec.got > 0 {
+			allocs = append(allocs, Alloc{Thread: t, RanUs: int64(rec.got), Core: t.LastCPU})
+			hit = hit && int(rec.lastCPU) == t.LastCPU
+		}
+	}
+	s.allocScratch = allocs
+	if hit {
+		s.replayCores(sl, allocs)
+		return allocs
+	}
+	// A core that does not fit the slot leaves it invalid, as Tick leaves
+	// it unrecorded: what was cut off could equal a later entry.
+	fits := true
+	for j, t := range r.threads {
+		sl.threads[j].lastCPU = narrow[int16](int64(t.LastCPU), &fits)
+	}
+	s.placeOnCores(allocs, r.dtUs, sl)
+	s.recordCores(sl, false)
+	sl.valid = fits
+	return allocs
+}
+
 // RepeatedThreads returns the threads the ring's slots hold, in slot order;
 // the slice is the ring's and is laid out afresh when RepeatGen moves.
 func (s *Scheduler) RepeatedThreads() []*Thread { return s.replay.threads }
 
 // RepeatGen changes whenever what RepeatedTick hands out may have changed:
 // the ring was laid out again, or a tick recorded an allocation or a core
-// other than the one its slot held. While it stands still, RepeatedTick(k)
-// returns the same allocations, to the same RepeatedThreads, and leaves the
-// same core loads.
+// other than the one its slot held. While it stands still and
+// PlacementRepeats holds, RepeatedTick(k) returns the same allocations, to
+// the same RepeatedThreads, and leaves the same core loads.
 func (s *Scheduler) RepeatGen() uint64 { return s.replay.outGen }

@@ -292,16 +292,28 @@ func (s *Scheduler) replayCores(sl *replaySlot, allocs []Alloc) {
 // to the inputs replayLookup stored, and counts a change of either answer
 // in outGen.
 func (s *Scheduler) replayRecord(sl *replaySlot) {
-	r := &s.replay
 	changed := false
-	for k, t := range r.threads {
+	for k, t := range s.replay.threads {
 		rec := &sl.threads[k]
-		got, core := int16(t.got), int16(t.LastCPU)
-		changed = changed || rec.got != got || rec.core != core
-		rec.got, rec.core = got, core
+		got := int16(t.got)
+		changed = changed || rec.got != got
+		rec.got = got
+	}
+	s.recordCores(sl, changed)
+	sl.valid = true
+}
+
+// recordCores stores in sl the core each thread is on after the tick, and
+// counts in outGen a change of one, or of what else the caller recorded
+// (changed).
+func (s *Scheduler) recordCores(sl *replaySlot, changed bool) {
+	for k, t := range s.replay.threads {
+		rec := &sl.threads[k]
+		core := int16(t.LastCPU)
+		changed = changed || rec.core != core
+		rec.core = core
 	}
 	if changed {
-		r.outGen++
+		s.replay.outGen++
 	}
-	sl.valid = true
 }

@@ -44,6 +44,9 @@ import (
 //	drop prevOK (a new layout keeps the memo)           TestTickReplayKey/dtUs/previous (panics)
 //	skip zeroing got before allocate                    TestTickReplayKey/need/previous
 //	settle lists allocations without their last core    TestTickReplayKey/want/previous
+//	resettle skips a thread's or a group's growth       TestTickAgainstReference
+//	settle keeps no growth for resettle                 TestTickAgainstReference
+//	resettle where only the allocation stands           TestTickAfterRepeatedTick/tick_3
 //	keep a slot's order after a miss re-records it      TestTickAgainstReference
 //	take a slot's order whether it is kept or not       TestTickAgainstReference
 //	the bit scan takes the highest set bit              TestTickAgainstReference

@@ -96,6 +96,8 @@ type Group struct {
 	// by every quota on the way down, and the share the parent's
 	// waterfill handed the group (read by allocate).
 	need, share int64
+	// settled is the subtree's usage in the last tick settle walked.
+	settled int64
 }
 
 // Scheduler simulates a multi-core machine's CPU-time allocation.
@@ -306,12 +308,15 @@ type entity struct {
 // is responsible for invoking thread OnRun callbacks with core
 // frequencies; Tick itself updates usage counters, bandwidth windows and
 // thread placement. The returned slice is reused by the next Tick, so
-// callers must consume (or copy) it before advancing again.
+// callers must consume (or copy) it before advancing again, and must not
+// write to it: a tick the previous one answers whole returns it as it is.
 //
 // One tick walks the cgroup tree twice: prepare descends it (windows,
 // demands, cached needs), allocate hands the capacity down through the
 // groups that need any, and settle ascends it (usage, the allocation list
-// in the order prepare met the threads). Two memories stand in for
+// in the order prepare met the threads); where the previous tick answers
+// both allocation and placement, resettle keeps its list and adds its
+// growth instead of the ascent. Two memories stand in for
 // allocate, and for placeOnCores, where every input they would read
 // compares equal (replay.go): the previous computed tick, whose answers
 // still stand in the threads and the core loads, and the replay ring,
@@ -328,8 +333,12 @@ func (s *Scheduler) Tick(dtUs int64) []Alloc {
 	case compute:
 		s.allocateTick(dtUs)
 	}
-	s.allocScratch = s.allocScratch[:0]
-	s.settle(s.root)
+	if got == fromPrev && cores == fromPrev {
+		s.resettle()
+	} else {
+		s.allocScratch = s.allocScratch[:0]
+		s.settle(s.root)
+	}
 	allocs := s.allocScratch
 	switch cores {
 	case fromSlot:
@@ -548,7 +557,22 @@ func (s *Scheduler) settle(g *Group) int64 {
 	}
 	g.UsageUs += got
 	g.windowUsedUs += got
+	g.settled = got
 	return got
+}
+
+// resettle is settle for a tick whose allocation and placement the
+// previous tick answered whole: that tick's list, each allocation on the
+// core its thread last ran on, stands in allocScratch as settle would
+// build it again, and every group grows as it grew then.
+func (s *Scheduler) resettle() {
+	for _, a := range s.allocScratch {
+		a.Thread.UsageUs += a.RanUs
+	}
+	for _, g := range s.replay.groups {
+		g.UsageUs += g.settled
+		g.windowUsedUs += g.settled
+	}
 }
 
 // placeOnCores assigns each allocation to a core for the tick. Threads
