@@ -82,8 +82,10 @@ const dynamicWarmup = 20
 
 // BenchmarkAdvanceDynamic is one period of the dynamic node, Advance and
 // Step: what the repository benchmark's node_dynamic pays per
-// node-period, most of it in the scheduler's ticks, which the phases keep
-// from repeating whole windows.
+// node-period. The controller's quota writes and the phase switches land
+// on the period's first boundary, so its first window is ticked; the
+// other nine repeat, the first few of them placed afresh, tick by tick,
+// until the placement settles.
 func BenchmarkAdvanceDynamic(b *testing.B) {
 	m, ctrl := dynamicNode(b, dynamicWarmup+b.N)
 	for k := 0; k < dynamicWarmup; k++ {

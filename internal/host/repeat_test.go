@@ -36,6 +36,15 @@ import (
 //	call DVFS.Update once per repeated window  TestAdvanceAgainstStep
 //	never repeat (m always 0)                  TestAdvanceRepeatsSteadyWindows
 //
+// A quota'd group's bandwidth window, compared as the next tick's prepare
+// opens it and moved on by translation (the rows above re-applied too):
+//
+//	compare the raw closed window              TestAdvanceRepeatsAfterQuotaWrite
+//	drop the age ≥ PeriodUs guard              TestAdvanceRepeatKey/windowUsedUs
+//	take its growth from the snapshot          TestAdvanceRepeatKey/QuotaUs, /PeriodUs,
+//	  difference                                 /quotaFromNone, /windowAge
+//	roll the window inside Repeat              TestAdvanceRepeatKey/quotaFromNone, /windowAge
+//
 // The placement of a repeated window (placed in Repeat, placeRepeated,
 // PlacementRepeats and the host's afresh branch):
 //
@@ -50,6 +59,7 @@ import (
 //	  every window is one                      TestAdvanceRepeatKey/placementCycle
 //	PlacementRepeats records no start          TestAdvanceRepeatKey/placementCycle
 //	a miss leaves a cut-off entry valid        TestAdvanceRepeatNarrowCore
+//	a hit ignores the slot's validity          TestAdvanceRepeatKey/cutOffEntry
 //	read the slowdown after an afresh tick     TestAdvanceAgainstStep
 //
 // The window memo behind repeat (host.go), each mutation also red in
@@ -69,11 +79,7 @@ import (
 // again. Leaving the core loads alone after a hit, as
 // repeat does, is right and not a mutant: a boundary where Repeat succeeds
 // follows tick n−1 of the ring, whose loads are the ones a hit's last
-// tick leaves; compare checks every core's load. One mutant no test kills:
-// a hit in placeRepeated that ignores the slot's validity. A slot is
-// invalid there only after a running thread's core was written out of the
-// int16 range, and the mutant needs that thread to wander back onto the
-// cut-off value within the same Advance.
+// tick leaves; compare checks every core's load.
 //
 // TestAdvanceAgainstStep alone turns red on eleven of the first thirteen:
 // not on the QuotaUs or PeriodUs rows.
@@ -576,6 +582,41 @@ func TestAdvanceRepeatsWanderingPlacement(t *testing.T) {
 	}
 }
 
+// TestAdvanceRepeatsAfterQuotaWrite keeps the window after a quota write
+// from costing a second ticked one: on the Table II node, where each second
+// every vCPU's cpu.max is written at the boundary, as the controller's
+// stage 6 writes it, at most 1 of the second's 10 windows is ticked, and
+// Advance stays bit-identical to Step. The ticked window closes its
+// groups' bandwidth periods with new usages; the next boundary compares
+// them as prepare opens them, empty, and repeats.
+func TestAdvanceRepeatsAfterQuotaWrite(t *testing.T) {
+	tw := &twin{tb: t}
+	var offBoundary *int
+	for side := range tw.m {
+		m, n := tableII(t)
+		tw.m[side] = m
+		if side == 0 {
+			offBoundary = n
+		}
+	}
+	tw.adopt()
+	tw.advance("first second", 1_000_000)
+	for s, delta := range []int64{-5000, 3000, -1000} {
+		for side := range tw.m {
+			for _, g := range tw.groups[side] {
+				if g.QuotaUs != sched.NoQuota {
+					must(g.SetQuota(g.QuotaUs+delta, g.PeriodUs))
+				}
+			}
+		}
+		ticked := *offBoundary
+		tw.advance(fmt.Sprintf("second %d", s), 1_000_000)
+		if ticked = (*offBoundary - ticked) / 9; ticked > 1 {
+			t.Fatalf("second %d: %d of 10 windows after the quota write were ticked, want at most 1", s, ticked)
+		}
+	}
+}
+
 // TestAdvanceRepeatNarrowCore: a busy thread's core written out of the
 // slots' int16 range at a boundary is placed afresh, and the slot that
 // placed it is left invalid, as Tick leaves such a tick unrecorded: the
@@ -691,6 +732,16 @@ var keyCases = []keyCase{
 		change: func(k *keySide) { must(k.s.Root().Children[0].SetQuota(30_000, 50_000)) },
 	},
 	{
+		// A busy group runs without a quota for three seconds, so its
+		// window is as old as the group when the quota arrives; a
+		// second later its period doubles, and the window it carries
+		// must be the raw one a Step leaves, not one rolled ahead.
+		name: "quotaFromNone", cores: 1,
+		build:  func(k *keySide) { k.thread(k.s.NewGroup(nil, "g"), workload.Busy()) },
+		change: func(k *keySide) { must(k.s.Root().Children[0].SetQuota(30_000, sched.DefaultPeriodUs)) },
+		again:  func(k *keySide) { must(k.s.Root().Children[0].SetQuota(30_000, 200_000)) },
+	},
+	{
 		name: "Weight", cores: 1,
 		build: func(k *keySide) {
 			k.thread(k.s.NewGroup(nil, "a"), workload.Busy())
@@ -782,6 +833,25 @@ var keyCases = []keyCase{
 				k.thread(g, workload.Busy())
 			}
 		},
+	},
+	{
+		// x (0.4 of a core) and w (0.2) run on core 1; v, busy under a
+		// quota of half a window whose periods open mid-window, runs on
+		// core 0 in each window's second half. x is written off the
+		// machine at a boundary: tick 0 places it on core 0, and its slot
+		// keeps the cut-off entry, 1, left invalid; tick 5 sends it back
+		// to core 1 beside v. The next window's tick 0 finds x on core 1,
+		// the cut-off entry, where it stays: the slot's cores are not
+		// that tick's placement.
+		name: "cutOffEntry", cores: 2,
+		build: func(k *keySide) {
+			k.m.Advance(50_000)
+			k.thread(k.s.NewGroup(nil, "x"), &workload.Constant{Level: 0.4})
+			k.thread(k.s.NewGroup(nil, "w"), &workload.Constant{Level: 0.2})
+			k.thread(quotaGroup(k.s, 50_000, sched.DefaultPeriodUs), workload.Busy())
+			k.m.Advance(50_000)
+		},
+		change: func(k *keySide) { k.s.Root().Children[0].Threads[0].LastCPU = 1<<16 + 1 },
 	},
 	{
 		// Every thread idle with core 0 its last, as a thread that ran

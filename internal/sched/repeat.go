@@ -11,17 +11,31 @@ import "math"
 // boundary earlier, and the demands of the windows to come equal those of
 // the window between, the windows to come have its allocations and its
 // growth, tick by tick. Repeat checks exactly that, with ==, against one
-// snapshot taken at the previous boundary, and where it holds adds the
-// growth of the last window, m times, to the accumulated counters and
-// moves the clock on by m windows. RepeatedTick then hands the host each
-// skipped tick's allocations from the ring, whose slots hold them.
+// snapshot taken at the previous boundary, and where it holds moves the
+// state on by m copies of the last window and the clock by m windows.
+// RepeatedTick then hands the host each skipped tick's allocations from
+// the ring, whose slots hold them.
 //
-//	carried: what allocate reads (compared)      accumulated: what a tick only adds to (m × the window's growth)
-//	Group.QuotaUs, PeriodUs, Weight              Group.UsageUs, windowStartUs, and windowUsedUs
-//	under a quota: windowUsedUs, the window's      without a quota, where no tick reads it
-//	  age nowUs − windowStartUs
-//	tree shape, Cores, dtUs                      Thread.UsageUs, nowUs
+//	carried: what the next tick reads (compared)   accumulated: moved on by m windows
+//	Group.QuotaUs, PeriodUs, Weight                Group.UsageUs, Thread.UsageUs, nowUs,
+//	under a quota, the bandwidth window as           and windowUsedUs without a quota (no
+//	  prepare opens it: windowUsedUs and the         tick reads it then): + m × the last
+//	  age nowUs − windowStartUs, or 0 and            window's growth
+//	  age mod PeriodUs once age ≥ PeriodUs         under a quota: windowStartUs + m windows,
+//	tree shape, Cores, dtUs                          windowUsedUs unchanged (a translation)
 //	  (the ring's layout; a new one drops the snapshot)
+//
+// A quota'd group's window is compared as the next tick's prepare opens
+// it, not as it stands: at a boundary where its period ends, windowUsedUs
+// holds the usage of a period that closed, which no tick reads, so the
+// window after a quota write repeats from the first boundary that follows.
+// Its growth is a translation, not a difference: the m windows are copies
+// of the last one moved on in time, so the raw window they leave is the
+// one at this boundary moved on by m windows, its usage unchanged. Taking
+// it from the snapshot would add whatever the window at the snapshot held
+// before prepare opened it. Nothing is rolled here: prepare rolls the
+// window itself, and a period lengthened before the next tick must find
+// it as a Step would have left it.
 //
 // The placement is the tick's other half: placeOnCores reads the
 // allocation, the first-fit-decreasing order (a function of the
@@ -58,7 +72,7 @@ type snapshot struct {
 
 type groupSnap struct {
 	carried
-	acc [3]int64 // the counters accumulated lists, in its order
+	usageUs, windowUsedUs int64
 }
 
 type threadSnap struct {
@@ -66,11 +80,12 @@ type threadSnap struct {
 	usageUs int64
 }
 
-// carried is what a tick reads of one group.
+// carried is what the next tick reads of one group.
 type carried struct {
 	quotaUs, periodUs, weight int64
 	// Under a quota: how much of the bandwidth window is used, and how
-	// old the window is. Without one no tick reads either.
+	// old the window is, once prepare has opened the periods that are
+	// due. Without one no tick reads either.
 	windowUsedUs, windowAgeUs int64
 }
 
@@ -78,19 +93,25 @@ func (g *Group) carried(nowUs int64) carried {
 	c := carried{quotaUs: g.QuotaUs, periodUs: g.PeriodUs, weight: g.Weight}
 	if g.QuotaUs != NoQuota {
 		c.windowUsedUs, c.windowAgeUs = g.windowUsedUs, nowUs-g.windowStartUs
+		if c.windowAgeUs >= g.PeriodUs {
+			c.windowUsedUs, c.windowAgeUs = 0, c.windowAgeUs%g.PeriodUs
+		}
 	}
 	return c
 }
 
-// accumulated lists what a tick only adds to. Under a quota windowUsedUs is
-// carried as well, so equal at both boundaries: its growth is zero.
-func (g *Group) accumulated() [3]*int64 {
-	return [3]*int64{&g.UsageUs, &g.windowStartUs, &g.windowUsedUs}
+// grow adds m × the growth of *c since the snapshot's *sn to both.
+func grow(c, sn *int64, m int64) {
+	d := *c - *sn
+	*c += m * d
+	*sn += m * d
 }
 
 // Repeat, called at a window boundary in place of the next tick of dtUs,
 // repeats the window that ended here up to maxWindows times and returns
-// how many it did: the clock has moved on by that many windows, and
+// how many it did, m: the clock has moved on by m windows, every
+// accumulated counter by m × the last window's growth and every quota'd
+// group's bandwidth window by m windows, its usage unchanged; and
 // RepeatedTick(k) hands out each skipped tick k, window by window, with
 // PlacementRepeats asked before each window. Off a boundary, or with
 // maxWindows < 1, it returns 0 and does nothing. When the window does not
@@ -119,15 +140,14 @@ func (s *Scheduler) Repeat(dtUs, maxWindows int64) int64 {
 	last.placed = placed
 	for i, g := range r.groups {
 		sn := &last.groups[i]
-		for j, c := range g.accumulated() {
-			d := *c - sn.acc[j]
-			*c += m * d
-			sn.acc[j] += m * d
+		grow(&g.UsageUs, &sn.usageUs, m)
+		if g.QuotaUs == NoQuota {
+			grow(&g.windowUsedUs, &sn.windowUsedUs, m)
+		} else {
+			g.windowStartUs += m * DefaultPeriodUs
 		}
 		for _, t := range g.Threads {
-			d := t.UsageUs - last.threads[k].usageUs
-			t.UsageUs += m * d
-			last.threads[k].usageUs += m * d
+			grow(&t.UsageUs, &last.threads[k].usageUs, m)
 			k++
 		}
 	}
@@ -194,9 +214,7 @@ func (s *Scheduler) takeSnapshot() {
 	for i, g := range s.replay.groups {
 		sn := &last.groups[i]
 		sn.carried = g.carried(s.nowUs)
-		for j, c := range g.accumulated() {
-			sn.acc[j] = *c
-		}
+		sn.usageUs, sn.windowUsedUs = g.UsageUs, g.windowUsedUs
 		for _, t := range g.Threads {
 			last.threads[k] = threadSnap{lastCPU: t.LastCPU, usageUs: t.UsageUs}
 			k++
