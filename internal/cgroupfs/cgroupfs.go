@@ -1,19 +1,15 @@
-// Package cgroupfs holds the cgroup v2 side of the simulated host and of
-// the Linux backend. Tree names a sched.Scheduler's groups by their path
-// under the cgroup mount, the registry the VM manager creates cgroups
-// through; the parsers read the files of Linux cgroup v2 the controller
+// Package cgroupfs parses the files of Linux cgroup v2 the controller
 // consumes (cpu.max, cpu.stat, cgroup.threads).
 //
 // The virtual-frequency controller of the paper interacts with the kernel
 // exclusively through these files: platform.Linux parses them with the
 // functions here, and platform.Sim answers the same questions from the
-// groups themselves.
+// simulated scheduler's groups themselves.
 package cgroupfs
 
 import (
 	"fmt"
 	"math"
-	"path"
 	"strconv"
 	"strings"
 	"unicode"
@@ -23,96 +19,6 @@ import (
 
 // DefaultMount is the conventional cgroup v2 mount point.
 const DefaultMount = "/sys/fs/cgroup"
-
-// Tree names a scheduler's cgroup hierarchy by path.
-type Tree struct {
-	sched  *sched.Scheduler
-	groups map[string]*sched.Group // by path relative to the mount, "" = root
-}
-
-// New returns the tree of the scheduler's root cgroup.
-func New(s *sched.Scheduler) *Tree {
-	return &Tree{sched: s, groups: map[string]*sched.Group{"": s.Root()}}
-}
-
-// normalize cleans a group path relative to the mount ("" is the root).
-func normalize(rel string) string {
-	rel = strings.Trim(path.Clean("/"+rel), "/")
-	if rel == "." {
-		return ""
-	}
-	return rel
-}
-
-// Group returns the scheduler group behind the given relative path.
-func (t *Tree) Group(rel string) (*sched.Group, error) {
-	g, ok := t.groups[normalize(rel)]
-	if !ok {
-		return nil, fmt.Errorf("cgroupfs: no cgroup %q", rel)
-	}
-	return g, nil
-}
-
-// CreateGroup creates a cgroup at the given path relative to the mount.
-// Parents must exist (as on a real cgroupfs, mkdir is not recursive).
-func (t *Tree) CreateGroup(rel string) (*sched.Group, error) {
-	rel = normalize(rel)
-	if rel == "" {
-		return nil, fmt.Errorf("cgroupfs: root already exists")
-	}
-	if _, ok := t.groups[rel]; ok {
-		return nil, fmt.Errorf("cgroupfs: cgroup %q already exists", rel)
-	}
-	parent, ok := t.groups[normalize(path.Dir(rel))]
-	if !ok {
-		return nil, fmt.Errorf("cgroupfs: parent of %q does not exist", rel)
-	}
-	g := t.sched.NewGroup(parent, path.Base(rel))
-	t.groups[rel] = g
-	return g, nil
-}
-
-// CreateGroupAll creates a cgroup and any missing ancestors.
-func (t *Tree) CreateGroupAll(rel string) (*sched.Group, error) {
-	rel = normalize(rel)
-	if rel == "" {
-		return t.sched.Root(), nil
-	}
-	parts := strings.Split(rel, "/")
-	cur := ""
-	for _, p := range parts {
-		cur = normalize(path.Join(cur, p))
-		if _, ok := t.groups[cur]; ok {
-			continue
-		}
-		if _, err := t.CreateGroup(cur); err != nil {
-			return nil, err
-		}
-	}
-	return t.groups[rel], nil
-}
-
-// RemoveGroup removes a cgroup subtree.
-func (t *Tree) RemoveGroup(rel string) error {
-	rel = normalize(rel)
-	if rel == "" {
-		return fmt.Errorf("cgroupfs: cannot remove root")
-	}
-	g, ok := t.groups[rel]
-	if !ok {
-		return fmt.Errorf("cgroupfs: no cgroup %q", rel)
-	}
-	if err := t.sched.RemoveGroup(g); err != nil {
-		return err
-	}
-	prefix := rel + "/"
-	for k := range t.groups {
-		if k == rel || strings.HasPrefix(k, prefix) {
-			delete(t.groups, k)
-		}
-	}
-	return nil
-}
 
 // ParseCPUMax parses a cpu.max write: "max", "QUOTA" or "QUOTA PERIOD".
 // A missing period keeps the current one (the kernel behaviour). It splits

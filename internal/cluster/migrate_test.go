@@ -261,7 +261,8 @@ func TestMigrateRollbackOnSourceDestroyFailure(t *testing.T) {
 	}
 	// The source VM's scope cgroup vanishes out of band: prepare will
 	// succeed, the commit-side destroy cannot remove it a second time.
-	if err := c.Nodes()[0].Machine.Cgroups.RemoveGroup(vm.ScopePath("a")); err != nil {
+	scope := c.Nodes()[0].Manager.Get("a").VCPUThread(0).Group.Parent
+	if err := c.Nodes()[0].Machine.Sched.RemoveGroup(scope); err != nil {
 		t.Fatal(err)
 	}
 	moved, err := c.Migrate("a", 1)

@@ -247,108 +247,6 @@ func TestEstimateIncreaseCase(t *testing.T) {
 	}
 }
 
-func TestEstimateDecreaseCase(t *testing.T) {
-	c := mustController(t, newFakeHost(), DefaultConfig())
-	v := &VCPUState{Hist: NewHistory(5), CapUs: 100_000}
-	for _, u := range []int64{90_000, 70_000, 50_000, 30_000} {
-		v.Hist.Push(u)
-	}
-	v.LastU = 30_000 // ≤ 0.5 × 100000 and falling
-	got := c.estimate(v)
-	if got != 95_000 { // cap × (1 − 0.05)
-		t.Fatalf("decrease estimate = %d, want 95000", got)
-	}
-}
-
-func TestEstimateStableCase(t *testing.T) {
-	c := mustController(t, newFakeHost(), DefaultConfig())
-	v := &VCPUState{Hist: NewHistory(5), CapUs: 100_000}
-	for i := 0; i < 5; i++ {
-		v.Hist.Push(60_000)
-	}
-	v.LastU = 60_000
-	got := c.estimate(v)
-	want := int64(float64(60_000)/c.Config().IncreaseTrigger) + 1 // 63157+1
-	if got != want {
-		t.Fatalf("stable estimate = %d, want %d", got, want)
-	}
-	// The recalibrated cap must not fire the increase trigger next time.
-	if float64(v.LastU) >= 0.95*float64(got) {
-		t.Fatal("stable estimate still inside increase trigger")
-	}
-}
-
-func TestEstimateBounds(t *testing.T) {
-	cfg := DefaultConfig()
-	c := mustController(t, newFakeHost(), cfg)
-	// Idle vCPU: estimate floors at MinQuotaUs.
-	v := &VCPUState{Hist: NewHistory(5), CapUs: cfg.MinQuotaUs}
-	for i := 0; i < 5; i++ {
-		v.Hist.Push(0)
-	}
-	if got := c.estimate(v); got != cfg.MinQuotaUs {
-		t.Fatalf("idle estimate = %d, want %d", got, cfg.MinQuotaUs)
-	}
-	// Saturated vCPU: estimate ceils at one core (PeriodUs).
-	v2 := &VCPUState{Hist: NewHistory(5), CapUs: 900_000}
-	for _, u := range []int64{500_000, 700_000, 860_000, 900_000} {
-		v2.Hist.Push(u)
-	}
-	v2.LastU = 900_000
-	if got := c.estimate(v2); got != cfg.PeriodUs {
-		t.Fatalf("saturated estimate = %d, want %d", got, cfg.PeriodUs)
-	}
-}
-
-func TestEnforceCreditsEq4AndCapEq5(t *testing.T) {
-	h := newFakeHost()
-	c := mustController(t, h, DefaultConfig())
-	h.AddVM("a", 2, 1200) // C_i = 500000
-	if err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
-	st := c.VM("a")
-	// vCPU0 consumed 100000 (under guarantee by 400000), vCPU1 600000
-	// (over guarantee, no credit).
-	st.VCPUs[0].LastU = 100_000
-	st.VCPUs[0].Hist.Push(100_000)
-	st.VCPUs[1].LastU = 600_000
-	st.VCPUs[1].Hist.Push(600_000)
-	st.VCPUs[0].EstUs = 200_000 // under guarantee → cap = estimate
-	st.VCPUs[1].EstUs = 900_000 // over guarantee → cap = C_i
-	st.CreditUs = 0
-	c.enforceBase()
-	if st.CreditUs != 400_000 {
-		t.Fatalf("credits = %d, want 400000 (Eq. 4)", st.CreditUs)
-	}
-	if st.VCPUs[0].CapUs != 200_000 {
-		t.Fatalf("cap0 = %d, want est 200000 (Eq. 5)", st.VCPUs[0].CapUs)
-	}
-	if st.VCPUs[1].CapUs != 500_000 {
-		t.Fatalf("cap1 = %d, want C_i 500000 (Eq. 5)", st.VCPUs[1].CapUs)
-	}
-}
-
-func TestCreditWalletCap(t *testing.T) {
-	h := newFakeHost()
-	cfg := DefaultConfig()
-	cfg.CreditCapPeriods = 2
-	c := mustController(t, h, cfg)
-	h.AddVM("a", 1, 1200) // C_i = 500000, wallet cap = 2×500000×1
-	if err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
-	st := c.VM("a")
-	for i := 0; i < 10; i++ {
-		st.VCPUs[0].LastU = 0
-		st.VCPUs[0].Hist.Push(0)
-		c.enforceBase()
-	}
-	if st.CreditUs != 1_000_000 {
-		t.Fatalf("wallet = %d, want capped at 1000000", st.CreditUs)
-	}
-}
-
 func TestMarketEq6(t *testing.T) {
 	h := newFakeHost() // 4 cores → capacity 4e6
 	c := mustController(t, h, DefaultConfig())
@@ -367,78 +265,6 @@ func TestMarketEq6(t *testing.T) {
 	st.VCPUs[1].CapUs = 2_000_000
 	if got := c.market(); got != 0 {
 		t.Fatalf("oversubscribed market = %d, want 0", got)
-	}
-}
-
-func TestAuctionChargesCreditsAndWindows(t *testing.T) {
-	h := newFakeHost()
-	cfg := DefaultConfig()
-	cfg.WindowUs = 10_000
-	c := mustController(t, h, cfg)
-	h.AddVM("rich", 1, 1200)
-	h.AddVM("poor", 1, 1200)
-	if err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
-	rich, poor := c.VM("rich"), c.VM("poor")
-	rich.CreditUs = 100_000
-	poor.CreditUs = 5_000
-	rich.VCPUs[0].CapUs, rich.VCPUs[0].EstUs = 100_000, 200_000 // wants 100000
-	poor.VCPUs[0].CapUs, poor.VCPUs[0].EstUs = 100_000, 200_000
-	left := c.auction(70_000)
-	if left != 0 {
-		t.Fatalf("market left = %d, want 0", left)
-	}
-	// The poor VM could only afford 5000; the rich one bought the rest.
-	if got := poor.VCPUs[0].CapUs - 100_000; got != 5_000 {
-		t.Fatalf("poor bought %d, want 5000", got)
-	}
-	if got := rich.VCPUs[0].CapUs - 100_000; got != 65_000 {
-		t.Fatalf("rich bought %d, want 65000", got)
-	}
-	if poor.CreditUs != 0 || rich.CreditUs != 35_000 {
-		t.Fatalf("wallets = %d/%d", rich.CreditUs, poor.CreditUs)
-	}
-}
-
-func TestAuctionWindowPreventsMonopoly(t *testing.T) {
-	h := newFakeHost()
-	cfg := DefaultConfig()
-	cfg.WindowUs = 1_000
-	c := mustController(t, h, cfg)
-	h.AddVM("rich", 1, 1200)
-	h.AddVM("mid", 1, 1200)
-	if err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
-	rich, mid := c.VM("rich"), c.VM("mid")
-	rich.CreditUs, mid.CreditUs = 1_000_000, 1_000_000
-	rich.VCPUs[0].CapUs, rich.VCPUs[0].EstUs = 0, 500_000
-	mid.VCPUs[0].CapUs, mid.VCPUs[0].EstUs = 0, 500_000
-	c.auction(10_000)
-	// With equal wallets and a 1000 window, both should get ~5000.
-	if rich.VCPUs[0].CapUs != 5_000 || mid.VCPUs[0].CapUs != 5_000 {
-		t.Fatalf("split = %d/%d, want 5000/5000",
-			rich.VCPUs[0].CapUs, mid.VCPUs[0].CapUs)
-	}
-}
-
-func TestAuctionStopsWithoutCredits(t *testing.T) {
-	h := newFakeHost()
-	c := mustController(t, h, DefaultConfig())
-	h.AddVM("broke", 1, 1200)
-	if err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
-	st := c.VM("broke")
-	st.CreditUs = 0
-	st.VCPUs[0].CapUs, st.VCPUs[0].EstUs = 0, 500_000
-	left := c.auction(100_000)
-	if left != 100_000 {
-		t.Fatalf("market left = %d, want all 100000 (no credits)", left)
-	}
-	if st.VCPUs[0].CapUs != 0 {
-		t.Fatal("broke VM bought cycles")
 	}
 }
 
@@ -463,29 +289,6 @@ func TestDistributeProportional(t *testing.T) {
 	c.distribute(1_000_000)
 	if a.CapUs != 50_000 || b.CapUs != 50_000 {
 		t.Fatalf("over-distribution: %d/%d", a.CapUs, b.CapUs)
-	}
-}
-
-func TestApplyScalesQuotaToCgroupPeriod(t *testing.T) {
-	h := newFakeHost()
-	c := mustController(t, h, DefaultConfig())
-	h.AddVM("a", 1, 1200)
-	if err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
-	v := c.VM("a").VCPUs[0]
-	v.CapUs = 400_000 // per 1 s period
-	c.apply(&StepReport{})
-	got := quotaOf(h, "a", 0)
-	if got[0] != 40_000 || got[1] != 100_000 {
-		t.Fatalf("quota = %v, want [40000 100000]", got)
-	}
-	// Tiny caps floor at MinQuotaUs.
-	v.CapUs = 10
-	c.apply(&StepReport{})
-	got = quotaOf(h, "a", 0)
-	if got[0] != c.Config().MinQuotaUs {
-		t.Fatalf("floored quota = %d, want %d", got[0], c.Config().MinQuotaUs)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"vfreq/internal/platform"
@@ -112,7 +113,7 @@ func (s *fuzzByteStream) u16() uint16 {
 // conservation contract of Algorithm 1: it may not panic, mint, leak or
 // double-sell cycles, overdraw a wallet, or cap a vCPU beyond its
 // estimate or below its pre-auction (Eq. 5) base. Every cap, wallet and
-// the leftover must also equal referenceAuction's.
+// the leftover must also equal the oracle's stage 4 (oracleAuction).
 func FuzzAuction(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 200, 16, 39, 2, 1, 0, 0, 4, 4})
@@ -134,50 +135,49 @@ func FuzzAuction(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		var caps0, credits0 int64
-		base := map[*VCPUState]int64{}
-		for _, vs := range c.VMs() {
+		var wallets []int64
+		var buyers []refBuyer // the pre-auction state, as the oracle takes it
+		for i, vs := range c.VMs() {
 			vs.CreditUs = int64(s.u16()) * 32 // 0 .. ~2.1M
-			credits0 += vs.CreditUs
+			wallets = append(wallets, vs.CreditUs)
 			for _, v := range vs.VCPUs {
 				v.CapUs = int64(s.u16()) * 8 // 0 .. ~520k
 				v.EstUs = v.CapUs + int64(s.u16())*8
-				base[v] = v.CapUs
-				caps0 += v.CapUs
+				buyers = append(buyers, refBuyer{vm: i, cap: v.CapUs, est: v.EstUs})
 			}
 		}
 		market := int64(s.u16()) * 32
-		wallets, buyers := auctionInputs(c)
-		left := c.auction(market)
-		if err := diffReference(c, wallets, buyers, market, left); err != nil {
-			t.Fatal(err)
+		var caps0, credits0 int64
+		for _, w := range wallets {
+			credits0 += w
 		}
+		for _, b := range buyers {
+			caps0 += b.cap
+		}
+		base := slices.Clone(buyers)
 
-		if left < 0 || left > market {
-			t.Fatalf("leftover %d outside [0, %d]", left, market)
+		left := c.auction(market)
+		if want := oracleAuction(wallets, buyers, market, c.cfg.WindowUs); left != want || left < 0 || left > market {
+			t.Fatalf("auction left %d of market %d, oracle %d", left, market, want)
 		}
 		var caps, credits int64
-		for _, vs := range c.VMs() {
-			if vs.CreditUs < 0 {
-				t.Fatalf("wallet of %s overdrawn: %d", vs.Info.Name, vs.CreditUs)
+		k := 0
+		for i, vs := range c.VMs() {
+			if vs.CreditUs != wallets[i] || vs.CreditUs < 0 {
+				t.Fatalf("%s wallet %d, oracle %d", vs.Info.Name, vs.CreditUs, wallets[i])
 			}
 			credits += vs.CreditUs
 			for _, v := range vs.VCPUs {
-				if v.CapUs > v.EstUs {
-					t.Fatalf("%s/%d bought beyond estimate", v.VM, v.Index)
-				}
-				if v.CapUs < base[v] {
-					t.Fatalf("%s/%d dropped below its base cap", v.VM, v.Index)
+				if v.CapUs != buyers[k].cap || v.CapUs > v.EstUs || v.CapUs < base[k].cap {
+					t.Fatalf("%s/vcpu%d cap %d (estimate %d, base %d), oracle %d",
+						v.VM, v.Index, v.CapUs, v.EstUs, base[k].cap, buyers[k].cap)
 				}
 				caps += v.CapUs
+				k++
 			}
 		}
-		sold := market - left
-		if caps-caps0 != sold {
-			t.Fatalf("cycles minted or leaked: Δcaps %d, sold %d", caps-caps0, sold)
-		}
-		if credits0-credits != sold {
-			t.Fatalf("wallet debits %d ≠ cycles bought %d", credits0-credits, sold)
+		if sold := market - left; caps-caps0 != sold || credits0-credits != sold {
+			t.Fatalf("Δcaps %d and wallet debits %d, sold %d", caps-caps0, credits0-credits, sold)
 		}
 	})
 }

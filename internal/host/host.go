@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"vfreq/internal/cgroupfs"
 	"vfreq/internal/dvfs"
 	"vfreq/internal/energy"
 	"vfreq/internal/sched"
@@ -121,11 +120,10 @@ func Chiclet() Spec {
 
 // Machine is a running simulated node.
 type Machine struct {
-	spec    Spec
-	Sched   *sched.Scheduler
-	Cgroups *cgroupfs.Tree
-	DVFS    *dvfs.Model
-	Meter   *energy.Meter
+	spec  Spec
+	Sched *sched.Scheduler
+	DVFS  *dvfs.Model
+	Meter *energy.Meter
 
 	TickUs int64
 
@@ -158,7 +156,6 @@ func New(spec Spec) (*Machine, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	s := sched.New(spec.Cores)
 	model, err := dvfs.New(spec.Cores, spec.Governor, dvfs.Policy{
 		MinMHz: spec.MinMHz, MaxMHz: spec.MaxMHz,
 		TurboMHz: spec.TurboMHz, JitterMHz: spec.JitterMHz,
@@ -171,13 +168,12 @@ func New(spec Spec) (*Machine, error) {
 		return nil, err
 	}
 	return &Machine{
-		spec:    spec,
-		Sched:   s,
-		Cgroups: cgroupfs.New(s),
-		DVFS:    model,
-		Meter:   meter,
-		TickUs:  DefaultTickUs,
-		util:    make([]float64, spec.Cores),
+		spec:   spec,
+		Sched:  sched.New(spec.Cores),
+		DVFS:   model,
+		Meter:  meter,
+		TickUs: DefaultTickUs,
+		util:   make([]float64, spec.Cores),
 	}, nil
 }
 
@@ -247,12 +243,12 @@ func (m *Machine) Spec() Spec { return m.spec }
 // NowUs returns the simulated time.
 func (m *Machine) NowUs() int64 { return m.Sched.NowUs() }
 
-// StartThread creates a runnable thread in the cgroup at rel (relative to
-// the cgroup mount; "" is the root).
-func (m *Machine) StartThread(rel string, demand func(nowUs, dtUs int64) float64) (*sched.Thread, error) {
-	g, err := m.Cgroups.Group(rel)
-	if err != nil {
-		return nil, err
+// StartThread creates a runnable thread in cgroup g (nil is the root). A
+// group no longer in the tree is an error, as the kernel refuses a thread
+// moved into a removed cgroup.
+func (m *Machine) StartThread(g *sched.Group, demand func(nowUs, dtUs int64) float64) (*sched.Thread, error) {
+	if g != nil && !m.Sched.InTree(g) {
+		return nil, fmt.Errorf("host: cgroup %s is not in the tree", g.Path())
 	}
 	return m.Sched.NewThread(g, demand), nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vfreq/internal/energy"
+	"vfreq/internal/sched"
 )
 
 func TestPresetsValid(t *testing.T) {
@@ -87,10 +88,8 @@ func TestThreadLifecycleAndWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Cgroups.CreateGroup("vm"); err != nil {
-		t.Fatal(err)
-	}
-	th, err := m.StartThread("vm", nil)
+	g := m.Sched.NewGroup(nil, "vm")
+	th, err := m.StartThread(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +107,8 @@ func TestThreadLifecycleAndWork(t *testing.T) {
 	}
 	// The cgroup and the thread carry what cpu.stat and /proc/<tid>/stat
 	// report.
-	if g, err := m.Cgroups.Group("vm"); err != nil || g.UsageUs != 1_000_000 {
-		t.Fatalf("cgroup usage = %v, %v; want 1000000", g, err)
+	if g.UsageUs != 1_000_000 {
+		t.Fatalf("cgroup usage = %d, want 1000000", g.UsageUs)
 	}
 	if th.LastCPU < 0 || th.LastCPU >= m.Spec().Cores {
 		t.Fatalf("LastCPU = %d, want a core", th.LastCPU)
@@ -120,17 +119,26 @@ func TestThreadLifecycleAndWork(t *testing.T) {
 	}
 }
 
+// TestStartThreadUnknownCgroup: a cgroup removed, itself or with its
+// parent, takes no thread.
 func TestStartThreadUnknownCgroup(t *testing.T) {
 	m, _ := New(Chetemi())
-	if _, err := m.StartThread("nope", nil); err == nil {
-		t.Fatal("unknown cgroup accepted")
+	g := m.Sched.NewGroup(nil, "vm")
+	sub := m.Sched.NewGroup(g, "vcpu0")
+	if err := m.Sched.RemoveGroup(g); err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []*sched.Group{g, sub} {
+		if _, err := m.StartThread(gone, nil); err == nil {
+			t.Fatalf("removed cgroup %s accepted", gone.Name)
+		}
 	}
 }
 
 func TestDVFSRespondsToLoad(t *testing.T) {
 	m, _ := New(Chiclet())
 	for i := 0; i < m.Spec().Cores; i++ {
-		if _, err := m.StartThread("", nil); err != nil {
+		if _, err := m.StartThread(nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +167,7 @@ func TestStepMatchesAccessors(t *testing.T) {
 	m, _ := New(Chetemi())
 	for i := 0; i < 25; i++ {
 		share := float64(i%5) / 4
-		if _, err := m.StartThread("", func(nowUs, dtUs int64) float64 { return share }); err != nil {
+		if _, err := m.StartThread(nil, func(nowUs, dtUs int64) float64 { return share }); err != nil {
 			t.Fatal(err)
 		}
 	}

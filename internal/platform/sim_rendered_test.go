@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io/fs"
 	"math/rand"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"vfreq/internal/cgroupfs"
@@ -37,7 +39,8 @@ import (
 // rendered it, then the parser platform.Linux uses on the kernel's file. A
 // write renders cpu.max's content and hands it to cgroupfs.ParseCPUMax and
 // the group, as the file's write handler did. A vCPU's files exist while
-// the Tree names its cgroup. It is the reference side of
+// its cgroup is in the scheduler's tree, found by name from the root and
+// not through the VM manager Sim asks. It is the reference side of
 // TestSimMatchesRenderedUnderChurn.
 type renderedReader struct {
 	m *host.Machine
@@ -47,11 +50,16 @@ func (r renderedReader) cgroupFile(vmName string, vcpu int, name string) string 
 	return cgroupfs.DefaultMount + "/" + vm.VCPUCgroup(vmName, vcpu) + "/" + name
 }
 
-// group returns the vCPU's cgroup, or nil when the Tree names none.
+// group returns the vCPU's cgroup, walking the tree from the root one
+// name at a time, or nil when there is none.
 func (r renderedReader) group(vmName string, vcpu int) *sched.Group {
-	g, err := r.m.Cgroups.Group(vm.VCPUCgroup(vmName, vcpu))
-	if err != nil {
-		return nil
+	g := r.m.Sched.Root()
+	for _, name := range strings.Split(vm.VCPUCgroup(vmName, vcpu), "/") {
+		i := slices.IndexFunc(g.Children, func(c *sched.Group) bool { return c.Name == name })
+		if i < 0 {
+			return nil
+		}
+		g = g.Children[i]
 	}
 	return g
 }

@@ -174,10 +174,14 @@ func (s *Scheduler) NewGroup(parent *Group, name string) *Group {
 	return g
 }
 
-// RemoveGroup detaches g (and its whole subtree) from the hierarchy.
+// RemoveGroup detaches g (and its whole subtree) from the hierarchy. A
+// group no longer in it, removed itself or with an ancestor, is an error.
 func (s *Scheduler) RemoveGroup(g *Group) error {
 	if g == s.root {
 		return fmt.Errorf("sched: cannot remove root group")
+	}
+	if !s.InTree(g) {
+		return fmt.Errorf("sched: group is not in the tree")
 	}
 	var rec func(*Group)
 	rec = func(n *Group) {
@@ -201,6 +205,17 @@ func (s *Scheduler) RemoveGroup(g *Group) error {
 	g.Parent = nil
 	s.gen++
 	return nil
+}
+
+// InTree reports whether g is the root or hangs below it: false for a
+// group removed, itself or with an ancestor, and for nil.
+func (s *Scheduler) InTree(g *Group) bool {
+	for ; g != s.root; g = g.Parent {
+		if g == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // SetQuota configures bandwidth control for g. quotaUs may be NoQuota.

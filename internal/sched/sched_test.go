@@ -370,6 +370,27 @@ func TestRemoveGroup(t *testing.T) {
 	}
 }
 
+// TestRemoveUnknownGroup: removing a group that has left the tree, by
+// itself or with an ancestor, is an error that changes nothing, not a nil
+// parent dereferenced.
+func TestRemoveUnknownGroup(t *testing.T) {
+	s := New(1)
+	g := s.NewGroup(nil, "g")
+	sub := s.NewGroup(g, "sub")
+	keep := s.NewGroup(nil, "keep")
+	if err := s.RemoveGroup(g); err != nil {
+		t.Fatal(err)
+	}
+	for name, gone := range map[string]*Group{"g": g, "g/sub": sub, "nil": nil} {
+		if err := s.RemoveGroup(gone); err == nil {
+			t.Fatalf("removing %s, not in the tree, succeeded", name)
+		}
+	}
+	if got := s.Root().Children; len(got) != 1 || got[0] != keep {
+		t.Fatalf("root children = %v, want only keep", got)
+	}
+}
+
 func TestGroupPath(t *testing.T) {
 	s := New(1)
 	a := s.NewGroup(nil, "a")

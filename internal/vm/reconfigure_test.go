@@ -34,7 +34,6 @@ func TestReconfigureGrowsAndShrinks(t *testing.T) {
 	}
 	mg.Machine().Advance(500_000)
 	usageBefore := inst.VCPUThread(0).UsageUs
-	cgroups := mg.Machine().Cgroups
 
 	// Grow 2 → 4 with busy workloads on the new vCPUs.
 	tpl := Small()
@@ -44,8 +43,8 @@ func TestReconfigureGrowsAndShrinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < 4; j++ {
-		if _, err := cgroups.Group(VCPUCgroup("vm0", j)); err != nil {
-			t.Fatalf("vCPU %d after grow: %v", j, err)
+		if lookup(mg.Machine(), VCPUCgroup("vm0", j)) == nil {
+			t.Fatalf("no vCPU %d cgroup after grow", j)
 		}
 	}
 	if len(inst.vcpus) != 4 || len(inst.sources) != 4 {
@@ -69,7 +68,7 @@ func TestReconfigureGrowsAndShrinks(t *testing.T) {
 		t.Fatal("instance slices did not shrink together")
 	}
 	for j := 1; j < 4; j++ {
-		if _, err := cgroups.Group(VCPUCgroup("vm0", j)); err == nil {
+		if lookup(mg.Machine(), VCPUCgroup("vm0", j)) != nil {
 			t.Fatalf("vCPU %d cgroup survived shrink", j)
 		}
 	}

@@ -10,6 +10,7 @@ package vm
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"vfreq/internal/host"
 	"vfreq/internal/sched"
@@ -62,7 +63,7 @@ func Large() Template  { return Template{Name: "large", VCPUs: 4, FreqMHz: 1800,
 type Instance struct {
 	name     string
 	template Template
-	scope    string // cgroup path relative to the mount
+	scope    *sched.Group // ScopePath(name)
 	vcpus    []*sched.Thread
 	sources  []workload.Source
 	// destroyed tells a holder of the instance it from a new one
@@ -71,9 +72,10 @@ type Instance struct {
 }
 
 // ScopePath returns the libvirt-style scope cgroup path for a VM name.
-func ScopePath(name string) string {
-	return Slice + "/machine-qemu-" + name + ".scope"
-}
+func ScopePath(name string) string { return Slice + "/" + scopeName(name) }
+
+// scopeName is the name of a VM's scope cgroup under Slice.
+func scopeName(name string) string { return "machine-qemu-" + name + ".scope" }
 
 // VCPUCgroup returns the cgroup path of vCPU j of a VM name.
 func VCPUCgroup(name string, j int) string {
@@ -81,19 +83,26 @@ func VCPUCgroup(name string, j int) string {
 }
 
 // Manager provisions and tracks instances on one machine, playing the
-// role libvirt plays on a real host.
+// role libvirt plays on a real host. It creates and removes the cgroups
+// in the machine's scheduler directly: an instance holds its scope.
 type Manager struct {
 	machine   *host.Machine
+	slice     *sched.Group         // machine.slice
 	instances map[string]*Instance // name index of list
 	list      []*Instance          // the instances in provisioning order
 }
 
-// NewManager creates a manager and the machine.slice cgroup.
+// NewManager creates a manager and the machine.slice cgroup, or adopts
+// the one the machine's root already has.
 func NewManager(m *host.Machine) (*Manager, error) {
-	if _, err := m.Cgroups.CreateGroupAll(Slice); err != nil {
-		return nil, err
+	mg := &Manager{machine: m, instances: map[string]*Instance{}}
+	root := m.Sched.Root()
+	if i := slices.IndexFunc(root.Children, func(g *sched.Group) bool { return g.Name == Slice }); i >= 0 {
+		mg.slice = root.Children[i]
+	} else {
+		mg.slice = m.Sched.NewGroup(root, Slice)
 	}
-	return &Manager{machine: m, instances: map[string]*Instance{}}, nil
+	return mg, nil
 }
 
 // Machine returns the managed machine.
@@ -125,24 +134,17 @@ func (mg *Manager) Provision(name string, tpl Template, srcs []workload.Source) 
 	inst := &Instance{
 		name:     name,
 		template: tpl,
-		scope:    ScopePath(name),
+		scope:    mg.machine.Sched.NewGroup(mg.slice, scopeName(name)),
 		// Sized here, once: regrown between the cgroup and thread
 		// allocations they scatter those, ≈ 3 % of a cluster_fleet step.
 		sources: make([]workload.Source, 0, tpl.VCPUs),
-	}
-	if _, err := mg.machine.Cgroups.CreateGroupAll(inst.scope); err != nil {
-		return nil, err
 	}
 	for _, src := range srcs {
 		if err := mg.addVCPU(inst, src); err != nil {
 			return nil, err
 		}
 	}
-	emRel := inst.scope + "/emulator"
-	if _, err := mg.machine.Cgroups.CreateGroup(emRel); err != nil {
-		return nil, err
-	}
-	em, err := mg.machine.StartThread(emRel, emulatorDemand)
+	em, err := mg.machine.StartThread(mg.machine.Sched.NewGroup(inst.scope, "emulator"), emulatorDemand)
 	if err != nil {
 		return nil, err
 	}
@@ -192,8 +194,9 @@ func (mg *Manager) Reconfigure(name string, tpl Template, srcs []workload.Source
 		}
 	} else if grow < 0 {
 		for j := tpl.VCPUs; j < old; j++ {
+			g := inst.vcpus[j].Group
 			mg.machine.StopThread(inst.vcpus[j])
-			if err := mg.machine.Cgroups.RemoveGroup(VCPUCgroup(name, j)); err != nil {
+			if err := mg.machine.Sched.RemoveGroup(g); err != nil {
 				return err
 			}
 		}
@@ -210,12 +213,8 @@ func (mg *Manager) Reconfigure(name string, tpl Template, srcs []workload.Source
 // host counts the thread's cycles; a source that is an Accounter is told
 // of them as well.
 func (mg *Manager) addVCPU(inst *Instance, src workload.Source) error {
-	j := len(inst.vcpus)
-	rel := VCPUCgroup(inst.name, j)
-	if _, err := mg.machine.Cgroups.CreateGroup(rel); err != nil {
-		return err
-	}
-	th, err := mg.machine.StartThread(rel, src.Demand)
+	g := mg.machine.Sched.NewGroup(inst.scope, "vcpu"+strconv.Itoa(len(inst.vcpus)))
+	th, err := mg.machine.StartThread(g, src.Demand)
 	if err != nil {
 		return err
 	}
@@ -235,7 +234,7 @@ func (mg *Manager) Destroy(name string) error {
 		return fmt.Errorf("vm: no instance %q", name)
 	}
 	// Removing the scope cgroup detaches all threads at once.
-	if err := mg.machine.Cgroups.RemoveGroup(inst.scope); err != nil {
+	if err := mg.machine.Sched.RemoveGroup(inst.scope); err != nil {
 		return err
 	}
 	inst.destroyed = true

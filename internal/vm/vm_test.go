@@ -24,6 +24,37 @@ func newManager(t *testing.T) *Manager {
 	return mg
 }
 
+// lookup returns the group at rel under the machine's root cgroup, found
+// by name one level at a time, or nil.
+func lookup(m *host.Machine, rel string) *sched.Group {
+	g := m.Sched.Root()
+	for _, name := range strings.Split(rel, "/") {
+		var next *sched.Group
+		for _, c := range g.Children {
+			if c.Name == name {
+				next = c
+			}
+		}
+		if next == nil {
+			return nil
+		}
+		g = next
+	}
+	return g
+}
+
+// TestNewManagerAdoptsSlice: a second manager on a machine adopts the
+// machine.slice the first created instead of creating another.
+func TestNewManagerAdoptsSlice(t *testing.T) {
+	mg := newManager(t)
+	if _, err := NewManager(mg.Machine()); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(mg.Machine().Sched.Root().Children); n != 1 {
+		t.Fatalf("root holds %d cgroups, want machine.slice alone", n)
+	}
+}
+
 func TestTemplatePresets(t *testing.T) {
 	for _, tpl := range []Template{Small(), Medium(), Large()} {
 		if err := tpl.Validate(); err != nil {
@@ -58,15 +89,14 @@ func TestProvisionCreatesKVMLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cgroups := mg.Machine().Cgroups
 	for _, rel := range []string{ScopePath("vm0"), VCPUCgroup("vm0", 0), VCPUCgroup("vm0", 1), ScopePath("vm0") + "/emulator"} {
-		if _, err := cgroups.Group(rel); err != nil {
-			t.Fatalf("missing cgroup %s: %v", rel, err)
+		if lookup(mg.Machine(), rel) == nil {
+			t.Fatalf("missing cgroup %s", rel)
 		}
 	}
 	// Each vCPU cgroup holds exactly one thread: the vCPU's.
 	for j := 0; j < 2; j++ {
-		g, _ := cgroups.Group(VCPUCgroup("vm0", j))
+		g := lookup(mg.Machine(), VCPUCgroup("vm0", j))
 		if len(g.Threads) != 1 || g.Threads[0] != inst.VCPUThread(j) || inst.VCPUThread(j).Group != g {
 			t.Fatalf("vcpu%d cgroup holds %d threads, want its vCPU thread alone", j, len(g.Threads))
 		}
@@ -74,7 +104,7 @@ func TestProvisionCreatesKVMLayout(t *testing.T) {
 }
 
 // TestEmulatedTreeInventory lists every cgroup a booted node with one VM
-// holds, by the path the Tree names it with: the root, machine.slice, the
+// holds, by its path: the root, machine.slice, the
 // VM scope and its three leaves, each holding the threads libvirt puts
 // there. A cgroup stays in the model only while something reads it (the
 // controller through platform.Sim, the ablation harness, a benchmark
@@ -96,15 +126,11 @@ func TestEmulatedTreeInventory(t *testing.T) {
 	var got []string
 	var walk func(g *sched.Group)
 	walk = func(g *sched.Group) {
-		rel := strings.TrimPrefix(g.Path(), "/")
-		if tg, err := m.Cgroups.Group(rel); err != nil || tg != g {
-			t.Fatalf("the Tree names %q as %v, %v; want the scheduler's group", rel, tg, err)
-		}
 		var tids []string
 		for _, th := range g.Threads {
 			tids = append(tids, fmt.Sprint(th.ID))
 		}
-		got = append(got, fmt.Sprintf("/%s [%s]", rel, strings.Join(tids, " ")))
+		got = append(got, fmt.Sprintf("%s [%s]", g.Path(), strings.Join(tids, " ")))
 		for _, c := range g.Children {
 			walk(c)
 		}
@@ -179,7 +205,7 @@ func TestDestroyCleansUp(t *testing.T) {
 	if err := mg.Destroy("vm0"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mg.Machine().Cgroups.Group(ScopePath("vm0")); err == nil {
+	if lookup(mg.Machine(), ScopePath("vm0")) != nil {
 		t.Fatal("scope cgroup survived destroy")
 	}
 	if mg.Machine().Sched.Thread(tid) != nil {
