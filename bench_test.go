@@ -52,7 +52,8 @@ func runScaled(b *testing.B, e experiments.FreqExperiment, series ...string) {
 	b.ReportMetric(float64(res.AvgStep.Microseconds()), "ctrl_step_µs")
 }
 
-// Fig. 1 — cgroup CPU-time division between three weighted threads.
+// Fig. 1 — cgroup CPU-time division between three threads by quotas of
+// 0.50/0.25/0.25 of the period.
 func BenchmarkFig1CgroupShares(b *testing.B) {
 	var shareA float64
 	for i := 0; i < b.N; i++ {

@@ -72,9 +72,9 @@ type VCPUState struct {
 // invalidateApplied forgets the last-applied quota, forcing the next
 // apply stage to write through. Called on every event after which the
 // cgroup's content is no longer trusted: a degradation (the cgroup may
-// have vanished and been recreated unlimited), a usage counter reset (VM
-// restart rebuilds the cgroup), a recovered step panic, and a VM
-// reconfiguration.
+// have vanished and been recreated unlimited), a usage counter reset or a
+// new thread id (VM restart rebuilds the cgroup), a recovered step panic,
+// and a VM reconfiguration.
 func (v *VCPUState) invalidateApplied() {
 	v.appliedQuotaOK = false
 }
@@ -601,6 +601,12 @@ func (c *Controller) monitorVCPU(rep *StepReport, v *VCPUState) {
 	// again.
 	v.Degraded = false
 
+	if !v.warm && int(tid) != v.TID {
+		// A new thread: the VM restarted under its name, and its
+		// cgroup was rebuilt with an unlimited quota, whether or not
+		// the new counter has passed the last reading yet.
+		v.invalidateApplied()
+	}
 	if v.warm {
 		// Registered this step: the delta against the registration
 		// reading spans no time yet.
@@ -655,17 +661,14 @@ func (c *Controller) degrade(rep *StepReport, v *VCPUState, stage string, op hos
 }
 
 // market computes Eq. 6: the cycles of the next period not allocated to
-// any vCPU. A negative market (guarantees oversubscribed, Eq. 7 violated
-// by the placement layer) is clamped to zero.
+// any vCPU. It is negative where guarantees are oversubscribed (Eq. 7
+// violated by the placement layer); auction sells nothing then.
 func (c *Controller) market() int64 {
 	total := int64(c.node.Cores) * c.cfg.PeriodUs
 	for _, st := range c.order {
 		for _, v := range st.VCPUs {
 			total -= v.CapUs
 		}
-	}
-	if total < 0 {
-		total = 0
 	}
 	return total
 }

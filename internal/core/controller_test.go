@@ -260,11 +260,17 @@ func TestMarketEq6(t *testing.T) {
 	if got := c.market(); got != 3_200_000 {
 		t.Fatalf("market = %d, want 3200000", got)
 	}
-	// Oversubscription clamps to zero.
+	// Oversubscribed, the market is negative, and the auction sells
+	// nothing of it to a buyer with a full wallet.
 	st.VCPUs[0].CapUs = 3_000_000
 	st.VCPUs[1].CapUs = 2_000_000
-	if got := c.market(); got != 0 {
-		t.Fatalf("oversubscribed market = %d, want 0", got)
+	if got := c.market(); got != -1_000_000 {
+		t.Fatalf("oversubscribed market = %d, want -1000000", got)
+	}
+	st.VCPUs[0].EstUs, st.CreditUs = 3_500_000, 1_000_000
+	if left := c.auction(c.market()); left != 0 || st.VCPUs[0].CapUs != 3_000_000 || st.CreditUs != 1_000_000 {
+		t.Fatalf("auction of an oversubscribed market left %d, cap %d, wallet %d; want 0, 3000000, 1000000",
+			left, st.VCPUs[0].CapUs, st.CreditUs)
 	}
 }
 

@@ -69,10 +69,6 @@ import (
 //  30. distribute drops the `market > total` clamp;
 //  31. quotaFor drops the MinQuotaUs floor;
 //  32. quotaFor scales by PeriodUs ÷ CgroupPeriodUs.
-//
-// Dropping market's floor at 0 survives, by construction: the auction
-// returns a non-positive market unsold before it reads it, so the floor
-// changes nothing a Step does. TestMarketEq6 holds it.
 type oracle struct {
 	cfg           Config
 	cores, maxMHz int64
@@ -419,16 +415,12 @@ func (tw *twin) fits(name string, vcpus int, freq int64) bool {
 // Each seed draws a node, a tuning and an Eq. 7 mix of the paper's
 // frequencies, then 300 periods in which every vCPU moves between idle,
 // near-idle (a few µs, where the stability margin's floor decides),
-// partial and saturated demand. VMs arrive, depart and restart (a counter
-// reset); templates change frequency and vCPU count, now and then past
-// Eq. 7 (the empty market); usage reads fail for one to three Steps (a
-// delta spanning periods, clamped to one period); a third of the seeds arm
-// the breaker, whose quarantine holds a whole VM.
-//
-// The controller sees a restart only as a counter going back, so only a
-// VM whose every counter has passed one period restarts here: one
-// restarted before keeps its rebuilt, unlimited cgroup until its cap
-// moves.
+// partial and saturated demand. VMs arrive, depart and restart at any
+// age (a new thread id; a counter reset, or not yet, where the old one had
+// not passed what the new one reads); templates change frequency and vCPU
+// count, now and then past Eq. 7 (the empty market); usage reads fail for
+// one to three Steps (a delta spanning periods, clamped to one period); a
+// third of the seeds arm the breaker, whose quarantine holds a whole VM.
 func TestControllerMatchesOracle(t *testing.T) {
 	freqs := []int64{500, 600, 1200, 1800, 2400}
 	for seed := int64(1); seed <= 200; seed++ {
@@ -485,14 +477,8 @@ func TestControllerMatchesOracle(t *testing.T) {
 			case r < 5:
 				tw.h.RemoveVM(vm.Name)
 			case r < 7:
-				restartable := true
-				for j := 0; j < vm.VCPUs; j++ {
-					restartable = restartable && tw.h.VCPU(vm.Name, j).UsageUs > cfg.PeriodUs
-				}
-				if restartable {
-					tw.h.RemoveVM(vm.Name)
-					tw.h.AddVM(vm.Name, vm.VCPUs, vm.FreqMHz)
-				}
+				tw.h.RemoveVM(vm.Name)
+				tw.h.AddVM(vm.Name, vm.VCPUs, vm.FreqMHz)
 			case r < 10:
 				vcpus, freq := max(1, vm.VCPUs+rng.Intn(3)-1), freqs[rng.Intn(len(freqs))]
 				if rng.Intn(4) == 0 || tw.fits(vm.Name, vcpus, freq) {

@@ -20,11 +20,12 @@ import (
 // The kill list: each of these one-line mutations of sched/repeat.go,
 // sched/replay.go or host.go was applied and turned the named test red.
 // Every row was applied again once Repeat compared the placement apart
-// from the allocation state, and every one is still red.
+// from the allocation state, and every one is still red. The rows on the
+// ring's records were applied again once the ring stopped answering ticks
+// and every tick recorded its slot.
 //
 //	drop QuotaUs from carried                  TestAdvanceRepeatKey/QuotaUs
 //	drop PeriodUs from carried                 TestAdvanceRepeatKey/PeriodUs
-//	drop Weight from carried                   TestAdvanceRepeatKey/Weight
 //	drop windowUsedUs from carried             TestAdvanceRepeatKey/windowUsedUs
 //	drop the window's age from carried         TestAdvanceRepeatKey/windowAge
 //	drop the slot-valid check                  TestAdvanceRepeatKey/slotValid
@@ -62,12 +63,23 @@ import (
 //	a hit ignores the slot's validity          TestAdvanceRepeatKey/cutOffEntry
 //	read the slowdown after an afresh tick     TestAdvanceAgainstStep
 //
+// The ring's records, which every Tick writes (each also red in
+// TestAdvanceAgainstStep but the narrow row):
+//
+//	record no slot on a tick the previous
+//	  tick answered                            TestAdvanceAgainstStep
+//	a tick with a cut-off input leaves its
+//	  slot valid                               TestAdvanceRepeatKey/slotValid
+//	drop the check in narrow                   TestAdvanceRepeatNarrowCore
+//	replayCores leaves Thread.LastCPU          TestAdvanceAgainstStep
+//	replayCores drops clear(load) or the add   TestAdvanceAgainstStep
+//
 // The window memo behind repeat (host.go), each mutation also red in
 // TestAdvanceAgainstStep:
 //
 //	drop the phase from the key                TestAdvanceLooksUpSteadyWindows
 //	drop the RepeatGen compare                 TestAdvanceRepeatKey/ringOutputs
-//	skip the RepeatGen bump in replayRecord    TestAdvanceRepeatKey/QuotaUs
+//	recordGot reports no moved got (no bump)   TestAdvanceRepeatKey/QuotaUs
 //	skip the RepeatGen bump in layoutReplay    TestAdvanceRepeatKey/ringLayout
 //	add a hit's cycle growth once, not hits×   TestAdvanceRepeatKey/ringOutputs
 //	skip the governor's step advance on a hit  TestAdvanceLooksUpSteadyWindows
@@ -146,7 +158,6 @@ func (tw *twin) newGroup() {
 var (
 	twinQuotas  = []int64{sched.NoQuota, 5000, 12_345, 30_000, 60_000, 150_000}
 	twinPeriods = []int64{100_000, 100_000, 100_000, 100_000, 50_000, 20_000, 100_000, 50_000, 30_000, 1_000_000}
-	twinWeights = []int64{100, 100, 1, 50, 300, 10_000}
 	twinLevels  = []float64{0, 0.005, 0.25, 0.5, 1}
 	// twinAdvances are the Advance lengths: mostly the controller's 1 s
 	// period, and lengths that end between window boundaries.
@@ -314,7 +325,7 @@ func (tw *twin) mutate() {
 	if tw.groups[0][g] == nil {
 		g = 0
 	}
-	switch r.Intn(9) {
+	switch r.Intn(8) {
 	case 0:
 		tw.newGroup()
 	case 1:
@@ -325,16 +336,13 @@ func (tw *twin) mutate() {
 		tw.removeThread()
 	case 4:
 		tw.setQuota(g)
-	case 5:
-		w := twinWeights[r.Intn(len(twinWeights))]
-		tw.groups[0][g].Weight, tw.groups[1][g].Weight = w, w
-	case 6, 7:
+	case 5, 6:
 		if len(tw.levels) > 0 {
 			pair := tw.levels[r.Intn(len(tw.levels))]
 			l := twinLevels[r.Intn(len(twinLevels))]
 			pair[0].Level, pair[1].Level = l, l
 		}
-	case 8:
+	case 7:
 		// A thread that never runs keeps whatever core it is given:
 		// one off the machine does not fit the ring's slots.
 		if len(tw.idle) > 0 {
@@ -410,10 +418,10 @@ func (tw *twin) run(label string, calls int) {
 }
 
 // TestAdvanceAgainstStep holds Advance bit-identical to Step over seeded
-// schedules: random trees of quota'd, bursting and weighted groups; threads
-// on every in-repo source (Constant, Bursty, Trace phases, Delayed, a
-// Bench told of its work through OnRun), on no source and on a demand
-// with no horizon; quota, burst, weight and level writes, thread and group
+// schedules: random trees of quota'd and unlimited groups; threads on
+// every in-repo source (Constant, Bursty, Trace phases, Delayed, a Bench
+// told of its work through OnRun), on no source and on a demand with no
+// horizon; quota and level writes, thread and group
 // churn, a thread parked off the machine and tick-length changes between
 // calls; Advance lengths that end between window boundaries; a cache
 // penalty on a third of the machines. The last check is that Advance
@@ -740,14 +748,6 @@ var keyCases = []keyCase{
 		build:  func(k *keySide) { k.thread(k.s.NewGroup(nil, "g"), workload.Busy()) },
 		change: func(k *keySide) { must(k.s.Root().Children[0].SetQuota(30_000, sched.DefaultPeriodUs)) },
 		again:  func(k *keySide) { must(k.s.Root().Children[0].SetQuota(30_000, 200_000)) },
-	},
-	{
-		name: "Weight", cores: 1,
-		build: func(k *keySide) {
-			k.thread(k.s.NewGroup(nil, "a"), workload.Busy())
-			k.thread(k.s.NewGroup(nil, "b"), workload.Busy())
-		},
-		change: func(k *keySide) { k.s.Root().Children[0].Weight = 300 },
 	},
 	{
 		name: "windowUsedUs", cores: 1,

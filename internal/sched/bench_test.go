@@ -38,7 +38,7 @@ func BenchmarkWaterfill(b *testing.B) {
 	tmpl := make([]entity, 128)
 	got := make([]int64, len(tmpl))
 	for i := range tmpl {
-		tmpl[i] = entity{weight: int64(i%7)*50 + 50, need: int64(i%13)*1000 + 500, dst: &got[i]}
+		tmpl[i] = entity{need: int64(i%13)*1000 + 500, dst: &got[i]}
 	}
 	ents := make([]entity, len(tmpl))
 	b.ResetTimer()
@@ -105,13 +105,10 @@ func BenchmarkTickTableII(b *testing.B) {
 }
 
 // BenchmarkTickTableIIQuotaWrite is the same tick behind a quota write (one
-// of three values in turn: two in turn would repeat window after window,
-// ten ticks being an even number, and be replayed): beside
-// BenchmarkTickTableII, where the replay ring answers every tick, this is
-// what a tick costs when the ring looks, finds an input moved, runs
-// allocate and placeOnCores after all and records them. replayed/op is the
-// share of ticks the ring still answered in full, previous/op the share
-// the previous tick did.
+// of three values in turn): beside BenchmarkTickTableII, where the previous
+// tick answers seven ticks in ten, this is what a tick costs when a quota
+// moves before every tick and allocate and placeOnCores run each time.
+// previous/op is the share of ticks the previous tick still answered.
 func BenchmarkTickTableIIQuotaWrite(b *testing.B) {
 	s := tableIINode()
 	vcpu := s.Root().Children[0].Children[0].Children[0]
@@ -123,8 +120,7 @@ func BenchmarkTickTableIIQuotaWrite(b *testing.B) {
 		}
 		s.Tick(10_000)
 	}
-	b.ReportMetric(float64(s.replay.coresFrom[fromSlot])/float64(b.N), "replayed/op")
-	b.ReportMetric(float64(s.replay.coresFrom[fromPrev])/float64(b.N), "previous/op")
+	b.ReportMetric(float64(s.replay.prevCores)/float64(b.N), "previous/op")
 }
 
 func BenchmarkDeepHierarchy(b *testing.B) {

@@ -2,9 +2,8 @@ package sched
 
 import "math"
 
-// Repeating a window. The replay ring (replay.go) spares one tick its
-// allocate and placeOnCores when tick k of a window meets what tick k of
-// the window before met; Repeat spares whole windows. A tick's allocation
+// Repeating a window. The replay ring (replay.go) records every tick of the
+// last window; Repeat spares whole windows. A tick's allocation
 // is a function of the scheduler's carried state, the tree's shape and the
 // demands, and its growth of every counter a function of the allocation:
 // when the carried state at a window boundary equals the carried state one
@@ -17,7 +16,7 @@ import "math"
 // the ring, whose slots hold them.
 //
 //	carried: what the next tick reads (compared)   accumulated: moved on by m windows
-//	Group.QuotaUs, PeriodUs, Weight                Group.UsageUs, Thread.UsageUs, nowUs,
+//	Group.QuotaUs, PeriodUs                        Group.UsageUs, Thread.UsageUs, nowUs,
 //	under a quota, the bandwidth window as           and windowUsedUs without a quota (no
 //	  prepare opens it: windowUsedUs and the         tick reads it then): + m × the last
 //	  age nowUs − windowStartUs, or 0 and            window's growth
@@ -82,7 +81,7 @@ type threadSnap struct {
 
 // carried is what the next tick reads of one group.
 type carried struct {
-	quotaUs, periodUs, weight int64
+	quotaUs, periodUs int64
 	// Under a quota: how much of the bandwidth window is used, and how
 	// old the window is, once prepare has opened the periods that are
 	// due. Without one no tick reads either.
@@ -90,7 +89,7 @@ type carried struct {
 }
 
 func (g *Group) carried(nowUs int64) carried {
-	c := carried{quotaUs: g.QuotaUs, periodUs: g.PeriodUs, weight: g.Weight}
+	c := carried{quotaUs: g.QuotaUs, periodUs: g.PeriodUs}
 	if g.QuotaUs != NoQuota {
 		c.windowUsedUs, c.windowAgeUs = g.windowUsedUs, nowUs-g.windowStartUs
 		if c.windowAgeUs >= g.PeriodUs {
@@ -290,7 +289,7 @@ func (s *Scheduler) placeRepeated(sl *replaySlot) []Alloc {
 	// it unrecorded: what was cut off could equal a later entry.
 	fits := true
 	for j, t := range r.threads {
-		sl.threads[j].lastCPU = narrow[int16](int64(t.LastCPU), &fits)
+		sl.threads[j].lastCPU = narrow(int64(t.LastCPU), &fits)
 	}
 	s.placeOnCores(allocs, r.dtUs, sl)
 	s.recordCores(sl, false)

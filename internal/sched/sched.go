@@ -1,16 +1,18 @@
 // Package sched implements a discrete-time "fluid" model of the Linux
-// Completely Fair Scheduler (CFS) with cgroup v2 semantics: hierarchical
-// weighted fair sharing between groups and CFS bandwidth control
-// (cpu.max quota/period).
+// Completely Fair Scheduler (CFS) with cgroup v2 semantics: max-min fair
+// sharing between sibling groups at the default cpu.weight, and CFS
+// bandwidth control (cpu.max quota/period).
 //
 // Instead of simulating per-core run queues at nanosecond granularity, the
 // scheduler distributes the machine's CPU time for one tick (typically
-// 10 ms) over the runnable threads by hierarchical weighted max-min
-// fairness (progressive filling). Over the aggregation windows a frequency
+// 10 ms) over the runnable threads by hierarchical max-min fairness
+// (progressive filling). Over the aggregation windows a frequency
 // controller observes (≥ 100 ms), this fluid allocation is exactly the
-// long-run behaviour of CFS: CPU time divided between sibling cgroups in
-// proportion to cpu.weight, each thread bounded by one core, and each
+// long-run behaviour of CFS: CPU time divided equally between sibling
+// cgroups of equal cpu.weight, each thread bounded by one core, and each
 // group bounded by its bandwidth quota within the current period window.
+// cpu.max is the only knob: the paper's controller writes nothing else,
+// and every cgroup keeps the default weight.
 //
 // The model reproduces the phenomenon the paper builds on: with one cgroup
 // per VM (as KVM/libvirt create), CFS shares time per VM, not per vCPU, so
@@ -24,9 +26,6 @@ import (
 	"math/bits"
 	"slices"
 )
-
-// DefaultWeight is the default cpu.weight of a cgroup.
-const DefaultWeight = 100
 
 // NoQuota indicates an unlimited bandwidth quota ("max" in cpu.max).
 const NoQuota = int64(-1)
@@ -78,9 +77,6 @@ type Group struct {
 	Parent   *Group
 	Children []*Group
 	Threads  []*Thread
-
-	// Weight is the cpu.weight (1..10000, default 100).
-	Weight int64
 
 	// QuotaUs is the bandwidth quota per PeriodUs, or NoQuota.
 	QuotaUs  int64
@@ -138,7 +134,6 @@ func New(cores int) *Scheduler {
 		Cores: cores,
 		root: &Group{
 			Name:     "/",
-			Weight:   DefaultWeight,
 			QuotaUs:  NoQuota,
 			PeriodUs: DefaultPeriodUs,
 		},
@@ -155,8 +150,8 @@ func (s *Scheduler) Root() *Group { return s.root }
 // NowUs returns the current simulated time in microseconds.
 func (s *Scheduler) NowUs() int64 { return s.nowUs }
 
-// NewGroup creates a child cgroup of parent with the default weight and no
-// quota. A nil parent means the root.
+// NewGroup creates a child cgroup of parent with no quota. A nil parent
+// means the root.
 func (s *Scheduler) NewGroup(parent *Group, name string) *Group {
 	if parent == nil {
 		parent = s.root
@@ -164,7 +159,6 @@ func (s *Scheduler) NewGroup(parent *Group, name string) *Group {
 	g := &Group{
 		Name:          name,
 		Parent:        parent,
-		Weight:        DefaultWeight,
 		QuotaUs:       NoQuota,
 		PeriodUs:      DefaultPeriodUs,
 		windowStartUs: s.nowUs,
@@ -311,11 +305,11 @@ type Alloc struct {
 }
 
 // entity is a schedulable child of a group during one waterfill: a thread
-// or a sub-group, reduced to its weight, its feasible demand and the place
-// its allocation is stored (Thread.got or Group.share).
+// or a sub-group, reduced to its feasible demand and the place its
+// allocation is stored (Thread.got or Group.share).
 type entity struct {
-	weight, need, got int64
-	dst               *int64
+	need, got int64
+	dst       *int64
 }
 
 // Tick advances the simulation by dt microseconds, distributing CPU time
@@ -331,38 +325,34 @@ type entity struct {
 // groups that need any, and settle ascends it (usage, the allocation list
 // in the order prepare met the threads); where the previous tick answers
 // both allocation and placement, resettle keeps its list and adds its
-// growth instead of the ascent. Two memories stand in for
-// allocate, and for placeOnCores, where every input they would read
-// compares equal (replay.go): the previous computed tick, whose answers
-// still stand in the threads and the core loads, and the replay ring,
-// which holds this tick of the bandwidth window as it was last computed.
+// growth instead of the ascent. The previous computed tick, whose answers
+// still stand in the threads and the core loads, stands in for allocate,
+// and for placeOnCores, where every input they would read compares equal
+// (replay.go). Every tick is recorded in its slot of the replay ring,
+// Repeat's record of the last bandwidth window (repeat.go).
 func (s *Scheduler) Tick(dtUs int64) []Alloc {
 	if dtUs <= 0 {
 		panic("sched: dt must be positive")
 	}
 	moved := s.prepare(s.root, dtUs)
-	slot, got, cores := s.replayLookup(dtUs, moved == 0)
-	switch got {
-	case fromSlot:
-		s.replayGot(slot)
-	case compute:
+	slot, prev, placed := s.replayLookup(dtUs, moved == 0)
+	if !prev {
 		s.allocateTick(dtUs)
 	}
-	if got == fromPrev && cores == fromPrev {
+	if placed {
 		s.resettle()
 	} else {
 		s.allocScratch = s.allocScratch[:0]
 		s.settle(s.root)
 	}
 	allocs := s.allocScratch
-	switch cores {
-	case fromSlot:
-		s.replayCores(slot, allocs)
-	case compute:
+	changed := slot != nil && s.recordGot(slot)
+	if !placed {
 		s.placeOnCores(allocs, dtUs, slot)
 	}
-	if slot != nil && !slot.valid {
-		s.replayRecord(slot)
+	if slot != nil {
+		s.recordCores(slot, changed)
+		slot.valid = true
 	}
 	s.replay.prevOK, s.replay.prevSlot = true, slot
 	s.nowUs += dtUs
@@ -430,9 +420,9 @@ func (g *Group) quotaRemaining() int64 {
 	return r
 }
 
-// allocateTick is the allocation when no memory holds it: every thread's
-// got from zero, then allocate from the root. The ring's thread list must
-// be laid out for the tree.
+// allocateTick is the allocation when the previous tick does not hold it:
+// every thread's got from zero, then allocate from the root. The ring's
+// thread list must be laid out for the tree.
 func (s *Scheduler) allocateTick(dtUs int64) {
 	for _, t := range s.replay.threads {
 		t.got = 0
@@ -441,7 +431,7 @@ func (s *Scheduler) allocateTick(dtUs int64) {
 }
 
 // allocate distributes capacity µs of CPU time within group g using
-// weighted max-min fairness over its children (sub-groups and direct
+// max-min fairness over its children (sub-groups and direct
 // threads), each entering with the need prepare cached; a thread's want is
 // at most dtUs, which bounds it at one core. The entity scratch is shared
 // by the whole tree: a group's waterfill has stored every result in the
@@ -463,16 +453,12 @@ func (s *Scheduler) allocate(g *Group, capacity int64) {
 	ents := s.entScratch[:0]
 	for _, t := range g.Threads {
 		if t.want > 0 {
-			ents = append(ents, entity{weight: DefaultWeight, need: t.want, dst: &t.got})
+			ents = append(ents, entity{need: t.want, dst: &t.got})
 		}
 	}
 	for _, c := range g.Children {
 		if c.need > 0 {
-			w := c.Weight
-			if w <= 0 {
-				w = DefaultWeight
-			}
-			ents = append(ents, entity{weight: w, need: c.need, dst: &c.share})
+			ents = append(ents, entity{need: c.need, dst: &c.share})
 		}
 	}
 	s.entScratch = ents
@@ -484,76 +470,39 @@ func (s *Scheduler) allocate(g *Group, capacity int64) {
 	}
 }
 
-// waterfill distributes capacity among entities by weighted max-min
-// fairness with exact integer conservation: Σ got ≤ capacity, got ≤ need,
-// and no entity can gain without another losing. Every gain is stored
-// through the entity's dst at once, so the slice can be compacted in place
-// to the still-unsatisfied entities, in order, round after round.
+// waterfill distributes capacity among entities by max-min fairness with
+// exact integer conservation: Σ got ≤ capacity, got ≤ need, and no entity
+// can gain without another losing. Each round offers every unsatisfied
+// entity an equal share of what is left, and at least 1 µs, in order, so a
+// remainder smaller than the entities goes to the first of them. Every
+// gain is stored through the entity's dst at once, so the slice can be
+// compacted in place to the still-unsatisfied entities, in order, round
+// after round.
 func waterfill(active []entity, capacity int64) {
-	var sumW int64
-	for i := range active {
-		sumW += active[i].weight
-	}
 	for capacity > 0 && len(active) > 0 {
-		snapshot := capacity
-		progress := false
-		n, nextW := 0, int64(0)
+		share := max(capacity/int64(len(active)), 1)
+		n := 0
 		for i := range active {
 			e := &active[i]
-			give := min(e.need-e.got, snapshot*e.weight/sumW, capacity)
-			if give > 0 {
+			if give := min(e.need-e.got, share, capacity); give > 0 {
 				e.got += give
 				*e.dst = e.got
 				capacity -= give
-				progress = true
 			}
 			if e.got < e.need {
 				active[n] = *e
 				n++
-				nextW += e.weight
 			}
 		}
-		active, sumW = active[:n], nextW
-		if !progress {
-			// Integer shares rounded to zero: hand out the
-			// remainder one microsecond at a time, highest
-			// weight first. Stable insertion sort: same order as
-			// sort.SliceStable by descending weight, without its
-			// closure and swapper allocations.
-			for i := 1; i < len(active); i++ {
-				e := active[i]
-				j := i - 1
-				for j >= 0 && active[j].weight < e.weight {
-					active[j+1] = active[j]
-					j--
-				}
-				active[j+1] = e
-			}
-			for capacity > 0 && len(active) > 0 {
-				n := 0
-				for i := range active {
-					e := &active[i]
-					if capacity > 0 {
-						e.got++
-						*e.dst = e.got
-						capacity--
-					}
-					if e.got < e.need {
-						active[n] = *e
-						n++
-					}
-				}
-				active = active[:n]
-			}
-		}
+		active = active[:n]
 	}
 }
 
 // settle is the tick's ascent. Per group it records the usage of the
 // group's threads and lists their allocations (threads before sub-groups,
-// the order prepare met them) on the cores they last ran on, which the
-// placement then moves, and folds the subtree's usage into the group and
-// its bandwidth window. It returns the subtree's usage.
+// the order prepare met them) for the placement to put on cores, and folds
+// the subtree's usage into the group and its bandwidth window. It returns
+// the subtree's usage.
 func (s *Scheduler) settle(g *Group) int64 {
 	var got int64
 	for _, t := range g.Threads {
@@ -565,7 +514,7 @@ func (s *Scheduler) settle(g *Group) int64 {
 		}
 		t.UsageUs += t.got
 		got += t.got
-		s.allocScratch = append(s.allocScratch, Alloc{Thread: t, RanUs: t.got, Core: t.LastCPU})
+		s.allocScratch = append(s.allocScratch, Alloc{Thread: t, RanUs: t.got})
 	}
 	for _, c := range g.Children {
 		got += s.settle(c)
@@ -578,8 +527,9 @@ func (s *Scheduler) settle(g *Group) int64 {
 
 // resettle is settle for a tick whose allocation and placement the
 // previous tick answered whole: that tick's list, each allocation on the
-// core its thread last ran on, stands in allocScratch as settle would
-// build it again, and every group grows as it grew then.
+// core its thread last ran on, stands in allocScratch as settle and
+// placeOnCores would build it again, and every group grows as it grew
+// then.
 func (s *Scheduler) resettle() {
 	for _, a := range s.allocScratch {
 		a.Thread.UsageUs += a.RanUs

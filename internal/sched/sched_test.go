@@ -55,27 +55,6 @@ func TestThreadBoundedByOneCore(t *testing.T) {
 	}
 }
 
-func TestWeightedSharing(t *testing.T) {
-	s := New(1)
-	ga := s.NewGroup(nil, "a")
-	gb := s.NewGroup(nil, "b")
-	ga.Weight = 200
-	gb.Weight = 100
-	a := s.NewThread(ga, nil)
-	b := s.NewThread(gb, nil)
-	for i := 0; i < 100; i++ {
-		s.Tick(tick)
-	}
-	total := a.UsageUs + b.UsageUs
-	if total != 100*tick {
-		t.Fatalf("total = %d, want %d", total, 100*tick)
-	}
-	ratio := float64(a.UsageUs) / float64(b.UsageUs)
-	if ratio < 1.95 || ratio > 2.05 {
-		t.Fatalf("weight 200:100 gave ratio %.3f, want ~2", ratio)
-	}
-}
-
 // The Fig. 1 scenario of the paper: three threads on one core where a is
 // entitled to twice the time of b and c, enforced via quotas of 0.5/0.25/
 // 0.25 of the period.
@@ -490,31 +469,6 @@ func TestQuickConservationAndQuota(t *testing.T) {
 	}
 }
 
-// Property: weighted shares are monotone — increasing a group's weight
-// never decreases its allocation when everything is saturated.
-func TestQuickWeightMonotonicity(t *testing.T) {
-	f := func(w8 uint8) bool {
-		w := int64(w8%200) + 1
-		run := func(weight int64) int64 {
-			s := New(1)
-			ga := s.NewGroup(nil, "a")
-			ga.Weight = weight
-			gb := s.NewGroup(nil, "b")
-			gb.Weight = 100
-			a := s.NewThread(ga, nil)
-			s.NewThread(gb, nil)
-			for i := 0; i < 20; i++ {
-				s.Tick(tick)
-			}
-			return a.UsageUs
-		}
-		return run(w+10) >= run(w)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // ---------------------------------------------------------------------
 // Reference tick and the differential tests that pin Tick to it.
 //
@@ -524,7 +478,8 @@ func TestQuickWeightMonotonicity(t *testing.T) {
 // level), a per-thread ancestor walk for usage and an insertion sort for
 // placement. The code below is that tick verbatim, with its scratch moved
 // off the Scheduler and without the burst reserve and throttle accounting,
-// which left with the counters they fed.
+// which left with the counters they fed, and with every entity at the
+// default weight of 100, the only one left.
 // The simulation's contract is bit-identity with it (DESIGN.md §5): the
 // repository benchmark's state digests hash every vCPU's cycle counter.
 // ---------------------------------------------------------------------
@@ -673,16 +628,12 @@ func (s *reference) allocate(g *Group, capacity, dtUs int64, depth int) {
 	vals := s.levels[depth].vals[:0]
 	for _, t := range g.Threads {
 		if n := t.want - t.got; n > 0 {
-			vals = append(vals, refEntity{thread: t, weight: DefaultWeight, need: n})
+			vals = append(vals, refEntity{thread: t, weight: 100, need: n})
 		}
 	}
 	for _, c := range g.Children {
 		if n := c.refNeed(); n > 0 {
-			w := c.Weight
-			if w <= 0 {
-				w = DefaultWeight
-			}
-			vals = append(vals, refEntity{group: c, weight: w, need: n})
+			vals = append(vals, refEntity{group: c, weight: 100, need: n})
 		}
 	}
 	s.levels[depth].vals = vals
@@ -878,10 +829,9 @@ type demandShape struct{ kind, frac int }
 var (
 	diffQuotas  = []int64{NoQuota, 1, 7, 50, 1000, 5000, 12_345, 25_000, 50_000, 100_000, 250_000}
 	diffPeriods = []int64{100_000, 100_000, 50_000, 20_000, 7_000, 1_000_000}
-	diffWeights = []int64{100, 100, 0, 1, 50, 200, 1000, 10_000, -5}
 	diffTicks   = []int64{10_000, 10_000, 10_000, 10_000, 10_000, 10_000, 1, 3, 100, 1000, 2500, 30_000, 100_000, 250_000, 12_000_000}
 	// quietTicks are the tick lengths of quiet stretches: mostly ones the
-	// ring replays (4 to 100 slots), and two it does not.
+	// ring records (4 to 100 slots), and two it does not.
 	quietTicks = []int64{10_000, 10_000, 10_000, 5000, 20_000, 25_000, 2500, 1000, 30_000, 50_000}
 )
 
@@ -929,11 +879,8 @@ func (tw *twins) newGroup() {
 		return
 	}
 	name := fmt.Sprintf("g%d", len(tw.depth))
-	weight := diffWeights[tw.c.intn(len(diffWeights))]
 	for side := 0; side < 2; side++ {
-		g := tw.sched(side).NewGroup(tw.groups[side][p], name)
-		g.Weight = weight
-		tw.groups[side] = append(tw.groups[side], g)
+		tw.groups[side] = append(tw.groups[side], tw.sched(side).NewGroup(tw.groups[side][p], name))
 	}
 	tw.depth = append(tw.depth, tw.depth[p]+1)
 	if tw.c.intn(2) == 0 {
@@ -972,7 +919,9 @@ func (tw *twins) demand(side, id int, sh *demandShape) func(nowUs, dtUs int64) f
 		if tw.calm {
 			if sh.kind == 6 && tw.quiets%2 == 0 {
 				// Running on every other tick keeps the previous tick
-				// from answering, and leaves it to the ring.
+				// from answering while every window repeats the one
+				// before: those ticks place in the order their slot
+				// kept.
 				return float64(sh.frac) / 16 * float64((nowUs/dtUs+int64(id))%2)
 			}
 			return float64(sh.frac) / 16
@@ -1055,7 +1004,7 @@ func (tw *twins) removeGroup() {
 }
 
 func (tw *twins) mutate() {
-	switch tw.c.intn(7) {
+	switch tw.c.intn(6) {
 	case 0:
 		tw.newGroup()
 	case 1:
@@ -1066,16 +1015,7 @@ func (tw *twins) mutate() {
 		tw.removeThread()
 	case 5:
 		tw.setQuota(tw.c.intn(len(tw.depth)))
-	case 6:
-		tw.setWeight()
 	}
-}
-
-// setWeight writes a group's Weight field directly: nothing writes it
-// through a file, as no emulated cgroup has a cpu.weight.
-func (tw *twins) setWeight() {
-	i, w := tw.c.intn(len(tw.depth)), diffWeights[tw.c.intn(len(diffWeights))]
-	tw.groups[0][i].Weight, tw.groups[1][i].Weight = w, w
 }
 
 // tick advances both sides by one tick of a drawn length.
@@ -1129,11 +1069,11 @@ func (tw *twins) tickOf(label string, dt int64) {
 	}
 }
 
-// quiet plays what the replay ring exists for and what must wake it: at
-// least three bandwidth windows of ticks of one length, no mutation, the
-// time-varying demands held level; then exactly one change; then two more
-// windows, in which a ring that slept through the change shows. It returns
-// the number of ticks played.
+// quiet plays what the previous-tick memo and the ring's kept orders exist
+// for and what must wake them: at least three bandwidth windows of ticks
+// of one length, no mutation, the time-varying demands held level; then
+// exactly one change; then two more windows, in which a memo that slept
+// through the change shows. It returns the number of ticks played.
 func (tw *twins) quiet(label string) int {
 	dt := quietTicks[tw.c.intn(len(quietTicks))]
 	window := max(int(DefaultPeriodUs/dt), 2)
@@ -1145,26 +1085,23 @@ func (tw *twins) quiet(label string) int {
 		tw.tickOf(fmt.Sprintf("%s quiet tick %d", label, k), dt)
 	}
 	what := ""
-	switch any := tw.c.intn(len(tw.depth)); tw.c.intn(10) {
+	switch any := tw.c.intn(len(tw.depth)); tw.c.intn(9) {
 	case 0:
 		what = "SetQuota"
 		tw.setQuota(any)
 	case 1:
-		what = "Weight write"
-		tw.setWeight()
-	case 2:
 		what = "NewThread"
 		tw.newThread()
-	case 3:
+	case 2:
 		what = "RemoveThread"
 		tw.removeThread()
-	case 4:
+	case 3:
 		what = "NewGroup"
 		tw.newGroup()
-	case 5:
+	case 4:
 		what = "RemoveGroup"
 		tw.removeGroup()
-	case 6:
+	case 5:
 		what = "demand level"
 		if len(tw.shapes) > 0 {
 			// Every shape but nil, 0 and the clamped ones follows frac
@@ -1173,14 +1110,14 @@ func (tw *twins) quiet(label string) int {
 			sh := tw.shapes[tw.c.intn(len(tw.shapes))]
 			sh.frac = (sh.frac + 1 + tw.c.intn(16)) % 17
 		}
-	case 7:
+	case 6:
 		what = "tick length"
 		dt = quietTicks[tw.c.intn(len(quietTicks))]
-	case 8:
+	case 7:
 		what = "root quota"
 		q := []int64{NoQuota, 5000, 25_000, 250_000}[tw.c.intn(4)]
 		tw.both(what, func(side int) error { return tw.groups[side][0].SetQuota(q, DefaultPeriodUs) })
-	case 9:
+	case 8:
 		what = "odd period"
 		q, per := diffQuotas[1+tw.c.intn(len(diffQuotas)-1)], diffPeriods[2+tw.c.intn(len(diffPeriods)-2)]
 		tw.both(what, func(side int) error { return tw.groups[side][any].SetQuota(q, per) })
@@ -1209,35 +1146,27 @@ func (tw *twins) run(label string, ticks int) {
 }
 
 // TestTickAgainstReference holds Tick bit-identical to the reference over
-// seeded schedules of random trees (depth ≤ 4; mixed weights, quotas and
-// periods; nil, zero, fractional, out-of-range and time-varying
-// demands; tick lengths from 1 µs, which forces the waterfill's remainder
-// path, to 250 ms, which rolls several windows at once) with the tree
-// mutated mid-run, and quiet stretches in which the replay ring and the
-// previous tick answer for allocate and placeOnCores: the last checks are
-// that they did.
+// seeded schedules of random trees (depth ≤ 4; mixed quotas and periods;
+// nil, zero, fractional, out-of-range and time-varying demands; tick
+// lengths from 1 µs, which forces the waterfill's remainder path, to
+// 250 ms, which rolls several windows at once) with the tree mutated
+// mid-run, and quiet stretches in which the previous tick answers for
+// allocate and placeOnCores: the last check is that it did.
 func TestTickAgainstReference(t *testing.T) {
 	schedules, ticks := 240, 300
 	if testing.Short() {
 		schedules = 40
 	}
-	var played uint64
-	var gotFrom, coresFrom [compute]uint64
+	var played, prevGot, prevCores uint64
 	for seed := 1; seed <= schedules; seed++ {
 		tw := newTwins(t, &chooser{rng: rand.New(rand.NewSource(int64(seed)))})
 		tw.run(fmt.Sprintf("seed %d", seed), ticks)
 		played += tw.ticks
-		for i := range gotFrom {
-			gotFrom[i] += tw.prod.replay.gotFrom[i]
-			coresFrom[i] += tw.prod.replay.coresFrom[i]
-		}
+		prevGot += tw.prod.replay.prevGot
+		prevCores += tw.prod.replay.prevCores
 	}
-	t.Logf("%d ticks; the ring answered %d allocations, %d placements; the previous tick %d allocations, %d placements",
-		played, gotFrom[fromSlot], coresFrom[fromSlot], gotFrom[fromPrev], coresFrom[fromPrev])
-	if ring := gotFrom[fromSlot]; ring < played/16 || coresFrom[fromSlot] == 0 || coresFrom[fromSlot] == ring {
-		t.Fatal("the schedules do not exercise the replay ring: want a sixteenth of the ticks answered by it, some of them without the placement")
-	}
-	if prev := coresFrom[fromPrev]; prev < played/4 || prev == gotFrom[fromPrev] {
+	t.Logf("%d ticks; the previous tick answered %d allocations, %d placements", played, prevGot, prevCores)
+	if prevCores < played/4 || prevCores == prevGot {
 		t.Fatal("the schedules do not exercise the previous tick: want a quarter of the ticks answered by it whole, and some only the allocation")
 	}
 }
@@ -1276,12 +1205,13 @@ func FuzzTickAgainstReference(f *testing.F) {
 		rng.Read(b)
 		f.Add(b)
 	}
-	// Schedules the ring sleeps and is woken in: the draws of the first
-	// seeded schedules that replay and miss, as the bytes that repeat them.
+	// Schedules the previous tick sleeps and is woken in: the draws of the
+	// first seeded schedules where it answers and misses, as the bytes
+	// that repeat them.
 	for seed, n := int64(1), 0; n < 4; seed++ {
 		tw := newTwins(f, &chooser{rng: rand.New(rand.NewSource(seed))})
 		tw.run("corpus", 64)
-		if r := tw.prod.replay; r.gotFrom[fromSlot] > 20 && r.coresFrom[fromSlot] < r.gotFrom[fromSlot] {
+		if r := tw.prod.replay; r.prevGot > 20 && r.prevCores < r.prevGot {
 			f.Add(tw.c.log)
 			n++
 		}

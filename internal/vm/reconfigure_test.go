@@ -104,3 +104,36 @@ func TestReconfigureValidation(t *testing.T) {
 		t.Fatal("wrong source count accepted")
 	}
 }
+
+// TestReconfigureScopeGone: an instance whose scope cgroup has left the
+// tree (removed behind the manager's back) can be neither shrunk nor
+// grown; Reconfigure says so and touches neither the instance nor the
+// detached cgroups.
+func TestReconfigureScopeGone(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		from, to Template
+	}{
+		{"shrink", Large(), Small()},
+		{"grow", Small(), Large()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mg := newManager(t)
+			inst, err := mg.Provision("vm0", tc.from, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mg.Machine().Sched.RemoveGroup(inst.scope); err != nil {
+				t.Fatal(err)
+			}
+			children := len(inst.scope.Children)
+			if err := mg.Reconfigure("vm0", tc.to, nil); err == nil {
+				t.Fatal("reconfigured an instance whose scope cgroup left the tree")
+			}
+			if len(inst.vcpus) != tc.from.VCPUs || len(inst.scope.Children) != children || inst.Template() != tc.from {
+				t.Fatalf("the refused change left %d vCPUs, %d cgroups under the scope, template %+v; want %d, %d, %+v",
+					len(inst.vcpus), len(inst.scope.Children), inst.Template(), tc.from.VCPUs, children, tc.from)
+			}
+		})
+	}
+}

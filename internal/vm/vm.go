@@ -162,11 +162,15 @@ func (mg *Manager) Provision(name string, tpl Template, srcs []workload.Source) 
 // may be nil for idle ones) or shrinks it (stopping the trailing threads
 // and removing their cgroups). The instance keeps running throughout —
 // existing vCPU threads, their usage counters and their workload state
-// are untouched.
+// are untouched. An instance whose scope cgroup has left the tree cannot
+// be reconfigured.
 func (mg *Manager) Reconfigure(name string, tpl Template, srcs []workload.Source) error {
 	inst, ok := mg.instances[name]
 	if !ok {
 		return fmt.Errorf("vm: no instance %q", name)
+	}
+	if !mg.machine.Sched.InTree(inst.scope) {
+		return fmt.Errorf("vm: instance %q: cgroup %s is not in the tree", name, ScopePath(name))
 	}
 	if err := tpl.Validate(); err != nil {
 		return err
