@@ -22,13 +22,13 @@ import (
 // Every row was applied again once Repeat compared the placement apart
 // from the allocation state, and every one is still red. The rows on the
 // ring's records were applied again once the ring stopped answering ticks
-// and every tick recorded its slot.
+// and every tick recorded its slot, and every row once the ring stopped
+// recording the core a thread enters a tick on.
 //
 //	drop QuotaUs from carried                  TestAdvanceRepeatKey/QuotaUs
 //	drop PeriodUs from carried                 TestAdvanceRepeatKey/PeriodUs
 //	drop windowUsedUs from carried             TestAdvanceRepeatKey/windowUsedUs
 //	drop the window's age from carried         TestAdvanceRepeatKey/windowAge
-//	drop the slot-valid check                  TestAdvanceRepeatKey/slotValid
 //	ignore Until (every horizon Forever)       TestAdvanceRepeatKey/Until
 //	drop the level-against-slots check         TestAdvanceRepeatKey/level
 //	let a thread with an OnRun repeat          TestAdvanceRepeatKey/OnRun
@@ -50,29 +50,21 @@ import (
 // PlacementRepeats and the host's afresh branch):
 //
 //	drop the LastCPU comparison from Repeat    TestAdvanceRepeatKey/LastCPU
-//	take the slot's cores on a miss            TestAdvanceRepeatKey/ringOutputs
-//	skip rewriting the slot's entries on a miss  TestAdvanceRepeatKey/placementCycle
-//	skip the RepeatGen bump on a miss          TestAdvanceRepeatKey/ringOutputs
+//	placeRepeated takes the slot's cores       TestAdvanceRepeatKey/ringOutputs
+//	placeRepeated records no core (and skips
+//	  the RepeatGen bump)                      TestAdvanceRepeatKey/ringOutputs
 //	let the memo answer a window whose
 //	  placement is not a fixed point           TestAdvanceRepeatKey/ringOutputs
 //	drop the end-of-window fixed-point check:
 //	  a fixed point is never found             TestAdvanceRepeatsWanderingPlacement/settling
 //	  every window is one                      TestAdvanceRepeatKey/placementCycle
-//	PlacementRepeats records no start          TestAdvanceRepeatKey/placementCycle
-//	a miss leaves a cut-off entry valid        TestAdvanceRepeatNarrowCore
-//	a hit ignores the slot's validity          TestAdvanceRepeatKey/cutOffEntry
+//	PlacementRepeats records no start          TestAdvanceRepeatKey/cutOffEntry
 //	read the slowdown after an afresh tick     TestAdvanceAgainstStep
 //
-// The ring's records, which every Tick writes (each also red in
-// TestAdvanceAgainstStep but the narrow row):
+// The ring's records, which every Tick writes:
 //
 //	record no slot on a tick the previous
 //	  tick answered                            TestAdvanceAgainstStep
-//	a tick with a cut-off input leaves its
-//	  slot valid                               TestAdvanceRepeatKey/slotValid
-//	drop the check in narrow                   TestAdvanceRepeatNarrowCore
-//	replayCores leaves Thread.LastCPU          TestAdvanceAgainstStep
-//	replayCores drops clear(load) or the add   TestAdvanceAgainstStep
 //
 // The window memo behind repeat (host.go), each mutation also red in
 // TestAdvanceAgainstStep:
@@ -88,13 +80,16 @@ import (
 // Equivalent mutants, green as they must be: drop the start-frequency, the
 // start-slowdown or the tick-length compare. Each is implied by RepeatGen
 // and the phase, as matches says; a tick-length change lays the ring out
-// again. Leaving the core loads alone after a hit, as
-// repeat does, is right and not a mutant: a boundary where Repeat succeeds
-// follows tick n−1 of the ring, whose loads are the ones a hit's last
-// tick leaves; compare checks every core's load.
+// again. Dropping Repeat's slot-valid check is equivalent too: a slot is
+// left unrecorded only by a new layout, which drops the snapshot, and the
+// window between a snapshot and the next boundary records every slot.
+// Leaving the core loads alone after a hit, as repeat does, is right and
+// not a mutant: a boundary where Repeat succeeds follows tick n−1 of the
+// ring, whose loads are the ones a hit's last tick leaves; compare checks
+// every core's load.
 //
-// TestAdvanceAgainstStep alone turns red on eleven of the first thirteen:
-// not on the QuotaUs or PeriodUs rows.
+// TestAdvanceAgainstStep alone turns red on nine of the first eleven: not
+// on the PeriodUs or windowUsedUs rows.
 
 // twin drives two machines through one schedule: side 0 calls Advance,
 // side 1 calls Step once per tick. groups[.][0] is the root; the threads'
@@ -625,11 +620,10 @@ func TestAdvanceRepeatsAfterQuotaWrite(t *testing.T) {
 	}
 }
 
-// TestAdvanceRepeatNarrowCore: a busy thread's core written out of the
-// slots' int16 range at a boundary is placed afresh, and the slot that
-// placed it is left invalid, as Tick leaves such a tick unrecorded: the
-// entry it kept was cut off, and equals the core written next (3), which
-// the placement it holds (core 0) was not computed for.
+// TestAdvanceRepeatNarrowCore: a busy thread's core written off the
+// machine at a boundary, to a value sixteen bits would cut to core 3, and
+// then to core 3 itself: the window after each write is placed afresh
+// from where the thread is, as Step places it.
 func TestAdvanceRepeatNarrowCore(t *testing.T) {
 	tw := &twin{tb: t}
 	for side := range tw.m {
@@ -774,9 +768,9 @@ var keyCases = []keyCase{
 		},
 	},
 	{
-		// An idle thread parked off the machine keeps every slot from
-		// being recorded, while the busy thread's level moves: the
-		// slots' inputs follow it, their outputs do not.
+		// An idle thread is parked off the machine, at a core sixteen
+		// bits would cut to core 1, while the busy thread's level
+		// moves: no slot records the idle thread's core.
 		name: "slotValid", cores: 2,
 		build: func(k *keySide) {
 			k.thread(k.s.Root(), workload.Idle())
@@ -838,11 +832,10 @@ var keyCases = []keyCase{
 		// x (0.4 of a core) and w (0.2) run on core 1; v, busy under a
 		// quota of half a window whose periods open mid-window, runs on
 		// core 0 in each window's second half. x is written off the
-		// machine at a boundary: tick 0 places it on core 0, and its slot
-		// keeps the cut-off entry, 1, left invalid; tick 5 sends it back
-		// to core 1 beside v. The next window's tick 0 finds x on core 1,
-		// the cut-off entry, where it stays: the slot's cores are not
-		// that tick's placement.
+		// machine at a boundary, to a core sixteen bits would cut to 1:
+		// tick 0 places it on core 0, and tick 5 sends it back to core 1
+		// beside v. The next window's tick 0 finds x on core 1, where it
+		// stays.
 		name: "cutOffEntry", cores: 2,
 		build: func(k *keySide) {
 			k.m.Advance(50_000)

@@ -106,9 +106,9 @@ func BenchmarkTickTableII(b *testing.B) {
 
 // BenchmarkTickTableIIQuotaWrite is the same tick behind a quota write (one
 // of three values in turn): beside BenchmarkTickTableII, where the previous
-// tick answers seven ticks in ten, this is what a tick costs when a quota
-// moves before every tick and allocate and placeOnCores run each time.
-// previous/op is the share of ticks the previous tick still answered.
+// tick answers seven allocations in ten, this is what a tick costs when a
+// quota moves before every tick and allocate runs each time. previous/op
+// is the share of ticks whose allocation the previous tick still answered.
 func BenchmarkTickTableIIQuotaWrite(b *testing.B) {
 	s := tableIINode()
 	vcpu := s.Root().Children[0].Children[0].Children[0]
@@ -120,7 +120,7 @@ func BenchmarkTickTableIIQuotaWrite(b *testing.B) {
 		}
 		s.Tick(10_000)
 	}
-	b.ReportMetric(float64(s.replay.prevCores)/float64(b.N), "previous/op")
+	b.ReportMetric(float64(s.replay.prevGot)/float64(b.N), "previous/op")
 }
 
 func BenchmarkDeepHierarchy(b *testing.B) {

@@ -43,10 +43,11 @@ import "math"
 // LastCPU at the boundary also equals the snapshot's, the placement is a
 // fixed point: the windows to come are copies of the last, cores and core
 // loads included, and RepeatedTick hands out the slots' cores. Where one
-// does not, RepeatedTick places each tick afresh from where the threads
-// are (placeRepeated), and the host asks PlacementRepeats, window by
-// window, whether the placement has come back to where a window began:
-// from that window on the copies hold again.
+// does not, RepeatedTick places each tick's recorded allocation afresh
+// from where the threads are, as Tick places it (placeRepeated), and the
+// host asks PlacementRepeats, window by window, whether the placement has
+// come back to where a window began: from that window on the copies hold
+// again.
 //
 // The demands are not state but promises: every thread's Until must cover
 // the m windows, and its level must be the one every slot recorded. A
@@ -243,12 +244,10 @@ func (s *Scheduler) PlacementRepeats() bool {
 
 // RepeatedTick returns the allocations of tick k of the window the last
 // Repeat repeated, in the order Tick returned them, and sets the core
-// loads (CoreLoadUs, Utilization) as that tick did; the next Tick then
-// places its threads afresh. Like Tick's, the slice is reused by the next
-// call.
+// loads (CoreLoadUs, Utilization) as that tick did. Like Tick's, the
+// slice is reused by the next call.
 func (s *Scheduler) RepeatedTick(k int) []Alloc {
 	sl := &s.replay.slots[k]
-	s.replay.prevSlot = nil
 	if !s.replay.last.placed {
 		return s.placeRepeated(sl)
 	}
@@ -265,35 +264,20 @@ func (s *Scheduler) RepeatedTick(k int) []Alloc {
 }
 
 // placeRepeated is RepeatedTick where the placement is not yet known to
-// repeat: slot sl's allocations, in its first-fit-decreasing order, placed
-// from the cores the threads are on. Where every thread that runs begins
-// on the core the slot recorded, the slot's cores are the placement's;
-// else placeOnCores places the tick, and the slot records the new entry
-// and cores, which RepeatGen counts if they moved. Either way each thread
-// that runs moves to its core, as Tick moves it.
+// repeat: slot sl's allocations, in its kept first-fit-decreasing order,
+// placed by placeOnCores from the cores the threads are on, as Tick
+// places them. The slot records the cores, which RepeatGen counts if they
+// moved.
 func (s *Scheduler) placeRepeated(sl *replaySlot) []Alloc {
-	r := &s.replay
-	allocs, hit := s.allocScratch[:0], sl.valid
-	for j, t := range r.threads {
-		if rec := sl.threads[j]; rec.got > 0 {
-			allocs = append(allocs, Alloc{Thread: t, RanUs: int64(rec.got), Core: t.LastCPU})
-			hit = hit && int(rec.lastCPU) == t.LastCPU
+	allocs := s.allocScratch[:0]
+	for j, t := range s.replay.threads {
+		if got := sl.threads[j].got; got > 0 {
+			allocs = append(allocs, Alloc{Thread: t, RanUs: int64(got)})
 		}
 	}
 	s.allocScratch = allocs
-	if hit {
-		s.replayCores(sl, allocs)
-		return allocs
-	}
-	// A core that does not fit the slot leaves it invalid, as Tick leaves
-	// it unrecorded: what was cut off could equal a later entry.
-	fits := true
-	for j, t := range r.threads {
-		sl.threads[j].lastCPU = narrow(int64(t.LastCPU), &fits)
-	}
-	s.placeOnCores(allocs, r.dtUs, sl)
+	s.placeOnCores(allocs, s.replay.dtUs, sl)
 	s.recordCores(sl, false)
-	sl.valid = fits
 	return allocs
 }
 

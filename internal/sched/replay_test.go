@@ -11,11 +11,11 @@ import (
 // contract is the tick's: bit-identity with referenceTick, held by the
 // twins of sched_test.go, whose schedules rest long enough for the memo to
 // answer. What these tests add is that every value the memo compares is
-// needed, one TestTickReplayKey case per value, and that the ring, which
-// every tick records for Repeat, stays small. The ring's records of want,
-// LastCPU on entry, got and core, and its narrowing, are Repeat's inputs:
-// host's TestAdvanceRepeatKey and TestAdvanceRepeatNarrowCore hold them,
-// and host's kill list names the mutations of that side.
+// needed, one TestTickReplayKey case per value, that the placement is
+// never skipped with the allocation, and that the ring, which every tick
+// records for Repeat, stays small. The ring's records of want, got and
+// core are Repeat's inputs: host's TestAdvanceRepeatKey holds them, and
+// host's kill list names the mutations of that side.
 //
 // The kill list: each of these one-line mutations of replay.go, repeat.go
 // or sched.go was applied to this code and turned the named test red.
@@ -26,14 +26,9 @@ import (
 //	drop prevOK (a new layout keeps the memo)           TestTickReplayKey/dtUs/previous
 //	drop the want comparison in prepare                 TestTickReplayKey/want/previous
 //	drop the need comparison in prepare                 TestTickReplayKey/need/previous
-//	drop the "LastCPU still where it was placed" check  TestTickReplayKey/LastCPU/previous
-//	compare that LastCPU cut to sixteen bits            TestTickReplayKey/narrowing/previous
+//	skip placeOnCores where the allocation stands       TestTickReplayKey/LastCPU/previous
 //	drop the MaxInt16 bound on the cores                TestTickReplayWideMachine
-//	keep the fixed point across RepeatedTick            TestTickAfterRepeatedTick/tick_3
-//	resettle where only the allocation stands           TestTickAfterRepeatedTick/tick_3
 //	skip zeroing got before allocate                    TestTickReplayKey/need/previous
-//	resettle skips a thread's or a group's growth       TestTickAgainstReference
-//	settle keeps no growth for resettle                 TestTickAgainstReference
 //	placeOnCores leaves Alloc.Core as settle listed it  TestTickAgainstReference
 //
 // The slot's order, the floor mask of placeOnCores and the waterfill:
@@ -66,8 +61,7 @@ type keyCase struct {
 	// change is applied to each twin after three quiet windows. It may
 	// return a new tick length.
 	change func(s *Scheduler, level *[2]float64) int64
-	// again, if set, is applied to each twin before the tick that revisits
-	// the slot change was made in front of, one window later.
+	// again, if set, is applied to each twin one window after change.
 	again func(s *Scheduler)
 	// wiped replaces the reference by a production scheduler whose ring is
 	// emptied before every tick, for states the reference places
@@ -93,6 +87,9 @@ var keyCases = []keyCase{
 		},
 	},
 	{
+		// A thread moved under a standing allocation: the memo answers
+		// the allocation, and the tick places the thread from its new
+		// core.
 		name: "LastCPU", cores: 4, dt: 10_000,
 		build: func(s *Scheduler, level *[2]float64) { s.NewThread(nil, fixed(level, 0)) },
 		change: func(s *Scheduler, level *[2]float64) int64 {
@@ -164,10 +161,10 @@ var keyCases = []keyCase{
 		},
 	},
 	{
-		// A LastCPU that sixteen bits cut down to 3, the core the
-		// previous tick placed the thread on: found off the machine, it
-		// goes to core 0. A window later the thread does come from core
-		// 3, where it stays.
+		// A LastCPU written off the machine, to a value sixteen bits
+		// would cut to 3, the core the thread is on, under a standing
+		// allocation: the thread goes to core 0. A window later it is
+		// written back to core 3, where it stays.
 		name: "narrowing", cores: 4, dt: 10_000,
 		build: func(s *Scheduler, level *[2]float64) { s.NewThread(nil, fixed(level, 0)).LastCPU = 3 },
 		change: func(s *Scheduler, level *[2]float64) int64 {
@@ -197,15 +194,9 @@ func testReplayKey(t *testing.T, kc keyCase) {
 		return s
 	}
 	tw := adoptTwins(t, mk(), mk())
-	// answered counts the ticks the previous tick answered: their
-	// placement, or without a ring to keep its placement in, their
-	// allocation.
-	answered := func() uint64 {
-		if r := &tw.prod.replay; r.slots == nil {
-			return r.prevGot
-		}
-		return tw.prod.replay.prevCores
-	}
+	// answered counts the ticks whose allocation the previous tick
+	// answered.
+	answered := func() uint64 { return tw.prod.replay.prevGot }
 	tick := func(label string, dt int64) {
 		if !kc.wiped {
 			tw.tickOf(label, dt)
@@ -308,14 +299,15 @@ func TestTickWideMachines(t *testing.T) {
 	}
 }
 
-// TestTickAfterRepeatedTick: the previous tick's placement stands only
-// where the core loads are still its own, and RepeatedTick writes them. A
-// group whose 50 ms bandwidth periods start 30 ms into each window runs in
-// ticks 3 and 8 of it and is throttled in ticks 9 and 0, so the tick after
-// a repeated window meets what the last ticked one met; handing out tick 3
-// of the repeated window last leaves loads that are not tick 9's. The
-// calls the host makes are played too: no RepeatedTick (a window looked
-// up), and every one in order (a window evaluated).
+// TestTickAfterRepeatedTick: the previous tick's allocation stands across
+// a repeated window, whose RepeatedTicks write the core loads and not the
+// allocation. A group whose 50 ms bandwidth periods start 30 ms into each
+// window runs in ticks 3 and 8 of it and is throttled in ticks 9 and 0, so
+// the tick after a repeated window meets what the last ticked one met;
+// handing out tick 3 of the repeated window last leaves loads that are not
+// tick 9's, which that tick must not take for its own. The calls the host
+// makes are played too: no RepeatedTick (a window looked up), and every
+// one in order (a window evaluated).
 func TestTickAfterRepeatedTick(t *testing.T) {
 	for name, handed := range map[string][]int{
 		"none":   nil,
@@ -351,11 +343,11 @@ func TestTickAfterRepeatedTick(t *testing.T) {
 			for k := 0; k < 10; k++ {
 				tw.ref.referenceTick(10_000)
 			}
-			prev := tw.prod.replay.prevCores
+			prev := tw.prod.replay.prevGot
 			for k := 0; k < 20; k++ {
 				tw.tickOf(fmt.Sprintf("tick %d after the repeated window", k), 10_000)
 			}
-			if tw.prod.replay.prevCores == prev {
+			if tw.prod.replay.prevGot == prev {
 				t.Fatal("the previous tick never answered after the repeated window: the case tests nothing")
 			}
 		})
@@ -364,11 +356,10 @@ func TestTickAfterRepeatedTick(t *testing.T) {
 
 // TestTickReplaySteadyState keeps the optimisation from rotting: on the
 // Table II node, after one window of warm-up, seven ticks in ten meet the
-// tick before whole and are answered by it, allocation and placement; the
-// other three are computed, and every tick is recorded, so Repeat finds
-// every slot valid at every boundary. A quota write costs the memo the
-// ticks it moves and no more: a window after it, the memo answers seven in
-// ten again.
+// tick before and take its allocation; the other three are allocated
+// afresh, and every tick is recorded, so Repeat finds every slot valid at
+// every boundary. A quota write costs the memo the ticks it moves and no
+// more: a window after it, the memo answers seven in ten again.
 func TestTickReplaySteadyState(t *testing.T) {
 	s := tableIINode()
 	steady := func(what string, ticks, answered uint64) {
@@ -378,9 +369,8 @@ func TestTickReplaySteadyState(t *testing.T) {
 			s.Tick(10_000)
 		}
 		r := &s.replay
-		if got, core := r.prevGot-was.prevGot, r.prevCores-was.prevCores; got != answered || core != answered {
-			t.Fatalf("%s: of %d ticks %d met the previous tick's allocation and %d its placement too, want %d",
-				what, ticks, got, core, answered)
+		if got := r.prevGot - was.prevGot; got != answered {
+			t.Fatalf("%s: of %d ticks %d met the previous tick's allocation, want %d", what, ticks, got, answered)
 		}
 		for i := range r.slots {
 			if !r.slots[i].valid {
@@ -404,7 +394,7 @@ func TestTickReplaySteadyState(t *testing.T) {
 }
 
 // TestTickReplayFootprint keeps the ring from growing: on the Table II
-// node (142 groups, 110 threads, 10 slots) a slot costs 10 bytes per
+// node (142 groups, 110 threads, 10 slots) a slot costs 8 bytes per
 // thread (its record and its place in the order), the tree's pre-order 8
 // bytes per group and the slots' thread list 8 per thread, once.
 func TestTickReplayFootprint(t *testing.T) {
@@ -425,9 +415,10 @@ func TestTickReplayFootprint(t *testing.T) {
 		}
 		return n
 	}
-	// 13.5 KB: the slots' records and orders, their headers, the two
-	// lists and the ring's own fields (200 bytes).
-	const bound = 10*(110*10+56) + 142*8 + 110*8 + 256
+	// 11 560 bytes, the footprint measured: the slots' records and
+	// orders, their headers, the two lists and the ring's own fields (184
+	// bytes).
+	const bound = 10*(110*8+56) + 142*8 + 110*8 + 184
 	full := footprint()
 	if len(s.replay.slots) != 10 || full > bound {
 		t.Fatalf("the ring of a Table II node has %d slots and takes %d bytes, want 10 and at most %d", len(s.replay.slots), full, bound)

@@ -92,8 +92,6 @@ type Group struct {
 	// by every quota on the way down, and the share the parent's
 	// waterfill handed the group (read by allocate).
 	need, share int64
-	// settled is the subtree's usage in the last tick settle walked.
-	settled int64
 }
 
 // Scheduler simulates a multi-core machine's CPU-time allocation.
@@ -317,44 +315,35 @@ type entity struct {
 // is responsible for invoking thread OnRun callbacks with core
 // frequencies; Tick itself updates usage counters, bandwidth windows and
 // thread placement. The returned slice is reused by the next Tick, so
-// callers must consume (or copy) it before advancing again, and must not
-// write to it: a tick the previous one answers whole returns it as it is.
+// callers must consume (or copy) it before advancing again.
 //
 // One tick walks the cgroup tree twice: prepare descends it (windows,
 // demands, cached needs), allocate hands the capacity down through the
 // groups that need any, and settle ascends it (usage, the allocation list
-// in the order prepare met the threads); where the previous tick answers
-// both allocation and placement, resettle keeps its list and adds its
-// growth instead of the ascent. The previous computed tick, whose answers
-// still stand in the threads and the core loads, stands in for allocate,
-// and for placeOnCores, where every input they would read compares equal
-// (replay.go). Every tick is recorded in its slot of the replay ring,
-// Repeat's record of the last bandwidth window (repeat.go).
+// in the order prepare met the threads), which placeOnCores then puts on
+// cores. The previous computed tick, whose allocation still stands in the
+// threads, stands in for allocate where every input it would read
+// compares equal (replay.go). Every tick is recorded in its slot of the
+// replay ring, Repeat's record of the last bandwidth window (repeat.go).
 func (s *Scheduler) Tick(dtUs int64) []Alloc {
 	if dtUs <= 0 {
 		panic("sched: dt must be positive")
 	}
 	moved := s.prepare(s.root, dtUs)
-	slot, prev, placed := s.replayLookup(dtUs, moved == 0)
+	slot, prev := s.replayLookup(dtUs, moved == 0)
 	if !prev {
 		s.allocateTick(dtUs)
 	}
-	if placed {
-		s.resettle()
-	} else {
-		s.allocScratch = s.allocScratch[:0]
-		s.settle(s.root)
-	}
+	s.allocScratch = s.allocScratch[:0]
+	s.settle(s.root)
 	allocs := s.allocScratch
 	changed := slot != nil && s.recordGot(slot)
-	if !placed {
-		s.placeOnCores(allocs, dtUs, slot)
-	}
+	s.placeOnCores(allocs, dtUs, slot)
 	if slot != nil {
 		s.recordCores(slot, changed)
 		slot.valid = true
 	}
-	s.replay.prevOK, s.replay.prevSlot = true, slot
+	s.replay.prevOK = true
 	s.nowUs += dtUs
 	s.lastDtUs = dtUs
 	return allocs
@@ -521,23 +510,7 @@ func (s *Scheduler) settle(g *Group) int64 {
 	}
 	g.UsageUs += got
 	g.windowUsedUs += got
-	g.settled = got
 	return got
-}
-
-// resettle is settle for a tick whose allocation and placement the
-// previous tick answered whole: that tick's list, each allocation on the
-// core its thread last ran on, stands in allocScratch as settle and
-// placeOnCores would build it again, and every group grows as it grew
-// then.
-func (s *Scheduler) resettle() {
-	for _, a := range s.allocScratch {
-		a.Thread.UsageUs += a.RanUs
-	}
-	for _, g := range s.replay.groups {
-		g.UsageUs += g.settled
-		g.windowUsedUs += g.settled
-	}
 }
 
 // placeOnCores assigns each allocation to a core for the tick. Threads

@@ -231,15 +231,19 @@ func (mg *Manager) addVCPU(inst *Instance, src workload.Source) error {
 	return nil
 }
 
-// Destroy removes an instance, its threads and its cgroups.
+// Destroy removes an instance, its threads and its cgroups. An instance
+// whose scope cgroup has already left the tree, its threads detached with
+// it, is only forgotten.
 func (mg *Manager) Destroy(name string) error {
 	inst, ok := mg.instances[name]
 	if !ok {
 		return fmt.Errorf("vm: no instance %q", name)
 	}
 	// Removing the scope cgroup detaches all threads at once.
-	if err := mg.machine.Sched.RemoveGroup(inst.scope); err != nil {
-		return err
+	if mg.machine.Sched.InTree(inst.scope) {
+		if err := mg.machine.Sched.RemoveGroup(inst.scope); err != nil {
+			return err
+		}
 	}
 	inst.destroyed = true
 	delete(mg.instances, name)

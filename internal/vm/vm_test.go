@@ -219,6 +219,32 @@ func TestDestroyCleansUp(t *testing.T) {
 	}
 }
 
+// TestDestroyScopeGone: an instance whose scope cgroup was removed behind
+// the manager's back, its threads with it, is destroyed all the same, and
+// its name can be provisioned again.
+func TestDestroyScopeGone(t *testing.T) {
+	mg := newManager(t)
+	inst, err := mg.Provision("vm0", Small(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mg.Machine().Sched.RemoveGroup(inst.scope); err != nil {
+		t.Fatal(err)
+	}
+	if err := mg.Destroy("vm0"); err != nil {
+		t.Fatalf("destroying an instance whose scope cgroup left the tree: %v", err)
+	}
+	if !inst.Destroyed() || mg.Get("vm0") != nil || len(mg.List()) != 0 {
+		t.Fatal("the instance is still registered")
+	}
+	if _, err := mg.Provision("vm0", Small(), nil); err != nil {
+		t.Fatalf("provisioning the name again: %v", err)
+	}
+	if lookup(mg.Machine(), ScopePath("vm0")) == nil {
+		t.Fatal("the new instance has no scope cgroup")
+	}
+}
+
 func TestListOrder(t *testing.T) {
 	mg := newManager(t)
 	for i := 0; i < 3; i++ {
