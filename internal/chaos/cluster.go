@@ -45,7 +45,7 @@ type ClusterResult struct {
 	StepErrors int
 	// Migration outcomes, mirrored from cluster.MigrationStats at the
 	// end of the run.
-	Attempted, Committed, RolledBack, StateCarried int
+	Attempted, Committed, StateCarried int
 	// MigrateRejected counts randomized Migrate calls the cluster
 	// legitimately refused (infeasible target, blackout mid-prepare).
 	MigrateRejected int
@@ -59,9 +59,9 @@ type ClusterResult struct {
 }
 
 func (r ClusterResult) String() string {
-	return fmt.Sprintf("cluster soak: %d steps / %d epochs, %d blackouts, %d step errors, migrations %d/%d/%d/%d (attempted/committed/rolled-back/state-carried, %d rejected), %d evacuations, %d stranded steps, recovered in %d steps",
+	return fmt.Sprintf("cluster soak: %d steps / %d epochs, %d blackouts, %d step errors, migrations %d/%d/%d (attempted/committed/state-carried, %d rejected), %d evacuations, %d stranded steps, recovered in %d steps",
 		r.Steps, r.Epochs, r.Blackouts, r.StepErrors,
-		r.Attempted, r.Committed, r.RolledBack, r.StateCarried, r.MigrateRejected,
+		r.Attempted, r.Committed, r.StateCarried, r.MigrateRejected,
 		r.Evacuations, r.StrandedSteps, r.RecoveredIn)
 }
 
@@ -162,8 +162,7 @@ func ClusterSoak(o ClusterOptions) (ClusterResult, error) {
 			budget, cl.Health())
 	}
 	stats := cl.MigrationStats()
-	res.Attempted, res.Committed = stats.Attempted, stats.Committed
-	res.RolledBack, res.StateCarried = stats.RolledBack, stats.StateCarried
+	res.Attempted, res.Committed, res.StateCarried = stats.Attempted, stats.Committed, stats.StateCarried
 	res.Evacuations = cl.Evacuations()
 	logf("chaos: %s", res.String())
 	return res, nil
@@ -188,10 +187,10 @@ func randomMigrate(cl *cluster.Cluster, rng *rand.Rand, names []string, res *Clu
 }
 
 // clusterSoakStep advances the cluster one period, then checks the
-// placement ledger — every VM located exactly where its node's manager
-// and controller think it is, the migration counters mutually
-// consistent — and every node controller's invariants
-// (core.Controller.Check).
+// placement ledger — every VM held by exactly one node's manager, which
+// Locate names, each controller tracking only VMs its node holds, the
+// migration counters mutually consistent — and every node controller's
+// invariants (core.Controller.Check).
 func clusterSoakStep(cl *cluster.Cluster, names []string, res *ClusterResult, blackout bool, step int) error {
 	if err := cl.Step(); err != nil {
 		if !blackout {
@@ -202,15 +201,20 @@ func clusterSoakStep(cl *cluster.Cluster, names []string, res *ClusterResult, bl
 	res.Steps++
 	res.StrandedSteps += cl.Health().StrandedVMs
 
-	// No VM is ever lost or double-placed: each one is located on a
-	// node whose manager holds it.
+	// No VM is ever lost or double-placed: exactly one node's manager
+	// holds each one, and Locate names that node.
 	for _, name := range names {
-		idx := cl.Locate(name)
-		if idx < 0 {
-			return fmt.Errorf("chaos: step %d: VM %s lost (no location)", step, name)
+		holders, at := 0, -1
+		for i, n := range cl.Nodes() {
+			if n.Manager.Get(name) != nil {
+				holders, at = holders+1, i
+			}
 		}
-		if cl.Nodes()[idx].Manager.Get(name) == nil {
-			return fmt.Errorf("chaos: step %d: VM %s located on node %d but not provisioned there", step, name, idx)
+		if holders != 1 {
+			return fmt.Errorf("chaos: step %d: VM %s held by %d nodes, want 1", step, name, holders)
+		}
+		if idx := cl.Locate(name); idx != at {
+			return fmt.Errorf("chaos: step %d: VM %s held by node %d, located on node %d", step, name, at, idx)
 		}
 	}
 	for i, n := range cl.Nodes() {
@@ -227,7 +231,7 @@ func clusterSoakStep(cl *cluster.Cluster, names []string, res *ClusterResult, bl
 			return fmt.Errorf("chaos: step %d: node %d: %w", step, i, err)
 		}
 	}
-	if stats := cl.MigrationStats(); stats.Committed+stats.RolledBack > stats.Attempted {
+	if stats := cl.MigrationStats(); stats.Committed > stats.Attempted {
 		return fmt.Errorf("chaos: step %d: inconsistent migration stats %+v", step, stats)
 	}
 	return nil

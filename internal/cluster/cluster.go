@@ -9,7 +9,7 @@
 // goroutines, and the steady state (no failures, no placements)
 // allocates nothing. Admission, Rebalance and evacuation scan the nodes
 // with placement.Choose and read each node's load from its vm.Manager,
-// the only record of what the node carries.
+// the only record of what the node carries and of where a VM runs.
 package cluster
 
 import (
@@ -95,11 +95,6 @@ type Node struct {
 
 	energyJ float64 // energy accrued while hosting at least one VM
 	lastJ   float64
-
-	// healthPart is the node's contribution to the cluster Health after
-	// its last step: the fields a StepReport fills. stepNode writes it
-	// (it owns the node); the sequential error-join walk sums the parts.
-	healthPart Health
 }
 
 // Spec returns the node's hardware description.
@@ -138,14 +133,13 @@ func used(n *Node) placement.Load {
 
 // Cluster manages a set of nodes.
 type Cluster struct {
-	cfg       Config
-	nodes     []*Node
-	migStats  MigrationStats
-	locations map[string]int // VM name → node index
+	cfg      Config
+	nodes    []*Node
+	migStats MigrationStats
 
 	evacuations int // cumulative VMs moved off failed nodes
 
-	// health is the last Step's Health: the nodes' healthPart summed in
+	// health is the last Step's Health: the nodes' LastReport summed in
 	// Step's error-join walk, then the failure/evacuation pass's counts.
 	health Health
 
@@ -179,7 +173,7 @@ func New(specs []host.Spec, cfg Config) (*Cluster, error) {
 	if cfg.Policy.CoreSplitting {
 		return nil, fmt.Errorf("cluster: Policy.CoreSplitting is not supported by online admission (plain Eq. 7); only the offline placement.Place checks per-core feasibility")
 	}
-	c := &Cluster{cfg: cfg, locations: map[string]int{}}
+	c := &Cluster{cfg: cfg}
 	for i, spec := range specs {
 		machine, err := host.New(spec)
 		if err != nil {
@@ -223,10 +217,15 @@ func (c *Cluster) Migrations() int { return c.migStats.Committed }
 // (every evacuation is also counted in Migrations).
 func (c *Cluster) Evacuations() int { return c.evacuations }
 
-// Locate returns the node index hosting the named VM, or -1.
+// Locate returns the index of the node whose manager holds the named
+// VM, or -1. The managers are the only record of placement, so Locate
+// asks each in node-index order; outside Migrate's prepare→commit no VM
+// is on two nodes.
 func (c *Cluster) Locate(name string) int {
-	if i, ok := c.locations[name]; ok {
-		return i
+	for i, n := range c.nodes {
+		if n.Manager.Get(name) != nil {
+			return i
+		}
 	}
 	return -1
 }
@@ -243,13 +242,10 @@ func (c *Cluster) fits(n *Node, tpl vm.Template) bool {
 }
 
 // fitsResized checks the admission constraint with old's demand on n
-// replaced by tpl's. Eq. 7 presumes every template frequency is
-// attainable on the node; CoreCount ignores frequencies altogether.
+// replaced by tpl's.
 func (c *Cluster) fitsResized(n *Node, old, tpl vm.Template) bool {
-	if c.cfg.Policy.Mode == placement.VirtualFrequency && tpl.FreqMHz > n.Spec().MaxMHz {
-		return false
-	}
-	return c.admits(n, used(n).Sub(loadOf(old)).Add(loadOf(tpl)))
+	return c.cfg.Policy.Attainable(tpl.FreqMHz, n.Spec().MaxMHz) &&
+		c.admits(n, used(n).Sub(loadOf(old)).Add(loadOf(tpl)))
 }
 
 // remaining returns the free CPU capacity of n in the policy's unit, for
@@ -261,7 +257,7 @@ func (c *Cluster) remaining(n *Node) float64 {
 // Deploy admits a VM onto the cluster and provisions it. sources may be
 // nil (idle VM). It returns the chosen node index.
 func (c *Cluster) Deploy(name string, tpl vm.Template, sources []workload.Source) (int, error) {
-	if _, ok := c.locations[name]; ok {
+	if c.Locate(name) >= 0 {
 		return -1, fmt.Errorf("cluster: VM %q already deployed", name)
 	}
 	chosen, err := c.choose(c.cfg.Algorithm, tpl, -1)
@@ -272,7 +268,7 @@ func (c *Cluster) Deploy(name string, tpl vm.Template, sources []workload.Source
 		return -1, fmt.Errorf("cluster: no node can host %q (%d vCPU @ %d MHz, %d GB)",
 			name, tpl.VCPUs, tpl.FreqMHz, tpl.MemoryGB)
 	}
-	if err := c.provisionOn(chosen, name, tpl, sources); err != nil {
+	if _, err := c.nodes[chosen].Manager.Provision(name, tpl, sources); err != nil {
 		return -1, err
 	}
 	return chosen, nil
@@ -293,42 +289,25 @@ func (c *Cluster) bestTarget(tpl vm.Template, exclude int) int {
 	return target
 }
 
-// provisionOn places the VM on a specific node, bypassing admission
-// (used by Deploy; Migrate runs its own prepare→commit sequence).
-func (c *Cluster) provisionOn(idx int, name string, tpl vm.Template, sources []workload.Source) error {
-	if _, err := c.nodes[idx].Manager.Provision(name, tpl, sources); err != nil {
-		return err
-	}
-	c.locations[name] = idx
-	return nil
-}
-
 // Undeploy removes a VM from the cluster.
 func (c *Cluster) Undeploy(name string) error {
-	idx, ok := c.locations[name]
-	if !ok {
+	idx := c.Locate(name)
+	if idx < 0 {
 		return fmt.Errorf("cluster: no VM %q", name)
 	}
-	if err := c.nodes[idx].Manager.Destroy(name); err != nil {
-		return err
-	}
-	delete(c.locations, name)
-	return nil
+	return c.nodes[idx].Manager.Destroy(name)
 }
 
 // MigrationStats counts migration outcomes since the cluster booted.
 // Attempted covers every Migrate call that passed validation and tried
 // to move (no-ops excluded); Committed those where the VM now runs on
-// the target; RolledBack those where a prepared target was destroyed
-// again after the source-side commit failed (an attempt that fails
-// before preparing anything — infeasible target, provision error —
-// counts only in Attempted). StateCarried counts committed migrations
-// whose controller state (credits, histories, breaker) was adopted on
-// the target rather than cold-started.
+// the target, so Attempted − Committed counts the refused attempts (an
+// infeasible target, a prepare the target refused). StateCarried counts
+// committed migrations whose controller state (credits, histories,
+// breaker) was adopted on the target rather than cold-started.
 type MigrationStats struct {
 	Attempted    int
 	Committed    int
-	RolledBack   int
 	StateCarried int
 }
 
@@ -341,9 +320,11 @@ func (c *Cluster) MigrationStats() MigrationStats { return c.migStats }
 //   - prepare: the VM is provisioned on the target while still running
 //     on the source. If that fails, nothing changed — the VM keeps
 //     running where it was and the cluster state is untouched.
-//   - commit: the source copy is destroyed. If that fails, the prepared
-//     target copy is destroyed again (rolled back) and the VM stays on
-//     the source.
+//   - commit: the source copy is destroyed, which cannot fail for a VM
+//     the source manager holds. Should Destroy ever return an error, the
+//     prepared target copy is destroyed again, the VM stays on the
+//     source, and the joined error is returned; no counter beyond
+//     Attempted moves.
 //
 // On commit the source controller's state for the VM — its credit
 // wallet, consumption histories and breaker phase — is exported and
@@ -360,8 +341,8 @@ func (c *Cluster) MigrationStats() MigrationStats { return c.migStats }
 // counter, so Rebalance accounting stays exact. moved is true exactly
 // when the VM changed nodes (and Migrations grew by one).
 func (c *Cluster) Migrate(name string, target int) (moved bool, err error) {
-	src, ok := c.locations[name]
-	if !ok {
+	src := c.Locate(name)
+	if src < 0 {
 		return false, fmt.Errorf("cluster: no VM %q", name)
 	}
 	if target < 0 || target >= len(c.nodes) {
@@ -391,16 +372,11 @@ func (c *Cluster) Migrate(name string, target int) (moved bool, err error) {
 	}
 	// Commit.
 	if err := from.Manager.Destroy(name); err != nil {
-		c.migStats.RolledBack++
-		if c.met != nil {
-			c.met.migRolledBack.Inc()
-		}
 		if rbErr := to.Manager.Destroy(name); rbErr != nil {
 			err = errors.Join(err, fmt.Errorf("cluster: rolling back %q on node %d: %w", name, target, rbErr))
 		}
 		return false, fmt.Errorf("cluster: migrating %q off node %d: %w", name, src, err)
 	}
-	c.locations[name] = target
 	from.Ctrl.ForgetVM(name)
 	c.migStats.Committed++
 	if c.met != nil {
@@ -422,8 +398,8 @@ func (c *Cluster) Migrate(name string, target int) (moved bool, err error) {
 // grow (nil = idle); the VM keeps running throughout, and the node's
 // controller picks the new shape up on its next Step.
 func (c *Cluster) Resize(name string, tpl vm.Template, srcs []workload.Source) error {
-	idx, ok := c.locations[name]
-	if !ok {
+	idx := c.Locate(name)
+	if idx < 0 {
 		return fmt.Errorf("cluster: no VM %q", name)
 	}
 	n := c.nodes[idx]
@@ -593,14 +569,28 @@ func (c *Cluster) Step() error {
 		}
 	}
 	// First sequential walk, in node-index order: join node errors
-	// deterministically and sum the per-node Health parts.
+	// deterministically and sum the nodes' reports into Health.
 	errs := c.errScratch[:0]
-	c.health = Health{}
+	h := &c.health
+	*h = Health{}
 	for _, n := range c.nodes {
 		if n.LastErr != nil {
 			errs = append(errs, fmt.Errorf("cluster: node %d: %w", n.Index, n.LastErr))
 		}
-		c.health = c.health.add(n.healthPart)
+		r := &n.LastReport
+		h.VCPUs += r.VCPUs
+		h.DegradedVCPUs += r.DegradedVCPUs
+		h.Faults += r.FaultCount()
+		h.Recovered += r.Recovered
+		h.OpenVMs += r.OpenVMs
+		h.HalfOpenVMs += r.HalfOpenVMs
+		h.BreakerTrips += r.BreakerTrips
+		if r.Degraded() {
+			h.DegradedNodes++
+		}
+		if r.Overrun {
+			h.Overruns++
+		}
 	}
 	// Second sequential walk: mark nodes past the failure threshold and
 	// evacuate their VMs. Marking and evacuating in the same ascending
@@ -614,12 +604,12 @@ func (c *Cluster) Step() error {
 			}
 			if n.Failed && len(n.Manager.List()) > 0 {
 				ev, str := c.evacuate(n)
-				c.health.EvacuatedVMs += ev
-				c.health.StrandedVMs += str
+				h.EvacuatedVMs += ev
+				h.StrandedVMs += str
 			}
 		}
 		if n.LastErr != nil || n.Failed {
-			c.health.FailedNodes++
+			h.FailedNodes++
 		}
 	}
 	err := errors.Join(errs...)
@@ -657,18 +647,6 @@ func (c *Cluster) stepNode(n *Node, period int64) {
 		n.energyJ += j - n.lastJ
 	}
 	n.lastJ = j
-	part := Health{
-		VCPUs: rep.VCPUs, DegradedVCPUs: rep.DegradedVCPUs, Faults: rep.FaultCount(),
-		Recovered: rep.Recovered, OpenVMs: rep.OpenVMs, HalfOpenVMs: rep.HalfOpenVMs,
-		BreakerTrips: rep.BreakerTrips,
-	}
-	if rep.Degraded() {
-		part.DegradedNodes = 1
-	}
-	if rep.Overrun {
-		part.Overruns = 1
-	}
-	n.healthPart = part
 	if c.met != nil {
 		// Shared histogram, concurrent nodes: Observe is atomic-only.
 		c.met.nodeStepUs.Observe(time.Since(t0).Microseconds())
@@ -730,24 +708,6 @@ type Health struct {
 	HalfOpenVMs int
 	// BreakerTrips counts breakers that opened during the last Step.
 	BreakerTrips int
-}
-
-// add returns the field-wise sum of h and o.
-func (h Health) add(o Health) Health {
-	return Health{
-		VCPUs:         h.VCPUs + o.VCPUs,
-		DegradedVCPUs: h.DegradedVCPUs + o.DegradedVCPUs,
-		Faults:        h.Faults + o.Faults,
-		DegradedNodes: h.DegradedNodes + o.DegradedNodes,
-		FailedNodes:   h.FailedNodes + o.FailedNodes,
-		Overruns:      h.Overruns + o.Overruns,
-		Recovered:     h.Recovered + o.Recovered,
-		EvacuatedVMs:  h.EvacuatedVMs + o.EvacuatedVMs,
-		StrandedVMs:   h.StrandedVMs + o.StrandedVMs,
-		OpenVMs:       h.OpenVMs + o.OpenVMs,
-		HalfOpenVMs:   h.HalfOpenVMs + o.HalfOpenVMs,
-		BreakerTrips:  h.BreakerTrips + o.BreakerTrips,
-	}
 }
 
 // Health returns the degradation summary of the last Step, which Step

@@ -59,6 +59,20 @@ func TestDeployAdmission(t *testing.T) {
 	if _, err := c.Deploy("a", vm.Small(), nil); err == nil {
 		t.Fatal("duplicate deploy accepted")
 	}
+	// The managers are the only record of placement: a name node 1's
+	// manager holds is refused, though BestFit would pick node 0 for it.
+	if _, err := c.nodes[1].Manager.Provision("b", vm.Small(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if c.Locate("b") != 1 {
+		t.Fatalf("Locate(b) = %d, want 1", c.Locate("b"))
+	}
+	if _, err := c.Deploy("b", vm.Small(), nil); err == nil {
+		t.Fatal("deploy of a name node 1 holds accepted")
+	}
+	if got := c.nodes[0].VMs(); len(got) != 1 {
+		t.Fatalf("node 0 holds %v after the refused deploy, want [a]", got)
+	}
 }
 
 func TestDeployFillsThenSpills(t *testing.T) {
@@ -100,6 +114,9 @@ func TestDeployRejectsWhenFull(t *testing.T) {
 	if _, err := c.Deploy("b", vm.Large(), nil); err == nil {
 		t.Fatal("infeasible deploy accepted")
 	}
+	if c.Locate("b") != -1 {
+		t.Fatalf("refused VM located on node %d", c.Locate("b"))
+	}
 }
 
 func TestMemoryAdmission(t *testing.T) {
@@ -130,6 +147,15 @@ func TestUndeploy(t *testing.T) {
 	}
 	if err := c.Undeploy("a"); err == nil {
 		t.Fatal("double undeploy accepted")
+	}
+	if _, err := c.Migrate("a", 1); err == nil {
+		t.Fatal("migration of an undeployed VM accepted")
+	}
+	if err := c.Resize("a", vm.Medium(), nil); err == nil {
+		t.Fatal("resize of an undeployed VM accepted")
+	}
+	if c.MigrationStats() != (MigrationStats{}) {
+		t.Fatalf("refused migration counted: %+v", c.MigrationStats())
 	}
 }
 
@@ -219,10 +245,10 @@ func TestRebalanceRestoresFeasibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node 0: 2 large = 14400 MHz > 9600 (bypass admission).
-	if err := c.provisionOn(0, "l0", vm.Large(), nil); err != nil {
+	if _, err := c.nodes[0].Manager.Provision("l0", vm.Large(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.provisionOn(0, "l1", vm.Large(), nil); err != nil {
+	if _, err := c.nodes[0].Manager.Provision("l1", vm.Large(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Overloaded(); len(got) != 1 || got[0] != 0 {
@@ -250,10 +276,10 @@ func TestRebalanceFailsWhenNoTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.provisionOn(0, "l0", vm.Large(), nil); err != nil {
+	if _, err := c.nodes[0].Manager.Provision("l0", vm.Large(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.provisionOn(0, "l1", vm.Large(), nil); err != nil {
+	if _, err := c.nodes[0].Manager.Provision("l1", vm.Large(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Rebalance(); err == nil {

@@ -92,7 +92,7 @@ func TestCoreCountAdmission(t *testing.T) {
 		t.Fatal("vCPU-count overcommit accepted")
 	}
 	// Overloaded detection in core-count mode.
-	if err := c.provisionOn(0, "forced", vm.Small(), nil); err != nil {
+	if _, err := c.nodes[0].Manager.Provision("forced", vm.Small(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Overloaded(); len(got) != 1 {
@@ -107,7 +107,7 @@ func TestMemoryOverloadDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.provisionOn(0, "a", vm.Large(), nil); err != nil { // 8 GB > 4 GB
+	if _, err := c.nodes[0].Manager.Provision("a", vm.Large(), nil); err != nil { // 8 GB > 4 GB
 		t.Fatal(err)
 	}
 	if got := c.Overloaded(); len(got) != 1 {
@@ -118,10 +118,11 @@ func TestMemoryOverloadDetected(t *testing.T) {
 // TestAdmissionOneRule pins that the offline packer and online admission
 // decide by one rule: over every Mode × Factor × Memory policy, with
 // templates at, one MHz (or one vCPU, one GB) under and over the
-// boundary, above F_MAX, joining an empty node, joining a filled one and
-// replacing a VM (the resize form), placement.Node.Fits, cluster.fits /
-// fitsResized and Policy.Admits on the summed loads all equal the
-// constraint written out literally below.
+// boundary, at, one under and one over F_MAX, joining an empty node,
+// joining a filled one and replacing a VM (the resize form),
+// placement.Node.Fits, cluster.fits / fitsResized and Policy.Admits on
+// the summed loads all equal the constraint written out literally below,
+// and Policy.Attainable the F ≤ F_MAX half of it.
 func TestAdmissionOneRule(t *testing.T) {
 	spec := host.Chetemi() // F_MAX 2400 MHz
 	spec.Cores, spec.MemoryGB = 5, 16
@@ -162,10 +163,10 @@ func TestAdmissionOneRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// provisionOn bypasses admission, as Place does.
+			// The manager provisions without admission, as Place does.
 			pnFill, pnFillX := &placement.Node{Spec: pspec}, &placement.Node{Spec: pspec}
 			for _, tpl := range []vm.Template{fill, x} {
-				if err := filled.provisionOn(0, tpl.Name, tpl, nil); err != nil {
+				if _, err := filled.nodes[0].Manager.Provision(tpl.Name, tpl, nil); err != nil {
 					t.Fatal(err)
 				}
 				pnFillX.Place(vmSpec(tpl), p)
@@ -175,11 +176,14 @@ func TestAdmissionOneRule(t *testing.T) {
 				t.Fatalf("%+v: cluster load %+v, placement %+v", p, got, want)
 			}
 			for _, vcpus := range []int{1, 2, 3} {
-				for _, freq := range []int64{1499, 1500, 1501, 1999, 2000, 2001, spec.MaxMHz, spec.MaxMHz + 1} {
+				for _, freq := range []int64{1499, 1500, 1501, 1999, 2000, 2001, spec.MaxMHz - 1, spec.MaxMHz, spec.MaxMHz + 1} {
 					for _, mem := range []int{6, 7, 8, 9} {
 						tpl := vm.Template{Name: "cand", VCPUs: vcpus, FreqMHz: freq, MemoryGB: mem}
 						cand := vmSpec(tpl)
 						attainable := p.Mode != placement.VirtualFrequency || freq <= spec.MaxMHz
+						if got := p.Attainable(freq, spec.MaxMHz); got != attainable {
+							t.Errorf("%+v F %d: Policy.Attainable = %v, want %v", p, freq, got, attainable)
+						}
 						for _, form := range []struct {
 							name    string
 							others  placement.Load // the node's load besides the candidate

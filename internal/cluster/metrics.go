@@ -22,7 +22,6 @@ type clusterMetrics struct {
 	// allocation-free like every other record path.
 	migAttempted    *metrics.Counter
 	migCommitted    *metrics.Counter
-	migRolledBack   *metrics.Counter
 	migStateCarried *metrics.Counter
 
 	nodes         *metrics.Gauge
@@ -62,8 +61,6 @@ func (c *Cluster) ArmMetrics(reg *metrics.Registry) {
 		"Migrations attempted (validated non-no-op Migrate calls).")
 	m.migCommitted = reg.Counter("vfreq_cluster_migration_committed_total",
 		"Migrations committed (the VM runs on the target).")
-	m.migRolledBack = reg.Counter("vfreq_cluster_migration_rolled_back_total",
-		"Migrations rolled back (prepared target destroyed after a source-side failure).")
 	m.migStateCarried = reg.Counter("vfreq_cluster_migration_state_carried_total",
 		"Committed migrations whose controller state was adopted on the target.")
 	m.nodes = reg.Gauge("vfreq_cluster_nodes", "Managed nodes.")

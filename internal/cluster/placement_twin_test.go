@@ -146,7 +146,7 @@ func churn(t *testing.T, c *Cluster, seed int64, steps int) {
 			name := fmt.Sprintf("vm%04d", nextID)
 			nextID++
 			tpl := churnTemplates[rng.Intn(len(churnTemplates))]
-			if c.provisionOn(rng.Intn(len(c.nodes)), name, tpl, nil) == nil {
+			if _, err := c.nodes[rng.Intn(len(c.nodes))].Manager.Provision(name, tpl, nil); err == nil {
 				names = append(names, name)
 			}
 			_, _ = c.Rebalance()

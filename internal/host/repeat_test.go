@@ -80,10 +80,7 @@ import (
 // Equivalent mutants, green as they must be: drop the start-frequency, the
 // start-slowdown or the tick-length compare. Each is implied by RepeatGen
 // and the phase, as matches says; a tick-length change lays the ring out
-// again. Dropping Repeat's slot-valid check is equivalent too: a slot is
-// left unrecorded only by a new layout, which drops the snapshot, and the
-// window between a snapshot and the next boundary records every slot.
-// Leaving the core loads alone after a hit, as repeat does, is right and
+// again. Leaving the core loads alone after a hit, as repeat does, is right and
 // not a mutant: a boundary where Repeat succeeds follows tick n−1 of the
 // ring, whose loads are the ones a hit's last tick leaves; compare checks
 // every core's load.

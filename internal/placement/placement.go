@@ -154,6 +154,14 @@ func (p Policy) Admits(capacity, total Load) bool {
 	return p.CPU(total) <= p.CPU(capacity)*p.Factor
 }
 
+// Attainable is the admission rule's frequency half: whether a VM whose
+// vCPUs run at freqMHz may join a node whose cores reach at most maxMHz.
+// Eq. 7 presumes every vCPU's frequency is attainable on the node;
+// CoreCount ignores frequencies altogether.
+func (p Policy) Attainable(freqMHz, maxMHz int64) bool {
+	return p.Mode != VirtualFrequency || freqMHz <= maxMHz
+}
+
 // Headroom returns the free CPU capacity in the policy's unit, for the
 // BestFit/WorstFit choice: a load of CPU demand d passes the CPU half of
 // Admits exactly when d ≤ Headroom.
@@ -185,18 +193,12 @@ func (n *Node) Load(p Policy) float64 {
 	return p.CPU(n.used) / c
 }
 
-// Fits reports whether v can be placed on n under p. Eq. 7 presumes every
-// vCPU's frequency is attainable on the node; CoreCount ignores
-// frequencies altogether.
+// Fits reports whether v can be placed on n under p.
 func (n *Node) Fits(v VMSpec, p Policy) bool {
-	eq7 := p.Mode == VirtualFrequency
-	if eq7 && v.FreqMHz > n.Spec.MaxFreqMHz {
+	if !p.Attainable(v.FreqMHz, n.Spec.MaxFreqMHz) || !p.Admits(n.Spec.Capacity(), n.used.Add(v.Load())) {
 		return false
 	}
-	if !p.Admits(n.Spec.Capacity(), n.used.Add(v.Load())) {
-		return false
-	}
-	return !(eq7 && p.CoreSplitting) || spreadVCPUs(slices.Clone(n.cores()), v, n.Spec.MaxFreqMHz)
+	return !(p.Mode == VirtualFrequency && p.CoreSplitting) || spreadVCPUs(slices.Clone(n.cores()), v, n.Spec.MaxFreqMHz)
 }
 
 // Place adds v to n. Callers must check Fits first.

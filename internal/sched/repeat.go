@@ -157,19 +157,14 @@ func (s *Scheduler) Repeat(dtUs, maxWindows int64) int64 {
 }
 
 // repeats is how many windows, up to maxWindows, repeat the last one's
-// allocations: 0 unless the snapshot is of the previous boundary, every
-// slot holds a tick of the window since, and every carried value, horizon
-// and level holds. placed reports whether every thread also begins where
+// allocations: 0 unless the snapshot is of the previous boundary (so every
+// slot holds a tick of the window since: a layout drops the snapshot) and
+// every carried value, horizon and level holds. placed reports whether every thread also begins where
 // it began that window, so that the placement repeats too.
 func (s *Scheduler) repeats(dtUs, maxWindows int64) (m int64, placed bool) {
 	r := &s.replay
 	if !r.last.valid || r.last.nowUs != s.nowUs-DefaultPeriodUs {
 		return 0, false
-	}
-	for i := range r.slots {
-		if !r.slots[i].valid {
-			return 0, false
-		}
 	}
 	m, placed = maxWindows, true
 	k := 0

@@ -49,7 +49,6 @@ type threadRec struct {
 
 // replaySlot is one tick of a window.
 type replaySlot struct {
-	valid   bool        // the outputs belong to the inputs
 	ordered bool        // order belongs to the recorded allocation
 	threads []threadRec // group by group in replay.groups order, each group's Threads in turn
 	order   []uint16    // the recorded allocation's first-fit-decreasing order, as indexes of the tick's allocations

@@ -341,7 +341,6 @@ func (s *Scheduler) Tick(dtUs int64) []Alloc {
 	s.placeOnCores(allocs, dtUs, slot)
 	if slot != nil {
 		s.recordCores(slot, changed)
-		slot.valid = true
 	}
 	s.replay.prevOK = true
 	s.nowUs += dtUs
