@@ -39,11 +39,10 @@ var metricsReg = metrics.NewRegistry()
 
 // Chaos soak knobs (flags), used by the "chaos" artefact only.
 var (
-	chaosSteps     int
-	chaosSeed      int64
-	chaosVMs       int
-	chaosChurn     bool
-	rebalanceEvery int
+	chaosSteps int
+	chaosSeed  int64
+	chaosVMs   int
+	chaosChurn bool
 )
 
 func main() {
@@ -51,8 +50,6 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "time scale of the simulation (1 = the paper's full durations)")
 	csv := flag.Bool("csv", false, "print raw series as CSV instead of charts")
 	width := flag.Int("width", 72, "chart width")
-	flag.IntVar(&rebalanceEvery, "rebalance-every", 0,
-		"steps between rebalance sweeps in the dynamic experiment (0 = never); sweeps live-migrate VMs off overloaded nodes, carrying controller state")
 	flag.IntVar(&chaosSteps, "chaos-steps", 5000, "fault-phase length of the chaos soak")
 	flag.Int64Var(&chaosSeed, "chaos-seed", 1, "seed of the chaos soak (plans, workloads, churn)")
 	flag.IntVar(&chaosVMs, "chaos-vms", 4, "VM population of the chaos soak")
@@ -350,7 +347,6 @@ func dynamicTable() error {
 		Steps:             60,
 		Seed:              42,
 		FailThreshold:     3,
-		RebalanceEvery:    rebalanceEvery,
 		Metrics:           metricsReg,
 	}
 	fmt.Println("Dynamic cluster (Poisson arrivals, exponential lifetimes, idle nodes off):")
@@ -381,10 +377,6 @@ func dynamicTable() error {
 		if res.NodeFailureSteps > 0 || res.Evacuations > 0 {
 			fmt.Printf("    failures: %d node-failure steps, %d VMs evacuated, %d stranded VM-steps\n",
 				res.NodeFailureSteps, res.Evacuations, res.StrandedVMSteps)
-		}
-		if res.Rebalanced > 0 {
-			fmt.Printf("    rebalance: %d VMs moved (of %d migrations)\n",
-				res.Rebalanced, res.Migrations)
 		}
 	}
 	return nil

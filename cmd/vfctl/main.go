@@ -74,13 +74,6 @@ type Scenario struct {
 	// then carries cluster-level columns, including cluster_step_us — the
 	// wall time of each cluster Step.
 	Nodes int `json:"nodes,omitempty"`
-	// RebalanceEvery sweeps overloaded nodes every that many periods
-	// (cluster mode only; 0 = never). Each sweep live-migrates VMs off
-	// Eq. 7-infeasible nodes, carrying their controller state — credit
-	// wallets, consumption histories, breaker phases — to the target;
-	// stranded VMs are reported on stderr and retried next sweep. The
-	// -rebalance-every flag overrides it.
-	RebalanceEvery int `json:"rebalance_every,omitempty"`
 
 	// Controller overrides (zero values keep the paper defaults).
 	IncreaseTrigger float64 `json:"increase_trigger,omitempty"`
@@ -152,8 +145,6 @@ func main() {
 	resume := flag.Bool("resume", false, "restore controller state from -checkpoint before the first period")
 	example := flag.Bool("example", false, "print an example scenario and exit")
 	linux := flag.Bool("linux", false, "drive the real host via cgroup v2 instead of the simulator")
-	rebalanceEvery := flag.Int("rebalance-every", -1,
-		"periods between cluster rebalance sweeps (0 = never; -1 defers to the scenario; needs nodes >= 2)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	metricsAddr := flag.String("metrics-addr", "",
@@ -192,10 +183,7 @@ func main() {
 	if sc.DurationS <= 0 {
 		fatal(fmt.Errorf("scenario: duration_s must be positive"))
 	}
-	mf := modeFlags{
-		linux: *linux, csv: *csvPath, checkpoint: *ckptPath,
-		rebalanceEvery: *rebalanceEvery, resume: *resume,
-	}
+	mf := modeFlags{linux: *linux, csv: *csvPath, checkpoint: *ckptPath, resume: *resume}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "checkpoint-every" {
 			mf.checkpointEvery = ckptEvery
@@ -203,9 +191,6 @@ func main() {
 	})
 	if err := validateMode(sc, mf); err != nil {
 		fatal(err)
-	}
-	if *rebalanceEvery >= 0 {
-		sc.RebalanceEvery = *rebalanceEvery
 	}
 	ck := checkpointOpts{path: *ckptPath, every: *ckptEvery, resume: *resume}
 	// The registry is always armed — the end-of-run dump rides on the
@@ -241,12 +226,11 @@ func main() {
 }
 
 // modeFlags are the command-line flags that only some run modes honour,
-// or only with another flag, as given: "", -1 and nil mean the flag was
-// not set.
+// or only with another flag, as given: "" and nil mean the flag was not
+// set.
 type modeFlags struct {
 	linux           bool
 	csv, checkpoint string
-	rebalanceEvery  int
 	checkpointEvery *int64
 	resume          bool
 }
@@ -289,8 +273,6 @@ func validateMode(sc Scenario, f modeFlags) error {
 		{"scenario field fault_delay_us", sc.FaultDelayUs != 0, sim},
 		{"scenario field fault_sites", len(sc.FaultSites) != 0, sim},
 		{"scenario field fault_seed", sc.FaultSeed != 0, sim},
-		{"scenario field rebalance_every", sc.RebalanceEvery != 0, clusterSim},
-		{"flag -rebalance-every", f.rebalanceEvery >= 0, clusterSim},
 		{"flag -csv", f.csv != "", sim | clusterSim},
 		{"flag -checkpoint", f.checkpoint != "", sim | linux},
 	} {
@@ -712,15 +694,6 @@ func runSimCluster(sc Scenario, csvPath string, reg *metrics.Registry) error {
 	var prevEnergy float64
 	var stepUsSum int64
 	for step := 0; step < sc.DurationS; step++ {
-		if sc.RebalanceEvery > 0 && step > 0 && step%sc.RebalanceEvery == 0 {
-			// The sweep continues past stranded VMs; they stay put and
-			// are retried next sweep, so the error is advisory.
-			if moved, rerr := cl.Rebalance(); rerr != nil {
-				fmt.Fprintf(os.Stderr, "vfctl: rebalance at t=%d moved %d VM(s): %v\n", step, moved, rerr)
-			} else if moved > 0 {
-				fmt.Fprintf(os.Stderr, "vfctl: rebalance at t=%d moved %d VM(s)\n", step, moved)
-			}
-		}
 		start := time.Now()
 		// Node failures are isolated by the cluster — the surviving
 		// nodes were stepped — so an error shows up in failed_nodes

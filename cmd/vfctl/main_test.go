@@ -26,7 +26,7 @@ func TestExampleScenarioParses(t *testing.T) {
 // A scenario naming a knob that does not exist — removed, or misspelt —
 // must be refused with the field named, not run under other settings.
 func TestScenarioRejectsUnknownFields(t *testing.T) {
-	for _, field := range []string{"auction_shards", "estimate_shards", "monitor_workers", "step_workers", "seed", "retry_backoff_max_us"} {
+	for _, field := range []string{"auction_shards", "estimate_shards", "monitor_workers", "step_workers", "seed", "retry_backoff_max_us", "rebalance_every"} {
 		raw := fmt.Sprintf(`{"node": "chetemi", "duration_s": 5, %q: 4, "vms": []}`, field)
 		_, err := parseScenario([]byte(raw))
 		if err == nil || !strings.Contains(err.Error(), field) {
@@ -56,7 +56,7 @@ func TestScenarioRejectsUnknownFields(t *testing.T) {
 // the field or flag and the mode named, one row per combination; each
 // mode accepts everything it does read.
 func TestValidateMode(t *testing.T) {
-	none := modeFlags{rebalanceEvery: -1}
+	none := modeFlags{}
 	with := func(edit func(*modeFlags)) modeFlags {
 		f := none
 		edit(&f)
@@ -75,8 +75,8 @@ func TestValidateMode(t *testing.T) {
 			with(func(f *modeFlags) {
 				f.csv, f.checkpoint, f.checkpointEvery, f.resume = "o.csv", "c.json", every(0), true
 			}), nil},
-		{"cluster accepts its knobs and -csv", Scenario{Nodes: 2, RebalanceEvery: 5},
-			with(func(f *modeFlags) { f.csv, f.rebalanceEvery = "o.csv", 0 }), nil},
+		{"cluster accepts -csv", Scenario{Nodes: 2},
+			with(func(f *modeFlags) { f.csv = "o.csv" }), nil},
 		{"linux accepts -checkpoint and its cadence", Scenario{HostRetries: 2},
 			with(func(f *modeFlags) { f.linux, f.checkpoint, f.checkpointEvery = true, "c.json", every(5) }), nil},
 
@@ -93,9 +93,6 @@ func TestValidateMode(t *testing.T) {
 		{"linux fault_sites", Scenario{FaultSites: []string{"SetMax"}}, linux, []string{"fault_sites", "-linux"}},
 		{"linux fault_seed", Scenario{FaultSeed: 3}, linux, []string{"fault_seed", "-linux"}},
 		{"linux -csv", Scenario{}, with(func(f *modeFlags) { f.linux, f.csv = true, "o.csv" }), []string{"-csv", "-linux"}},
-		{"linux rebalance_every", Scenario{RebalanceEvery: 5}, linux, []string{"rebalance_every", "-linux"}},
-		{"sim rebalance_every", Scenario{RebalanceEvery: 5}, none, []string{"rebalance_every", "single-node"}},
-		{"sim -rebalance-every", Scenario{}, with(func(f *modeFlags) { f.rebalanceEvery = 3 }), []string{"-rebalance-every", "single-node"}},
 		{"-resume without -checkpoint", Scenario{}, with(func(f *modeFlags) { f.resume = true }), []string{"-resume", "-checkpoint"}},
 		{"-checkpoint-every without -checkpoint", Scenario{}, with(func(f *modeFlags) { f.checkpointEvery = every(2) }),
 			[]string{"-checkpoint-every", "requires -checkpoint"}},

@@ -11,9 +11,9 @@ import (
 )
 
 // ClusterOptions tunes one cluster migration soak: randomized live
-// migrations and rebalances layered over randomized node blackouts,
-// with the placement and controller-state invariants asserted after
-// every cluster Step. Deterministic from the seed.
+// migrations layered over randomized node blackouts, with the placement,
+// admission and controller-state invariants asserted after every
+// cluster Step. Deterministic from the seed.
 type ClusterOptions struct {
 	// Seed drives the blackout schedule, the migration churn and the
 	// workload mix. Same seed, same run.
@@ -123,13 +123,6 @@ func ClusterSoak(o ClusterOptions) (ClusterResult, error) {
 					return res, err
 				}
 			}
-			if rng.Float64() < 0.3 {
-				// Rebalance under fire: stranded moves are reported, not
-				// fatal — the sweep itself must keep the bookkeeping sound.
-				if _, err := cl.Rebalance(); err != nil && blackout < 0 {
-					return res, fmt.Errorf("chaos: step %d: rebalance on a healthy cluster: %w", step, err)
-				}
-			}
 			res.Epochs++
 			logf("chaos: cluster epoch %d at step %d: blackout=%v migrations=%+v",
 				res.Epochs, step, blackout >= 0, cl.MigrationStats())
@@ -189,8 +182,11 @@ func randomMigrate(cl *cluster.Cluster, rng *rand.Rand, names []string, res *Clu
 // clusterSoakStep advances the cluster one period, then checks the
 // placement ledger — every VM held by exactly one node's manager, which
 // Locate names, each controller tracking only VMs its node holds, the
-// migration counters mutually consistent — and every node controller's
-// invariants (core.Controller.Check).
+// migration counters mutually consistent — what admission guarantees on
+// every node under the soak's default policy (Eq. 7 at factor 1 with
+// memory: Σ vCPU·F ≤ cores·F_MAX, the summed memory fits, every VM's
+// F ≤ F_MAX) and every node controller's invariants
+// (core.Controller.Check).
 func clusterSoakStep(cl *cluster.Cluster, names []string, res *ClusterResult, blackout bool, step int) error {
 	if err := cl.Step(); err != nil {
 		if !blackout {
@@ -218,6 +214,20 @@ func clusterSoakStep(cl *cluster.Cluster, names []string, res *ClusterResult, bl
 		}
 	}
 	for i, n := range cl.Nodes() {
+		spec := n.Spec()
+		var freq, mem int64
+		for _, inst := range n.Manager.List() {
+			tpl := inst.Template()
+			if tpl.FreqMHz > spec.MaxMHz {
+				return fmt.Errorf("chaos: step %d: node %d hosts %s at %d MHz > F_MAX %d", step, i, inst.Name(), tpl.FreqMHz, spec.MaxMHz)
+			}
+			freq += int64(tpl.VCPUs) * tpl.FreqMHz
+			mem += int64(tpl.MemoryGB)
+		}
+		if limit := int64(spec.Cores) * spec.MaxMHz; freq > limit || mem > int64(spec.MemoryGB) {
+			return fmt.Errorf("chaos: step %d: node %d carries Σ vCPU·F = %d MHz of %d, %d GB of %d",
+				step, i, freq, limit, mem, spec.MemoryGB)
+		}
 		// A controller only tracks VMs its own node hosts: migration must
 		// forget on the source and adopt on the target, never leave a
 		// stale twin behind.

@@ -6,18 +6,24 @@ import (
 )
 
 // TestClusterMigrationSoak is the cluster counterpart of TestSoak:
-// randomized migrations and rebalances under randomized node blackouts,
+// randomized migrations under randomized node blackouts,
 // with every placement and controller-state invariant checked after
 // each step. Fixed seeds keep the runs replayable; CHAOS_SEED and
-// CHAOS_STEPS override for ad-hoc hunts.
+// CHAOS_STEPS override for ad-hoc hunts. The 16-VM run fills the nodes
+// so that admission binds: a Deploy or Migrate that skipped Eq. 7 would
+// overload a node there, which the soak's admission check reports.
 func TestClusterMigrationSoak(t *testing.T) {
 	steps := soakSteps(t, 400)
-	for _, seed := range []int64{soakSeed(t, 4), 5, 6} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		vms  int
+	}{{soakSeed(t, 4), 0}, {5, 0}, {6, 0}, {7, 16}} {
+		tc := tc
+		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
 			res, err := ClusterSoak(ClusterOptions{
-				Seed:  seed,
+				Seed:  tc.seed,
 				Steps: steps,
+				VMs:   tc.vms,
 				Logf:  t.Logf,
 			})
 			if err != nil {

@@ -1,13 +1,13 @@
 // Package cluster orchestrates virtual-frequency-controlled nodes at the
 // datacenter level, implementing the direction the paper sketches in
 // §III-C and §V: admission through the core-splitting constraint (Eq. 7),
-// one frequency controller per node, migration-based rebalancing when a
-// node's guarantees become infeasible, and cluster-wide energy
+// one frequency controller per node, live migration and evacuation of
+// failed nodes under the same constraint, and cluster-wide energy
 // accounting with idle nodes powered off.
 //
 // Step feeds a persistent bounded worker pool instead of spawning
 // goroutines, and the steady state (no failures, no placements)
-// allocates nothing. Admission, Rebalance and evacuation scan the nodes
+// allocates nothing. Admission, migration and evacuation scan the nodes
 // with placement.Choose and read each node's load from its vm.Manager,
 // the only record of what the node carries and of where a VM runs.
 package cluster
@@ -230,12 +230,6 @@ func (c *Cluster) Locate(name string) int {
 	return -1
 }
 
-// admits is the admission constraint: whether node n may carry total
-// load l under the policy.
-func (c *Cluster) admits(n *Node, l placement.Load) bool {
-	return c.cfg.Policy.Admits(capacityOf(n.Spec()), l)
-}
-
 // fits checks the admission constraint for tpl joining node n.
 func (c *Cluster) fits(n *Node, tpl vm.Template) bool {
 	return c.fitsResized(n, vm.Template{}, tpl)
@@ -245,7 +239,7 @@ func (c *Cluster) fits(n *Node, tpl vm.Template) bool {
 // replaced by tpl's.
 func (c *Cluster) fitsResized(n *Node, old, tpl vm.Template) bool {
 	return c.cfg.Policy.Attainable(tpl.FreqMHz, n.Spec().MaxMHz) &&
-		c.admits(n, used(n).Sub(loadOf(old)).Add(loadOf(tpl)))
+		c.cfg.Policy.Admits(capacityOf(n.Spec()), used(n).Sub(loadOf(old)).Add(loadOf(tpl)))
 }
 
 // remaining returns the free CPU capacity of n in the policy's unit, for
@@ -282,7 +276,7 @@ func (c *Cluster) choose(alg placement.Algorithm, tpl vm.Template, exclude int) 
 		func(i int) float64 { return c.remaining(c.nodes[i]) })
 }
 
-// bestTarget picks the BestFit migration target for tpl among the
+// bestTarget picks the BestFit evacuation target for tpl among the
 // non-failed nodes other than exclude, or -1.
 func (c *Cluster) bestTarget(tpl vm.Template, exclude int) int {
 	target, _ := c.choose(placement.BestFit, tpl, exclude) // BestFit is valid
@@ -338,8 +332,8 @@ func (c *Cluster) MigrationStats() MigrationStats { return c.migStats }
 //
 // Migrating a VM onto the node it already occupies is a documented
 // no-op: Migrate returns (false, nil) without touching the VM or any
-// counter, so Rebalance accounting stays exact. moved is true exactly
-// when the VM changed nodes (and Migrations grew by one).
+// counter. moved is true exactly when the VM changed nodes (and
+// Migrations grew by one).
 func (c *Cluster) Migrate(name string, target int) (moved bool, err error) {
 	src := c.Locate(name)
 	if src < 0 {
@@ -411,66 +405,14 @@ func (c *Cluster) Resize(name string, tpl vm.Template, srcs []workload.Source) e
 	return n.Manager.Reconfigure(name, tpl, srcs)
 }
 
-// Overloaded returns the indices of nodes whose deployed guarantees
-// violate the admission constraint (possible after Undeploy-free external
-// changes or a policy change).
-func (c *Cluster) Overloaded() []int {
-	var out []int
-	for i, n := range c.nodes {
-		if !c.admits(n, used(n)) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Rebalance migrates VMs away from overloaded nodes until every node
-// satisfies the admission constraint or no feasible move remains. It
-// returns the number of migrations performed. A node whose VMs have no
-// feasible target (or whose migration fails) does not abort the sweep:
-// later overloaded nodes are still processed, and the stranded moves
-// are reported joined in the returned error alongside the count of
-// migrations that did commit.
-func (c *Cluster) Rebalance() (int, error) {
-	moved := 0
-	var errs []error
-	for _, idx := range c.Overloaded() {
-		n := c.nodes[idx]
-		// Move smallest-demand VMs first: they are the cheapest to
-		// migrate and often enough to restore feasibility.
-		for !c.admits(n, used(n)) {
-			name := c.smallestVM(n)
-			if name == "" {
-				break
-			}
-			target := c.bestTarget(n.Manager.Get(name).Template(), idx)
-			if target == -1 {
-				errs = append(errs, fmt.Errorf("cluster: node %d overloaded and no migration target for %q", idx, name))
-				break
-			}
-			if _, err := c.Migrate(name, target); err != nil {
-				errs = append(errs, err)
-				break
-			}
-			moved++
-		}
-	}
-	return moved, errors.Join(errs...)
-}
-
-// smallestVM returns the deployed VM with the lowest vCPU·F demand.
-func (c *Cluster) smallestVM(n *Node) string {
-	best := ""
-	var bestDemand int64 = 1 << 62
-	for _, inst := range n.Manager.List() {
-		demand := loadOf(inst.Template()).FreqMHz
-		if demand < bestDemand {
-			bestDemand = demand
-			best = inst.Name()
-		}
-	}
-	return best
-}
+// Rebalance moves nothing and returns (0, nil). Deploy, Migrate, Resize
+// and evacuation admit a VM onto a node only when the node's load with
+// it satisfies the policy fixed at New, so no node the cluster placed is
+// ever overloaded. VMs provisioned through a Node.Manager bypass
+// admission and are not repaired.
+//
+// Deprecated: admission keeps every node feasible.
+func (c *Cluster) Rebalance() (int, error) { return 0, nil }
 
 // stepWorkerCount resolves Config.StepWorkers against GOMAXPROCS and
 // the node count.

@@ -236,57 +236,6 @@ func TestMigrateValidation(t *testing.T) {
 	}
 }
 
-func TestRebalanceRestoresFeasibility(t *testing.T) {
-	// Two small nodes; force an overload by deploying directly.
-	spec := host.Chetemi()
-	spec.Cores = 4 // capacity 9600 MHz
-	c, err := New([]host.Spec{spec, spec}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Node 0: 2 large = 14400 MHz > 9600 (bypass admission).
-	if _, err := c.nodes[0].Manager.Provision("l0", vm.Large(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.nodes[0].Manager.Provision("l1", vm.Large(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Overloaded(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("Overloaded = %v, want [0]", got)
-	}
-	moved, err := c.Rebalance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 1 {
-		t.Fatalf("moved %d VMs, want 1", moved)
-	}
-	if len(c.Overloaded()) != 0 {
-		t.Fatal("still overloaded after rebalance")
-	}
-	if c.UsedNodes() != 2 {
-		t.Fatal("VM not spread across nodes")
-	}
-}
-
-func TestRebalanceFailsWhenNoTarget(t *testing.T) {
-	spec := host.Chetemi()
-	spec.Cores = 4
-	c, err := New([]host.Spec{spec}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.nodes[0].Manager.Provision("l0", vm.Large(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.nodes[0].Manager.Provision("l1", vm.Large(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Rebalance(); err == nil {
-		t.Fatal("rebalance without target succeeded")
-	}
-}
-
 func TestEnergyAccounting(t *testing.T) {
 	c := twoNodeCluster(t)
 	if _, err := c.Deploy("a", vm.Small(), busy(2)); err != nil {

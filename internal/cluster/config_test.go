@@ -91,28 +91,6 @@ func TestCoreCountAdmission(t *testing.T) {
 	if _, err := c.Deploy("b", vm.Small(), nil); err == nil {
 		t.Fatal("vCPU-count overcommit accepted")
 	}
-	// Overloaded detection in core-count mode.
-	if _, err := c.nodes[0].Manager.Provision("forced", vm.Small(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Overloaded(); len(got) != 1 {
-		t.Fatalf("Overloaded = %v", got)
-	}
-}
-
-func TestMemoryOverloadDetected(t *testing.T) {
-	spec := host.Chetemi()
-	spec.MemoryGB = 4
-	c, err := New([]host.Spec{spec}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.nodes[0].Manager.Provision("a", vm.Large(), nil); err != nil { // 8 GB > 4 GB
-		t.Fatal(err)
-	}
-	if got := c.Overloaded(); len(got) != 1 {
-		t.Fatalf("memory overload not detected: %v", got)
-	}
 }
 
 // TestAdmissionOneRule pins that the offline packer and online admission

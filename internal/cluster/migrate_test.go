@@ -283,8 +283,7 @@ func TestMigrateSourceScopeGone(t *testing.T) {
 }
 
 // The no-op contract: migrating a VM onto its own node reports
-// (false, nil) and leaves every counter untouched, so Rebalance
-// accounting stays exact.
+// (false, nil) and leaves every counter untouched.
 func TestMigrateNoopContract(t *testing.T) {
 	c := twoNodeCluster(t)
 	if _, err := c.Deploy("a", vm.Small(), busy(2)); err != nil {
@@ -310,60 +309,6 @@ func TestMigrateNoopContract(t *testing.T) {
 	}
 	if !reflect.DeepEqual(after, before) {
 		t.Fatal("no-op changed controller state")
-	}
-}
-
-// The Rebalance sweep continues past a node whose VMs have no feasible
-// target: later overloaded nodes are still drained, and the stranding
-// is reported alongside the committed count.
-func TestRebalanceContinuesPastStrandedNode(t *testing.T) {
-	c, err := New([]host.Spec{smallSpec("n0"), smallSpec("n1"), smallSpec("n2")}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Node 0: two Large (14400 MHz > 9600) — no target can take a Large
-	// once node 2 carries a Medium (remaining 4800 < 7200) and node 1 is
-	// itself overloaded.
-	if _, err := c.nodes[0].Manager.Provision("l0", vm.Large(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.nodes[0].Manager.Provision("l1", vm.Large(), nil); err != nil {
-		t.Fatal(err)
-	}
-	// Node 1: two Medium + one Small (10600 > 9600); the Small fits
-	// node 2.
-	if _, err := c.nodes[1].Manager.Provision("m0", vm.Medium(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.nodes[1].Manager.Provision("m1", vm.Medium(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.nodes[1].Manager.Provision("s0", vm.Small(), nil); err != nil {
-		t.Fatal(err)
-	}
-	// Node 2: one Medium (4800 of 9600).
-	if _, err := c.nodes[2].Manager.Provision("m2", vm.Medium(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Overloaded(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("Overloaded = %v, want [0 1]", got)
-	}
-
-	moved, err := c.Rebalance()
-	if err == nil {
-		t.Fatal("stranded node 0 not reported")
-	}
-	if !strings.Contains(err.Error(), "node 0") {
-		t.Fatalf("error %v does not name the stranded node", err)
-	}
-	if moved != 1 {
-		t.Fatalf("moved %d, want 1 (node 1's Small despite node 0 stranding)", moved)
-	}
-	if c.Locate("s0") != 2 {
-		t.Fatalf("s0 on node %d, want 2", c.Locate("s0"))
-	}
-	if got := c.Overloaded(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("Overloaded after sweep = %v, want [0] only", got)
 	}
 }
 

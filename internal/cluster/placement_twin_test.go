@@ -36,7 +36,7 @@ func linearChoose(c *Cluster, tpl vm.Template) int {
 }
 
 // linearBestTarget is the BestFit migration-target scan written out by
-// hand, the oracle for Cluster.bestTarget (evacuation and Rebalance).
+// hand, the oracle for Cluster.bestTarget (evacuation).
 func linearBestTarget(c *Cluster, tpl vm.Template, exclude int) int {
 	target := -1
 	for j, t := range c.nodes {
@@ -55,9 +55,29 @@ var churnTemplates = []vm.Template{vm.Small(), vm.Medium(), vm.Large()}
 // checkDecisions compares the cluster's decisions with the linear oracles
 // for every query the cluster's current state could be asked: each
 // template as an admission, and as a migration off each node (and off
-// none).
+// none). It first checks what admission guarantees, written out
+// literally: on every node, Σ vCPU·F is within cores·F_MAX times the
+// policy factor, the summed memory fits, and every VM's F ≤ F_MAX.
 func checkDecisions(t *testing.T, c *Cluster, after string) {
 	t.Helper()
+	for i, n := range c.nodes {
+		spec := n.Spec()
+		var freq, mem int64
+		for _, inst := range n.Manager.List() {
+			tpl := inst.Template()
+			if tpl.FreqMHz > spec.MaxMHz {
+				t.Fatalf("after %s: node %d hosts %s at %d MHz > F_MAX %d", after, i, inst.Name(), tpl.FreqMHz, spec.MaxMHz)
+			}
+			freq += int64(tpl.VCPUs) * tpl.FreqMHz
+			mem += int64(tpl.MemoryGB)
+		}
+		if limit := float64(int64(spec.Cores)*spec.MaxMHz) * c.cfg.Policy.Factor; float64(freq) > limit {
+			t.Fatalf("after %s: node %d carries Σ vCPU·F = %d MHz > %.0f", after, i, freq, limit)
+		}
+		if mem > int64(spec.MemoryGB) {
+			t.Fatalf("after %s: node %d carries %d GB > %d GB", after, i, mem, spec.MemoryGB)
+		}
+	}
 	for _, tpl := range churnTemplates {
 		if got, _ := c.choose(c.cfg.Algorithm, tpl, -1); got != linearChoose(c, tpl) {
 			t.Fatalf("after %s: choose(%v) = %d, disagrees with the linear scan", after, tpl, got)
@@ -71,13 +91,12 @@ func checkDecisions(t *testing.T, c *Cluster, after string) {
 }
 
 // churn drives one seeded schedule of deploys, undeploys, resizes,
-// migrations, node failures, recoveries, steps and rebalance sweeps
-// against a cluster. Every decision the schedule itself takes — each
-// admission, and each migration target, which is the call evacuation and
-// Rebalance make per VM — is checked against the linear oracle before it
-// is acted on; the decisions Step and Rebalance take internally are
-// covered by comparing every possible query on the state each operation
-// leaves behind.
+// migrations, node failures, recoveries and steps against a cluster.
+// Every decision the schedule itself takes — each admission, and each
+// migration target, which is the call evacuation makes per VM — is
+// checked against the linear oracle before it is acted on; the
+// decisions Step takes internally are covered by comparing every
+// possible query on the state each operation leaves behind.
 func churn(t *testing.T, c *Cluster, seed int64, steps int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -127,7 +146,7 @@ func churn(t *testing.T, c *Cluster, seed int64, steps int) {
 				downNode = -1
 			}
 			did = "fail/recover"
-		case k < 8: // one evacuation/rebalance decision: move a VM off its node
+		case k < 8: // one evacuation decision: move a VM off its node
 			if len(names) == 0 {
 				continue
 			}
@@ -142,15 +161,6 @@ func churn(t *testing.T, c *Cluster, seed int64, steps int) {
 				_, _ = c.Migrate(name, got)
 			}
 			did = "migrate " + name
-		case k < 9: // overcommit a node past admission, then rebalance
-			name := fmt.Sprintf("vm%04d", nextID)
-			nextID++
-			tpl := churnTemplates[rng.Intn(len(churnTemplates))]
-			if _, err := c.nodes[rng.Intn(len(c.nodes))].Manager.Provision(name, tpl, nil); err == nil {
-				names = append(names, name)
-			}
-			_, _ = c.Rebalance()
-			did = "rebalance"
 		default: // step: exercises failure marking, evacuation, re-admission
 			_ = c.Step()
 			did = "step"
@@ -161,14 +171,14 @@ func churn(t *testing.T, c *Cluster, seed int64, steps int) {
 
 // TestPlacementTwinChurn proves the cluster's BestFit/WorstFit decisions
 // identical to the hand-written scans across admission, migration,
-// evacuation, rebalancing and node re-admission, over 100 seeded churn
+// evacuation and node re-admission, over 100 seeded churn
 // schedules (50 per algorithm) on one cluster.
 func TestPlacementTwinChurn(t *testing.T) {
 	for _, alg := range []placement.Algorithm{placement.BestFit, placement.WorstFit} {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			// Cut down to 4 and 8 cores so that capacity binds: admissions
-			// are refused, evacuations strand and overcommits overload.
+			// are refused and evacuations strand.
 			small, big := host.Chetemi(), host.Chiclet()
 			small.Cores, big.Cores = 4, 8
 			specs := []host.Spec{small, big, small, big, small, big}

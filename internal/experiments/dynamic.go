@@ -35,11 +35,6 @@ type DynamicClusterExperiment struct {
 	// FailThreshold enables node-failure detection and evacuation (see
 	// cluster.Config.FailThreshold); 0 disables it.
 	FailThreshold int
-	// RebalanceEvery sweeps overloaded nodes every that many steps
-	// (0 = never): VMs are live-migrated off Eq. 7-infeasible nodes,
-	// carrying their controller state to the target. Stranded VMs stay
-	// put and are retried on the next sweep.
-	RebalanceEvery int
 	// Metrics, when non-nil, receives the cluster and per-node
 	// controller series for the run.
 	Metrics *metrics.Registry
@@ -55,9 +50,6 @@ type DynamicResult struct {
 	ActiveEnergyJ   float64
 	AlwaysOnEnergyJ float64
 	Migrations      int
-	// Rebalanced counts VMs moved by the periodic RebalanceEvery sweeps
-	// (also included in Migrations).
-	Rebalanced int
 	// DegradedVCPUSteps sums the degraded-vCPU count over all steps (a
 	// vCPU degraded for k periods contributes k) and Faults the recorded
 	// host faults — both zero on a healthy cluster.
@@ -135,12 +127,6 @@ func (e DynamicClusterExperiment) Run() (*DynamicResult, error) {
 			res.Deployed++
 			life := int(rng.ExpFloat64()*e.MeanLifetimeSteps) + 1
 			live = append(live, liveVM{name: name, until: step + life})
-		}
-		if e.RebalanceEvery > 0 && step > 0 && step%e.RebalanceEvery == 0 {
-			// Stranded VMs are reported through StrandedVMSteps; the
-			// sweep itself continues past them.
-			moved, _ := cl.Rebalance()
-			res.Rebalanced += moved
 		}
 		start := time.Now()
 		err := cl.Step()

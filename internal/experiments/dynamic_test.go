@@ -131,44 +131,3 @@ func TestPoissonDrawMean(t *testing.T) {
 		t.Fatal("zero mean should draw 0")
 	}
 }
-
-// The RebalanceEvery knob: sweeps run on schedule and are a strict
-// no-op on a cluster the admission policy keeps feasible — Overloaded
-// is judged against the same constraint Deploy enforces, so a pure
-// arrival stream never trips it (the acting paths are covered by the
-// cluster package, where overload is created out of band). The sweep
-// must not move anything, skew any counter, or break determinism.
-func TestDynamicRebalanceSweeps(t *testing.T) {
-	base := DynamicClusterExperiment{
-		Nodes:             smallCluster()[:2],
-		Policy:            placement.Policy{Mode: placement.CoreCount, Factor: 2, Memory: true},
-		ArrivalsPerStep:   2.5,
-		MeanLifetimeSteps: 15,
-		Steps:             40,
-		Seed:              3,
-	}
-	still, err := base.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	swept := base
-	swept.RebalanceEvery = 5
-	res, err := swept.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rebalanced != 0 || res.Migrations != 0 {
-		t.Fatalf("sweep moved VMs on a feasible cluster: %+v", res)
-	}
-	if res.Deployed != still.Deployed || res.Rejected != still.Rejected ||
-		res.MeanUsedNodes != still.MeanUsedNodes || res.ActiveEnergyJ != still.ActiveEnergyJ {
-		t.Fatalf("no-op sweeps changed the run: %+v vs %+v", res, still)
-	}
-	again, err := swept.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Deployed != res.Deployed || again.MeanUsedNodes != res.MeanUsedNodes {
-		t.Fatalf("same seed diverged with rebalance on: %+v vs %+v", res, again)
-	}
-}

@@ -24,13 +24,14 @@ import (
 // supplied via Freqs, keyed by VM name, playing the role of the cloud
 // manager's template database.
 //
-// The per-period paths (UsageUs, ThreadID, LastCPU, CoreFreqMHz, SetMax),
-// and the deprecated SetBurst, keep their files open and pread/pwrite at
-// offset zero into per-file scratch buffers, so a steady-state control
-// Step performs no path construction, no open/close churn and no heap
-// allocation. A failed read or write closes and drops the descriptor, and
-// the next call reopens the path — which is how cgroup recreation on VM
-// restart is picked up.
+// The per-period paths (UsageUs, LastCPU, CoreFreqMHz, SetMax, ClearMax)
+// keep their files open and pread/pwrite at offset zero into per-file
+// scratch buffers, so a steady-state control Step performs no path
+// construction, no open/close churn and no heap allocation. A failed read
+// or write closes and drops the descriptor, and the next call reopens the
+// path — which is how cgroup recreation on VM restart is picked up.
+// ThreadID's cgroup.threads, read only when no tid is remembered, and the
+// deprecated SetBurst's cpu.max.burst are opened, used once and closed.
 //
 // Three answers are remembered instead of re-read every period, each with
 // the events that invalidate it (DESIGN §7 has the table):
@@ -99,12 +100,10 @@ type Linux struct {
 	coreNodes []int
 }
 
-// vcpuFiles caches one vCPU cgroup's control files.
+// vcpuFiles caches the control files one vCPU cgroup's Step uses.
 type vcpuFiles struct {
-	stat    handle // cpu.stat (read)
-	threads handle // cgroup.threads (read)
-	max     handle // cpu.max (write)
-	burst   handle // cpu.max.burst (write)
+	stat handle // cpu.stat (read)
+	max  handle // cpu.max (write)
 	// tid is the vCPU's thread as ThreadID last read it (0: not known,
 	// read cgroup.threads); Linux.procs[tid] points back here and lives
 	// and dies with it.
@@ -113,9 +112,7 @@ type vcpuFiles struct {
 
 func (vf *vcpuFiles) close() {
 	vf.stat.close()
-	vf.threads.close()
 	vf.max.close()
-	vf.burst.close()
 }
 
 // procFile is one thread's kept-open /proc/<tid>/stat. The descriptor is
@@ -234,12 +231,7 @@ func (l *Linux) vcpu(vm string, vcpu int) *vcpuFiles {
 		file := func(name string) handle {
 			return handle{path: filepath.Join(dir, name), host: l}
 		}
-		vf = &vcpuFiles{
-			stat:    file("cpu.stat"),
-			threads: file("cgroup.threads"),
-			max:     file("cpu.max"),
-			burst:   file("cpu.max.burst"),
-		}
+		vf = &vcpuFiles{stat: file("cpu.stat"), max: file("cpu.max")}
 		l.vcpus[ref] = vf
 	}
 	return vf
@@ -605,20 +597,25 @@ func (l *Linux) ClearMax(vm string, vcpu int) error {
 	return l.vcpu(vm, vcpu).max.write(clearMaxPayload)
 }
 
-// SetBurst implements Host.
+// SetBurst implements Host, through cpu.max.burst's path for this call
+// only.
 func (l *Linux) SetBurst(vm string, vcpu int, burstUs int64) error {
-	h := &l.vcpu(vm, vcpu).burst
+	h := handle{path: filepath.Join(filepath.Dir(l.vcpu(vm, vcpu).stat.path), "cpu.max.burst"), host: l}
+	defer h.close()
 	return h.write(strconv.AppendInt(h.buf[:0], burstUs, 10))
 }
 
-// ThreadID implements Host: the tid found last time, or cgroup.threads
-// when none is remembered (see dropProc for what forgets it).
+// ThreadID implements Host: the tid found last time, or cgroup.threads,
+// read through its path for this call only, when none is remembered (see
+// dropProc for what forgets it). A failed read clears scanOK like any.
 func (l *Linux) ThreadID(vm string, vcpu int) (int, error) {
 	vf := l.vcpu(vm, vcpu)
 	if vf.tid != 0 {
 		return vf.tid, nil
 	}
-	b, err := vf.threads.read()
+	h := handle{path: filepath.Join(filepath.Dir(vf.stat.path), "cgroup.threads"), host: l}
+	b, err := h.read()
+	h.close()
 	if err != nil {
 		return 0, err
 	}
